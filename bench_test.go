@@ -15,9 +15,15 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	_ "repro/internal/compressor/lossless"
@@ -30,6 +36,8 @@ import (
 	_ "repro/internal/metrics"
 	"repro/internal/predictors"
 	"repro/internal/pressio"
+	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 // benchDims is the grid used by the per-stage benchmarks (the full
@@ -313,4 +321,77 @@ func BenchmarkFigure4InferencePath(b *testing.B) {
 			}
 		}
 	})
+}
+
+// --- predictd: a bound sweep over resident cells --------------------------
+
+// BenchmarkServePredictSweep is one step of an autotuner searching error
+// bounds through predictd: a 13-item columnar batch (one cell per
+// hurricane field, 32x32x64) at a bound never asked before, through the
+// whole handler. The cells are resident in the data tier and were
+// evaluated at the warm-up bound, so the result and cell caches miss and
+// the op pays decode, the error-dependent metric, inference and encode;
+// rahman2023's error-agnostic metrics (stat, spatial, entropy) come from
+// the buffers. Gated in BENCH_kernels.json.
+func BenchmarkServePredictSweep(b *testing.B) {
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	srv, err := serve.New(st, serve.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Recover(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Drain()
+	h := srv.Handler()
+	do := func(method, path, body string) (int, []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w.Code, w.Body.Bytes()
+	}
+
+	status, raw := do(http.MethodPost, "/v1/fit", `{"scheme":"rahman2023","compressor":"sz3",
+		"training":{"fields":["P","CLOUD","U","QVAPOR"],"steps":2,"dims":[16,16,16],"bounds":[1e-5,1e-3]}}`)
+	var fit serve.FitResponse
+	if status != http.StatusAccepted || json.Unmarshal(raw, &fit) != nil {
+		b.Fatalf("fit: HTTP %d %s", status, raw)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		var job serve.JobView
+		_, raw := do(http.MethodGet, "/v1/jobs/"+fit.JobID, "")
+		if json.Unmarshal(raw, &job); job.Status == "done" {
+			break
+		}
+		if job.Status == "failed" || time.Now().After(deadline) {
+			b.Fatalf("fit job: %s %s", job.Status, job.Error)
+		}
+	}
+
+	const items = 13
+	sweep := func(i int) {
+		status, raw := do(http.MethodPost, "/v1/predict/batch", fmt.Sprintf(`{"scheme":"rahman2023","compressor":"sz3",
+			"options":{"pressio:abs":%g},"dims":[32,32,64],"steps":[0,0,0,0,0,0,0,0,0,0,0,0,0],
+			"fields":["CLOUD","P","PRECIP","QCLOUD","QGRAUP","QICE","QRAIN","QSNOW","QVAPOR","TC","U","V","W"]}`,
+			1e-6*(1+float64(i)*1e-6)))
+		var resp serve.BatchResponse
+		if status != http.StatusOK || json.Unmarshal(raw, &resp) != nil || resp.Count != items || resp.Errors != 0 {
+			b.Fatalf("sweep %d: HTTP %d %s", i, status, raw)
+		}
+		for _, r := range resp.Results {
+			if r.Cached {
+				b.Fatalf("sweep %d: a fresh bound answered cached", i)
+			}
+		}
+	}
+	sweep(0) // synthesizes the cells and evaluates them once
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		sweep(i)
+	}
 }

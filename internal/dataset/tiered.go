@@ -22,11 +22,14 @@ import (
 //
 // Three properties distinguish it from the Plugin-shaped Cache above:
 //
-//   - Identity. Every concurrent Acquire of the same cell observes the
-//     SAME *pressio.Data pointer, which is what lets stats.SummaryOf's
-//     (pointer, version)-keyed derived-value cache share one summary pass
-//     across requests — the cross-request amortization §4.1 of the paper
-//     argues prediction cost rests on.
+//   - Identity. Every Acquire of a resident cell observes the SAME
+//     *pressio.Data, and a buffer carries what was computed from it in
+//     its derived-value slot (the fused stats.Summary, the results of
+//     error-agnostic metrics), so requests over one cell share that work
+//     for as long as the cell stays in the memory tier — the
+//     cross-request amortization §4.1 of the paper argues prediction
+//     cost rests on. A cell reloaded from the disk tier is a new buffer
+//     and starts empty.
 //   - Zero-copy reload. Spilled cells are raw little-endian .f32 files in
 //     the exact corpus naming convention of WriteRaw/BuildCorpus
 //     ("P.t07_8x8x8.f32"), so a spill file's digest equals the corpus

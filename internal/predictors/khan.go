@@ -160,35 +160,46 @@ func splitmix(seed uint64) func() uint64 {
 }
 
 // estimateSZ models the SZ stages on sampled runs: 1-D Lorenzo residuals,
-// quantization, and an entropy-coding estimate.
+// quantization, and an entropy-coding estimate. Codes are counted in a
+// dense window over the span the sample produced, so the entropy — a
+// float sum — runs in code order: summed in the iteration order of a map
+// the estimate differed in its last bits from one call to the next.
 func (m *KhanSurrogate) estimateSZ(vals []float64, elemBits int) float64 {
 	abs := m.abs()
 	step := 2 * abs
-	hist := make(map[int64]uint64, 256)
-	var total, outliers uint64
-	for _, run := range m.sampleRuns(len(vals), 16) {
+	runs := m.sampleRuns(len(vals), 16)
+	sampled := 0
+	for _, run := range runs {
+		sampled += run[1] - run[0]
+	}
+	if sampled == 0 {
+		return 1
+	}
+	codes := make([]int32, 0, sampled)
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
+	for _, run := range runs {
 		prev := 0.0
 		for i := run[0]; i < run[1]; i++ {
 			diff := vals[i] - prev
 			prev = vals[i]
 			c := math.Round(diff / step)
-			total++
-			if math.Abs(c) >= 32768 {
-				outliers++
+			if !(math.Abs(c) < 32768) { // an outlier; NaN too
 				continue
 			}
-			hist[int64(c)]++
+			k := int32(c)
+			codes = append(codes, k)
+			lo, hi = min(lo, k), max(hi, k)
 		}
 	}
-	if total == 0 {
-		return 1
-	}
-	counts := make([]uint64, 0, len(hist))
-	for _, c := range hist {
-		counts = append(counts, c)
+	var counts []uint64
+	if len(codes) > 0 {
+		counts = make([]uint64, int(hi-lo)+1)
+		for _, k := range codes {
+			counts[k-lo]++
+		}
 	}
 	bitsPerSym := stats.EntropyFromCounts(counts)
-	outFrac := float64(outliers) / float64(total)
+	outFrac := float64(sampled-len(codes)) / float64(sampled)
 	est := (1-outFrac)*bitsPerSym + outFrac*float64(elemBits+1)
 	est *= 0.95 // lossless backend estimate
 	if est <= 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Data is an n-dimensional typed buffer, the unit of exchange between
@@ -25,12 +26,86 @@ type Data struct {
 	by  []byte
 
 	// version counts mutations made through this Data value (Set,
-	// UnmarshalBinary). Derived-value caches (stats.Float64Of,
-	// stats.SummaryOf) key on (pointer, version) so a mutated buffer
-	// never serves stale statistics. Mutating a backing slice obtained
-	// from Float64()/Float32()/... directly bypasses the counter; such
-	// writes must happen before the buffer is shared with metrics.
+	// FillFloat64, Touch, UnmarshalBinary). Everything derived from the
+	// contents — the slot below, and stats.Float64Of's buffer-sized
+	// view — is valid for one version only, so a mutated buffer never
+	// serves stale statistics. Mutating a backing slice obtained from
+	// Float64()/Float32()/... directly bypasses the counter; such writes
+	// must happen before the buffer is shared with metrics, or be
+	// followed by Touch.
 	version uint64
+
+	// derived is the buffer's derived-value slot (Derived/StoreDerived).
+	// It makes Data non-copyable: Reshape and UnmarshalBinary build
+	// their results field by field.
+	derived atomic.Pointer[derivedSet]
+}
+
+// derivedSet is one published state of the slot: the values stored for
+// one version of the buffer. It is never mutated after publication, so
+// readers need no lock; a store publishes a fresh copy.
+type derivedSet struct {
+	version uint64
+	n       int
+	entries [maxDerived]derivedEntry // entries[:n], oldest first
+}
+
+type derivedEntry struct{ key, value any }
+
+// maxDerived bounds the slot. The working set is the fused summary, one
+// quantized entropy and one result per error-agnostic metric of a
+// scheme; the bound only stops a client that sweeps a metric option
+// (entropy:bins, say) from growing a resident buffer's slot without
+// limit. The oldest entry goes first.
+const maxDerived = 16
+
+// Derived returns the value last stored under key for the buffer's
+// current Version, or nil. The slot is the home of everything small that
+// is computed from the contents (the fused summary, error-agnostic
+// metric results): it is reachable only through the buffer, so derived
+// values are collected with it, and a Reshape view or a Clone starts
+// empty because dims are part of what they were computed from. Stored
+// values are shared between goroutines and must be treated as immutable.
+func (d *Data) Derived(key any) any {
+	s := d.derived.Load()
+	if s == nil || s.version != d.version {
+		return nil
+	}
+	for i := range s.entries[:s.n] {
+		if s.entries[i].key == key {
+			return s.entries[i].value
+		}
+	}
+	return nil
+}
+
+// StoreDerived records value under key (a comparable value, typically
+// of a package-private type) for the buffer's current Version,
+// replacing any earlier value under the same key and dropping whatever
+// was stored for older versions. Concurrent stores are safe; when two
+// goroutines store the same key the last one wins, which is sound for
+// values that are pure functions of the contents.
+func (d *Data) StoreDerived(key, value any) {
+	for {
+		old := d.derived.Load()
+		next := &derivedSet{version: d.version}
+		if old != nil && old.version == d.version {
+			for _, e := range old.entries[:old.n] {
+				if e.key != key {
+					next.entries[next.n] = e
+					next.n++
+				}
+			}
+			if next.n == maxDerived { // no room left: the oldest goes
+				next.n = copy(next.entries[:], next.entries[1:])
+			}
+		}
+		next.entries[next.n] = derivedEntry{key, value}
+		next.n++
+		if d.derived.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // NewByte wraps a raw byte buffer (e.g. a compressed payload) in a Data.
@@ -192,9 +267,9 @@ func (d *Data) At(i int) float64 {
 }
 
 // Version returns the mutation generation of the buffer. It increases on
-// every Set and UnmarshalBinary; equal (pointer, Version) pairs denote
-// identical contents, which is what makes per-buffer derived-value caches
-// sound.
+// every Set, FillFloat64, Touch and UnmarshalBinary; equal (pointer,
+// Version) pairs denote identical contents, which is what makes values
+// derived from a buffer (Derived, stats.Float64Of) sound to reuse.
 func (d *Data) Version() uint64 { return d.version }
 
 // Set stores v into element i, converting from float64.
@@ -218,8 +293,8 @@ func (d *Data) Set(i int, v float64) {
 
 // Touch records a mutation made directly through a backing slice
 // (Float32(), Float64(), ...). Bulk writers that fill the backing storage
-// in place must call Touch once afterwards so derived-value caches keyed
-// on (pointer, Version) are invalidated.
+// in place must call Touch once afterwards so values derived from the
+// previous contents are no longer served.
 func (d *Data) Touch() { d.version++ }
 
 // FillFloat64 stores vals into the buffer, converting each element from
@@ -283,9 +358,13 @@ func (d *Data) Reshape(dims ...int) (*Data, error) {
 	if n != d.Len() {
 		return nil, fmt.Errorf("pressio: reshape %v (%d elements) incompatible with %v (%d elements)", dims, n, d.dims, d.Len())
 	}
-	out := *d
-	out.dims = cloneDims(dims)
-	return &out, nil
+	// field by field, not *d: the view shares storage and version but
+	// must start with an empty derived slot (dims-dependent values)
+	return &Data{
+		dtype: d.dtype, dims: cloneDims(dims),
+		f32: d.f32, f64: d.f64, i32: d.i32, i64: d.i64, by: d.by,
+		version: d.version,
+	}, nil
 }
 
 // Range returns the minimum and maximum element values as float64.
@@ -398,8 +477,10 @@ func (d *Data) UnmarshalBinary(b []byte) error {
 	case DTypeByte:
 		copy(out.by, b)
 	}
-	out.version = d.version + 1
-	*d = *out
+	d.dtype, d.dims = out.dtype, out.dims
+	d.f32, d.f64, d.i32, d.i64, d.by = out.f32, out.f64, out.i32, out.i64, out.by
+	d.version++
+	d.derived.Store(nil)
 	return nil
 }
 

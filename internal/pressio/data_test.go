@@ -229,3 +229,114 @@ func TestUnmarshalRejectsHugeDims(t *testing.T) {
 		t.Error("overflowing dims accepted")
 	}
 }
+
+type slotKey struct{ name string }
+
+func TestDerivedSlotFollowsVersion(t *testing.T) {
+	mutations := map[string]func(d *Data){
+		"Set":         func(d *Data) { d.Set(1, 5) },
+		"Touch":       func(d *Data) { d.Float32()[1] = 5; d.Touch() },
+		"FillFloat64": func(d *Data) { d.FillFloat64([]float64{1, 2, 3, 4}) },
+		"UnmarshalBinary": func(d *Data) {
+			raw, err := FromFloat32([]float32{9, 8, 7, 6}, 4).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.UnmarshalBinary(raw); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, mutate := range mutations {
+		d := FromFloat32([]float32{1, 2, 3, 4}, 4)
+		if got := d.Derived(slotKey{"a"}); got != nil {
+			t.Fatalf("%s: fresh buffer slot holds %v", name, got)
+		}
+		d.StoreDerived(slotKey{"a"}, 1.5)
+		d.StoreDerived(slotKey{"b"}, "two")
+		d.StoreDerived(slotKey{"a"}, 2.5) // replaces, does not duplicate
+		if got := d.Derived(slotKey{"a"}); got != 2.5 {
+			t.Fatalf("%s: Derived(a) = %v, want 2.5", name, got)
+		}
+		if got := d.Derived(slotKey{"b"}); got != "two" {
+			t.Fatalf("%s: Derived(b) = %v, want two", name, got)
+		}
+		v := d.Version()
+		mutate(d)
+		if d.Version() == v {
+			t.Fatalf("%s did not move the version", name)
+		}
+		for _, k := range []slotKey{{"a"}, {"b"}} {
+			if got := d.Derived(k); got != nil {
+				t.Errorf("%s: value stored for version %d still served at %d: %v", name, v, d.Version(), got)
+			}
+		}
+		// the slot works again at the new version, without the old entries
+		d.StoreDerived(slotKey{"c"}, 3)
+		if d.Derived(slotKey{"c"}) != 3 || d.Derived(slotKey{"a"}) != nil {
+			t.Errorf("%s: slot after mutation: c=%v a=%v", name, d.Derived(slotKey{"c"}), d.Derived(slotKey{"a"}))
+		}
+	}
+}
+
+func TestDerivedSlotNotInheritedByViewsAndCopies(t *testing.T) {
+	d := NewFloat32(4, 6)
+	d.StoreDerived(slotKey{"dims-dependent"}, "4x6")
+	r, err := d.Reshape(2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Derived(slotKey{"dims-dependent"}); got != nil {
+		t.Errorf("Reshape view inherited %v", got)
+	}
+	if got := d.Clone().Derived(slotKey{"dims-dependent"}); got != nil {
+		t.Errorf("Clone inherited %v", got)
+	}
+	// and what the view stores stays on the view
+	r.StoreDerived(slotKey{"dims-dependent"}, "2x12")
+	if got := d.Derived(slotKey{"dims-dependent"}); got != "4x6" {
+		t.Errorf("storing on the view changed the original's slot to %v", got)
+	}
+}
+
+func TestDerivedSlotBounded(t *testing.T) {
+	d := NewFloat32(2)
+	for i := 0; i < 3*maxDerived; i++ {
+		d.StoreDerived(i, i)
+	}
+	if n := d.derived.Load().n; n != maxDerived {
+		t.Fatalf("slot holds %d entries, want the bound %d", n, maxDerived)
+	}
+	if d.Derived(0) != nil {
+		t.Error("the oldest entry should have been dropped")
+	}
+	if last := 3*maxDerived - 1; d.Derived(last) != last {
+		t.Error("the newest entry should be present")
+	}
+}
+
+func TestDerivedSlotConcurrentStores(t *testing.T) {
+	d := NewFloat32(2)
+	const writers = 8
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 200; i++ {
+				d.StoreDerived(w, i)
+				if got, ok := d.Derived(w).(int); !ok || got != i {
+					t.Errorf("writer %d read %v after storing %d", w, d.Derived(w), i)
+					return
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < writers; w++ {
+		<-done
+	}
+	for w := 0; w < writers; w++ {
+		if d.Derived(w) != 199 {
+			t.Errorf("key %d = %v after all stores, want 199", w, d.Derived(w))
+		}
+	}
+}

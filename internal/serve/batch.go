@@ -187,8 +187,9 @@ func (c *cellCache) evictIf(pred func(scheme string) bool) int {
 // batchGroup is the resolved per-batch context every item shares: one
 // scheme lookup, one options merge, one model lookup, one cell-key base
 // — amortized over the whole batch instead of paid per request. The
-// lazily resolved predictor makes a group single-goroutine: each batch
-// (or coalesce flush) builds and walks its own.
+// lazily resolved predictor and feature plan make a group
+// single-goroutine: each batch (or coalesce flush) builds and walks its
+// own.
 type batchGroup struct {
 	schemeName string
 	compressor string
@@ -201,6 +202,7 @@ type batchGroup struct {
 	dims       [3]int
 	base       string
 	pred       core.Predictor
+	plan       *core.FeaturePlan
 }
 
 // cellBase hashes the envelope part of a cell identity. The model key is
@@ -295,6 +297,17 @@ func (s *Server) groupPredictor(g *batchGroup) (core.Predictor, error) {
 	return g.pred, err
 }
 
+// groupPlan resolves the scheme's configured metric plugins and their
+// memo keys once per batch, like groupPredictor.
+func (s *Server) groupPlan(g *batchGroup) (*core.FeaturePlan, error) {
+	if g.plan != nil {
+		return g.plan, nil
+	}
+	var err error
+	g.plan, err = s.features.Plan(g.scheme, g.compressor, g.opts)
+	return g.plan, err
+}
+
 // cellHitInto serves a cell from the cell cache; false means miss. The
 // hit path is allocation-free — BenchmarkServePredictBatch pins that.
 func (s *Server) cellHitInto(g *batchGroup, field string, step int, out *BatchItemResult) bool {
@@ -342,8 +355,9 @@ func (s *Server) predictFeatureRow(g *batchGroup, features []float64, out *Batch
 
 // predictCellMiss computes one cold cell: data through the tiered
 // dataset cache (pinned for exactly the feature pass), features through
-// the scheme's metrics, prediction through the group predictor, result
-// into the cell cache.
+// the group's plan — which finds the error-agnostic metrics' results on
+// the buffer when the cell was evaluated before at another bound —
+// prediction through the group predictor, result into the cell cache.
 func (s *Server) predictCellMiss(ctx context.Context, g *batchGroup, field string, step int, out *BatchItemResult) {
 	if err := ctx.Err(); err != nil {
 		out.Error = err.Error()
@@ -366,7 +380,12 @@ func (s *Server) predictCellMiss(ctx context.Context, g *batchGroup, field strin
 		}
 		data = d
 	}
-	features, err := computeFeatures(ctx, g.scheme, g.compressor, g.opts, data)
+	plan, err := s.groupPlan(g)
+	if err != nil {
+		out.Error = err.Error()
+		return
+	}
+	features, err := plan.Evaluate(ctx, data)
 	if err != nil {
 		out.Error = err.Error()
 		return

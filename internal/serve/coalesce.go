@@ -16,9 +16,8 @@ import (
 // batched feature-extraction pass and fans the results back out. Two
 // requests for the same cell in one window compute once; two requests
 // for different cells of the same model share the group resolution, the
-// predictor, and — through the tiered dataset cache handing every item
-// the same *pressio.Data pointers — the stats.Summary sharing that
-// makes the per-item cost near zero.
+// predictor and the feature plan, and every item finds on its resident
+// buffer whatever error-agnostic results earlier requests left there.
 type coalescer struct {
 	s       *Server
 	mu      sync.Mutex

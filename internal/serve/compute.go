@@ -61,37 +61,12 @@ func checkDims(dims []int) error {
 	return nil
 }
 
-// computeFeatures runs the scheme's metric plugins over one data buffer
-// and extracts the feature vector — the server-side analogue of the
-// Figure-4 evaluate step, with ctx checked between metrics so a deadline
-// can cut a multi-metric evaluation short.
-func computeFeatures(ctx context.Context, scheme core.Scheme, compressor string, opts pressio.Options, data *pressio.Data) ([]float64, error) {
-	merged := opts.Clone()
-	merged.Set(predictors.OptTaoCompressor, compressor)
-	merged.Set(predictors.OptKhanCompressor, compressor)
-	results := pressio.Options{}
-	for _, name := range scheme.Metrics() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		m, err := pressio.GetMetric(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.SetOptions(merged); err != nil {
-			return nil, fmt.Errorf("metric %s: %w", name, err)
-		}
-		m.BeginCompress(data)
-		results.Merge(m.Results())
-	}
-	return core.ExtractFeatures(results, scheme.Features())
-}
-
 // resolveFeatures turns a predict request into the scheme's feature
 // vector, either by validating the client-supplied one or by reading the
 // referenced buffer — through the tiered dataset cache when enabled, so
 // repeated requests over the same cell skip synthesis and share one
-// buffer pointer — and evaluating the metrics.
+// buffer, and with it the error-agnostic metric results earlier
+// requests left on it — and evaluating the metrics.
 func (s *Server) resolveFeatures(ctx context.Context, scheme core.Scheme, req *PredictRequest, opts pressio.Options) ([]float64, error) {
 	want := scheme.Features()
 	if req.Features != nil {
@@ -112,7 +87,7 @@ func (s *Server) resolveFeatures(ctx context.Context, scheme core.Scheme, req *P
 		return nil, err
 	}
 	defer release()
-	return computeFeatures(ctx, scheme, req.Compressor, opts, data)
+	return s.features.EvaluateFeatures(ctx, scheme, req.Compressor, opts, data)
 }
 
 // fieldData reads one hurricane cell, preferring the tiered dataset
@@ -200,9 +175,10 @@ func (s *Server) predictorFor(entry *ModelEntry) (core.Predictor, error) {
 // observeCell measures one (field, step, bound) training cell: data
 // through the tiered dataset cache — repeated fits over the same
 // hurricane fields (and any concurrent predicts) share buffers and skip
-// regeneration — features via the scheme's metrics, target via a real
-// compressor run. The pin is released before return; observations copy
-// out scalars, never the buffer.
+// regeneration — features via the scheme's metrics (the error-agnostic
+// ones once per cell, however many bounds the fit observes it at),
+// target via a real compressor run. The pin is released before return;
+// observations copy out scalars, never the buffer.
 func (s *Server) observeCell(ctx context.Context, scheme core.Scheme, compressor string, opts pressio.Options, field string, step int, dims []int, bound float64) ([]float64, float64, error) {
 	data, release, err := s.fieldData(field, step, dims)
 	if err != nil {
@@ -211,7 +187,7 @@ func (s *Server) observeCell(ctx context.Context, scheme core.Scheme, compressor
 	defer release()
 	cellOpts := opts.Clone()
 	cellOpts.Set(pressio.OptAbs, bound)
-	features, err := computeFeatures(ctx, scheme, compressor, cellOpts, data)
+	features, err := s.features.EvaluateFeatures(ctx, scheme, compressor, cellOpts, data)
 	if err != nil {
 		return nil, 0, err
 	}

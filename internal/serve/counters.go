@@ -182,7 +182,20 @@ type Statz struct {
 	// (mem/disk/miss counts plus resident and mapped bytes); all-zero
 	// when the cache is disabled.
 	DataCache dataset.TieredStats `json:"data_cache"`
-	Process   ProcessStats        `json:"process"`
+	// FeatureMemo counts error-agnostic metric evaluations on the miss
+	// path: served from the buffer they were computed on (hits) or run
+	// (misses). It is per metric, not per prediction, and so stands
+	// outside the cache_hits/cell_hits/cache_misses/coalesced_hits
+	// partition: a prediction counted there as one miss may be several
+	// memo hits here.
+	FeatureMemo FeatureMemoStats `json:"feature_memo"`
+	Process     ProcessStats     `json:"process"`
+}
+
+// FeatureMemoStats is the /statz feature_memo block.
+type FeatureMemoStats struct {
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 }
 
 // snapshot assembles the endpoint/scheme/cache section of Statz; the

@@ -72,9 +72,11 @@ type Config struct {
 	// DataCacheBytes bounds the memory tier of the tiered dataset cache
 	// that predict and fit read hurricane cells through (default 128
 	// MiB; negative disables the cache and every request re-synthesizes).
-	// Serving buffers through one cache gives concurrent requests the
-	// same *pressio.Data pointer, which is what lets stats.SummaryOf
-	// share one summary pass across requests.
+	// Serving buffers through one cache gives every request over a
+	// resident cell the same *pressio.Data, and a buffer carries what was
+	// computed from it (the fused summary, error-agnostic metric
+	// results), so requests that differ only in the error bound share
+	// that work for as long as the cell stays resident.
 	DataCacheBytes int64
 	// DataSpillDir, when set, enables the dataset cache's mmap-backed
 	// disk tier (predictd -data-spill).
@@ -220,6 +222,7 @@ type Server struct {
 	cache     *lruCache
 	cells     *cellCache
 	data      *dataset.TieredCache
+	features  core.Evaluator
 	coalesce  *coalescer
 	flight    *flightGroup
 	pool      *workerPool
@@ -919,6 +922,8 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) int {
 		delete(s.predCache, k)
 	}
 	s.predMu.Unlock()
+	// error-agnostic metric results memoised on resident buffers
+	s.features.Invalidate(req.Keys)
 
 	// clear cached predictions from schemes the declaration made stale
 	// (memoized per scheme; cache entries are the only source of names)
@@ -972,6 +977,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	if s.data != nil {
 		st.DataCache = s.data.Stats()
 	}
+	st.FeatureMemo.Hits, st.FeatureMemo.Misses = s.features.MemoStats()
 	st.Jobs = map[string]int{}
 	s.jobMu.Lock()
 	for _, j := range s.jobs {

@@ -52,7 +52,7 @@ func TestStatzJSONShape(t *testing.T) {
 		"jobs_retained", "jobs_evicted", "journal_errors", "endpoints",
 		"schemes", "cache_hits", "cache_misses", "cache_size",
 		"cell_hits", "cell_cache_size", "coalesced_hits",
-		"batch_requests", "batch_predictions", "data_cache",
+		"batch_requests", "batch_predictions", "data_cache", "feature_memo",
 		"dedup_collapses", "rejected", "evicted_models", "evicted_cached",
 		"process",
 	} {
@@ -71,6 +71,16 @@ func TestStatzJSONShape(t *testing.T) {
 	} {
 		if _, ok := dc[key]; !ok {
 			t.Errorf("/statz data_cache section missing key %q", key)
+		}
+	}
+
+	var fm map[string]json.RawMessage
+	if err := json.Unmarshal(doc["feature_memo"], &fm); err != nil {
+		t.Fatalf("feature_memo section: %v", err)
+	}
+	for _, key := range []string{"hits", "misses"} {
+		if _, ok := fm[key]; !ok {
+			t.Errorf("/statz feature_memo section missing key %q", key)
 		}
 	}
 

@@ -151,8 +151,8 @@ type devHistAcc struct {
 // Summarize computes the fused summary of d with the given histogram bin
 // count (0 skips the histogram) using up to `workers` pool workers. The
 // result is independent of the worker count up to float addition order;
-// histogram counts are exact. Prefer SummaryOf, which caches per buffer
-// generation.
+// histogram counts are exact. Prefer SummaryOf, which keeps the result
+// on the buffer.
 func Summarize(d *pressio.Data, bins, workers int) *Summary {
 	n := d.Len()
 	s := &Summary{N: n, Bins: bins}
@@ -279,47 +279,57 @@ func Summarize(d *pressio.Data, bins, workers int) *Summary {
 	return s
 }
 
-// --- per-buffer derived-value cache ------------------------------------
+// --- per-buffer derived values --------------------------------------------
 
-// cacheEntry holds the derived values of one (Data pointer, version)
-// generation. A new generation invalidates every derived value at once.
-type cacheEntry struct {
+// summaryKey and qeKey name this package's entries in a buffer's
+// derived-value slot (pressio.Data.Derived): small results that live on
+// the buffer they describe, are dropped when it mutates and collected
+// when it is. Every goroutine holding the same *pressio.Data — all
+// requests over one resident dataset.TieredCache cell — shares them
+// without a process-wide lock.
+type (
+	summaryKey struct{}
+	qeKey      struct{}
+)
+
+// qeValue is the quantized entropy at the last bound asked for.
+type qeValue struct{ abs, bits float64 }
+
+// f64View is the float64 conversion of one (Data pointer, version)
+// generation. It is buffer-sized — twice a float32 buffer — so unlike
+// the values above it does not ride on the buffer: pinning one per
+// resident cell would triple the data tier's footprint.
+type f64View struct {
 	data    *pressio.Data
 	version uint64
-
 	f64     []float64
-	summary *Summary
-
-	qeOK   bool
-	qeAbs  float64
-	qeBits float64
 }
 
-// derivedCache is a small move-to-front cache keyed by Data pointer
-// identity. Eight entries cover the working set of a metric chain, a
-// bench sweep cell, and concurrent predictd requests without pinning an
-// unbounded amount of buffer-sized memory.
-type derivedCache struct {
+// viewCache is a small move-to-front cache of float64 views keyed by
+// Data pointer identity. Eight entries cover the working set of a metric
+// chain, a bench sweep cell, and concurrent predictd requests without
+// pinning an unbounded amount of buffer-sized memory.
+type viewCache struct {
 	mu      sync.Mutex
-	entries []*cacheEntry // most recently used first
+	entries []*f64View // most recently used first
 }
 
-const derivedCacheCap = 8
+const viewCacheCap = 8
 
-var cache derivedCache
+var views viewCache
 
 // lookup returns (creating if needed) the entry for d's current
 // generation. Callers must hold no locks; the entry is returned outside
 // the cache lock and may be concurrently filled by racing goroutines —
 // fills are idempotent, so last-write-wins is sound.
-func (c *derivedCache) lookup(d *pressio.Data) *cacheEntry {
+func (c *viewCache) lookup(d *pressio.Data) *f64View {
 	v := d.Version()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, e := range c.entries {
 		if e.data == d {
 			if e.version != v {
-				e = &cacheEntry{data: d, version: v}
+				e = &f64View{data: d, version: v}
 				c.entries[i] = e
 			}
 			// move to front
@@ -328,8 +338,8 @@ func (c *derivedCache) lookup(d *pressio.Data) *cacheEntry {
 			return e
 		}
 	}
-	e := &cacheEntry{data: d, version: v}
-	if len(c.entries) < derivedCacheCap {
+	e := &f64View{data: d, version: v}
+	if len(c.entries) < viewCacheCap {
 		c.entries = append(c.entries, nil)
 	}
 	copy(c.entries[1:], c.entries)
@@ -340,16 +350,16 @@ func (c *derivedCache) lookup(d *pressio.Data) *cacheEntry {
 // Float64Of returns a float64 view of d, cached per buffer generation: a
 // float64 buffer is returned directly, anything else is converted once
 // and reused by every subsequent caller (metrics, kernels, predictors)
-// until the buffer mutates. The returned slice is shared — callers must
-// not modify it.
+// until the buffer mutates or eight other buffers have been viewed. The
+// returned slice is shared — callers must not modify it.
 func Float64Of(d *pressio.Data) []float64 {
 	if d.DType() == pressio.DTypeFloat64 {
 		return d.Float64()
 	}
-	e := cache.lookup(d)
-	cache.mu.Lock()
+	e := views.lookup(d)
+	views.mu.Lock()
 	xs := e.f64
-	cache.mu.Unlock()
+	views.mu.Unlock()
 	if xs != nil {
 		return xs
 	}
@@ -367,52 +377,58 @@ func Float64Of(d *pressio.Data) []float64 {
 			out[i] = d.At(i)
 		}
 	}
-	cache.mu.Lock()
+	views.mu.Lock()
 	e.f64 = out
-	cache.mu.Unlock()
+	views.mu.Unlock()
 	return out
 }
 
-// SummaryOf returns the fused summary of d's current generation, cached
-// so a chain of metrics (and predictd's feature synthesis) computes it
-// once per buffer. bins == 0 requests moments only; if a histogram with
-// different bin width than the cached one is requested, the histogram
-// sweep reruns but the moments are reused.
+// histRides reports whether a bins-wide histogram is small enough beside
+// d to be kept on it: at most an eighth of the buffer's bytes. What rides
+// on a buffer stays in memory for as long as the buffer does — for a
+// predictd cell, as long as it is resident — so it has to be small beside
+// it: 4096 bins are 32 KiB, twice a 16x16x16 float32 cell.
+func histRides(d *pressio.Data, bins int) bool { return 8*8*bins <= d.ByteSize() }
+
+// SummaryOf returns the fused summary of d's current generation, kept on
+// the buffer so a chain of metrics — and every predictd request over the
+// same resident cell — computes it once. bins == 0 requests moments
+// only; a histogram with a different bin count than the stored one
+// recomputes and replaces it. The moments are always kept; the histogram
+// only where histRides, so on a small buffer every bins > 0 call sweeps
+// again (cheap there, and predictd memoises the metric that asks).
+// Concurrent first callers may both compute; the results are identical,
+// so the last store wins.
 func SummaryOf(d *pressio.Data, bins, workers int) *Summary {
-	e := cache.lookup(d)
-	cache.mu.Lock()
-	s := e.summary
-	cache.mu.Unlock()
-	if s != nil && (bins == 0 || s.Bins == bins) {
-		return s
+	stored, _ := d.Derived(summaryKey{}).(*Summary)
+	if stored != nil && (bins == 0 || stored.Bins == bins) {
+		return stored
 	}
-	s = Summarize(d, bins, workers)
-	cache.mu.Lock()
-	if e.summary == nil || bins != 0 {
-		e.summary = s
+	s := Summarize(d, bins, workers)
+	keep := s
+	if bins != 0 && !histRides(d, bins) {
+		moments := *s
+		moments.Bins, moments.Hist = 0, nil
+		keep = &moments
 	}
-	cache.mu.Unlock()
+	if keep.Bins != 0 || stored == nil {
+		d.StoreDerived(summaryKey{}, keep)
+	}
 	return s
 }
 
 // QuantizedEntropyOf returns the quantized entropy of d at the given
-// bound, cached per (generation, bound). The computation is a single
-// sweep over the native element type; when the quantized key span is
-// small it counts into a pooled dense array instead of a map, which is
-// the common case for real error bounds and is several times faster.
+// bound, kept on the buffer for the last bound asked for. The
+// computation is a single sweep over the native element type; when the
+// quantized key span is small it counts into a pooled dense array
+// instead of a map, which is the common case for real error bounds and
+// is several times faster.
 func QuantizedEntropyOf(d *pressio.Data, abs float64, workers int) float64 {
-	e := cache.lookup(d)
-	cache.mu.Lock()
-	if e.qeOK && e.qeAbs == abs {
-		bits := e.qeBits
-		cache.mu.Unlock()
-		return bits
+	if qe, ok := d.Derived(qeKey{}).(qeValue); ok && qe.abs == abs {
+		return qe.bits
 	}
-	cache.mu.Unlock()
 	bits := quantizedEntropyData(d, abs, workers)
-	cache.mu.Lock()
-	e.qeOK, e.qeAbs, e.qeBits = true, abs, bits
-	cache.mu.Unlock()
+	d.StoreDerived(qeKey{}, qeValue{abs: abs, bits: bits})
 	return bits
 }
 

@@ -178,7 +178,13 @@ func TestSummaryAllNaN(t *testing.T) {
 }
 
 func TestSummaryOfCachesPerGeneration(t *testing.T) {
-	d := pressio.FromFloat32([]float32{1, 2, 3, 4}, 4)
+	// 128 elements: an 8-bin histogram is an eighth of the buffer, the
+	// most that rides on it
+	vals := make([]float32, 128)
+	for i := range vals {
+		vals[i] = float32(i%4 + 1)
+	}
+	d := pressio.FromFloat32(vals, len(vals))
 	s1 := SummaryOf(d, 8, 1)
 	s2 := SummaryOf(d, 8, 1)
 	if s1 != s2 {
@@ -191,6 +197,65 @@ func TestSummaryOfCachesPerGeneration(t *testing.T) {
 	}
 	if s3.Max != 100 {
 		t.Errorf("post-mutation max = %g, want 100", s3.Max)
+	}
+}
+
+// TestSummaryOfLivesOnTheBuffer: the summary is kept by the buffer, not
+// by a bounded process-wide list, so any number of live buffers keep
+// theirs (the float64 view cache below holds eight).
+func TestSummaryOfLivesOnTheBuffer(t *testing.T) {
+	bufs := make([]*pressio.Data, 4*viewCacheCap)
+	first := make([]*Summary, len(bufs))
+	for i := range bufs {
+		vals := make([]float32, 256)
+		vals[0] = float32(i)
+		bufs[i] = pressio.FromFloat32(vals, len(vals))
+		first[i] = SummaryOf(bufs[i], 8, 1)
+	}
+	for i, d := range bufs {
+		if SummaryOf(d, 8, 1) != first[i] {
+			t.Fatalf("buffer %d of %d live ones lost its summary", i, len(bufs))
+		}
+		if SummaryOf(d, 0, 1) != first[i] {
+			t.Errorf("buffer %d: a moments-only request should reuse the histogram summary", i)
+		}
+	}
+	// a different bin count replaces the stored summary
+	s16 := SummaryOf(bufs[0], 16, 1)
+	if s16.Bins != 16 || SummaryOf(bufs[0], 16, 1) != s16 {
+		t.Errorf("bins=16 summary not kept: %+v", s16)
+	}
+	// a reshaped view shares storage but not the slot
+	view, err := bufs[1].Reshape(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if SummaryOf(view, 8, 1) == first[1] {
+		t.Error("a Reshape view was served the original buffer's summary object")
+	}
+}
+
+// TestSummaryOfKeepsHistogramOnlyWhereSmall: what rides on a buffer
+// stays in memory as long as the buffer does, so a histogram larger than
+// an eighth of the buffer is returned but not kept; the moments are.
+func TestSummaryOfKeepsHistogramOnlyWhereSmall(t *testing.T) {
+	d := pressio.FromFloat32([]float32{1, 2, 3, 4}, 4) // 16 bytes
+	s := SummaryOf(d, 8, 1)                            // 64 bytes of bins
+	if s.Bins != 8 || len(s.Hist) != 8 {
+		t.Fatalf("caller must still get its histogram: %+v", s)
+	}
+	kept := SummaryOf(d, 0, 1)
+	if kept.Hist != nil || kept.Bins != 0 {
+		t.Errorf("a 64-byte histogram was kept on a 16-byte buffer: %+v", kept)
+	}
+	if kept.Mean != s.Mean || kept.Std != s.Std || kept.Min != s.Min || kept.Max != s.Max || kept.N != s.N {
+		t.Errorf("kept moments %+v differ from the computed %+v", kept, s)
+	}
+	if again := SummaryOf(d, 8, 1); again == s || again.Entropy() != s.Entropy() {
+		t.Errorf("a second bins=8 call should recompute an equal summary")
+	}
+	if SummaryOf(d, 0, 1) != kept {
+		t.Error("recomputing the histogram replaced the kept moments")
 	}
 }
 
