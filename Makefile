@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test check lint fmt-check serve-check crash-check cluster-check scenario-check scenario-baseline stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 check lint fmt-check serve-check crash-check cluster-check scenario-check scenario-baseline stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -9,10 +9,20 @@ build:
 test:
 	$(GO) test ./...
 
+# tier1 is the ROADMAP's tier-1 verify on one CPU and on the default: the
+# concurrency tests must be green on both, so neither a 1-CPU-only green
+# nor a multicore-only one can recur. -count=1 so neither run is
+# answered from the test cache.
+tier1:
+	$(GO) build ./...
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	$(GO) test -count=1 ./...
+
 # check is the full verification gate: formatting, standard vet (with the
 # extra unreachable/copylocks/lostcancel passes spelled out so a vet
-# default change can't silently drop them), the pressiovet suite, build,
-# and the complete test suite under the race detector. The default stays
+# default change can't silently drop them), the pressiovet suite, tier-1
+# at one CPU and at the default, and the complete test suite under the
+# race detector. The race run stays
 # `-race -short`: -race is what actually exercises the sync.Pool and
 # queue invariants the linters guard statically, and -short keeps the
 # gate fast enough to run on every change by skipping the long queue
@@ -22,7 +32,7 @@ check: fmt-check
 	$(GO) vet ./...
 	$(GO) vet -unreachable -copylocks -lostcancel ./...
 	$(MAKE) lint
-	$(GO) build ./...
+	$(MAKE) tier1
 	$(GO) test -race -short ./...
 	$(MAKE) crash-check
 	$(MAKE) cluster-check

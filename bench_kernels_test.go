@@ -204,41 +204,3 @@ func BenchmarkKernelMetricsChain(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkKernelMetricsLegacy measures the pre-fusion cost the chain
-// used to pay — one float64 materialization plus independent full passes
-// per metric — kept as the reference the fused path is compared against
-// in BENCH_kernels.json.
-func BenchmarkKernelMetricsLegacy(b *testing.B) {
-	data := benchField(b, "TC", 24)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// stat: copy + range + mean + std (two passes) + sparsity
-		xs := legacyToFloat64(data)
-		lo, hi := data.Range()
-		_ = stats.Mean(xs)
-		_ = stats.Std(xs)
-		_ = stats.Sparsity(xs, 0)
-		// entropy: copy + range + histogram
-		xs = legacyToFloat64(data)
-		h := stats.Histogram(xs, lo, hi, 4096)
-		_ = stats.EntropyFromCounts(h)
-		// quantized entropy: copy + quantize-count pass
-		xs = legacyToFloat64(data)
-		_ = stats.QuantizedEntropy(xs, 1e-4)
-	}
-}
-
-// legacyToFloat64 reproduces the original per-metric conversion: always a
-// fresh copy for non-float64 buffers.
-func legacyToFloat64(d *pressio.Data) []float64 {
-	if d.DType() == pressio.DTypeFloat64 {
-		return d.Float64()
-	}
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = d.At(i)
-	}
-	return out
-}

@@ -329,7 +329,7 @@ func BenchmarkFigure4InferencePath(b *testing.B) {
 // bounds through predictd: a 13-item columnar batch (one cell per
 // hurricane field, 32x32x64) at a bound never asked before, through the
 // whole handler. The cells are resident in the data tier and were
-// evaluated at the warm-up bound, so the result and cell caches miss and
+// evaluated at the warm-up bound, so the prediction cache misses and
 // the op pays decode, the error-dependent metric, inference and encode;
 // rahman2023's error-agnostic metrics (stat, spatial, entropy) come from
 // the buffers. Gated in BENCH_kernels.json.

@@ -4,10 +4,6 @@
 //	benchgate -baseline   re-measure and rewrite BENCH_kernels.json
 //	benchgate -check      re-measure and fail on >10% ns/op or allocs/op
 //	                      regression against the committed baseline
-//
-// The baseline file also carries the pre-optimization "seed" numbers the
-// block-parallel refactor was measured against, so the file doubles as
-// the before/after record referenced by EXPERIMENTS.md.
 package main
 
 import (
@@ -35,7 +31,6 @@ type Baseline struct {
 	GoVersion  string                 `json:"go_version"`
 	CPU        string                 `json:"cpu"`
 	BenchTime  string                 `json:"benchtime"`
-	Seed       map[string]Measurement `json:"seed,omitempty"`
 	Benchmarks map[string]Measurement `json:"benchmarks"`
 }
 
@@ -197,19 +192,11 @@ func readBaseline(path string) (*Baseline, error) {
 func writeBaseline(path string, results map[string]Measurement, cpu string) error {
 	b := &Baseline{
 		Note: "Kernel benchmark baseline for `make bench-check` (>10% ns/op or allocs/op " +
-			"regression fails). Regenerate with `make bench-baseline` on a quiet machine. " +
-			"The seed section records the pre-optimization serial numbers the " +
-			"block-parallel refactor started from; see EXPERIMENTS.md.",
+			"regression fails). Regenerate with `make bench-baseline` on a quiet machine.",
 		GoVersion:  goVersion(),
 		CPU:        cpu,
 		BenchTime:  benchTime,
 		Benchmarks: results,
-	}
-	// carry the seed record forward across re-baselines
-	if prev, err := readBaseline(path); err == nil && len(prev.Seed) > 0 {
-		b.Seed = prev.Seed
-	} else {
-		b.Seed = seedMeasurements
 	}
 	raw, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
@@ -224,20 +211,4 @@ func goVersion() string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// seedMeasurements are the serial kernel costs measured at the seed
-// commit, before the block-parallel refactor and scratch pooling. They
-// are informational (the gate compares against Benchmarks, not Seed) and
-// exist so the before/after of the refactor stays in the repo.
-var seedMeasurements = map[string]Measurement{
-	"BenchmarkKernelSZ3Compress/serial":   {NsPerOp: 10476875, AllocsPerOp: 1983},
-	"BenchmarkKernelSZ3Decompress/serial": {NsPerOp: 9655051, AllocsPerOp: 1908},
-	"BenchmarkKernelZFPCompress/serial":   {NsPerOp: 7379664, AllocsPerOp: 107},
-	"BenchmarkKernelZFPDecompress/serial": {NsPerOp: 8303976, AllocsPerOp: 74},
-	"BenchmarkKernelSZXCompress/serial":   {NsPerOp: 1032712, AllocsPerOp: 36},
-	"BenchmarkKernelSZXDecompress/serial": {NsPerOp: 219535, AllocsPerOp: 1},
-	"BenchmarkKernelHuffman/encode":       {NsPerOp: 2192285, AllocsPerOp: 90},
-	"BenchmarkKernelHuffman/decode":       {NsPerOp: 2040868, AllocsPerOp: 52},
-	"BenchmarkKernelMetricsChain":         {NsPerOp: 12109051, AllocsPerOp: 542},
 }

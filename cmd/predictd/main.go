@@ -78,7 +78,6 @@ func main() {
 		fsync      = flag.Bool("fsync", true, "fsync the store WAL after every append")
 		dataCache  = flag.Int64("data-cache-bytes", 0, "tiered dataset cache memory budget (0 = 128MiB default, negative disables)")
 		dataSpill  = flag.String("data-spill", "", "dataset cache mmap spill directory (empty disables the disk tier)")
-		coalesce   = flag.Duration("coalesce-window", 500*time.Microsecond, "window for fusing concurrent same-model predicts (0 disables)")
 		fsck       = flag.Bool("fsck", false, "run storecheck on the store directory, repair what is safe, and exit")
 		optsFlag   = flag.String("opts", "", "default options merged under every request, key=value[,key=value...]")
 
@@ -146,7 +145,6 @@ func main() {
 			JobRetain:      *jobRetain,
 			DataCacheBytes: *dataCache,
 			DataSpillDir:   *dataSpill,
-			CoalesceWindow: *coalesce,
 		})
 	}
 	if err != nil {

@@ -524,6 +524,9 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 			}
 		}
 	}
+	// q.Run abandons an attempt on cancel or timeout while its goroutine
+	// may still be storing its result: read under the tasks' lock
+	mu.Lock()
 	for _, k := range keys {
 		ob, ok := results[k]
 		if !ok {
@@ -531,6 +534,7 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 		}
 		res.Observations = append(res.Observations, ob)
 	}
+	mu.Unlock()
 	if len(res.Observations) == 0 && len(res.Failed) > 0 {
 		first := res.Failed[0]
 		return nil, fmt.Errorf("bench: no cell survived (%d failed; first: %s: %s)",

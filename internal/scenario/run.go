@@ -297,10 +297,10 @@ func (d *driver) metrics(ctx context.Context) (*Metrics, error) {
 	}
 	var hits, misses uint64
 	for _, st := range sts {
-		// the four /statz buckets partition predictions exactly one way
-		// each: whole-request LRU, cell cache (single + batch items),
-		// coalesced windows, and computed misses
-		hits += st.CacheHits + st.CellHits + st.CoalescedHits
+		// the three /statz buckets partition predictions exactly one way
+		// each: served from the cache, shared an in-flight computation,
+		// computed
+		hits += st.CacheHits + st.CoalescedHits
 		misses += st.CacheMisses
 		if st.Process.RSSBytes > m.MaxRSSBytes {
 			m.MaxRSSBytes = st.Process.RSSBytes

@@ -3,19 +3,18 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/hurricane"
 	"repro/internal/opthash"
 	"repro/internal/pressio"
 )
@@ -89,107 +88,45 @@ type batchSummary struct {
 	Errors     int    `json:"errors"`
 }
 
-// cellKey identifies one prediction cell: the request-shape base (scheme,
-// compressor, options, model, alpha, dims — everything a batch envelope
-// fixes) plus the (field, step) coordinates that vary per item. A struct
-// key keeps the hot-path map lookup allocation-free.
+// cellKey identifies one cached prediction: the request-shape base
+// (scheme, compressor, options, model, alpha, dims — everything a batch
+// envelope fixes) plus the (field, step) coordinates that vary per item.
+// A feature-vector request has no coordinates: featureKey folds its
+// features into base and leaves them empty. A struct key keeps the
+// hot-path map lookup allocation-free.
 type cellKey struct {
 	base  string
 	field string
 	step  int
 }
 
-// cellValue is a served cell prediction. interval is written once at add
-// and never mutated, so hits may share the slice header.
+// featureKey is the cache key of a feature-vector single predict.
+func featureKey(base string, features []float64) cellKey {
+	raw := make([]byte, 0, len(base)+1+8*len(features))
+	raw = append(append(raw, base...), '#')
+	for _, f := range features {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(f))
+	}
+	return cellKey{base: string(raw)}
+}
+
+// cellValue is a served prediction, with the scheme and model it came
+// from so invalidation and replication can evict exactly their entries.
+// interval is written once at add and never mutated, so hits may share
+// the slice header.
 type cellValue struct {
 	prediction float64
 	interval   []float64
 	scheme     string
 	model      string
-	target     string
 }
 
-// cellCache is the cell-granular LRU the batch and coalescing paths
-// share: where lruCache keys on whole request bodies, cellCache keys on
-// (envelope, field, step) so a batch, a coalesced single, and a plain
-// single request against the same cell all hit the same entry.
-type cellCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recent; values are *cellItem
-	items map[cellKey]*list.Element
-}
-
-type cellItem struct {
-	key cellKey
-	val cellValue
-}
-
-func newCellCache(capacity int) *cellCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &cellCache{cap: capacity, ll: list.New(), items: map[cellKey]*list.Element{}}
-}
-
-func (c *cellCache) get(k cellKey) (cellValue, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return cellValue{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cellItem).val, true
-}
-
-func (c *cellCache) add(k cellKey, v cellValue) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		el.Value.(*cellItem).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[k] = c.ll.PushFront(&cellItem{key: k, val: v})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cellItem).key)
-	}
-}
-
-func (c *cellCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// evictIf drops every cell whose scheme the predicate matches — the
-// invalidation hook, mirroring lruCache.evictIf.
-func (c *cellCache) evictIf(pred func(scheme string) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		item := el.Value.(*cellItem)
-		if pred(item.val.scheme) {
-			c.ll.Remove(el)
-			delete(c.items, item.key)
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
-// batchGroup is the resolved per-batch context every item shares: one
+// batchGroup is the resolved per-request context every item shares: one
 // scheme lookup, one options merge, one model lookup, one cell-key base
-// — amortized over the whole batch instead of paid per request. The
-// lazily resolved predictor and feature plan make a group
-// single-goroutine: each batch (or coalesce flush) builds and walks its
-// own.
+// — amortized over the whole batch instead of paid per item. The lazily
+// resolved predictor and feature plan make a group single-goroutine:
+// each batch (and each single predict, a batch of one) builds and
+// computes on its own.
 type batchGroup struct {
 	schemeName string
 	compressor string
@@ -207,7 +144,7 @@ type batchGroup struct {
 
 // cellBase hashes the envelope part of a cell identity. The model key is
 // folded in so a re-fit can never serve cells cached from the previous
-// model, exactly as requestKey does for whole requests.
+// model.
 func cellBase(schemeName, compressor string, opts pressio.Options, modelKey string, alpha float64, dims [3]int) string {
 	ro := pressio.Options{}
 	ro.Set("req:scheme", schemeName)
@@ -239,8 +176,8 @@ func newBatchGroup(schemeName, compressor string, scheme core.Scheme, opts press
 	return g
 }
 
-// resolveGroup validates a batch envelope and resolves the state every
-// item shares, mirroring the single-path status semantics (404 unknown
+// resolveGroup validates a request envelope — a batch's, or a single
+// predict's — and resolves the state every item shares (404 unknown
 // scheme / missing model, 400 everything else client-shaped). The int is
 // the HTTP status when err is non-nil.
 func (s *Server) resolveGroup(schemeName, compressor string, rawOpts map[string]any, alpha float64, dims []int) (*batchGroup, int, error) {
@@ -274,7 +211,7 @@ func (s *Server) resolveGroup(schemeName, compressor string, rawOpts map[string]
 		dims = defaultDataDims
 	}
 	if len(dims) != 3 {
-		return nil, http.StatusBadRequest, fmt.Errorf("batch cells want 3 dims, got %v", dims)
+		return nil, http.StatusBadRequest, fmt.Errorf("data cells want 3 dims, got %v", dims)
 	}
 	if err := checkDims(dims); err != nil {
 		return nil, http.StatusBadRequest, err
@@ -308,10 +245,10 @@ func (s *Server) groupPlan(g *batchGroup) (*core.FeaturePlan, error) {
 	return g.plan, err
 }
 
-// cellHitInto serves a cell from the cell cache; false means miss. The
-// hit path is allocation-free — BenchmarkServePredictBatch pins that.
-func (s *Server) cellHitInto(g *batchGroup, field string, step int, out *BatchItemResult) bool {
-	v, ok := s.cells.get(cellKey{base: g.base, field: field, step: step})
+// cellHitInto serves an item from the cache; false means miss. The hit
+// path is allocation-free — BenchmarkServePredictBatch pins that.
+func (s *Server) cellHitInto(k cellKey, out *BatchItemResult) bool {
+	v, ok := s.cache.get(k)
 	if !ok {
 		return false
 	}
@@ -322,12 +259,9 @@ func (s *Server) cellHitInto(g *batchGroup, field string, step int, out *BatchIt
 	return true
 }
 
-// predictFeatureRow runs the group's predictor over one feature row.
+// predictFeatureRow runs the group's predictor over one feature row of
+// the scheme's width (the handlers check client-supplied rows).
 func (s *Server) predictFeatureRow(g *batchGroup, features []float64, out *BatchItemResult) {
-	if len(features) != len(g.scheme.Features()) {
-		out.Error = fmt.Sprintf("scheme %s wants %d features, got %d", g.schemeName, len(g.scheme.Features()), len(features))
-		return
-	}
 	p, err := s.groupPredictor(g)
 	if err != nil {
 		out.Error = err.Error()
@@ -357,29 +291,18 @@ func (s *Server) predictFeatureRow(g *batchGroup, features []float64, out *Batch
 // dataset cache (pinned for exactly the feature pass), features through
 // the group's plan — which finds the error-agnostic metrics' results on
 // the buffer when the cell was evaluated before at another bound —
-// prediction through the group predictor, result into the cell cache.
-func (s *Server) predictCellMiss(ctx context.Context, g *batchGroup, field string, step int, out *BatchItemResult) {
+// prediction through the group predictor, result into the cache.
+func (s *Server) predictCellMiss(ctx context.Context, g *batchGroup, k cellKey, out *BatchItemResult) {
 	if err := ctx.Err(); err != nil {
 		out.Error = err.Error()
 		return
 	}
-	var data *pressio.Data
-	if s.data != nil {
-		h, err := s.data.Acquire(field, step, g.dims[:])
-		if err != nil {
-			out.Error = err.Error()
-			return
-		}
-		defer h.Release()
-		data = h.Data()
-	} else {
-		d, err := hurricane.Field(field, step, g.dims[:])
-		if err != nil {
-			out.Error = err.Error()
-			return
-		}
-		data = d
+	data, release, err := s.fieldData(k.field, k.step, g.dims[:])
+	if err != nil {
+		out.Error = err.Error()
+		return
 	}
+	defer release()
 	plan, err := s.groupPlan(g)
 	if err != nil {
 		out.Error = err.Error()
@@ -391,25 +314,21 @@ func (s *Server) predictCellMiss(ctx context.Context, g *batchGroup, field strin
 		return
 	}
 	s.predictFeatureRow(g, features, out)
+	s.cacheResult(g, k, out)
+}
+
+// cacheResult stores a computed item under its key; a failed item is
+// never cached.
+func (s *Server) cacheResult(g *batchGroup, k cellKey, out *BatchItemResult) {
 	if out.Error != "" {
 		return
 	}
-	s.cells.add(cellKey{base: g.base, field: field, step: step}, cellValue{
+	s.cache.add(k, cellValue{
 		prediction: out.Prediction,
 		interval:   out.Interval,
 		scheme:     g.schemeName,
 		model:      g.model,
-		target:     g.target,
 	})
-}
-
-// predictCell is cellHitInto-else-predictCellMiss — the unit the
-// coalescer flushes per distinct cell.
-func (s *Server) predictCell(ctx context.Context, g *batchGroup, field string, step int, out *BatchItemResult) {
-	if s.cellHitInto(g, field, step, out) {
-		return
-	}
-	s.predictCellMiss(ctx, g, field, step, out)
 }
 
 // predictBatchItems serves every item of a decoded batch into the
@@ -428,11 +347,12 @@ func (s *Server) predictBatchItems(ctx context.Context, g *batchGroup, req *Batc
 		return 0, errs
 	}
 	for i := range results {
-		if s.cellHitInto(g, req.Fields[i], req.Steps[i], &results[i]) {
+		k := cellKey{base: g.base, field: req.Fields[i], step: req.Steps[i]}
+		if s.cellHitInto(k, &results[i]) {
 			hits++
 			continue
 		}
-		s.predictCellMiss(ctx, g, req.Fields[i], req.Steps[i], &results[i])
+		s.predictCellMiss(ctx, g, k, &results[i])
 		if results[i].Error != "" {
 			errs++
 		}

@@ -11,15 +11,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/pressio"
 )
 
 // TestPredictBatchColumnar drives the columnar JSON batch body: one
-// envelope, parallel fields/steps, item-aligned results, and cell-cache
-// hits on the second pass.
+// envelope, parallel fields/steps, item-aligned results, and cache hits
+// on the second pass.
 func TestPredictBatchColumnar(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := BatchRequest{
@@ -62,7 +58,7 @@ func TestPredictBatchColumnar(t *testing.T) {
 		t.Fatalf("single %v != batch %v for the same cell", single.Prediction, out.Results[0].Prediction)
 	}
 	if !single.Cached {
-		t.Fatal("single request after a batch over the same cell must hit the cell cache")
+		t.Fatal("single request after a batch over the same cell must hit the cache")
 	}
 
 	// second batch: all hits
@@ -82,9 +78,9 @@ func TestPredictBatchColumnar(t *testing.T) {
 	if st.BatchRequests != 2 || st.BatchPreds != 6 {
 		t.Fatalf("batch counters: %+v", st)
 	}
-	// first batch: 3 misses; single: 1 cell hit; second batch: 3 cell hits
-	if st.CacheMisses != 3 || st.CellHits != 4 {
-		t.Fatalf("want 3 misses + 4 cell hits, got misses=%d cell_hits=%d", st.CacheMisses, st.CellHits)
+	// first batch: 3 misses; single: 1 hit; second batch: 3 hits
+	if st.CacheMisses != 3 || st.CacheHits != 4 {
+		t.Fatalf("want 3 misses + 4 hits, got misses=%d hits=%d", st.CacheMisses, st.CacheHits)
 	}
 	if st.DataCache.Misses == 0 {
 		t.Fatalf("batch over data cells must flow through the tiered dataset cache: %+v", st.DataCache)
@@ -261,101 +257,12 @@ func TestPredictBatchValidation(t *testing.T) {
 	}
 }
 
-// TestCoalesceCounterAccounting is the deterministic coalescing test:
-// with the injectable timer holding the window open, k concurrent
-// single predicts over m distinct cells of one model must fuse into one
-// flush that accounts exactly m cache_misses and k-m coalesced_hits —
-// the /statz split that tells window batching apart from the LRU result
-// cache (cache_hits) and the cell cache (cell_hits).
-func TestCoalesceCounterAccounting(t *testing.T) {
-	var mu sync.Mutex
-	var flushes []func()
-	s, ts := newTestServer(t, Config{
-		CoalesceWindow: time.Hour, // flushes fire only via the captured timer
-		testCoalesceTimer: func(d time.Duration, fn func()) {
-			mu.Lock()
-			flushes = append(flushes, fn)
-			mu.Unlock()
-		},
-	})
-	scheme, err := core.GetScheme("khan2023")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := newBatchGroup("khan2023", "sz3", scheme, pressio.Options{}, nil, 0, defaultDataDims).base
-
-	const k = 6
-	fields := []string{"P", "TC"} // m = 2 distinct cells
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, raw := postJSON(t, ts.URL+"/v1/predict", PredictRequest{
-				Scheme: "khan2023", Compressor: "sz3",
-				Data: &DataRef{Field: fields[i%len(fields)], Step: 0},
-			})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, raw)
-			}
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.coalesce.pending(base) != k {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests enrolled", s.coalesce.pending(base), k)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	if len(flushes) != 1 {
-		t.Fatalf("one window must schedule one flush, got %d", len(flushes))
-	}
-	flush := flushes[0]
-	mu.Unlock()
-	flush()
-	wg.Wait()
-
-	st := statz(t, ts.URL)
-	if st.CacheMisses != 2 || st.CoalescedHits != k-2 {
-		t.Fatalf("want 2 misses + %d coalesced hits, got misses=%d coalesced=%d", k-2, st.CacheMisses, st.CoalescedHits)
-	}
-	if st.CacheHits != 0 || st.CellHits != 0 {
-		t.Fatalf("no request should have hit a cache yet: %+v", st)
-	}
-
-	// the flush populated both caches: an identical request is an LRU
-	// hit, and a batch over the same cells is all cell hits
-	resp, _ := postJSON(t, ts.URL+"/v1/predict", PredictRequest{
-		Scheme: "khan2023", Compressor: "sz3", Data: &DataRef{Field: "P", Step: 0},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repeat status %d", resp.StatusCode)
-	}
-	resp, raw := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
-		Scheme: "khan2023", Compressor: "sz3",
-		Fields: []string{"P", "TC"}, Steps: []int{0, 0},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
-	}
-	st = statz(t, ts.URL)
-	if st.CacheHits != 1 {
-		t.Fatalf("repeat single must be an LRU hit, got %+v", st)
-	}
-	if st.CellHits != 2 {
-		t.Fatalf("batch over flushed cells must be 2 cell hits, got %+v", st)
-	}
-	if st.CacheMisses != 2 || st.CoalescedHits != k-2 {
-		t.Fatalf("hit traffic must not move the miss buckets: %+v", st)
-	}
-}
-
-// TestCoalesceConcurrent exercises the real-timer path under load (and
-// under -race in the race gate): many concurrent requests against one
-// model with a sub-millisecond window all land with the same answer.
-func TestCoalesceConcurrent(t *testing.T) {
-	_, ts := newTestServer(t, Config{CoalesceWindow: 200 * time.Microsecond})
+// TestPredictConcurrentSameCell exercises the ungated single path under
+// load (and under -race in the race gate): many concurrent requests for
+// one cell — leaders, sharers and cache hits in whatever mix the
+// schedule produces — all land with the same answer.
+func TestPredictConcurrentSameCell(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 	const n = 24
 	preds := make([]float64, n)
 	var wg sync.WaitGroup
@@ -388,7 +295,7 @@ func TestCoalesceConcurrent(t *testing.T) {
 }
 
 // TestBatchCellInvalidate: an invalidation that stales a scheme clears
-// its cell-cache entries alongside the LRU result cache.
+// the entries its batches cached and reports them in cleared_cached.
 func TestBatchCellInvalidate(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, raw := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
@@ -398,8 +305,8 @@ func TestBatchCellInvalidate(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
 	}
-	if s.cells.len() != 2 {
-		t.Fatalf("want 2 cached cells, got %d", s.cells.len())
+	if s.cache.len() != 2 {
+		t.Fatalf("want 2 cached cells, got %d", s.cache.len())
 	}
 	resp, raw = postJSON(t, ts.URL+"/v1/invalidate", InvalidateRequest{Keys: []string{"pressio:abs"}})
 	if resp.StatusCode != http.StatusOK {
@@ -409,8 +316,8 @@ func TestBatchCellInvalidate(t *testing.T) {
 	if err := json.Unmarshal(raw, &inv); err != nil {
 		t.Fatal(err)
 	}
-	if s.cells.len() != 0 {
-		t.Fatalf("stale cells must be cleared, %d remain", s.cells.len())
+	if s.cache.len() != 0 {
+		t.Fatalf("stale cells must be cleared, %d remain", s.cache.len())
 	}
 	if inv.ClearedCached < 2 {
 		t.Fatalf("cleared_cached must count cell entries, got %d", inv.ClearedCached)

@@ -11,7 +11,7 @@ import (
 
 // BenchmarkServePredictBatch measures the steady-state batch hot path:
 // one 16-item batch through predictBatchItems with every cell resident
-// in the cell cache — the op the ≥10x batch-QPS claim rests on. The
+// in the cache — the op the ≥10x batch-QPS claim rests on. The
 // allocs/op figure is gated in BENCH_kernels.json: the warm path must
 // stay allocation-free (pooled scratch, struct cell keys, shared
 // interval slices), so a regression that reintroduces per-item garbage
@@ -47,7 +47,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 	results := make([]BatchItemResult, batch)
 	ctx := context.Background()
 
-	// warm pass: misses populate the cell cache through the tiered
+	// warm pass: misses populate the cache through the tiered
 	// dataset cache; every timed op is then all hits
 	if hits, errs := s.predictBatchItems(ctx, g, req, results); errs != 0 || hits != 0 {
 		b.Fatalf("warm pass: hits=%d errs=%d (want 0 hits, 0 errs): %+v", hits, errs, results[0])

@@ -5,77 +5,69 @@ import (
 	"sync"
 )
 
-// cacheValue is what the result cache stores: the response plus the
-// scheme it was computed for, so invalidation-driven eviction can clear
-// exactly the entries a stale scheme produced.
-type cacheValue struct {
-	resp   PredictResponse
-	scheme string
-}
-
-// lruCache is a fixed-capacity LRU map from opthash-derived request keys
-// to served predictions. Safe for concurrent use.
-type lruCache struct {
+// lru is a fixed-capacity least-recently-used map. Safe for concurrent
+// use; a hit is one lock, one map lookup, one move-to-front.
+type lru[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
-	ll    *list.List // front = most recent; values are *lruItem
-	items map[string]*list.Element
+	ll    *list.List // front = most recent; values are *lruItem[K, V]
+	items map[K]*list.Element
 }
 
-type lruItem struct {
-	key string
-	val cacheValue
+type lruItem[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newLRUCache(capacity int) *lruCache {
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lruCache{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
+	return &lru[K, V]{cap: capacity, ll: list.New(), items: map[K]*list.Element{}}
 }
 
-func (c *lruCache) get(key string) (cacheValue, bool) {
+func (c *lru[K, V]) get(k K) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.items[k]
 	if !ok {
-		return cacheValue{}, false
+		return v, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem).val, true
+	return el.Value.(*lruItem[K, V]).val, true
 }
 
-func (c *lruCache) add(key string, val cacheValue) {
+func (c *lru[K, V]) add(k K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruItem).val = val
+	if el, ok := c.items[k]; ok {
+		el.Value.(*lruItem[K, V]).val = v
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruItem{key: key, val: val})
+	c.items[k] = c.ll.PushFront(&lruItem[K, V]{key: k, val: v})
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruItem).key)
+		delete(c.items, oldest.Value.(*lruItem[K, V]).key)
 	}
 }
 
-func (c *lruCache) len() int {
+func (c *lru[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
-// evictIf removes every entry the predicate matches and returns how many
-// were dropped — the invalidation hook.
-func (c *lruCache) evictIf(pred func(cacheValue) bool) int {
+// evictIf removes every entry whose value the predicate matches and
+// returns how many were dropped — the invalidation hook.
+func (c *lru[K, V]) evictIf(pred func(V) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		item := el.Value.(*lruItem)
+		item := el.Value.(*lruItem[K, V])
 		if pred(item.val) {
 			c.ll.Remove(el)
 			delete(c.items, item.key)
@@ -86,29 +78,29 @@ func (c *lruCache) evictIf(pred func(cacheValue) bool) int {
 	return n
 }
 
-// flightGroup collapses concurrent duplicate computations: the first
-// caller for a key runs fn, later callers for the same in-flight key
-// block and share the result — singleflight over the request hash, so a
+// flightGroup collapses concurrent computations of one cache key: the
+// first caller for a key runs fn, later callers for the same in-flight
+// key block and share its result — singleflight over the cache key, so a
 // thundering herd of identical predictions computes once.
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[cellKey]*flightCall
 }
 
 type flightCall struct {
 	done    chan struct{}
 	waiters int // guarded by flightGroup.mu
-	val     PredictResponse
+	val     BatchItemResult
 	err     error
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: map[string]*flightCall{}}
+	return &flightGroup{calls: map[cellKey]*flightCall{}}
 }
 
 // do runs fn once per concurrent key; shared reports whether this caller
 // piggybacked on another's computation.
-func (g *flightGroup) do(key string, fn func() (PredictResponse, error)) (resp PredictResponse, err error, shared bool) {
+func (g *flightGroup) do(key cellKey, fn func() (BatchItemResult, error)) (val BatchItemResult, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		c.waiters++
@@ -131,7 +123,7 @@ func (g *flightGroup) do(key string, fn func() (PredictResponse, error)) (resp P
 // waiting reports how many callers are blocked on the key's in-flight
 // computation — lets tests release a gated compute only after every
 // duplicate has enrolled.
-func (g *flightGroup) waiting(key string) int {
+func (g *flightGroup) waiting(key cellKey) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {

@@ -8,13 +8,13 @@ import (
 )
 
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	c.add("a", cacheValue{scheme: "s1"})
-	c.add("b", cacheValue{scheme: "s1"})
+	c := newLRU[string, string](2)
+	c.add("a", "s1")
+	c.add("b", "s1")
 	if _, ok := c.get("a"); !ok { // refresh a → b is now oldest
 		t.Fatal("a should be cached")
 	}
-	c.add("c", cacheValue{scheme: "s2"})
+	c.add("c", "s2")
 	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted as least-recently-used")
 	}
@@ -30,11 +30,11 @@ func TestLRUCacheEviction(t *testing.T) {
 }
 
 func TestLRUCacheEvictIf(t *testing.T) {
-	c := newLRUCache(8)
-	c.add("a", cacheValue{scheme: "stale"})
-	c.add("b", cacheValue{scheme: "fresh"})
-	c.add("c", cacheValue{scheme: "stale"})
-	n := c.evictIf(func(v cacheValue) bool { return v.scheme == "stale" })
+	c := newLRU[string, string](8)
+	c.add("a", "stale")
+	c.add("b", "fresh")
+	c.add("c", "stale")
+	n := c.evictIf(func(v string) bool { return v == "stale" })
 	if n != 2 {
 		t.Errorf("evicted %d, want 2", n)
 	}
@@ -48,6 +48,7 @@ func TestLRUCacheEvictIf(t *testing.T) {
 
 func TestFlightGroupCollapsesConcurrentDuplicates(t *testing.T) {
 	g := newFlightGroup()
+	key := cellKey{base: "same-key"}
 	var computes atomic.Int64
 	gate := make(chan struct{})
 	entered := make(chan struct{})
@@ -57,11 +58,11 @@ func TestFlightGroupCollapsesConcurrentDuplicates(t *testing.T) {
 	var sharedCount atomic.Int64
 	call := func() {
 		defer wg.Done()
-		resp, err, shared := g.do("same-key", func() (PredictResponse, error) {
+		resp, err, shared := g.do(key, func() (BatchItemResult, error) {
 			computes.Add(1)
 			entered <- struct{}{}
 			<-gate
-			return PredictResponse{Prediction: 42}, nil
+			return BatchItemResult{Prediction: 42}, nil
 		})
 		if err != nil || resp.Prediction != 42 {
 			t.Errorf("do: %v %v", resp, err)
@@ -80,7 +81,7 @@ func TestFlightGroupCollapsesConcurrentDuplicates(t *testing.T) {
 		go call()
 	}
 	// release the compute only after every follower is enrolled
-	for g.waiting("same-key") < followers {
+	for g.waiting(key) < followers {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
@@ -93,9 +94,9 @@ func TestFlightGroupCollapsesConcurrentDuplicates(t *testing.T) {
 	}
 
 	// after the flight lands, the key computes fresh again
-	_, _, shared := g.do("same-key", func() (PredictResponse, error) {
+	_, _, shared := g.do(key, func() (BatchItemResult, error) {
 		computes.Add(1)
-		return PredictResponse{}, nil
+		return BatchItemResult{}, nil
 	})
 	if shared || computes.Load() != 2 {
 		t.Error("a finished key should compute anew")

@@ -60,7 +60,7 @@ func (s *Server) Absorb(f store.Frame) {
 	s.predMu.Lock()
 	delete(s.predCache, f.Key)
 	s.predMu.Unlock()
-	s.cache.evictIf(func(v cacheValue) bool { return v.resp.Model == f.Key })
+	s.cache.evictIf(func(v cellValue) bool { return v.model == f.Key })
 }
 
 // Adopt takes over the journaled fit jobs of a dead peer: each of the

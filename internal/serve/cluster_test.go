@@ -301,3 +301,100 @@ func TestAbsorbKeepsProjectionsCoherent(t *testing.T) {
 		t.Errorf("models after absorbed delete = %+v", models)
 	}
 }
+
+// TestAbsorbEvictsTheModelsCachedPredictions: a replicated put or delete
+// of a model key drops every prediction cached from that model — cells a
+// batch cached as much as a single's — so the next predict computes on
+// whatever model the registry now holds.
+func TestAbsorbEvictsTheModelsCachedPredictions(t *testing.T) {
+	sA, stA := newNodeServer(t, t.TempDir(), "", Config{Deadline: time.Minute})
+	tsA := httptest.NewServer(sA.Handler())
+	t.Cleanup(func() { tsA.Close(); sA.Drain(); stA.Close() })
+	fitModel := func(req FitRequest) (key string, raw []byte) {
+		t.Helper()
+		resp, body := postJSON(t, tsA.URL+"/v1/fit", req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("fit: %d %s", resp.StatusCode, body)
+		}
+		var fr FitResponse
+		json.Unmarshal(body, &fr)
+		job := waitJob(t, tsA.URL, fr.JobID)
+		if job.Status != "done" {
+			t.Fatalf("fit failed: %s", job.Error)
+		}
+		raw, ok, _ := stA.Get(job.Model)
+		if !ok {
+			t.Fatalf("model %s not in store", job.Model)
+		}
+		return job.Model, raw
+	}
+	key1, raw1 := fitModel(tinyFit())
+	refit := tinyFit()
+	refit.Training.Bounds = []float64{1e-3, 1e-2}
+	key2, raw2 := fitModel(refit)
+
+	sB, tsB := newTestServer(t, Config{Deadline: time.Minute})
+	batch := func() BatchResponse {
+		t.Helper()
+		resp, raw := postJSON(t, tsB.URL+"/v1/predict/batch", BatchRequest{
+			Scheme: "krasowska2021", Compressor: "sz3", Dims: []int{8, 8, 8},
+			Options: map[string]any{"pressio:abs": 1e-3},
+			Fields:  []string{"P", "P"}, Steps: []int{0, 1},
+		})
+		var out BatchResponse
+		if err := json.Unmarshal(raw, &out); err != nil || resp.StatusCode != http.StatusOK || out.Errors != 0 {
+			t.Fatalf("batch: status %d body %s: %v", resp.StatusCode, raw, err)
+		}
+		return out
+	}
+	single := func() (*http.Response, PredictResponse) {
+		t.Helper()
+		resp, raw := postJSON(t, tsB.URL+"/v1/predict", PredictRequest{
+			Scheme: "krasowska2021", Compressor: "sz3",
+			Options: map[string]any{"pressio:abs": 1e-3},
+			Data:    &DataRef{Field: "P", Step: 2, Dims: []int{8, 8, 8}},
+		})
+		var pr PredictResponse
+		json.Unmarshal(raw, &pr)
+		return resp, pr
+	}
+
+	sB.Absorb(store.Frame{Op: store.FramePut, Key: key1, Value: raw1})
+	batch()
+	if _, pr := single(); pr.Model != key1 || pr.Cached {
+		t.Fatalf("first single = %+v, want computed on %s", pr, key1)
+	}
+	if n := statz(t, tsB.URL).CacheSize; n != 3 {
+		t.Fatalf("cache_size = %d after 3 distinct cells, want 3", n)
+	}
+
+	// the key is replaced: nothing cached from the old bytes may answer
+	sB.Absorb(store.Frame{Op: store.FramePut, Key: key1, Value: raw1})
+	if n := statz(t, tsB.URL).CacheSize; n != 0 {
+		t.Errorf("cache_size = %d after the model was replaced, want 0", n)
+	}
+	for i, r := range batch().Results {
+		if r.Cached {
+			t.Errorf("batch item %d answered from the replaced model's cache", i)
+		}
+	}
+
+	// the key is deleted: its entries go, and predict has no model
+	sB.Absorb(store.Frame{Op: store.FrameDelete, Key: key1})
+	if n := statz(t, tsB.URL).CacheSize; n != 0 {
+		t.Errorf("cache_size = %d after the model was deleted, want 0", n)
+	}
+	if resp, _ := single(); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("predict with no model = %d, want 404", resp.StatusCode)
+	}
+
+	// a new model arrives: the next predict is a miss computed on it
+	before := statz(t, tsB.URL).CacheMisses
+	sB.Absorb(store.Frame{Op: store.FramePut, Key: key2, Value: raw2})
+	if resp, pr := single(); resp.StatusCode != http.StatusOK || pr.Model != key2 || pr.Cached {
+		t.Errorf("predict after the new model = %d %+v, want computed on %s", resp.StatusCode, pr, key2)
+	}
+	if got := statz(t, tsB.URL).CacheMisses; got != before+1 {
+		t.Errorf("cache_misses %d -> %d, want one miss on the new model", before, got)
+	}
+}

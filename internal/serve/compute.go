@@ -2,13 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/hurricane"
-	"repro/internal/opthash"
 	"repro/internal/predictors"
 	"repro/internal/pressio"
 )
@@ -16,32 +13,6 @@ import (
 // maxElements bounds the data buffers a request may ask the server to
 // synthesize and scan (backpressure against accidental giant dims).
 const maxElements = 1 << 22
-
-// requestKey derives the opthash-based cache/singleflight key of a
-// predict request: the scheme/compressor/options tuple plus either the
-// feature vector or the data coordinates, suffixed with the model key so
-// a re-fit can never serve results cached from the previous model.
-func requestKey(req *PredictRequest, opts pressio.Options, modelKey string) string {
-	ro := pressio.Options{}
-	ro.Set("req:scheme", req.Scheme)
-	ro.Set("req:compressor", req.Compressor)
-	if req.Features != nil {
-		raw := make([]byte, 0, 8*len(req.Features))
-		for _, f := range req.Features {
-			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(f))
-		}
-		ro.Set("req:features", raw)
-	}
-	if req.Data != nil {
-		ro.Set("req:field", req.Data.Field)
-		ro.Set("req:step", int64(req.Data.Step))
-		ro.Set("req:dims", dimsKey(req.Data.Dims))
-	}
-	if req.Alpha > 0 {
-		ro.Set("req:alpha", req.Alpha)
-	}
-	return opthash.Combine(ro, opts) + "/" + modelKey
-}
 
 // checkDims validates request dims and applies the element budget.
 func checkDims(dims []int) error {
@@ -61,41 +32,14 @@ func checkDims(dims []int) error {
 	return nil
 }
 
-// resolveFeatures turns a predict request into the scheme's feature
-// vector, either by validating the client-supplied one or by reading the
-// referenced buffer — through the tiered dataset cache when enabled, so
-// repeated requests over the same cell skip synthesis and share one
-// buffer, and with it the error-agnostic metric results earlier
-// requests left on it — and evaluating the metrics.
-func (s *Server) resolveFeatures(ctx context.Context, scheme core.Scheme, req *PredictRequest, opts pressio.Options) ([]float64, error) {
-	want := scheme.Features()
-	if req.Features != nil {
-		if len(req.Features) != len(want) {
-			return nil, fmt.Errorf("scheme %s wants %d features %v, got %d", scheme.Name(), len(want), want, len(req.Features))
-		}
-		return req.Features, nil
-	}
-	dims := req.Data.Dims
-	if len(dims) == 0 {
-		dims = defaultDataDims
-	}
-	if err := checkDims(dims); err != nil {
-		return nil, err
-	}
-	data, release, err := s.fieldData(req.Data.Field, req.Data.Step, dims)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return s.features.EvaluateFeatures(ctx, scheme, req.Compressor, opts, data)
-}
-
-// fieldData reads one hurricane cell, preferring the tiered dataset
-// cache (3-D cells only — its spill format is the corpus layout). The
-// returned release must be called once the buffer is no longer needed;
-// it is a no-op on the uncached path.
+// fieldData reads one hurricane cell through the tiered dataset cache
+// when it is enabled — repeated requests over the same cell then skip
+// synthesis and share one buffer, and with it the error-agnostic metric
+// results earlier requests left on it. The returned release must be
+// called once the buffer is no longer needed; it is a no-op on the
+// uncached path.
 func (s *Server) fieldData(field string, step int, dims []int) (*pressio.Data, func(), error) {
-	if s.data != nil && len(dims) == 3 {
+	if s.data != nil {
 		h, err := s.data.Acquire(field, step, dims)
 		if err != nil {
 			return nil, nil, err
@@ -113,43 +57,6 @@ func (s *Server) fieldData(field string, step int, dims []int) (*pressio.Data, f
 // defaultDataDims keeps data-backed predict requests cheap when the
 // client does not pick a grid.
 var defaultDataDims = []int{16, 16, 16}
-
-// predict is the uncached hot-path computation: resolve the feature
-// vector, restore (or build) the predictor, and run it.
-func (s *Server) predict(ctx context.Context, req *PredictRequest, opts pressio.Options, scheme core.Scheme, entry *ModelEntry) (PredictResponse, error) {
-	resp := PredictResponse{
-		Scheme:     req.Scheme,
-		Compressor: req.Compressor,
-		Target:     scheme.Target(),
-	}
-	features, err := s.resolveFeatures(ctx, scheme, req, opts)
-	if err != nil {
-		return resp, err
-	}
-	var p core.Predictor
-	if entry != nil {
-		resp.Model = entry.Key
-		p, err = s.predictorFor(entry)
-	} else {
-		p, err = scheme.NewPredictor(req.Compressor)
-	}
-	if err != nil {
-		return resp, err
-	}
-	if req.Alpha > 0 {
-		if ip, ok := p.(core.IntervalPredictor); ok {
-			pred, lo, hi, err := ip.PredictInterval(features, req.Alpha)
-			if err != nil {
-				return resp, err
-			}
-			resp.Prediction = pred
-			resp.Interval = []float64{lo, hi}
-			return resp, nil
-		}
-	}
-	resp.Prediction, err = p.Predict(features)
-	return resp, err
-}
 
 // predictorFor restores an entry's trained predictor, memoized per model
 // key so the gob decode happens once per model, not per request. Restored

@@ -14,7 +14,7 @@ const latencyWindow = 1024
 
 // counters aggregates the serving metrics surfaced on /statz: per-
 // endpoint request/error counts and latency samples, per-scheme request
-// counts, and the cache/dedup/backpressure counters. Safe for concurrent
+// counts, and the cache/collapse/backpressure counters. Safe for concurrent
 // use; hot-path cost is one mutex and a few map increments.
 type counters struct {
 	mu        sync.Mutex
@@ -22,18 +22,20 @@ type counters struct {
 	endpoints map[string]*endpointCounter
 	schemes   map[string]uint64
 
-	cacheHits      uint64
-	cacheMisses    uint64
-	cellHits       uint64
-	coalescedHits  uint64
-	batchRequests  uint64
-	batchPreds     uint64
-	dedupCollapses uint64
-	rejected       uint64
-	evictedModels  uint64
-	evictedCached  uint64
-	evictedJobs    uint64
-	journalErrors  uint64
+	// every answered single predict and batch item lands in exactly one
+	// of: served from the cache, shared another request's in-flight
+	// computation, computed
+	cacheHits     uint64
+	coalescedHits uint64
+	cacheMisses   uint64
+
+	batchRequests uint64
+	batchPreds    uint64
+	rejected      uint64
+	evictedModels uint64
+	evictedCached uint64
+	evictedJobs   uint64
+	journalErrors uint64
 
 	fitDurations []float64 // ring of the last latencyWindow fit-execution ms
 	fitNext      int
@@ -78,30 +80,21 @@ func (c *counters) observe(endpoint string, status int, ms float64) {
 func (c *counters) scheme(name string) { c.mu.Lock(); c.schemes[name]++; c.mu.Unlock() }
 func (c *counters) cacheHit()          { c.mu.Lock(); c.cacheHits++; c.mu.Unlock() }
 func (c *counters) cacheMiss()         { c.mu.Lock(); c.cacheMisses++; c.mu.Unlock() }
+func (c *counters) coalescedHit()      { c.mu.Lock(); c.coalescedHits++; c.mu.Unlock() }
 
-// cellHit records a request served from the cell-granular cache, as
-// distinct from cacheHit's whole-request LRU — /statz keeps the two
-// apart so a "99% hit rate" can be attributed to the right cache.
-func (c *counters) cellHit() { c.mu.Lock(); c.cellHits++; c.mu.Unlock() }
-
-// coalescedHit records a request whose cell another request in the same
-// coalescing window computed.
-func (c *counters) coalescedHit() { c.mu.Lock(); c.coalescedHits++; c.mu.Unlock() }
-
-// batch records one batch request: every item is exactly one of a
-// cell-cache hit, a computed miss, or an itemized error (errors are
-// outside hit/miss accounting).
+// batch records one batch request: every item is exactly one of a cache
+// hit, a computed miss, or an itemized error (errors are outside
+// hit/miss accounting).
 func (c *counters) batch(items, hits, errs int) {
 	c.mu.Lock()
 	c.batchRequests++
 	c.batchPreds += uint64(items)
-	c.cellHits += uint64(hits)
+	c.cacheHits += uint64(hits)
 	if m := items - hits - errs; m > 0 {
 		c.cacheMisses += uint64(m)
 	}
 	c.mu.Unlock()
 }
-func (c *counters) dedup()  { c.mu.Lock(); c.dedupCollapses++; c.mu.Unlock() }
 func (c *counters) reject() { c.mu.Lock(); c.rejected++; c.mu.Unlock() }
 func (c *counters) evicted(models, cached int) {
 	c.mu.Lock()
@@ -156,28 +149,25 @@ type EndpointStats struct {
 
 // Statz is the full /statz JSON document.
 type Statz struct {
-	UptimeSeconds  float64                  `json:"uptime_seconds"`
-	Draining       bool                     `json:"draining"`
-	Replaying      bool                     `json:"replaying"`
-	Models         int                      `json:"models"`
-	Jobs           map[string]int           `json:"jobs"`
-	JobsRetained   int                      `json:"jobs_retained"`
-	JobsEvicted    uint64                   `json:"jobs_evicted"`
-	JournalErrors  uint64                   `json:"journal_errors"`
-	Endpoints      map[string]EndpointStats `json:"endpoints"`
-	Schemes        map[string]uint64        `json:"schemes"`
-	CacheHits      uint64                   `json:"cache_hits"`
-	CacheMisses    uint64                   `json:"cache_misses"`
-	CacheSize      int                      `json:"cache_size"`
-	CellHits       uint64                   `json:"cell_hits"`
-	CellCacheSize  int                      `json:"cell_cache_size"`
-	CoalescedHits  uint64                   `json:"coalesced_hits"`
-	BatchRequests  uint64                   `json:"batch_requests"`
-	BatchPreds     uint64                   `json:"batch_predictions"`
-	DedupCollapses uint64                   `json:"dedup_collapses"`
-	Rejected       uint64                   `json:"rejected"`
-	EvictedModels  uint64                   `json:"evicted_models"`
-	EvictedCached  uint64                   `json:"evicted_cached"`
+	UptimeSeconds float64                  `json:"uptime_seconds"`
+	Draining      bool                     `json:"draining"`
+	Replaying     bool                     `json:"replaying"`
+	Models        int                      `json:"models"`
+	Jobs          map[string]int           `json:"jobs"`
+	JobsRetained  int                      `json:"jobs_retained"`
+	JobsEvicted   uint64                   `json:"jobs_evicted"`
+	JournalErrors uint64                   `json:"journal_errors"`
+	Endpoints     map[string]EndpointStats `json:"endpoints"`
+	Schemes       map[string]uint64        `json:"schemes"`
+	CacheHits     uint64                   `json:"cache_hits"`
+	CoalescedHits uint64                   `json:"coalesced_hits"`
+	CacheMisses   uint64                   `json:"cache_misses"`
+	CacheSize     int                      `json:"cache_size"`
+	BatchRequests uint64                   `json:"batch_requests"`
+	BatchPreds    uint64                   `json:"batch_predictions"`
+	Rejected      uint64                   `json:"rejected"`
+	EvictedModels uint64                   `json:"evicted_models"`
+	EvictedCached uint64                   `json:"evicted_cached"`
 	// DataCache is the tiered dataset cache's tier accounting
 	// (mem/disk/miss counts plus resident and mapped bytes); all-zero
 	// when the cache is disabled.
@@ -185,9 +175,8 @@ type Statz struct {
 	// FeatureMemo counts error-agnostic metric evaluations on the miss
 	// path: served from the buffer they were computed on (hits) or run
 	// (misses). It is per metric, not per prediction, and so stands
-	// outside the cache_hits/cell_hits/cache_misses/coalesced_hits
-	// partition: a prediction counted there as one miss may be several
-	// memo hits here.
+	// outside the cache_hits/coalesced_hits/cache_misses partition: a
+	// prediction counted there as one miss may be several memo hits here.
 	FeatureMemo FeatureMemoStats `json:"feature_memo"`
 	Process     ProcessStats     `json:"process"`
 }
@@ -204,21 +193,19 @@ func (c *counters) snapshot() Statz {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Statz{
-		UptimeSeconds:  time.Since(c.start).Seconds(),
-		Endpoints:      make(map[string]EndpointStats, len(c.endpoints)),
-		Schemes:        make(map[string]uint64, len(c.schemes)),
-		CacheHits:      c.cacheHits,
-		CacheMisses:    c.cacheMisses,
-		CellHits:       c.cellHits,
-		CoalescedHits:  c.coalescedHits,
-		BatchRequests:  c.batchRequests,
-		BatchPreds:     c.batchPreds,
-		DedupCollapses: c.dedupCollapses,
-		Rejected:       c.rejected,
-		EvictedModels:  c.evictedModels,
-		EvictedCached:  c.evictedCached,
-		JobsEvicted:    c.evictedJobs,
-		JournalErrors:  c.journalErrors,
+		UptimeSeconds: time.Since(c.start).Seconds(),
+		Endpoints:     make(map[string]EndpointStats, len(c.endpoints)),
+		Schemes:       make(map[string]uint64, len(c.schemes)),
+		CacheHits:     c.cacheHits,
+		CoalescedHits: c.coalescedHits,
+		CacheMisses:   c.cacheMisses,
+		BatchRequests: c.batchRequests,
+		BatchPreds:    c.batchPreds,
+		Rejected:      c.rejected,
+		EvictedModels: c.evictedModels,
+		EvictedCached: c.evictedCached,
+		JobsEvicted:   c.evictedJobs,
+		JournalErrors: c.journalErrors,
 	}
 	for name, ep := range c.endpoints {
 		s.Endpoints[name] = EndpointStats{

@@ -109,7 +109,7 @@ func TestFeatureMemoAcrossBounds(t *testing.T) {
 		}
 	}
 	// the memo stands outside the prediction partition
-	if sum := st.CacheHits + st.CellHits + st.CacheMisses + st.CoalescedHits; sum != memoFitCells {
+	if sum := st.CacheHits + st.CoalescedHits + st.CacheMisses; sum != memoFitCells {
 		t.Errorf("partition sums to %d, want the %d predictions served", sum, memoFitCells)
 	}
 

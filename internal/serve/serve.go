@@ -11,8 +11,9 @@
 //     opthash of the (scheme, compressor options, training-set) tuple,
 //     honoring predictors:invalidate semantics: error_dependent- or
 //     training-invalidated entries are evicted rather than served stale;
-//   - an opthash-keyed LRU result cache with singleflight deduplication,
-//     so concurrent identical requests compute once;
+//   - one opthash-keyed LRU of served predictions that single and batch
+//     predicts share, with singleflight over the same key so concurrent
+//     identical single requests compute once;
 //   - a bounded worker pool with queue-depth backpressure (429 +
 //     Retry-After when saturated) and per-request deadlines;
 //   - per-endpoint/per-scheme counters and latency quantiles (via

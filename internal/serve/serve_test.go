@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pressio"
 	"repro/internal/store"
 )
@@ -227,72 +229,127 @@ func khanRequest(feature float64) PredictRequest {
 	}
 }
 
-// TestPredictSingleflightCollapse holds the one compute of N identical
-// concurrent requests open and shows the other N-1 piggyback on it.
+// TestPredictSingleflightCollapse pins the one predict path's accounting
+// for both request forms: k concurrent singles over m distinct keys, the
+// compute held open until every duplicate has joined its key's flight,
+// are exactly m computations, m cache_misses and k-m coalesced_hits;
+// afterwards the keys are plain cache hits — for a repeat single and for
+// a batch over the same cells, with byte-equal predictions.
 func TestPredictSingleflightCollapse(t *testing.T) {
-	gate := make(chan struct{})
-	var computes atomic.Int64
-	s, ts := newTestServer(t, Config{
-		Workers: 4,
-		testHookPredict: func() {
-			computes.Add(1)
-			<-gate
+	const k, m = 6, 2
+	scheme, err := core.GetScheme("khan2023")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := newBatchGroup("khan2023", "sz3", scheme, pressio.Options{}, nil, 0, defaultDataDims).base
+	fields := [m]string{"P", "TC"}
+	cases := []struct {
+		name  string
+		req   func(i int) PredictRequest
+		key   func(i int) cellKey
+		batch bool // the keys are data cells a batch can ask for
+	}{
+		{
+			name: "feature vector",
+			req:  func(i int) PredictRequest { return khanRequest(7.5 + float64(i%m)) },
+			key:  func(i int) cellKey { return featureKey(base, []float64{7.5 + float64(i%m)}) },
 		},
-	})
-	defer s.Drain()
-	base := ts.URL
+		{
+			name: "data cell",
+			req: func(i int) PredictRequest {
+				return PredictRequest{Scheme: "khan2023", Compressor: "sz3", Data: &DataRef{Field: fields[i%m]}}
+			},
+			key:   func(i int) cellKey { return cellKey{base: base, field: fields[i%m]} },
+			batch: true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			var computes atomic.Int64
+			s, ts := newTestServer(t, Config{
+				Workers: 4,
+				testHookPredict: func() {
+					computes.Add(1)
+					<-gate
+				},
+			})
 
-	const callers = 6
-	var wg sync.WaitGroup
-	wg.Add(callers)
-	var ok atomic.Int64
-	for i := 0; i < callers; i++ {
-		go func() {
-			defer wg.Done()
-			resp, body := postJSON(t, base+"/v1/predict", khanRequest(7.5))
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d body %s", resp.StatusCode, body)
-				return
+			preds := make([]float64, k)
+			var wg sync.WaitGroup
+			for i := 0; i < k; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, body := postJSON(t, ts.URL+"/v1/predict", tc.req(i))
+					var pr PredictResponse
+					if err := json.Unmarshal(body, &pr); err != nil || resp.StatusCode != http.StatusOK || pr.Cached {
+						t.Errorf("request %d: status %d body %s: %v", i, resp.StatusCode, body, err)
+					}
+					preds[i] = pr.Prediction
+				}(i)
 			}
+			// a leader cannot land while the gate is closed, so every
+			// request that joins before the release shares its computation
+			enrolled := func() (n int) {
+				for j := 0; j < m; j++ {
+					n += s.flight.waiting(tc.key(j))
+				}
+				return n
+			}
+			for deadline := time.Now().Add(10 * time.Second); enrolled() < k-m; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of %d duplicates joined a flight", enrolled(), k-m)
+				}
+			}
+			close(gate)
+			wg.Wait()
+
+			if got := computes.Load(); got != m {
+				t.Errorf("compute ran %d times, want exactly %d", got, m)
+			}
+			for i := m; i < k; i++ {
+				if math.Float64bits(preds[i]) != math.Float64bits(preds[i%m]) {
+					t.Errorf("request %d shared prediction %v, its leader answered %v", i, preds[i], preds[i%m])
+				}
+			}
+			st := statz(t, ts.URL)
+			if st.CacheMisses != m || st.CoalescedHits != k-m || st.CacheHits != 0 {
+				t.Fatalf("want %d misses + %d coalesced + 0 hits, got misses=%d coalesced=%d hits=%d",
+					m, k-m, st.CacheMisses, st.CoalescedHits, st.CacheHits)
+			}
+			if st.CacheSize != m {
+				t.Errorf("cache_size = %d, want %d", st.CacheSize, m)
+			}
+
+			// the landed flights are now plain cache hits
+			resp, body := postJSON(t, ts.URL+"/v1/predict", tc.req(0))
 			var pr PredictResponse
-			if err := json.Unmarshal(body, &pr); err != nil || pr.Prediction != 7.5 {
-				t.Errorf("prediction %s: %v", body, err)
-				return
+			json.Unmarshal(body, &pr)
+			if resp.StatusCode != http.StatusOK || !pr.Cached || math.Float64bits(pr.Prediction) != math.Float64bits(preds[0]) {
+				t.Errorf("repeat single: status %d body %s, want cached %v", resp.StatusCode, body, preds[0])
 			}
-			ok.Add(1)
-		}()
-	}
-	// release the gated compute only once the other callers are enrolled
-	// in its flight — the leader cannot land while the gate is closed, so
-	// every request that reaches the server before the close piggybacks
-	req := khanRequest(7.5)
-	key := requestKey(&req, pressio.Options{}, "")
-	deadline := time.Now().Add(10 * time.Second)
-	for s.flight.waiting(key) < callers-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d callers enrolled in the flight", s.flight.waiting(key))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Errorf("compute ran %d times, want exactly 1 (singleflight)", got)
-	}
-	if ok.Load() != callers {
-		t.Errorf("%d callers succeeded, want %d", ok.Load(), callers)
-	}
-	if st := statz(t, base); st.DedupCollapses != callers-1 {
-		t.Errorf("dedup_collapses = %d, want %d", st.DedupCollapses, callers-1)
-	}
-
-	// the landed flight is now a plain cache hit
-	resp, body := postJSON(t, base+"/v1/predict", khanRequest(7.5))
-	var pr PredictResponse
-	json.Unmarshal(body, &pr)
-	if resp.StatusCode != http.StatusOK || !pr.Cached {
-		t.Errorf("post-flight request: status %d cached %v, want cache hit", resp.StatusCode, pr.Cached)
+			hits := uint64(1)
+			if tc.batch {
+				resp, raw := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
+					Scheme: "khan2023", Compressor: "sz3", Fields: fields[:], Steps: make([]int, m),
+				})
+				var out BatchResponse
+				if err := json.Unmarshal(raw, &out); err != nil || resp.StatusCode != http.StatusOK || len(out.Results) != m {
+					t.Fatalf("batch: status %d body %s: %v", resp.StatusCode, raw, err)
+				}
+				for j, r := range out.Results {
+					if !r.Cached || math.Float64bits(r.Prediction) != math.Float64bits(preds[j]) {
+						t.Errorf("batch item %d = %+v, want cached %v", j, r, preds[j])
+					}
+				}
+				hits += m
+			}
+			st = statz(t, ts.URL)
+			if st.CacheHits != hits || st.CacheMisses != m || st.CoalescedHits != k-m || computes.Load() != m {
+				t.Errorf("hit traffic: want %d hits and unmoved miss buckets, got %+v", hits, st)
+			}
+		})
 	}
 }
 

@@ -81,11 +81,7 @@ type Config struct {
 	// DataSpillDir, when set, enables the dataset cache's mmap-backed
 	// disk tier (predictd -data-spill).
 	DataSpillDir string
-	// CoalesceWindow, when positive, fuses concurrent single predicts
-	// against the same model into one batched feature-extraction pass:
-	// the first cache-missing request opens a window, requests arriving
-	// within the window enroll, and one flush computes every enrolled
-	// cell (predictd default 500µs; zero disables).
+	// CoalesceWindow is ignored: benchmark/serve_trace.go still sets it and this tree may not edit benchmark/.
 	CoalesceWindow time.Duration
 
 	// testHookPredict, when set, runs inside every uncached predict
@@ -93,15 +89,11 @@ type Config struct {
 	testHookPredict func()
 	// testHookFit, when set, runs at the start of every fit execution.
 	testHookFit func()
-	// testHookBatchFlush, when set, runs at the start of every batch /
-	// coalesce flush computation (the crash harness kills here).
+	// testHookBatchFlush, when set, runs at the start of every batch
+	// computation (the crash harness kills here).
 	testHookBatchFlush func()
 	// testClock, when set, replaces time.Now for job TTL eviction.
 	testClock func() time.Time
-	// testCoalesceTimer, when set, replaces time.AfterFunc for
-	// scheduling window flushes — the injectable clock that keeps
-	// coalescing tests deterministic.
-	testCoalesceTimer func(d time.Duration, fn func())
 }
 
 func (c *Config) defaults() {
@@ -219,11 +211,9 @@ func (j *FitJob) record() jobRecord {
 type Server struct {
 	cfg       Config
 	registry  *Registry
-	cache     *lruCache
-	cells     *cellCache
+	cache     *lru[cellKey, cellValue]
 	data      *dataset.TieredCache
 	features  core.Evaluator
-	coalesce  *coalescer
 	flight    *flightGroup
 	pool      *workerPool
 	fitPool   *workerPool
@@ -253,8 +243,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		registry:  reg,
-		cache:     newLRUCache(cfg.CacheSize),
-		cells:     newCellCache(cfg.CacheSize),
+		cache:     newLRU[cellKey, cellValue](cfg.CacheSize),
 		flight:    newFlightGroup(),
 		pool:      newWorkerPool(cfg.Workers, cfg.QueueDepth),
 		fitPool:   newWorkerPool(cfg.FitWorkers, cfg.FitQueueDepth),
@@ -273,7 +262,6 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		}
 		s.data = dc
 	}
-	s.coalesce = newCoalescer(s)
 	if !cfg.DisableJournal {
 		s.journal = &journal{st: st}
 	}
@@ -465,6 +453,11 @@ func clampInt(v, lo, hi int) int {
 // errSaturated is the backpressure sentinel the predict path maps to 429.
 var errSaturated = errors.New("serve: worker pool saturated")
 
+// handlePredict serves one prediction as a batch of one: the same group
+// resolution, cache key, hit path and miss computation as a batch item.
+// What a single adds is the in-flight collapse — concurrent requests for
+// one uncached key share the leader's computation — and a deadline the
+// handler enforces while the shared computation runs on.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -477,144 +470,97 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	if status, err := decodeJSON(w, r, &req); err != nil {
 		return writeError(w, status, "%v", err)
 	}
-	if req.Scheme == "" || req.Compressor == "" {
-		return writeError(w, http.StatusBadRequest, "scheme and compressor are required")
-	}
 	if (req.Features == nil) == (req.Data == nil) {
 		return writeError(w, http.StatusBadRequest, "exactly one of features or data must be set")
 	}
-	scheme, err := core.GetScheme(req.Scheme)
-	if err != nil {
-		return writeError(w, http.StatusNotFound, "%v", err)
-	}
-	if !scheme.Supports(req.Compressor) {
-		return writeError(w, http.StatusBadRequest, "scheme %s does not support compressor %s", req.Scheme, req.Compressor)
-	}
-	opts, err := s.requestOptions(req.Options)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-	s.stats.scheme(req.Scheme)
-
-	// trained schemes serve from the registry; a missing model is the
-	// client's cue to POST /v1/fit first
-	var entry *ModelEntry
-	if trains, terr := schemeTrains(scheme, req.Compressor); terr != nil {
-		return writeError(w, http.StatusBadRequest, "%v", terr)
-	} else if trains {
-		entry, err = s.registry.Lookup(req.Scheme, req.Compressor)
-		if errors.Is(err, ErrNoModel) {
-			return writeError(w, http.StatusNotFound, "%v — POST /v1/fit first", err)
-		} else if err != nil {
-			return writeError(w, http.StatusInternalServerError, "%v", err)
-		}
-	}
-	modelKey := ""
-	if entry != nil {
-		modelKey = entry.Key
-	}
-	key := requestKey(&req, opts, modelKey)
-
-	if val, ok := s.cache.get(key); ok {
-		s.stats.cacheHit()
-		resp := val.resp
-		resp.Cached = true
-		return writeJSON(w, http.StatusOK, resp)
-	}
-
-	// data-backed requests on a 3-D grid have a cell identity the batch
-	// path shares: check the cell cache, and past it, coalesce with
-	// concurrent requests against the same model
-	var g *batchGroup
+	var dims []int
 	if req.Data != nil {
-		dims := req.Data.Dims
-		if len(dims) == 0 {
-			dims = defaultDataDims
-		}
-		if len(dims) == 3 && checkDims(dims) == nil {
-			g = newBatchGroup(req.Scheme, req.Compressor, scheme, opts, entry, req.Alpha, dims)
-			if v, ok := s.cells.get(cellKey{base: g.base, field: req.Data.Field, step: req.Data.Step}); ok {
-				s.stats.cellHit()
-				resp := PredictResponse{
-					Scheme: req.Scheme, Compressor: req.Compressor,
-					Target: v.target, Prediction: v.prediction,
-					Interval: v.interval, Model: v.model, Cached: true,
-				}
-				return writeJSON(w, http.StatusOK, resp)
-			}
-		}
+		dims = req.Data.Dims
 	}
-	if g != nil && s.cfg.CoalesceWindow > 0 {
-		return s.predictCoalesced(w, r, &req, key, g)
+	g, status, err := s.resolveGroup(req.Scheme, req.Compressor, req.Options, req.Alpha, dims)
+	if err != nil {
+		return writeError(w, status, "%v", err)
 	}
-	s.stats.cacheMiss()
+	var key cellKey
+	if req.Data != nil {
+		key = cellKey{base: g.base, field: req.Data.Field, step: req.Data.Step}
+	} else if want := g.scheme.Features(); len(req.Features) != len(want) {
+		return writeError(w, http.StatusBadRequest, "scheme %s wants %d features %v, got %d", g.schemeName, len(want), want, len(req.Features))
+	} else {
+		key = featureKey(g.base, req.Features)
+	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
-	defer cancel()
-
-	type flightOut struct {
-		resp   PredictResponse
-		err    error
-		shared bool
-	}
-	ch := make(chan flightOut, 1)
-	go func() {
-		resp, err, shared := s.flight.do(key, func() (PredictResponse, error) {
-			// the leader computes on the bounded pool; a full queue is
-			// the saturation signal
-			done := make(chan struct{})
-			var resp PredictResponse
-			var cerr error
-			// the compute context is detached from the leader's request
-			// so an impatient leader doesn't poison piggybacked callers
-			//lint:ignore pressiovet/ctxflow singleflight leader: shared computation must outlive any one caller; bounded by cfg.Deadline instead
-			cctx, ccancel := context.WithTimeout(context.Background(), s.cfg.Deadline)
-			submitted := s.pool.trySubmit(func() {
-				defer close(done)
-				defer ccancel()
-				if s.cfg.testHookPredict != nil {
-					s.cfg.testHookPredict()
-				}
-				resp, cerr = s.predict(cctx, &req, opts, scheme, entry)
+	var out BatchItemResult
+	if s.cellHitInto(key, &out) {
+		s.stats.cacheHit()
+	} else {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
+		defer cancel()
+		type flightOut struct {
+			out    BatchItemResult
+			err    error
+			shared bool
+		}
+		ch := make(chan flightOut, 1)
+		go func() {
+			out, err, shared := s.flight.do(key, func() (BatchItemResult, error) {
+				return s.predictSingleMiss(g, key, req.Features)
 			})
-			if !submitted {
-				ccancel()
-				return PredictResponse{}, errSaturated
+			ch <- flightOut{out, err, shared}
+		}()
+		select {
+		case fo := <-ch:
+			out = fo.out
+			// one accounting bucket per answered request: a sharer of
+			// another request's computation, or the one that computed
+			switch {
+			case errors.Is(fo.err, errSaturated):
+				s.stats.reject()
+				w.Header().Set("Retry-After", s.retryAfterPredict())
+				return writeError(w, http.StatusTooManyRequests, "saturated: %d workers busy, queue full", s.cfg.Workers)
+			case out.Error != "":
+				return writeError(w, http.StatusBadRequest, "%s", out.Error)
+			case fo.shared:
+				s.stats.coalescedHit()
+			default:
+				s.stats.cacheMiss()
 			}
-			<-done
-			if cerr == nil {
-				s.cache.add(key, cacheValue{resp: resp, scheme: req.Scheme})
-				if g != nil {
-					// backfill the cell cache so later batches (and
-					// coalesced singles) hit what this request computed
-					s.cells.add(cellKey{base: g.base, field: req.Data.Field, step: req.Data.Step}, cellValue{
-						prediction: resp.Prediction, interval: resp.Interval,
-						scheme: req.Scheme, model: resp.Model, target: resp.Target,
-					})
-				}
-			}
-			return resp, cerr
-		})
-		ch <- flightOut{resp, err, shared}
-	}()
-
-	select {
-	case out := <-ch:
-		switch {
-		case errors.Is(out.err, errSaturated):
-			s.stats.reject()
-			w.Header().Set("Retry-After", s.retryAfterPredict())
-			return writeError(w, http.StatusTooManyRequests, "saturated: %d workers busy, queue full", s.cfg.Workers)
-		case out.err != nil:
-			return writeError(w, http.StatusBadRequest, "%v", out.err)
+		case <-ctx.Done():
+			return writeError(w, http.StatusGatewayTimeout, "deadline exceeded after %v", s.cfg.Deadline)
 		}
-		if out.shared {
-			s.stats.dedup()
-		}
-		return writeJSON(w, http.StatusOK, out.resp)
-	case <-ctx.Done():
-		return writeError(w, http.StatusGatewayTimeout, "deadline exceeded after %v", s.cfg.Deadline)
 	}
+	return writeJSON(w, http.StatusOK, PredictResponse{
+		Scheme: g.schemeName, Compressor: g.compressor, Target: g.target,
+		Prediction: out.Prediction, Interval: out.Interval, Model: g.model, Cached: out.Cached,
+	})
+}
+
+// predictSingleMiss is the flight leader's computation: one worker-pool
+// slot runs the same miss path a batch item takes; a full queue is the
+// saturation signal every sharer sees. features is nil for a data cell.
+func (s *Server) predictSingleMiss(g *batchGroup, key cellKey, features []float64) (out BatchItemResult, err error) {
+	// the compute context is detached from the leader's request so an
+	// impatient leader doesn't poison piggybacked callers
+	//lint:ignore pressiovet/ctxflow singleflight leader: shared computation must outlive any one caller; bounded by cfg.Deadline instead
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Deadline)
+	defer cancel()
+	done := make(chan struct{})
+	if !s.pool.trySubmit(func() {
+		defer close(done)
+		if s.cfg.testHookPredict != nil {
+			s.cfg.testHookPredict()
+		}
+		if features == nil {
+			s.predictCellMiss(ctx, g, key, &out)
+			return
+		}
+		s.predictFeatureRow(g, features, &out)
+		s.cacheResult(g, key, &out)
+	}) {
+		return out, errSaturated
+	}
+	<-done
+	return out, nil
 }
 
 // schemeTrains probes whether the scheme's predictor needs a trained
@@ -941,8 +887,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) int {
 		}
 		return stale
 	}
-	cleared := s.cache.evictIf(func(v cacheValue) bool { return staleScheme(v.scheme) })
-	cleared += s.cells.evictIf(staleScheme)
+	cleared := s.cache.evictIf(func(v cellValue) bool { return staleScheme(v.scheme) })
 	s.stats.evicted(len(evicted), cleared)
 	resp := InvalidateResponse{EvictedModels: evicted, ClearedCached: cleared}
 	if resp.EvictedModels == nil {
@@ -973,7 +918,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	st.Replaying = s.replaying.Load()
 	st.Models = s.registry.Len()
 	st.CacheSize = s.cache.len()
-	st.CellCacheSize = s.cells.len()
 	if s.data != nil {
 		st.DataCache = s.data.Stats()
 	}

@@ -50,14 +50,20 @@ func TestStatzJSONShape(t *testing.T) {
 	for _, key := range []string{
 		"uptime_seconds", "draining", "replaying", "models", "jobs",
 		"jobs_retained", "jobs_evicted", "journal_errors", "endpoints",
-		"schemes", "cache_hits", "cache_misses", "cache_size",
-		"cell_hits", "cell_cache_size", "coalesced_hits",
-		"batch_requests", "batch_predictions", "data_cache", "feature_memo",
-		"dedup_collapses", "rejected", "evicted_models", "evicted_cached",
+		"schemes", "cache_hits", "coalesced_hits", "cache_misses",
+		"cache_size", "batch_requests", "batch_predictions", "data_cache",
+		"feature_memo", "rejected", "evicted_models", "evicted_cached",
 		"process",
 	} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("/statz missing top-level key %q", key)
+		}
+	}
+
+	// one cache and one collapse: the keys of the second ones are gone
+	for _, key := range []string{"cell_hits", "cell_cache_size", "dedup_collapses"} {
+		if _, ok := doc[key]; ok {
+			t.Errorf("/statz still reports %q", key)
 		}
 	}
 
