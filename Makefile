@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 check lint fmt-check serve-check crash-check cluster-check scenario-check scenario-baseline stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 check lint fmt-check examples-check serve-check crash-check cluster-check scenario-check scenario-baseline stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -21,8 +21,8 @@ tier1:
 # check is the full verification gate: formatting, standard vet (with the
 # extra unreachable/copylocks/lostcancel passes spelled out so a vet
 # default change can't silently drop them), the pressiovet suite, tier-1
-# at one CPU and at the default, and the complete test suite under the
-# race detector. The race run stays
+# at one CPU and at the default, the examples run to completion, and the
+# complete test suite under the race detector. The race run stays
 # `-race -short`: -race is what actually exercises the sync.Pool and
 # queue invariants the linters guard statically, and -short keeps the
 # gate fast enough to run on every change by skipping the long queue
@@ -33,6 +33,7 @@ check: fmt-check
 	$(GO) vet -unreachable -copylocks -lostcancel ./...
 	$(MAKE) lint
 	$(MAKE) tier1
+	$(MAKE) examples-check
 	$(GO) test -race -short ./...
 	$(MAKE) crash-check
 	$(MAKE) cluster-check
@@ -47,6 +48,13 @@ endif
 lint:
 	$(GO) build -o $(PRESSIOVET) ./cmd/pressiovet
 	$(GO) vet -vettool=$(abspath $(PRESSIOVET)) ./...
+
+# examples-check runs each examples/* main to completion. `go build
+# ./...` compiles them and nothing else executes them, yet they are the
+# code that drives core.Session end to end (quickstart, autotuning, ...).
+# All six finish in seconds; any non-zero exit fails the target.
+examples-check:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

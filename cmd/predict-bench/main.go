@@ -200,7 +200,7 @@ func main() {
 		fatal(fmt.Errorf("unknown ablation %q (want svd or jin)", *ablation))
 	default:
 		_ = table2 // the default action
-		report, err := bench.RunContext(ctx, spec)
+		report, err := bench.Run(ctx, spec)
 		if err != nil {
 			// an interrupted run can leave too few cells for evaluation;
 			// the checkpoint is still intact, so say how to resume

@@ -63,8 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, c := range chunks {
-		session.InvalidateAll() // new buffer: every metric is stale
-		cr, _, err := session.Predict(c.data)
+		cr, _, err := session.Predict(c.data) // a new buffer is evaluated afresh
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -157,7 +156,6 @@ func boundedReservations(chunks []*chunkInfo) {
 			if err != nil {
 				log.Fatal(err)
 			}
-			session.InvalidateAll()
 			ev, err := session.Evaluate(data)
 			if err != nil {
 				log.Fatal(err)
@@ -182,7 +180,6 @@ func boundedReservations(chunks []*chunkInfo) {
 	reserved := 0
 	used := 0
 	for _, c := range chunks {
-		session.InvalidateAll()
 		ev, err := session.Evaluate(c.data)
 		if err != nil {
 			log.Fatal(err)

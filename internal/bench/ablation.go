@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/hurricane"
 	"repro/internal/predictors"
 	"repro/internal/pressio"
@@ -30,24 +31,16 @@ func AblationSVD(spec *Spec, reps int) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		svd, err := pressio.GetMetric("svd_trunc")
+		svd, err := timeMetric("svd_trunc", opts, data)
 		if err != nil {
 			return "", err
 		}
-		start := now()
-		svd.BeginCompress(data)
-		svdMS = append(svdMS, now().Sub(start).Seconds()*1e3)
-
-		qent, err := pressio.GetMetric("quantized_entropy")
+		qent, err := timeMetric("quantized_entropy", opts, data)
 		if err != nil {
 			return "", err
 		}
-		if err := qent.SetOptions(opts); err != nil {
-			return "", err
-		}
-		start = now()
-		qent.BeginCompress(data)
-		qentMS = append(qentMS, now().Sub(start).Seconds()*1e3)
+		svdMS = append(svdMS, svd)
+		qentMS = append(qentMS, qent)
 	}
 	svdStat := summarize(svdMS)
 	qentStat := summarize(qentMS)
@@ -58,6 +51,21 @@ func AblationSVD(spec *Spec, reps int) (string, error) {
 	fmt.Fprintf(&b, "  ratio: %.1fx — the SVD precompute dominates; suited to amortized use\n",
 		svdStat.Mean/qentStat.Mean)
 	return b.String(), nil
+}
+
+// timeMetric returns the wall ms of one freshly configured metric plugin
+// over data: ablations measure plugins raw, outside any plan or memo.
+func timeMetric(name string, opts pressio.Options, data *pressio.Data) (float64, error) {
+	m, err := pressio.GetMetric(name)
+	if err != nil {
+		return 0, err
+	}
+	if err := m.SetOptions(opts); err != nil {
+		return 0, err
+	}
+	start := now()
+	m.BeginCompress(data)
+	return now().Sub(start).Seconds() * 1e3, nil
 }
 
 // AblationJin reproduces the §6 iterator finding: the Jin model's
@@ -80,42 +88,24 @@ func AblationJin(spec *Spec, reps int) (string, error) {
 		opts := pressio.Options{}
 		opts.Set(pressio.OptAbs, spec.Bounds[0])
 
-		naive, err := pressio.GetMetric("jin_model")
-		if err != nil {
-			return "", err
-		}
-		if err := naive.SetOptions(opts); err != nil {
-			return "", err
-		}
-		start := now()
-		naive.BeginCompress(data)
-		naiveMS = append(naiveMS, now().Sub(start).Seconds()*1e3)
-
-		fast, err := pressio.GetMetric("jin_model")
+		naive, err := timeMetric("jin_model", opts, data)
 		if err != nil {
 			return "", err
 		}
 		fastOpts := opts.Clone()
 		fastOpts.Set(predictors.OptJinFastIterator, true)
-		if err := fast.SetOptions(fastOpts); err != nil {
-			return "", err
-		}
-		start = now()
-		fast.BeginCompress(data)
-		fastMS = append(fastMS, now().Sub(start).Seconds()*1e3)
-
-		comp, err := pressio.GetCompressor("sz3")
+		fast, err := timeMetric("jin_model", fastOpts, data)
 		if err != nil {
 			return "", err
 		}
-		if err := comp.SetOptions(opts); err != nil {
+		naiveMS = append(naiveMS, naive)
+		fastMS = append(fastMS, fast)
+
+		_, c, _, err := core.ObserveTarget("sz3", data, opts)
+		if err != nil {
 			return "", err
 		}
-		start = now()
-		if _, err := comp.Compress(data); err != nil {
-			return "", err
-		}
-		compressMS = append(compressMS, now().Sub(start).Seconds()*1e3)
+		compressMS = append(compressMS, c)
 	}
 	n := summarize(naiveMS)
 	f := summarize(fastMS)
@@ -143,10 +133,7 @@ func BaselineOnly(spec *Spec) (string, error) {
 			}
 			opts := pressio.Options{}
 			opts.Set(pressio.OptAbs, spec.Bounds[0])
-			cr, c, d, err := func() (float64, float64, float64, error) {
-				cr, c, d, err := observeBaseline(compressor, data, opts)
-				return cr, c, d, err
-			}()
+			cr, c, d, err := core.ObserveTarget(compressor, data, opts)
 			if err != nil {
 				return "", err
 			}
@@ -158,27 +145,4 @@ func BaselineOnly(spec *Spec) (string, error) {
 			compressor, fmtMS(summarize(cms)), fmtMS(summarize(dms)), stats.Mean(crs))
 	}
 	return b.String(), nil
-}
-
-func observeBaseline(compressor string, data *pressio.Data, opts pressio.Options) (cr, cms, dms float64, err error) {
-	comp, err := pressio.GetCompressor(compressor)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if err := comp.SetOptions(opts); err != nil {
-		return 0, 0, 0, err
-	}
-	start := now()
-	compressed, err := comp.Compress(data)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	cms = now().Sub(start).Seconds() * 1e3
-	out := pressio.New(data.DType(), data.Dims()...)
-	start = now()
-	if err := comp.Decompress(compressed, out); err != nil {
-		return 0, 0, 0, err
-	}
-	dms = now().Sub(start).Seconds() * 1e3
-	return float64(data.ByteSize()) / float64(compressed.ByteSize()), cms, dms, nil
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,6 +27,7 @@ import (
 	_ "repro/internal/compressor/szx"
 	_ "repro/internal/compressor/zfp"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/faultinject"
 	"repro/internal/hurricane"
 	_ "repro/internal/metrics" // register metric plugins
@@ -108,6 +110,8 @@ const (
 	TargetBandwidth = "bandwidth"
 )
 
+const defaultWorkers = 4
+
 func (s *Spec) defaults() {
 	if len(s.Fields) == 0 {
 		s.Fields = hurricane.FieldNames
@@ -131,7 +135,7 @@ func (s *Spec) defaults() {
 		s.Folds = 10
 	}
 	if s.Workers <= 0 {
-		s.Workers = 4
+		s.Workers = defaultWorkers
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -182,79 +186,80 @@ func (ob *Observation) TargetValue(target string) float64 {
 // even when several schemes share metrics (the reuse the paper's
 // challenge #1 asks for).
 func featureMetricsFor(schemes []string, compressor string) ([]string, error) {
-	seen := map[string]bool{}
 	var out []string
 	for _, name := range schemes {
 		sch, err := core.GetScheme(name)
 		if err != nil {
 			return nil, err
 		}
-		if !sch.Supports(compressor) {
-			continue
-		}
-		for _, m := range sch.Metrics() {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
+		if sch.Supports(compressor) {
+			out = append(out, sch.Metrics()...)
 		}
 	}
 	sort.Strings(out)
-	return out, nil
+	return slices.Compact(out), nil
 }
 
-// observe computes one cell: data generation, each metric (individually
-// timed), and the compressor target.
-func observe(spec *Spec, field string, step int, bound float64, compressor string, metricNames []string) (*Observation, error) {
-	data, err := hurricane.Field(field, step, spec.Dims)
+// metricUnion is the core.MetricSet a cell is planned over: no feature
+// vector, because an Observation keeps every scalar result.
+type metricUnion []string
+
+func (u metricUnion) Metrics() []string { return u }
+func (metricUnion) Features() []string  { return nil }
+
+// newCellCache is the loader → local-cache stack (paper Fig. 2) of one
+// observing process: a (field, step) buffer is synthesized once however
+// many cells read it. The budget is two float32 grids of dims per worker:
+// the queue hands a worker the cells of a buffer it holds first, so it
+// has one in use and one more at the hand-over.
+func newCellCache(workers int, dims []int) (*dataset.TieredCache, error) {
+	capacity := int64(workers) * 2 * int64(pressio.DTypeFloat32.Size())
+	for _, d := range dims {
+		capacity *= int64(d)
+	}
+	return dataset.NewTiered(dataset.TieredConfig{CapacityBytes: capacity})
+}
+
+// observe computes one cell: its buffer from the cache (pinned while the
+// cell runs), the metrics through one plan, and the compressor target.
+func observe(ctx context.Context, cache *dataset.TieredCache, eval *core.Evaluator, a ObserveArgs) (*Observation, error) {
+	h, err := cache.Acquire(a.Field, a.Step, a.Dims)
 	if err != nil {
 		return nil, err
 	}
+	defer h.Release()
+	data := h.Data()
 	opts := pressio.Options{}
-	opts.Set(pressio.OptAbs, bound)
-	opts.Set(predictors.OptTaoCompressor, compressor)
-	opts.Set(predictors.OptKhanCompressor, compressor)
-
-	ob := &Observation{
-		Field: field, Step: step, Bound: bound, Compressor: compressor,
-		Features: map[string]float64{},
-		MetricMS: map[string]float64{},
+	opts.Set(pressio.OptAbs, a.Bound)
+	plan, err := eval.Plan(metricUnion(a.MetricNames), a.Compressor, opts)
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range metricNames {
-		m, err := pressio.GetMetric(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.SetOptions(opts); err != nil {
-			return nil, fmt.Errorf("metric %s: %w", name, err)
-		}
-		start := now()
-		m.BeginCompress(data)
-		ob.MetricMS[name] = now().Sub(start).Seconds() * 1e3
-		for k, v := range m.Results() {
-			switch t := v.(type) {
-			case float64:
-				ob.Features[k] = t
-			case int64:
-				ob.Features[k] = float64(t)
-			}
+	ev, err := plan.EvaluateDetailed(ctx, data)
+	if err != nil {
+		return nil, err
+	}
+	ob := &Observation{
+		Field: a.Field, Step: a.Step, Bound: a.Bound, Compressor: a.Compressor,
+		Features: map[string]float64{},
+		MetricMS: ev.MetricMS,
+		ByteSize: data.ByteSize(), Replicates: a.Replicates,
+	}
+	for k := range ev.Results {
+		if v, ok := ev.Results.GetFloat(k); ok { // the numeric results
+			ob.Features[k] = v
 		}
 	}
 	// runtime observations are nondeterministic: average over replicates
-	var cms, dms float64
-	for r := 0; r < spec.Replicates; r++ {
-		cr, c, d, err := core.ObserveTarget(compressor, data, opts)
+	for r := 0; r < a.Replicates; r++ {
+		cr, c, d, err := core.ObserveTarget(a.Compressor, data, opts)
 		if err != nil {
 			return nil, err
 		}
 		ob.CR = cr
-		cms += c
-		dms += d
+		ob.CompressMS += c / float64(a.Replicates)
+		ob.DecompressMS += d / float64(a.Replicates)
 	}
-	ob.CompressMS = cms / float64(spec.Replicates)
-	ob.DecompressMS = dms / float64(spec.Replicates)
-	ob.ByteSize = data.ByteSize()
-	ob.Replicates = spec.Replicates
 	return ob, nil
 }
 
@@ -275,15 +280,9 @@ func cellKey(spec *Spec, field string, step int, bound float64, compressor strin
 	return "cell/" + opthash.Combine(compOpts, dataOpts, expOpts)
 }
 
+// dimsString renders [32 32 64] as "32x32x64".
 func dimsString(dims []int) string {
-	s := ""
-	for i, d := range dims {
-		if i > 0 {
-			s += "x"
-		}
-		s += fmt.Sprint(d)
-	}
-	return s
+	return strings.ReplaceAll(strings.Trim(fmt.Sprint(dims), "[]"), " ", "x")
 }
 
 func encodeObservation(ob *Observation) ([]byte, error) {
@@ -292,10 +291,51 @@ func encodeObservation(ob *Observation) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-func decodeObservation(b []byte) (*Observation, error) {
-	var ob Observation
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ob)
-	return &ob, err
+// obsZero is the checkpoint record of an empty Observation and
+// obsTypeDefs what every record opens with: the gob type definitions a
+// fresh encoder sends once, ahead of its first value — what its first
+// message has over its second.
+var obsZero, obsTypeDefs = func() (zero, defs []byte) {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	enc.Encode(&Observation{})
+	first := buf.Len()
+	enc.Encode(&Observation{})
+	return buf.Bytes()[:first], buf.Bytes()[:2*first-buf.Len()]
+}()
+
+// restoreCells decodes every checkpointed cell of st and sums the
+// records' bytes. One decoder takes the definitions once and reads each
+// record from where its value starts, so a resume compiles the
+// Observation decoder once, not once per cell. Another build's record
+// (other definitions) gets a decoder to itself; one that does not decode
+// is left out, and the cell is recomputed.
+func restoreCells(st *store.Store) (map[string]*Observation, int, error) {
+	keys, err := st.Keys("cell/")
+	if err != nil {
+		return nil, 0, err
+	}
+	cells, size := make(map[string]*Observation, len(keys)), 0
+	r := bytes.NewReader(obsZero)
+	shared := gob.NewDecoder(r)
+	shared.Decode(new(Observation))
+	for _, k := range keys {
+		raw, ok, err := st.Get(k)
+		if err != nil || !ok {
+			continue
+		}
+		size += len(raw)
+		dec := shared
+		if bytes.HasPrefix(raw, obsTypeDefs) {
+			r.Reset(raw[len(obsTypeDefs):])
+		} else {
+			dec = gob.NewDecoder(bytes.NewReader(raw))
+		}
+		if ob := new(Observation); dec.Decode(ob) == nil {
+			cells[k] = ob
+		}
+	}
+	return cells, size, nil
 }
 
 // failKey is the checkpoint key recording a cell's last failure.
@@ -320,6 +360,9 @@ type CollectResult struct {
 	Failed       []CellFailure
 	QueueStats   queue.Stats
 	Pool         *PoolStats // nil for local runs
+	// What a local run reused; remote workers keep their own (zero here).
+	Data                 dataset.TieredStats
+	MemoHits, MemoMisses uint64
 }
 
 // Collect runs the observation phase: every cell through the queue with
@@ -351,6 +394,8 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 	}
 
 	var st *store.Store
+	var mu sync.Mutex
+	results := map[string]*Observation{}
 	if spec.StoreDir != "" {
 		var err error
 		st, err = store.Open(spec.StoreDir)
@@ -359,29 +404,13 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 		}
 		st.Inject = plan
 		defer st.Close()
-	}
-
-	// restore checkpointed cells
-	completed := map[string]bool{}
-	var mu sync.Mutex
-	results := map[string]*Observation{}
-	if st != nil {
-		keys, err := st.Keys("cell/")
-		if err != nil {
+		if results, _, err = restoreCells(st); err != nil { // the checkpointed cells
 			return nil, err
 		}
-		for _, k := range keys {
-			raw, ok, err := st.Get(k)
-			if err != nil || !ok {
-				continue
-			}
-			ob, err := decodeObservation(raw)
-			if err != nil {
-				continue // treat as missing; it will be recomputed
-			}
-			completed[k] = true
-			results[k] = ob
-		}
+	}
+	completed := make(map[string]bool, len(results))
+	for k := range results {
+		completed[k] = true
 	}
 
 	q := queue.New(queue.Config{
@@ -392,6 +421,11 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 		Inject:      plan,
 		Seed:        uint64(spec.Seed),
 	})
+	cache, err := newCellCache(spec.Workers, spec.Dims)
+	if err != nil {
+		return nil, err
+	}
+	var eval core.Evaluator
 	var pool *remotePool
 	if len(spec.RemoteWorkers) > 0 {
 		cfg := poolConfig{Inject: plan}
@@ -407,13 +441,7 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 		pool = newRemotePool(spec.RemoteWorkers, cfg)
 		defer pool.close()
 	}
-	type cellMeta struct {
-		field      string
-		step       int
-		bound      float64
-		compressor string
-	}
-	meta := map[string]cellMeta{}
+	meta := map[string]ObserveArgs{}
 	var keys []string
 	for _, compressor := range spec.Compressors {
 		metricNames, err := featureMetricsFor(spec.Schemes, compressor)
@@ -425,27 +453,26 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 				for step := 0; step < spec.Steps; step++ {
 					key := cellKey(spec, field, step, bound, compressor)
 					keys = append(keys, key)
-					meta[key] = cellMeta{field, step, bound, compressor}
-					field, step, bound, compressor := field, step, bound, compressor
-					mn := metricNames
+					args := ObserveArgs{
+						Dims:        spec.Dims,
+						Replicates:  spec.Replicates,
+						Field:       field,
+						Step:        step,
+						Bound:       bound,
+						Compressor:  compressor,
+						MetricNames: metricNames,
+					}
+					meta[key] = args
 					err := q.Add(queue.Task{
 						ID:      key,
 						DataKey: fmt.Sprintf("%s/%d", field, step),
-						Run: func(_ context.Context, worker int) error {
+						Run: func(ctx context.Context, worker int) error {
 							var ob *Observation
 							var err error
 							if pool != nil {
-								ob, err = pool.observeRemote(worker, ObserveArgs{
-									Dims:        spec.Dims,
-									Replicates:  spec.Replicates,
-									Field:       field,
-									Step:        step,
-									Bound:       bound,
-									Compressor:  compressor,
-									MetricNames: mn,
-								})
+								ob, err = pool.observeRemote(worker, args)
 							} else {
-								ob, err = observe(spec, field, step, bound, compressor, mn)
+								ob, err = observe(ctx, cache, &eval, args)
 							}
 							if err != nil {
 								return err
@@ -467,7 +494,7 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 							}
 							if spec.Progress != nil {
 								spec.Progress(fmt.Sprintf("%s %s t%02d abs=%g cr=%.2f",
-									compressor, field, step, bound, ob.CR))
+									args.Compressor, args.Field, args.Step, args.Bound, ob.CR))
 							}
 							return nil
 						},
@@ -484,7 +511,8 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 	// error so a restarted run retries exactly these) and keep going
 	// with the survivors
 	qResults := q.Run(ctx)
-	res := &CollectResult{QueueStats: q.Stats()}
+	res := &CollectResult{QueueStats: q.Stats(), Data: cache.Stats()}
+	res.MemoHits, res.MemoMisses = eval.MemoStats()
 	if pool != nil {
 		ps := pool.stats()
 		res.Pool = &ps
@@ -496,8 +524,8 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 		}
 		m := meta[key]
 		cf := CellFailure{
-			Key: key, Field: m.field, Step: m.step, Bound: m.bound,
-			Compressor: m.compressor, Attempts: r.Attempts, Err: r.Err.Error(),
+			Key: key, Field: m.Field, Step: m.Step, Bound: m.Bound,
+			Compressor: m.Compressor, Attempts: r.Attempts, Err: r.Err.Error(),
 		}
 		res.Failed = append(res.Failed, cf)
 		if st != nil {
@@ -506,14 +534,19 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 		}
 		if spec.Progress != nil {
 			spec.Progress(fmt.Sprintf("FAILED %s %s t%02d abs=%g after %d attempts: %v",
-				m.compressor, m.field, m.step, m.bound, r.Attempts, r.Err))
+				m.Compressor, m.Field, m.Step, m.Bound, r.Attempts, r.Err))
 		}
 	}
 	if spec.Progress != nil {
 		qs := res.QueueStats
-		spec.Progress(fmt.Sprintf(
+		line := fmt.Sprintf(
 			"queue: %d tasks (%d from checkpoint), %d retried, %d failed, %d timed out, %d locality hits",
-			qs.Tasks, qs.Skipped, qs.Retried, qs.Failed, qs.TimedOut, qs.LocalityHits))
+			qs.Tasks, qs.Skipped, qs.Retried, qs.Failed, qs.TimedOut, qs.LocalityHits)
+		if res.Pool == nil {
+			line += fmt.Sprintf("; data: %d loads, %d hits; features: %d memo hits, %d computed",
+				res.Data.Misses, res.Data.MemHits, res.MemoHits, res.MemoMisses)
+		}
+		spec.Progress(line)
 		if res.Pool != nil {
 			for _, ep := range res.Pool.Endpoints {
 				spec.Progress(fmt.Sprintf("endpoint %s: %d calls, %d failures, breaker %s %v",
@@ -528,11 +561,9 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 	// may still be storing its result: read under the tasks' lock
 	mu.Lock()
 	for _, k := range keys {
-		ob, ok := results[k]
-		if !ok {
-			continue // failed cell: degraded, not fatal
+		if ob, ok := results[k]; ok { // a failed cell is missing: degraded, not fatal
+			res.Observations = append(res.Observations, ob)
 		}
-		res.Observations = append(res.Observations, ob)
 	}
 	mu.Unlock()
 	if len(res.Observations) == 0 && len(res.Failed) > 0 {
@@ -596,13 +627,8 @@ func Evaluate(spec *Spec, obs []*Observation) (*Report, error) {
 	spec.defaults()
 	report := &Report{}
 
-	byComp := map[string][]*Observation{}
-	for _, ob := range obs {
-		byComp[ob.Compressor] = append(byComp[ob.Compressor], ob)
-	}
-
 	for _, compressor := range spec.Compressors {
-		cobs := byComp[compressor]
+		cobs := forCompressor(obs, compressor)
 		if len(cobs) == 0 {
 			continue
 		}
@@ -618,7 +644,7 @@ func Evaluate(spec *Spec, obs []*Observation) (*Report, error) {
 		})
 
 		for _, schemeName := range spec.Schemes {
-			row, err := evaluateScheme(spec, schemeName, compressor, cobs)
+			row, err := evaluateScheme(spec, schemeName, compressor, obs)
 			if err != nil {
 				return nil, err
 			}
@@ -628,16 +654,20 @@ func Evaluate(spec *Spec, obs []*Observation) (*Report, error) {
 	return report, nil
 }
 
-// Run is Collect + Evaluate.
-func Run(ctx context.Context, spec *Spec) (*Report, error) {
-	return RunContext(ctx, spec)
+// forCompressor selects one compressor's observations, in order.
+func forCompressor(obs []*Observation, compressor string) []*Observation {
+	var out []*Observation
+	for _, ob := range obs {
+		if ob.Compressor == compressor {
+			out = append(out, ob)
+		}
+	}
+	return out
 }
 
-// RunContext is Run with whole-run cancellation: on ctx cancellation the
-// observation phase stops, finished cells stay checkpointed, and the
-// report is evaluated over the surviving observations with the failed
-// cells marked.
-func RunContext(ctx context.Context, spec *Spec) (*Report, error) {
+// Run is Collect + Evaluate. On ctx cancellation finished cells stay
+// checkpointed and the report covers them, with the failed cells marked.
+func Run(ctx context.Context, spec *Spec) (*Report, error) {
 	res, err := CollectDetailed(ctx, spec)
 	if err != nil {
 		return nil, err
@@ -650,7 +680,11 @@ func RunContext(ctx context.Context, spec *Spec) (*Report, error) {
 	return report, nil
 }
 
-func evaluateScheme(spec *Spec, schemeName, compressor string, cobs []*Observation) (*MethodRow, error) {
+// evaluateScheme builds one Table-2 row from the compressor's cells —
+// except the error-agnostic stage, which depends on neither compressor
+// nor bound: that column samples every cell that paid for it.
+func evaluateScheme(spec *Spec, schemeName, compressor string, obs []*Observation) (*MethodRow, error) {
+	cobs := forCompressor(obs, compressor)
 	scheme, err := core.GetScheme(schemeName)
 	if err != nil {
 		return nil, err
@@ -665,53 +699,84 @@ func evaluateScheme(spec *Spec, schemeName, compressor string, cobs []*Observati
 	}
 	row.Supported = true
 
-	// stage times from per-metric timings
-	var errDep, errAgn []float64
-	stageByMetric := map[string]core.Stage{}
+	var dep, agn []string
 	for _, mn := range scheme.Metrics() {
 		m, err := pressio.GetMetric(mn)
 		if err != nil {
 			return nil, err
 		}
-		stageByMetric[mn] = core.StageOf(m)
-	}
-	for _, ob := range cobs {
-		var dep, agn float64
-		hasDep, hasAgn := false, false
-		for _, mn := range scheme.Metrics() {
-			ms, ok := ob.MetricMS[mn]
-			if !ok {
-				continue
-			}
-			if stageByMetric[mn] == core.StageErrorAgnostic {
-				agn += ms
-				hasAgn = true
-			} else {
-				dep += ms
-				hasDep = true
-			}
-		}
-		if hasDep {
-			errDep = append(errDep, dep)
-		}
-		if hasAgn {
-			errAgn = append(errAgn, agn)
+		if core.StageOf(m) == core.StageErrorAgnostic {
+			agn = append(agn, mn)
+		} else {
+			dep = append(dep, mn)
 		}
 	}
-	if len(errDep) > 0 {
-		row.ErrDep = summarize(errDep)
-		row.HasErrDep = true
-	}
-	if len(errAgn) > 0 {
-		row.ErrAgn = summarize(errAgn)
-		row.HasErrAgn = true
-	}
+	row.ErrDep, row.HasErrDep = stageMS(cobs, dep)
+	row.ErrAgn, row.HasErrAgn = stageMS(obs, agn)
 
-	// feature matrix and targets
+	ho, err := crossValidate(spec, scheme, compressor, cobs)
+	if err != nil {
+		return nil, err
+	}
+	if !ho.trained && spec.Target != TargetCR {
+		// calculation schemes compute a CR, not a bandwidth: N/A row
+		row.Supported = false
+		return row, nil
+	}
+	row.MedAPE, row.HasMedAPE = stats.MedAPE(ho.preds, ho.actuals), true
+	if ho.trained {
+		var training []float64
+		for _, ob := range cobs {
+			training = append(training, ob.CompressMS)
+		}
+		row.Training, row.HasTraining = summarize(training), true
+		row.Fit, row.HasFit = summarize(ho.fitMS), true
+		row.Infer, row.HasInfer = summarize(ho.inferMS), true
+	}
+	return row, nil
+}
+
+// stageMS summarizes what a stage's metrics cost per cell, over the cells
+// where any ran: one that found the results on its buffer is no sample.
+func stageMS(cobs []*Observation, metrics []string) (meanStd, bool) {
+	var totals []float64
+	for _, ob := range cobs {
+		total, ran := 0.0, false
+		for _, mn := range metrics {
+			if ms, ok := ob.MetricMS[mn]; ok {
+				total += ms
+				ran = true
+			}
+		}
+		if ran {
+			totals = append(totals, total)
+		}
+	}
+	return summarize(totals), len(totals) > 0
+}
+
+// heldOut is the cross-validation outcome for one (scheme, compressor):
+// prediction and actual target per observation, in order, and for trained
+// schemes the wall ms of each fold's fit and each held-out prediction.
+type heldOut struct {
+	preds, actuals []float64
+	trained        bool
+	fitMS, inferMS []float64
+}
+
+// crossValidate predicts every observation's target without having seen
+// it: calculation and trial schemes from the features alone, trained
+// schemes fitted per fold on the other folds — out-of-sample (the paper's
+// setting) keeps a field's timesteps in one fold, in-sample mixes them.
+func crossValidate(spec *Spec, scheme core.Scheme, compressor string, cobs []*Observation) (*heldOut, error) {
+	pred0, err := scheme.NewPredictor(compressor)
+	if err != nil {
+		return nil, err
+	}
 	featureKeys := scheme.Features()
 	x := make([][]float64, len(cobs))
-	y := make([]float64, len(cobs))
 	groups := make([]string, len(cobs))
+	ho := &heldOut{preds: make([]float64, len(cobs)), actuals: make([]float64, len(cobs)), trained: pred0.Trains()}
 	for i, ob := range cobs {
 		fv := make([]float64, len(featureKeys))
 		for j, k := range featureKeys {
@@ -722,54 +787,24 @@ func evaluateScheme(spec *Spec, schemeName, compressor string, cobs []*Observati
 			fv[j] = v
 		}
 		x[i] = fv
-		y[i] = ob.TargetValue(spec.Target)
+		ho.actuals[i] = ob.TargetValue(spec.Target)
 		groups[i] = ob.Field
 	}
 
-	pred0, err := scheme.NewPredictor(compressor)
-	if err != nil {
-		return nil, err
-	}
-
-	if !pred0.Trains() && spec.Target != TargetCR {
-		// calculation schemes compute a CR, not a bandwidth: N/A row
-		row.Supported = false
-		return row, nil
-	}
-
-	if !pred0.Trains() {
-		// calculation/trial methods: prediction is the metric value
-		preds := make([]float64, len(x))
+	if !ho.trained {
 		for i := range x {
-			v, err := pred0.Predict(x[i])
-			if err != nil {
+			if ho.preds[i], err = pred0.Predict(x[i]); err != nil {
 				return nil, err
 			}
-			preds[i] = v
 		}
-		row.MedAPE = stats.MedAPE(preds, y)
-		row.HasMedAPE = true
-		return row, nil
+		return ho, nil
 	}
-
-	// trained schemes: cross-validation with fit/inference timed.
-	// Out-of-sample (the paper's setting) groups folds by field;
-	// in-sample (future-work #1) mixes timesteps freely.
 	var trains, tests [][]int
 	if spec.InSample {
 		trains, tests = mlkit.KFold(len(cobs), spec.Folds, spec.Seed)
 	} else {
 		trains, tests = mlkit.GroupKFold(groups, spec.Folds, spec.Seed)
 	}
-	var fitTimes, inferTimes []float64
-	var allPreds, allActuals []float64
-	var training []float64
-	for _, ob := range cobs {
-		training = append(training, ob.CompressMS)
-	}
-	row.Training = summarize(training)
-	row.HasTraining = true
-
 	for f := range trains {
 		p, err := scheme.NewPredictor(compressor)
 		if err != nil {
@@ -779,31 +814,24 @@ func evaluateScheme(spec *Spec, schemeName, compressor string, cobs []*Observati
 		ty := make([]float64, len(trains[f]))
 		for i, idx := range trains[f] {
 			tx[i] = x[idx]
-			ty[i] = y[idx]
+			ty[i] = ho.actuals[idx]
 		}
 		start := now()
 		if err := p.Fit(tx, ty); err != nil {
-			return nil, fmt.Errorf("bench: %s fold %d fit: %w", schemeName, f, err)
+			return nil, fmt.Errorf("bench: %s fold %d fit: %w", scheme.Name(), f, err)
 		}
-		fitTimes = append(fitTimes, now().Sub(start).Seconds()*1e3)
+		ho.fitMS = append(ho.fitMS, now().Sub(start).Seconds()*1e3)
 		for _, idx := range tests[f] {
 			start := now()
 			v, err := p.Predict(x[idx])
 			if err != nil {
 				return nil, err
 			}
-			inferTimes = append(inferTimes, now().Sub(start).Seconds()*1e3)
-			allPreds = append(allPreds, v)
-			allActuals = append(allActuals, y[idx])
+			ho.inferMS = append(ho.inferMS, now().Sub(start).Seconds()*1e3)
+			ho.preds[idx] = v
 		}
 	}
-	row.Fit = summarize(fitTimes)
-	row.HasFit = true
-	row.Infer = summarize(inferTimes)
-	row.HasInfer = true
-	row.MedAPE = stats.MedAPE(allPreds, allActuals)
-	row.HasMedAPE = true
-	return row, nil
+	return ho, nil
 }
 
 // fmtMS renders mean ± std in Table-2 style.
@@ -893,13 +921,7 @@ func Table1() string {
 // MedAPEOnly recomputes just the quality number for a scheme from
 // observations — used by ablation tooling.
 func MedAPEOnly(spec *Spec, schemeName, compressor string, obs []*Observation) (float64, error) {
-	var cobs []*Observation
-	for _, ob := range obs {
-		if ob.Compressor == compressor {
-			cobs = append(cobs, ob)
-		}
-	}
-	row, err := evaluateScheme(spec, schemeName, compressor, cobs)
+	row, err := evaluateScheme(spec, schemeName, compressor, obs)
 	if err != nil {
 		return 0, err
 	}
@@ -970,86 +992,29 @@ func Scatter(spec *Spec, schemeName, compressor string, obs []*Observation) (str
 	if !scheme.Supports(compressor) {
 		return "", fmt.Errorf("bench: %s does not support %s", schemeName, compressor)
 	}
-	var cobs []*Observation
-	for _, ob := range obs {
-		if ob.Compressor == compressor {
-			cobs = append(cobs, ob)
-		}
-	}
+	cobs := forCompressor(obs, compressor)
 	if len(cobs) == 0 {
 		return "", fmt.Errorf("bench: no observations for %s", compressor)
 	}
 
-	featureKeys := scheme.Features()
-	x := make([][]float64, len(cobs))
-	y := make([]float64, len(cobs))
-	groups := make([]string, len(cobs))
-	for i, ob := range cobs {
-		fv := make([]float64, len(featureKeys))
-		for j, k := range featureKeys {
-			fv[j] = ob.Features[k]
-		}
-		x[i] = fv
-		y[i] = ob.TargetValue(spec.Target)
-		groups[i] = ob.Field
-	}
-
-	preds := make([]float64, len(cobs))
-	p0, err := scheme.NewPredictor(compressor)
+	ho, err := crossValidate(spec, scheme, compressor, cobs)
 	if err != nil {
 		return "", err
 	}
-	if !p0.Trains() {
-		for i := range x {
-			preds[i], err = p0.Predict(x[i])
-			if err != nil {
-				return "", err
-			}
-		}
-	} else {
-		var trains, tests [][]int
-		if spec.InSample {
-			trains, tests = mlkit.KFold(len(cobs), spec.Folds, spec.Seed)
-		} else {
-			trains, tests = mlkit.GroupKFold(groups, spec.Folds, spec.Seed)
-		}
-		for f := range trains {
-			p, err := scheme.NewPredictor(compressor)
-			if err != nil {
-				return "", err
-			}
-			tx := make([][]float64, len(trains[f]))
-			ty := make([]float64, len(trains[f]))
-			for i, idx := range trains[f] {
-				tx[i] = x[idx]
-				ty[i] = y[idx]
-			}
-			if err := p.Fit(tx, ty); err != nil {
-				return "", err
-			}
-			for _, idx := range tests[f] {
-				preds[idx], err = p.Predict(x[idx])
-				if err != nil {
-					return "", err
-				}
-			}
-		}
-	}
-
 	var b bytes.Buffer
 	w := csv.NewWriter(&b)
 	w.Write([]string{"field", "step", "bound", "actual", "predicted", "ape_pct"})
 	for i, ob := range cobs {
 		ape := math.NaN()
-		if y[i] != 0 {
-			ape = math.Abs(preds[i]-y[i]) / y[i] * 100
+		if ho.actuals[i] != 0 {
+			ape = math.Abs(ho.preds[i]-ho.actuals[i]) / ho.actuals[i] * 100
 		}
 		w.Write([]string{
 			ob.Field,
 			strconv.Itoa(ob.Step),
 			strconv.FormatFloat(ob.Bound, 'g', -1, 64),
-			strconv.FormatFloat(y[i], 'g', 6, 64),
-			strconv.FormatFloat(preds[i], 'g', 6, 64),
+			strconv.FormatFloat(ho.actuals[i], 'g', 6, 64),
+			strconv.FormatFloat(ho.preds[i], 'g', 6, 64),
 			strconv.FormatFloat(ape, 'g', 4, 64),
 		})
 	}
@@ -1066,26 +1031,17 @@ func StoreInfo(dir string) (string, error) {
 		return "", err
 	}
 	defer st.Close()
-	keys, err := st.Keys("cell/")
+	cells, size, err := restoreCells(st)
 	if err != nil {
 		return "", err
 	}
-	var byCompBound map[string]int
-	byCompBound = map[string]int{}
-	var bytes int
-	for _, k := range keys {
-		raw, ok, err := st.Get(k)
-		if err != nil || !ok {
-			continue
-		}
-		bytes += len(raw)
-		if ob, err := decodeObservation(raw); err == nil {
-			byCompBound[fmt.Sprintf("%s abs=%g", ob.Compressor, ob.Bound)]++
-		}
+	byCompBound := map[string]int{}
+	for _, ob := range cells {
+		byCompBound[fmt.Sprintf("%s abs=%g", ob.Compressor, ob.Bound)]++
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "checkpoint store %s\n", dir)
-	fmt.Fprintf(&b, "  cells: %d (%d KiB of observations)\n", len(keys), bytes/1024)
+	fmt.Fprintf(&b, "  cells: %d (%d KiB of observations)\n", len(cells), size/1024)
 	if failKeys, err := st.Keys("fail/"); err == nil && len(failKeys) > 0 {
 		fmt.Fprintf(&b, "  failed cells awaiting retry: %d\n", len(failKeys))
 		for _, fk := range failKeys {

@@ -1,13 +1,22 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"encoding/csv"
+	"encoding/gob"
+	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/hurricane"
+	"repro/internal/predictors"
+	"repro/internal/pressio"
+	"repro/internal/store"
 )
 
 // tinySpec keeps tests fast: few fields, few steps, small grid.
@@ -50,6 +59,197 @@ func TestCollectProducesAllCells(t *testing.T) {
 		} else if _, ok := ob.Features["jin_model:cr"]; ok {
 			t.Errorf("zfp cell should not compute jin_model")
 		}
+	}
+}
+
+// referenceObserve is the cell loop as bench ran it before observe went
+// through core.FeaturePlan and the cell cache: the buffer synthesized per
+// cell, every metric plugin instantiated, configured and run right here.
+// It stays as the reference the planned path must reproduce bit for bit.
+func referenceObserve(spec *Spec, field string, step int, bound float64, compressor string, metricNames []string) (*Observation, error) {
+	data, err := hurricane.Field(field, step, spec.Dims)
+	if err != nil {
+		return nil, err
+	}
+	opts := pressio.Options{}
+	opts.Set(pressio.OptAbs, bound)
+	opts.Set(predictors.OptTaoCompressor, compressor)
+	opts.Set(predictors.OptKhanCompressor, compressor)
+	ob := &Observation{
+		Field: field, Step: step, Bound: bound, Compressor: compressor,
+		Features: map[string]float64{},
+		MetricMS: map[string]float64{},
+	}
+	for _, name := range metricNames {
+		m, err := pressio.GetMetric(name)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.SetOptions(opts); err != nil {
+			return nil, fmt.Errorf("metric %s: %w", name, err)
+		}
+		start := time.Now()
+		m.BeginCompress(data)
+		ob.MetricMS[name] = time.Since(start).Seconds() * 1e3
+		for k, v := range m.Results() {
+			switch t := v.(type) {
+			case float64:
+				ob.Features[k] = t
+			case int64:
+				ob.Features[k] = float64(t)
+			}
+		}
+	}
+	var cms, dms float64
+	for r := 0; r < spec.Replicates; r++ {
+		cr, c, d, err := core.ObserveTarget(compressor, data, opts)
+		if err != nil {
+			return nil, err
+		}
+		ob.CR = cr
+		cms += c
+		dms += d
+	}
+	ob.CompressMS = cms / float64(spec.Replicates)
+	ob.DecompressMS = dms / float64(spec.Replicates)
+	ob.ByteSize = data.ByteSize()
+	ob.Replicates = spec.Replicates
+	return ob, nil
+}
+
+// TestCollectMatchesReferenceLoop: the planned, cached collection gives
+// the numbers of the reference loop exactly, and says what it reused —
+// each buffer loaded once, each error-agnostic metric run once per buffer.
+func TestCollectMatchesReferenceLoop(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			spec := tinySpec(t)
+			spec.Fields = []string{"P", "CLOUD", "U"}
+			spec.Steps = 2
+			spec.Workers = workers
+			var summary atomic.Value
+			spec.Progress = func(line string) {
+				if strings.HasPrefix(line, "queue:") {
+					summary.Store(line)
+				}
+			}
+			res, err := CollectDetailed(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buffers := len(spec.Fields) * spec.Steps
+			cells := buffers * len(spec.Bounds) * len(spec.Compressors)
+			if len(res.Observations) != cells {
+				t.Fatalf("observations = %d, want %d", len(res.Observations), cells)
+			}
+
+			// the reference, in Collect's cell order; agnostic counts the
+			// error-agnostic metric lookups a cell of each compressor makes
+			var ref []*Observation
+			agnostic := map[string]int{}
+			for _, compressor := range spec.Compressors {
+				names, err := featureMetricsFor(spec.Schemes, compressor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range names {
+					m, err := pressio.GetMetric(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if core.StageOf(m) == core.StageErrorAgnostic {
+						agnostic[compressor]++
+					}
+				}
+				for _, bound := range spec.Bounds {
+					for _, field := range spec.Fields {
+						for step := 0; step < spec.Steps; step++ {
+							ob, err := referenceObserve(spec, field, step, bound, compressor, names)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ref = append(ref, ob)
+						}
+					}
+				}
+			}
+			for i, want := range ref {
+				got := res.Observations[i]
+				if got.Field != want.Field || got.Step != want.Step || got.Bound != want.Bound || got.Compressor != want.Compressor {
+					t.Fatalf("cell %d is %s/%d/%g/%s, reference %s/%d/%g/%s", i, got.Field, got.Step, got.Bound, got.Compressor,
+						want.Field, want.Step, want.Bound, want.Compressor)
+				}
+				if got.CR != want.CR || got.ByteSize != want.ByteSize {
+					t.Errorf("cell %d: CR %v size %d, reference %v size %d", i, got.CR, got.ByteSize, want.CR, want.ByteSize)
+				}
+				if len(got.Features) != len(want.Features) {
+					t.Errorf("cell %d: %d features, reference %d", i, len(got.Features), len(want.Features))
+				}
+				for k, w := range want.Features {
+					if g, ok := got.Features[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+						t.Errorf("cell %d feature %s = %v, reference %v", i, k, g, w)
+					}
+				}
+			}
+
+			// what was reused. Every union here has the same error-agnostic
+			// metrics with the same options, so a buffer's results serve all
+			// its cells whatever their compressor.
+			perCell := agnostic[spec.Compressors[0]]
+			if perCell == 0 || perCell != agnostic[spec.Compressors[1]] {
+				t.Fatalf("error-agnostic metrics per cell %v: the spec no longer exercises the memo", agnostic)
+			}
+			wantMisses := uint64(buffers * perCell)
+			if res.Data.Misses != uint64(buffers) || res.Data.MemHits != uint64(cells-buffers) {
+				t.Errorf("data: %d loads and %d hits, want %d and %d", res.Data.Misses, res.Data.MemHits, buffers, cells-buffers)
+			}
+			if res.MemoHits+res.MemoMisses != uint64(cells*perCell) || res.MemoHits == 0 {
+				t.Errorf("memo: %d hits + %d misses, want %d lookups and some hits", res.MemoHits, res.MemoMisses, cells*perCell)
+			}
+			// one worker sees a buffer's cells back to back. Several may
+			// start two cells of an unseen buffer together, and both compute
+			// (FeaturePlan says so): never fewer runs than buffers need.
+			if res.MemoMisses < wantMisses || (workers == 1 && res.MemoMisses != wantMisses) {
+				t.Errorf("memo: %d metric runs for %d buffers x %d error-agnostic metrics", res.MemoMisses, buffers, perCell)
+			}
+			wantLine := fmt.Sprintf("data: %d loads, %d hits; features: %d memo hits, %d computed",
+				buffers, cells-buffers, res.MemoHits, res.MemoMisses)
+			if line, _ := summary.Load().(string); !strings.HasSuffix(line, wantLine) {
+				t.Errorf("queue summary %q does not end in %q", line, wantLine)
+			}
+			// a cell that found the results on its buffer has no timing for them
+			timed := 0
+			for _, ob := range res.Observations {
+				if _, ok := ob.MetricMS["stat"]; ok {
+					timed++
+				}
+			}
+			if timed != int(res.MemoMisses)/perCell {
+				t.Errorf("%d cells carry a stat timing, %d computed it", timed, int(res.MemoMisses)/perCell)
+			}
+
+			// same observations, same table
+			got, err := Evaluate(spec, res.Observations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Evaluate(spec, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want.Rows {
+				g := got.Rows[i]
+				if g.HasMedAPE != w.HasMedAPE || math.Float64bits(g.MedAPE) != math.Float64bits(w.MedAPE) {
+					t.Errorf("%s/%s: MedAPE %v (has %v), reference %v (has %v)", w.Compressor, w.Scheme, g.MedAPE, g.HasMedAPE, w.MedAPE, w.HasMedAPE)
+				}
+				if g.HasErrAgn != w.HasErrAgn || g.HasErrDep != w.HasErrDep {
+					t.Errorf("%s/%s: stage columns present %v/%v, reference %v/%v", w.Compressor, w.Scheme, g.HasErrAgn, g.HasErrDep, w.HasErrAgn, w.HasErrDep)
+				}
+				if w.HasErrAgn && g.ErrAgn.N >= w.ErrAgn.N {
+					t.Errorf("%s/%s: ErrAgn sampled on %d cells, reference on all %d: memo hits must not be samples", w.Compressor, w.Scheme, g.ErrAgn.N, w.ErrAgn.N)
+				}
+			}
+		})
 	}
 }
 
@@ -138,6 +338,92 @@ func TestCheckpointRestartSkipsWork(t *testing.T) {
 	want := len(spec.Fields) * spec.Steps * len(spec.Bounds) * len(spec.Compressors)
 	if len(obs) != want {
 		t.Errorf("restored %d observations, want %d", len(obs), want)
+	}
+}
+
+// restoreCells must return what decoding each record as a stream of its
+// own returns — for this build's records (read by the shared decoder, from
+// where the value starts) and for a record whose type definitions differ
+// (a build whose Observation had other fields) — and leave out one that
+// does not decode.
+func TestRestoreCellsMatchesPerRecordDecode(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	want := map[string]*Observation{}
+	for i := 0; i < 5; i++ {
+		ob := &Observation{
+			Field: "P", Step: i, Bound: 1e-4, Compressor: "sz3", CR: 3.5 + float64(i),
+			Features: map[string]float64{"a": float64(i), "b": -1}, MetricMS: map[string]float64{"m": 0.25},
+			ByteSize: 4096, Replicates: 1,
+		}
+		if i == 3 {
+			ob.Features, ob.MetricMS = nil, nil // a record with fields left out
+		}
+		raw, err := encodeObservation(ob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, obsTypeDefs) || len(obsTypeDefs) == 0 || len(obsTypeDefs) >= len(obsZero) {
+			t.Fatalf("record %d does not open with the %d bytes of type definitions", i, len(obsTypeDefs))
+		}
+		key := fmt.Sprintf("cell/%d", i)
+		want[key] = ob
+		if err := st.Put(key, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// another build's Observation: fewer fields, so other definitions
+	type oldObservation struct {
+		Field, Compressor string
+		CR                float64
+		Features          map[string]float64
+	}
+	var foreign bytes.Buffer
+	if err := gob.NewEncoder(&foreign).Encode(oldObservation{"U", "zfp", 9, map[string]float64{"a": 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.HasPrefix(foreign.Bytes(), obsTypeDefs) {
+		t.Fatal("the foreign record opens with this build's definitions: the case is not exercised")
+	}
+	want["cell/foreign"] = &Observation{Field: "U", Compressor: "zfp", CR: 9, Features: map[string]float64{"a": 2}}
+	st.Put("cell/foreign", foreign.Bytes())
+	st.Put("cell/torn", append(append([]byte{}, obsTypeDefs...), 0xff, 0x01))
+	st.Put("fail/cell/0", []byte("not a cell"))
+
+	got, size, err := restoreCells(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("restored %d cells, want %d", len(got), len(want))
+	}
+	total := 0
+	for _, k := range []string{"cell/0", "cell/1", "cell/2", "cell/3", "cell/4", "cell/foreign", "cell/torn"} {
+		raw, _, _ := st.Get(k)
+		total += len(raw)
+		if k == "cell/torn" {
+			continue
+		}
+		var ref Observation
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&ref); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%#v", *got[k]) != fmt.Sprintf("%#v", ref) || fmt.Sprintf("%#v", ref) != fmt.Sprintf("%#v", *want[k]) {
+			t.Errorf("%s: restored %#v, a decoder of its own %#v, stored %#v", k, *got[k], ref, *want[k])
+		}
+	}
+	if size != total {
+		t.Errorf("size %d, want the records' %d bytes", size, total)
+	}
+	// the point of the shared decoder: the definitions are compiled once
+	raw, _, _ := st.Get("cell/0")
+	each := testing.AllocsPerRun(20, func() { gob.NewDecoder(bytes.NewReader(raw)).Decode(new(Observation)) })
+	all := testing.AllocsPerRun(20, func() { restoreCells(st) })
+	if all > 4*each {
+		t.Errorf("restoring 7 records allocates %.0f times, one decoder per record %.0f each: the decoder is not shared", all, each)
 	}
 }
 
@@ -286,12 +572,13 @@ func TestReplicatesAffectCellKey(t *testing.T) {
 
 func TestRemoteWorkers(t *testing.T) {
 	// spin up two in-process TCP workers and fan the cells out to them
-	ln1, err := ServeWorker("127.0.0.1:0")
+	svc1, svc2 := &WorkerService{}, &WorkerService{}
+	ln1, err := serveWorker("127.0.0.1:0", svc1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln1.Close()
-	ln2, err := ServeWorker("127.0.0.1:0")
+	ln2, err := serveWorker("127.0.0.1:0", svc2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +592,22 @@ func TestRemoteWorkers(t *testing.T) {
 	remoteObs, err := Collect(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// the workers keep the buffers locality sends them: a buffer's cells
+	// do not each load it, and find its error-agnostic results on it
+	var loads, memoHits uint64
+	for _, svc := range []*WorkerService{svc1, svc2} {
+		svc.mu.Lock()
+		if svc.cache != nil {
+			loads += svc.cache.Stats().Misses
+		}
+		svc.mu.Unlock()
+		hits, _ := svc.eval.MemoStats()
+		memoHits += hits
+	}
+	if cells := uint64(len(remoteObs)); loads == 0 || loads >= cells || memoHits == 0 {
+		t.Errorf("workers loaded %d buffers for %d cells with %d memo hits: want fewer loads than cells and some hits", loads, cells, memoHits)
 	}
 
 	localSpec := *spec
@@ -412,6 +715,12 @@ func TestScatter(t *testing.T) {
 		if len(records) != want {
 			t.Errorf("%s: rows = %d, want %d", scheme, len(records), want)
 		}
+	}
+	// a missing feature is an error, as in Evaluate, not a silent 0
+	broken := *obs[0]
+	broken.Features = map[string]float64{}
+	if _, err := Scatter(spec, "khan2023", "sz3", append([]*Observation{&broken}, obs[1:]...)); err == nil || !strings.Contains(err.Error(), "missing feature") {
+		t.Errorf("observation without features: err = %v, want a missing-feature error", err)
 	}
 	if _, err := Scatter(spec, "jin2022", "zfp", obs); err == nil {
 		t.Error("unsupported pair should error")

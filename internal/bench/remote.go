@@ -1,14 +1,18 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/cluster/health"
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/faultinject"
 )
 
@@ -18,7 +22,7 @@ import (
 // workers in Spec.RemoteWorkers and the queue's locality scheduling then
 // operates across processes: each queue worker slot is pinned to one
 // remote endpoint, so tasks sharing a DataKey still land on the same
-// process and enjoy its warm caches.
+// process, whose WorkerService caches the buffer and what is memoised on it.
 //
 // The pool is hardened against the failure shapes of a real deployment:
 // dials and calls carry timeouts (a dead or hung endpoint cannot block a
@@ -41,14 +45,41 @@ type ObserveArgs struct {
 	MetricNames []string
 }
 
-// WorkerService is the RPC service workers expose.
-type WorkerService struct{}
+// WorkerService is the RPC service workers expose. It keeps a cell cache
+// for the grid it is asked about, so the cells of a buffer that locality
+// sends here load it once; another grid gets a fresh cache.
+type WorkerService struct {
+	eval core.Evaluator
+
+	mu    sync.Mutex
+	dims  []int
+	cache *dataset.TieredCache
+}
+
+func (w *WorkerService) cacheFor(dims []int) (*dataset.TieredCache, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.cache == nil || !slices.Equal(w.dims, dims) {
+		// a worker cannot see how many driver slots are pinned to it:
+		// it budgets for a driver's default Workers
+		cache, err := newCellCache(defaultWorkers, dims)
+		if err != nil {
+			return nil, err
+		}
+		w.cache, w.dims = cache, slices.Clone(dims)
+	}
+	return w.cache, nil
+}
 
 // Observe computes one cell on the worker.
-func (*WorkerService) Observe(args ObserveArgs, reply *Observation) error {
-	spec := &Spec{Dims: args.Dims, Replicates: args.Replicates}
-	spec.defaults()
-	ob, err := observe(spec, args.Field, args.Step, args.Bound, args.Compressor, args.MetricNames)
+func (w *WorkerService) Observe(args ObserveArgs, reply *Observation) error {
+	args.Replicates = max(args.Replicates, 1)
+	cache, err := w.cacheFor(args.Dims)
+	if err != nil {
+		return err
+	}
+	//lint:ignore pressiovet/ctxflow net/rpc hands a call no context: the driver's call timeout bounds it
+	ob, err := observe(context.Background(), cache, &w.eval, args)
 	if err != nil {
 		return err
 	}
@@ -66,8 +97,12 @@ func (*WorkerService) Ping(_ struct{}, reply *string) error {
 // "127.0.0.1:0") and returns the listener; close it to stop. Connections
 // are served on background goroutines.
 func ServeWorker(addr string) (net.Listener, error) {
+	return serveWorker(addr, &WorkerService{})
+}
+
+func serveWorker(addr string, svc *WorkerService) (net.Listener, error) {
 	srv := rpc.NewServer()
-	if err := srv.Register(&WorkerService{}); err != nil {
+	if err := srv.Register(svc); err != nil {
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", addr)

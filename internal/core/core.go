@@ -20,6 +20,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -275,36 +276,42 @@ func isClassKey(k string) bool {
 }
 
 // Evaluation is the result of computing a scheme's metrics on a buffer,
-// with the per-stage timing split the paper's Table 2 reports.
+// with the timing split the paper's Table 2 reports.
 type Evaluation struct {
 	// Features is the vector in scheme.Features() order.
 	Features []float64
 	// Results is the union of all metric results.
 	Results pressio.Options
-	// ErrorAgnosticMS / ErrorDependentMS are wall-clock milliseconds
-	// spent in metrics of each stage during this evaluation (0 when the
-	// stage's metrics were served from cache).
+	// MetricMS is the wall-clock milliseconds of each metric this
+	// evaluation executed; one answered from the buffer's memo has none.
+	MetricMS map[string]float64
+	// ErrorAgnosticMS / ErrorDependentMS sum MetricMS per stage (runtime
+	// counts as error-dependent): 0 when none of the stage's metrics ran.
 	ErrorAgnosticMS  float64
 	ErrorDependentMS float64
-	// Recomputed lists the metric names actually executed (the rest were
-	// cache hits under the invalidation model).
+	// Recomputed lists the metrics actually executed, in scheme order.
 	Recomputed []string
 }
 
-// Session drives the Figure-4 flow for one (scheme, compressor) pair,
-// caching metric results between predictions and recomputing only what an
-// invalidation makes stale (the paper's challenge #1).
+// Session drives the Figure-4 flow for one (scheme, compressor) pair: it
+// holds the pair, the merged options, the plan they resolve to and the
+// last evaluation; what runs and what a buffer's memo answers is the
+// Evaluator's business. A Session serves one goroutine at a time.
 type Session struct {
 	Scheme     Scheme
 	Compressor pressio.Compressor
 	Predictor  Predictor
 
-	metrics []pressio.Metric
-	opts    pressio.Options
+	compressor string // registry name, which the plan configures metrics with
+	opts       pressio.Options
+	eval       Evaluator
+	plan       *FeaturePlan
 
-	// cache state
-	cachedResults map[string]pressio.Options // metric name → last results
-	stale         map[string]bool
+	// last was computed on lastData at lastVersion; dirty: declared stale since
+	last        *Evaluation
+	lastData    *pressio.Data
+	lastVersion uint64
+	dirty       bool
 }
 
 // NewSession instantiates the scheme, verifies compressor support, and
@@ -326,20 +333,14 @@ func NewSession(schemeName, compressorName string) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		Scheme:        scheme,
-		Compressor:    comp,
-		Predictor:     pred,
-		opts:          pressio.Options{},
-		cachedResults: map[string]pressio.Options{},
-		stale:         map[string]bool{},
+		Scheme:     scheme,
+		Compressor: comp,
+		Predictor:  pred,
+		compressor: compressorName,
+		opts:       pressio.Options{},
 	}
-	for _, name := range scheme.Metrics() {
-		m, err := pressio.GetMetric(name)
-		if err != nil {
-			return nil, err
-		}
-		s.metrics = append(s.metrics, m)
-		s.stale[name] = true // nothing computed yet
+	if s.plan, err = s.eval.Plan(scheme, compressorName, s.opts); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -352,64 +353,51 @@ func (s *Session) SetOptions(opts pressio.Options) error {
 	if err := s.Compressor.SetOptions(opts); err != nil {
 		return err
 	}
-	for _, m := range s.metrics {
-		if err := m.SetOptions(opts); err != nil {
-			return fmt.Errorf("core: metric %s: %w", m.Name(), err)
-		}
+	plan, err := s.eval.Plan(s.Scheme, s.compressor, s.opts)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
+	s.plan = plan
 	return nil
 }
 
-// Invalidate marks the metrics affected by the given option names or
-// special class keys as needing recomputation. It returns the names of
-// the metrics that became stale.
+// Invalidate declares that the given option names or special class keys
+// changed and returns the metrics that makes stale; if any, the next
+// Evaluate runs the plan instead of returning the last evaluation.
 func (s *Session) Invalidate(keys ...string) []string {
 	var out []string
-	for _, m := range s.metrics {
-		inv, _ := m.Configuration().GetStrings(pressio.CfgInvalidate)
-		if IsStale(inv, keys) && !s.stale[m.Name()] {
-			s.stale[m.Name()] = true
-			out = append(out, m.Name())
+	for _, pm := range s.plan.metrics {
+		inv, _ := pm.m.Configuration().GetStrings(pressio.CfgInvalidate)
+		if IsStale(inv, keys) {
+			out = append(out, pm.name)
 		}
 	}
+	s.dirty = s.dirty || len(out) > 0
+	s.eval.Invalidate(keys)
 	return out
 }
 
-// InvalidateAll marks every metric stale (e.g. when the data buffer
-// itself changes).
+// InvalidateAll declares every metric stale, results memoised on buffers
+// included. A new or mutated buffer does not need it: Evaluate notices.
 func (s *Session) InvalidateAll() {
-	for _, m := range s.metrics {
-		s.stale[m.Name()] = true
-	}
+	s.dirty = true
+	s.eval.Invalidate([]string{pressio.InvalidateErrorAgnostic})
 }
 
-// Evaluate computes the scheme's stale metrics on data, serves the rest
-// from cache, and assembles the feature vector.
+// Evaluate returns the scheme's metric results and feature vector for
+// data. With nothing declared stale and data the same buffer at the same
+// Version as last time, that is the last evaluation (nothing recomputed;
+// Features and Results shared with it, read-only). Otherwise the plan
+// runs: error-agnostic metrics only if the buffer lacks their results.
 func (s *Session) Evaluate(data *pressio.Data) (*Evaluation, error) {
-	ev := &Evaluation{Results: pressio.Options{}}
-	for _, m := range s.metrics {
-		name := m.Name()
-		if s.stale[name] {
-			start := time.Now()
-			m.BeginCompress(data)
-			elapsed := time.Since(start).Seconds() * 1e3
-			switch StageOf(m) {
-			case StageErrorDependent, StageRuntime:
-				ev.ErrorDependentMS += elapsed
-			default:
-				ev.ErrorAgnosticMS += elapsed
-			}
-			s.cachedResults[name] = m.Results()
-			s.stale[name] = false
-			ev.Recomputed = append(ev.Recomputed, name)
-		}
-		ev.Results.Merge(s.cachedResults[name])
+	if s.last != nil && !s.dirty && data == s.lastData && data.Version() == s.lastVersion {
+		return &Evaluation{Features: s.last.Features, Results: s.last.Results}, nil
 	}
-	features, err := ExtractFeatures(ev.Results, s.Scheme.Features())
+	ev, err := s.plan.EvaluateDetailed(context.TODO(), data) // the kept signature has no ctx
 	if err != nil {
 		return nil, err
 	}
-	ev.Features = features
+	s.last, s.lastData, s.lastVersion, s.dirty = ev, data, data.Version(), false
 	return ev, nil
 }
 

@@ -99,6 +99,7 @@ func init() {
 	pressio.RegisterMetric("core-test-agnostic", func() pressio.Metric { return &countingMetric{} })
 	pressio.RegisterMetric("core-test-bound", func() pressio.Metric { return &boundMetric{} })
 	RegisterScheme("core-test-scheme", func() Scheme { return &realTestScheme{} })
+	RegisterScheme("core-eval-scheme", func() Scheme { return &evalScheme{} })
 }
 
 func TestSchemeRegistry(t *testing.T) {
@@ -235,6 +236,60 @@ func TestSessionInvalidationCaching(t *testing.T) {
 	ev4, _ := s.Evaluate(data)
 	if len(ev4.Recomputed) != 2 {
 		t.Errorf("InvalidateAll should rerun both, got %v", ev4.Recomputed)
+	}
+}
+
+// TestSessionNoticesNewBuffer: the last evaluation answers only for the
+// buffer it was computed on. A caller who moves to another buffer, or
+// mutates this one, and forgets InvalidateAll gets that buffer's
+// features, never the previous one's.
+func TestSessionNoticesNewBuffer(t *testing.T) {
+	s, err := NewSession("core-eval-scheme", "core-test-half")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetOptions(evalOpts(0.5, 0)); err != nil {
+		t.Fatal(err)
+	}
+	a := pressio.FromFloat32([]float32{1, 2, 3}, 3)
+	b := pressio.FromFloat32([]float32{10, 20, 30}, 3)
+	sum := func(d *pressio.Data) (float64, *Evaluation) {
+		t.Helper()
+		ev, err := s.Evaluate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev.Features[0], ev
+	}
+	if got, _ := sum(a); got != 6 {
+		t.Fatalf("buffer a: feature %v, want 6", got)
+	}
+	if got, ev := sum(b); got != 60 || len(ev.Recomputed) != 3 {
+		t.Errorf("buffer b after a, nothing declared: feature %v (recomputed %v), want 60 from a full run", got, ev.Recomputed)
+	}
+	if got, ev := sum(b); got != 60 || len(ev.Recomputed) != 0 {
+		t.Errorf("buffer b again: feature %v, recomputed %v; want the last evaluation", got, ev.Recomputed)
+	}
+	b.Set(0, 11)
+	if got, _ := sum(b); got != 61 {
+		t.Errorf("buffer b after Set: feature %v, want 61", got)
+	}
+	// back on a: its error-agnostic result is still on the buffer
+	if got, ev := sum(a); got != 6 || len(ev.Recomputed) != 2 || ev.ErrorAgnosticMS != 0 {
+		t.Errorf("buffer a again: feature %v, recomputed %v, error-agnostic %v ms; want 6 from the memo", got, ev.Recomputed, ev.ErrorAgnosticMS)
+	}
+	// a declaration that hits nothing of this scheme keeps the last evaluation
+	if stale := s.Invalidate("sz3:quant_bins"); len(stale) != 0 {
+		t.Errorf("Invalidate(sz3:quant_bins) = %v, want nothing", stale)
+	}
+	if _, ev := sum(a); len(ev.Recomputed) != 0 {
+		t.Errorf("after a declaration that hit nothing: recomputed %v", ev.Recomputed)
+	}
+	if stale := s.Invalidate(pressio.InvalidateErrorAgnostic); len(stale) != 1 || stale[0] != "core-eval-agnostic" {
+		t.Errorf("Invalidate(error_agnostic) = %v, want [core-eval-agnostic]", stale)
+	}
+	if _, ev := sum(a); len(ev.Recomputed) != 3 {
+		t.Errorf("after Invalidate(error_agnostic): recomputed %v, want all three", ev.Recomputed)
 	}
 }
 

@@ -5,22 +5,24 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/opthash"
 	"repro/internal/pressio"
 )
 
 // Evaluator is the Figure-4 evaluate step for callers that see the same
-// buffers again and again (predictd over a resident dataset cell): it
-// honours the invalidation classes, so a metric whose StageOf is
-// StageErrorAgnostic runs once per (buffer version, own options) and an
-// error-bound sweep pays only error-dependent and runtime metrics.
+// buffers again and again (predictd over a resident dataset cell, a
+// bench sweep, a Session): it honours the invalidation classes, so a
+// metric whose StageOf is StageErrorAgnostic runs once per (buffer
+// version, own options) and an error-bound sweep pays only
+// error-dependent and runtime metrics.
 //
 // The memoised Results live in the buffer's derived-value slot
 // (pressio.Data.Derived), not here: they are collected with the buffer
 // and dropped when it mutates. An Evaluator holds only what outlives a
-// buffer — the invalidation epoch every stored result is keyed by, and
-// hit/miss counts. The zero value is ready to use and safe for
+// buffer — the invalidation epoch every stored result is stamped with,
+// and hit/miss counts. The zero value is ready to use and safe for
 // concurrent use.
 type Evaluator struct {
 	epoch  atomic.Uint64
@@ -29,21 +31,29 @@ type Evaluator struct {
 }
 
 // featureKey names one memoised metric result in a buffer's slot: the
-// metric, a hash of its own Options() after SetOptions (so a changed
+// metric and a hash of its own Options() after SetOptions (so a changed
 // entropy:bins misses while a changed pressio:abs, which no
-// error-agnostic metric reports, does not), and the epoch.
+// error-agnostic metric reports, does not).
 type featureKey struct {
 	metric string
 	opts   [32]byte
-	epoch  uint64
+}
+
+// memoValue is what the slot holds under a featureKey. The epoch is in
+// the value, not the key, so a store after an invalidation replaces the
+// stale entry instead of pushing the oldest one out of the bounded slot.
+type memoValue struct {
+	epoch   uint64
+	results pressio.Options
 }
 
 // Invalidate applies a predictors:invalidate declaration: when the keys
 // make error-agnostic metrics stale, every result memoised so far stops
-// being served (the epoch moves on; stale entries die with their
-// buffers). It reports whether they did. An error-agnostic metric lists
-// only its class label — anything else would make StageOf classify it
-// otherwise — so the class label stands in for all of them.
+// being served (the epoch moves on; a stale entry is overwritten by the
+// next evaluation of its buffer). It reports whether they did. An
+// error-agnostic metric lists only its class label — anything else would
+// make StageOf classify it otherwise — so the class label stands in for
+// all of them.
 func (e *Evaluator) Invalidate(keys []string) bool {
 	if !IsStale([]string{pressio.InvalidateErrorAgnostic}, keys) {
 		return false
@@ -58,18 +68,27 @@ func (e *Evaluator) MemoStats() (hits, misses uint64) {
 	return e.hits.Load(), e.misses.Load()
 }
 
-// planMetric is one configured metric of a plan; memo marks the
-// error-agnostic ones, whose results are looked up under key.
+// MetricSet is what a plan needs of a Scheme: the metric plugins to run
+// and the result keys of the feature vector (none: union of results only).
+type MetricSet interface {
+	Metrics() []string
+	Features() []string
+}
+
+// planMetric is one configured metric of a plan. Error-agnostic ones are
+// memoised under key.
 type planMetric struct {
-	m    pressio.Metric
-	memo bool
-	key  featureKey
+	name  string
+	m     pressio.Metric
+	stage Stage
+	key   featureKey
 }
 
 // FeaturePlan is a scheme's metric plugins instantiated and configured
 // for one (compressor, options) pair, with their memo keys resolved —
 // the per-envelope part of evaluation, so a batch pays it once and each
-// item pays only Evaluate. The plugins carry per-evaluation state: a
+// item pays only Evaluate; nothing else in the tree instantiates, runs or
+// times a scheme's metrics. The plugins carry per-evaluation state: a
 // plan serves one goroutine at a time.
 type FeaturePlan struct {
 	ev       *Evaluator
@@ -78,20 +97,20 @@ type FeaturePlan struct {
 	results  pressio.Options
 }
 
-// Plan resolves the scheme's metrics for a compressor and option set.
+// Plan resolves the set's metrics for a compressor and option set.
 // Metrics that model or trial one particular compressor expose a
 // "<name>:compressor" option (tao:compressor, khan:compressor); the plan
 // points each at the compressor being predicted for.
-func (e *Evaluator) Plan(scheme Scheme, compressor string, opts pressio.Options) (*FeaturePlan, error) {
-	names := scheme.Metrics()
+func (e *Evaluator) Plan(set MetricSet, compressor string, opts pressio.Options) (*FeaturePlan, error) {
+	names := set.Metrics()
 	p := &FeaturePlan{
 		ev:       e,
-		metrics:  make([]planMetric, 0, len(names)),
-		features: scheme.Features(),
+		metrics:  make([]planMetric, len(names)),
+		features: set.Features(),
 		results:  pressio.Options{},
 	}
 	merged := opts.Clone()
-	for _, name := range names {
+	for i, name := range names {
 		m, err := pressio.GetMetric(name)
 		if err != nil {
 			return nil, err
@@ -101,59 +120,94 @@ func (e *Evaluator) Plan(scheme Scheme, compressor string, opts pressio.Options)
 				merged.Set(k, compressor)
 			}
 		}
-		p.metrics = append(p.metrics, planMetric{m: m})
+		p.metrics[i] = planMetric{name: name, m: m}
 	}
-	epoch := e.epoch.Load()
-	for i := range p.metrics {
+	for i := range names {
 		pm := &p.metrics[i]
 		if err := pm.m.SetOptions(merged); err != nil {
-			return nil, fmt.Errorf("metric %s: %w", pm.m.Name(), err)
+			return nil, fmt.Errorf("metric %s: %w", pm.name, err)
 		}
-		if StageOf(pm.m) == StageErrorAgnostic {
-			pm.memo = true
-			pm.key = featureKey{metric: pm.m.Name(), opts: opthash.Hash(pm.m.Options()), epoch: epoch}
+		if pm.stage = StageOf(pm.m); pm.stage == StageErrorAgnostic {
+			pm.key = featureKey{metric: pm.name, opts: opthash.Hash(pm.m.Options())}
 		}
 	}
 	return p, nil
 }
 
-// Evaluate runs the plan's metrics over one buffer and extracts the
-// scheme's feature vector. Error-agnostic results come from the buffer's
-// slot when an earlier evaluation (under any error bound) left them
-// there; they are the same Options a fresh BeginCompress returns, so
-// the vector is bit-identical with and without the memo. Two goroutines
-// evaluating an unseen buffer at once may both compute; the stores are
-// idempotent. ctx is checked between metrics so a deadline can cut a
-// multi-metric evaluation short.
-func (p *FeaturePlan) Evaluate(ctx context.Context, data *pressio.Data) ([]float64, error) {
+// run executes the plan's metrics over one buffer, leaving the union of
+// their results in p.results and, when rec is not nil, recording in it
+// the metrics that ran and their wall time. Error-agnostic results come
+// from the buffer's slot when an earlier evaluation (under any error
+// bound) left them there at this epoch; they are the Options a fresh
+// BeginCompress returns, so results are bit-identical with and without
+// the memo, and a hit reads no clock. Two goroutines evaluating an unseen
+// buffer at once may both compute; the stores are idempotent. ctx is
+// checked between metrics.
+func (p *FeaturePlan) run(ctx context.Context, data *pressio.Data, rec *Evaluation) error {
 	clear(p.results)
+	epoch := p.ev.epoch.Load()
 	for i := range p.metrics {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		pm := &p.metrics[i]
-		if pm.memo {
-			if r, ok := data.Derived(pm.key).(pressio.Options); ok {
+		memo := pm.stage == StageErrorAgnostic
+		if memo {
+			if v, ok := data.Derived(pm.key).(memoValue); ok && v.epoch == epoch {
 				p.ev.hits.Add(1)
-				p.results.Merge(r)
+				p.results.Merge(v.results)
 				continue
 			}
 			p.ev.misses.Add(1)
 		}
+		start := time.Now()
 		pm.m.BeginCompress(data)
+		if rec != nil {
+			ms := time.Since(start).Seconds() * 1e3
+			rec.Recomputed = append(rec.Recomputed, pm.name)
+			rec.MetricMS[pm.name] = ms
+			if memo {
+				rec.ErrorAgnosticMS += ms
+			} else {
+				rec.ErrorDependentMS += ms
+			}
+		}
 		r := pm.m.Results()
-		if pm.memo {
-			data.StoreDerived(pm.key, r)
+		if memo {
+			data.StoreDerived(pm.key, memoValue{epoch, r})
 		}
 		p.results.Merge(r)
+	}
+	return nil
+}
+
+// Evaluate runs the plan over one buffer and extracts the feature
+// vector — the serving path, which wants nothing else.
+func (p *FeaturePlan) Evaluate(ctx context.Context, data *pressio.Data) ([]float64, error) {
+	if err := p.run(ctx, data, nil); err != nil {
+		return nil, err
 	}
 	return ExtractFeatures(p.results, p.features)
 }
 
+// EvaluateDetailed is Evaluate reporting what it did: the union of
+// results and the metrics that ran (a memo hit is not one) with their
+// wall time and per-stage sums.
+func (p *FeaturePlan) EvaluateDetailed(ctx context.Context, data *pressio.Data) (*Evaluation, error) {
+	ev := &Evaluation{MetricMS: map[string]float64{}}
+	if err := p.run(ctx, data, ev); err != nil {
+		return nil, err
+	}
+	ev.Results = p.results.Clone()
+	var err error
+	ev.Features, err = ExtractFeatures(ev.Results, p.features)
+	return ev, err
+}
+
 // EvaluateFeatures is Plan followed by Evaluate, for callers with one
 // buffer per option set (a single predict, a training cell).
-func (e *Evaluator) EvaluateFeatures(ctx context.Context, scheme Scheme, compressor string, opts pressio.Options, data *pressio.Data) ([]float64, error) {
-	p, err := e.Plan(scheme, compressor, opts)
+func (e *Evaluator) EvaluateFeatures(ctx context.Context, set MetricSet, compressor string, opts pressio.Options, data *pressio.Data) ([]float64, error) {
+	p, err := e.Plan(set, compressor, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/pressio"
+	"repro/internal/stats"
 )
 
 // evalRuns counts BeginCompress calls per test metric across every
@@ -270,5 +271,114 @@ func TestEvaluateFeaturesConcurrent(t *testing.T) {
 	wg.Wait()
 	if hits, misses := ev.MemoStats(); hits+misses != 400 || misses < 1 || misses > 8 {
 		t.Errorf("memo stats %d hits / %d misses over 400 evaluations by 8 goroutines", hits, misses)
+	}
+}
+
+// TestMemoSurvivesInvalidationRounds pins the slot discipline: an
+// invalidation must not leave a dead entry per epoch behind, or twenty of
+// them push the oldest values — a neighbour's, and the fused summary —
+// out of the buffer's bounded slot.
+func TestMemoSurvivesInvalidationRounds(t *testing.T) {
+	ctx := context.Background()
+	data := pressio.FromFloat32([]float32{1, 2, 3, 4}, 4)
+	type sentinelKey struct{}
+	data.StoreDerived(sentinelKey{}, "sentinel")
+	summary := stats.SummaryOf(data, 0, 1)
+
+	var ev Evaluator
+	for round := 0; round < 20; round++ {
+		if !ev.Invalidate([]string{pressio.InvalidateErrorAgnostic}) {
+			t.Fatal("Invalidate(error_agnostic) reported nothing stale")
+		}
+		a, _, _ := runsDuring(func() {
+			f, err := ev.EvaluateFeatures(ctx, &evalScheme{}, "core-test-half", evalOpts(1e-3, 0), data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f[0] != 10 {
+				t.Fatalf("round %d: feature %v, want 10", round, f[0])
+			}
+		})
+		if a != 1 {
+			t.Fatalf("round %d: the invalidated metric ran %d times, want 1", round, a)
+		}
+	}
+	if v, _ := data.Derived(sentinelKey{}).(string); v != "sentinel" {
+		t.Errorf("the sentinel was pushed out of the slot (got %q)", v)
+	}
+	if stats.SummaryOf(data, 0, 1) != summary {
+		t.Error("the fused summary was pushed out of the slot and recomputed")
+	}
+}
+
+// TestEvaluateDetailedMatchesEvaluate: the two entries are one loop, so
+// they agree on the vector, and what the detailed one reports is what
+// ran; recording it costs the serving entry no allocation.
+func TestEvaluateDetailedMatchesEvaluate(t *testing.T) {
+	ctx := context.Background()
+	var ev Evaluator
+	plan, err := ev.Plan(&evalScheme{}, "core-test-half", evalOpts(1e-3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pressio.FromFloat32([]float32{1, 2, 3}, 3)
+	cold, err := plan.EvaluateDetailed(ctx, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cold.Recomputed; len(got) != 3 || len(cold.MetricMS) != 3 {
+		t.Errorf("cold pass ran %v with timings %v, want all three metrics", got, cold.MetricMS)
+	}
+	warm, err := plan.EvaluateDetailed(ctx, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := warm.Recomputed; len(got) != 2 || got[0] != "core-eval-bound" || got[1] != "core-eval-runtime" {
+		t.Errorf("warm pass ran %v, want the bound and runtime metrics", got)
+	}
+	if _, timed := warm.MetricMS["core-eval-agnostic"]; timed || warm.ErrorAgnosticMS != 0 {
+		t.Errorf("a memo hit was billed: %v, error-agnostic %v ms", warm.MetricMS, warm.ErrorAgnosticMS)
+	}
+	if sum := warm.MetricMS["core-eval-bound"] + warm.MetricMS["core-eval-runtime"]; warm.ErrorDependentMS != sum {
+		t.Errorf("ErrorDependentMS %v is not the sum %v of its metrics", warm.ErrorDependentMS, sum)
+	}
+	vec, err := plan.Evaluate(ctx, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Evaluation{cold, warm} {
+		if len(d.Features) != len(vec) || d.Features[0] != vec[0] || d.Features[1] != vec[1] || d.Features[2] != vec[2] {
+			t.Errorf("detailed features %v, Evaluate %v", d.Features, vec)
+		}
+		if v, _ := d.Results.GetFloat("core-eval-agnostic:sum"); v != 6 {
+			t.Errorf("union results lack the memoised metric: %v", d.Results)
+		}
+	}
+
+	// the same work without a plan: the memoised results merged, the two
+	// other metrics run and merged, the vector extracted — no clock, no
+	// record of what ran
+	running := []pressio.Metric{&evalBound{abs: 1e-3}, &evalRuntime{}}
+	memo := (&evalAgnostic{sum: 6}).Results()
+	results := pressio.Options{}
+	features := (&evalScheme{}).Features()
+	untimed := testing.AllocsPerRun(100, func() {
+		clear(results)
+		results.Merge(memo)
+		for _, m := range running {
+			m.BeginCompress(data)
+			results.Merge(m.Results())
+		}
+		if _, err := ExtractFeatures(results, features); err != nil {
+			t.Fatal(err)
+		}
+	})
+	timed := testing.AllocsPerRun(100, func() {
+		if _, err := plan.Evaluate(ctx, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if timed != untimed {
+		t.Errorf("plan.Evaluate allocates %v/op, the untimed loop %v/op: timing must add none", timed, untimed)
 	}
 }

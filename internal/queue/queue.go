@@ -224,10 +224,11 @@ func (q *Queue) failDependentsLocked(st *taskState) {
 	st.dependents = nil
 }
 
-// pickLocked chooses a ready task for the given worker: first preference
-// is a task whose DataKey the worker already holds; second, a task whose
-// DataKey no other worker holds; else FIFO. For retries, a task avoids
-// its previous worker when another is available.
+// pickLocked chooses a ready task for the given worker: the first whose
+// DataKey it already holds (it completed a task with that key), else
+// FIFO, whoever holds the front task's key. A retry avoids its previous
+// worker when another task is ready. bench's cell cache budget leans on
+// this: a worker drains the cells of a buffer it holds before any other.
 func (q *Queue) pickLocked(worker int) *taskState {
 	if len(q.ready) == 0 {
 		return nil
