@@ -140,10 +140,10 @@ func BenchmarkKernelHuffman(b *testing.B) {
 }
 
 // BenchmarkKernelHurricaneSynth pins the cost of synthesizing one
-// hurricane field at the benchmark grid. predictd pays this on every
-// predict miss that carries a DataRef (the server materializes the field
-// before feature extraction), so the capacity model in internal/capacity
-// composes this measurement into its predicted per-request cost.
+// hurricane field at the benchmark grid. predictd pays this on a predict
+// miss whose DataRef is in neither tier of the dataset cache (the server
+// materializes the field before feature extraction), and a Table-2
+// collection once per (field, step).
 func BenchmarkKernelHurricaneSynth(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

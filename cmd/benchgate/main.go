@@ -4,6 +4,11 @@
 //	benchgate -baseline   re-measure and rewrite BENCH_kernels.json
 //	benchgate -check      re-measure and fail on >10% ns/op or allocs/op
 //	                      regression against the committed baseline
+//
+// internal/parallel sizes its worker pool by runtime.NumCPU(), so the
+// allocs/op of every fan-out path is a function of the core count. The
+// baseline records the count it was written on, and -check compares
+// allocs/op only on a machine with the same one; ns/op is always compared.
 package main
 
 import (
@@ -13,6 +18,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -30,6 +36,7 @@ type Baseline struct {
 	Note       string                 `json:"note"`
 	GoVersion  string                 `json:"go_version"`
 	CPU        string                 `json:"cpu"`
+	NumCPU     int                    `json:"num_cpu"`
 	BenchTime  string                 `json:"benchtime"`
 	Benchmarks map[string]Measurement `json:"benchmarks"`
 }
@@ -81,7 +88,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v (run `make bench-baseline` first)\n", err)
 		os.Exit(1)
 	}
-	if failures := compare(prev.Benchmarks, results); len(failures) > 0 {
+	rules := []gate.Rule{nsRule}
+	if prev.NumCPU == runtime.NumCPU() {
+		rules = append(rules, allocsRule)
+	} else {
+		fmt.Printf("benchgate: allocs/op not compared: %s was written on %d CPUs, this machine has %d (the worker pool is sized by CPU count)\n",
+			*file, prev.NumCPU, runtime.NumCPU())
+	}
+	if failures := compare(prev.Benchmarks, results, rules); len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "benchgate: FAIL", f)
 		}
@@ -143,21 +157,21 @@ func runPackage(pkg string, results map[string]Measurement) (string, error) {
 	return cpu, nil
 }
 
-// kernelRules is the kernel schema's gate: ns/op and allocs/op both
-// regress upward, with an absolute 0.5-alloc slack so integer alloc
-// counts have a noise band. The comparison itself is the shared
-// internal/gate engine, the same one the system scenario gate
-// (BENCH_system.json) runs on.
-var kernelRules = []gate.Rule{
-	{Metric: "ns_per_op", Worse: gate.HigherIsWorse, Tolerance: tolerance},
-	{Metric: "allocs_per_op", Worse: gate.HigherIsWorse, Tolerance: tolerance, Slack: 0.5},
-}
+// The kernel schema's gate: ns/op and allocs/op both regress upward.
+// allocs/op gets an absolute slack of one: `go test` prints the truncated
+// mean, and a pooled path whose pool a GC cycle empties now and then reads
+// N on one run and N+1 on the next (ZFPDecompress/serial: 4 or 5), which a
+// relative band alone turns into a failure below ten allocations.
+var (
+	nsRule     = gate.Rule{Metric: "ns_per_op", Tolerance: tolerance}
+	allocsRule = gate.Rule{Metric: "allocs_per_op", Tolerance: tolerance, Slack: 1}
+)
 
-// compare returns a description of every benchmark whose ns/op or
-// allocs/op regressed past the tolerance, plus baselined benchmarks that
-// disappeared (a deleted benchmark silently ungates its kernel).
-func compare(base, cur map[string]Measurement) []string {
-	fails := gate.Compare(toRows(base), toRows(cur), kernelRules)
+// compare returns a description of every benchmark that regressed past
+// a rule's tolerance, plus baselined benchmarks that disappeared (a
+// deleted benchmark silently ungates its kernel).
+func compare(base, cur map[string]Measurement, rules []gate.Rule) []string {
+	fails := gate.Compare(toRows(base), toRows(cur), rules)
 	out := make([]string, len(fails))
 	for i, f := range fails {
 		out[i] = f.String()
@@ -195,6 +209,7 @@ func writeBaseline(path string, results map[string]Measurement, cpu string) erro
 			"regression fails). Regenerate with `make bench-baseline` on a quiet machine.",
 		GoVersion:  goVersion(),
 		CPU:        cpu,
+		NumCPU:     runtime.NumCPU(),
 		BenchTime:  benchTime,
 		Benchmarks: results,
 	}

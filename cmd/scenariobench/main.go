@@ -1,22 +1,17 @@
-// Command scenariobench runs a declarative macro-benchmark scenario
-// against a real multi-process deployment and gates the whole system.
+// Command scenariobench runs one declarative scenario against a real
+// multi-process deployment and judges it against the scenario's SLOs.
 //
-//	scenariobench -scenario scenarios/smoke.json -baseline
-//	    run the scenario and write/merge its result into BENCH_system.json
-//	scenariobench -scenario scenarios/smoke.json -check
-//	    run it and fail on SLO violation, capacity-model nonconformance,
-//	    or regression past the scenario's gate tolerances vs the baseline
-//	scenariobench -scenario scenarios/full.json -predict-only
-//	    print the capacity model's prediction without deploying anything
+//	scenariobench -scenario scenarios/smoke.json
 //
 // The scenario file declares everything: topology (N predictd replicas +
 // router), corpus (hurricane fields × steps, manifest-cached), seeded
-// traffic mix, SLOs, gate tolerances, and the capacity model's inputs.
+// traffic mix, and SLOs. The daemons are built with -race, so the
+// numbers printed say whether the run was healthy, not how fast the
+// system is; that is what `bash benchmark/run.sh` measures.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,11 +23,6 @@ import (
 func main() {
 	var (
 		scenarioPath = flag.String("scenario", "", "scenario JSON file (required)")
-		file         = flag.String("file", "BENCH_system.json", "system baseline file")
-		kernels      = flag.String("kernels", "BENCH_kernels.json", "kernel baseline the capacity model reads")
-		baseline     = flag.Bool("baseline", false, "run and write/merge the result into -file")
-		check        = flag.Bool("check", false, "run and gate against -file, SLOs, and the capacity model")
-		predictOnly  = flag.Bool("predict-only", false, "evaluate the capacity model without deploying")
 		bin          = flag.String("bin", "", "prebuilt predictd binary (default: build one)")
 		corpusDir    = flag.String("corpus-dir", "", "corpus cache directory (default: per-scenario under the OS temp dir)")
 	)
@@ -41,129 +31,58 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scenariobench: -scenario is required")
 		os.Exit(2)
 	}
-	modes := 0
-	for _, m := range []bool{*baseline, *check, *predictOnly} {
-		if m {
-			modes++
-		}
-	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "scenariobench: exactly one of -baseline, -check, -predict-only is required")
-		os.Exit(2)
-	}
-
-	sc, err := scenario.Load(*scenarioPath)
+	violations, err := run(*scenarioPath, *bin, *corpusDir)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "scenariobench:", err)
+		os.Exit(1)
 	}
-
-	if *predictOnly {
-		res, err := scenario.PredictOnly(sc, *kernels)
-		if err != nil {
-			fatal(err)
-		}
-		printJSON(res)
-		return
+	for _, v := range violations {
+		fmt.Fprintln(os.Stderr, "scenariobench: FAIL SLO:", v)
 	}
+	if len(violations) > 0 {
+		os.Exit(1)
+	}
+}
 
+// run deploys and drives one scenario and returns its SLO violations.
+func run(scenarioPath, bin, corpusDir string) ([]string, error) {
+	sc, err := scenario.Load(scenarioPath)
+	if err != nil {
+		return nil, err
+	}
 	ctx := context.Background()
-	binary := *bin
-	if binary == "" {
+	if bin == "" {
 		buildDir, err := os.MkdirTemp("", "scenariobench-bin-")
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		defer os.RemoveAll(buildDir)
 		fmt.Println("scenariobench: building predictd (race-enabled)...")
-		if binary, err = scenario.BuildPredictd(ctx, ".", buildDir); err != nil {
-			fatal(err)
+		if bin, err = scenario.BuildPredictd(ctx, ".", buildDir); err != nil {
+			return nil, err
 		}
 	}
 	workDir, err := os.MkdirTemp("", "scenariobench-"+sc.Name+"-")
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer os.RemoveAll(workDir)
-	corpus := *corpusDir
-	if corpus == "" {
+	if corpusDir == "" {
 		// a stable per-scenario path so the manifest-verified corpus
 		// survives across runs
-		corpus = filepath.Join(os.TempDir(), "scenariobench-corpus", sc.Name)
+		corpusDir = filepath.Join(os.TempDir(), "scenariobench-corpus", sc.Name)
 	}
 
 	fmt.Printf("scenariobench: running %s (%d nodes, %.0f qps, %.0fs warmup + %.0fs steady)\n",
 		sc.Name, sc.Topology.Nodes, sc.Traffic.TargetQPS, sc.Traffic.WarmupS, sc.Traffic.SteadyS)
-	res, err := scenario.Run(ctx, sc, scenario.RunConfig{
-		Bin:            binary,
-		WorkDir:        workDir,
-		CorpusDir:      corpus,
-		KernelBaseline: *kernels,
-	})
+	m, err := scenario.Run(ctx, sc, scenario.RunConfig{Bin: bin, WorkDir: workDir, CorpusDir: corpusDir})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	fmt.Printf("scenariobench: measured %.1f qps (predicted %.1f), p50 %.1fms p99 %.1fms, %d/%d errors, hit rate %.2f, max rss %d MiB\n",
-		res.Measured.AchievedQPS, res.PredictedQPS, res.Measured.P50MS, res.Measured.P99MS,
-		res.Measured.Errors, res.Measured.Requests, res.Measured.CacheHitRate, res.Measured.MaxRSSBytes>>20)
-
-	if *baseline {
-		doc, err := scenario.ReadDocument(*file)
-		if err != nil {
-			doc = &scenario.Document{Scenarios: map[string]*scenario.SystemResult{}}
-		}
-		doc.Scenarios[sc.Name] = res
-		if err := scenario.WriteDocument(*file, doc); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("scenariobench: wrote %s baseline to %s\n", sc.Name, *file)
-		return
+	fmt.Printf("scenariobench: measured %s\n", m)
+	violations := scenario.CheckSLO(m, sc.SLO)
+	if len(violations) == 0 {
+		fmt.Printf("scenariobench: %s within its SLOs\n", sc.Name)
 	}
-
-	// -check: SLOs, conformance, then baseline gate
-	failed := false
-	for _, v := range scenario.CheckSLO(res, sc.SLO) {
-		fmt.Fprintln(os.Stderr, "scenariobench: FAIL SLO:", v)
-		failed = true
-	}
-	if err := scenario.CheckConformance(res); err != nil {
-		fmt.Fprintln(os.Stderr, "scenariobench: FAIL conformance:", err)
-		failed = true
-	}
-	doc, err := scenario.ReadDocument(*file)
-	if err != nil {
-		fatal(fmt.Errorf("%w (run `scenariobench -scenario %s -baseline` first)", err, *scenarioPath))
-	}
-	base := doc.Scenarios[sc.Name]
-	if base == nil {
-		fatal(fmt.Errorf("%s has no %q baseline (run -baseline first)", *file, sc.Name))
-	}
-	for _, f := range scenario.Compare(base, res, sc.Gate) {
-		fmt.Fprintln(os.Stderr, "scenariobench: FAIL gate:", f.String())
-		failed = true
-	}
-	if sp := sc.Speedup; sp != nil {
-		vs := doc.Scenarios[sp.Vs]
-		if vs == nil {
-			fatal(fmt.Errorf("%s has no %q baseline for the speedup gate (run -baseline on it first)", *file, sp.Vs))
-		}
-		if err := scenario.CheckSpeedup(res, vs, sp); err != nil {
-			fmt.Fprintln(os.Stderr, "scenariobench: FAIL", err)
-			failed = true
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("scenariobench: %s within SLOs, gate tolerances, and ±%.0f%% of the capacity model\n",
-		sc.Name, sc.Capacity.ErrorBand*100)
-}
-
-func printJSON(v any) {
-	raw, _ := json.MarshalIndent(v, "", "  ")
-	fmt.Println(string(raw))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "scenariobench:", err)
-	os.Exit(1)
+	return violations, nil
 }

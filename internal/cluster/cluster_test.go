@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 // Multi-process cluster harness: builds the real predictd binary, boots a
 // 3-node replicated cluster plus a router as separate OS processes, drives
@@ -15,21 +15,27 @@ package cluster
 //     2xx/4xx/429/503 (backpressure always carries Retry-After) and no
 //     request ever hangs (client timeouts are the hang detector)
 //
+// The cluster is deployed through scenario.Deploy, the one place that
+// knows how to start predictd processes from Go; this file is an external
+// test package because internal/scenario imports internal/cluster.
+//
 // Run via `make cluster-check` (wired into `make check`); `-short` skips.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/scenario"
 )
 
 const (
@@ -38,26 +44,34 @@ const (
 )
 
 var (
+	harnessNames = []string{"n1", "n2", "n3"}
+	// harnessOwner is the ring owner of the one partition the tests load.
+	harnessOwner = cluster.NewRing(harnessNames, 0).Owner(cluster.PartitionKey(harnessScheme, harnessCompressor))
+)
+
+var (
 	buildOnce sync.Once
 	buildPath string
 	buildErr  error
 )
+
+// TestMain removes the once-per-run predictd build when the run ends.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildPath != "" {
+		os.RemoveAll(filepath.Dir(buildPath))
+	}
+	os.Exit(code)
+}
 
 // predictdBinary builds cmd/predictd once per test run (with -race, so
 // the daemons themselves run under the detector).
 func predictdBinary(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "predictd-harness-")
-		if err != nil {
-			buildErr = err
-			return
-		}
-		buildPath = filepath.Join(dir, "predictd")
-		cmd := exec.Command("go", "build", "-race", "-o", buildPath, "repro/cmd/predictd")
-		cmd.Dir = "../.."
-		if out, err := cmd.CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("building predictd: %v\n%s", err, out)
+		var dir string
+		if dir, buildErr = os.MkdirTemp("", "predictd-harness-"); buildErr == nil {
+			buildPath, buildErr = scenario.BuildPredictd(context.Background(), "../..", dir)
 		}
 	})
 	if buildErr != nil {
@@ -66,247 +80,42 @@ func predictdBinary(t *testing.T) string {
 	return buildPath
 }
 
-// freePorts reserves n distinct listen ports by binding and releasing
-// them (peers must be named before any process starts).
-func freePorts(t *testing.T, n int) []int {
-	t.Helper()
-	ports := make([]int, n)
-	listeners := make([]net.Listener, n)
-	for i := range ports {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		ports[i] = ln.Addr().(*net.TCPAddr).Port
-	}
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	return ports
-}
-
-// proc is one predictd process under harness control.
-type proc struct {
-	name string
-	base string
-	dir  string
-	args []string
-	bin  string
-	log  *os.File
-
-	mu   sync.Mutex
-	cmd  *exec.Cmd
-	done chan error // closed result of Wait
-}
-
-func (p *proc) start(t *testing.T) {
-	t.Helper()
-	os.Remove(filepath.Join(p.dir, "ready"))
-	cmd := exec.Command(p.bin, p.args...)
-	cmd.Stdout = p.log
-	cmd.Stderr = p.log
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting %s: %v", p.name, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait(); close(done) }()
-	p.mu.Lock()
-	p.cmd, p.done = cmd, done
-	p.mu.Unlock()
-}
-
-// kill SIGKILLs the process and waits for it to reap.
-func (p *proc) kill(t *testing.T) {
-	t.Helper()
-	p.mu.Lock()
-	cmd, done := p.cmd, p.done
-	p.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return
-	}
-	cmd.Process.Kill()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%s did not die after SIGKILL", p.name)
-	}
-}
-
-// waitExit waits for the process to exit on its own (a seeded crash
-// rule) and returns its exit code.
-func (p *proc) waitExit(t *testing.T, within time.Duration) int {
-	t.Helper()
-	p.mu.Lock()
-	cmd, done := p.cmd, p.done
-	p.mu.Unlock()
-	select {
-	case <-done:
-		return cmd.ProcessState.ExitCode()
-	case <-time.After(within):
-		t.Fatalf("%s still alive after %v, expected a seeded crash", p.name, within)
-		return -1
-	}
-}
-
 // harness is a running 3-node cluster + router.
 type harness struct {
-	nodes  map[string]*proc
-	router *proc
-	client *http.Client
-	owner  string // owner of the harness partition
+	*scenario.Harness
+	nodes map[string]*scenario.Proc
 }
 
-// faultPlans maps node name → -fault-plan text for that node.
+// startHarness deploys the cluster; faultPlans maps node name →
+// -fault-plan text for that node's first launch.
 func startHarness(t *testing.T, faultPlans map[string]string) *harness {
 	t.Helper()
-	bin := predictdBinary(t)
-	names := []string{"n1", "n2", "n3"}
-	ports := freePorts(t, 4)
-	bases := map[string]string{}
-	for i, name := range names {
-		bases[name] = fmt.Sprintf("http://127.0.0.1:%d", ports[i])
+	extra := map[string][]string{}
+	for name, plan := range faultPlans {
+		extra[name] = []string{"-fault-plan", plan, "-fault-seed", "1"}
 	}
-	h := &harness{
-		nodes: map[string]*proc{},
-		// the client timeout is the hang detector: a router that wedges
-		// fails the test here, not at the suite deadline
-		client: &http.Client{Timeout: 20 * time.Second},
-		owner:  NewRing(names, 0).Owner(PartitionKey(harnessScheme, harnessCompressor)),
-	}
-	root := t.TempDir()
-	for i, name := range names {
-		dir := filepath.Join(root, name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		logf, err := os.Create(filepath.Join(dir, "log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { logf.Close() })
-		var peers []string
-		for _, o := range names {
-			if o != name {
-				peers = append(peers, o+"="+bases[o])
-			}
-		}
-		args := []string{
-			"-addr", fmt.Sprintf("127.0.0.1:%d", ports[i]),
-			"-store", filepath.Join(dir, "store"),
-			"-node", name,
-			"-peers", strings.Join(peers, ","),
-			"-repl-dir", filepath.Join(dir, "repl"),
-			"-poll-interval", "20ms",
-			"-ack-timeout", "3s",
-			"-ready-file", filepath.Join(dir, "ready"),
-		}
-		if plan := faultPlans[name]; plan != "" {
-			args = append(args, "-fault-plan", plan, "-fault-seed", "1")
-		}
-		h.nodes[name] = &proc{name: name, base: bases[name], dir: dir, args: args, bin: bin, log: logf}
-	}
-
-	rdir := filepath.Join(root, "router")
-	if err := os.MkdirAll(rdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	rlog, err := os.Create(filepath.Join(rdir, "log"))
+	dep, err := scenario.Deploy(context.Background(), predictdBinary(t), t.TempDir(),
+		scenario.Topology{Nodes: len(harnessNames), ProbeIntervalMS: 50, PollIntervalMS: 20}, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rlog.Close() })
-	var members []string
-	for _, name := range names {
-		members = append(members, name+"="+bases[name])
+	h := &harness{Harness: dep, nodes: map[string]*scenario.Proc{}}
+	for _, p := range dep.Nodes {
+		h.nodes[p.Name] = p
 	}
-	h.router = &proc{
-		name: "router", base: fmt.Sprintf("http://127.0.0.1:%d", ports[3]), dir: rdir,
-		args: []string{
-			"-addr", fmt.Sprintf("127.0.0.1:%d", ports[3]),
-			"-router",
-			"-members", strings.Join(members, ","),
-			"-probe-interval", "50ms",
-			"-ready-file", filepath.Join(rdir, "ready"),
-		},
-		bin: bin, log: rlog,
-	}
-
-	for _, p := range h.nodes {
-		p.start(t)
-	}
-	h.router.start(t)
 	t.Cleanup(func() {
-		h.router.kill(t)
-		for _, p := range h.nodes {
-			p.kill(t)
+		if err := dep.Close(); err != nil {
+			t.Error(err)
 		}
 		if t.Failed() {
-			for _, p := range append([]*proc{h.router}, h.nodes["n1"], h.nodes["n2"], h.nodes["n3"]) {
-				if raw, err := os.ReadFile(filepath.Join(p.dir, "log")); err == nil && len(raw) > 0 {
-					t.Logf("--- %s log ---\n%s", p.name, raw)
+			for _, p := range append([]*scenario.Proc{dep.Router}, dep.Nodes...) {
+				if log := p.Log(); log != "" {
+					t.Logf("--- %s log ---\n%s", p.Name, log)
 				}
 			}
 		}
 	})
-
-	for _, p := range h.nodes {
-		h.waitHealthy(t, p.base, 30*time.Second)
-	}
-	h.waitLive(t, 3, 30*time.Second)
 	return h
-}
-
-func (h *harness) waitHealthy(t *testing.T, base string, within time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		resp, err := h.client.Get(base + "/healthz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("%s never became healthy", base)
-}
-
-// waitLive blocks until the router reports n live members.
-func (h *harness) waitLive(t *testing.T, n int, within time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		var st RouterStatus
-		if h.getJSON(h.router.base+"/v1/router/status", &st) == nil {
-			live := 0
-			for _, state := range st.Members {
-				if state == "closed" {
-					live++
-				}
-			}
-			if live == n {
-				return
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("router never saw %d live members", n)
-}
-
-func (h *harness) getJSON(url string, v any) error {
-	resp, err := h.client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // checkWellFormedResp enforces the degradation contract on a live
@@ -334,7 +143,7 @@ func fitBody(i int) string {
 // well-formed either way.
 func (h *harness) submitFit(t *testing.T, i int) string {
 	t.Helper()
-	resp, err := h.client.Post(h.router.base+"/v1/fit", "application/json", strings.NewReader(fitBody(i)))
+	resp, err := h.Client.Post(h.Router.Base+"/v1/fit", "application/json", strings.NewReader(fitBody(i)))
 	if err != nil {
 		// transport-level failure against the router itself only happens
 		// when the harness killed it; the router must never hang or reset
@@ -363,7 +172,7 @@ func (h *harness) predictOnce(t *testing.T) {
 	t.Helper()
 	body := fmt.Sprintf(`{"scheme":%q,"compressor":%q,"data":{"field":"P","step":1,"dims":[8,8,8]},"options":{"pressio:abs":1e-3}}`,
 		harnessScheme, harnessCompressor)
-	resp, err := h.client.Post(h.router.base+"/v1/predict", "application/json", strings.NewReader(body))
+	resp, err := h.Client.Post(h.Router.Base+"/v1/predict", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Errorf("predict transport error: %v", err)
 		return
@@ -380,7 +189,7 @@ func (h *harness) waitJobDone(t *testing.T, id string, within time.Duration) {
 	deadline := time.Now().Add(within)
 	last := ""
 	for time.Now().Before(deadline) {
-		resp, err := h.client.Get(h.router.base + "/v1/jobs/" + id)
+		resp, err := h.Client.Get(h.Router.Base + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatalf("job %s poll transport error: %v", id, err)
 		}
@@ -413,8 +222,8 @@ func (h *harness) checkNoDivergence(t *testing.T) {
 	t.Helper()
 	shas := map[string]string{} // model key → state sha
 	for name, p := range h.nodes {
-		var st StatusResponse
-		if err := h.getJSON(p.base+"/v1/repl/status", &st); err != nil {
+		var st cluster.StatusResponse
+		if err := h.GetJSON(p.Base+"/v1/repl/status", &st); err != nil {
 			continue // dead node
 		}
 		if st.Divergence != 0 {
@@ -424,7 +233,7 @@ func (h *harness) checkNoDivergence(t *testing.T) {
 			Key      string `json:"key"`
 			StateSHA string `json:"state_sha256"`
 		}
-		if err := h.getJSON(p.base+"/v1/models", &models); err != nil {
+		if err := h.GetJSON(p.Base+"/v1/models", &models); err != nil {
 			continue
 		}
 		for _, m := range models {
@@ -446,8 +255,8 @@ func (h *harness) waitConverged(t *testing.T, names []string, within time.Durati
 		applied := map[string]map[string]uint64{}
 		ok := true
 		for _, name := range names {
-			var st StatusResponse
-			if err := h.getJSON(h.nodes[name].base+"/v1/repl/status", &st); err != nil {
+			var st cluster.StatusResponse
+			if err := h.GetJSON(h.nodes[name].Base+"/v1/repl/status", &st); err != nil {
 				ok = false
 				break
 			}
@@ -471,6 +280,19 @@ func (h *harness) waitConverged(t *testing.T, names []string, within time.Durati
 	t.Fatalf("nodes %v never converged", names)
 }
 
+// wantSeededCrash waits for a node's fault plan to fire: crash rules
+// exit 137.
+func (h *harness) wantSeededCrash(t *testing.T, name string) {
+	t.Helper()
+	code, err := h.nodes[name].WaitExit(30 * time.Second)
+	if err != nil {
+		t.Fatalf("%v, expected a seeded crash", err)
+	}
+	if code != 137 {
+		t.Fatalf("%s exited %d, want 137 (seeded crash)", name, code)
+	}
+}
+
 func survivorsOf(h *harness, dead string) []string {
 	var out []string
 	for name := range h.nodes {
@@ -488,11 +310,10 @@ func TestClusterKillOwnerMidFit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process harness")
 	}
-	owner := NewRing([]string{"n1", "n2", "n3"}, 0).Owner(PartitionKey(harnessScheme, harnessCompressor))
 	h := startHarness(t, map[string]string{
 		// exit 137 the instant the first trained model would be published:
 		// after the fit ran, before its result is durable anywhere
-		owner: "put-before crash key=model/ at=1",
+		harnessOwner: "put-before crash key=model/ at=1",
 	})
 
 	var acked []string
@@ -505,9 +326,7 @@ func TestClusterKillOwnerMidFit(t *testing.T) {
 		t.Fatal("no fit was acknowledged")
 	}
 
-	if code := h.nodes[owner].waitExit(t, 30*time.Second); code != 137 {
-		t.Fatalf("owner exited %d, want 137 (seeded crash)", code)
-	}
+	h.wantSeededCrash(t, harnessOwner)
 
 	// the cluster honors every ack without the owner
 	for _, id := range acked {
@@ -516,14 +335,21 @@ func TestClusterKillOwnerMidFit(t *testing.T) {
 	h.predictOnce(t)
 	h.checkNoDivergence(t)
 
-	// the owner returns with no fault plan, catches up over the shipped
-	// logs, and the router reinstates it
-	p := h.nodes[owner]
-	p.args = p.args[:len(p.args)-4] // drop -fault-plan/-fault-seed
-	p.start(t)
-	h.waitHealthy(t, p.base, 30*time.Second)
-	h.waitLive(t, 3, 30*time.Second)
-	h.waitConverged(t, []string{"n1", "n2", "n3"}, 60*time.Second)
+	// the owner returns with no fault plan (a plain Start drops the first
+	// launch's extra arguments), catches up over the shipped logs, and the
+	// router reinstates it
+	ctx := context.Background()
+	p := h.nodes[harnessOwner]
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.WaitHealthy(ctx, p.Base, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.WaitLive(ctx, 3, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	h.waitConverged(t, harnessNames, 60*time.Second)
 	h.checkNoDivergence(t)
 }
 
@@ -534,11 +360,10 @@ func TestClusterKillOwnerAtReplicationOffset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process harness")
 	}
-	owner := NewRing([]string{"n1", "n2", "n3"}, 0).Owner(PartitionKey(harnessScheme, harnessCompressor))
 	h := startHarness(t, map[string]string{
 		// the owner dies on the 5th frame it ships — mid-replication,
 		// with followers at a seeded offset into its stream
-		owner: "repl-ship crash at=5",
+		harnessOwner: "repl-ship crash at=5",
 	})
 
 	var acked []string
@@ -551,13 +376,11 @@ func TestClusterKillOwnerAtReplicationOffset(t *testing.T) {
 	if len(acked) == 0 {
 		t.Fatal("no fit was acknowledged")
 	}
-	if code := h.nodes[owner].waitExit(t, 30*time.Second); code != 137 {
-		t.Fatalf("owner exited %d, want 137 (seeded crash)", code)
-	}
+	h.wantSeededCrash(t, harnessOwner)
 	for _, id := range acked {
 		h.waitJobDone(t, id, 90*time.Second)
 	}
-	h.waitConverged(t, survivorsOf(h, owner), 60*time.Second)
+	h.waitConverged(t, survivorsOf(h, harnessOwner), 60*time.Second)
 	h.checkNoDivergence(t)
 }
 
@@ -577,7 +400,6 @@ func TestClusterRandomizedKillSweep(t *testing.T) {
 		return rng % n
 	}
 	h := startHarness(t, nil)
-	owner := h.owner
 
 	var acked []string
 	killAfter := time.Duration(50+next(250)) * time.Millisecond
@@ -585,7 +407,9 @@ func TestClusterRandomizedKillSweep(t *testing.T) {
 	go func() {
 		defer close(killed)
 		time.Sleep(killAfter)
-		h.nodes[owner].kill(t)
+		if err := h.nodes[harnessOwner].Kill(); err != nil {
+			t.Error(err)
+		}
 	}()
 	for i := 0; i < 6; i++ {
 		if id := h.submitFit(t, i); id != "" {
@@ -603,6 +427,6 @@ func TestClusterRandomizedKillSweep(t *testing.T) {
 		h.waitJobDone(t, id, 90*time.Second)
 	}
 	h.predictOnce(t)
-	h.waitConverged(t, survivorsOf(h, owner), 60*time.Second)
+	h.waitConverged(t, survivorsOf(h, harnessOwner), 60*time.Second)
 	h.checkNoDivergence(t)
 }

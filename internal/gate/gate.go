@@ -1,14 +1,12 @@
-// Package gate is the baseline-compare engine shared by the kernel
-// microbenchmark gate (cmd/benchgate, BENCH_kernels.json) and the system
-// scenario gate (internal/scenario, BENCH_system.json): named rows of
+// Package gate is the baseline-compare engine behind the kernel
+// microbenchmark gate (cmd/benchgate, BENCH_kernels.json): named rows of
 // named metrics, compared against a committed baseline under per-metric
-// rules, so "did it regress" is answered the same way whether the row is
-// a Go benchmark or a whole-cluster macro-run.
+// rules.
 //
-// The engine is deliberately direction-aware: ns/op and p99 latency
-// regress upward, QPS regresses downward. A Rule declares which, plus a
-// relative tolerance and an optional absolute slack (allocs/op uses 0.5
-// so a flat +0 alloc noise band never trips the relative check).
+// Every gated metric (ns/op, allocs/op) regresses upward. A Rule declares
+// a relative tolerance and an optional absolute slack (allocs/op uses one,
+// so an integer count that flips by one between runs never trips the
+// relative check).
 package gate
 
 import (
@@ -16,36 +14,18 @@ import (
 	"sort"
 )
 
-// Direction states which way a metric gets worse.
-type Direction int
-
-const (
-	// HigherIsWorse gates metrics like ns/op, p99 latency, or RSS: the
-	// current value may not exceed baseline·(1+tolerance)+slack.
-	HigherIsWorse Direction = iota
-	// LowerIsWorse gates metrics like QPS or hit rate: the current value
-	// may not fall below baseline·(1-tolerance)-slack.
-	LowerIsWorse
-)
-
-// Rule gates one metric across all rows.
+// Rule gates one metric across all rows: the current value may not
+// exceed baseline·(1+Tolerance)+Slack.
 type Rule struct {
 	// Metric is the key into each row's measurement map.
 	Metric string
-	// Worse is the regression direction.
-	Worse Direction
-	// Tolerance is the relative band, e.g. 0.10 for ±10%.
+	// Tolerance is the relative band, e.g. 0.10 for +10%.
 	Tolerance float64
 	// Slack is an absolute allowance added on top of the relative band.
 	Slack float64
-	// Optional marks a metric that may be absent from a row (e.g. a
-	// scenario that declares no RSS budget); absent values are skipped
-	// instead of failed.
-	Optional bool
 }
 
-// Row is one named set of measurements (a benchmark, an endpoint, or a
-// whole scenario aggregate).
+// Row is one named set of measurements (one benchmark).
 type Row map[string]float64
 
 // Failure describes one gated regression.
@@ -67,25 +47,21 @@ func (f Failure) String() string {
 
 // failf builds a value-comparison failure with the standard phrasing.
 func failf(row string, r Rule, base, cur float64) Failure {
-	verb, sign := "regressed to", "+"
 	delta := 0.0
 	if base != 0 {
 		delta = 100 * (cur/base - 1)
 	}
-	if r.Worse == LowerIsWorse {
-		sign = ""
-	}
 	return Failure{
 		Row: row, Metric: r.Metric, Base: base, Cur: cur,
-		Reason: fmt.Sprintf("%s %s %.4g vs baseline %.4g (%s%.1f%%, limit %.0f%%)",
-			r.Metric, verb, cur, base, sign, delta, r.Tolerance*100),
+		Reason: fmt.Sprintf("%s regressed to %.4g vs baseline %.4g (+%.1f%%, limit %.0f%%)",
+			r.Metric, cur, base, delta, r.Tolerance*100),
 	}
 }
 
 // Compare gates every baseline row against the current run under the
 // rules. A row present in the baseline but absent from the current run is
-// itself a failure: a silently deleted benchmark (or endpoint) ungates
-// whatever it measured. Rows only in the current run pass — new
+// itself a failure: a silently deleted benchmark ungates whatever it
+// measured. Rows only in the current run pass — new
 // measurements enter the gate when the baseline is next rewritten.
 // Failures come back in sorted row order so output is deterministic.
 func Compare(base, cur map[string]Row, rules []Rule) []Failure {
@@ -114,46 +90,16 @@ func Compare(base, cur map[string]Row, rules []Rule) []Failure {
 				continue
 			}
 			if !cok {
-				if !r.Optional {
-					failures = append(failures, Failure{
-						Row: name, Metric: r.Metric,
-						Reason: fmt.Sprintf("metric %s present in baseline but not in current run", r.Metric),
-					})
-				}
+				failures = append(failures, Failure{
+					Row: name, Metric: r.Metric,
+					Reason: fmt.Sprintf("metric %s present in baseline but not in current run", r.Metric),
+				})
 				continue
 			}
-			if exceeds(r, bv, cv) {
+			if cv > bv*(1+r.Tolerance)+r.Slack {
 				failures = append(failures, failf(name, r, bv, cv))
 			}
 		}
 	}
 	return failures
-}
-
-// exceeds reports whether cur regressed past the rule's band around base.
-func exceeds(r Rule, base, cur float64) bool {
-	switch r.Worse {
-	case LowerIsWorse:
-		return cur < base*(1-r.Tolerance)-r.Slack
-	default:
-		return cur > base*(1+r.Tolerance)+r.Slack
-	}
-}
-
-// Within reports whether got lands inside the ±band relative error band
-// around want — the conformance primitive the capacity model uses to
-// check a prediction against a measured run. A zero want with a nonzero
-// got never conforms (the relative error is unbounded).
-func Within(want, got, band float64) bool {
-	if want == got {
-		return true
-	}
-	if want == 0 {
-		return false
-	}
-	err := (got - want) / want
-	if err < 0 {
-		err = -err
-	}
-	return err <= band
 }

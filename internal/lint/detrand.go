@@ -31,7 +31,7 @@ var DetRand = &analysis.Analyzer{
 
 // detrandScope is the default comma-separated package-path-suffix scope,
 // overridable with -detrand.scope.
-var detrandScope = "internal/faultinject,internal/queue,internal/bench,internal/store,internal/vfs,internal/cluster,internal/cluster/health,internal/scenario,internal/capacity"
+var detrandScope = "internal/faultinject,internal/queue,internal/bench,internal/store,internal/vfs,internal/cluster,internal/cluster/health,internal/scenario"
 
 func init() {
 	DetRand.Flags.StringVar(&detrandScope, "scope",

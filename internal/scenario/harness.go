@@ -69,9 +69,12 @@ type Proc struct {
 	done chan error
 }
 
-func (p *Proc) start() error {
+// Start launches the process with its deployment arguments plus extra,
+// which apply to this launch only: a node deployed with a fault plan
+// restarts clean under a plain Start().
+func (p *Proc) Start(extra ...string) error {
 	os.Remove(filepath.Join(p.Dir, "ready"))
-	cmd := exec.Command(p.bin, p.args...)
+	cmd := exec.Command(p.bin, append(p.args[:len(p.args):len(p.args)], extra...)...)
 	cmd.Stdout = p.log
 	cmd.Stderr = p.log
 	if err := cmd.Start(); err != nil {
@@ -83,8 +86,9 @@ func (p *Proc) start() error {
 	return nil
 }
 
-// kill SIGKILLs the process and waits for it to reap.
-func (p *Proc) kill() error {
+// Kill SIGKILLs the process and waits for it to reap. Safe on a process
+// that never started or has already exited.
+func (p *Proc) Kill() error {
 	if p.cmd == nil || p.cmd.Process == nil {
 		return nil
 	}
@@ -97,6 +101,17 @@ func (p *Proc) kill() error {
 	}
 }
 
+// WaitExit waits for the process to exit on its own (a seeded crash
+// rule) and returns its exit code.
+func (p *Proc) WaitExit(within time.Duration) (int, error) {
+	select {
+	case <-p.done:
+		return p.cmd.ProcessState.ExitCode(), nil
+	case <-time.After(within):
+		return -1, fmt.Errorf("%s still alive after %v", p.Name, within)
+	}
+}
+
 // Log returns the process's captured stdout+stderr so far.
 func (p *Proc) Log() string {
 	raw, err := os.ReadFile(filepath.Join(p.Dir, "log"))
@@ -106,18 +121,23 @@ func (p *Proc) Log() string {
 	return string(raw)
 }
 
-// Harness is a deployed scenario cluster: Topology.Nodes predictd
-// replicas plus one router, all real OS processes.
+// Harness is a deployed cluster: Topology.Nodes predictd replicas (named
+// n1..nN, in that order) plus one router, all real OS processes.
 type Harness struct {
 	Nodes  []*Proc
 	Router *Proc
-	client *http.Client
+	// Client is what the harness itself polls with. Its timeout is the
+	// hang detector: a wedged router fails the run here, not at a suite
+	// deadline.
+	Client *http.Client
 }
 
-// Deploy boots the scenario topology under workDir using a prebuilt
-// predictd binary and waits until every node is healthy and the router
-// sees them all live. On any error the partial deployment is torn down.
-func Deploy(ctx context.Context, bin, workDir string, topo Topology) (*Harness, error) {
+// Deploy boots the topology under workDir using a prebuilt predictd
+// binary and waits until every node is healthy and the router sees them
+// all live. extra maps a node name to arguments appended to that node's
+// first launch (the kill tests' -fault-plan). On any error the partial
+// deployment is torn down.
+func Deploy(ctx context.Context, bin, workDir string, topo Topology, extra map[string][]string) (*Harness, error) {
 	ports, err := freePorts(topo.Nodes + 1)
 	if err != nil {
 		return nil, err
@@ -129,11 +149,7 @@ func Deploy(ctx context.Context, bin, workDir string, topo Topology) (*Harness, 
 		bases[i] = fmt.Sprintf("http://127.0.0.1:%d", ports[i])
 	}
 
-	h := &Harness{
-		// the client timeout is the hang detector: a wedged router fails
-		// the run here, not at a suite deadline
-		client: &http.Client{Timeout: 20 * time.Second},
-	}
+	h := &Harness{Client: &http.Client{Timeout: 20 * time.Second}}
 	fail := func(err error) (*Harness, error) {
 		h.Close()
 		return nil, err
@@ -169,7 +185,7 @@ func Deploy(ctx context.Context, bin, workDir string, topo Topology) (*Harness, 
 		}
 		p := &Proc{Name: name, Base: bases[i], Dir: dir, args: args, bin: bin, log: logf}
 		h.Nodes = append(h.Nodes, p)
-		if err := p.start(); err != nil {
+		if err := p.Start(extra[name]...); err != nil {
 			return fail(err)
 		}
 	}
@@ -197,16 +213,16 @@ func Deploy(ctx context.Context, bin, workDir string, topo Topology) (*Harness, 
 		},
 		bin: bin, log: rlog,
 	}
-	if err := h.Router.start(); err != nil {
+	if err := h.Router.Start(); err != nil {
 		return fail(err)
 	}
 
 	for _, p := range h.Nodes {
-		if err := h.waitHealthy(ctx, p.Base, 30*time.Second); err != nil {
+		if err := h.WaitHealthy(ctx, p.Base, 30*time.Second); err != nil {
 			return fail(err)
 		}
 	}
-	if err := h.waitLive(ctx, topo.Nodes, 30*time.Second); err != nil {
+	if err := h.WaitLive(ctx, topo.Nodes, 30*time.Second); err != nil {
 		return fail(err)
 	}
 	return h, nil
@@ -216,12 +232,12 @@ func Deploy(ctx context.Context, bin, workDir string, topo Topology) (*Harness, 
 func (h *Harness) Close() error {
 	var firstErr error
 	if h.Router != nil {
-		if err := h.Router.kill(); err != nil && firstErr == nil {
+		if err := h.Router.Kill(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	for _, p := range h.Nodes {
-		if err := p.kill(); err != nil && firstErr == nil {
+		if err := p.Kill(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -233,13 +249,14 @@ func (h *Harness) Close() error {
 	return firstErr
 }
 
-func (h *Harness) waitHealthy(ctx context.Context, base string, within time.Duration) error {
+// WaitHealthy blocks until the process at base answers /healthz 200.
+func (h *Harness) WaitHealthy(ctx context.Context, base string, within time.Duration) error {
 	deadline := now().Add(within)
 	for now().Before(deadline) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		resp, err := h.client.Get(base + "/healthz")
+		resp, err := h.Client.Get(base + "/healthz")
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -252,15 +269,15 @@ func (h *Harness) waitHealthy(ctx context.Context, base string, within time.Dura
 	return fmt.Errorf("%s never became healthy", base)
 }
 
-// waitLive blocks until the router reports n live members.
-func (h *Harness) waitLive(ctx context.Context, n int, within time.Duration) error {
+// WaitLive blocks until the router reports n live members.
+func (h *Harness) WaitLive(ctx context.Context, n int, within time.Duration) error {
 	deadline := now().Add(within)
 	for now().Before(deadline) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var st cluster.RouterStatus
-		if h.getJSON(h.Router.Base+"/v1/router/status", &st) == nil {
+		if h.GetJSON(h.Router.Base+"/v1/router/status", &st) == nil {
 			live := 0
 			for _, state := range st.Members {
 				if state == "closed" {
@@ -276,8 +293,9 @@ func (h *Harness) waitLive(ctx context.Context, n int, within time.Duration) err
 	return fmt.Errorf("router never saw %d live members", n)
 }
 
-func (h *Harness) getJSON(url string, v any) error {
-	resp, err := h.client.Get(url)
+// GetJSON decodes a 200 response from url into v.
+func (h *Harness) GetJSON(url string, v any) error {
+	resp, err := h.Client.Get(url)
 	if err != nil {
 		return err
 	}
@@ -297,7 +315,7 @@ func (h *Harness) Statz(ctx context.Context) (map[string]serve.Statz, error) {
 	out := make(map[string]serve.Statz, len(h.Nodes))
 	for _, p := range h.Nodes {
 		var st serve.Statz
-		if err := h.getJSON(p.Base+"/statz", &st); err != nil {
+		if err := h.GetJSON(p.Base+"/statz", &st); err != nil {
 			return nil, fmt.Errorf("scraping %s: %w", p.Name, err)
 		}
 		out[p.Name] = st

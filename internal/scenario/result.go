@@ -1,142 +1,69 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
-
-	"repro/internal/capacity"
-	"repro/internal/gate"
 )
 
-// Metrics is what one scenario run measured over its steady window.
+// Metrics is what one scenario run measured. The latency and rate fields
+// cover the steady window only; the prediction-accounting fields cover
+// the whole run, warmup included, because /statz cannot be windowed.
 type Metrics struct {
 	// Requests/Errors count steady-window completions; ErrorRate is
 	// Errors/Requests.
-	Requests  int     `json:"requests"`
-	Errors    int     `json:"errors"`
-	ErrorRate float64 `json:"error_rate"`
-	// AchievedQPS is steady completions over the steady wall-clock.
-	AchievedQPS float64 `json:"achieved_qps"`
+	Requests  int
+	Errors    int
+	ErrorRate float64
+	// AchievedQPS is successful steady completions over the steady
+	// wall-clock. The schedule is seeded, so on a clean run this is the
+	// offered rate, not a finding.
+	AchievedQPS float64
 	// Predictions counts the predictions carried by successful steady
 	// requests: 1 per single predict, the batch size per batched predict.
-	// PredictionQPS is the amortized rate the batch scenarios' speedup
-	// claim compares — it diverges from AchievedQPS exactly when batching
-	// carries more than one prediction per request. (Both are zero in
-	// baselines recorded before batching existed.)
-	Predictions   int     `json:"predictions"`
-	PredictionQPS float64 `json:"prediction_qps"`
+	Predictions   int
+	PredictionQPS float64
 	// Latency quantiles over steady-window requests, milliseconds.
-	P50MS float64 `json:"p50_ms"`
-	P90MS float64 `json:"p90_ms"`
-	P99MS float64 `json:"p99_ms"`
-	// CacheHitRate is cluster-wide predict cache hits/(hits+misses)
-	// scraped from /statz at the end of the run.
-	CacheHitRate float64 `json:"cache_hit_rate"`
+	P50MS float64
+	P90MS float64
+	P99MS float64
+	// Answered is the predictions answered 2xx over the whole run, and
+	// Failed the operations of any kind that were not (a batch reporting
+	// an itemized error counts here, with none of its items answered).
+	Answered int
+	Failed   int
+	// CacheHits, CoalescedHits and CacheMisses are the three /statz
+	// prediction buckets summed over the nodes at the end of the run. A
+	// node puts every answered prediction in exactly one of them, so on a
+	// run with Failed == 0 they sum to Answered.
+	CacheHits     uint64
+	CoalescedHits uint64
+	CacheMisses   uint64
 	// MaxRSSBytes is the largest per-node resident set observed.
-	MaxRSSBytes int64 `json:"max_rss_bytes"`
+	MaxRSSBytes int64
 }
 
-// SystemResult is one scenario's record in BENCH_system.json: what the
-// run was, what it measured, and what the capacity model predicted.
-type SystemResult struct {
-	Scenario  string  `json:"scenario"`
-	Nodes     int     `json:"nodes"`
-	TargetQPS float64 `json:"target_qps"`
-	SteadyS   float64 `json:"steady_s"`
-	Measured  Metrics `json:"measured"`
-	// Predicted is the capacity model's output for this scenario;
-	// PredictedQPS is its achieved-QPS claim (offered rate clipped at
-	// predicted saturation) that conformance checks against Measured.
-	Predicted       *capacity.Prediction `json:"predicted,omitempty"`
-	PredictedQPS    float64              `json:"predicted_qps"`
-	ConformanceBand float64              `json:"conformance_band"`
+// CacheHitRate is the cluster-wide share of predictions that did not
+// compute: served from the cache or shared an in-flight computation.
+func (m *Metrics) CacheHitRate() float64 {
+	total := m.CacheHits + m.CoalescedHits + m.CacheMisses
+	if total == 0 {
+		return 0
+	}
+	return float64(m.CacheHits+m.CoalescedHits) / float64(total)
 }
 
-// Document is the committed BENCH_system.json schema: one result per
-// scenario name.
-type Document struct {
-	Note      string                   `json:"note"`
-	Scenarios map[string]*SystemResult `json:"scenarios"`
-}
-
-// defaultNote explains the file to readers of the committed artifact.
-const defaultNote = "System macro-benchmark baseline for `make scenario-check` " +
-	"(scenariobench -check fails on regression past the scenario's declared gate " +
-	"tolerances, SLO violation, or capacity-model nonconformance). Regenerate " +
-	"with `scenariobench -scenario <file> -baseline` on a quiet machine."
-
-// ReadDocument loads a BENCH_system.json.
-func ReadDocument(path string) (*Document, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var d Document
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if d.Scenarios == nil {
-		d.Scenarios = map[string]*SystemResult{}
-	}
-	return &d, nil
-}
-
-// WriteDocument persists the document, installing the default note.
-func WriteDocument(path string, d *Document) error {
-	if d.Note == "" {
-		d.Note = defaultNote
-	}
-	raw, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// gateRules projects the scenario's declared tolerances into the shared
-// gate engine's rule set — the same engine cmd/benchgate runs the kernel
-// baseline on. Achieved QPS regresses downward; latency quantiles and
-// error rate regress upward, latency with an absolute slack so
-// microsecond-scale baselines don't gate on scheduler noise.
-func gateRules(g Gate) []gate.Rule {
-	return []gate.Rule{
-		{Metric: "achieved_qps", Worse: gate.LowerIsWorse, Tolerance: g.QPSTolerance},
-		// baselines recorded before batching carry prediction_qps 0, which
-		// LowerIsWorse treats as an always-passing floor — re-baselining
-		// tightens the gate automatically
-		{Metric: "prediction_qps", Worse: gate.LowerIsWorse, Tolerance: g.QPSTolerance},
-		{Metric: "p50_ms", Worse: gate.HigherIsWorse, Tolerance: g.LatencyTolerance, Slack: g.LatencySlackMS},
-		{Metric: "p99_ms", Worse: gate.HigherIsWorse, Tolerance: g.LatencyTolerance, Slack: g.LatencySlackMS},
-		{Metric: "error_rate", Worse: gate.HigherIsWorse, Tolerance: g.QPSTolerance, Slack: g.ErrorRateSlack},
-	}
-}
-
-func metricRow(m Metrics) gate.Row {
-	return gate.Row{
-		"achieved_qps":   m.AchievedQPS,
-		"prediction_qps": m.PredictionQPS,
-		"p50_ms":         m.P50MS,
-		"p99_ms":         m.P99MS,
-		"error_rate":     m.ErrorRate,
-	}
-}
-
-// Compare gates a fresh run against the committed baseline under the
-// scenario's declared tolerances.
-func Compare(base, cur *SystemResult, g Gate) []gate.Failure {
-	return gate.Compare(
-		map[string]gate.Row{base.Scenario: metricRow(base.Measured)},
-		map[string]gate.Row{cur.Scenario: metricRow(cur.Measured)},
-		gateRules(g),
-	)
+// String is the one-line summary scenariobench and TestScenario print.
+func (m *Metrics) String() string {
+	return fmt.Sprintf("%d requests (%d predictions), %d errors, %.1f req/s / %.1f predictions/s, "+
+		"p50 %.1fms p99 %.1fms, hit rate %.2f (%d hits, %d shared, %d computed; %d answered, %d failed), max rss %d MiB",
+		m.Requests, m.Predictions, m.Errors, m.AchievedQPS, m.PredictionQPS,
+		m.P50MS, m.P99MS, m.CacheHitRate(), m.CacheHits, m.CoalescedHits, m.CacheMisses,
+		m.Answered, m.Failed, m.MaxRSSBytes>>20)
 }
 
 // CheckSLO returns one violation string per SLO the measured run broke.
-func CheckSLO(r *SystemResult, slo SLO) []string {
+func CheckSLO(m *Metrics, slo SLO) []string {
 	var v []string
-	m := r.Measured
 	if m.P50MS > slo.MaxP50MS {
 		v = append(v, fmt.Sprintf("p50 %.1fms > SLO %.1fms", m.P50MS, slo.MaxP50MS))
 	}
@@ -151,35 +78,4 @@ func CheckSLO(r *SystemResult, slo SLO) []string {
 	}
 	sort.Strings(v)
 	return v
-}
-
-// CheckSpeedup asserts the declared cross-scenario claim: cur's
-// prediction throughput is at least MinQPSRatio times vs's, at a p99 no
-// worse than MaxP99Ratio times vs's plus the absolute slack. vs is the
-// referenced scenario's committed baseline result.
-func CheckSpeedup(cur, vs *SystemResult, sp *Speedup) error {
-	if vs.Measured.PredictionQPS <= 0 {
-		return fmt.Errorf("speedup: baseline %s has no prediction_qps (re-baseline it)", vs.Scenario)
-	}
-	ratio := cur.Measured.PredictionQPS / vs.Measured.PredictionQPS
-	if ratio < sp.MinQPSRatio {
-		return fmt.Errorf("speedup: %s at %.1f prediction qps is only %.1fx %s's %.1f (want >= %.1fx)",
-			cur.Scenario, cur.Measured.PredictionQPS, ratio, vs.Scenario,
-			vs.Measured.PredictionQPS, sp.MinQPSRatio)
-	}
-	if bound := vs.Measured.P99MS*sp.MaxP99Ratio + sp.P99SlackMS; cur.Measured.P99MS > bound {
-		return fmt.Errorf("speedup: %s p99 %.1fms exceeds %.1fms (%s p99 %.1fms x %.2f + %.0fms slack)",
-			cur.Scenario, cur.Measured.P99MS, bound, vs.Scenario,
-			vs.Measured.P99MS, sp.MaxP99Ratio, sp.P99SlackMS)
-	}
-	return nil
-}
-
-// CheckConformance asserts the measured throughput is within the
-// scenario's declared error band of the capacity model's prediction.
-func CheckConformance(r *SystemResult) error {
-	if r.Predicted == nil {
-		return fmt.Errorf("scenario %s: no capacity prediction recorded", r.Scenario)
-	}
-	return capacity.Conformance("achieved_qps", r.PredictedQPS, r.Measured.AchievedQPS, r.ConformanceBand)
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/capacity"
 	"repro/internal/dataset"
 	"repro/internal/serve"
 	"repro/internal/stats"
@@ -25,48 +24,18 @@ type RunConfig struct {
 	// CorpusDir is where the corpus lives; a manifest-verified corpus
 	// already there (same spec) is reused across runs.
 	CorpusDir string
-	// KernelBaseline is the BENCH_kernels.json the capacity model reads.
-	KernelBaseline string
-}
-
-// PredictOnly evaluates the capacity model for a scenario without
-// deploying anything: the -predict-only flow and the prediction half of
-// every full run.
-func PredictOnly(sc *Scenario, kernelBaseline string) (*SystemResult, error) {
-	costs, err := capacity.CostsFromBaseline(kernelBaseline)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := capacity.Predict(costs, sc.CapacitySpec())
-	if err != nil {
-		return nil, err
-	}
-	return &SystemResult{
-		Scenario:        sc.Name,
-		Nodes:           sc.Topology.Nodes,
-		TargetQPS:       sc.Traffic.TargetQPS,
-		SteadyS:         sc.Traffic.SteadyS,
-		Predicted:       pred,
-		PredictedQPS:    pred.AchievedQPS(sc.Traffic.TargetQPS),
-		ConformanceBand: sc.Capacity.ErrorBand,
-	}, nil
 }
 
 // Run executes one full scenario: corpus, deployment, priming fit,
-// seeded open-loop load, /statz scrape. The returned result carries both
-// the measured steady-window metrics and the capacity model's
-// prediction; gating against baseline/SLO/conformance is the caller's
-// choice (cmd/scenariobench, the smoke test).
-func Run(ctx context.Context, sc *Scenario, cfg RunConfig) (*SystemResult, error) {
-	result, err := PredictOnly(sc, cfg.KernelBaseline)
-	if err != nil {
-		return nil, err
-	}
+// seeded open-loop load, /statz scrape. Judging the returned metrics
+// (CheckSLO, the prediction-accounting equality) is the caller's choice
+// (cmd/scenariobench, TestScenario).
+func Run(ctx context.Context, sc *Scenario, cfg RunConfig) (*Metrics, error) {
 	if _, _, err := dataset.BuildCorpus(cfg.CorpusDir, sc.Corpus.Fields, sc.Corpus.Steps, sc.Corpus.Dims, sc.Corpus.Seed); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
 
-	h, err := Deploy(ctx, cfg.Bin, cfg.WorkDir, sc.Topology)
+	h, err := Deploy(ctx, cfg.Bin, cfg.WorkDir, sc.Topology, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -80,15 +49,11 @@ func Run(ctx context.Context, sc *Scenario, cfg RunConfig) (*SystemResult, error
 		return nil, err
 	}
 
-	m, err := d.metrics(ctx)
-	if err != nil {
-		return nil, err
-	}
-	result.Measured = *m
-	return result, nil
+	return d.metrics(ctx)
 }
 
-// driver issues the scheduled traffic and records steady-window samples.
+// driver issues the scheduled traffic and records its outcomes: the
+// steady-window samples, and over the whole run what was answered.
 type driver struct {
 	sc *Scenario
 	h  *Harness
@@ -98,6 +63,8 @@ type driver struct {
 	requests    int
 	errors      int
 	predictions int // predictions carried by successful steady requests
+	answered    int // predictions answered 2xx, warmup included
+	failed      int // operations not answered 2xx, warmup included
 }
 
 func (d *driver) post(ctx context.Context, path string, body any) (int, []byte, error) {
@@ -111,7 +78,7 @@ func (d *driver) post(ctx context.Context, path string, body any) (int, []byte, 
 		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := d.h.client.Do(req)
+	resp, err := d.h.Client.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -166,7 +133,7 @@ func (d *driver) prime(ctx context.Context) error {
 			Status string `json:"status"`
 			Error  string `json:"error"`
 		}
-		if d.h.getJSON(d.h.Router.Base+"/v1/jobs/"+fr.JobID, &jv) == nil {
+		if d.h.GetJSON(d.h.Router.Base+"/v1/jobs/"+fr.JobID, &jv) == nil {
 			switch jv.Status {
 			case "done":
 				return nil
@@ -203,8 +170,9 @@ func (d *driver) batchRequest(op Op) serve.BatchRequest {
 	return req
 }
 
-// issue sends one scheduled op and records its outcome when steady.
-// Every 2xx is a success; anything else (including transport errors —
+// issue sends one scheduled op and records its outcome. Every 2xx is a
+// success, except a batch whose body reports itemized errors (the failed
+// items were not answered); anything else (including transport errors —
 // the 20s client timeout is the hang detector) is an error sample.
 func (d *driver) issue(ctx context.Context, op Op) {
 	t := d.sc.Traffic
@@ -228,20 +196,30 @@ func (d *driver) issue(ctx context.Context, op Op) {
 	}
 
 	start := now()
-	status, _, err := d.post(ctx, path, body)
+	status, raw, err := d.post(ctx, path, body)
 	elapsedMS := float64(now().Sub(start)) / float64(time.Millisecond)
 
-	if !op.Steady {
-		return
+	ok := err == nil && status >= 200 && status < 300
+	if ok && op.Batch > 0 {
+		var br serve.BatchResponse
+		ok = json.Unmarshal(raw, &br) == nil && br.Count == op.Batch && br.Errors == 0
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if ok {
+		d.answered += op.Predictions()
+	} else {
+		d.failed++
+	}
+	if !op.Steady {
+		return
+	}
 	d.requests++
 	d.latencies = append(d.latencies, elapsedMS)
-	if err != nil || status < 200 || status >= 300 {
-		d.errors++
-	} else {
+	if ok {
 		d.predictions += op.Predictions()
+	} else {
+		d.errors++
 	}
 }
 
@@ -285,6 +263,8 @@ func (d *driver) metrics(ctx context.Context) (*Metrics, error) {
 		P50MS:         stats.Quantile(d.latencies, 0.50),
 		P90MS:         stats.Quantile(d.latencies, 0.90),
 		P99MS:         stats.Quantile(d.latencies, 0.99),
+		Answered:      d.answered,
+		Failed:        d.failed,
 	}
 	if d.requests > 0 {
 		m.ErrorRate = float64(d.errors) / float64(d.requests)
@@ -295,19 +275,13 @@ func (d *driver) metrics(ctx context.Context) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hits, misses uint64
 	for _, st := range sts {
-		// the three /statz buckets partition predictions exactly one way
-		// each: served from the cache, shared an in-flight computation,
-		// computed
-		hits += st.CacheHits + st.CoalescedHits
-		misses += st.CacheMisses
+		m.CacheHits += st.CacheHits
+		m.CoalescedHits += st.CoalescedHits
+		m.CacheMisses += st.CacheMisses
 		if st.Process.RSSBytes > m.MaxRSSBytes {
 			m.MaxRSSBytes = st.Process.RSSBytes
 		}
-	}
-	if hits+misses > 0 {
-		m.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	return m, nil
 }

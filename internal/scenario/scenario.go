@@ -1,20 +1,20 @@
-// Package scenario is the declarative macro-benchmark harness: a
+// Package scenario is the seeded correctness-under-load harness: a
 // scenario file declares a cluster topology, a generated corpus, a
 // seeded traffic mix, and SLOs; the harness deploys real predictd
-// processes (the same multi-process machinery the cluster kill tests
-// use), drives open-loop load through the router, scrapes /statz, and
-// emits a SystemResult that gates the whole serving stack — measured
-// throughput and latency against a committed BENCH_system.json baseline
-// (via the shared internal/gate engine), absolute SLOs, and conformance
-// against the analytical capacity model in internal/capacity.
+// processes built with -race (the same multi-process machinery the
+// cluster kill tests deploy through), replays the mix open-loop through
+// the router, scrapes /statz, and returns the run's Metrics for CheckSLO
+// to judge. Because the daemons run under the race detector, no latency
+// or throughput number from here is committed anywhere: how fast the
+// system is, is benchmark/'s question (plain build, saturating loops).
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 
-	"repro/internal/capacity"
 	"repro/internal/hurricane"
 	"repro/internal/serve"
 )
@@ -41,15 +41,6 @@ type Corpus struct {
 
 // Cells is the number of distinct (field, step) predict targets.
 func (c Corpus) Cells() int { return len(c.Fields) * c.Steps }
-
-// Elements is the per-request grid size.
-func (c Corpus) Elements() int64 {
-	n := int64(1)
-	for _, d := range c.Dims {
-		n *= int64(d)
-	}
-	return n
-}
 
 // Traffic declares the seeded open-loop request mix the driver offers.
 type Traffic struct {
@@ -88,70 +79,12 @@ type Traffic struct {
 	BatchSizes []int `json:"batch_sizes,omitempty"`
 }
 
-// MeanBatch is the mean of the declared batch-size distribution (0 when
-// the mix has no batch traffic).
-func (t Traffic) MeanBatch() float64 {
-	if t.BatchPct <= 0 || len(t.BatchSizes) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, n := range t.BatchSizes {
-		sum += n
-	}
-	return float64(sum) / float64(len(t.BatchSizes))
-}
-
 // SLO is the absolute pass/fail envelope on the measured steady window.
 type SLO struct {
 	MaxP50MS     float64 `json:"max_p50_ms"`
 	MaxP99MS     float64 `json:"max_p99_ms"`
 	MaxErrorRate float64 `json:"max_error_rate"`
 	MaxRSSBytes  int64   `json:"max_rss_bytes"`
-}
-
-// Gate declares the run-vs-run tolerances for comparing a fresh
-// SystemResult against the committed baseline. QPS is tight (open-loop
-// under capacity tracks the offered rate); latency is loose with an
-// absolute slack because wall-clock quantiles vary across machines.
-type Gate struct {
-	QPSTolerance     float64 `json:"qps_tolerance"`
-	LatencyTolerance float64 `json:"latency_tolerance"`
-	LatencySlackMS   float64 `json:"latency_slack_ms"`
-	ErrorRateSlack   float64 `json:"error_rate_slack"`
-}
-
-// Capacity parameterizes the analytical model for this scenario.
-type Capacity struct {
-	// EffectiveNodes is how many nodes the traffic actually spreads
-	// across (1 for a single-partition mix — the router pins predicts).
-	EffectiveNodes int     `json:"effective_nodes"`
-	CoresPerNode   float64 `json:"cores_per_node"`
-	// OverheadUS is the declared fixed per-request overhead (HTTP, JSON,
-	// router hop, race-detector tax).
-	OverheadUS float64 `json:"overhead_us"`
-	// HitRate is the expected steady-state predict cache hit fraction.
-	HitRate float64 `json:"hit_rate"`
-	// ErrorBand is the conformance band: measured achieved QPS must be
-	// within this relative error of the model's prediction.
-	ErrorBand float64 `json:"error_band"`
-}
-
-// Speedup declares a cross-scenario throughput claim: this scenario's
-// measured prediction throughput must be at least MinQPSRatio times the
-// referenced scenario's, at no worse p99 (times MaxP99Ratio plus an
-// absolute slack, since wall-clock quantiles are noisy). It is how the
-// batch scenario pins the ≥10x amortization claim against its
-// single-request twin in the same committed baseline file.
-type Speedup struct {
-	// Vs names the baseline scenario the ratio is taken against.
-	Vs string `json:"vs"`
-	// MinQPSRatio is the required prediction-QPS ratio (e.g. 10).
-	MinQPSRatio float64 `json:"min_qps_ratio"`
-	// MaxP99Ratio bounds this scenario's p99 relative to Vs's (1.0 =
-	// equal or better).
-	MaxP99Ratio float64 `json:"max_p99_ratio"`
-	// P99SlackMS is the absolute latency slack on the p99 bound.
-	P99SlackMS float64 `json:"p99_slack_ms"`
 }
 
 // Scenario is one declarative macro-benchmark.
@@ -161,21 +94,20 @@ type Scenario struct {
 	Corpus   Corpus   `json:"corpus"`
 	Traffic  Traffic  `json:"traffic"`
 	SLO      SLO      `json:"slo"`
-	Gate     Gate     `json:"gate"`
-	Capacity Capacity `json:"capacity"`
-	// Speedup, when declared, additionally gates this scenario's result
-	// against another scenario's committed baseline.
-	Speedup *Speedup `json:"speedup,omitempty"`
 }
 
-// Load reads and validates a scenario file.
+// Load reads and validates a scenario file. Decoding is strict: a field
+// the harness does not know is an error naming it, so a knob nothing
+// reads cannot sit in a committed file looking like a gate.
 func Load(path string) (*Scenario, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var s Scenario
-	if err := json.Unmarshal(raw, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", path, err)
 	}
 	if err := s.Validate(); err != nil {
@@ -259,47 +191,11 @@ func (s *Scenario) Validate() error {
 			}
 		}
 	}
-	if sp := s.Speedup; sp != nil {
-		if sp.Vs == "" || sp.Vs == s.Name {
-			return fmt.Errorf("speedup.vs must name another scenario")
-		}
-		if sp.MinQPSRatio <= 0 || sp.MaxP99Ratio <= 0 {
-			return fmt.Errorf("speedup ratios must be positive")
-		}
-	}
 	if s.SLO.MaxP50MS <= 0 || s.SLO.MaxP99MS <= 0 || s.SLO.MaxRSSBytes <= 0 {
 		return fmt.Errorf("slo must declare positive max_p50_ms, max_p99_ms, max_rss_bytes")
 	}
 	if s.SLO.MaxErrorRate < 0 || s.SLO.MaxErrorRate > 1 {
 		return fmt.Errorf("slo.max_error_rate %v outside [0, 1]", s.SLO.MaxErrorRate)
 	}
-	if s.Gate.QPSTolerance <= 0 || s.Gate.LatencyTolerance <= 0 {
-		return fmt.Errorf("gate tolerances must be positive")
-	}
-	c := s.Capacity
-	if c.EffectiveNodes < 1 || c.EffectiveNodes > s.Topology.Nodes {
-		return fmt.Errorf("capacity.effective_nodes %d outside [1, %d]", c.EffectiveNodes, s.Topology.Nodes)
-	}
-	if c.ErrorBand <= 0 {
-		return fmt.Errorf("capacity.error_band %v <= 0", c.ErrorBand)
-	}
-	return s.CapacitySpec().Validate()
-}
-
-// CapacitySpec projects the scenario into the analytical model's input.
-func (s *Scenario) CapacitySpec() capacity.Spec {
-	return capacity.Spec{
-		Nodes:         s.Capacity.EffectiveNodes,
-		CoresPerNode:  s.Capacity.CoresPerNode,
-		Elements:      s.Corpus.Elements(),
-		PredictPct:    s.Traffic.PredictPct,
-		FitPct:        s.Traffic.FitPct,
-		InvalidatePct: s.Traffic.InvalidatePct,
-		HitRate:       s.Capacity.HitRate,
-		BatchPct:      s.Traffic.BatchPct,
-		MeanBatch:     s.Traffic.MeanBatch(),
-		FitCells:      s.Traffic.FitSteps * len(s.Traffic.Bounds),
-		Compressor:    s.Traffic.Compressor,
-		OverheadUS:    s.Capacity.OverheadUS,
-	}
+	return nil
 }

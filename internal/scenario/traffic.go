@@ -62,8 +62,9 @@ func (o Op) Predictions() int {
 // plan: Poisson arrivals at TargetQPS over warmup+steady, each op's kind
 // drawn from the mix and its predict cell drawn uniformly from the
 // corpus. Everything comes from one seeded source, so the same scenario
-// offers the identical byte-level request sequence on every run — the
-// property that makes run-vs-run comparison meaningful.
+// offers the identical byte-level request sequence on every run, which is
+// what lets a run be checked exactly (every answered prediction accounted
+// for) instead of statistically.
 func Schedule(t Traffic, cells int) []Op {
 	rng := rand.New(rand.NewSource(t.Seed))
 	total := time.Duration((t.WarmupS + t.SteadyS) * float64(time.Second))

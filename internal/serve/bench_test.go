@@ -9,31 +9,30 @@ import (
 	"repro/internal/store"
 )
 
-// BenchmarkServePredictBatch measures the steady-state batch hot path:
-// one 16-item batch through predictBatchItems with every cell resident
-// in the cache — the op the ≥10x batch-QPS claim rests on. The
-// allocs/op figure is gated in BENCH_kernels.json: the warm path must
-// stay allocation-free (pooled scratch, struct cell keys, shared
-// interval slices), so a regression that reintroduces per-item garbage
-// fails make bench-check.
-func BenchmarkServePredictBatch(b *testing.B) {
-	st, err := store.Open(b.TempDir())
+// warmBatch16 builds a server and a 16-item khan2023 batch and runs the
+// batch once, so every cell is resident in the cache: each call of the
+// returned function is then one all-hit predictBatchItems pass, the op
+// BenchmarkServePredictBatch times and
+// TestPredictBatchWarmPathAllocatesNothing counts allocations of.
+func warmBatch16(tb testing.TB) (hitPass func() (hits int)) {
+	tb.Helper()
+	st, err := store.Open(tb.TempDir())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer st.Close()
+	tb.Cleanup(func() { st.Close() })
 	s, err := New(st, Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.Recover(context.Background()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer s.Drain()
+	tb.Cleanup(func() { s.Drain() })
 
 	scheme, err := core.GetScheme("khan2023")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dims := []int{8, 8, 8}
 	g := newBatchGroup("khan2023", "sz3", scheme, pressio.Options{}, nil, 0, dims)
@@ -48,17 +47,44 @@ func BenchmarkServePredictBatch(b *testing.B) {
 	ctx := context.Background()
 
 	// warm pass: misses populate the cache through the tiered
-	// dataset cache; every timed op is then all hits
+	// dataset cache; every later pass is then all hits
 	if hits, errs := s.predictBatchItems(ctx, g, req, results); errs != 0 || hits != 0 {
-		b.Fatalf("warm pass: hits=%d errs=%d (want 0 hits, 0 errs): %+v", hits, errs, results[0])
+		tb.Fatalf("warm pass: hits=%d errs=%d (want 0 hits, 0 errs): %+v", hits, errs, results[0])
 	}
+	return func() int {
+		hits, _ := s.predictBatchItems(ctx, g, req, results)
+		return hits
+	}
+}
 
+// BenchmarkServePredictBatch measures the steady-state batch hot path:
+// one 16-item batch through predictBatchItems with every cell resident
+// in the cache. Its ns/op is gated in BENCH_kernels.json; that the path
+// allocates nothing is machine-independent and pinned in tier-1 by
+// TestPredictBatchWarmPathAllocatesNothing.
+func BenchmarkServePredictBatch(b *testing.B) {
+	hitPass := warmBatch16(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hits, _ := s.predictBatchItems(ctx, g, req, results)
-		if hits != batch {
-			b.Fatalf("iteration %d: %d/%d hits", i, hits, batch)
+		if hits := hitPass(); hits != 16 {
+			b.Fatalf("iteration %d: %d/16 hits", i, hits)
 		}
+	}
+}
+
+// TestPredictBatchWarmPathAllocatesNothing pins DESIGN §15's invariant
+// where every change runs it: an all-hit batch (pooled scratch, struct
+// cell keys, shared interval slices) performs zero allocations, so a
+// regression that reintroduces per-item garbage fails tier-1 on any
+// machine, not only an opt-in benchmark gate.
+func TestPredictBatchWarmPathAllocatesNothing(t *testing.T) {
+	hitPass := warmBatch16(t)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if hits := hitPass(); hits != 16 {
+			t.Fatalf("%d/16 hits on the warm path", hits)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm 16-item batch: %v allocs/op, want 0", allocs)
 	}
 }

@@ -1,9 +1,202 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
+	"sync"
 	"testing"
 	"time"
 )
+
+// LoadGenResult aggregates one load-generation run against a predictd
+// endpoint.
+type LoadGenResult struct {
+	Requests  int // completed request attempts
+	OK        int // 200 responses
+	Rejected  int // 429 backpressure responses
+	Errors    int // transport failures and non-200/429 statuses
+	CacheHits int // 200 responses served from the result cache
+	// Batches counts the requests issued against /v1/predict/batch;
+	// Predictions counts individual predictions across both endpoints
+	// (1 per single predict, the item count per successful batch).
+	Batches     int
+	Predictions int
+}
+
+// HitRate returns the fraction of OK responses served from cache.
+func (r *LoadGenResult) HitRate() float64 {
+	if r.OK == 0 {
+		return 0
+	}
+	return float64(r.CacheHits) / float64(r.OK)
+}
+
+// LoadGenOpts shapes the traffic mix LoadGenWith offers beyond plain
+// single predicts.
+type LoadGenOpts struct {
+	// BatchPct is the share of issued operations sent as one columnar
+	// /v1/predict/batch request, in percent. A batched op folds the next
+	// batch-size-many requests from the round-robin into one body, so
+	// every input request is still covered exactly once per lap.
+	BatchPct float64
+	// BatchSizes is the batch-size distribution; each batched op draws
+	// uniformly from it. Required when BatchPct > 0.
+	BatchSizes []int
+	// Seed drives the per-worker batch draws (deterministic per worker).
+	Seed int64
+}
+
+// LoadGen drives POST /v1/predict with clients concurrent workers, each
+// issuing perClient requests round-robin over reqs — the helper behind
+// `make serve-check`'s load drill and the kernel-pool race drill.
+// Transport errors are counted, not returned, so a drill can assert on
+// the exact shape of a degraded run.
+func LoadGen(baseURL string, clients, perClient int, reqs []PredictRequest) (*LoadGenResult, error) {
+	return LoadGenWith(baseURL, clients, perClient, reqs, LoadGenOpts{})
+}
+
+// LoadGenWith is LoadGen with a declared traffic mix: a seeded fraction
+// of operations fold consecutive requests into one columnar batch
+// against /v1/predict/batch. Batched requests require data-coordinate
+// (DataRef) inputs, since a batch body carries one shared scheme,
+// compressor, and option set from the first folded request.
+func LoadGenWith(baseURL string, clients, perClient int, reqs []PredictRequest, opts LoadGenOpts) (*LoadGenResult, error) {
+	if len(reqs) == 0 {
+		return nil, fmt.Errorf("serve: loadgen needs at least one request")
+	}
+	if opts.BatchPct < 0 || opts.BatchPct > 100 {
+		return nil, fmt.Errorf("serve: loadgen batch_pct %v outside [0, 100]", opts.BatchPct)
+	}
+	if opts.BatchPct > 0 {
+		if len(opts.BatchSizes) == 0 {
+			return nil, fmt.Errorf("serve: loadgen batch traffic needs batch sizes")
+		}
+		for _, r := range reqs {
+			if r.Data == nil {
+				return nil, fmt.Errorf("serve: loadgen batch traffic needs data-coordinate requests")
+			}
+		}
+	}
+	bodies := make([][]byte, len(reqs))
+	for i := range reqs {
+		b, err := json.Marshal(&reqs[i])
+		if err != nil {
+			return nil, err
+		}
+		bodies[i] = b
+	}
+	var mu sync.Mutex
+	total := &LoadGenResult{}
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(opts.Seed + int64(c)))
+			local := LoadGenResult{}
+			next := c * perClient // round-robin cursor into reqs
+			for i := 0; i < perClient; i++ {
+				if opts.BatchPct > 0 && rng.Float64()*100 < opts.BatchPct {
+					size := opts.BatchSizes[rng.Intn(len(opts.BatchSizes))]
+					issueBatch(baseURL, reqs, next, size, &local)
+					next += size
+				} else {
+					issueSingle(baseURL, bodies[next%len(bodies)], &local)
+					next++
+				}
+			}
+			mu.Lock()
+			total.Requests += local.Requests
+			total.OK += local.OK
+			total.Rejected += local.Rejected
+			total.Errors += local.Errors
+			total.CacheHits += local.CacheHits
+			total.Batches += local.Batches
+			total.Predictions += local.Predictions
+			mu.Unlock()
+		}(c)
+	}
+	wg.Wait()
+	return total, nil
+}
+
+func issueSingle(baseURL string, body []byte, local *LoadGenResult) {
+	local.Requests++
+	resp, err := http.Post(baseURL+"/v1/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		local.Errors++
+		return
+	}
+	defer drainClose(resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		local.OK++
+		var pr PredictResponse
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err == nil && pr.Cached {
+			local.CacheHits++
+		}
+		local.Predictions++
+	case http.StatusTooManyRequests:
+		local.Rejected++
+	default:
+		local.Errors++
+	}
+}
+
+// issueBatch folds size consecutive requests (round-robin from cursor)
+// into one columnar batch under the first request's scheme, compressor,
+// and options.
+func issueBatch(baseURL string, reqs []PredictRequest, cursor, size int, local *LoadGenResult) {
+	first := reqs[cursor%len(reqs)]
+	breq := BatchRequest{
+		Scheme:     first.Scheme,
+		Compressor: first.Compressor,
+		Options:    first.Options,
+		Alpha:      first.Alpha,
+		Dims:       first.Data.Dims,
+	}
+	for i := 0; i < size; i++ {
+		r := reqs[(cursor+i)%len(reqs)]
+		breq.Fields = append(breq.Fields, r.Data.Field)
+		breq.Steps = append(breq.Steps, r.Data.Step)
+	}
+	body, err := json.Marshal(&breq)
+	if err != nil {
+		local.Errors++
+		return
+	}
+	local.Requests++
+	local.Batches++
+	resp, err := http.Post(baseURL+"/v1/predict/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		local.Errors++
+		return
+	}
+	defer drainClose(resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		var br BatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || br.Errors > 0 {
+			local.Errors++
+			return
+		}
+		local.OK++
+		local.Predictions += br.Count
+	case http.StatusTooManyRequests:
+		local.Rejected++
+	default:
+		local.Errors++
+	}
+}
+
+func drainClose(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
 
 // TestLoadGenDrivesPredictd drives a server with concurrent clients over
 // a small working set and asserts a clean run with a high cache-hit
