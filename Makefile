@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 check lint fmt-check examples-check serve-check crash-check cluster-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 check lint fmt-check cross-build examples-check serve-check crash-check cluster-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,7 @@ tier1:
 check: fmt-check
 	$(GO) vet ./...
 	$(GO) vet -unreachable -copylocks -lostcancel ./...
+	$(MAKE) cross-build
 	$(MAKE) lint
 	$(MAKE) tier1
 	$(MAKE) examples-check
@@ -59,6 +60,17 @@ lint:
 # All six finish in seconds; any non-zero exit fails the target.
 examples-check:
 	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
+# cross-build compiles the tree for a platform without the linux mmap
+# path, and internal/dataset (tests included, via vet) for one without
+# unix file semantics either, so the non-linux half of the platform split
+# (mmap_other.go: copying reload, no file identity, every reload hashed)
+# cannot rot unseen. Both cross-compile offline from the local toolchain.
+cross-build:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/dataset/
+	GOOS=windows $(GO) build ./internal/dataset/
+	GOOS=windows $(GO) vet ./internal/dataset/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -160,11 +160,7 @@ func (c *Cache) writeSpill(i int, d *pressio.Data) error {
 	if err != nil {
 		return err
 	}
-	tmp := c.spillPath(i) + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, c.spillPath(i)) // atomic publish
+	return writeFileAtomic(c.spillPath(i), raw)
 }
 
 // SetOptions implements Plugin, forwarding to the inner loader.

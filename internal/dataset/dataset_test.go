@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -410,6 +412,49 @@ func TestPluginNamesAndBatchMethods(t *testing.T) {
 func TestWriteRawRejectsIntData(t *testing.T) {
 	if _, err := WriteRaw(t.TempDir(), "x", pressio.NewInt32(4)); err == nil {
 		t.Error("WriteRaw should reject integer data")
+	}
+}
+
+// TestWriteRawReplacesByRename: a rewrite publishes a new file under the
+// name instead of truncating the old one, so whoever still holds the old
+// file (an open descriptor here, a pinned mmap in the tiered cache) keeps
+// its bytes, and nothing but the final name is left in the directory.
+func TestWriteRawReplacesByRename(t *testing.T) {
+	dir := t.TempDir()
+	d := pressio.NewFloat32(2, 3)
+	d.Set(0, 1)
+	path, err := WriteRaw(dir, "cell", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	oldInfo, _ := old.Stat()
+
+	d.Set(0, 2)
+	if _, err := WriteRaw(dir, "cell", d); err != nil {
+		t.Fatal(err)
+	}
+	newInfo, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(oldInfo, newInfo) {
+		t.Error("the rewrite reused the old file: a mapping of it would have seen the truncate")
+	}
+	held := make([]byte, 4)
+	if _, err := old.ReadAt(held, 0); err != nil || math.Float32frombits(binary.LittleEndian.Uint32(held)) != 1 {
+		t.Errorf("the old file's bytes changed under its holder: %v %v", held, err)
+	}
+	now, _ := os.ReadFile(path)
+	if len(now) != d.ByteSize() || math.Float32frombits(binary.LittleEndian.Uint32(now)) != 2 {
+		t.Errorf("the name does not hold the rewrite: %v", now)
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Errorf("temp files left behind: %v", names)
 	}
 }
 

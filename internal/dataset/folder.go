@@ -154,18 +154,28 @@ func LoadFile(meta Metadata) (*pressio.Data, error) {
 // convention NewFolder parses: dir/name_D0xD1xD2.f32 (or .f64). It
 // returns the path written.
 func WriteRaw(dir, name string, data *pressio.Data) (string, error) {
+	path, buf, err := encodeRaw(dir, name, data)
+	if err != nil {
+		return "", err
+	}
+	return path, writeFileAtomic(path, buf)
+}
+
+// encodeRaw is WriteRaw without the write: the path and the file's bytes,
+// for callers that also want their digest.
+func encodeRaw(dir, name string, data *pressio.Data) (path string, buf []byte, err error) {
 	ext := ".f32"
 	if data.DType() == pressio.DTypeFloat64 {
 		ext = ".f64"
 	} else if data.DType() != pressio.DTypeFloat32 {
-		return "", fmt.Errorf("folder: WriteRaw supports float32/float64, got %v", data.DType())
+		return "", nil, fmt.Errorf("folder: WriteRaw supports float32/float64, got %v", data.DType())
 	}
 	parts := make([]string, len(data.Dims()))
 	for i, d := range data.Dims() {
 		parts[i] = strconv.Itoa(d)
 	}
-	path := filepath.Join(dir, fmt.Sprintf("%s_%s%s", name, strings.Join(parts, "x"), ext))
-	buf := make([]byte, 0, data.ByteSize())
+	path = filepath.Join(dir, fmt.Sprintf("%s_%s%s", name, strings.Join(parts, "x"), ext))
+	buf = make([]byte, 0, data.ByteSize())
 	if data.DType() == pressio.DTypeFloat32 {
 		for _, v := range data.Float32() {
 			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
@@ -175,7 +185,25 @@ func WriteRaw(dir, name string, data *pressio.Data) (string, error) {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
-	return path, os.WriteFile(path, buf, 0o644)
+	return path, buf, nil
+}
+
+// writeFileAtomic publishes buf under path by writing a sibling temp file
+// and renaming it over. A reader never sees a partial file, a process
+// killed mid-write leaves the old file (or none) under the final name, and
+// a mapping of the file it replaces keeps its inode and its bytes. The
+// data is not fsynced: everything written this way is re-hashed before it
+// is trusted after a restart (spill sidecars, Manifest.Verify).
+func writeFileAtomic(path string, buf []byte) error {
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, buf, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Name implements Plugin.

@@ -94,12 +94,7 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, ManifestName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeFileAtomic(filepath.Join(dir, ManifestName), append(raw, '\n'))
 }
 
 // ReadManifest loads dir's manifest; a missing manifest is an error the
@@ -148,11 +143,10 @@ func BuildCorpus(dir string, fields []string, steps int, dims []int, seed uint64
 				return nil, false, err
 			}
 			name := fmt.Sprintf("%s.t%02d", field, step)
-			path, err := WriteRaw(dir, name, data)
-			if err != nil {
-				return nil, false, err
+			path, raw, err := encodeRaw(dir, name, data)
+			if err == nil {
+				err = writeFileAtomic(path, raw)
 			}
-			raw, err := os.ReadFile(path)
 			if err != nil {
 				return nil, false, err
 			}

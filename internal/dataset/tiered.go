@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -20,7 +22,7 @@ import (
 // serving hot path: a byte-budgeted, refcounted cache of hurricane field
 // buffers keyed by (field, step, dims), with an mmap-backed disk tier.
 //
-// Three properties distinguish it from the Plugin-shaped Cache above:
+// Four properties distinguish it from the Plugin-shaped Cache above:
 //
 //   - Identity. Every Acquire of a resident cell observes the SAME
 //     *pressio.Data, and a buffer carries what was computed from it in
@@ -34,9 +36,25 @@ import (
 //     the exact corpus naming convention of WriteRaw/BuildCorpus
 //     ("P.t07_8x8x8.f32"), so a spill file's digest equals the corpus
 //     manifest's digest for the same cell. Reload mmaps the file
-//     read-only and reinterprets it in place; a SHA-256 sidecar written
-//     at spill time is re-verified on every reload, so a torn or
-//     tampered spill is regenerated instead of served.
+//     read-only and reinterprets it in place, so a reader that samples
+//     the cell faults in only the pages it touches.
+//   - Verified once per file, not once per reload. A SHA-256 sidecar is
+//     written with every spill, and a spill is hashed against it the
+//     first time this process reloads it and whenever what the kernel
+//     says about the file has changed; a torn or tampered spill is
+//     regenerated instead of served. What is TRUSTED in between: a file
+//     whose device, inode, size, mtime and ctime (fstat of the very
+//     descriptor that is mapped; ctime cannot be set back from user
+//     space) are those of the bytes that verified, and whose ctime the
+//     filesystem's clock had already moved past when they did (fsClock:
+//     a later change cannot then share it, however coarse the
+//     timestamps) — exactly what a live MAP_PRIVATE mapping already
+//     trusts between its hash and its last read: the page cache under an
+//     unchanged inode. What is NOT: anything across a restart (a new process
+//     remembers nothing, so a write torn by a crash is always hashed),
+//     any rewrite (spills are written by rename, so a rewrite is a new
+//     inode), any change of identity, and any platform or path without
+//     mmap, which has no identity and hashes every time.
 //   - Refcounts. Data may be mmap-backed, so "evicted" cannot mean
 //     "garbage collected eventually": handles pin the mapping, and the
 //     region is unmapped only when the entry has left the cache and the
@@ -49,13 +67,24 @@ type TieredCache struct {
 	spillDir string
 	loader   func(field string, step int, dims []int) (*pressio.Data, error)
 
-	mu      sync.Mutex
-	entries map[tieredKey]*tieredEntry
-	lru     *list.List // of *tieredEntry, front = most recent
-	used    int64      // resident payload bytes across lru members
-	mapped  int64      // live mmap-backed bytes (resident or handle-pinned)
+	mu       sync.Mutex
+	entries  map[tieredKey]*tieredEntry
+	lru      *list.List                 // of *tieredEntry, front = most recent
+	used     int64                      // resident payload bytes across lru members
+	mapped   int64                      // live mmap-backed bytes (resident or handle-pinned)
+	verified map[tieredKey]fileIdentity // spill files whose digest this process has checked
 
-	memHits, diskHits, misses, evictions uint64
+	memHits, diskHits, misses, evictions, digestChecks uint64
+}
+
+// fileIdentity is what the kernel reports (fstat) about the descriptor a
+// spill was mapped from. Equal identities mean the bytes that verified
+// are the bytes mapped now; the zero value is "no identity" (no mmap on
+// this platform or path) and equals nothing.
+type fileIdentity struct {
+	dev, ino     uint64
+	size         int64
+	mtime, ctime int64 // ns since the epoch
 }
 
 // TieredConfig configures NewTiered; the zero Loader synthesizes
@@ -72,10 +101,13 @@ type TieredConfig struct {
 
 // TieredStats is the cache's observable state, shaped for /statz.
 type TieredStats struct {
-	MemHits       uint64 `json:"mem_hits"`
-	DiskHits      uint64 `json:"disk_hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
+	MemHits   uint64 `json:"mem_hits"`
+	DiskHits  uint64 `json:"disk_hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	// DigestChecks counts the reloads that hashed their spill file; the
+	// other disk hits were served on a remembered identity.
+	DigestChecks  uint64 `json:"digest_checks"`
 	ResidentBytes int64  `json:"resident_bytes"`
 	MappedBytes   int64  `json:"mapped_bytes"`
 }
@@ -122,6 +154,7 @@ func NewTiered(cfg TieredConfig) (*TieredCache, error) {
 		loader:   loader,
 		entries:  map[tieredKey]*tieredEntry{},
 		lru:      list.New(),
+		verified: map[tieredKey]fileIdentity{},
 	}, nil
 }
 
@@ -171,7 +204,7 @@ func (c *TieredCache) Acquire(field string, step int, dims []int) (*Handle, erro
 	c.entries[k] = e
 	c.mu.Unlock()
 
-	c.load(e, field, step, dims)
+	c.load(e, dims)
 	if e.err != nil {
 		c.release(e)
 		return nil, e.err
@@ -181,8 +214,8 @@ func (c *TieredCache) Acquire(field string, step int, dims []int) (*Handle, erro
 
 // load settles an entry outside the lock (synthesis can take tens of
 // milliseconds), then admits it under the lock.
-func (c *TieredCache) load(e *tieredEntry, field string, step int, dims []int) {
-	data, raw, isMapped, fromDisk, err := c.loadTiers(field, step, dims)
+func (c *TieredCache) load(e *tieredEntry, dims []int) {
+	data, raw, isMapped, fromDisk, err := c.loadTiers(e.key, dims)
 	c.mu.Lock()
 	if err != nil {
 		e.err = err
@@ -260,26 +293,37 @@ func (c *TieredCache) Stats() TieredStats {
 		DiskHits:      c.diskHits,
 		Misses:        c.misses,
 		Evictions:     c.evictions,
+		DigestChecks:  c.digestChecks,
 		ResidentBytes: c.used,
 		MappedBytes:   c.mapped,
 	}
 }
 
-// loadTiers reads through disk then loader, spilling loader results.
-func (c *TieredCache) loadTiers(field string, step int, dims []int) (data *pressio.Data, raw []byte, isMapped, fromDisk bool, err error) {
-	if c.spillDir != "" {
-		if d, m, mp, ok := c.readSpillTier(field, step, dims); ok {
+// loadTiers reads through disk then loader, spilling loader results —
+// unless the reload failed for a reason that says nothing about the pair
+// on disk, which is then left exactly as it is.
+func (c *TieredCache) loadTiers(k tieredKey, dims []int) (data *pressio.Data, raw []byte, isMapped, fromDisk bool, err error) {
+	spill := c.spillDir != ""
+	if spill {
+		path := filepath.Join(c.spillDir, spillName(k.field, k.step, dims))
+		d, m, mp, err := c.readSpillTier(k, path, dims)
+		switch classifySpillErr(err) {
+		case spillVerified:
 			return d, m, mp, true, nil
+		case spillCorrupt:
+			c.dropSpill(k, path)
+		case spillUnreadable:
+			spill = false
 		}
 	}
-	d, err := c.loader(field, step, dims)
+	d, err := c.loader(k.field, k.step, dims)
 	if err != nil {
 		return nil, nil, false, false, err
 	}
-	if c.spillDir != "" {
+	if spill {
 		// spill failures degrade the disk tier, not the request: the
 		// loaded buffer is still correct, the next miss just regenerates
-		_ = c.writeSpillTier(field, step, d)
+		_ = c.writeSpillTier(k.field, k.step, d)
 	}
 	return d, nil, false, false, nil
 }
@@ -291,55 +335,120 @@ func spillName(field string, step int, dims []int) string {
 	return fmt.Sprintf("%s.t%02d_%dx%dx%d.f32", field, step, dims[0], dims[1], dims[2])
 }
 
-// readSpillTier reloads a spilled cell via mmap, verifying its SHA-256
-// sidecar byte-for-byte. Any inconsistency (missing sidecar, size drift,
-// digest drift — e.g. a write torn by a crash) deletes the pair and
-// reports a miss so the cell regenerates.
-func (c *TieredCache) readSpillTier(field string, step int, dims []int) (*pressio.Data, []byte, bool, bool) {
-	path := filepath.Join(c.spillDir, spillName(field, step, dims))
+// errSpillCorrupt marks a reload failure that proves the pair on disk
+// does not hold the cell: the data file has the wrong size, or its
+// digest is not the sidecar's.
+var errSpillCorrupt = errors.New("dataset: spill does not verify")
+
+// spillVerdict is what the outcome of a reload says about the pair on
+// disk, and so what may be done to it.
+type spillVerdict int
+
+const (
+	spillVerified   spillVerdict = iota // reloaded: serve it
+	spillAbsent                         // no data file or no sidecar: regenerate and write a pair
+	spillCorrupt                        // proven inconsistent: drop the pair, then as spillAbsent
+	spillUnreadable                     // the reload failed, not the pair (EMFILE, ENOMEM from mmap, EIO, ...): regenerate, leave the pair alone
+)
+
+func classifySpillErr(err error) spillVerdict {
+	switch {
+	case err == nil:
+		return spillVerified
+	case errors.Is(err, fs.ErrNotExist):
+		return spillAbsent
+	case errors.Is(err, errSpillCorrupt):
+		return spillCorrupt
+	}
+	return spillUnreadable
+}
+
+// readSpillTier reloads a spilled cell via mmap. A file whose identity is
+// the one that verified before is served as mapped; any other is hashed
+// against its SHA-256 sidecar first (see the type comment for what that
+// trusts), and its identity remembered if the digest matches and a later
+// change could not share the file's ctime. The error says what was
+// learned: fs.ErrNotExist, an
+// errSpillCorrupt (size drift, digest drift — e.g. a write torn by a
+// crash), or whatever kept the file from being opened, mapped or read.
+func (c *TieredCache) readSpillTier(k tieredKey, path string, dims []int) (*pressio.Data, []byte, bool, error) {
+	fl, raw, isMapped, id, err := mapFloat32(path, dims[0]*dims[1]*dims[2])
+	if err != nil {
+		return nil, nil, false, err
+	}
+	hasID := id != fileIdentity{}
+	c.mu.Lock()
+	trusted := hasID && c.verified[k] == id
+	c.mu.Unlock()
+	if !trusted {
+		// A file changed inside the timestamp tick of its own last change
+		// keeps its ctime, so the check is remembered only if that tick
+		// is over — read off the filesystem's clock BEFORE the bytes are
+		// hashed: whatever changes them afterwards is stamped later. A
+		// file too young is simply hashed again on its next reload.
+		settled := false
+		if hasID {
+			clock, err := fsClock(c.spillDir)
+			settled = err == nil && clock > id.ctime
+		}
+		if err := c.checkDigest(path, raw); err != nil {
+			if isMapped {
+				unmapRaw(raw)
+			}
+			return nil, nil, false, err
+		}
+		if settled {
+			c.mu.Lock()
+			c.verified[k] = id
+			c.mu.Unlock()
+		}
+	}
+	return pressio.FromFloat32(fl, dims...), raw, isMapped, nil
+}
+
+// checkDigest hashes raw against path's sidecar.
+func (c *TieredCache) checkDigest(path string, raw []byte) error {
 	want, err := os.ReadFile(path + ".sha256")
 	if err != nil {
-		return nil, nil, false, false
+		return err
 	}
-	n := dims[0] * dims[1] * dims[2]
-	fl, raw, isMapped, err := mapFloat32(path, n)
-	if err != nil {
-		c.dropSpill(path)
-		return nil, nil, false, false
-	}
+	c.mu.Lock()
+	c.digestChecks++
+	c.mu.Unlock()
 	sum := sha256.Sum256(raw)
 	if hex.EncodeToString(sum[:]) != strings.TrimSpace(string(want)) {
-		if isMapped {
-			unmapRaw(raw)
-		}
-		c.dropSpill(path)
-		return nil, nil, false, false
+		return fmt.Errorf("%w: %s: digest is not its sidecar's", errSpillCorrupt, path)
 	}
-	return pressio.FromFloat32(fl, dims...), raw, isMapped, true
+	return nil
 }
 
-// writeSpillTier persists a cell through WriteRaw (the corpus writer, so
-// bytes and naming match BuildCorpus exactly) and then its digest
-// sidecar. Ordering makes a crash between the two safe: data without a
-// sidecar is invisible to readSpillTier, and stale data under a fresh
-// rewrite is caught by the digest.
+// writeSpillTier persists a cell in the corpus writer's encoding and
+// naming (so bytes and names match BuildCorpus exactly) and then its
+// digest sidecar, hashed from the encoded bytes in hand. Both are
+// published by rename, so a rewrite never truncates a file under a
+// mapping still pinned to it, and ordering makes a crash between the two
+// safe: data without a sidecar is invisible to readSpillTier, and stale
+// data under a fresh rewrite is caught by the digest.
 func (c *TieredCache) writeSpillTier(field string, step int, d *pressio.Data) error {
-	name := fmt.Sprintf("%s.t%02d", field, step)
-	path, err := WriteRaw(c.spillDir, name, d)
+	path, buf, err := encodeRaw(c.spillDir, fmt.Sprintf("%s.t%02d", field, step), d)
 	if err != nil {
 		return err
 	}
-	rawBytes, err := os.ReadFile(path)
-	if err != nil {
+	if err := writeFileAtomic(path, buf); err != nil {
 		return err
 	}
-	sum := sha256.Sum256(rawBytes)
-	return os.WriteFile(path+".sha256", []byte(hex.EncodeToString(sum[:])+"\n"), 0o644)
+	sum := sha256.Sum256(buf)
+	return writeFileAtomic(path+".sha256", []byte(hex.EncodeToString(sum[:])+"\n"))
 }
 
-func (c *TieredCache) dropSpill(path string) {
+// dropSpill deletes a pair that proved inconsistent and forgets that it
+// ever verified.
+func (c *TieredCache) dropSpill(k tieredKey, path string) {
 	os.Remove(path)
 	os.Remove(path + ".sha256")
+	c.mu.Lock()
+	delete(c.verified, k)
+	c.mu.Unlock()
 }
 
 // readFloat32 is the copying reload path: decode a raw little-endian
@@ -351,7 +460,7 @@ func readFloat32(path string, n int) ([]float32, []byte, bool, error) {
 		return nil, nil, false, err
 	}
 	if len(raw) != 4*n {
-		return nil, nil, false, fmt.Errorf("dataset: %s is %d bytes, want %d", path, len(raw), 4*n)
+		return nil, nil, false, fmt.Errorf("%w: %s is %d bytes, want %d", errSpillCorrupt, path, len(raw), 4*n)
 	}
 	fl := make([]float32, n)
 	for i := range fl {

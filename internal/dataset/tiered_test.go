@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 
 	"repro/internal/hurricane"
@@ -343,5 +345,142 @@ func TestTieredPluginPipeline(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 6 {
 		t.Fatalf("want 6 payload loads, got %+v", st)
+	}
+}
+
+// TestClassifySpillErr: only a reload that proves the pair wrong may cost
+// the pair. Running out of descriptors or address space, or a disk error,
+// says nothing about the bytes on disk.
+func TestClassifySpillErr(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want spillVerdict
+	}{
+		{"reloaded", nil, spillVerified},
+		{"no data file", &fs.PathError{Op: "open", Path: "x.f32", Err: syscall.ENOENT}, spillAbsent},
+		{"no sidecar", fmt.Errorf("read: %w", fs.ErrNotExist), spillAbsent},
+		{"size drift", fmt.Errorf("%w: x.f32 is 3 bytes, want 256", errSpillCorrupt), spillCorrupt},
+		{"digest drift", fmt.Errorf("%w: x.f32: digest is not its sidecar's", errSpillCorrupt), spillCorrupt},
+		{"out of descriptors", &fs.PathError{Op: "open", Path: "x.f32", Err: syscall.EMFILE}, spillUnreadable},
+		{"mmap out of memory", fmt.Errorf("dataset: mmap x.f32: %w", syscall.ENOMEM), spillUnreadable},
+		{"permission", &fs.PathError{Op: "open", Path: "x.f32.sha256", Err: syscall.EACCES}, spillUnreadable},
+		{"disk error", &fs.PathError{Op: "read", Path: "x.f32.sha256", Err: syscall.EIO}, spillUnreadable},
+	}
+	for _, tc := range cases {
+		if got := classifySpillErr(tc.err); got != tc.want {
+			t.Errorf("%s (%v): verdict %d, want %d", tc.name, tc.err, got, tc.want)
+		}
+	}
+	// what the reload path itself reports for a short file
+	dir := t.TempDir()
+	short := filepath.Join(dir, "short.f32")
+	if err := os.WriteFile(short, make([]byte, 12), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := mapFloat32(short, 64); classifySpillErr(err) != spillCorrupt {
+		t.Errorf("a short spill file reloads with %v, want a corrupt verdict", err)
+	}
+	if _, _, _, _, err := mapFloat32(filepath.Join(dir, "none.f32"), 64); classifySpillErr(err) != spillAbsent {
+		t.Errorf("a missing spill file reloads with %v, want an absent verdict", err)
+	}
+}
+
+// TestTieredUnreadableSpillIsLeftAlone: a reload that fails without
+// proving anything about the pair serves the request from the loader and
+// neither deletes nor rewrites the pair, which reloads once the trouble
+// has passed. The trouble here is a data path that cannot be opened (a
+// symlink to itself, ELOOP) while the real file waits beside it.
+func TestTieredUnreadableSpillIsLeftAlone(t *testing.T) {
+	spillDir := t.TempDir()
+	c, err := NewTiered(TieredConfig{CapacityBytes: tieredBytes(), SpillDir: spillDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acquire := func(field string) float32 {
+		t.Helper()
+		h, err := c.Acquire(field, 0, tieredDims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := h.Data().Float32()[3]
+		h.Release()
+		return v
+	}
+	acquire("P")
+	acquire("TC") // evict P.t00 from memory
+	path := filepath.Join(spillDir, spillName("P", 0, tieredDims))
+	if err := os.Rename(path, path+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(path, path); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+
+	want, _ := hurricane.Field("P", 0, tieredDims)
+	if got := acquire("P"); got != want.Float32()[3] {
+		t.Fatalf("served %v from the loader, want %v", got, want.Float32()[3])
+	}
+	if st := c.Stats(); st.Misses != 3 || st.DiskHits != 0 {
+		t.Fatalf("want the cell regenerated (3 misses, 0 disk hits), got %+v", st)
+	}
+	if fi, err := os.Lstat(path); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("the unreadable data path was deleted or rewritten: %v %v", fi, err)
+	}
+	if _, err := os.Stat(path + ".sha256"); err != nil {
+		t.Fatalf("the sidecar was deleted: %v", err)
+	}
+
+	// the trouble passes: the untouched pair reloads
+	if err := os.Rename(path+".aside", path); err != nil {
+		t.Fatal(err)
+	}
+	acquire("TC")
+	if got := acquire("P"); got != want.Float32()[3] {
+		t.Fatalf("reloaded %v, want %v", got, want.Float32()[3])
+	}
+	if st := c.Stats(); st.Misses != 3 || st.DiskHits != 2 {
+		t.Fatalf("want TC and P reloaded from their spills (2 disk hits), got %+v", st)
+	}
+}
+
+// TestTieredConcurrentReload: goroutines thrashing a two-cell tier over
+// five spilled cells reload, verify and evict at once (run under -race);
+// every acquire is answered by exactly one tier with the cell's values.
+func TestTieredConcurrentReload(t *testing.T) {
+	c, err := NewTiered(TieredConfig{CapacityBytes: 2 * tieredBytes(), SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []string{"P", "TC", "W", "U", "V"}
+	want := map[string]float32{}
+	for _, f := range fields {
+		d, _ := hurricane.Field(f, 0, tieredDims)
+		want[f] = d.Float32()[9]
+	}
+	const workers, rounds = 4, 200
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				f := fields[(i*(w+1)+w)%len(fields)]
+				h, err := c.Acquire(f, 0, tieredDims)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := h.Data().Float32()[9]; got != want[f] {
+					t.Errorf("%s: served %v, want %v", f, got, want[f])
+				}
+				h.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.MemHits+st.DiskHits+st.Misses != workers*rounds || st.DiskHits == 0 || st.DigestChecks > st.DiskHits {
+		t.Fatalf("tiers do not account for %d acquires: %+v", workers*rounds, st)
 	}
 }

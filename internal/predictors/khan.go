@@ -3,6 +3,7 @@ package predictors
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/compressor/zfp"
 	"repro/internal/core"
@@ -97,19 +98,45 @@ func (m *KhanSurrogate) fraction() float64 {
 	return m.Fraction
 }
 
+// khanScratch is the working memory of one BeginCompress, recycled so a
+// predict allocates nothing proportional to its sample: the sampled runs,
+// the float64 conversion of one of them, and estimateSZ's quantization
+// codes and their counts.
+type khanScratch struct {
+	runs  [khanRuns][2]int
+	run   []float64
+	codes []int32
+	// counts is as wide as the widest span of codes a sample has produced
+	// so far (at most 512 KiB, at the tightest bounds); every cell is zero
+	// between calls.
+	counts []uint64
+}
+
+var khanScratchPool = sync.Pool{New: func() any { return new(khanScratch) }}
+
+// read returns one sampled run of in as float64 (stats.Float64Run): the
+// run is all of the buffer the surrogate touches.
+func (sc *khanScratch) read(in *pressio.Data, run [2]int) []float64 {
+	vals := stats.Float64Run(in, run[0], run[1], sc.run)
+	if in.DType() != pressio.DTypeFloat64 {
+		sc.run = vals // the (grown) scratch; a float64 run aliases the buffer and is not kept
+	}
+	return vals
+}
+
 // BeginCompress implements pressio.Metric.
 func (m *KhanSurrogate) BeginCompress(in *pressio.Data) {
-	vals := stats.ToFloat64(in)
+	sc := khanScratchPool.Get().(*khanScratch)
+	defer khanScratchPool.Put(sc)
 	r := pressio.Options{}
-	elemBits := in.DType().Size() * 8
 	var cr float64
 	switch m.compressor() {
 	case "zfp":
-		cr = m.estimateZFP(vals, in.Dims(), elemBits)
+		cr = m.estimateZFP(in, sc)
 	case "szx":
-		cr = m.estimateSZX(vals, elemBits)
+		cr = m.estimateSZX(in, sc)
 	default:
-		cr = m.estimateSZ(vals, elemBits)
+		cr = m.estimateSZ(in, sc)
 	}
 	if cr < 1 {
 		cr = 1
@@ -118,26 +145,27 @@ func (m *KhanSurrogate) BeginCompress(in *pressio.Data) {
 	m.results = r
 }
 
-// sampleRuns selects deterministic contiguous runs covering ~fraction of
-// the data: tightly coupled sampling, cache-friendly and cheap. Each run
-// is at least minRun elements so block-structured stage models always see
-// whole blocks.
-func (m *KhanSurrogate) sampleRuns(n, minRun int) [][2]int {
-	const runs = 16
+// khanRuns is how many contiguous runs a sample is cut into.
+const khanRuns = 16
+
+// sampleRuns appends to out (room for khanRuns) deterministic contiguous
+// runs covering ~fraction of the n elements: tightly coupled sampling,
+// cache-friendly and cheap. Each run is at least minRun elements so
+// block-structured stage models always see whole blocks.
+func (m *KhanSurrogate) sampleRuns(n, minRun int, out [][2]int) [][2]int {
 	target := int(float64(n) * m.fraction())
-	if target < runs {
-		target = min(n, runs)
+	if target < khanRuns {
+		target = min(n, khanRuns)
 	}
-	runLen := target / runs
+	runLen := target / khanRuns
 	if runLen < minRun {
 		runLen = minRun
 	}
 	if runLen < 1 {
 		runLen = 1
 	}
-	var out [][2]int
 	rng := splitmix(uint64(n)*2654435761 + 12345)
-	for i := 0; i < runs; i++ {
+	for i := 0; i < khanRuns; i++ {
 		if n <= runLen {
 			out = append(out, [2]int{0, n})
 			break
@@ -164,10 +192,10 @@ func splitmix(seed uint64) func() uint64 {
 // dense window over the span the sample produced, so the entropy — a
 // float sum — runs in code order: summed in the iteration order of a map
 // the estimate differed in its last bits from one call to the next.
-func (m *KhanSurrogate) estimateSZ(vals []float64, elemBits int) float64 {
-	abs := m.abs()
-	step := 2 * abs
-	runs := m.sampleRuns(len(vals), 16)
+func (m *KhanSurrogate) estimateSZ(in *pressio.Data, sc *khanScratch) float64 {
+	elemBits := in.DType().Size() * 8
+	step := 2 * m.abs()
+	runs := m.sampleRuns(in.Len(), 16, sc.runs[:0])
 	sampled := 0
 	for _, run := range runs {
 		sampled += run[1] - run[0]
@@ -175,13 +203,16 @@ func (m *KhanSurrogate) estimateSZ(vals []float64, elemBits int) float64 {
 	if sampled == 0 {
 		return 1
 	}
-	codes := make([]int32, 0, sampled)
+	if cap(sc.codes) < sampled {
+		sc.codes = make([]int32, 0, sampled)
+	}
+	codes := sc.codes[:0]
 	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for _, run := range runs {
 		prev := 0.0
-		for i := run[0]; i < run[1]; i++ {
-			diff := vals[i] - prev
-			prev = vals[i]
+		for _, v := range sc.read(in, run) {
+			diff := v - prev
+			prev = v
 			c := math.Round(diff / step)
 			if !(math.Abs(c) < 32768) { // an outlier; NaN too
 				continue
@@ -191,14 +222,19 @@ func (m *KhanSurrogate) estimateSZ(vals []float64, elemBits int) float64 {
 			lo, hi = min(lo, k), max(hi, k)
 		}
 	}
-	var counts []uint64
+	var bitsPerSym float64
 	if len(codes) > 0 {
-		counts = make([]uint64, int(hi-lo)+1)
+		span := int(hi-lo) + 1
+		if cap(sc.counts) < span {
+			sc.counts = make([]uint64, span)
+		}
+		counts := sc.counts[:span]
 		for _, k := range codes {
 			counts[k-lo]++
 		}
+		bitsPerSym = stats.EntropyFromCounts(counts)
+		clear(counts) // zero while hot, for the next call
 	}
-	bitsPerSym := stats.EntropyFromCounts(counts)
 	outFrac := float64(sampled-len(codes)) / float64(sampled)
 	est := (1-outFrac)*bitsPerSym + outFrac*float64(elemBits+1)
 	est *= 0.95 // lossless backend estimate
@@ -210,8 +246,9 @@ func (m *KhanSurrogate) estimateSZ(vals []float64, elemBits int) float64 {
 
 // estimateZFP models the ZFP stages on sampled 4^d blocks using the
 // compressor's own block-bit estimator.
-func (m *KhanSurrogate) estimateZFP(vals []float64, dims []int, elemBits int) float64 {
-	nd := len(dims)
+func (m *KhanSurrogate) estimateZFP(in *pressio.Data, sc *khanScratch) float64 {
+	elemBits := in.DType().Size() * 8
+	nd := len(in.Dims())
 	if nd > 3 {
 		nd = 3
 	}
@@ -226,11 +263,10 @@ func (m *KhanSurrogate) estimateZFP(vals []float64, dims []int, elemBits int) fl
 	// the surrogate trades blocking fidelity for speed
 	var totalBits float64
 	var totalElems int
-	block := make([]float64, blockElems)
-	for _, run := range m.sampleRuns(len(vals), blockElems) {
-		for start := run[0]; start+blockElems <= run[1]; start += blockElems {
-			copy(block, vals[start:start+blockElems])
-			totalBits += zfp.EstimateBlockBits(block, nd, m.abs())
+	for _, run := range m.sampleRuns(in.Len(), blockElems, sc.runs[:0]) {
+		vals := sc.read(in, run)
+		for start := 0; start+blockElems <= len(vals); start += blockElems {
+			totalBits += zfp.EstimateBlockBits(vals[start:start+blockElems], nd, m.abs())
 			totalElems += blockElems
 		}
 	}
@@ -245,12 +281,14 @@ func (m *KhanSurrogate) estimateZFP(vals []float64, dims []int, elemBits int) fl
 }
 
 // estimateSZX models the SZx constant-block detector on sampled runs.
-func (m *KhanSurrogate) estimateSZX(vals []float64, elemBits int) float64 {
+func (m *KhanSurrogate) estimateSZX(in *pressio.Data, sc *khanScratch) float64 {
+	elemBits := in.DType().Size() * 8
 	abs := m.abs()
 	const blockSize = 128
 	var constant, totalBlocks int
-	for _, run := range m.sampleRuns(len(vals), blockSize) {
-		for start := run[0]; start+blockSize <= run[1]; start += blockSize {
+	for _, run := range m.sampleRuns(in.Len(), blockSize, sc.runs[:0]) {
+		vals := sc.read(in, run)
+		for start := 0; start+blockSize <= len(vals); start += blockSize {
 			mn, mx := vals[start], vals[start]
 			for _, v := range vals[start+1 : start+blockSize] {
 				if v < mn {

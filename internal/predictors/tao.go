@@ -110,8 +110,7 @@ func (m *TaoSample) blockElems() int {
 // BeginCompress implements pressio.Metric.
 func (m *TaoSample) BeginCompress(in *pressio.Data) {
 	r := pressio.Options{}
-	vals := stats.ToFloat64(in)
-	n := len(vals)
+	n := in.Len()
 	be := m.blockElems()
 	nb := m.blocks()
 	if n == 0 {
@@ -119,15 +118,19 @@ func (m *TaoSample) BeginCompress(in *pressio.Data) {
 		m.results = r
 		return
 	}
-	var sample []float64
+	// the sampled blocks are all of the buffer that is read; block is the
+	// conversion scratch, reused (Float64Run ignores it for a float64
+	// buffer, whose run it returns directly)
+	var sample, block []float64
 	rng := splitmix(uint64(n)*0x9e3779b9 + 7)
 	for b := 0; b < nb; b++ {
 		if n <= be {
-			sample = append(sample, vals...)
+			sample = append(sample, stats.Float64Run(in, 0, n, nil)...)
 			break
 		}
 		start := int(rng() % uint64(n-be))
-		sample = append(sample, vals[start:start+be]...)
+		block = stats.Float64Run(in, start, start+be, block)
+		sample = append(sample, block...)
 	}
 	// trial the real compressor on the sample
 	comp, err := pressio.GetCompressor(m.compressor())

@@ -154,17 +154,17 @@ func (m *ZperfModel) fraction() float64 {
 // BeginCompress implements pressio.Metric: run the composed stage models
 // on a sample and derive the counterfactual compression ratio.
 func (m *ZperfModel) BeginCompress(in *pressio.Data) {
-	vals := stats.ToFloat64(in)
 	elemBits := in.DType().Size() * 8
 	r := pressio.Options{}
 
-	// sampled contiguous prefix slabs (ZPerf samples planes)
-	n := len(vals)
+	// sampled contiguous prefix slabs (ZPerf samples planes); the prefix
+	// is all of the buffer that is read
+	n := in.Len()
 	sampleLen := int(float64(n) * m.fraction())
 	if sampleLen < 64 {
 		sampleLen = min(n, 64)
 	}
-	sample := vals[:sampleLen]
+	sample := stats.Float64Run(in, 0, sampleLen, nil)
 
 	// stage 1: prediction residuals under the selected predictor model
 	hist, outliers := m.residualHistogram(sample)

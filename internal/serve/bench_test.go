@@ -2,9 +2,17 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hurricane"
 	"repro/internal/pressio"
 	"repro/internal/store"
 )
@@ -86,5 +94,65 @@ func TestPredictBatchWarmPathAllocatesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("warm 16-item batch: %v allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkServePredictCold is the in-process twin of the benchmark's
+// serve_cold workload: khan2023/sz3 single predicts through the handler,
+// each over one of 13 cells of 64x64x96 (1.5 MiB; one per hurricane
+// field) picked at random, at a bound never asked before, against an
+// 8 MiB memory tier with a spill dir — five cells fit, so three requests
+// in five reload their cell from its spill file. One client per
+// GOMAXPROCS. It reports the share of requests that reloaded (spill-hit)
+// and the share of those reloads that were hashed (digest-checked); use
+// it with -cpuprofile/-memprofile to see what a cold predict pays. Not
+// in BENCH_kernels.json: ns/op rows drift by tens of percent on a shared
+// host.
+func BenchmarkServePredictCold(b *testing.B) {
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	s, err := New(st, Config{DataCacheBytes: 8 << 20, DataSpillDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Recover(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	defer s.Drain()
+	h := s.Handler()
+	fields := hurricane.FieldNames
+	predict := func(field string, bound float64) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(fmt.Sprintf(
+			`{"scheme":"khan2023","compressor":"sz3","options":{"pressio:abs":%g},"data":{"field":%q,"step":0,"dims":[64,64,96]}}`,
+			bound, field))))
+		if w.Code != http.StatusOK || strings.Contains(w.Body.String(), `"cached":true`) {
+			b.Errorf("%s at fresh bound %g: HTTP %d %s", field, bound, w.Code, w.Body)
+		}
+	}
+	for _, f := range fields { // synthesize and spill every cell
+		predict(f, 1e-3)
+	}
+
+	var clients atomic.Int64
+	before := s.data.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(clients.Add(1)))
+		for pb.Next() {
+			// log-uniform in [1e-6, 1e-2], as an autotuner searching bounds
+			predict(fields[rng.Intn(len(fields))], math.Pow(10, -6+4*rng.Float64()))
+		}
+	})
+	b.StopTimer()
+	after := s.data.Stats()
+	reloads := float64(after.DiskHits - before.DiskHits)
+	b.ReportMetric(reloads/float64(b.N), "spill-hit/op")
+	if reloads > 0 {
+		b.ReportMetric(float64(after.DigestChecks-before.DigestChecks)/reloads, "hashed/reload")
 	}
 }

@@ -72,7 +72,7 @@ func TestStatzJSONShape(t *testing.T) {
 		t.Fatalf("data_cache section: %v", err)
 	}
 	for _, key := range []string{
-		"mem_hits", "disk_hits", "misses", "evictions",
+		"mem_hits", "disk_hits", "misses", "evictions", "digest_checks",
 		"resident_bytes", "mapped_bytes",
 	} {
 		if _, ok := dc[key]; !ok {

@@ -383,6 +383,34 @@ func Float64Of(d *pressio.Data) []float64 {
 	return out
 }
 
+// Float64Run returns elements [lo, hi) of d as float64 without viewing
+// the rest of the buffer: a float64 buffer returns its own sub-slice, any
+// other dtype converts just the run into dst (grown if too small) — the
+// same float64(x) values Float64Of would hold at those indices. It is the
+// reader for plugins that sample: the work, and for an mmap-backed cell
+// the pages faulted in, are proportional to the run, and the view cache
+// is neither consulted nor filled. The result may alias d or dst and is
+// read-only; a reader of the whole buffer wants Float64Of's shared view.
+func Float64Run(d *pressio.Data, lo, hi int, dst []float64) []float64 {
+	if d.DType() == pressio.DTypeFloat64 {
+		return d.Float64()[lo:hi]
+	}
+	if cap(dst) < hi-lo {
+		dst = make([]float64, hi-lo)
+	}
+	dst = dst[:hi-lo]
+	if d.DType() == pressio.DTypeFloat32 {
+		for i, v := range d.Float32()[lo:hi] {
+			dst[i] = float64(v)
+		}
+	} else {
+		for i := range dst {
+			dst[i] = d.At(lo + i)
+		}
+	}
+	return dst
+}
+
 // histRides reports whether a bins-wide histogram is small enough beside
 // d to be kept on it: at most an eighth of the buffer's bytes. What rides
 // on a buffer stays in memory for as long as the buffer does — for a

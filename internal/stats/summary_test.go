@@ -278,6 +278,43 @@ func TestFloat64OfCachesPerGeneration(t *testing.T) {
 	}
 }
 
+// TestFloat64RunReadsOnlyTheRun: a run is the view's values at those
+// indices, converted into the caller's scratch (or, for a float64
+// buffer, not converted at all), and leaves no buffer-sized view behind.
+func TestFloat64RunReadsOnlyTheRun(t *testing.T) {
+	d := pressio.FromFloat32([]float32{0.1, 0.2, 0.3, 0.4, 0.5}, 5)
+	scratch := make([]float64, 0, 8)
+	run := Float64Run(d, 1, 4, scratch)
+	if len(run) != 3 || &run[0] != &scratch[:1][0] {
+		t.Fatalf("run = %v, want 3 elements converted into the scratch", run)
+	}
+	for _, e := range views.entries {
+		if e.data == d {
+			t.Error("Float64Run filled the view cache")
+		}
+	}
+	for i, v := range Float64Of(d)[1:4] {
+		if run[i] != v {
+			t.Errorf("run[%d] = %v, view has %v", i, run[i], v)
+		}
+	}
+	if grown := Float64Run(d, 0, 5, scratch[:0:2]); len(grown) != 5 || grown[4] != float64(float32(0.5)) {
+		t.Errorf("a scratch too small must be replaced: %v", grown)
+	}
+	ints := pressio.NewInt32(4)
+	ints.Set(2, 7)
+	if got := Float64Run(ints, 2, 4, nil); len(got) != 2 || got[0] != 7 || got[1] != 0 {
+		t.Errorf("int32 run = %v, want [7 0]", got)
+	}
+	d64 := pressio.FromFloat64([]float64{1, 2, 3}, 3)
+	if got := Float64Run(d64, 1, 3, scratch); &got[0] != &d64.Float64()[1] || len(got) != 2 {
+		t.Errorf("a float64 buffer's run should be its own sub-slice")
+	}
+	if got := Float64Run(d, 2, 2, nil); len(got) != 0 {
+		t.Errorf("empty run = %v", got)
+	}
+}
+
 func TestQuantizedEntropyOfMatchesReference(t *testing.T) {
 	vals := make([]float32, 5000)
 	for i := range vals {
