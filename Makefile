@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 check lint fmt-check cross-build examples-check serve-check crash-check cluster-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check cross-build examples-check serve-check crash-check cluster-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,16 @@ tier1:
 	$(GO) build ./...
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	$(GO) test -count=1 ./...
+
+# loc prints the non-test Go line count every simplicity PR quotes —
+# hand-written source only: no tests, no vendored analysis framework
+# (internal/xtools), no benchmark module or its build output — and the
+# split for the three packages those PRs work in.
+LOC_FIND = find $(1) -name '*.go' -not -name '*_test.go' -not -path './internal/xtools/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
+loc:
+	@printf 'non-test Go lines: %d\n' $$($(call LOC_FIND,.))
+	@for d in internal/serve internal/cluster internal/dataset; do \
+		printf '  %-18s %d\n' $$d $$($(call LOC_FIND,./$$d)); done
 
 # check is the full verification gate: formatting, standard vet (with the
 # extra unreachable/copylocks/lostcancel passes spelled out so a vet

@@ -18,8 +18,7 @@
 // Endpoints:
 //
 //	POST /v1/predict     features or data coordinates -> predicted metric
-//	POST /v1/predict/batch  columnar (or NDJSON / length-prefixed frame
-//	                     streaming) batch -> one result per input
+//	POST /v1/predict/batch  columnar JSON batch -> one result per input
 //	POST /v1/fit         async training job -> {"job_id": ...}
 //	GET  /v1/jobs/{id}   job status
 //	GET  /v1/models      registry listing
@@ -76,7 +75,7 @@ func main() {
 		jobTTL     = flag.Duration("job-ttl", time.Hour, "how long finished fit jobs stay queryable")
 		jobRetain  = flag.Int("job-retain", 256, "max finished fit jobs retained")
 		fsync      = flag.Bool("fsync", true, "fsync the store WAL after every append")
-		dataCache  = flag.Int64("data-cache-bytes", 0, "tiered dataset cache memory budget (0 = 128MiB default, negative disables)")
+		dataCache  = flag.Int64("data-cache-bytes", 0, "tiered dataset cache memory budget (0 = 128MiB default)")
 		dataSpill  = flag.String("data-spill", "", "dataset cache mmap spill directory (empty disables the disk tier)")
 		fsck       = flag.Bool("fsck", false, "run storecheck on the store directory, repair what is safe, and exit")
 		optsFlag   = flag.String("opts", "", "default options merged under every request, key=value[,key=value...]")

@@ -3,19 +3,16 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cluster/health"
-	"repro/internal/serve"
 )
 
 // RouterConfig tunes the stateless cluster router.
@@ -320,9 +317,8 @@ func (r *Router) postAdopt(ctx context.Context, base, dead string) error {
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", r.handlePredict)
-	// a batch routes exactly like a single predict: same partition key,
-	// same replica pinning — only the envelope extraction differs per
-	// content type
+	// a batch routes exactly like a single predict: same routing fields
+	// in the body, same partition key, same replica pinning
 	mux.HandleFunc("/v1/predict/batch", r.handlePredict)
 	mux.HandleFunc("/v1/fit", r.handleOwnerPost)
 	mux.HandleFunc("/v1/invalidate", r.handleInvalidate)
@@ -348,38 +344,28 @@ type routeBody struct {
 	Compressor string `json:"compressor"`
 }
 
-// envelopeJSON extracts the JSON object carrying the routing fields from
-// a predict body: the whole body for plain/columnar JSON, the first line
-// of an NDJSON stream, or the first length-prefixed frame of a binary
-// frame stream — mirroring the batch endpoint's wire formats
-// (serve.ContentNDJSON, serve.ContentFrames) so the router can route a
-// streaming batch by its envelope without decoding the items.
-func envelopeJSON(ct string, body []byte) []byte {
-	switch {
-	case strings.HasPrefix(ct, serve.ContentNDJSON):
-		if i := bytes.IndexByte(body, '\n'); i >= 0 {
-			return body[:i]
-		}
-		return body
-	case strings.HasPrefix(ct, serve.ContentFrames):
-		if len(body) < 4 {
-			return nil
-		}
-		n := binary.LittleEndian.Uint32(body)
-		if uint64(n) > uint64(len(body)-4) {
-			return nil
-		}
-		return body[4 : 4+int(n)]
-	default:
-		return body
-	}
-}
-
 // readBody buffers a bounded request body for re-sending across
 // failover candidates.
 func readBody(w http.ResponseWriter, req *http.Request) ([]byte, error) {
 	defer req.Body.Close()
 	return io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
+}
+
+// readRouted buffers a predict or fit body and derives its partition key
+// from the scheme and compressor it names. On false it has already
+// written the router's own 400.
+func readRouted(w http.ResponseWriter, req *http.Request) (body []byte, pk string, ok bool) {
+	body, err := readBody(w, req)
+	if err != nil {
+		http.Error(w, `{"error":"bad request body"}`, http.StatusBadRequest)
+		return nil, "", false
+	}
+	var rb routeBody
+	if err := json.Unmarshal(body, &rb); err != nil || rb.Scheme == "" || rb.Compressor == "" {
+		http.Error(w, `{"error":"scheme and compressor are required"}`, http.StatusBadRequest)
+		return nil, "", false
+	}
+	return body, PartitionKey(rb.Scheme, rb.Compressor), true
 }
 
 // liveName reports whether the named member currently admits requests.
@@ -473,18 +459,10 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := readBody(w, req)
-	if err != nil {
-		http.Error(w, `{"error":"bad request body"}`, http.StatusBadRequest)
+	body, pk, ok := readRouted(w, req)
+	if !ok {
 		return
 	}
-	var rb routeBody
-	env := envelopeJSON(req.Header.Get("Content-Type"), body)
-	if err := json.Unmarshal(env, &rb); err != nil || rb.Scheme == "" || rb.Compressor == "" {
-		http.Error(w, `{"error":"scheme and compressor are required"}`, http.StatusBadRequest)
-		return
-	}
-	pk := PartitionKey(rb.Scheme, rb.Compressor)
 	owner := r.resolveOwner(pk)
 	maxStale := uint64(1<<63 - 1)
 	if h := req.Header.Get("X-Max-Staleness"); h != "" {
@@ -543,17 +521,10 @@ func (r *Router) handleOwnerPost(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := readBody(w, req)
-	if err != nil {
-		http.Error(w, `{"error":"bad request body"}`, http.StatusBadRequest)
+	body, pk, ok := readRouted(w, req)
+	if !ok {
 		return
 	}
-	var rb routeBody
-	if err := json.Unmarshal(body, &rb); err != nil || rb.Scheme == "" || rb.Compressor == "" {
-		http.Error(w, `{"error":"scheme and compressor are required"}`, http.StatusBadRequest)
-		return
-	}
-	pk := PartitionKey(rb.Scheme, rb.Compressor)
 	owner := r.resolveOwner(pk)
 	if !r.liveName(owner) {
 		// the owner is down and no adopter has taken over yet: shed the

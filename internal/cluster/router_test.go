@@ -59,12 +59,14 @@ func newFakeMember(name string) *fakeMember {
 		m.adopted = append(m.adopted, req.Node)
 		json.NewEncoder(w).Encode(map[string]int{"adopted": 1})
 	})
-	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
+	predict := func(w http.ResponseWriter, r *http.Request) {
 		m.mu.Lock()
 		m.predicts++
 		m.mu.Unlock()
 		json.NewEncoder(w).Encode(map[string]any{"prediction": 0.5, "served_by": m.name})
-	})
+	}
+	mux.HandleFunc("/v1/predict", predict)
+	mux.HandleFunc("/v1/predict/batch", predict)
 	mux.HandleFunc("/v1/fit", func(w http.ResponseWriter, r *http.Request) {
 		m.mu.Lock()
 		m.fits++
@@ -174,6 +176,57 @@ func TestRouterPredictRoutesAndPins(t *testing.T) {
 
 	if w := postJSON(h, "/v1/predict", `{"features":{}}`, nil); w.Code != http.StatusBadRequest {
 		t.Errorf("predict without scheme/compressor = %d", w.Code)
+	}
+}
+
+// TestRouterRoutesBatchByEnvelope: a batch is routed by the scheme and
+// compressor its one JSON body names, exactly as a single is — to the
+// replica the partition is pinned to — and a body the router cannot read
+// them from is its own 400, forwarded to nobody.
+func TestRouterRoutesBatchByEnvelope(t *testing.T) {
+	members := threeMembers()
+	r := startRouter(t, members, nil)
+	waitFor(t, "all members live", func() bool { return len(r.liveMembers()) == 3 })
+	h := r.Handler()
+	forwarded := func() int {
+		n := 0
+		for _, m := range members {
+			m.mu.Lock()
+			n += m.predicts
+			m.mu.Unlock()
+		}
+		return n
+	}
+
+	w := postJSON(h, "/v1/predict", `{"scheme":"s","compressor":"c","features":[1]}`, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("single = %d: %s", w.Code, w.Body)
+	}
+	pinned := w.Header().Get("X-Served-By")
+	for i := 0; i < 3; i++ {
+		w = postJSON(h, "/v1/predict/batch", `{"scheme":"s","compressor":"c","fields":["P","P"],"steps":[0,1]}`, nil)
+		checkWellFormed(t, w)
+		if w.Code != http.StatusOK {
+			t.Fatalf("batch = %d: %s", w.Code, w.Body)
+		}
+		if got := w.Header().Get("X-Served-By"); got == "" || got != pinned {
+			t.Errorf("batch served by %q, the single for the same partition by %q", got, pinned)
+		}
+	}
+
+	before := forwarded()
+	for name, body := range map[string]string{
+		"no scheme":      `{"compressor":"c","fields":["P"],"steps":[0]}`,
+		"two JSON lines": `{"scheme":"s","compressor":"c"}` + "\n" + `{"field":"P","step":0}` + "\n",
+		"not json":       "\x1f\x00\x00\x00" + `{"scheme":"s","compressor":"c"}`,
+	} {
+		w := postJSON(h, "/v1/predict/batch", body, nil)
+		if w.Code != http.StatusBadRequest || w.Header().Get("X-Served-By") != "" {
+			t.Errorf("%s: %d served by %q, want the router's own 400", name, w.Code, w.Header().Get("X-Served-By"))
+		}
+	}
+	if got := forwarded(); got != before {
+		t.Errorf("%d unroutable batches reached a member", got-before)
 	}
 }
 

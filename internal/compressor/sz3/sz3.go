@@ -159,7 +159,7 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals := stats.ToFloat64(in)
+	vals := stats.Float64Of(in)
 	q := &Quantizer{Abs: c.abs, Bins: c.bins, Cast: cast}
 
 	codes := getCodesBuf(len(vals))

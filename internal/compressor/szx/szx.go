@@ -94,7 +94,7 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	default:
 		return nil, fmt.Errorf("szx: unsupported dtype %v", in.DType())
 	}
-	vals := stats.ToFloat64(in)
+	vals := stats.Float64Of(in)
 	n := len(vals)
 	nblocks := (n + c.blockSize - 1) / c.blockSize
 

@@ -381,7 +381,7 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	default:
 		return nil, fmt.Errorf("zfp: unsupported dtype %v", in.DType())
 	}
-	vals := stats.ToFloat64(in)
+	vals := stats.Float64Of(in)
 	dims := effectiveDims(in.Dims())
 	if len(dims) == 0 || in.Len() == 0 {
 		return nil, fmt.Errorf("zfp: empty input")

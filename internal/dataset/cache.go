@@ -16,6 +16,10 @@ import (
 // memory hierarchies (DRAM, then node-local SSD) so that re-reading a
 // dataset after a metric invalidation or a restart does not pay the cost
 // of the remote filesystem again.
+//
+// It is the stage that wraps an arbitrary Plugin — any dtype, any rank —
+// which Figure 2's folder → cache → sampler stack needs. TieredCache is
+// not a replacement: it serves only 3-D float32 hurricane cells.
 type Cache struct {
 	inner    Plugin
 	capacity int // max resident payload bytes in memory

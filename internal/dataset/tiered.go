@@ -22,7 +22,9 @@ import (
 // serving hot path: a byte-budgeted, refcounted cache of hurricane field
 // buffers keyed by (field, step, dims), with an mmap-backed disk tier.
 //
-// Four properties distinguish it from the Plugin-shaped Cache above:
+// It is not a Plugin and does not replace Cache, the stage that wraps one
+// (any dtype, any rank): it serves 3-D float32 hurricane cells only. Four
+// properties distinguish it:
 //
 //   - Identity. Every Acquire of a resident cell observes the SAME
 //     *pressio.Data, and a buffer carries what was computed from it in

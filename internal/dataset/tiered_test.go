@@ -291,63 +291,6 @@ func TestTieredBadField(t *testing.T) {
 	h.Release()
 }
 
-// TestTieredPluginPipeline composes the Figure-2 stack with the tiered
-// cache as the local_cache stage: loader → tiered cache → sampler.
-func TestTieredPluginPipeline(t *testing.T) {
-	c, err := NewTiered(TieredConfig{CapacityBytes: 100 * tieredBytes()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewTieredPlugin(c, []string{"P", "TC", "W"}, 4, tieredDims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	s, err := NewSampler(p, 0.5, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 6 {
-		t.Fatalf("sampler over 12 cells at 0.5 should pick 6, got %d", s.Len())
-	}
-	metas, err := s.LoadMetadataAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != 0 {
-		t.Fatalf("metadata listing must not load payloads, got %+v", st)
-	}
-	for i, meta := range metas {
-		d, err := s.LoadData(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		field, ok := meta.Attrs.GetString("dataset:field")
-		if !ok {
-			t.Fatal("metadata missing dataset:field")
-		}
-		step, ok := meta.Attrs.GetInt("dataset:step")
-		if !ok {
-			t.Fatal("metadata missing dataset:step")
-		}
-		// the plugin serves the same shared buffer a direct Acquire pins
-		h, err := c.Acquire(field, int(step), tieredDims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Data() != d {
-			t.Fatalf("entry %s: plugin and cache disagree on the buffer", meta.Name)
-		}
-		h.Release()
-		if want := fmt.Sprintf("%s.t%02d", field, step); meta.Name != want {
-			t.Fatalf("metadata name %q, want %q", meta.Name, want)
-		}
-	}
-	if st := c.Stats(); st.Misses != 6 {
-		t.Fatalf("want 6 payload loads, got %+v", st)
-	}
-}
-
 // TestClassifySpillErr: only a reload that proves the pair wrong may cost
 // the pair. Running out of descriptors or address space, or a disk error,
 // says nothing about the bytes on disk.

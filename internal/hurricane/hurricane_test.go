@@ -84,7 +84,7 @@ func TestTimestepsDiffer(t *testing.T) {
 func TestSparseFieldsAreSparse(t *testing.T) {
 	for _, f := range FieldNames {
 		d := Generate(f, 24, testDims) // peak intensity
-		xs := stats.ToFloat64(d)
+		xs := stats.Float64Of(d)
 		sp := stats.Sparsity(xs, 0)
 		if IsSparse(f) {
 			if sp < 0.3 {
@@ -101,8 +101,8 @@ func TestSparseFieldsAreSparse(t *testing.T) {
 
 func TestDenseFieldsAreSmooth(t *testing.T) {
 	// pressure should be far smoother than vertical velocity
-	p := stats.ToFloat64(Generate("P", 24, testDims))
-	w := stats.ToFloat64(Generate("W", 24, testDims))
+	p := stats.Float64Of(Generate("P", 24, testDims))
+	w := stats.Float64Of(Generate("W", 24, testDims))
 	sp := stats.SpatialSmoothness(p, testDims)
 	sw := stats.SpatialSmoothness(w, testDims)
 	if sp < 0.9 {
@@ -126,8 +126,8 @@ func TestPressureRangeIsPhysical(t *testing.T) {
 
 func TestIntensityEvolves(t *testing.T) {
 	// storm winds should peak mid-sequence
-	speak := stats.Std(stats.ToFloat64(Generate("V", 24, testDims)))
-	sstart := stats.Std(stats.ToFloat64(Generate("V", 0, testDims)))
+	speak := stats.Std(stats.Float64Of(Generate("V", 24, testDims)))
+	sstart := stats.Std(stats.Float64Of(Generate("V", 0, testDims)))
 	if speak <= sstart {
 		t.Errorf("wind variability should peak mid-storm: t24=%.2f t0=%.2f", speak, sstart)
 	}
@@ -199,8 +199,8 @@ func TestFieldSeededPerturbsDenseFields(t *testing.T) {
 	}
 	// the seed perturbs small-scale noise only: the large-scale physics
 	// (hydrostatic pressure profile) must survive, so means stay close
-	ma := stats.Mean(stats.ToFloat64(a))
-	mb := stats.Mean(stats.ToFloat64(b))
+	ma := stats.Mean(stats.Float64Of(a))
+	mb := stats.Mean(stats.Float64Of(b))
 	if math.Abs(ma-mb) > 5 {
 		t.Errorf("seeds shifted the mean pressure too far: %.2f vs %.2f", ma, mb)
 	}

@@ -88,7 +88,7 @@ func (m *JinModel) abs() float64 {
 
 // BeginCompress implements pressio.Metric: runs the analytic model.
 func (m *JinModel) BeginCompress(in *pressio.Data) {
-	vals := stats.ToFloat64(in)
+	vals := stats.Float64Of(in)
 	dims := in.Dims()
 	var it ndIterator
 	if m.FastIter {

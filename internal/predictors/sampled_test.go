@@ -19,7 +19,7 @@ import (
 // compares the plugins against.
 
 func referenceKhan(m *KhanSurrogate, in *pressio.Data) pressio.Options {
-	vals := stats.ToFloat64(in)
+	vals := stats.Float64Of(in)
 	elemBits := in.DType().Size() * 8
 	abs := m.abs()
 	var cr float64
@@ -125,7 +125,7 @@ func referenceKhan(m *KhanSurrogate, in *pressio.Data) pressio.Options {
 
 func referenceTao(m *TaoSample, in *pressio.Data) pressio.Options {
 	r := pressio.Options{}
-	vals := stats.ToFloat64(in)
+	vals := stats.Float64Of(in)
 	n := len(vals)
 	be := m.blockElems()
 	if n == 0 {
@@ -169,7 +169,7 @@ func referenceTao(m *TaoSample, in *pressio.Data) pressio.Options {
 }
 
 func referenceZperf(m *ZperfModel, in *pressio.Data) pressio.Options {
-	vals := stats.ToFloat64(in)
+	vals := stats.Float64Of(in)
 	elemBits := in.DType().Size() * 8
 	n := len(vals)
 	sampleLen := int(float64(n) * m.fraction())

@@ -1,14 +1,10 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -22,16 +18,6 @@ import (
 // MaxBatchItems bounds one batch request, mirroring maxFitCells: a batch
 // is one pool slot, so an unbounded batch would be an unbounded slot.
 const MaxBatchItems = 4096
-
-// Batch request content types. The default (anything else, normally
-// application/json) is the columnar body; the other two are the
-// streaming variants: newline-delimited JSON and little-endian
-// u32-length-prefixed JSON frames. All three produce one result frame
-// per input item.
-const (
-	ContentNDJSON = "application/x-ndjson"
-	ContentFrames = "application/x-json-frames"
-)
 
 // BatchRequest is the columnar batch-predict body: one envelope
 // (scheme/compressor/options/alpha/dims) shared by every item, plus
@@ -47,13 +33,6 @@ type BatchRequest struct {
 	Fields     []string       `json:"fields,omitempty"`
 	Steps      []int          `json:"steps,omitempty"`
 	Features   []float64      `json:"features,omitempty"`
-}
-
-// batchItem is one streamed item frame (NDJSON line / binary frame).
-type batchItem struct {
-	Field    string    `json:"field,omitempty"`
-	Step     int       `json:"step,omitempty"`
-	Features []float64 `json:"features,omitempty"`
 }
 
 // BatchItemResult is one item's outcome. Batches have partial-failure
@@ -76,16 +55,6 @@ type BatchResponse struct {
 	Count      int               `json:"count"`
 	Errors     int               `json:"errors"`
 	Results    []BatchItemResult `json:"results"`
-}
-
-// batchSummary is the trailing frame of a streamed batch reply.
-type batchSummary struct {
-	Scheme     string `json:"scheme"`
-	Compressor string `json:"compressor"`
-	Target     string `json:"target"`
-	Model      string `json:"model,omitempty"`
-	Count      int    `json:"count"`
-	Errors     int    `json:"errors"`
 }
 
 // cellKey identifies one cached prediction: the request-shape base
@@ -227,7 +196,7 @@ func (s *Server) groupPredictor(g *batchGroup) (core.Predictor, error) {
 	}
 	var err error
 	if g.entry != nil {
-		g.pred, err = s.predictorFor(g.entry)
+		g.pred, err = s.registry.Predictor(g.entry)
 	} else {
 		g.pred, err = g.scheme.NewPredictor(g.compressor)
 	}
@@ -362,13 +331,11 @@ func (s *Server) predictBatchItems(ctx context.Context, g *batchGroup, req *Batc
 
 // batchScratch is the pooled decode/compute scratch of one batch
 // request: the envelope (slices reused across requests by resetting
-// length, not capacity), the item-aligned results, and the stream
-// buffers. Owned by exactly one handler between Get and Put.
+// length, not capacity) and the item-aligned results. Owned by exactly
+// one handler between Get and Put.
 type batchScratch struct {
 	req     BatchRequest
 	results []BatchItemResult
-	item    batchItem
-	buf     []byte
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -387,21 +354,17 @@ func (sc *batchScratch) reset() {
 	sc.results = sc.results[:0]
 }
 
-// resetItem clears the per-frame decode target between stream frames.
-func (sc *batchScratch) resetItem() {
-	sc.item.Field = ""
-	sc.item.Step = 0
-	sc.item.Features = sc.item.Features[:0]
-}
-
-// appendItem folds one decoded stream frame into the columnar envelope.
-func (sc *batchScratch) appendItem() {
-	if len(sc.item.Features) > 0 {
-		sc.req.Features = append(sc.req.Features, sc.item.Features...)
-		return
+// retiredBatchEncoding names the request's content type when it is one of
+// the two streamed batch encodings this endpoint used to accept. Their
+// bodies are not one JSON value, so they are refused by name instead of
+// being handed to the JSON decoder.
+func retiredBatchEncoding(contentType string) string {
+	ct, _, _ := strings.Cut(contentType, ";")
+	switch ct = strings.ToLower(strings.TrimSpace(ct)); ct {
+	case "application/x-ndjson", "application/x-json-frames":
+		return ct
 	}
-	sc.req.Fields = append(sc.req.Fields, sc.item.Field)
-	sc.req.Steps = append(sc.req.Steps, sc.item.Step)
+	return ""
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) int {
@@ -412,32 +375,25 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) int 
 		w.Header().Set("Retry-After", s.retryAfterPredict())
 		return writeError(w, http.StatusServiceUnavailable, "draining")
 	}
-	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
-	ct = strings.TrimSpace(ct)
+	if ct := retiredBatchEncoding(r.Header.Get("Content-Type")); ct != "" {
+		return writeError(w, http.StatusUnsupportedMediaType,
+			"%s batches are no longer accepted: send one application/json body with parallel fields/steps arrays (or a features array)", ct)
+	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.reset()
-	var status int
-	var err error
-	switch ct {
-	case ContentNDJSON:
-		status, err = decodeBatchNDJSON(w, r, sc)
-	case ContentFrames:
-		status, err = decodeBatchFrames(w, r, sc)
-	default:
-		status, err = decodeJSON(w, r, &sc.req)
-	}
+	status, err := decodeJSON(w, r, &sc.req)
 	if err != nil {
 		status = writeError(w, status, "%v", err)
 	} else {
-		status = s.runBatch(w, r, sc, ct)
+		status = s.runBatch(w, r, sc)
 	}
 	batchScratchPool.Put(sc)
 	return status
 }
 
 // runBatch validates the decoded batch, computes it in one worker-pool
-// slot, and encodes the reply in the request's content type.
-func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, sc *batchScratch, ct string) int {
+// slot, and encodes the reply.
+func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, sc *batchScratch) int {
 	req := &sc.req
 	g, status, err := s.resolveGroup(req.Scheme, req.Compressor, req.Options, req.Alpha, req.Dims)
 	if err != nil {
@@ -499,150 +455,9 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, sc *batchScrat
 	<-done
 	s.stats.batch(n, hits, errs)
 
-	sum := batchSummary{
+	return writeJSON(w, http.StatusOK, BatchResponse{
 		Scheme: g.schemeName, Compressor: g.compressor, Target: g.target,
 		Model: g.model, Count: n, Errors: errs,
-	}
-	switch ct {
-	case ContentNDJSON:
-		return writeBatchNDJSON(w, sc.results, sum)
-	case ContentFrames:
-		return writeBatchFrames(w, sc.results, sum)
-	default:
-		return writeJSON(w, http.StatusOK, BatchResponse{
-			Scheme: sum.Scheme, Compressor: sum.Compressor, Target: sum.Target,
-			Model: sum.Model, Count: sum.Count, Errors: sum.Errors,
-			Results: sc.results,
-		})
-	}
-}
-
-// statusForBodyErr maps a stream read error to 413 (body cap) or 400.
-func statusForBodyErr(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// decodeBatchNDJSON reads the streaming NDJSON body: line 1 is the
-// envelope (a BatchRequest, which may itself carry columnar items),
-// every further line one batchItem.
-func decodeBatchNDJSON(w http.ResponseWriter, r *http.Request, sc *batchScratch) (int, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	scn := bufio.NewScanner(r.Body)
-	if cap(sc.buf) == 0 {
-		sc.buf = make([]byte, 0, 4096)
-	}
-	scn.Buffer(sc.buf[:0], maxBodyBytes)
-	first := true
-	for scn.Scan() {
-		line := bytes.TrimSpace(scn.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if first {
-			if err := json.Unmarshal(line, &sc.req); err != nil {
-				return http.StatusBadRequest, fmt.Errorf("bad envelope line: %v", err)
-			}
-			first = false
-			continue
-		}
-		sc.resetItem()
-		if err := json.Unmarshal(line, &sc.item); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("bad item line: %v", err)
-		}
-		sc.appendItem()
-	}
-	if err := scn.Err(); err != nil {
-		return statusForBodyErr(err), fmt.Errorf("reading ndjson body: %v", err)
-	}
-	if first {
-		return http.StatusBadRequest, fmt.Errorf("empty ndjson body: want an envelope line")
-	}
-	return 0, nil
-}
-
-// decodeBatchFrames reads the binary streaming body: little-endian u32
-// length prefixes, first frame the envelope, every further frame one
-// batchItem.
-func decodeBatchFrames(w http.ResponseWriter, r *http.Request, sc *batchScratch) (int, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	br := bufio.NewReader(r.Body)
-	var hdr [4]byte
-	first := true
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return statusForBodyErr(err), fmt.Errorf("reading frame header: %v", err)
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n == 0 || n > maxBodyBytes {
-			return http.StatusBadRequest, fmt.Errorf("bad frame length %d", n)
-		}
-		if cap(sc.buf) < int(n) {
-			sc.buf = make([]byte, n)
-		}
-		sc.buf = sc.buf[:n]
-		if _, err := io.ReadFull(br, sc.buf); err != nil {
-			return statusForBodyErr(err), fmt.Errorf("reading %d-byte frame: %v", n, err)
-		}
-		if first {
-			if err := json.Unmarshal(sc.buf, &sc.req); err != nil {
-				return http.StatusBadRequest, fmt.Errorf("bad envelope frame: %v", err)
-			}
-			first = false
-			continue
-		}
-		sc.resetItem()
-		if err := json.Unmarshal(sc.buf, &sc.item); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("bad item frame: %v", err)
-		}
-		sc.appendItem()
-	}
-	if first {
-		return http.StatusBadRequest, fmt.Errorf("empty frame body: want an envelope frame")
-	}
-	return 0, nil
-}
-
-// writeBatchNDJSON streams one result line per item plus a summary line.
-func writeBatchNDJSON(w http.ResponseWriter, results []BatchItemResult, sum batchSummary) int {
-	w.Header().Set("Content-Type", ContentNDJSON)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for i := range results {
-		enc.Encode(&results[i])
-	}
-	enc.Encode(sum)
-	return http.StatusOK
-}
-
-// writeBatchFrames streams one length-prefixed result frame per item
-// plus a summary frame.
-func writeBatchFrames(w http.ResponseWriter, results []BatchItemResult, sum batchSummary) int {
-	w.Header().Set("Content-Type", ContentFrames)
-	w.WriteHeader(http.StatusOK)
-	for i := range results {
-		writeFrame(w, &results[i])
-	}
-	writeFrame(w, sum)
-	return http.StatusOK
-}
-
-func writeFrame(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
+		Results: sc.results,
+	})
 }

@@ -1,11 +1,7 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -130,105 +126,63 @@ func TestPredictBatchFeatureRows(t *testing.T) {
 	}
 }
 
-// TestPredictBatchNDJSON drives the streaming NDJSON variant: envelope
-// line + item lines in, one result line per item + summary line out.
-func TestPredictBatchNDJSON(t *testing.T) {
+// TestPredictBatchRejectsRetiredEncodings: the two streamed batch
+// encodings are refused by content type with an error that names the body
+// to send instead, never handed to the JSON decoder; any other content
+// type is still read as the columnar JSON body.
+func TestPredictBatchRejectsRetiredEncodings(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var buf bytes.Buffer
-	buf.WriteString(`{"scheme":"khan2023","compressor":"sz3","dims":[8,8,8]}` + "\n")
-	for step := 0; step < 3; step++ {
-		fmt.Fprintf(&buf, `{"field":"P","step":%d}`+"\n", step)
+	const columnar = `{"scheme":"khan2023","compressor":"sz3","dims":[8,8,8],"fields":["P","P"],"steps":[0,1]}`
+	ndjson := `{"scheme":"khan2023","compressor":"sz3","dims":[8,8,8]}` + "\n" +
+		`{"field":"P","step":0}` + "\n" + `{"field":"P","step":1}` + "\n"
+	cases := []struct {
+		contentType, body string
+		want              int
+	}{
+		{"application/x-ndjson", ndjson, http.StatusUnsupportedMediaType},
+		{"application/x-ndjson; charset=utf-8", ndjson, http.StatusUnsupportedMediaType},
+		{"Application/X-NDJSON", ndjson, http.StatusUnsupportedMediaType},
+		{"application/x-json-frames", "\x02\x00\x00\x00{}", http.StatusUnsupportedMediaType},
+		{"application/x-json-frames;charset=utf-8", "\x02\x00\x00\x00{}", http.StatusUnsupportedMediaType},
+		// a retired content type is refused whatever the body holds
+		{"application/x-ndjson", columnar, http.StatusUnsupportedMediaType},
+		{"application/json", columnar, http.StatusOK},
+		{"text/plain", columnar, http.StatusOK},
+		{"application/x-www-form-urlencoded", columnar, http.StatusOK}, // curl -d
+		{"", columnar, http.StatusOK},
 	}
-	resp, err := http.Post(ts.URL+"/v1/predict/batch", ContentNDJSON, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentNDJSON {
-		t.Fatalf("response content type %q", ct)
-	}
-	scn := bufio.NewScanner(resp.Body)
-	var lines []string
-	for scn.Scan() {
-		if s := strings.TrimSpace(scn.Text()); s != "" {
-			lines = append(lines, s)
-		}
-	}
-	if len(lines) != 4 {
-		t.Fatalf("want 3 result lines + summary, got %d: %v", len(lines), lines)
-	}
-	for _, line := range lines[:3] {
-		var r BatchItemResult
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatalf("bad result line %q: %v", line, err)
-		}
-		if r.Error != "" || r.Prediction <= 0 {
-			t.Fatalf("bad result: %+v", r)
-		}
-	}
-	var sum batchSummary
-	if err := json.Unmarshal([]byte(lines[3]), &sum); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Count != 3 || sum.Errors != 0 || sum.Scheme != "khan2023" {
-		t.Fatalf("bad summary: %+v", sum)
-	}
-}
-
-// TestPredictBatchFrames drives the length-prefixed binary variant.
-func TestPredictBatchFrames(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	var buf bytes.Buffer
-	frame := func(v any) {
-		b, err := json.Marshal(v)
+	for _, tc := range cases {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict/batch", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-		buf.Write(hdr[:])
-		buf.Write(b)
-	}
-	frame(map[string]any{"scheme": "khan2023", "compressor": "sz3", "dims": []int{8, 8, 8}})
-	frame(map[string]any{"field": "P", "step": 0})
-	frame(map[string]any{"field": "TC", "step": 1})
-	resp, err := http.Post(ts.URL+"/v1/predict/batch", ContentFrames, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	br := bufio.NewReader(resp.Body)
-	var frames [][]byte
-	for {
-		var hdr [4]byte
-		if _, err := io.ReadFull(br, hdr[:]); err == io.EOF {
-			break
-		} else if err != nil {
+		if tc.contentType != "" {
+			req.Header.Set("Content-Type", tc.contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
 			t.Fatal(err)
 		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			t.Fatal(err)
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("Content-Type %q: status %d, want %d (%s)", tc.contentType, resp.StatusCode, tc.want, raw)
+			continue
 		}
-		frames = append(frames, b)
+		if tc.want == http.StatusOK {
+			var out BatchResponse
+			if err := json.Unmarshal(raw, &out); err != nil || out.Count != 2 || out.Errors != 0 {
+				t.Errorf("Content-Type %q: answer %s: %v", tc.contentType, raw, err)
+			}
+			continue
+		}
+		var e errorResponse
+		if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "application/json") {
+			t.Errorf("Content-Type %q: the 415 must name application/json, got %s", tc.contentType, raw)
+		}
 	}
-	if len(frames) != 3 {
-		t.Fatalf("want 2 result frames + summary, got %d", len(frames))
-	}
-	var r BatchItemResult
-	if err := json.Unmarshal(frames[0], &r); err != nil || r.Prediction <= 0 {
-		t.Fatalf("bad first frame %s: %v", frames[0], err)
-	}
-	var sum batchSummary
-	if err := json.Unmarshal(frames[2], &sum); err != nil || sum.Count != 2 {
-		t.Fatalf("bad summary frame %s: %v", frames[2], err)
+	if st := statz(t, ts.URL); st.BatchRequests != 4 || st.BatchPreds != 8 {
+		t.Errorf("only the four accepted batches may count: %d requests, %d predictions", st.BatchRequests, st.BatchPreds)
 	}
 }
 

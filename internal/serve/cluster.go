@@ -3,9 +3,9 @@ package serve
 // Cluster support: the hooks internal/cluster drives when predictd runs
 // replicated. The replication layer applies shipped WAL frames to the
 // local store itself; Absorb keeps this server's in-memory projections
-// (registry, predictor cache, result cache) coherent with those writes,
-// and Adopt is the failover half — taking over a dead peer's journaled
-// fit jobs so its 202 acknowledgements are honored by a survivor.
+// (registry, result cache) coherent with those writes, and Adopt is the
+// failover half — taking over a dead peer's journaled fit jobs so its 202
+// acknowledgements are honored by a survivor.
 
 import (
 	"bytes"
@@ -13,7 +13,6 @@ import (
 	"encoding/gob"
 	"reflect"
 	"strings"
-	"time"
 
 	"repro/internal/store"
 )
@@ -43,10 +42,11 @@ func ModelBytesEquivalent(a, b []byte) bool {
 
 // Absorb folds one replicated WAL frame into the server's in-memory
 // caches after the replication layer applied it to the local store.
-// Model frames update the registry projection and invalidate the
-// decoded-predictor and result caches for that key; job frames need no
-// live projection (Recover and Adopt read them from the store, and a
-// peer's jobs stay read-only until adopted).
+// Model frames update the registry projection (a replaced or deleted
+// entry takes its decoded predictor with it) and evict that key from the
+// result cache; job frames need no live projection (Recover and Adopt
+// read them from the store, and a peer's jobs stay read-only until
+// adopted).
 func (s *Server) Absorb(f store.Frame) {
 	if !strings.HasPrefix(f.Key, modelPrefix) {
 		return
@@ -57,9 +57,6 @@ func (s *Server) Absorb(f store.Frame) {
 	case store.FrameDelete:
 		s.registry.Forget(f.Key)
 	}
-	s.predMu.Lock()
-	delete(s.predCache, f.Key)
-	s.predMu.Unlock()
 	s.cache.evictIf(func(v cellValue) bool { return v.model == f.Key })
 }
 
@@ -89,27 +86,18 @@ func (s *Server) Adopt(ctx context.Context, node string) (int, error) {
 		if _, ok := s.jobs[rec.ID]; ok {
 			continue // already adopted
 		}
-		job := &FitJob{
-			ID: rec.ID, Key: rec.Key, Node: s.cfg.NodeName,
-			Scheme: rec.Scheme, Compressor: rec.Compressor,
-			Request: rec.Request, status: rec.Status, errMsg: rec.Error,
-			modelKey: rec.Model, samples: rec.Samples,
-		}
-		if rec.FinishedAtUnix > 0 {
-			job.finishedAt = time.Unix(rec.FinishedAtUnix, 0)
-		}
+		job, interrupted := jobFromRecord(*rec, s.cfg.NodeName)
 		if n := jobSeqOf(rec.ID); n > s.jobSeq && s.cfg.NodeName == "" {
 			s.jobSeq = n
 		}
-		s.jobs[job.ID] = job
-		if _, taken := s.jobByKey[job.Key]; !taken {
+		s.jobs[rec.ID] = job
+		if _, taken := s.jobByKey[rec.Key]; !taken {
 			// an identical local job (same opthash) keeps the key; the
 			// adopted one still completes via publish-once adoption
-			s.jobByKey[job.Key] = job.ID
+			s.jobByKey[rec.Key] = rec.ID
 		}
 		adopted = append(adopted, job)
-		if rec.Status == "queued" || rec.Status == "running" {
-			job.status = "queued"
+		if interrupted {
 			pending = append(pending, job)
 		}
 	}
@@ -119,19 +107,6 @@ func (s *Server) Adopt(ctx context.Context, node string) (int, error) {
 		// the job as their own
 		s.journalJob(job)
 	}
-	for _, job := range pending {
-		// adopted jobs carry the dead node's 202 promise: wait out a full
-		// fit queue instead of dropping
-		for !s.enqueueFit(job) {
-			if s.fitPool.isClosed() {
-				return len(adopted), nil
-			}
-			select {
-			case <-ctx.Done():
-				return len(adopted), ctx.Err()
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-	}
-	return len(adopted), nil
+	// adopted jobs carry the dead node's 202 promise
+	return len(adopted), s.enqueueAcked(ctx, pending)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -56,6 +57,42 @@ func TestRequestBodyLimits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed fit body = %d, want 400", resp.StatusCode)
+	}
+
+	// a body is exactly one JSON value: whitespace after it is ignored,
+	// anything else is a 400 from the decoder — never an answer to the
+	// first value alone. (The fit body is valid JSON for a scheme that
+	// does not train, so its own 400 comes from past the decoder.)
+	const decodeErr = "bad request body"
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/predict", `{"scheme":"khan2023","compressor":"sz3","features":[1]}`, http.StatusOK},
+		{"/v1/predict/batch", `{"scheme":"khan2023","compressor":"sz3","features":[1,2]}`, http.StatusOK},
+		{"/v1/fit", `{"scheme":"khan2023","compressor":"sz3","training":{"fields":["P"],"steps":1,"bounds":[1e-4]}}`, http.StatusBadRequest},
+		{"/v1/invalidate", `{"keys":["sz3:unrelated"]}`, http.StatusOK},
+	} {
+		post := func(body string) (int, string) {
+			t.Helper()
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			return resp.StatusCode, string(raw)
+		}
+		for _, tail := range []string{"", "\n", " \r\n\t "} {
+			if status, raw := post(tc.body + tail); status != tc.want || strings.Contains(raw, decodeErr) {
+				t.Errorf("%s with trailing %q = %d %s, want %d from past the decoder", tc.path, tail, status, raw, tc.want)
+			}
+		}
+		for _, tail := range []string{tc.body, "\n" + `{"field":"P"}`, "]", "x"} {
+			if status, raw := post(tc.body + tail); status != http.StatusBadRequest || !strings.Contains(raw, decodeErr) {
+				t.Errorf("%s with trailing %q = %d %s, want the decoder's 400", tc.path, tail, status, raw)
+			}
+		}
 	}
 }
 

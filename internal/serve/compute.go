@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hurricane"
 	"repro/internal/predictors"
 	"repro/internal/pressio"
 )
@@ -32,52 +31,23 @@ func checkDims(dims []int) error {
 	return nil
 }
 
-// fieldData reads one hurricane cell through the tiered dataset cache
-// when it is enabled — repeated requests over the same cell then skip
-// synthesis and share one buffer, and with it the error-agnostic metric
-// results earlier requests left on it. The returned release must be
-// called once the buffer is no longer needed; it is a no-op on the
-// uncached path.
+// fieldData reads one hurricane cell through the tiered dataset cache:
+// repeated requests over the same cell skip synthesis and share one
+// buffer, and with it the error-agnostic metric results earlier requests
+// left on it. The returned release must be called once the buffer is no
+// longer needed.
 func (s *Server) fieldData(field string, step int, dims []int) (*pressio.Data, func(), error) {
-	if s.data != nil {
-		h, err := s.data.Acquire(field, step, dims)
-		if err != nil {
-			return nil, nil, err
-		}
-		//lint:ignore pressiovet/poolescape ownership transfers to the caller, which must call the returned release
-		return h.Data(), h.Release, nil
-	}
-	data, err := hurricane.Field(field, step, dims)
+	h, err := s.data.Acquire(field, step, dims)
 	if err != nil {
 		return nil, nil, err
 	}
-	return data, func() {}, nil
+	//lint:ignore pressiovet/poolescape ownership transfers to the caller, which must call the returned release
+	return h.Data(), h.Release, nil
 }
 
 // defaultDataDims keeps data-backed predict requests cheap when the
 // client does not pick a grid.
 var defaultDataDims = []int{16, 16, 16}
-
-// predictorFor restores an entry's trained predictor, memoized per model
-// key so the gob decode happens once per model, not per request. Restored
-// predictors are only read concurrently (Predict), which the mlkit models
-// support.
-func (s *Server) predictorFor(entry *ModelEntry) (core.Predictor, error) {
-	s.predMu.Lock()
-	p, ok := s.predCache[entry.Key]
-	s.predMu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := s.registry.Restore(entry)
-	if err != nil {
-		return nil, err
-	}
-	s.predMu.Lock()
-	s.predCache[entry.Key] = p
-	s.predMu.Unlock()
-	return p, nil
-}
 
 // observeCell measures one (field, step, bound) training cell: data
 // through the tiered dataset cache — repeated fits over the same
@@ -117,10 +87,7 @@ func (s *Server) runFit(ctx context.Context, job *FitJob, req *FitRequest, opts 
 		// it instead of training again: publish-once per opthash is what
 		// keeps at-least-once journal replay from ever installing two
 		// divergent models under one key.
-		job.mu.Lock()
-		job.samples = prev.Samples
-		job.modelKey = prev.Key
-		job.mu.Unlock()
+		job.setModel(prev)
 		return nil
 	}
 	dims := tr.Dims
@@ -159,10 +126,7 @@ func (s *Server) runFit(ctx context.Context, job *FitJob, req *FitRequest, opts 
 		// the model landed while we were training — replicated from an
 		// adopter that re-ran the same job. Adopt it rather than publishing
 		// a duplicate.
-		job.mu.Lock()
-		job.samples = prev.Samples
-		job.modelKey = prev.Key
-		job.mu.Unlock()
+		job.setModel(prev)
 		return nil
 	}
 	entry := &ModelEntry{
@@ -178,13 +142,6 @@ func (s *Server) runFit(ctx context.Context, job *FitJob, req *FitRequest, opts 
 	if err := s.registry.Put(entry); err != nil {
 		return err
 	}
-	// a re-fit under the same key supersedes the old decoded predictor
-	s.predMu.Lock()
-	delete(s.predCache, entry.Key)
-	s.predMu.Unlock()
-	job.mu.Lock()
-	job.samples = len(x)
-	job.modelKey = entry.Key
-	job.mu.Unlock()
+	job.setModel(entry)
 	return nil
 }

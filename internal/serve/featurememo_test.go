@@ -80,7 +80,9 @@ func TestFeatureMemoAcrossBounds(t *testing.T) {
 		t.Skip("fits models over real compressor runs")
 	}
 	_, ts := newTestServer(t, Config{Deadline: time.Minute})
-	_, plain := newTestServer(t, Config{Deadline: time.Minute, DataCacheBytes: -1})
+	// the no-sharing control: every cell is larger than a one-byte tier,
+	// so each read gets a buffer of its own, freed with its last handle
+	_, plain := newTestServer(t, Config{Deadline: time.Minute, DataCacheBytes: 1})
 
 	// a fit over B bounds per cell: once per cell and metric
 	fitAndWait(t, ts.URL, 1)
@@ -125,7 +127,7 @@ func TestFeatureMemoAcrossBounds(t *testing.T) {
 	fitAndWait(t, plain.URL, 1)
 	sameAnswers(got, sweepBatch(t, plain.URL, 3e-4))
 	if pst := statz(t, plain.URL); pst.FeatureMemo.Hits != 0 {
-		t.Errorf("a server without the data cache reused %d results", pst.FeatureMemo.Hits)
+		t.Errorf("a server that keeps no cell resident reused %d results", pst.FeatureMemo.Hits)
 	}
 
 	// pressio:abs evicts the model (distortion is stale) but leaves the

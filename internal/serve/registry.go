@@ -54,15 +54,24 @@ type ModelEntry struct {
 type Registry struct {
 	mu  sync.RWMutex
 	st  *store.Store
-	mem map[string]*ModelEntry // key → entry
+	mem map[string]*registered // key → entry
 	seq uint64
+}
+
+// registered is one published entry and the predictor decoded from it.
+// The two share a lifetime: whatever replaces or removes the entry
+// (Put, Absorb, Forget, Invalidate) drops its decoded predictor with it,
+// so there is no second place to evict from.
+type registered struct {
+	entry *ModelEntry
+	pred  core.Predictor // nil until Predictor first decodes entry.State
 }
 
 // OpenRegistry loads every persisted model entry from the store.
 // Entries that fail to decode — from a corrupted record or a gob schema
 // change — are dropped (and deleted best-effort) rather than served.
 func OpenRegistry(st *store.Store) (*Registry, error) {
-	r := &Registry{st: st, mem: map[string]*ModelEntry{}}
+	r := &Registry{st: st, mem: map[string]*registered{}}
 	keys, err := st.Keys(modelPrefix)
 	if err != nil {
 		return nil, err
@@ -77,7 +86,7 @@ func OpenRegistry(st *store.Store) (*Registry, error) {
 			st.Delete(k)
 			continue
 		}
-		r.mem[k] = &e
+		r.mem[k] = &registered{entry: &e}
 		if e.Seq > r.seq {
 			r.seq = e.Seq
 		}
@@ -113,7 +122,7 @@ func (r *Registry) Put(e *ModelEntry) error {
 	if err := r.st.Put(e.Key, buf.Bytes()); err != nil {
 		return err
 	}
-	r.mem[e.Key] = e
+	r.mem[e.Key] = &registered{entry: e}
 	return nil
 }
 
@@ -130,7 +139,7 @@ func (r *Registry) Absorb(key string, raw []byte) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.mem[key] = &e
+	r.mem[key] = &registered{entry: &e}
 	if e.Seq > r.seq {
 		// replicated entries advance the seq high-water mark so models
 		// published here after an adoption never collide below it
@@ -151,8 +160,10 @@ func (r *Registry) Forget(key string) {
 func (r *Registry) Get(key string) (*ModelEntry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.mem[key]
-	return e, ok
+	if reg, ok := r.mem[key]; ok {
+		return reg.entry, true
+	}
+	return nil, false
 }
 
 // Lookup returns the newest entry for a (scheme, compressor) pair, or
@@ -162,9 +173,9 @@ func (r *Registry) Lookup(scheme, compressor string) (*ModelEntry, error) {
 	defer r.mu.RUnlock()
 	prefix := modelPrefix + scheme + "/" + compressor + "/"
 	var best *ModelEntry
-	for k, e := range r.mem {
-		if strings.HasPrefix(k, prefix) && (best == nil || e.Seq > best.Seq) {
-			best = e
+	for k, reg := range r.mem {
+		if strings.HasPrefix(k, prefix) && (best == nil || reg.entry.Seq > best.Seq) {
+			best = reg.entry
 		}
 	}
 	if best == nil {
@@ -178,8 +189,8 @@ func (r *Registry) List() []*ModelEntry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]*ModelEntry, 0, len(r.mem))
-	for _, e := range r.mem {
-		out = append(out, e)
+	for _, reg := range r.mem {
+		out = append(out, reg.entry)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -199,6 +210,37 @@ func (r *Registry) Restore(e *ModelEntry) (core.Predictor, error) {
 	return predictors.RestoreState(e.Scheme, e.Compressor, e.State)
 }
 
+// Predictor returns e's trained predictor, decoded once per published
+// entry rather than once per request. The decode is kept only while e is
+// still the entry published under its key: a predictor decoded from an
+// entry that was replaced meanwhile is returned to its caller and never
+// stored, so it cannot answer for the entry that replaced it. Concurrent
+// first callers may each decode (the result is the same). Restored
+// predictors are only read concurrently (Predict), which the mlkit
+// models support.
+func (r *Registry) Predictor(e *ModelEntry) (core.Predictor, error) {
+	r.mu.RLock()
+	reg := r.mem[e.Key]
+	var p core.Predictor
+	if reg != nil && reg.entry == e {
+		p = reg.pred
+	}
+	r.mu.RUnlock()
+	if p != nil {
+		return p, nil
+	}
+	p, err := r.Restore(e)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	if reg := r.mem[e.Key]; reg != nil && reg.entry == e {
+		reg.pred = p
+	}
+	r.mu.Unlock()
+	return p, nil
+}
+
 // Invalidate applies the paper's predictors:invalidate semantics to the
 // registry: every model whose scheme is made stale by the given option
 // names or class keys (per core.SchemeStale — error_dependent covers
@@ -213,7 +255,8 @@ func (r *Registry) Invalidate(keys ...string) ([]string, error) {
 	defer r.mu.Unlock()
 	var evicted []string
 	staleByScheme := map[string]bool{}
-	for k, e := range r.mem {
+	for k, reg := range r.mem {
+		e := reg.entry
 		stale, seen := staleByScheme[e.Scheme]
 		if !seen {
 			scheme, err := core.GetScheme(e.Scheme)

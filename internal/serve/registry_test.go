@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -14,6 +16,13 @@ import (
 // entry.
 func fitEntry(t *testing.T, trainOpts pressio.Options, training TrainingSpec) *ModelEntry {
 	t.Helper()
+	return fitEntryOn(t, []float64{2, 3, 4, 9, 8, 7}, trainOpts, training)
+}
+
+// fitEntryOn is fitEntry with the training targets chosen by the caller,
+// so two entries under one key can hold different models.
+func fitEntryOn(t *testing.T, y []float64, trainOpts pressio.Options, training TrainingSpec) *ModelEntry {
+	t.Helper()
 	scheme, err := core.GetScheme("krasowska2021")
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +32,6 @@ func fitEntry(t *testing.T, trainOpts pressio.Options, training TrainingSpec) *M
 		t.Fatal(err)
 	}
 	x := [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1}, {2, 0, 1}, {1, 2, 0}}
-	y := []float64{2, 3, 4, 9, 8, 7}
 	if err := p.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -166,5 +174,113 @@ func TestRegistryInvalidateTrainingEvictsAllTrained(t *testing.T) {
 	}
 	if len(evicted) != 1 {
 		t.Errorf("predictors:training should evict every trained model, got %v", evicted)
+	}
+}
+
+// TestPredictorMemoDiesWithItsEntry: a decoded predictor is kept only
+// for the entry it was decoded from, while that entry is the one
+// published. A decode that finishes after its entry was replaced is not
+// stored, so it cannot answer for the new entry; and everything that
+// replaces or removes an entry leaves no decoded predictor behind.
+func TestPredictorMemoDiesWithItsEntry(t *testing.T) {
+	st, reg := openTestRegistry(t, t.TempDir())
+	defer st.Close()
+	training := TrainingSpec{Fields: []string{"P"}, Steps: 2, Bounds: []float64{1e-4}}
+	older := fitEntry(t, pressio.Options{}, training)
+	newer := fitEntryOn(t, []float64{20, 30, 40, 90, 80, 70}, pressio.Options{}, training)
+	key := older.Key
+	if newer.Key != key {
+		t.Fatal("both models must share one key")
+	}
+	var newerRaw bytes.Buffer
+	if err := gob.NewEncoder(&newerRaw).Encode(newer); err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{1, 2, 3}
+	predict := func(e *ModelEntry) float64 {
+		t.Helper()
+		p, err := reg.Predictor(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := p.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	published := func() *ModelEntry {
+		t.Helper()
+		e, ok := reg.Get(key)
+		if !ok {
+			t.Fatalf("no entry under %s", key)
+		}
+		return e
+	}
+	decoded := func() bool {
+		reg.mu.RLock()
+		defer reg.mu.RUnlock()
+		r := reg.mem[key]
+		return r != nil && r.pred != nil
+	}
+
+	// the late store: e1 is looked up, replaced, and only then decoded
+	if err := reg.Put(older); err != nil {
+		t.Fatal(err)
+	}
+	e1 := published()
+	if err := reg.Absorb(key, newerRaw.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	fromOlder := predict(e1)
+	if decoded() {
+		t.Error("a predictor decoded from a replaced entry was stored under its key")
+	}
+	fresh, err := reg.Restore(published())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == fromOlder {
+		t.Fatal("the two models must disagree for this test to see anything")
+	}
+	if got := predict(published()); got != want {
+		t.Errorf("the new entry predicts %v, its own model says %v (the replaced one %v)", got, want, fromOlder)
+	}
+	if !decoded() {
+		t.Error("the published entry's predictor was not kept")
+	}
+	if p1, _ := reg.Predictor(published()); p1 == nil {
+		t.Error("no predictor for the published entry")
+	} else if p2, _ := reg.Predictor(published()); p1 != p2 {
+		t.Error("the published entry was decoded twice")
+	}
+
+	// re-put, invalidate, replicated delete: each takes the decode with it
+	if err := reg.Put(older); err != nil {
+		t.Fatal(err)
+	}
+	if decoded() {
+		t.Error("a re-put kept the replaced entry's predictor")
+	}
+	if got := predict(published()); got != fromOlder {
+		t.Errorf("after the re-put: %v, want the re-put model's %v", got, fromOlder)
+	}
+	if _, err := reg.Invalidate(pressio.InvalidateTraining); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reg.Get(key); ok || decoded() {
+		t.Error("an invalidated entry or its predictor is still reachable")
+	}
+	if err := reg.Absorb(key, newerRaw.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	predict(published())
+	reg.Forget(key)
+	if _, ok := reg.Get(key); ok || decoded() {
+		t.Error("a forgotten entry or its predictor is still reachable")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -71,7 +72,8 @@ type Config struct {
 	AckBarrier func(ctx context.Context) error
 	// DataCacheBytes bounds the memory tier of the tiered dataset cache
 	// that predict and fit read hurricane cells through (default 128
-	// MiB; negative disables the cache and every request re-synthesizes).
+	// MiB; negative is an error). A cell larger than the tier is still
+	// served, and freed with its last reader.
 	// Serving buffers through one cache gives every request over a
 	// resident cell the same *pressio.Data, and a buffer carries what was
 	// computed from it (the fused summary, error-agnostic metric
@@ -127,23 +129,13 @@ func (c *Config) defaults() {
 }
 
 // FitJob tracks one asynchronous training job through its state machine
-// (queued → running → done | failed). Key is the job's journal key — an
-// opthash of the full request — and Request keeps the original body so
-// an interrupted job can re-run after a restart.
+// (queued → running → done | failed): a mutex over the job's journal
+// record. Status, Error, Model, Samples and FinishedAtUnix move under mu;
+// the rest of the record is fixed before the job is shared and may be
+// read without it.
 type FitJob struct {
-	ID         string
-	Key        string
-	Node       string
-	Scheme     string
-	Compressor string
-	Request    FitRequest
-
-	mu         sync.Mutex
-	status     string // queued | running | done | failed
-	errMsg     string
-	modelKey   string
-	samples    int
-	finishedAt time.Time
+	mu  sync.Mutex
+	rec jobRecord
 }
 
 // JobView is the immutable JSON projection of a FitJob.
@@ -158,19 +150,24 @@ type JobView struct {
 	Samples    int    `json:"samples,omitempty"`
 }
 
-func (j *FitJob) view() JobView {
+// record copies the job's journal record.
+func (j *FitJob) record() jobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.rec
+}
+
+func (j *FitJob) view() JobView {
+	r := j.record()
 	return JobView{
-		ID: j.ID, Key: j.Key, Scheme: j.Scheme, Compressor: j.Compressor,
-		Status: j.status, Error: j.errMsg, Model: j.modelKey, Samples: j.samples,
+		ID: r.ID, Key: r.Key, Scheme: r.Scheme, Compressor: r.Compressor,
+		Status: r.Status, Error: r.Error, Model: r.Model, Samples: r.Samples,
 	}
 }
 
 func (j *FitJob) setStatus(status, errMsg string) {
 	j.mu.Lock()
-	j.status = status
-	j.errMsg = errMsg
+	j.rec.Status, j.rec.Error = status, errMsg
 	j.mu.Unlock()
 }
 
@@ -178,32 +175,28 @@ func (j *FitJob) setStatus(status, errMsg string) {
 // clock.
 func (j *FitJob) finish(status, errMsg string, at time.Time) {
 	j.mu.Lock()
-	j.status = status
-	j.errMsg = errMsg
-	j.finishedAt = at
+	j.rec.Status, j.rec.Error = status, errMsg
+	j.rec.FinishedAtUnix = at.Unix()
 	j.mu.Unlock()
 }
 
-// doneAt returns the finish time (zero while queued/running).
-func (j *FitJob) doneAt() time.Time {
+// setModel records the model the job's fit produced or adopted.
+func (j *FitJob) setModel(e *ModelEntry) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finishedAt
+	j.rec.Model, j.rec.Samples = e.Key, e.Samples
+	j.mu.Unlock()
 }
 
-// record projects the job into its journal form.
-func (j *FitJob) record() jobRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec := jobRecord{
-		ID: j.ID, Key: j.Key, Node: j.Node, Scheme: j.Scheme, Compressor: j.Compressor,
-		Status: j.status, Error: j.errMsg, Model: j.modelKey,
-		Samples: j.samples, Request: j.Request,
+// jobFromRecord rebuilds a journaled job as node's own. A job last
+// journaled queued or running was interrupted mid-flight: it goes back
+// to queued and the bool says it must run (again).
+func jobFromRecord(rec jobRecord, node string) (*FitJob, bool) {
+	rec.Node = node
+	interrupted := rec.Status == "queued" || rec.Status == "running"
+	if interrupted {
+		rec.Status = "queued"
 	}
-	if !j.finishedAt.IsZero() {
-		rec.FinishedAtUnix = j.finishedAt.Unix()
-	}
-	return rec
+	return &FitJob{rec: rec}, interrupted
 }
 
 // Server is the prediction-serving subsystem: registry + cache +
@@ -222,9 +215,6 @@ type Server struct {
 	replaying atomic.Bool
 	journal   *journal
 
-	predMu    sync.Mutex
-	predCache map[string]core.Predictor
-
 	jobMu    sync.Mutex
 	jobs     map[string]*FitJob
 	jobByKey map[string]string // journal key → job ID
@@ -241,26 +231,21 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		registry:  reg,
-		cache:     newLRU[cellKey, cellValue](cfg.CacheSize),
-		flight:    newFlightGroup(),
-		pool:      newWorkerPool(cfg.Workers, cfg.QueueDepth),
-		fitPool:   newWorkerPool(cfg.FitWorkers, cfg.FitQueueDepth),
-		stats:     newCounters(),
-		predCache: map[string]core.Predictor{},
-		jobs:      map[string]*FitJob{},
-		jobByKey:  map[string]string{},
+		cfg:      cfg,
+		registry: reg,
+		cache:    newLRU[cellKey, cellValue](cfg.CacheSize),
+		flight:   newFlightGroup(),
+		pool:     newWorkerPool(cfg.Workers, cfg.QueueDepth),
+		fitPool:  newWorkerPool(cfg.FitWorkers, cfg.FitQueueDepth),
+		stats:    newCounters(),
+		jobs:     map[string]*FitJob{},
+		jobByKey: map[string]string{},
 	}
-	if cfg.DataCacheBytes > 0 {
-		dc, err := dataset.NewTiered(dataset.TieredConfig{
-			CapacityBytes: cfg.DataCacheBytes,
-			SpillDir:      cfg.DataSpillDir,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.data = dc
+	if s.data, err = dataset.NewTiered(dataset.TieredConfig{
+		CapacityBytes: cfg.DataCacheBytes,
+		SpillDir:      cfg.DataSpillDir,
+	}); err != nil {
+		return nil, err
 	}
 	if !cfg.DisableJournal {
 		s.journal = &journal{st: st}
@@ -301,30 +286,30 @@ func (s *Server) Recover(ctx context.Context) error {
 			// delete a live peer's journal entry through replication.
 			continue
 		}
-		job := &FitJob{
-			ID: rec.ID, Key: rec.Key, Node: rec.Node, Scheme: rec.Scheme, Compressor: rec.Compressor,
-			Request: rec.Request, status: rec.Status, errMsg: rec.Error,
-			modelKey: rec.Model, samples: rec.Samples,
-		}
-		if rec.FinishedAtUnix > 0 {
-			job.finishedAt = time.Unix(rec.FinishedAtUnix, 0)
-		}
+		job, interrupted := jobFromRecord(*rec, s.cfg.NodeName)
 		if n := jobSeqOf(rec.ID); n > s.jobSeq {
 			s.jobSeq = n
 		}
-		s.jobs[job.ID] = job
-		s.jobByKey[job.Key] = job.ID
-		if rec.Status == "queued" || rec.Status == "running" {
-			// the crash interrupted it mid-flight; run it again
-			job.status = "queued"
+		s.jobs[rec.ID] = job
+		s.jobByKey[rec.Key] = rec.ID
+		if interrupted {
 			pending = append(pending, job)
 		}
 	}
 	s.jobMu.Unlock()
-	for _, job := range pending {
-		// acknowledged jobs must run: wait out a full fit queue instead
-		// of dropping. If the server is already draining, leave the job
-		// journaled as queued for the next start.
+	if err := s.enqueueAcked(ctx, pending); err != nil {
+		return err
+	}
+	s.sweepJobs()
+	return nil
+}
+
+// enqueueAcked enqueues jobs a 202 already promised — replayed from the
+// journal or adopted from a dead peer — so a full fit queue is waited
+// out, not shed. It stops early when the server is draining (the rest
+// stay journaled as queued for the next start) or ctx ends (its error).
+func (s *Server) enqueueAcked(ctx context.Context, jobs []*FitJob) error {
+	for _, job := range jobs {
 		for !s.enqueueFit(job) {
 			if s.fitPool.isClosed() {
 				return nil
@@ -336,7 +321,6 @@ func (s *Server) Recover(ctx context.Context) error {
 			}
 		}
 	}
-	s.sweepJobs()
 	return nil
 }
 
@@ -398,19 +382,29 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) i
 // indefinitely.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON decodes a bounded JSON request body; the returned status
-// distinguishes an oversized body (413) from a malformed one (400).
+// decodeJSON decodes a bounded JSON request body holding exactly one
+// value; the returned status distinguishes an oversized body (413) from a
+// malformed one (400). Anything but whitespace after the value is
+// malformed: a second value — an NDJSON stream or a concatenated retry
+// posted as JSON — must not be answered as if only the first was sent.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return 0, nil
 		}
-		return http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+		if err == nil {
+			err = errors.New("more than one JSON value")
+		}
 	}
-	return 0, nil
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
+	}
+	return http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
 }
 
 // retryAfterPredict derives an honest Retry-After for the predict path
@@ -659,14 +653,12 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) int {
 	if s.cfg.NodeName != "" {
 		id = fmt.Sprintf("job-%s-%d", s.cfg.NodeName, s.jobSeq)
 	}
-	job := &FitJob{
-		ID:  id,
-		Key: key, Node: s.cfg.NodeName, Scheme: req.Scheme, Compressor: req.Compressor,
-		Request: req,
-		status:  "queued",
-	}
-	s.jobs[job.ID] = job
-	s.jobByKey[key] = job.ID
+	job := &FitJob{rec: jobRecord{
+		ID: id, Key: key, Node: s.cfg.NodeName, Scheme: req.Scheme, Compressor: req.Compressor,
+		Status: "queued", Request: req,
+	}}
+	s.jobs[id] = job
+	s.jobByKey[key] = id
 	s.jobMu.Unlock()
 
 	// journal before acknowledging: the 202 promises the job survives a
@@ -680,20 +672,20 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) int {
 	if s.cfg.AckBarrier != nil {
 		if err := s.cfg.AckBarrier(r.Context()); err != nil {
 			s.unregisterJob(job)
-			s.journal.remove(job.Key) // never acknowledged: withdraw the record
+			s.journal.remove(key) // never acknowledged: withdraw the record
 			w.Header().Set("Retry-After", s.retryAfterFit())
 			return writeError(w, http.StatusServiceUnavailable, "replication barrier: %v", err)
 		}
 	}
 	if !s.enqueueFit(job) {
 		s.unregisterJob(job)
-		s.journal.remove(job.Key) // never acknowledged: withdraw the record
+		s.journal.remove(key) // never acknowledged: withdraw the record
 		s.stats.reject()
 		w.Header().Set("Retry-After", s.retryAfterFit())
 		return writeError(w, http.StatusTooManyRequests, "fit queue full")
 	}
 	s.sweepJobs()
-	return writeJSON(w, http.StatusAccepted, FitResponse{JobID: job.ID})
+	return writeJSON(w, http.StatusAccepted, FitResponse{JobID: id})
 }
 
 // journalJob persists the job's current state, counting (but not
@@ -712,9 +704,9 @@ func (s *Server) journalJob(job *FitJob) error {
 // unregisterJob drops a job that was never acknowledged.
 func (s *Server) unregisterJob(job *FitJob) {
 	s.jobMu.Lock()
-	delete(s.jobs, job.ID)
-	if s.jobByKey[job.Key] == job.ID {
-		delete(s.jobByKey, job.Key)
+	delete(s.jobs, job.rec.ID)
+	if s.jobByKey[job.rec.Key] == job.rec.ID {
+		delete(s.jobByKey, job.rec.Key)
 	}
 	s.jobMu.Unlock()
 }
@@ -751,7 +743,7 @@ func (s *Server) executeFit(job *FitJob) {
 // fitOnce re-derives the fit inputs from the job's stored request (the
 // replay path has nothing else) and runs the training.
 func (s *Server) fitOnce(ctx context.Context, job *FitJob) error {
-	req := &job.Request
+	req := &job.rec.Request
 	scheme, err := core.GetScheme(req.Scheme)
 	if err != nil {
 		return err
@@ -769,32 +761,37 @@ func (s *Server) fitOnce(ctx context.Context, job *FitJob) error {
 func (s *Server) sweepJobs() {
 	now := s.now()
 	s.jobMu.Lock()
-	var finished []*FitJob
+	var finished []jobRecord
 	for _, j := range s.jobs {
-		if !j.doneAt().IsZero() {
-			finished = append(finished, j)
+		if rec := j.record(); rec.FinishedAtUnix != 0 {
+			finished = append(finished, rec)
 		}
 	}
+	// oldest first; jobs that finished within one second of the journal's
+	// clock go in submission order
 	sort.Slice(finished, func(a, b int) bool {
-		return finished[a].doneAt().Before(finished[b].doneAt())
+		if fa, fb := finished[a].FinishedAtUnix, finished[b].FinishedAtUnix; fa != fb {
+			return fa < fb
+		}
+		return jobSeqOf(finished[a].ID) < jobSeqOf(finished[b].ID)
 	})
 	cut := 0
-	for cut < len(finished) && now.Sub(finished[cut].doneAt()) > s.cfg.JobTTL {
+	for cut < len(finished) && now.Sub(time.Unix(finished[cut].FinishedAtUnix, 0)) > s.cfg.JobTTL {
 		cut++
 	}
 	if rem := len(finished) - cut; rem > s.cfg.JobRetain {
 		cut += rem - s.cfg.JobRetain
 	}
 	evicted := finished[:cut]
-	for _, j := range evicted {
-		delete(s.jobs, j.ID)
-		if s.jobByKey[j.Key] == j.ID {
-			delete(s.jobByKey, j.Key)
+	for _, rec := range evicted {
+		delete(s.jobs, rec.ID)
+		if s.jobByKey[rec.Key] == rec.ID {
+			delete(s.jobByKey, rec.Key)
 		}
 	}
 	s.jobMu.Unlock()
-	for _, j := range evicted {
-		s.journal.remove(j.Key)
+	for _, rec := range evicted {
+		s.journal.remove(rec.Key)
 	}
 	if len(evicted) > 0 {
 		s.stats.jobsEvicted(len(evicted))
@@ -863,11 +860,6 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, "%v", err)
 	}
-	s.predMu.Lock()
-	for _, k := range evicted {
-		delete(s.predCache, k)
-	}
-	s.predMu.Unlock()
 	// error-agnostic metric results memoised on resident buffers
 	s.features.Invalidate(req.Keys)
 
@@ -918,9 +910,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	st.Replaying = s.replaying.Load()
 	st.Models = s.registry.Len()
 	st.CacheSize = s.cache.len()
-	if s.data != nil {
-		st.DataCache = s.data.Stats()
-	}
+	st.DataCache = s.data.Stats()
 	st.FeatureMemo.Hits, st.FeatureMemo.Misses = s.features.MemoStats()
 	st.Jobs = map[string]int{}
 	s.jobMu.Lock()

@@ -9,17 +9,7 @@ package stats
 import (
 	"math"
 	"sort"
-
-	"repro/internal/pressio"
 )
-
-// ToFloat64 converts any numeric Data buffer to a float64 slice. A float64
-// buffer is returned directly without copying; other dtypes are converted
-// once per buffer generation and the cached slice is shared between all
-// callers (see Float64Of), so the result must be treated as read-only.
-func ToFloat64(d *pressio.Data) []float64 {
-	return Float64Of(d)
-}
 
 // Mean returns the arithmetic mean, or 0 for empty input.
 func Mean(xs []float64) float64 {
