@@ -88,7 +88,10 @@ fmt-check:
 
 # serve-check gates the serving subsystem: vet + the full internal/serve
 # suite (end-to-end fit/predict/invalidate, singleflight, backpressure,
-# loadgen soak) and the daemon build, all under the race detector.
+# loadgen soak, and FuzzDecodeBatch's seed corpus — every body in the batch
+# decoder's differential table, scanner against encoding/json) and the
+# daemon build, all under the race detector. To fuzz past the seeds:
+# go test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 1m ./internal/serve
 serve-check:
 	$(GO) vet ./internal/serve/ ./cmd/predictd/
 	$(GO) build -o /dev/null ./cmd/predictd/

@@ -50,8 +50,9 @@ const (
 
 // benchPackages are the packages the gate measures: the root package's
 // kernel microbenchmarks plus internal/serve's hot-path benchmarks
-// (BenchmarkServePredictBatch gates the batch endpoint's steady-state
-// allocs/op at its committed near-zero figure).
+// (BenchmarkServePredictBatch gates the batch item loop's steady-state
+// allocs/op at its committed zero, BenchmarkServeBatchHandler a whole
+// warm 4004-item request's, decode and encode included, at its few dozen).
 var benchPackages = []string{".", "./internal/serve"}
 
 func main() {

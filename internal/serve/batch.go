@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -43,6 +45,10 @@ type BatchItemResult struct {
 	Interval   []float64 `json:"interval,omitempty"`
 	Cached     bool      `json:"cached"`
 	Error      string    `json:"error,omitempty"`
+
+	// frag is set on an item served from the cache: the item as JSON, for
+	// a batch reply to copy instead of encoding the fields above again.
+	frag string
 }
 
 // BatchResponse is the columnar batch reply; Results is item-aligned
@@ -82,10 +88,13 @@ func featureKey(base string, features []float64) cellKey {
 // cellValue is a served prediction, with the scheme and model it came
 // from so invalidation and replication can evict exactly their entries.
 // interval is written once at add and never mutated, so hits may share
-// the slice header.
+// the slice header. frag is the answer a hit gives, already encoded: a
+// batch of hits is then a lookup and a copy per item, at under ~100 bytes
+// an entry (0.1 MiB at the default CacheSize).
 type cellValue struct {
 	prediction float64
 	interval   []float64
+	frag       string
 	scheme     string
 	model      string
 }
@@ -221,40 +230,40 @@ func (s *Server) cellHitInto(k cellKey, out *BatchItemResult) bool {
 	if !ok {
 		return false
 	}
-	out.Prediction = v.prediction
-	out.Interval = v.interval
-	out.Cached = true
-	out.Error = ""
+	*out = BatchItemResult{Prediction: v.prediction, Interval: v.interval, Cached: true, frag: v.frag}
 	return true
 }
 
 // predictFeatureRow runs the group's predictor over one feature row of
-// the scheme's width (the handlers check client-supplied rows).
+// the scheme's width (the handlers check client-supplied rows). A
+// prediction or interval bound that is not finite has no JSON encoding:
+// it is the item's error, like any other failure to predict.
 func (s *Server) predictFeatureRow(g *batchGroup, features []float64, out *BatchItemResult) {
 	p, err := s.groupPredictor(g)
 	if err != nil {
 		out.Error = err.Error()
 		return
 	}
-	if g.alpha > 0 {
-		if ip, ok := p.(core.IntervalPredictor); ok {
-			pred, lo, hi, err := ip.PredictInterval(features, g.alpha)
-			if err != nil {
-				out.Error = err.Error()
-				return
-			}
-			out.Prediction = pred
-			out.Interval = []float64{lo, hi}
-			return
-		}
+	var interval []float64
+	pred, lo, hi := 0.0, 0.0, 0.0
+	if ip, ok := p.(core.IntervalPredictor); ok && g.alpha > 0 {
+		pred, lo, hi, err = ip.PredictInterval(features, g.alpha)
+		interval = []float64{lo, hi}
+	} else {
+		pred, err = p.Predict(features)
 	}
-	v, err := p.Predict(features)
 	if err != nil {
 		out.Error = err.Error()
 		return
 	}
-	out.Prediction = v
+	if !finite(pred) || !finite(lo) || !finite(hi) {
+		out.Error = fmt.Sprintf("%s predicted %v with interval %v: not a finite number", g.schemeName, pred, interval)
+		return
+	}
+	out.Prediction, out.Interval = pred, interval
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // predictCellMiss computes one cold cell: data through the tiered
 // dataset cache (pinned for exactly the feature pass), features through
@@ -292,9 +301,11 @@ func (s *Server) cacheResult(g *batchGroup, k cellKey, out *BatchItemResult) {
 	if out.Error != "" {
 		return
 	}
+	hit := BatchItemResult{Prediction: out.Prediction, Interval: out.Interval, Cached: true}
 	s.cache.add(k, cellValue{
 		prediction: out.Prediction,
 		interval:   out.Interval,
+		frag:       string(appendItem(make([]byte, 0, 96), &hit)),
 		scheme:     g.schemeName,
 		model:      g.model,
 	})
@@ -329,13 +340,17 @@ func (s *Server) predictBatchItems(ctx context.Context, g *batchGroup, req *Batc
 	return hits, errs
 }
 
-// batchScratch is the pooled decode/compute scratch of one batch
-// request: the envelope (slices reused across requests by resetting
-// length, not capacity) and the item-aligned results. Owned by exactly
-// one handler between Get and Put.
+// batchScratch is the pooled scratch of one batch request: the body as
+// read, the envelope decoded from it (slices reused across requests by
+// resetting length, not capacity; names holds the strings they share),
+// the item-aligned results and the reply encoded from them. Owned by
+// exactly one handler between Get and Put.
 type batchScratch struct {
+	body    bytes.Buffer
+	names   map[string]string
 	req     BatchRequest
 	results []BatchItemResult
+	reply   []byte
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -380,8 +395,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) int 
 			"%s batches are no longer accepted: send one application/json body with parallel fields/steps arrays (or a features array)", ct)
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
-	sc.reset()
-	status, err := decodeJSON(w, r, &sc.req)
+	status, err := sc.decode(w, r)
 	if err != nil {
 		status = writeError(w, status, "%v", err)
 	} else {
@@ -389,6 +403,22 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) int 
 	}
 	batchScratchPool.Put(sc)
 	return status
+}
+
+// decode reads the capped body into the scratch and fills sc.req from it:
+// by scan when the body is what scan accepts, and otherwise by decodeJSON
+// over the same bytes and the same end of stream — the capped reader
+// repeats the error it ended on — so every refusal is the one that
+// decoder gives.
+func (sc *batchScratch) decode(w http.ResponseWriter, r *http.Request) (int, error) {
+	sc.reset()
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(body); err == nil && sc.scan() {
+		return 0, nil
+	}
+	sc.reset()
+	return decodeJSONFrom(io.MultiReader(bytes.NewReader(sc.body.Bytes()), body), &sc.req)
 }
 
 // runBatch validates the decoded batch, computes it in one worker-pool
@@ -455,9 +485,13 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, sc *batchScrat
 	<-done
 	s.stats.batch(n, hits, errs)
 
-	return writeJSON(w, http.StatusOK, BatchResponse{
+	sc.reply = appendBatchResponse(sc.reply[:0], &BatchResponse{
 		Scheme: g.schemeName, Compressor: g.compressor, Target: g.target,
 		Model: g.model, Count: n, Errors: errs,
 		Results: sc.results,
 	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(sc.reply)
+	return http.StatusOK
 }

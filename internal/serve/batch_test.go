@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -252,17 +253,25 @@ func TestPredictConcurrentSameCell(t *testing.T) {
 // the entries its batches cached and reports them in cleared_cached.
 func TestBatchCellInvalidate(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	resp, raw := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
-		Scheme: "khan2023", Compressor: "sz3",
-		Fields: []string{"P", "TC"}, Steps: []int{0, 0},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
+	batch := func(wantCached int) {
+		t.Helper()
+		resp, raw := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
+			Scheme: "khan2023", Compressor: "sz3",
+			Fields: []string{"P", "TC"}, Steps: []int{0, 0},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
+		}
+		if n := bytes.Count(raw, []byte(`"cached":true`)); n != wantCached {
+			t.Errorf("batch reply marks %d items cached, want %d: %s", n, wantCached, raw)
+		}
 	}
+	batch(0)
+	batch(2)
 	if s.cache.len() != 2 {
 		t.Fatalf("want 2 cached cells, got %d", s.cache.len())
 	}
-	resp, raw = postJSON(t, ts.URL+"/v1/invalidate", InvalidateRequest{Keys: []string{"pressio:abs"}})
+	resp, raw := postJSON(t, ts.URL+"/v1/invalidate", InvalidateRequest{Keys: []string{"pressio:abs"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("invalidate status %d: %s", resp.StatusCode, raw)
 	}
@@ -276,4 +285,5 @@ func TestBatchCellInvalidate(t *testing.T) {
 	if inv.ClearedCached < 2 {
 		t.Fatalf("cleared_cached must count cell entries, got %d", inv.ClearedCached)
 	}
+	batch(0) // the entries' encoded answers went with them
 }

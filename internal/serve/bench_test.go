@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -154,5 +156,85 @@ func BenchmarkServePredictCold(b *testing.B) {
 	b.ReportMetric(reloads/float64(b.N), "spill-hit/op")
 	if reloads > 0 {
 		b.ReportMetric(float64(after.DigestChecks-before.DigestChecks)/reloads, "hashed/reload")
+	}
+}
+
+// replyRecorder is a reusable http.ResponseWriter for in-process handler
+// measurements: it keeps the status and the body in storage that survives
+// from one request to the next, so what a benchmark counts is the
+// handler's work and not a fresh httptest.ResponseRecorder's.
+type replyRecorder struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (w *replyRecorder) Header() http.Header         { return w.header }
+func (w *replyRecorder) WriteHeader(status int)      { w.status = status }
+func (w *replyRecorder) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// warmBatchHandler is the in-process twin of the benchmark's serve_hot
+// workload: a server, and one 4004-item columnar khan2023 body drawn with
+// repetition from 104 cells (13 fields × 8 steps), posted once so every
+// cell is resident. Each call of the returned function posts the body
+// again through Handler() — decode, group, 4004 cache hits, encode — and
+// returns the reply, which stays valid until the next call.
+func warmBatchHandler(tb testing.TB) (post func() []byte) {
+	tb.Helper()
+	s, _ := newTestServer(tb, Config{})
+	h := s.Handler()
+
+	const items = 4004
+	rng := rand.New(rand.NewSource(7))
+	fields, steps := make([]string, items), make([]string, items)
+	for i := range fields {
+		fields[i] = strconv.Quote(hurricane.FieldNames[rng.Intn(len(hurricane.FieldNames))])
+		steps[i] = strconv.Itoa(rng.Intn(8))
+	}
+	body := fmt.Sprintf(`{"scheme":"khan2023","compressor":"sz3","options":{"pressio:abs":0.0001},"dims":[8,8,8],"fields":[%s],"steps":[%s]}`,
+		strings.Join(fields, ","), strings.Join(steps, ","))
+
+	w := &replyRecorder{header: http.Header{}}
+	rd := strings.NewReader(body)
+	post = func() []byte {
+		rd.Reset(body)
+		w.body.Reset()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict/batch", rd))
+		if w.status != http.StatusOK {
+			tb.Fatalf("batch: HTTP %d %s", w.status, w.body.Bytes())
+		}
+		return w.body.Bytes()
+	}
+	post()
+	if reply := post(); bytes.Count(reply, []byte(`"cached":true`)) != items {
+		tb.Fatalf("warm pass: %d/%d items cached", bytes.Count(reply, []byte(`"cached":true`)), items)
+	}
+	return post
+}
+
+// BenchmarkServeBatchHandler measures what serve_hot saturates: one
+// 4004-item all-hit columnar batch through Handler(), body decode and
+// reply encode included. Its allocs/op is gated in BENCH_kernels.json and
+// bounded in tier-1 by TestBatchHandlerWarmAllocs.
+func BenchmarkServeBatchHandler(b *testing.B) {
+	post := warmBatchHandler(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
+// TestBatchHandlerWarmAllocs bounds a warm batch request's allocations
+// by a constant: the decoder and the encoder allocate nothing per item
+// (an encoding/json front end spent 2806 on this body), so what is left
+// is per request — the options sub-value, the group, the pool hand-off.
+func TestBatchHandlerWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the request scratch at random under the race detector")
+	}
+	post := warmBatchHandler(t)
+	if allocs := testing.AllocsPerRun(20, func() { post() }); allocs > 64 {
+		t.Errorf("warm 4004-item batch through the handler: %v allocs, want at most 64", allocs)
 	}
 }

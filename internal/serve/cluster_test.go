@@ -371,7 +371,9 @@ func TestAbsorbEvictsTheModelsCachedPredictions(t *testing.T) {
 	key2, raw2 := fitModel(refit)
 
 	sB, tsB := newTestServer(t, Config{Deadline: time.Minute})
-	batch := func() BatchResponse {
+	// batch also counts the items the raw reply marks cached: a hit's
+	// bytes are copied from its cache entry, so they must go when it goes
+	batch := func(wantCached int) BatchResponse {
 		t.Helper()
 		resp, raw := postJSON(t, tsB.URL+"/v1/predict/batch", BatchRequest{
 			Scheme: "krasowska2021", Compressor: "sz3", Dims: []int{8, 8, 8},
@@ -381,6 +383,9 @@ func TestAbsorbEvictsTheModelsCachedPredictions(t *testing.T) {
 		var out BatchResponse
 		if err := json.Unmarshal(raw, &out); err != nil || resp.StatusCode != http.StatusOK || out.Errors != 0 {
 			t.Fatalf("batch: status %d body %s: %v", resp.StatusCode, raw, err)
+		}
+		if n := bytes.Count(raw, []byte(`"cached":true`)); n != wantCached {
+			t.Errorf("batch reply marks %d items cached, want %d: %s", n, wantCached, raw)
 		}
 		return out
 	}
@@ -397,7 +402,8 @@ func TestAbsorbEvictsTheModelsCachedPredictions(t *testing.T) {
 	}
 
 	sB.Absorb(store.Frame{Op: store.FramePut, Key: key1, Value: raw1})
-	batch()
+	batch(0)
+	batch(2)
 	if _, pr := single(); pr.Model != key1 || pr.Cached {
 		t.Fatalf("first single = %+v, want computed on %s", pr, key1)
 	}
@@ -410,11 +416,8 @@ func TestAbsorbEvictsTheModelsCachedPredictions(t *testing.T) {
 	if n := statz(t, tsB.URL).CacheSize; n != 0 {
 		t.Errorf("cache_size = %d after the model was replaced, want 0", n)
 	}
-	for i, r := range batch().Results {
-		if r.Cached {
-			t.Errorf("batch item %d answered from the replaced model's cache", i)
-		}
-	}
+	batch(0)
+	batch(2)
 
 	// the key is deleted: its entries go, and predict has no model
 	sB.Absorb(store.Frame{Op: store.FrameDelete, Key: key1})

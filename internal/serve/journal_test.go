@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,12 +240,14 @@ func TestReplayAdoptsPublishedModel(t *testing.T) {
 // cap evicts oldest-first under load, the TTL clears the rest once the
 // clock moves, and /statz accounts for every eviction.
 func TestJobEvictionTTLAndCap(t *testing.T) {
-	clock := time.Unix(1700000000, 0)
+	// the server reads the clock from its fit workers and handlers while
+	// the test advances it: an atomic offset, not a shared time.Time
+	var elapsed atomic.Int64
 	s, ts := newTestServer(t, Config{
 		Deadline:  time.Minute,
 		JobTTL:    time.Hour,
 		JobRetain: 2,
-		testClock: func() time.Time { return clock },
+		testClock: func() time.Time { return time.Unix(1700000000, 0).Add(time.Duration(elapsed.Load())) },
 	})
 	defer s.Drain()
 	base := ts.URL
@@ -265,7 +268,7 @@ func TestJobEvictionTTLAndCap(t *testing.T) {
 		if job.Status != "done" {
 			t.Fatalf("fit %d failed: %s", i, job.Error)
 		}
-		clock = clock.Add(time.Minute) // deterministic eviction order
+		elapsed.Add(int64(time.Minute)) // deterministic eviction order
 	}
 
 	st := statz(t, base)
@@ -280,7 +283,7 @@ func TestJobEvictionTTLAndCap(t *testing.T) {
 	}
 
 	// TTL expiry clears the rest
-	clock = clock.Add(2 * time.Hour)
+	elapsed.Add(int64(2 * time.Hour))
 	st = statz(t, base)
 	if st.JobsRetained != 0 || st.JobsEvicted != 3 {
 		t.Errorf("after TTL: retained=%d evicted=%d, want 0/3", st.JobsRetained, st.JobsEvicted)

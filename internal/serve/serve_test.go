@@ -21,7 +21,7 @@ import (
 // newTestServer builds a Server over a temp store (journal replayed)
 // and wraps it in an httptest server. Pool workers are drained on
 // cleanup so tests leave no goroutines behind.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {

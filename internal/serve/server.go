@@ -388,8 +388,12 @@ const maxBodyBytes = 1 << 20
 // malformed: a second value — an NDJSON stream or a concatenated retry
 // posted as JSON — must not be answered as if only the first was sent.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return decodeJSONFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeJSONFrom is decodeJSON over a body already capped.
+func decodeJSONFrom(body io.Reader, v any) (int, error) {
+	dec := json.NewDecoder(body)
 	err := dec.Decode(v)
 	if err == nil {
 		if _, err = dec.Token(); err == io.EOF {
