@@ -31,7 +31,12 @@ loc:
 # check is the full verification gate: formatting, standard vet (with the
 # extra unreachable/copylocks/lostcancel passes spelled out so a vet
 # default change can't silently drop them), the pressiovet suite, tier-1
-# at one CPU and at the default, the examples run to completion, and the
+# at one CPU and at the default (tier-1 includes FuzzDecode's seed corpus
+# in internal/huffman — Encode's streams and hand-corrupted tables, each
+# decoded without a panic or an oversized reservation and round-tripped;
+# to fuzz past the seeds:
+# go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman),
+# the examples run to completion, and the
 # complete test suite under the race detector. The race run stays
 # `-race -short`: -race is what actually exercises the sync.Pool and
 # queue invariants the linters guard statically, and -short keeps the

@@ -12,6 +12,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/compressor/sz3"
 	"repro/internal/huffman"
 	"repro/internal/hurricane"
 	"repro/internal/pressio"
@@ -99,8 +100,13 @@ func BenchmarkKernelSZXDecompress(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchmarkKernelDecompress(b, "szx", 0) })
 }
 
-// BenchmarkKernelHuffman pins the entropy-coding stage alone: the code
-// stream below matches the size and skew of an sz3 quantizer output.
+// BenchmarkKernelHuffman pins the entropy-coding stage alone on the two
+// shapes sz3 hands it. The narrow stream is a loose bound's: a 7-symbol
+// bulk and a 1024-symbol tail, where the per-element loops are the cost.
+// The wide one is a tight bound's on a turbulent field — the real Lorenzo
+// codes of hurricane "U" at Table 2's tight bound, abs 1e-6: tens of
+// thousands of distinct symbols and the outlier sentinel — where building
+// the table is.
 func BenchmarkKernelHuffman(b *testing.B) {
 	data := benchField(b, "TC", 24)
 	n := data.Len()
@@ -117,26 +123,46 @@ func BenchmarkKernelHuffman(b *testing.B) {
 		}
 		codes[i] = v
 	}
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := huffman.Encode(codes); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	coded, err := huffman.Encode(codes)
-	if err != nil {
-		b.Fatal(err)
+	u := benchField(b, "U", 24)
+	q := &sz3.Quantizer{Abs: 1e-6, Bins: 65536, Cast: sz3.CastFloat32}
+	wide, _, _ := sz3.PredictQuantizeLorenzo(stats.Float64Of(u), u.Dims(), q)
+	hist := huffman.HistogramInt32(wide, 0)
+	if hist.Len() <= 20000 {
+		b.Fatalf("the wide stream has %d distinct symbols, want > 20000", hist.Len())
 	}
-	b.Run("decode", func(b *testing.B) {
+	b.Run("build_wide", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := huffman.Decode(coded); err != nil {
+			if _, err := huffman.NewEncoder(hist); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+	for _, c := range []struct {
+		suffix string
+		codes  []int32
+	}{{"", codes}, {"_wide", wide}} {
+		b.Run("encode"+c.suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := huffman.Encode(c.codes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		coded, err := huffman.Encode(c.codes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("decode"+c.suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := huffman.Decode(coded); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkKernelHurricaneSynth pins the cost of synthesizing one

@@ -8,22 +8,28 @@
 // the header small even for the 2^16-bin quantizer alphabets SZ-style
 // compressors use.
 //
-// The per-element hot paths avoid map operations: the histogram counts
+// A table is built from a histogram ordered by symbol and costs its
+// alphabet once: a radix sort of the leaves by count, a two-queue merge, one
+// reverse pass for the depths and a counting sort by length for the
+// canonical codes, all over pooled flat arrays.
+//
+// The per-element hot paths avoid map operations too: the histogram counts
 // into a dense window array (quantizer codes cluster tightly; outlier
-// sentinels overflow into a small map), encoding looks codes up in a dense
-// packed table, and decoding drives a canonical first-code table through a
-// K-bit prefix lookup instead of walking a pointer trie. Payload encoding
-// is chunk-parallel over the shared worker pool: each chunk encodes into a
-// pooled writer and the chunks are bit-spliced in order, so the output is
-// byte-identical to single-threaded encoding.
+// sentinels overflow into a short sorted list), encoding looks codes up in
+// a dense packed table, and decoding drives a canonical first-code table
+// through a K-bit prefix lookup instead of walking a pointer trie. Payload
+// encoding is chunk-parallel over the shared worker pool: each chunk
+// encodes into a pooled writer and the chunks are bit-spliced in order, so
+// the output is byte-identical to single-threaded encoding.
 package huffman
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/bitstream"
@@ -35,135 +41,205 @@ import (
 // room for length counting.
 const maxCodeLen = 58
 
-var (
-	// ErrCorrupt is returned when a serialized stream fails validation.
-	ErrCorrupt = errors.New("huffman: corrupt stream")
-)
+// ErrCorrupt is returned when a serialized stream fails validation.
+var ErrCorrupt = errors.New("huffman: corrupt stream")
 
-type huffNode struct {
-	weight      uint64
-	symbol      int32 // valid for leaves
-	left, right *huffNode
-	order       int // tie-break for determinism
+// Histogram is a symbol histogram in ascending symbol order: Symbols[i]
+// occurred Counts[i] > 0 times. Every table is built from this one form;
+// the order is what breaks ties between equal counts, so it is part of the
+// stream format.
+type Histogram struct {
+	Symbols []int32
+	Counts  []uint64
 }
 
-type nodeHeap []*huffNode
+// Len returns the number of distinct symbols.
+func (h Histogram) Len() int { return len(h.Symbols) }
 
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].weight != h[j].weight {
-		return h[i].weight < h[j].weight
-	}
-	return h[i].order < h[j].order
-}
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(*huffNode)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// DenseHistogram compacts a dense counting window — window[i] counts symbol
+// base+i — into a Histogram. The window is not modified.
+func DenseHistogram(base int32, window []uint64) Histogram {
+	return compactWindow(base, window, 0)
 }
 
-// CodeLengths computes canonical Huffman code lengths for the given
-// symbol→count histogram. Symbols with zero count receive no code. The
-// result maps symbol to code length in bits.
-func CodeLengths(counts map[int32]uint64) map[int32]uint {
-	if len(counts) == 0 {
-		return map[int32]uint{}
-	}
-	if len(counts) == 1 {
-		for s := range counts {
-			return map[int32]uint{s: 1}
+// compactWindow is DenseHistogram with room for extra more symbols.
+func compactWindow(base int32, window []uint64, extra int) Histogram {
+	n := extra
+	for _, c := range window {
+		if c != 0 {
+			n++
 		}
 	}
-	// Deterministic construction: seed the heap in sorted symbol order.
-	symbols := make([]int32, 0, len(counts))
-	for s := range counts {
-		symbols = append(symbols, s)
+	h := Histogram{Symbols: make([]int32, 0, n), Counts: make([]uint64, 0, n)}
+	for i, c := range window {
+		if c != 0 {
+			h.Symbols = append(h.Symbols, base+int32(i))
+			h.Counts = append(h.Counts, c)
+		}
 	}
-	sort.Slice(symbols, func(i, j int) bool { return symbols[i] < symbols[j] })
-	// arena-allocate the tree: n leaves plus n-1 internal nodes, one
-	// allocation instead of one per node
-	arena := make([]huffNode, 0, 2*len(symbols)-1)
-	h := make(nodeHeap, 0, len(symbols))
-	order := 0
-	for _, s := range symbols {
-		arena = append(arena, huffNode{weight: counts[s], symbol: s, order: order})
-		h = append(h, &arena[len(arena)-1])
-		order++
+	return h
+}
+
+// scratch is the working memory of one table construction or one Decode.
+// It is held between a Get and a Put inside one call and nothing returned
+// to a caller points into it.
+type scratch struct {
+	keys, keys2 []uint64 // radix sort keys and their ping-pong buffer
+	idx, idx2   []int32  // what each key belongs to, permuted with it
+	inner       []uint64 // weights of the internal nodes, in creation order
+	node        []int32  // parent of each tree node, then its depth
+	lens        []uint8  // code length per symbol, symbols ascending
+	cn          canon    // the canonical code of lens
+	syms        []int32  // Decode: symbols in canonical order
+	table       []uint32 // Decode: prefix lookup table
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	heap.Init(&h)
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*huffNode)
-		b := heap.Pop(&h).(*huffNode)
-		arena = append(arena, huffNode{weight: a.weight + b.weight, left: a, right: b, order: order})
-		heap.Push(&h, &arena[len(arena)-1])
-		order++
+	return s[:n]
+}
+
+// sortKeys sorts sc.keys ascending and permutes sc.idx with it: an LSD radix
+// sort over the bytes any key uses. It is stable: equal keys keep the order
+// they came in.
+func (sc *scratch) sortKeys() {
+	n := len(sc.keys)
+	sc.keys2, sc.idx2 = grow(sc.keys2, n), grow(sc.idx2, n)
+	var used uint64
+	for _, k := range sc.keys {
+		used |= k
 	}
-	root := h[0]
-	lengths := make(map[int32]uint, len(counts))
-	var walk func(n *huffNode, depth uint)
-	walk = func(n *huffNode, depth uint) {
-		if n.left == nil && n.right == nil {
-			if depth == 0 {
-				depth = 1
+	for shift := 0; shift < bits.Len64(used); shift += 8 {
+		var start [256]int
+		for _, k := range sc.keys {
+			start[byte(k>>shift)]++
+		}
+		pos := 0
+		for d, c := range start {
+			start[d] = pos
+			pos += c
+		}
+		for i, k := range sc.keys {
+			d := byte(k >> shift)
+			sc.keys2[start[d]], sc.idx2[start[d]] = k, sc.idx[i]
+			start[d]++
+		}
+		sc.keys, sc.keys2 = sc.keys2, sc.keys
+		sc.idx, sc.idx2 = sc.idx2, sc.idx
+	}
+}
+
+// codeLengths computes the Huffman code length of every symbol of h into
+// sc.lens, parallel to h.Symbols. A one-symbol alphabet gets a 1-bit code.
+//
+// The leaves are ordered by (count, symbol) and merged through two queues:
+// the sorted leaves and a FIFO of the internal nodes made so far, whose
+// weights never decrease. Each step joins the two lightest heads, a leaf
+// winning a tie against an internal node: the order a priority queue keyed
+// by (weight, creation order) pops when the leaves are created first, in
+// symbol order, which is how every stream written so far was built.
+func (sc *scratch) codeLengths(h Histogram) []uint8 {
+	n := h.Len()
+	sc.lens = grow(sc.lens, n)
+	if n == 0 {
+		return sc.lens
+	}
+	sc.keys, sc.idx = grow(sc.keys, n), grow(sc.idx, n)
+	copy(sc.keys, h.Counts)
+	for i := range sc.idx {
+		sc.idx[i] = int32(i)
+	}
+	sc.sortKeys()
+
+	// nodes 0..n-1 are the sorted leaves, n..2n-2 the internal nodes in
+	// creation order; the last one made is the root
+	leaf := sc.keys
+	sc.inner, sc.node = grow(sc.inner, n-1), grow(sc.node, 2*n-1)
+	inner, node := sc.inner, sc.node
+	li, ii := 0, 0 // heads of the leaf queue and of the internal FIFO
+	for k := 0; k < n-1; k++ {
+		var sum uint64
+		for range 2 {
+			if li < n && (ii == k || leaf[li] <= inner[ii]) {
+				sum += leaf[li]
+				node[li] = int32(n + k)
+				li++
+			} else {
+				sum += inner[ii]
+				node[n+ii] = int32(n + k)
+				ii++
 			}
-			lengths[n.symbol] = depth
-			return
 		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
+		inner[k] = sum
 	}
-	walk(root, 0)
-	return lengths
+	// a parent is always made after its children, so walking down from the
+	// root every node finds its parent's depth already in place
+	node[2*n-2] = 0
+	for i := 2*n - 3; i >= 0; i-- {
+		node[i] = node[node[i]] + 1
+	}
+	for i, at := range sc.idx {
+		sc.lens[at] = uint8(min(max(node[i], 1), 255)) // a lone root still takes a bit
+	}
+	return sc.lens
 }
 
-// canonicalCodes assigns canonical code values from code lengths: codes are
-// ordered by (length, symbol). Returns parallel slices sorted that way. It
-// rejects length sets that over-subscribe the code space (which is how a
-// corrupt table manifests after the per-length parse checks).
-func canonicalCodes(lengths map[int32]uint) (symbols []int32, lens []uint, codes []uint64, err error) {
-	// sort (length, symbol) pairs directly so the comparator does no map
-	// lookups; lengths fit in the low bits above the symbol
-	type pair struct {
-		s int32
-		l uint
+// MeanCodeLength returns the average code length in bits per symbol that an
+// optimal Huffman code achieves on the histogram — the quantity the Jin
+// model estimates analytically from the code distribution.
+func MeanCodeLength(h Histogram) float64 {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	lens := sc.codeLengths(h)
+	var total, bits uint64
+	for i, c := range h.Counts {
+		total += c
+		bits += c * uint64(lens[i])
 	}
-	pairs := make([]pair, 0, len(lengths))
-	for s, l := range lengths {
-		pairs = append(pairs, pair{s: s, l: l})
+	if total == 0 {
+		return 0
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].l != pairs[j].l {
-			return pairs[i].l < pairs[j].l
-		}
-		return pairs[i].s < pairs[j].s
-	})
-	symbols = make([]int32, len(pairs))
-	for i, p := range pairs {
-		symbols[i] = p.s
-	}
-	lens = make([]uint, len(symbols))
-	codes = make([]uint64, len(symbols))
-	var code uint64
-	var prevLen uint
-	for i, p := range pairs {
-		l := p.l
+	return float64(bits) / float64(total)
+}
+
+// canon describes a canonical code: codes are ordered by (length, symbol),
+// so the symbols of one length hold consecutive codes from firstCode and
+// consecutive positions in that order from firstIdx.
+type canon struct {
+	cnt, firstCode, firstIdx [maxCodeLen + 1]uint64
+	maxLen                   uint
+}
+
+// set derives the canonical code of a set of code lengths. It rejects
+// length sets that over-subscribe the code space, which is how a corrupt
+// table manifests after the per-length parse checks.
+func (c *canon) set(lens []uint8) error {
+	*c = canon{}
+	for _, l := range lens {
 		if l > maxCodeLen {
-			return nil, nil, nil, fmt.Errorf("huffman: code length %d exceeds max %d", l, maxCodeLen)
+			return fmt.Errorf("huffman: code length %d exceeds max %d", l, maxCodeLen)
 		}
-		code <<= (l - prevLen)
-		if code >= 1<<l {
-			return nil, nil, nil, fmt.Errorf("huffman: code lengths over-subscribe the code space")
-		}
-		codes[i] = code
-		lens[i] = l
-		code++
-		prevLen = l
+		c.cnt[l]++
 	}
-	return symbols, lens, codes, nil
+	var code, idx uint64
+	for l := uint(1); l <= maxCodeLen; l++ {
+		if c.cnt[l] == 0 {
+			continue
+		}
+		code <<= l - c.maxLen
+		if code+c.cnt[l] > 1<<l {
+			return errors.New("huffman: code lengths over-subscribe the code space")
+		}
+		c.firstCode[l], c.firstIdx[l] = code, idx
+		code += c.cnt[l]
+		idx += c.cnt[l]
+		c.maxLen = l
+	}
+	return nil
 }
 
 // packed dense-table entry: code in the high bits, length in the low 6.
@@ -172,51 +248,63 @@ type packedCode = uint64
 
 func packCode(code uint64, length uint) packedCode { return code<<6 | uint64(length) }
 
-// denseTableMax bounds the dense encode table span (2^20 entries = 8 MiB,
-// transient). Symbols beyond the window — sz3's outlier sentinel — go to
-// the overflow map, which stays tiny in practice.
-const denseTableMax = 1 << 20
+// denseMax bounds the span of the dense windows — the histogram's counters
+// and the encoder's table (2^20 entries = 8 MiB, transient). Both start at
+// the smallest symbol and end at the largest one inside the cap, so they
+// cover exactly the clustered bulk; symbols beyond — the sz3 outlier
+// sentinel and nothing else, in practice — go to a short sorted far list.
+const denseMax = 1 << 20
 
 // Encoder holds a code table built from a histogram.
 type Encoder struct {
-	base     int32 // first symbol covered by dense
+	header   []byte // u32 symbol count, then (i32 symbol, u8 length) in canonical order
+	base     int32  // first symbol covered by dense
 	dense    []packedCode
-	overflow map[int32]packedCode
-	symbols  []int32
-	lens     []uint
+	farSyms  []int32 // symbols above the dense window, ascending
+	farCodes []packedCode
 }
 
 // NewEncoder builds an encoder for the histogram of the symbols to encode.
-func NewEncoder(counts map[int32]uint64) (*Encoder, error) {
-	lengths := CodeLengths(counts)
-	symbols, lens, codes, err := canonicalCodes(lengths)
-	if err != nil {
+func NewEncoder(h Histogram) (*Encoder, error) {
+	sc := scratchPool.Get().(*scratch)
+	e, err := sc.newEncoder(h)
+	scratchPool.Put(sc)
+	return e, err
+}
+
+func (sc *scratch) newEncoder(h Histogram) (*Encoder, error) {
+	lens, cn := sc.codeLengths(h), &sc.cn
+	if err := cn.set(lens); err != nil {
 		return nil, err
 	}
-	e := &Encoder{symbols: symbols, lens: lens, overflow: map[int32]packedCode{}}
-	if len(symbols) > 0 {
-		lo, hi := symbols[0], symbols[0]
-		for _, s := range symbols {
-			if s < lo {
-				lo = s
-			}
-			if s > hi {
-				hi = s
-			}
-		}
-		span := int64(hi) - int64(lo) + 1
-		if span > denseTableMax {
-			span = denseTableMax
-		}
-		e.base = lo
-		e.dense = make([]packedCode, span)
+	n := h.Len()
+	e := &Encoder{header: make([]byte, 4+5*n)}
+	binary.LittleEndian.PutUint32(e.header, uint32(n))
+	if n == 0 {
+		return e, nil
 	}
-	for i, s := range symbols {
-		p := packCode(codes[i], lens[i])
-		if idx := int64(s) - int64(e.base); idx >= 0 && idx < int64(len(e.dense)) {
-			e.dense[idx] = p
+	e.base = h.Symbols[0]
+	near := n // symbols inside the dense window
+	for int64(h.Symbols[near-1])-int64(e.base) >= denseMax {
+		near--
+	}
+	e.dense = make([]packedCode, int64(h.Symbols[near-1])-int64(e.base)+1)
+	e.farSyms, e.farCodes = slices.Clone(h.Symbols[near:]), make([]packedCode, n-near)
+	// counting sort by length over the ascending symbols: each takes the
+	// next canonical position, and with it the next code, of its length
+	next := cn.firstIdx
+	for i, s := range h.Symbols {
+		l := lens[i]
+		pos := next[l]
+		next[l]++
+		rec := e.header[4+5*pos:]
+		binary.LittleEndian.PutUint32(rec, uint32(s))
+		rec[4] = l
+		p := packCode(cn.firstCode[l]+pos-cn.firstIdx[l], uint(l))
+		if i < near {
+			e.dense[int64(s)-int64(e.base)] = p
 		} else {
-			e.overflow[s] = p
+			e.farCodes[i-near] = p
 		}
 	}
 	return e, nil
@@ -229,20 +317,10 @@ func (e *Encoder) lookup(s int32) (packedCode, bool) {
 		p := e.dense[idx]
 		return p, p != 0
 	}
-	p, ok := e.overflow[s]
-	return p, ok
-}
-
-// EncodedBitLen returns the total payload length in bits for encoding data
-// with this table (exclusive of the table header).
-func (e *Encoder) EncodedBitLen(counts map[int32]uint64) uint64 {
-	var total uint64
-	for s, c := range counts {
-		if p, ok := e.lookup(s); ok {
-			total += c * (p & 63)
-		}
+	if i, ok := slices.BinarySearch(e.farSyms, s); ok {
+		return e.farCodes[i], true
 	}
-	return total
+	return 0, false
 }
 
 // Encode serializes the code table and payload for data into one buffer,
@@ -254,34 +332,16 @@ func (e *Encoder) EncodedBitLen(counts map[int32]uint64) uint64 {
 // count: chunk streams are spliced in order, reproducing the serial bit
 // sequence exactly.
 func (e *Encoder) Encode(data []int32, workers int) ([]byte, error) {
-	header := make([]byte, 0, 4+5*len(e.symbols)+8)
-	header = binary.LittleEndian.AppendUint32(header, uint32(len(e.symbols)))
-	for i, s := range e.symbols {
-		header = binary.LittleEndian.AppendUint32(header, uint32(s))
-		header = append(header, byte(e.lens[i]))
-	}
-	header = binary.LittleEndian.AppendUint64(header, uint64(len(data)))
-
 	// split the payload into deterministic chunks, one pooled writer each
-	nchunks := parallel.Resolve(workers)
-	if max := (len(data) + 1<<14 - 1) / (1 << 14); nchunks > max {
-		nchunks = max
-	}
-	if nchunks < 1 {
-		nchunks = 1
-	}
+	nchunks := max(1, min(parallel.Resolve(workers), (len(data)+1<<14-1)>>14))
 	chunk := (len(data) + nchunks - 1) / nchunks
 	writers := make([]*bitstream.Writer, nchunks)
 	errs := make([]error, nchunks)
 	parallel.ForTasks(workers, nchunks, func(ci int) {
 		lo := ci * chunk
-		hi := lo + chunk
-		if hi > len(data) {
-			hi = len(data)
-		}
 		w := bitstream.GetWriter()
 		writers[ci] = w
-		for _, s := range data[lo:hi] {
+		for _, s := range data[lo:min(lo+chunk, len(data))] {
 			p, ok := e.lookup(s)
 			if !ok {
 				errs[ci] = fmt.Errorf("huffman: symbol %d not in code table", s)
@@ -290,24 +350,20 @@ func (e *Encoder) Encode(data []int32, workers int) ([]byte, error) {
 			w.WriteBits(p>>6, uint(p&63))
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			for _, w := range writers {
-				if w != nil {
-					bitstream.PutWriter(w)
-				}
-			}
-			return nil, err
-		}
-	}
 	var w bitstream.Writer
 	for _, cw := range writers {
 		w.AppendWriter(cw)
 		bitstream.PutWriter(cw)
 	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	payload := w.Bytes()
-	out := make([]byte, 0, len(header)+8+len(payload))
-	out = append(out, header...)
+	out := make([]byte, 0, len(e.header)+16+len(payload))
+	out = append(out, e.header...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(data)))
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
 	return out, nil
@@ -318,105 +374,70 @@ func (e *Encoder) Encode(data []int32, workers int) ([]byte, error) {
 func Encode(data []int32) ([]byte, error) { return EncodeWorkers(data, 0) }
 
 // EncodeWorkers is Encode with an explicit worker cap (0 = all cores).
-// The output bytes do not depend on the worker count.
+// The output bytes do not depend on the worker count. An empty stream is
+// symbolCount=0, elementCount=0, payloadLen=0.
 func EncodeWorkers(data []int32, workers int) ([]byte, error) {
-	counts := HistogramInt32(data, workers)
-	if len(counts) == 0 {
-		// empty stream: symbolCount=0, elementCount=0, payloadLen=0
-		out := make([]byte, 0, 20)
-		out = binary.LittleEndian.AppendUint32(out, 0)
-		out = binary.LittleEndian.AppendUint64(out, 0)
-		out = binary.LittleEndian.AppendUint64(out, 0)
-		return out, nil
-	}
-	e, err := NewEncoder(counts)
+	e, err := NewEncoder(HistogramInt32(data, workers))
 	if err != nil {
 		return nil, err
 	}
 	return e.Encode(data, workers)
 }
 
-// denseHistPool recycles the dense counting window of HistogramInt32.
+// denseHistPool recycles the dense counting windows of HistogramInt32;
+// they go back zeroed over their whole capacity.
 var denseHistPool = sync.Pool{New: func() any { return []uint64(nil) }}
 
-// denseHistMax bounds the dense histogram window; symbols outside
-// [min, min+denseHistMax) are counted in a map (the sz3 outlier sentinel
-// and nothing else, in practice).
-const denseHistMax = 1 << 20
-
-// HistogramInt32 counts symbol occurrences using a dense window array for
-// the clustered bulk of the alphabet and a map for far outliers, with the
-// window chosen from the data minimum. Chunks count in parallel and merge.
-func HistogramInt32(data []int32, workers int) map[int32]uint64 {
-	out := make(map[int32]uint64, 256)
-	if len(data) == 0 {
-		return out
-	}
-	lo, hi := data[0], data[0]
+// extremes returns the smallest symbol of data and the largest one below
+// limit, reduced over parallel chunks.
+func extremes(data []int32, workers int, limit int64) (lo, hi int32) {
+	lo, hi = data[0], math.MinInt32
 	var mu sync.Mutex
 	parallel.For(workers, len(data), func(clo, chi int) {
-		l, h := data[clo], data[clo]
+		l, h := data[clo], int32(math.MinInt32)
 		for _, s := range data[clo:chi] {
-			if s < l {
-				l = s
-			}
-			if s > h {
+			l = min(l, s)
+			if s > h && int64(s) < limit {
 				h = s
 			}
 		}
 		mu.Lock()
-		if l < lo {
-			lo = l
-		}
-		if h > hi {
-			hi = h
-		}
+		lo, hi = min(lo, l), max(hi, h)
 		mu.Unlock()
 	})
+	return lo, hi
+}
+
+// HistogramInt32 counts symbol occurrences using a dense window array for
+// the clustered bulk of the alphabet and a sorted list for far outliers,
+// with the window chosen from the data minimum. Chunks count in parallel
+// and merge.
+func HistogramInt32(data []int32, workers int) Histogram {
+	if len(data) == 0 {
+		return Histogram{}
+	}
+	lo, hi := extremes(data, workers, math.MaxInt64)
 	span := int64(hi) - int64(lo) + 1
-	if span > denseHistMax {
-		// the window would hit the cap — typically a far sentinel (the sz3
-		// outlier code) inflating an otherwise tight alphabet. Re-reduce
-		// for the largest symbol below the capped window so the window
-		// covers exactly the clustered bulk and stays small to zero,
-		// merge, and scan; everything above it falls to the map.
-		limit := int64(lo) + denseHistMax
-		h2 := lo
-		parallel.For(workers, len(data), func(clo, chi int) {
-			l2 := lo
-			for _, s := range data[clo:chi] {
-				if int64(s) < limit && s > l2 {
-					l2 = s
-				}
-			}
-			mu.Lock()
-			if l2 > h2 {
-				h2 = l2
-			}
-			mu.Unlock()
-		})
-		span = int64(h2) - int64(lo) + 1
+	if span > denseMax {
+		// typically a far sentinel inflating an otherwise tight alphabet:
+		// re-reduce for the largest symbol inside the capped window, so
+		// the window stays small to zero, merge, and scan
+		_, hi = extremes(data, workers, int64(lo)+denseMax)
+		span = int64(hi) - int64(lo) + 1
 	}
+	var mu sync.Mutex
 	window := denseHistPool.Get().([]uint64)
-	if int64(len(window)) < span {
-		window = make([]uint64, span)
-	}
-	window = window[:span]
+	window = grow(window, int(span))
+	var far []int32 // every occurrence of a symbol above the window
 	parallel.For(workers, len(data), func(clo, chi int) {
 		local := denseHistPool.Get().([]uint64)
-		if int64(len(local)) < span {
-			local = make([]uint64, span)
-		}
-		local = local[:span]
-		var far map[int32]uint64
+		local = grow(local, int(span))
+		var localFar []int32
 		for _, s := range data[clo:chi] {
 			if idx := int64(s) - int64(lo); idx < span {
 				local[idx]++
 			} else {
-				if far == nil {
-					far = make(map[int32]uint64, 4)
-				}
-				far[s]++
+				localFar = append(localFar, s)
 			}
 		}
 		mu.Lock()
@@ -426,19 +447,22 @@ func HistogramInt32(data []int32, workers int) map[int32]uint64 {
 				local[i] = 0
 			}
 		}
-		for s, c := range far {
-			out[s] += c
-		}
+		far = append(far, localFar...)
 		mu.Unlock()
 		denseHistPool.Put(local)
 	})
-	for i, c := range window {
-		if c != 0 {
-			out[lo+int32(i)] = c
-			window[i] = 0
+	slices.Sort(far)
+	var rest Histogram
+	for i, s := range far {
+		if i == 0 || s != far[i-1] {
+			rest.Symbols, rest.Counts = append(rest.Symbols, s), append(rest.Counts, 0)
 		}
+		rest.Counts[len(rest.Counts)-1]++
 	}
+	out := compactWindow(lo, window, rest.Len())
+	clear(window)
 	denseHistPool.Put(window)
+	out.Symbols, out.Counts = append(out.Symbols, rest.Symbols...), append(out.Counts, rest.Counts...)
 	return out
 }
 
@@ -448,7 +472,17 @@ func HistogramInt32(data []int32, workers int) map[int32]uint64 {
 const decodeLookupBits = 12
 
 // Decode parses a buffer produced by Encode and returns the symbol stream.
+// The table may list its symbols in any order; a symbol listed twice, a
+// zero or over-long length, and lengths that over-subscribe the code space
+// are corrupt.
 func Decode(buf []byte) ([]int32, error) {
+	sc := scratchPool.Get().(*scratch)
+	out, err := sc.decode(buf)
+	scratchPool.Put(sc)
+	return out, err
+}
+
+func (sc *scratch) decode(buf []byte) ([]int32, error) {
 	if len(buf) < 4 {
 		return nil, ErrCorrupt
 	}
@@ -457,33 +491,37 @@ func Decode(buf []byte) ([]int32, error) {
 	if nsym < 0 || len(buf) < nsym*5 {
 		return nil, ErrCorrupt
 	}
-	lengths := make(map[int32]uint, nsym)
-	for i := 0; i < nsym; i++ {
-		s := int32(binary.LittleEndian.Uint32(buf))
-		l := uint(buf[4])
-		buf = buf[5:]
-		if l == 0 || l > maxCodeLen {
+
+	// order the table by symbol (biased, so the unsigned keys sort as the
+	// signed symbols do): duplicates become neighbours, and the canonical
+	// order below is again a counting sort by length
+	table := buf[:5*nsym]
+	buf = buf[5*nsym:]
+	sc.keys, sc.idx = grow(sc.keys, nsym), grow(sc.idx, nsym)
+	for i := range sc.keys {
+		if l := table[5*i+4]; l == 0 || l > maxCodeLen {
 			return nil, ErrCorrupt
 		}
-		if _, dup := lengths[s]; dup {
+		sc.keys[i] = uint64(binary.LittleEndian.Uint32(table[5*i:]) ^ 1<<31)
+		sc.idx[i] = int32(i)
+	}
+	sc.sortKeys()
+	sc.lens = grow(sc.lens, nsym)
+	for i, at := range sc.idx {
+		if i > 0 && sc.keys[i] == sc.keys[i-1] {
 			return nil, ErrCorrupt
 		}
-		lengths[s] = l
+		sc.lens[i] = table[5*at+4]
 	}
-	if len(buf) < 8 {
+
+	if len(buf) < 16 {
 		return nil, ErrCorrupt
 	}
-	count := binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	if len(buf) < 8 {
+	count, payloadLen := binary.LittleEndian.Uint64(buf), binary.LittleEndian.Uint64(buf[8:])
+	if uint64(len(buf)-16) < payloadLen {
 		return nil, ErrCorrupt
 	}
-	payloadLen := binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	if uint64(len(buf)) < payloadLen {
-		return nil, ErrCorrupt
-	}
-	payload := buf[:payloadLen]
+	payload := buf[16 : 16+payloadLen]
 
 	if count == 0 {
 		return []int32{}, nil
@@ -493,54 +531,46 @@ func Decode(buf []byte) ([]int32, error) {
 	}
 
 	// Rebuild canonical codes and the per-length decode tables.
-	symbols, lens, codes, err := canonicalCodes(lengths)
-	if err != nil {
+	cn := &sc.cn
+	if cn.set(sc.lens) != nil {
 		return nil, ErrCorrupt
 	}
-	maxLen := lens[len(lens)-1]
-	var firstCode, firstIdx, cnt [maxCodeLen + 2]uint64
-	for i := range symbols {
-		l := lens[i]
-		if cnt[l] == 0 {
-			firstCode[l] = codes[i]
-			firstIdx[l] = uint64(i)
-		}
-		cnt[l]++
+	sc.syms = grow(sc.syms, nsym)
+	symbols := sc.syms
+	next := cn.firstIdx
+	for i, l := range sc.lens {
+		symbols[next[l]] = int32(uint32(sc.keys[i]) ^ 1<<31)
+		next[l]++
 	}
+	maxLen, firstCode, firstIdx, cnt := cn.maxLen, &cn.firstCode, &cn.firstIdx, &cn.cnt
 
 	// K-bit prefix table: entry packs (symbol index << 6 | code length)
 	// for codes no longer than K bits; zero means "longer code".
-	lb := int(maxLen)
-	if lb > decodeLookupBits {
-		lb = decodeLookupBits
-	}
-	table := make([]uint32, 1<<lb)
-	for i := range symbols {
-		l := int(lens[i])
-		if l > lb {
-			break // canonical order: lengths are non-decreasing
-		}
-		base := codes[i] << (lb - l)
+	lb := min(int(maxLen), decodeLookupBits)
+	sc.table = grow(sc.table, 1<<lb)
+	lookup := sc.table
+	clear(lookup)
+	for l := 1; l <= lb; l++ {
 		span := uint64(1) << (lb - l)
-		entry := uint32(i)<<6 | uint32(l)
-		for j := uint64(0); j < span; j++ {
-			table[base+j] = entry
+		for r := uint64(0); r < cnt[l]; r++ {
+			base := (firstCode[l] + r) << (lb - l)
+			entry := uint32(firstIdx[l]+r)<<6 | uint32(l)
+			for j := uint64(0); j < span; j++ {
+				lookup[base+j] = entry
+			}
 		}
 	}
 
 	// cap the preallocation: count comes from an untrusted header, and
 	// the loop below errors out as soon as the payload runs dry anyway
-	prealloc := count
-	if maxPre := uint64(payloadLen) * 8; prealloc > maxPre {
-		prealloc = maxPre
-	}
-	out := make([]int32, 0, prealloc)
+	out := make([]int32, 0, min(count, payloadLen*8))
 
 	// manual MSB-first bit buffer: acc holds the next `nbits` of the
 	// stream left-aligned at bit 63
 	var acc uint64
 	var nbits uint
 	pos := 0
+next:
 	for uint64(len(out)) < count {
 		for nbits <= 56 && pos < len(payload) {
 			acc |= uint64(payload[pos]) << (56 - nbits)
@@ -550,7 +580,7 @@ func Decode(buf []byte) ([]int32, error) {
 		if nbits == 0 {
 			return nil, ErrCorrupt
 		}
-		if entry := table[acc>>(64-uint(lb))]; entry != 0 {
+		if entry := lookup[acc>>(64-uint(lb))]; entry != 0 {
 			l := uint(entry & 63)
 			if l > nbits {
 				return nil, ErrCorrupt
@@ -561,7 +591,6 @@ func Decode(buf []byte) ([]int32, error) {
 			continue
 		}
 		// long code: per-length canonical search above the table width
-		matched := false
 		for l := uint(lb) + 1; l <= maxLen; l++ {
 			if cnt[l] == 0 {
 				continue
@@ -574,29 +603,10 @@ func Decode(buf []byte) ([]int32, error) {
 				out = append(out, symbols[firstIdx[l]+diff])
 				acc <<= l
 				nbits -= l
-				matched = true
-				break
+				continue next
 			}
 		}
-		if !matched {
-			return nil, ErrCorrupt
-		}
+		return nil, ErrCorrupt
 	}
 	return out, nil
-}
-
-// MeanCodeLength returns the average code length in bits per symbol that an
-// optimal Huffman code achieves on the histogram — the quantity the Jin
-// model estimates analytically from the code distribution.
-func MeanCodeLength(counts map[int32]uint64) float64 {
-	lengths := CodeLengths(counts)
-	var total, bits uint64
-	for s, c := range counts {
-		total += c
-		bits += c * uint64(lengths[s])
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(bits) / float64(total)
 }

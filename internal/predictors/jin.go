@@ -129,7 +129,7 @@ func lorenzoStrides(dims []int) []int {
 // neighbour addresses come from precomputed offsets or are re-derived
 // through per-term coordinate allocation, mirroring the two C++
 // implementations the paper compares.
-func lorenzoCodeHistogram(vals []float64, dims []int, abs float64, bins int, it ndIterator, fast bool) (hist map[int32]uint64, outliers uint64, n uint64) {
+func lorenzoCodeHistogram(vals []float64, dims []int, abs float64, bins int, it ndIterator, fast bool) (hist huffman.Histogram, outliers uint64, n uint64) {
 	str := lorenzoStrides(dims)
 	nd := len(dims)
 	step := 2 * abs
@@ -173,13 +173,7 @@ func lorenzoCodeHistogram(vals []float64, dims []int, abs float64, bins int, it 
 		}
 		counts[int(c)+bins/2]++
 	}
-	hist = make(map[int32]uint64, 1024)
-	for i, c := range counts {
-		if c != 0 {
-			hist[int32(i-bins/2)] = c
-		}
-	}
-	return hist, outliers, n
+	return huffman.DenseHistogram(int32(-(bins / 2)), counts), outliers, n
 }
 
 func popcount(x uint) int {
@@ -195,12 +189,12 @@ func popcount(x uint) int {
 // compression-ratio estimate: mean Huffman code length (the encoding-
 // efficiency analysis), the outlier escape cost, the code-table header,
 // and a lossless-stage efficiency factor.
-func crFromCodeHistogram(hist map[int32]uint64, outliers, n uint64, elemBits int) float64 {
+func crFromCodeHistogram(hist huffman.Histogram, outliers, n uint64, elemBits int) float64 {
 	meanBits := huffman.MeanCodeLength(hist)
 	outFrac := float64(outliers) / float64(n)
 	quantFrac := 1 - outFrac
 	// escape symbol + exact value for outliers; canonical table header
-	headerBits := float64(len(hist)*5*8) / float64(n)
+	headerBits := float64(hist.Len()*5*8) / float64(n)
 	// DEFLATE on the Huffman stream typically removes residual
 	// redundancy the per-symbol analysis cannot see (run structure);
 	// the model uses a fixed stage-efficiency factor.

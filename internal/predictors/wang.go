@@ -174,18 +174,10 @@ func (m *ZperfModel) BeginCompress(in *pressio.Data) {
 	var bitsPerSym float64
 	switch m.coder() {
 	case "entropy":
-		counts := make([]uint64, 0, len(hist))
-		for _, c := range hist {
-			counts = append(counts, c)
-		}
-		bitsPerSym = stats.EntropyFromCounts(counts)
+		bitsPerSym = stats.EntropyFromCounts(hist.Counts)
 	case "fixed":
-		// fixed-width codes sized to the alphabet
-		if len(hist) > 1 {
-			bitsPerSym = math.Ceil(math.Log2(float64(len(hist))))
-		} else {
-			bitsPerSym = 1
-		}
+		// fixed-width codes sized to the alphabet, one bit at least
+		bitsPerSym = math.Max(1, math.Ceil(math.Log2(float64(hist.Len()))))
 	default: // huffman
 		bitsPerSym = huffman.MeanCodeLength(hist)
 	}
@@ -208,31 +200,35 @@ func (m *ZperfModel) BeginCompress(in *pressio.Data) {
 	m.results = r
 }
 
+// zperfBins is the modelled quantizer's bin budget: codes lie in
+// (-zperfBins/2, zperfBins/2).
+const zperfBins = 65536
+
 // residualHistogram applies the selected prediction-stage model and
 // quantizes the residuals.
-func (m *ZperfModel) residualHistogram(sample []float64) (map[int32]uint64, uint64) {
+func (m *ZperfModel) residualHistogram(sample []float64) (huffman.Histogram, uint64) {
 	abs := m.abs()
 	step := 2 * abs
-	hist := make(map[int32]uint64, 512)
+	counts := make([]uint64, zperfBins) // code c counted at c + zperfBins/2
 	var outliers uint64
 	quantize := func(diff float64) {
 		c := math.Round(diff / step)
-		if math.Abs(c) >= 32768 {
+		if !(math.Abs(c) < zperfBins/2) { // NaN is an outlier, as in sz3's quantizer
 			outliers++
 			return
 		}
-		hist[int32(c)]++
+		counts[int(c)+zperfBins/2]++
 	}
 	switch m.predictor() {
 	case "regression":
 		// SZ2-style block regression: reuse the compressor's own stage
-		q := &sz3.Quantizer{Abs: abs, Bins: 65536, Cast: sz3.CastFloat64}
+		q := &sz3.Quantizer{Abs: abs, Bins: zperfBins, Cast: sz3.CastFloat64}
 		codes, outs, _ := sz3.PredictQuantizeRegression(sample, []int{len(sample)}, q)
 		for _, c := range codes {
 			if c == sz3.OutlierCode {
 				continue // counted via outs below
 			}
-			hist[c]++
+			counts[int(c)+zperfBins/2]++
 		}
 		outliers += uint64(len(outs))
 	case "mean":
@@ -258,7 +254,7 @@ func (m *ZperfModel) residualHistogram(sample []float64) (map[int32]uint64, uint
 			prev = v
 		}
 	}
-	return hist, outliers
+	return huffman.DenseHistogram(-zperfBins/2, counts), outliers
 }
 
 // Results implements pressio.Metric.
