@@ -21,12 +21,12 @@ tier1:
 # loc prints the non-test Go line count every simplicity PR quotes —
 # hand-written source only: no tests, no vendored analysis framework
 # (internal/xtools), no benchmark module or its build output — and the
-# split for the three packages those PRs work in.
+# split for the packages those PRs work in.
 LOC_FIND = find $(1) -name '*.go' -not -name '*_test.go' -not -path './internal/xtools/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go lines: %d\n' $$($(call LOC_FIND,.))
-	@for d in internal/serve internal/cluster internal/dataset; do \
-		printf '  %-18s %d\n' $$d $$($(call LOC_FIND,./$$d)); done
+	@for d in internal/serve internal/cluster internal/dataset internal/predictors internal/compressor/sz3; do \
+		printf '  %-24s %d\n' $$d $$($(call LOC_FIND,./$$d)); done
 
 # check is the full verification gate: formatting, standard vet (with the
 # extra unreachable/copylocks/lostcancel passes spelled out so a vet

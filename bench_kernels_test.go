@@ -124,8 +124,9 @@ func BenchmarkKernelHuffman(b *testing.B) {
 		codes[i] = v
 	}
 	u := benchField(b, "U", 24)
-	q := &sz3.Quantizer{Abs: 1e-6, Bins: 65536, Cast: sz3.CastFloat32}
-	wide, _, _ := sz3.PredictQuantizeLorenzo(stats.Float64Of(u), u.Dims(), q)
+	q := &sz3.Quantizer{Abs: 1e-6, Bins: sz3.DefaultBins, DType: u.DType()}
+	wide := make([]int32, u.Len())
+	sz3.PredictQuantizeLorenzo(wide, make([]float64, u.Len()), stats.Float64Of(u), u.Dims(), q, 0)
 	hist := huffman.HistogramInt32(wide, 0)
 	if hist.Len() <= 20000 {
 		b.Fatalf("the wide stream has %d distinct symbols, want > 20000", hist.Len())

@@ -29,52 +29,43 @@ import (
 	"sync/atomic"
 
 	"repro/internal/parallel"
+	"repro/internal/pressio"
 )
 
 // OutlierCode is the quantization-code sentinel marking a value that could
 // not be quantized within the bin budget and is stored exactly.
 const OutlierCode = math.MaxInt32
 
-// CastFunc rounds a reconstructed value to the precision of the stored
-// dtype, so the encoder sees exactly what the decoder will produce.
-type CastFunc func(float64) float64
-
-// CastFloat32 rounds through float32 storage precision.
-func CastFloat32(x float64) float64 { return float64(float32(x)) }
-
-// CastFloat64 is the identity: float64 storage is exact.
-func CastFloat64(x float64) float64 { return x }
-
-// cast kinds let the hot loops specialize the two casts this package
-// defines instead of paying an indirect call per element; unknown cast
-// functions fall back to the indirect path.
-const (
-	castIdentity = iota
-	castF32
-	castGeneric
-)
-
-// castKindOf classifies a cast function by probing it with values that
-// separate identity from float32 rounding. Anything else is generic.
-func castKindOf(c CastFunc) int {
-	if c == nil {
-		return castGeneric
-	}
-	if c(math.Pi) == math.Pi && c(-math.E) == -math.E {
-		return castIdentity
-	}
-	if c(math.Pi) == float64(float32(math.Pi)) && c(1.5) == 1.5 && c(-math.E) == float64(float32(-math.E)) {
-		return castF32
-	}
-	return castGeneric
-}
-
 // Quantizer performs linear-scaling quantization of prediction residuals
 // against an absolute error bound.
 type Quantizer struct {
 	Abs  float64 // absolute error bound (> 0)
 	Bins int     // quantization bin budget (codes in (-Bins/2, Bins/2))
-	Cast CastFunc
+	// DType is the stored element type. Reconstructions round to its
+	// precision — through float32 for DTypeFloat32, exact otherwise — so
+	// the encoder sees exactly what the decoder will produce.
+	DType pressio.DType
+}
+
+func (q *Quantizer) cast(x float64) float64 {
+	if q.DType == pressio.DTypeFloat32 {
+		return float64(float32(x))
+	}
+	return x
+}
+
+// Code maps a prediction residual to its quantization code, the nearest
+// multiple of 2·Abs, or to OutlierCode when that falls outside the bin
+// budget — which a NaN or infinite residual always does. It is the
+// open-loop rule: Quantize adds the check that the reconstruction meets the
+// bound at storage precision, and the stage models in internal/predictors
+// count codes with this alone.
+func (q *Quantizer) Code(residual float64) int32 {
+	c := math.Round(residual / (2 * q.Abs))
+	if half := float64(q.Bins / 2); c < half && c > -half {
+		return int32(c)
+	}
+	return OutlierCode
 }
 
 // Quantize encodes value against prediction. It returns the quantization
@@ -82,46 +73,39 @@ type Quantizer struct {
 // produce. For outliers the reconstruction is the cast of the original
 // value itself, so the error is zero at storage precision.
 func (q *Quantizer) Quantize(value, prediction float64) (code int32, recon float64) {
-	diff := value - prediction
-	step := 2 * q.Abs
-	c := math.Round(diff / step)
-	half := float64(q.Bins / 2)
-	if math.Abs(c) < half {
-		candidate := q.Cast(prediction + c*step)
+	if code = q.Code(value - prediction); code != OutlierCode {
+		candidate := q.Reconstruct(code, prediction)
 		if math.Abs(candidate-value) <= q.Abs {
-			return int32(c), candidate
+			return code, candidate
 		}
 	}
-	return OutlierCode, q.Cast(value)
+	return OutlierCode, q.cast(value)
 }
 
 // Reconstruct decodes a quantization code against a prediction; outliers
 // are resolved by the caller from the exact-value stream.
 func (q *Quantizer) Reconstruct(code int32, prediction float64) float64 {
-	return q.Cast(prediction + float64(code)*2*q.Abs)
+	return q.cast(prediction + float64(code)*2*q.Abs)
 }
 
-// lorenzoTerm is one neighbour contribution of the first-order Lorenzo
-// predictor: recon[i-offset] * sign, valid when every dimension in mask
-// has a coordinate ≥ 1.
-type lorenzoTerm struct {
-	offset int
-	sign   float64
-	mask   uint32
+// LorenzoTerm is one neighbour contribution of the first-order Lorenzo
+// predictor: x[i-Offset] * Sign, valid when every dimension in Mask (bit d
+// for dims[d]) has a coordinate ≥ 1.
+type LorenzoTerm struct {
+	Offset int
+	Sign   float64
+	Mask   uint32
 }
 
-// lorenzoTerms enumerates the non-empty subsets of dimensions for dims
-// (standard n-dimensional first-order Lorenzo). Out-of-domain neighbours
-// contribute zero, as in SZ.
-func lorenzoTerms(dims []int) []lorenzoTerm {
+// LorenzoTerms enumerates the non-empty subsets of dimensions for dims
+// (standard n-dimensional first-order Lorenzo) in the order the predictor
+// sums them. Out-of-domain neighbours contribute zero, as in SZ. The
+// compressor predicts from reconstructed neighbours; jin_model reads the
+// same table over original values.
+func LorenzoTerms(dims []int) []LorenzoTerm {
 	nd := len(dims)
-	str := make([]int, nd)
-	acc := 1
-	for i := nd - 1; i >= 0; i-- {
-		str[i] = acc
-		acc *= dims[i]
-	}
-	var terms []lorenzoTerm
+	str := stridesOf(dims)
+	var terms []LorenzoTerm
 	for s := 1; s < 1<<nd; s++ {
 		off := 0
 		bits := 0
@@ -135,7 +119,7 @@ func lorenzoTerms(dims []int) []lorenzoTerm {
 		if bits%2 == 0 {
 			sign = -1.0
 		}
-		terms = append(terms, lorenzoTerm{offset: off, sign: sign, mask: uint32(s)})
+		terms = append(terms, LorenzoTerm{Offset: off, Sign: sign, Mask: uint32(s)})
 	}
 	return terms
 }
@@ -147,8 +131,8 @@ func lorenzoTerms(dims []int) []lorenzoTerm {
 type lorenzoPlan struct {
 	dims   []int
 	str    []int
-	terms  []lorenzoTerm
-	byMask [][]lorenzoTerm // indexed by haveMask; order preserved
+	terms  []LorenzoTerm
+	byMask [][]LorenzoTerm // indexed by haveMask; order preserved
 }
 
 var lorenzoPlanCache sync.Map // string key -> *lorenzoPlan
@@ -165,19 +149,14 @@ func lorenzoPlanFor(dims []int) *lorenzoPlan {
 	nd := len(dims)
 	p := &lorenzoPlan{
 		dims:  append([]int(nil), dims...),
-		str:   make([]int, nd),
-		terms: lorenzoTerms(dims),
+		str:   stridesOf(dims),
+		terms: LorenzoTerms(dims),
 	}
-	acc := 1
-	for i := nd - 1; i >= 0; i-- {
-		p.str[i] = acc
-		acc *= dims[i]
-	}
-	p.byMask = make([][]lorenzoTerm, 1<<nd)
+	p.byMask = make([][]LorenzoTerm, 1<<nd)
 	for m := uint32(0); m < 1<<nd; m++ {
-		var sub []lorenzoTerm
+		var sub []LorenzoTerm
 		for _, t := range p.terms {
-			if t.mask&m == t.mask {
+			if t.Mask&m == t.Mask {
 				sub = append(sub, t)
 			}
 		}
@@ -188,37 +167,20 @@ func lorenzoPlanFor(dims []int) *lorenzoPlan {
 }
 
 // PredictQuantizeLorenzo runs the Lorenzo predictor + quantizer over vals
-// (C-ordered with the given dims) and returns the quantization codes, the
-// exactly-stored outlier values, and the reconstruction. It is exported
-// (rather than private to Compress) because the Jin 2022 and Khan 2023
-// prediction schemes re-run exactly this stage to estimate the code
-// distribution without paying for the encoding stages.
-func PredictQuantizeLorenzo(vals []float64, dims []int, q *Quantizer) (codes []int32, outliers []float64, recon []float64) {
-	return PredictQuantizeLorenzoN(vals, dims, q, 0)
-}
-
-// PredictQuantizeLorenzoN is PredictQuantizeLorenzo with an explicit
-// worker cap (0 = all cores). Output is identical for every worker count.
-func PredictQuantizeLorenzoN(vals []float64, dims []int, q *Quantizer, workers int) (codes []int32, outliers []float64, recon []float64) {
-	codes = make([]int32, len(vals))
-	recon = make([]float64, len(vals))
-	outliers = predictQuantizeLorenzoInto(codes, recon, vals, dims, q, workers)
-	return codes, outliers, recon
-}
-
-// predictQuantizeLorenzoInto runs the Lorenzo stage into caller-provided
-// codes and recon buffers (len(vals) each, fully overwritten), so the
-// compressor can recycle them through a pool.
-func predictQuantizeLorenzoInto(codes []int32, recon []float64, vals []float64, dims []int, q *Quantizer, workers int) (outliers []float64) {
+// (C-ordered with the given dims) into caller-provided codes and recon
+// buffers (len(vals) each, fully overwritten, so the compressor can recycle
+// them through a pool) and returns the exactly-stored outlier values.
+// workers caps the parallelism (0 = all cores); output is identical for
+// every worker count.
+func PredictQuantizeLorenzo(codes []int32, recon []float64, vals []float64, dims []int, q *Quantizer, workers int) (outliers []float64) {
 	n := len(vals)
 	if n == 0 {
 		return nil
 	}
 	plan := lorenzoPlanFor(dims)
-	kind := castKindOf(q.Cast)
 	var outlierCount int64
 	forEachRowWavefront(plan, workers, func(base, rowLen int, mask uint32) {
-		c := lorenzoRowCompress(vals, recon, codes, base, rowLen, plan, mask, q, kind)
+		c := lorenzoRowCompress(vals, recon, codes, base, rowLen, plan, mask, q)
 		if c != 0 {
 			atomic.AddInt64(&outlierCount, int64(c))
 		}
@@ -240,7 +202,7 @@ func predictQuantizeLorenzoInto(codes []int32, recon []float64, vals []float64, 
 // boundary bits of the row's leading coordinates; the innermost bit is
 // handled per element (clear for element 0, set afterwards). Returns the
 // row's outlier count.
-func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, plan *lorenzoPlan, mask uint32, q *Quantizer, kind int) int {
+func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, plan *lorenzoPlan, mask uint32, q *Quantizer) int {
 	nd := len(plan.dims)
 	lastBit := uint32(1) << (nd - 1)
 	first := plan.byMask[mask&^lastBit]
@@ -248,8 +210,7 @@ func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, 
 	step := 2 * q.Abs
 	abs := q.Abs
 	half := float64(q.Bins / 2)
-	f32 := kind == castF32
-	generic := kind == castGeneric
+	f32 := q.DType == pressio.DTypeFloat32
 	out := 0
 
 	// interior rows of 2-D/3-D data take a branch-free unrolled
@@ -282,7 +243,7 @@ func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, 
 		switch {
 		case k == 0:
 			for _, t := range first {
-				pred += t.sign * recon[i-t.offset]
+				pred += t.Sign * recon[i-t.Offset]
 			}
 		case interior3:
 			n1, n2, n3 := recon[i-o1], recon[i-o2], recon[i-o3]
@@ -294,18 +255,8 @@ func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, 
 			p1 = n1
 		default:
 			for _, t := range rest {
-				pred += t.sign * recon[i-t.offset]
+				pred += t.Sign * recon[i-t.Offset]
 			}
-		}
-		if generic {
-			code, r := q.Quantize(vals[i], pred)
-			codes[i] = code
-			recon[i] = r
-			prev = r
-			if code == OutlierCode {
-				out++
-			}
-			continue
 		}
 		v := vals[i]
 		c := math.Round((v - pred) / step)
@@ -337,21 +288,15 @@ func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, 
 	return out
 }
 
-// ReconstructLorenzo inverts PredictQuantizeLorenzo given the codes and
+// reconstructLorenzo inverts PredictQuantizeLorenzo given the codes and
 // outlier stream.
-func ReconstructLorenzo(codes []int32, outliers []float64, dims []int, q *Quantizer) []float64 {
-	return ReconstructLorenzoN(codes, outliers, dims, q, 0)
-}
-
-// ReconstructLorenzoN is ReconstructLorenzo with an explicit worker cap.
-func ReconstructLorenzoN(codes []int32, outliers []float64, dims []int, q *Quantizer, workers int) []float64 {
+func reconstructLorenzo(codes []int32, outliers []float64, dims []int, q *Quantizer, workers int) []float64 {
 	n := len(codes)
 	recon := make([]float64, n)
 	if n == 0 {
 		return recon
 	}
 	plan := lorenzoPlanFor(dims)
-	kind := castKindOf(q.Cast)
 	rowLen := plan.dims[len(plan.dims)-1]
 	if len(plan.dims) == 1 {
 		rowLen = n
@@ -378,21 +323,20 @@ func ReconstructLorenzoN(codes []int32, outliers []float64, dims []int, q *Quant
 		if rowOi != nil {
 			oi = rowOi[base/rowLen]
 		}
-		lorenzoRowDecompress(codes, outliers, recon, base, rl, plan, mask, q, kind, oi)
+		lorenzoRowDecompress(codes, outliers, recon, base, rl, plan, mask, q, oi)
 	})
 	return recon
 }
 
 // lorenzoRowDecompress reconstructs one contiguous row; oi is the row's
 // starting index into the outlier stream.
-func lorenzoRowDecompress(codes []int32, outliers, recon []float64, base, rowLen int, plan *lorenzoPlan, mask uint32, q *Quantizer, kind, oi int) {
+func lorenzoRowDecompress(codes []int32, outliers, recon []float64, base, rowLen int, plan *lorenzoPlan, mask uint32, q *Quantizer, oi int) {
 	nd := len(plan.dims)
 	lastBit := uint32(1) << (nd - 1)
 	first := plan.byMask[mask&^lastBit]
 	rest := plan.byMask[mask|lastBit]
 	step := 2 * q.Abs
-	f32 := kind == castF32
-	generic := kind == castGeneric
+	f32 := q.DType == pressio.DTypeFloat32
 
 	interior3 := nd == 3 && len(rest) == 7
 	interior2 := nd == 2 && len(rest) == 3
@@ -409,7 +353,7 @@ func lorenzoRowDecompress(codes []int32, outliers, recon []float64, base, rowLen
 		switch {
 		case k == 0:
 			for _, t := range first {
-				pred += t.sign * recon[i-t.offset]
+				pred += t.Sign * recon[i-t.Offset]
 			}
 		case interior3:
 			pred = recon[i-o1] + recon[i-o2] - recon[i-o3] + recon[i-1] - recon[i-o1-1] - recon[i-o2-1] + recon[i-o3-1]
@@ -417,27 +361,21 @@ func lorenzoRowDecompress(codes []int32, outliers, recon []float64, base, rowLen
 			pred = recon[i-o1] + recon[i-1] - recon[i-o1-1]
 		default:
 			for _, t := range rest {
-				pred += t.sign * recon[i-t.offset]
+				pred += t.Sign * recon[i-t.Offset]
 			}
 		}
 		if codes[i] == OutlierCode {
 			v := outliers[oi]
 			oi++
-			switch {
-			case f32:
+			if f32 {
 				v = float64(float32(v))
-			case generic:
-				v = q.Cast(v)
 			}
 			recon[i] = v
 			continue
 		}
 		r := pred + float64(codes[i])*step
-		switch {
-		case f32:
+		if f32 {
 			r = float64(float32(r))
-		case generic:
-			r = q.Cast(r)
 		}
 		recon[i] = r
 	}
@@ -557,48 +495,23 @@ func interpLevels(n int, fn func(s, pos0, count int)) {
 	}
 }
 
-// PredictQuantizeInterp runs the multi-level linear interpolation
-// predictor + quantizer over vals flattened to 1-D. Codes and outliers are
-// in traversal order.
-func PredictQuantizeInterp(vals []float64, q *Quantizer) (codes []int32, outliers []float64, recon []float64) {
-	return PredictQuantizeInterpN(vals, q, 0)
-}
-
-// PredictQuantizeInterpN is PredictQuantizeInterp with an explicit worker
-// cap (0 = all cores). Output is identical for every worker count.
-func PredictQuantizeInterpN(vals []float64, q *Quantizer, workers int) (codes []int32, outliers []float64, recon []float64) {
-	codes = make([]int32, len(vals))
-	recon = make([]float64, len(vals))
-	outliers = predictQuantizeInterpInto(codes, recon, vals, q, workers)
-	return codes, outliers, recon
-}
-
-// predictQuantizeInterpInto runs the interpolation stage into
-// caller-provided codes and recon buffers (len(vals) each, fully
-// overwritten).
-func predictQuantizeInterpInto(codes []int32, recon []float64, vals []float64, q *Quantizer, workers int) (outliers []float64) {
+// predictQuantizeInterp runs the multi-level linear interpolation
+// predictor + quantizer over vals flattened to 1-D, into caller-provided
+// codes and recon buffers (len(vals) each, fully overwritten). Codes and
+// outliers are in traversal order; output is identical for every worker
+// count.
+func predictQuantizeInterp(codes []int32, recon []float64, vals []float64, q *Quantizer, workers int) (outliers []float64) {
 	n := len(vals)
 	if n == 0 {
 		return nil
 	}
-	kind := castKindOf(q.Cast)
 	step := 2 * q.Abs
 	abs := q.Abs
 	half := float64(q.Bins / 2)
-	f32 := kind == castF32
-	generic := kind == castGeneric
+	f32 := q.DType == pressio.DTypeFloat32
 	var outlierCount int64
 
 	quantizeAt := func(i, pos int, pred float64) int {
-		if generic {
-			code, r := q.Quantize(vals[i], pred)
-			codes[pos] = code
-			recon[i] = r
-			if code == OutlierCode {
-				return 1
-			}
-			return 0
-		}
 		v := vals[i]
 		c := math.Round((v - pred) / step)
 		if c < half && c > -half {
@@ -664,38 +577,14 @@ func predictQuantizeInterpInto(codes []int32, recon []float64, vals []float64, q
 	return outliers
 }
 
-// interpPredict predicts element i from its already-reconstructed
-// neighbours at the current level: the midpoint of the two bracketing
-// coarse samples when both exist, else the left sample, else zero.
-func interpPredict(recon []float64, done []bool, i, n int) float64 {
-	if i == 0 {
-		return 0
-	}
-	// stride of i is its largest power-of-two divisor
-	s := i & (-i)
-	left := i - s
-	right := i + s
-	if right < n && done[right] {
-		return (recon[left] + recon[right]) / 2
-	}
-	return recon[left]
-}
-
-// ReconstructInterp inverts PredictQuantizeInterp.
-func ReconstructInterp(codes []int32, outliers []float64, n int, q *Quantizer) []float64 {
-	return ReconstructInterpN(codes, outliers, n, q, 0)
-}
-
-// ReconstructInterpN is ReconstructInterp with an explicit worker cap.
-func ReconstructInterpN(codes []int32, outliers []float64, n int, q *Quantizer, workers int) []float64 {
+// reconstructInterp inverts predictQuantizeInterp.
+func reconstructInterp(codes []int32, outliers []float64, n int, q *Quantizer, workers int) []float64 {
 	recon := make([]float64, n)
 	if n == 0 {
 		return recon
 	}
-	kind := castKindOf(q.Cast)
 	step := 2 * q.Abs
-	f32 := kind == castF32
-	generic := kind == castGeneric
+	f32 := q.DType == pressio.DTypeFloat32
 
 	// map each traversal position to its outlier-stream offset up front,
 	// so levels can run in parallel even with outliers present
@@ -713,21 +602,15 @@ func ReconstructInterpN(codes []int32, outliers []float64, n int, q *Quantizer, 
 	reconAt := func(i, pos int, pred float64) {
 		if codes[pos] == OutlierCode {
 			v := outliers[ois[pos]]
-			switch {
-			case f32:
+			if f32 {
 				v = float64(float32(v))
-			case generic:
-				v = q.Cast(v)
 			}
 			recon[i] = v
 			return
 		}
 		r := pred + float64(codes[pos])*step
-		switch {
-		case f32:
+		if f32 {
 			r = float64(float32(r))
-		case generic:
-			r = q.Cast(r)
 		}
 		recon[i] = r
 	}

@@ -1,10 +1,6 @@
 package sz3
 
-import (
-	"math"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // Block-regression prediction, the hallmark predictor of SZ2 (which the
 // paper's future-work item (3) contrasts with SZ3's interpolation): the
@@ -63,15 +59,6 @@ func fitBlock(vals []float64, dims, str, origin, size []int) regCoeffs {
 		co.c[i] = float64(float32(co.c[i]))
 	}
 	return co
-}
-
-// predictAt evaluates a block's hyperplane at local coordinates.
-func (co regCoeffs) predictAt(local []int, size []int, nd int) float64 {
-	p := co.c[0]
-	for d := 0; d < nd; d++ {
-		p += co.c[d+1] * (float64(local[d]) - float64(size[d]-1)/2)
-	}
-	return p
 }
 
 // forEachInBlock visits every element of the block at origin with the
@@ -159,25 +146,13 @@ func regressionBlockList(dims []int) []regBlock {
 }
 
 // PredictQuantizeRegression runs the block-regression predictor +
-// quantizer. The returned coefficient list has one entry per block in
-// traversal order; codes and outliers follow the same order.
-func PredictQuantizeRegression(vals []float64, dims []int, q *Quantizer) (codes []int32, outliers []float64, coeffs []float64) {
-	return PredictQuantizeRegressionN(vals, dims, q, 0)
-}
-
-// PredictQuantizeRegressionN is PredictQuantizeRegression with an
-// explicit worker cap (0 = all cores). Output is identical for every
-// worker count: blocks are independent, codes write to precomputed
-// offsets, and outliers are concatenated in block order afterwards.
-func PredictQuantizeRegressionN(vals []float64, dims []int, q *Quantizer, workers int) (codes []int32, outliers []float64, coeffs []float64) {
-	codes = make([]int32, len(vals))
-	outliers, coeffs = predictQuantizeRegressionInto(codes, vals, dims, q, workers)
-	return codes, outliers, coeffs
-}
-
-// predictQuantizeRegressionInto runs the regression stage into a
-// caller-provided codes buffer (len(vals), fully overwritten).
-func predictQuantizeRegressionInto(codes []int32, vals []float64, dims []int, q *Quantizer, workers int) (outliers []float64, coeffs []float64) {
+// quantizer into a caller-provided codes buffer (len(vals), fully
+// overwritten). The returned coefficient list has one entry per block in
+// traversal order; codes and outliers follow the same order. workers caps
+// the parallelism (0 = all cores); output is identical for every worker
+// count: blocks are independent, codes write to precomputed offsets, and
+// outliers are concatenated in block order afterwards.
+func PredictQuantizeRegression(codes []int32, vals []float64, dims []int, q *Quantizer, workers int) (outliers []float64, coeffs []float64) {
 	if len(dims) > 3 {
 		dims = flattenTo3(dims)
 	}
@@ -230,15 +205,9 @@ func predictQuantizeRegressionInto(codes []int32, vals []float64, dims []int, q 
 	return outliers, coeffs
 }
 
-// ReconstructRegression inverts PredictQuantizeRegression into a flat
+// reconstructRegression inverts PredictQuantizeRegression into a flat
 // value slice.
-func ReconstructRegression(codes []int32, outliers, coeffs []float64, dims []int, q *Quantizer) ([]float64, error) {
-	return ReconstructRegressionN(codes, outliers, coeffs, dims, q, 0)
-}
-
-// ReconstructRegressionN is ReconstructRegression with an explicit
-// worker cap.
-func ReconstructRegressionN(codes []int32, outliers, coeffs []float64, dims []int, q *Quantizer, workers int) ([]float64, error) {
+func reconstructRegression(codes []int32, outliers, coeffs []float64, dims []int, q *Quantizer, workers int) ([]float64, error) {
 	if len(dims) > 3 {
 		dims = flattenTo3(dims)
 	}
@@ -284,7 +253,7 @@ func ReconstructRegressionN(codes []int32, outliers, coeffs []float64, dims []in
 			code := codes[k]
 			k++
 			if code == OutlierCode {
-				out[idx] = q.Cast(outliers[oi])
+				out[idx] = q.cast(outliers[oi])
 				oi++
 			} else {
 				pred := co.c[0]
@@ -326,38 +295,4 @@ func stridesOf(dims []int) []int {
 		acc *= dims[i]
 	}
 	return str
-}
-
-// regressionGain estimates, per block, how much better regression is than
-// a constant predictor — exported for stage models that want to reason
-// about SZ2-style compressors (jin/zperf counterfactuals).
-func RegressionGain(vals []float64, dims []int) float64 {
-	if len(dims) > 3 {
-		dims = flattenTo3(dims)
-	}
-	str := stridesOf(dims)
-	var ssRes, ssConst float64
-	regressionBlocks(dims, func(origin, size []int) {
-		co := fitBlock(vals, dims, str, origin, size)
-		mean := co.c[0]
-		nd := len(dims)
-		forEachInBlock(dims, str, origin, size, func(idx int, local []int) {
-			v := vals[idx]
-			r := v - co.predictAt(local, size, nd)
-			c := v - mean
-			ssRes += r * r
-			ssConst += c * c
-		})
-	})
-	if ssRes <= 0 {
-		return 60
-	}
-	gain := 10 * math.Log10(ssConst/ssRes)
-	if gain < 0 {
-		return 0
-	}
-	if gain > 60 {
-		return 60
-	}
-	return gain
 }

@@ -30,8 +30,11 @@ const (
 	modeInterp     = 1
 	modeRegression = 2
 	defaultAbs     = 1e-4
-	defaultBins    = 65536
 )
+
+// DefaultBins is the default quantization bin budget ("sz3:quant_bins"),
+// and the budget the stage models in internal/predictors assume.
+const DefaultBins = 65536
 
 // ErrCorrupt reports a malformed compressed stream.
 var ErrCorrupt = errors.New("sz3: corrupt stream")
@@ -85,7 +88,7 @@ func getF64Buf(n int) []float64 {
 // New returns an sz3 compressor with default settings (abs=1e-4,
 // 65536 bins, Lorenzo prediction).
 func New() *Compressor {
-	return &Compressor{abs: defaultAbs, bins: defaultBins, predictor: "lorenzo"}
+	return &Compressor{abs: defaultAbs, bins: DefaultBins, predictor: "lorenzo"}
 }
 
 func init() {
@@ -143,24 +146,20 @@ func (c *Compressor) Configuration() pressio.Options {
 	return o
 }
 
-func castFor(t pressio.DType) (CastFunc, error) {
-	switch t {
-	case pressio.DTypeFloat32:
-		return CastFloat32, nil
-	case pressio.DTypeFloat64:
-		return CastFloat64, nil
+func checkDType(t pressio.DType) error {
+	if t != pressio.DTypeFloat32 && t != pressio.DTypeFloat64 {
+		return fmt.Errorf("sz3: unsupported dtype %v", t)
 	}
-	return nil, fmt.Errorf("sz3: unsupported dtype %v", t)
+	return nil
 }
 
 // Compress implements pressio.Compressor.
 func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
-	cast, err := castFor(in.DType())
-	if err != nil {
+	if err := checkDType(in.DType()); err != nil {
 		return nil, err
 	}
 	vals := stats.Float64Of(in)
-	q := &Quantizer{Abs: c.abs, Bins: c.bins, Cast: cast}
+	q := &Quantizer{Abs: c.abs, Bins: c.bins, DType: in.DType()}
 
 	codes := getCodesBuf(len(vals))
 	defer codesPool.Put(codes)
@@ -173,15 +172,15 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	case "interp":
 		mode = modeInterp
 		recon := getF64Buf(len(vals))
-		outliers = predictQuantizeInterpInto(codes, recon, vals, q, c.threads)
+		outliers = predictQuantizeInterp(codes, recon, vals, q, c.threads)
 		f64Pool.Put(recon)
 	case "regression":
 		mode = modeRegression
-		outliers, coeffs = predictQuantizeRegressionInto(codes, vals, in.Dims(), q, c.threads)
+		outliers, coeffs = PredictQuantizeRegression(codes, vals, in.Dims(), q, c.threads)
 	default:
 		mode = modeLorenzo
 		recon := getF64Buf(len(vals))
-		outliers = predictQuantizeLorenzoInto(codes, recon, vals, in.Dims(), q, c.threads)
+		outliers = PredictQuantizeLorenzo(codes, recon, vals, in.Dims(), q, c.threads)
 		f64Pool.Put(recon)
 	}
 
@@ -331,22 +330,21 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 		coeffs[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(cb[4*i:])))
 	}
 
-	cast, err := castFor(dtype)
-	if err != nil {
+	if err := checkDType(dtype); err != nil {
 		return err
 	}
-	q := &Quantizer{Abs: abs, Bins: bins, Cast: cast}
+	q := &Quantizer{Abs: abs, Bins: bins, DType: dtype}
 	var recon []float64
 	switch mode {
 	case modeInterp:
-		recon = ReconstructInterpN(codes, outliers, total, q, c.threads)
+		recon = reconstructInterp(codes, outliers, total, q, c.threads)
 	case modeRegression:
-		recon, err = ReconstructRegressionN(codes, outliers, coeffs, dims, q, c.threads)
+		recon, err = reconstructRegression(codes, outliers, coeffs, dims, q, c.threads)
 		if err != nil {
 			return err
 		}
 	case modeLorenzo:
-		recon = ReconstructLorenzoN(codes, outliers, dims, q, c.threads)
+		recon = reconstructLorenzo(codes, outliers, dims, q, c.threads)
 	default:
 		return ErrCorrupt
 	}

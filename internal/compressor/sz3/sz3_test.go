@@ -289,7 +289,7 @@ func TestInterpOrderCoversAllOnce(t *testing.T) {
 }
 
 func TestQuantizerOutlierFallback(t *testing.T) {
-	q := &Quantizer{Abs: 1e-6, Bins: 16, Cast: CastFloat64}
+	q := &Quantizer{Abs: 1e-6, Bins: 16, DType: pressio.DTypeFloat64}
 	// diff way beyond the bin budget
 	code, recon := q.Quantize(1e6, 0)
 	if code != OutlierCode {
@@ -403,20 +403,58 @@ func TestRegressionPartialBlocks(t *testing.T) {
 	checkBound(t, in, out, 1e-3)
 }
 
-func TestRegressionGainSeparatesFields(t *testing.T) {
-	planar := make([]float64, 64*64)
-	noise := make([]float64, 64*64)
-	rng := rand.New(rand.NewSource(13))
-	for i := range planar {
-		planar[i] = float64(i%64)*2 + float64(i/64)
-		noise[i] = rng.NormFloat64()
+// Code is the open-loop half of Quantize: whenever Quantize keeps a code —
+// it falls back to an outlier only when the reconstruction misses the bound
+// at storage precision — it is the code Code gives the residual, and what
+// Code calls an outlier (bin budget, NaN, ±Inf) Quantize stores exactly.
+func TestQuantizerCodeIsQuantizesFirstHalf(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -1e30, 1e-300}
+	draw := func() float64 {
+		if rng.Intn(8) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
 	}
-	gp := RegressionGain(planar, []int{64, 64})
-	gn := RegressionGain(noise, []int{64, 64})
-	if gp < 20 {
-		t.Errorf("planar gain %v dB, want > 20", gp)
+	for _, q := range []*Quantizer{
+		{Abs: 1e-4, Bins: 65536, DType: pressio.DTypeFloat32},
+		{Abs: 1e-6, Bins: 65536, DType: pressio.DTypeFloat64},
+		{Abs: 0.5, Bins: 16, DType: pressio.DTypeFloat64},
+		{Abs: 1e-3, Bins: 5, DType: pressio.DTypeFloat32},
+	} {
+		kept, precision := 0, 0
+		for i := 0; i < 20000; i++ {
+			value, prediction := draw(), draw()
+			want := q.Code(value - prediction)
+			if want != OutlierCode && (int(want) >= q.Bins/2 || int(want) <= -(q.Bins/2)) {
+				t.Fatalf("%+v: Code(%v) = %d outside the bin budget", *q, value-prediction, want)
+			}
+			got, recon := q.Quantize(value, prediction)
+			switch {
+			case got != OutlierCode:
+				kept++
+				if got != want {
+					t.Fatalf("%+v: Quantize(%v, %v) = %d, Code = %d", *q, value, prediction, got, want)
+				}
+				if recon != q.Reconstruct(got, prediction) || math.Abs(recon-value) > q.Abs {
+					t.Fatalf("%+v: Quantize(%v, %v) reconstructs %v", *q, value, prediction, recon)
+				}
+			case want != OutlierCode:
+				precision++ // in budget, but off the bound once cast
+			}
+		}
+		if kept == 0 {
+			t.Errorf("%+v: no draw quantized", *q)
+		}
+		t.Logf("%+v: %d kept, %d outliers for precision", *q, kept, precision)
 	}
-	if gn > 3 {
-		t.Errorf("noise gain %v dB, want ~0", gn)
+	q := &Quantizer{Abs: 1e-4, Bins: 65536}
+	for _, residual := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 32768 * 2e-4, -32768 * 2e-4} {
+		if c := q.Code(residual); c != OutlierCode {
+			t.Errorf("Code(%v) = %d, want OutlierCode", residual, c)
+		}
+	}
+	if c := q.Code(32767 * 2e-4); c != 32767 {
+		t.Errorf("Code at the last bin = %d, want 32767", c)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -75,11 +77,58 @@ func referenceMeanCodeLength(counts map[int32]uint64) float64 {
 	return float64(bits(h[0], 0)) / float64(h[0].weight)
 }
 
+// referenceJin is jin_model's analysis with its own N-D Lorenzo: element
+// strides, every non-empty subset of dimensions in order s = 1..2^nd-1, the
+// neighbour added for an odd subset and subtracted for an even one — the
+// loop the plugin ran before it read sz3's term table — over a plain index
+// walk, into a map.
 func referenceJin(m *JinModel, in *pressio.Data) float64 {
-	hist, outliers, n := lorenzoCodeHistogram(stats.Float64Of(in), in.Dims(), m.abs(), m.bins(), newFastIterator(in.Dims()), true)
+	vals, dims := stats.Float64Of(in), in.Dims()
+	nd := len(dims)
+	str := make([]int, nd)
+	acc := 1
+	for i := nd - 1; i >= 0; i-- {
+		str[i] = acc
+		acc *= dims[i]
+	}
+	step := 2 * m.abs()
+	half := float64(m.bins() / 2)
 	counts := map[int32]uint64{}
-	for i, s := range hist.Symbols {
-		counts[s] = hist.Counts[i]
+	var outliers, n uint64
+	coords := make([]int, nd)
+	for idx := range vals {
+		for d, t := 0, idx; d < nd; d++ {
+			coords[d] = t / str[d]
+			t %= str[d]
+		}
+		var pred float64
+		for s := 1; s < 1<<nd; s++ {
+			inRange := true
+			var off int
+			for d := 0; d < nd; d++ {
+				if s&(1<<d) != 0 {
+					if coords[d] < 1 {
+						inRange = false
+						break
+					}
+					off += str[d]
+				}
+			}
+			if !inRange {
+				continue
+			}
+			if bits.OnesCount(uint(s))%2 == 1 {
+				pred += vals[idx-off]
+			} else {
+				pred -= vals[idx-off]
+			}
+		}
+		n++
+		if c := math.Round((vals[idx] - pred) / step); !(math.Abs(c) < half) {
+			outliers++
+		} else {
+			counts[int32(c)]++
+		}
 	}
 	elemBits := in.DType().Size() * 8
 	outFrac := float64(outliers) / float64(n)
@@ -102,8 +151,9 @@ func referenceZperfCoders(m *ZperfModel, in *pressio.Data) float64 {
 	}
 	switch m.predictor() {
 	case "regression":
-		q := &sz3.Quantizer{Abs: m.abs(), Bins: 65536, Cast: sz3.CastFloat64}
-		codes, outs, _ := sz3.PredictQuantizeRegression(sample, []int{len(sample)}, q)
+		q := &sz3.Quantizer{Abs: m.abs(), Bins: 65536, DType: pressio.DTypeFloat64}
+		codes := make([]int32, len(sample))
+		outs, _ := sz3.PredictQuantizeRegression(codes, sample, []int{len(sample)}, q, 0)
 		for _, c := range codes {
 			if c != sz3.OutlierCode {
 				hist[c]++
@@ -147,12 +197,16 @@ func referenceZperfCoders(m *ZperfModel, in *pressio.Data) float64 {
 
 // One round of Table 2 — the 13 fields at its two bounds: the ordered
 // histogram and the two-queue merge must leave every code-model feature
-// bit for bit where the maps and the heap put it.
+// bit for bit where the maps and the heap put it. jin_model is also held to
+// its reference through both iterators, with the cell read as 1-, 2- and
+// 3-D, and at a bin budget tight enough to make outliers.
 func TestCodeModelsMatchMapAndHeapReference(t *testing.T) {
 	dims := []int{32, 32, 64}
 	if testing.Short() {
 		dims = []int{16, 32, 32}
 	}
+	shapes := [][]int{dims, {dims[0] * dims[1], dims[2]}, {dims[0] * dims[1] * dims[2]}}
+	tightBinsMadeOutliers := false
 	for _, name := range hurricane.FieldNames {
 		in, err := hurricane.Field(name, 3, dims)
 		if err != nil {
@@ -160,13 +214,28 @@ func TestCodeModelsMatchMapAndHeapReference(t *testing.T) {
 		}
 		for _, abs := range []float64{1e-6, 1e-4} {
 			opts := optsWith(pressio.OptAbs, abs)
-			opts.Set(OptJinFastIterator, true)
-			jin := &JinModel{}
-			jin.SetOptions(opts)
-			jin.BeginCompress(in)
-			got, _ := jin.Results().GetFloat("jin_model:cr")
-			if want := referenceJin(jin, in); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s abs=%g: jin_model:cr = %v, reference %v", name, abs, got, want)
+			for _, shape := range shapes {
+				cell := pressio.FromFloat32(in.Float32(), shape...)
+				for _, bins := range []int64{sz3.DefaultBins, 512} {
+					opts.Set(OptJinQuantBins, bins)
+					var want float64
+					for _, fast := range []bool{true, false} {
+						opts.Set(OptJinFastIterator, fast)
+						jin := &JinModel{}
+						jin.SetOptions(opts)
+						jin.BeginCompress(cell)
+						got, _ := jin.Results().GetFloat("jin_model:cr")
+						if f, _ := jin.Results().GetFloat("jin_model:outlier_fraction"); f > 0 && bins == 512 {
+							tightBinsMadeOutliers = true
+						}
+						if fast {
+							want = referenceJin(jin, cell)
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("%s %v abs=%g bins=%d fast=%v: jin_model:cr = %v, reference %v", name, shape, abs, bins, fast, got, want)
+						}
+					}
+				}
 			}
 			for _, coder := range []string{"huffman", "fixed"} {
 				for _, predictor := range []string{"lorenzo", "interp", "regression", "mean"} {
@@ -184,6 +253,9 @@ func TestCodeModelsMatchMapAndHeapReference(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !tightBinsMadeOutliers {
+		t.Error("no cell had an outlier at jin:quant_bins=512: the outlier branch went uncompared")
 	}
 }
 
@@ -220,6 +292,118 @@ func TestZperfIsTheSameEveryRun(t *testing.T) {
 			if len(seen) != 1 {
 				t.Errorf("%s/%s: %d distinct results in %d evaluations of one buffer", predictor, coder, len(seen), runs)
 			}
+		}
+	}
+}
+
+// poisoned is a smooth 8x16x16 float32 cell with bad in two adjacent
+// elements of every 29 — often enough that every plugin's sample meets it,
+// and side by side so that an infinite bad also makes NaN residuals (a
+// Lorenzo prediction adds one neighbour and subtracts the next).
+func poisoned(bad float32) *pressio.Data {
+	in := pressio.NewFloat32(8, 16, 16)
+	for i := range in.Float32() {
+		in.Float32()[i] = float32(math.Sin(float64(i) / 31))
+		if i%29 == 7 || i%29 == 8 {
+			in.Float32()[i] = bad
+		}
+	}
+	return in
+}
+
+// A value no quantization code can hold — NaN, ±Inf, or a residual past the
+// bin budget — is an outlier to every stage model, never an index: each
+// plugin answers a finite ratio of at least 1 on a cell that holds some.
+// jin_model indexed its count array with the code of a NaN residual.
+func TestStageModelsCountNonFiniteValuesAsOutliers(t *testing.T) {
+	type row struct {
+		name   string
+		metric pressio.Metric
+		opts   pressio.Options
+		cr     string
+	}
+	var rows []row
+	add := func(name string, m pressio.Metric, cr string, kv ...any) {
+		o := optsWith(pressio.OptAbs, 1e-4)
+		for i := 0; i < len(kv); i += 2 {
+			o.Set(kv[i].(string), kv[i+1])
+		}
+		rows = append(rows, row{name, m, o, cr})
+	}
+	add("jin_model/naive", &JinModel{}, "jin_model:cr", OptJinFastIterator, false)
+	add("jin_model/fast", &JinModel{}, "jin_model:cr", OptJinFastIterator, true)
+	for _, p := range []string{"lorenzo", "interp", "regression", "mean"} {
+		add("zperf_model/"+p, &ZperfModel{}, "zperf_model:cr", OptZperfPredictor, p)
+	}
+	for _, c := range []string{"sz3", "zfp", "szx"} {
+		add("khan_surrogate/"+c, &KhanSurrogate{}, "khan_surrogate:cr", OptKhanCompressor, c)
+	}
+	add("tao_sample", &TaoSample{}, "tao_sample:cr")
+
+	inf := float32(math.Inf(1))
+	for name, bad := range map[string]float32{"NaN": float32(math.NaN()), "+Inf": inf, "-Inf": -inf, "1e30": 1e30} {
+		in := poisoned(bad)
+		for _, r := range rows {
+			if err := r.metric.SetOptions(r.opts); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s on %s: panic: %v", r.name, name, p)
+					}
+				}()
+				r.metric.BeginCompress(in)
+				res := r.metric.Results()
+				if cr, ok := res.GetFloat(r.cr); !ok || !(cr >= 1) || math.IsInf(cr, 0) {
+					t.Errorf("%s on %s: %s = %v, want finite and >= 1", r.name, name, r.cr, cr)
+				}
+				if _, isJin := r.metric.(*JinModel); isJin {
+					if f, _ := res.GetFloat("jin_model:outlier_fraction"); !(f > 0) {
+						t.Errorf("%s on %s: outlier_fraction = %v, want > 0", r.name, name, f)
+					}
+				}
+			}()
+		}
+	}
+}
+
+// A code count costs the span of its codes, not the bin budget: a warm
+// BeginCompress on a 32x64x64 float32 cell allocates — beyond the float64
+// sample zperf_model reads, or nothing for jin_model, whose view rides on
+// the buffer — less than the 512 KiB a Bins-wide []uint64 is, which each
+// used to allocate and zero per call. khan_surrogate's warm predict stays
+// free of anything proportional to its sample.
+func TestCodeModelAllocatesItsSpanNotTheBinBudget(t *testing.T) {
+	in := pressio.NewFloat32(32, 64, 64)
+	for i := range in.Float32() {
+		in.Float32()[i] = float32(math.Sin(float64(i) / 29))
+	}
+	const binsWide = sz3.DefaultBins * 8
+	zp, jin, khan := &ZperfModel{}, &JinModel{FastIter: true}, &KhanSurrogate{}
+	for _, c := range []struct {
+		name   string
+		metric pressio.Metric
+		limit  uint64
+	}{
+		{"zperf_model", zp, uint64(float64(in.Len())*zp.fraction())*8 + binsWide},
+		{"jin_model", jin, binsWide},
+		{"khan_surrogate", khan, uint64(float64(in.Len())*khan.fraction()) * 4},
+	} {
+		// the first call fills the pools and the buffer's float64 view; a
+		// collection between two calls can empty the pools again, so the
+		// leanest of three is the warm one
+		c.metric.BeginCompress(in)
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c.metric.BeginCompress(in)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= c.limit {
+			t.Errorf("%s: a warm BeginCompress allocated %d bytes, want < %d", c.name, least, c.limit)
 		}
 	}
 }

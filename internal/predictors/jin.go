@@ -1,8 +1,7 @@
 package predictors
 
 import (
-	"math"
-
+	"repro/internal/compressor/sz3"
 	"repro/internal/core"
 	"repro/internal/huffman"
 	"repro/internal/pressio"
@@ -74,7 +73,7 @@ func (m *JinModel) Options() pressio.Options {
 
 func (m *JinModel) bins() int {
 	if m.Bins < 4 {
-		return 65536
+		return sz3.DefaultBins
 	}
 	return m.Bins
 }
@@ -88,7 +87,6 @@ func (m *JinModel) abs() float64 {
 
 // BeginCompress implements pressio.Metric: runs the analytic model.
 func (m *JinModel) BeginCompress(in *pressio.Data) {
-	vals := stats.Float64Of(in)
 	dims := in.Dims()
 	var it ndIterator
 	if m.FastIter {
@@ -96,14 +94,23 @@ func (m *JinModel) BeginCompress(in *pressio.Data) {
 	} else {
 		it = newNaiveIterator(dims)
 	}
-	hist, outliers, n := lorenzoCodeHistogram(vals, dims, m.abs(), m.bins(), it, m.FastIter)
+	hist, outliers, n := lorenzoCodeHistogram(stats.Float64Of(in), dims, m.abs(), m.bins(), it)
 	r := pressio.Options{}
 	if n == 0 {
 		r.Set("jin_model:cr", 1.0)
 		m.results = r
 		return
 	}
-	cr := crFromCodeHistogram(hist, outliers, n, in.DType().Size()*8)
+	// mean Huffman code length (the encoding-efficiency analysis), the
+	// canonical table's header, and a fixed lossless-stage efficiency:
+	// DEFLATE on the Huffman stream typically removes residual redundancy
+	// the per-symbol analysis cannot see (run structure)
+	elemBits := in.DType().Size() * 8
+	headerBits := float64(hist.Len()*5*8) / float64(n)
+	cr := float64(elemBits) / bitsPerValue(huffman.MeanCodeLength(hist), outliers, n, elemBits, 0.90, headerBits)
+	if cr < 1 {
+		cr = 1
+	}
 	r.Set("jin_model:cr", cr)
 	r.Set("jin_model:outlier_fraction", float64(outliers)/float64(n))
 	m.results = r
@@ -112,102 +119,37 @@ func (m *JinModel) BeginCompress(in *pressio.Data) {
 // Results implements pressio.Metric.
 func (m *JinModel) Results() pressio.Options { return m.results.Clone() }
 
-// lorenzoStrides computes element strides of dims.
-func lorenzoStrides(dims []int) []int {
-	str := make([]int, len(dims))
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		str[i] = acc
-		acc *= dims[i]
-	}
-	return str
-}
-
-// lorenzoCodeHistogram runs the prediction + quantization stages over the
-// data (predicting from original neighbours, as the analytic model does)
-// and histograms the quantization codes. The fast flag controls whether
-// neighbour addresses come from precomputed offsets or are re-derived
-// through per-term coordinate allocation, mirroring the two C++
-// implementations the paper compares.
-func lorenzoCodeHistogram(vals []float64, dims []int, abs float64, bins int, it ndIterator, fast bool) (hist huffman.Histogram, outliers uint64, n uint64) {
-	str := lorenzoStrides(dims)
-	nd := len(dims)
-	step := 2 * abs
-	half := float64(bins / 2)
-	counts := make([]uint64, bins) // code c stored at c + bins/2
+// lorenzoCodeHistogram runs the prediction + quantization stages over every
+// element it yields — sz3's first-order Lorenzo terms, read over original
+// neighbours as the analytic model does, not reconstructed ones — and
+// histograms the quantization codes of the n elements visited.
+func lorenzoCodeHistogram(vals []float64, dims []int, abs float64, bins int, it ndIterator) (hist huffman.Histogram, outliers, n uint64) {
+	cm := codeModelPool.Get().(*codeModel)
+	defer codeModelPool.Put(cm)
+	cm.reset(abs, bins)
+	cm.expect(len(vals)) // every element is visited
+	terms := sz3.LorenzoTerms(dims)
 	for {
 		idx, ok := it.Next()
 		if !ok {
 			break
 		}
-		coords := it.Coords()
+		var have uint32 // the dimensions with a neighbour behind this element
+		for d, c := range it.Coords() {
+			if c >= 1 {
+				have |= 1 << d
+			}
+		}
 		var pred float64
-		// first-order Lorenzo over original values
-		for s := 1; s < 1<<nd; s++ {
-			inRange := true
-			var off int
-			for d := 0; d < nd; d++ {
-				if s&(1<<d) != 0 {
-					if coords[d] < 1 {
-						inRange = false
-						break
-					}
-					off += str[d]
-				}
-			}
-			if !inRange {
-				continue
-			}
-			if popcount(uint(s))%2 == 1 {
-				pred += vals[idx-off]
-			} else {
-				pred -= vals[idx-off]
+		for _, t := range terms {
+			if t.Mask&have == t.Mask {
+				pred += t.Sign * vals[idx-t.Offset]
 			}
 		}
-		diff := vals[idx] - pred
-		c := math.Round(diff / step)
-		n++
-		if math.Abs(c) >= half {
-			outliers++
-			continue
-		}
-		counts[int(c)+bins/2]++
+		cm.count(cm.q.Code(vals[idx] - pred))
 	}
-	return huffman.DenseHistogram(int32(-(bins / 2)), counts), outliers, n
-}
-
-func popcount(x uint) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-// crFromCodeHistogram converts the quantization-code distribution to a
-// compression-ratio estimate: mean Huffman code length (the encoding-
-// efficiency analysis), the outlier escape cost, the code-table header,
-// and a lossless-stage efficiency factor.
-func crFromCodeHistogram(hist huffman.Histogram, outliers, n uint64, elemBits int) float64 {
-	meanBits := huffman.MeanCodeLength(hist)
-	outFrac := float64(outliers) / float64(n)
-	quantFrac := 1 - outFrac
-	// escape symbol + exact value for outliers; canonical table header
-	headerBits := float64(hist.Len()*5*8) / float64(n)
-	// DEFLATE on the Huffman stream typically removes residual
-	// redundancy the per-symbol analysis cannot see (run structure);
-	// the model uses a fixed stage-efficiency factor.
-	const losslessEfficiency = 0.90
-	estBits := (quantFrac*meanBits+outFrac*float64(elemBits+1))*losslessEfficiency + headerBits
-	if estBits <= 0 {
-		estBits = 0.01
-	}
-	cr := float64(elemBits) / estBits
-	if cr < 1 {
-		cr = 1
-	}
-	return cr
+	hist, outliers, n = cm.histogram(), cm.outliers, cm.n()
+	return hist, outliers, n
 }
 
 // jinScheme wires the jin_model metric as a scheme. The prediction IS the

@@ -2,9 +2,9 @@ package predictors
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
+	"repro/internal/compressor/sz3"
 	"repro/internal/compressor/zfp"
 	"repro/internal/core"
 	"repro/internal/pressio"
@@ -99,17 +99,12 @@ func (m *KhanSurrogate) fraction() float64 {
 }
 
 // khanScratch is the working memory of one BeginCompress, recycled so a
-// predict allocates nothing proportional to its sample: the sampled runs,
-// the float64 conversion of one of them, and estimateSZ's quantization
-// codes and their counts.
+// predict allocates nothing proportional to its sample: the sampled runs
+// and the float64 conversion of one of them (estimateSZ's code counts are
+// the pooled codeModel's).
 type khanScratch struct {
-	runs  [khanRuns][2]int
-	run   []float64
-	codes []int32
-	// counts is as wide as the widest span of codes a sample has produced
-	// so far (at most 512 KiB, at the tightest bounds); every cell is zero
-	// between calls.
-	counts []uint64
+	runs [khanRuns][2]int
+	run  []float64
 }
 
 var khanScratchPool = sync.Pool{New: func() any { return new(khanScratch) }}
@@ -187,60 +182,25 @@ func splitmix(seed uint64) func() uint64 {
 	}
 }
 
-// estimateSZ models the SZ stages on sampled runs: 1-D Lorenzo residuals,
-// quantization, and an entropy-coding estimate. Codes are counted in a
-// dense window over the span the sample produced, so the entropy — a
-// float sum — runs in code order: summed in the iteration order of a map
-// the estimate differed in its last bits from one call to the next.
+// estimateSZ models the SZ stages on sampled runs: 1-D Lorenzo residuals
+// (each run starts from zero), quantization, and an entropy-coding estimate
+// with a fixed lossless-backend efficiency.
 func (m *KhanSurrogate) estimateSZ(in *pressio.Data, sc *khanScratch) float64 {
-	elemBits := in.DType().Size() * 8
-	step := 2 * m.abs()
-	runs := m.sampleRuns(in.Len(), 16, sc.runs[:0])
-	sampled := 0
-	for _, run := range runs {
-		sampled += run[1] - run[0]
-	}
-	if sampled == 0 {
-		return 1
-	}
-	if cap(sc.codes) < sampled {
-		sc.codes = make([]int32, 0, sampled)
-	}
-	codes := sc.codes[:0]
-	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
-	for _, run := range runs {
+	cm := codeModelPool.Get().(*codeModel)
+	defer codeModelPool.Put(cm)
+	cm.reset(m.abs(), sz3.DefaultBins)
+	for _, run := range m.sampleRuns(in.Len(), 16, sc.runs[:0]) {
 		prev := 0.0
 		for _, v := range sc.read(in, run) {
-			diff := v - prev
+			cm.count(cm.q.Code(v - prev))
 			prev = v
-			c := math.Round(diff / step)
-			if !(math.Abs(c) < 32768) { // an outlier; NaN too
-				continue
-			}
-			k := int32(c)
-			codes = append(codes, k)
-			lo, hi = min(lo, k), max(hi, k)
 		}
 	}
-	var bitsPerSym float64
-	if len(codes) > 0 {
-		span := int(hi-lo) + 1
-		if cap(sc.counts) < span {
-			sc.counts = make([]uint64, span)
-		}
-		counts := sc.counts[:span]
-		for _, k := range codes {
-			counts[k-lo]++
-		}
-		bitsPerSym = stats.EntropyFromCounts(counts)
-		clear(counts) // zero while hot, for the next call
+	if cm.n() == 0 {
+		return 1
 	}
-	outFrac := float64(sampled-len(codes)) / float64(sampled)
-	est := (1-outFrac)*bitsPerSym + outFrac*float64(elemBits+1)
-	est *= 0.95 // lossless backend estimate
-	if est <= 0 {
-		est = 0.01
-	}
+	elemBits := in.DType().Size() * 8
+	est := bitsPerValue(cm.entropy(), cm.outliers, cm.n(), elemBits, 0.95, 0)
 	return float64(elemBits) / est
 }
 

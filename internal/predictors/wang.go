@@ -168,7 +168,6 @@ func (m *ZperfModel) BeginCompress(in *pressio.Data) {
 
 	// stage 1: prediction residuals under the selected predictor model
 	hist, outliers := m.residualHistogram(sample)
-	total := uint64(sampleLen)
 
 	// stage 2+3: quantization-code distribution → coding cost
 	var bitsPerSym float64
@@ -181,16 +180,13 @@ func (m *ZperfModel) BeginCompress(in *pressio.Data) {
 	default: // huffman
 		bitsPerSym = huffman.MeanCodeLength(hist)
 	}
-	outFrac := float64(outliers) / float64(total)
-	est := (1-outFrac)*bitsPerSym + outFrac*float64(elemBits+1)
 
 	// stage 4: lossless backend
+	efficiency := 1.0
 	if m.lossless() == "estimate" {
-		est *= 0.90
+		efficiency = 0.90
 	}
-	if est <= 0 {
-		est = 0.01
-	}
+	est := bitsPerValue(bitsPerSym, outliers, uint64(sampleLen), elemBits, efficiency, 0)
 	cr := float64(elemBits) / est
 	if cr < 1 {
 		cr = 1
@@ -200,41 +196,24 @@ func (m *ZperfModel) BeginCompress(in *pressio.Data) {
 	m.results = r
 }
 
-// zperfBins is the modelled quantizer's bin budget: codes lie in
-// (-zperfBins/2, zperfBins/2).
-const zperfBins = 65536
-
-// residualHistogram applies the selected prediction-stage model and
-// quantizes the residuals.
+// residualHistogram applies the selected prediction-stage model to the
+// sample and quantizes the residuals with sz3's default bin budget.
 func (m *ZperfModel) residualHistogram(sample []float64) (huffman.Histogram, uint64) {
-	abs := m.abs()
-	step := 2 * abs
-	counts := make([]uint64, zperfBins) // code c counted at c + zperfBins/2
-	var outliers uint64
-	quantize := func(diff float64) {
-		c := math.Round(diff / step)
-		if !(math.Abs(c) < zperfBins/2) { // NaN is an outlier, as in sz3's quantizer
-			outliers++
-			return
-		}
-		counts[int(c)+zperfBins/2]++
-	}
+	cm := codeModelPool.Get().(*codeModel)
+	defer codeModelPool.Put(cm)
+	cm.reset(m.abs(), sz3.DefaultBins)
 	switch m.predictor() {
 	case "regression":
 		// SZ2-style block regression: reuse the compressor's own stage
-		q := &sz3.Quantizer{Abs: abs, Bins: zperfBins, Cast: sz3.CastFloat64}
-		codes, outs, _ := sz3.PredictQuantizeRegression(sample, []int{len(sample)}, q)
+		codes := make([]int32, len(sample))
+		sz3.PredictQuantizeRegression(codes, sample, []int{len(sample)}, &cm.q, 0)
 		for _, c := range codes {
-			if c == sz3.OutlierCode {
-				continue // counted via outs below
-			}
-			counts[int(c)+zperfBins/2]++
+			cm.count(c)
 		}
-		outliers += uint64(len(outs))
 	case "mean":
 		mean := stats.Mean(sample)
 		for _, v := range sample {
-			quantize(v - mean)
+			cm.count(cm.q.Code(v - mean))
 		}
 	case "interp":
 		// midpoint interpolation at stride 2
@@ -245,16 +224,17 @@ func (m *ZperfModel) residualHistogram(sample []float64) (huffman.Histogram, uin
 			} else if i >= 2 {
 				pred = sample[i-2]
 			}
-			quantize(v - pred)
+			cm.count(cm.q.Code(v - pred))
 		}
 	default: // lorenzo (1-D on the sampled slab)
 		prev := 0.0
 		for _, v := range sample {
-			quantize(v - prev)
+			cm.count(cm.q.Code(v - prev))
 			prev = v
 		}
 	}
-	return huffman.DenseHistogram(-zperfBins/2, counts), outliers
+	hist, outliers := cm.histogram(), cm.outliers
+	return hist, outliers
 }
 
 // Results implements pressio.Metric.
