@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check cross-build examples-check serve-check crash-check cluster-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check cross-build examples-check serve-check crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ tier1:
 LOC_FIND = find $(1) -name '*.go' -not -name '*_test.go' -not -path './internal/xtools/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go lines: %d\n' $$($(call LOC_FIND,.))
-	@for d in internal/serve internal/cluster internal/dataset internal/predictors internal/compressor/sz3; do \
+	@for d in internal/serve internal/cluster internal/bench internal/core internal/dataset internal/predictors internal/compressor/sz3; do \
 		printf '  %-24s %d\n' $$d $$($(call LOC_FIND,./$$d)); done
 
 # check is the full verification gate: formatting, standard vet (with the
@@ -42,9 +42,10 @@ loc:
 # queue invariants the linters guard statically, and -short keeps the
 # gate fast enough to run on every change by skipping the long queue
 # stress test and the model-fitting serve tests (run `make stress` and
-# `make serve-check` to include them). Last come the three multi-process
+# `make serve-check` to include them). Last come the four multi-process
 # harnesses, also under -race: kill-restart recovery, the replicated
-# cluster's kill tests, and the seeded scenarios (SLOs and prediction
+# cluster's kill tests, predict-bench's remote drill, and the seeded
+# scenarios (SLOs and prediction
 # accounting under load; no performance number is gated here — the only
 # performance gate is bench-check, opt-in behind BENCH=1).
 check: fmt-check
@@ -57,6 +58,7 @@ check: fmt-check
 	$(GO) test -race -short ./...
 	$(MAKE) crash-check
 	$(MAKE) cluster-check
+	$(MAKE) remote-check
 	$(MAKE) scenario-check
 ifdef BENCH
 	$(MAKE) bench-check
@@ -116,6 +118,14 @@ crash-check:
 # is lost, no divergent model publish, and graceful router degradation.
 cluster-check:
 	$(GO) test -race -run TestCluster ./internal/cluster/ -v
+
+# remote-check runs predict-bench's remote path across real processes
+# (DESIGN.md §7) under the race detector: a checkpointed collection
+# through a router over three predictd nodes, one node SIGKILLed while it
+# holds a buffer's pin, the driver interrupted, and the resumed run
+# finishing on the survivors — bit-identical to a local collection.
+remote-check:
+	$(GO) test -race -run TestRemoteDrill ./internal/bench/ -v
 
 # scenario-check runs the seeded correctness-under-load harness (DESIGN.md
 # §14) under the race detector: the committed smoke and batch scenarios

@@ -10,6 +10,12 @@
 //	predict-bench -baseline                    # compressor baselines only
 //	predict-bench -ablation svd                # Underwood SVD-cost ablation
 //	predict-bench -ablation jin                # Jin iterator ablation
+//	predict-bench -table2 -remote http://host:8080   # cells observed by predictd
+//
+// -remote names one predictd base URL: a node, or a `predictd -router`
+// whose ring keeps each (field, step) buffer on one node of a fleet and
+// routes around a dead one. Each cell is one POST /v1/observe; the
+// checkpoint, retries and timeouts stay this process's.
 //
 // Scale knobs: -fields, -steps, -dims, -bounds, -schemes, -folds,
 // -workers. Defaults reproduce the paper's setup (13 fields × 48
@@ -53,8 +59,7 @@ func main() {
 		inSample    = flag.Bool("insample", false, "in-sample CV (paper future-work #1) instead of out-of-sample grouping")
 		target      = flag.String("target", "cr", "prediction target: cr | bandwidth (future-work #4)")
 		reps        = flag.Int("replicates", 0, "compressor-run replicates per cell for runtime targets (default 1)")
-		serve       = flag.String("serve", "", "run as a TCP observation worker on this address and block (e.g. :7777)")
-		remote      = flag.String("remote", "", "comma-separated worker endpoints to fan observation cells out to")
+		remote      = flag.String("remote", "", "observe cells at this predictd base URL (a node, or a -router over a fleet) instead of in-process")
 		taskTimeout = flag.Duration("task-timeout", 0, "per-task attempt deadline, e.g. 30s (0 = none)")
 		retries     = flag.Int("retries", 0, "per-task retry budget (default 2, -1 for none)")
 		faultPlan   = flag.String("fault-plan", "", "fault-injection script, inline or @file (resilience drills)")
@@ -65,22 +70,6 @@ func main() {
 		verbose     = flag.Bool("v", false, "print per-task progress")
 	)
 	flag.Parse()
-
-	if *serve != "" {
-		ln, err := bench.ServeWorker(*serve)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "predict-bench: worker listening on %s\n", ln.Addr())
-		// workers shut down cleanly on SIGINT/SIGTERM: stop accepting,
-		// let in-flight observations finish on their connections
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		<-ctx.Done()
-		ln.Close()
-		fmt.Fprintln(os.Stderr, "predict-bench: worker stopped")
-		return
-	}
 
 	spec := &bench.Spec{
 		Steps:       *steps,
@@ -93,9 +82,7 @@ func main() {
 		TaskTimeout: *taskTimeout,
 		Retries:     *retries,
 		Seed:        *seed,
-	}
-	if *remote != "" {
-		spec.RemoteWorkers = cliutil.ParseList(*remote)
+		Remote:      *remote,
 	}
 	if *fields != "" {
 		spec.Fields = cliutil.ParseList(*fields)

@@ -189,13 +189,23 @@ func TestTable2ShapeHolds(t *testing.T) {
 			k.ErrDep.Mean, base["sz3"].Compress.Mean)
 	}
 	// jin's error-dependent time is of compressor scale (paper: 518 vs
-	// 323 = 1.6x). At this reduced grid the fixed flate/huffman setup
-	// inflates compression's per-element cost, so only assert the same
-	// order of magnitude here; the full-grid ratio is checked by the
-	// BenchmarkJinIteratorAblation results recorded in EXPERIMENTS.md.
-	if j := rows["sz3/jin2022"]; j.ErrDep.Mean < base["sz3"].Compress.Mean/4 {
-		t.Errorf("jin error-dependent %.3fms unexpectedly cheap vs compression %.3fms",
-			j.ErrDep.Mean, base["sz3"].Compress.Mean)
+	// 323 = 1.6x): sz3 compression may cost at most 4x it. On the reduced
+	// grid above fixed flate/huffman setup sets that ratio (it read 2.2 to
+	// 3.5 there, and past 4 on dense fields alone), so this one assertion
+	// is evaluated at the dataset's full 32x64x64 grid, on one dense and
+	// one sparse field, sz3 and jin2022 only: there the ratio read 0.88 to
+	// 1.07 in 20 consecutive runs (0.77 to 0.94 at GOMAXPROCS=1), 0.3 s a
+	// run on 2 vCPUs.
+	full, err := bench.Run(context.Background(), &bench.Spec{
+		Fields: []string{"P", "CLOUD"}, Steps: 2, Dims: []int{32, 64, 64},
+		Compressors: []string{"sz3"}, Schemes: []string{"jin2022"},
+		Folds: 2, Seed: 3, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, c := full.Rows[0].ErrDep.Mean, full.Baselines[0].Compress.Mean; j < c/4 {
+		t.Errorf("jin error-dependent %.3fms unexpectedly cheap vs compression %.3fms", j, c)
 	}
 	// jin does not support zfp
 	if rows["zfp/jin2022"].Supported {

@@ -13,8 +13,11 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/gob"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"slices"
 	"sort"
 	"strconv"
@@ -66,11 +69,12 @@ type Spec struct {
 	// none).
 	Retries int
 	// TaskTimeout bounds each observation attempt; a hung attempt is
-	// abandoned and retried elsewhere (0 = no deadline). When remote
-	// workers are in play it also bounds each RPC round trip.
+	// abandoned and retried (0 = no deadline). A remote cell's request
+	// carries the attempt's context, so it bounds the round trip too.
 	TaskTimeout time.Duration
-	// FaultPlan scripts deterministic failures across the queue, RPC
-	// pool, and checkpoint store (tests and resilience drills).
+	// FaultPlan scripts deterministic failures across the queue, the
+	// requests of a remote run (http rules), and the checkpoint store
+	// (tests and resilience drills).
 	FaultPlan *faultinject.Plan
 	// FailureRate injects random worker faults with this probability
 	// (tests only); shorthand for a rate rule in FaultPlan.
@@ -91,23 +95,21 @@ type Spec struct {
 	// runtime observations (default 1) — the refinement nondeterministic
 	// metrics need (paper §4.2, predictors:nondeterministic).
 	Replicates int
-	// RemoteWorkers lists TCP worker endpoints (host:port) running
-	// ServeWorker; when non-empty, observation cells execute remotely
-	// with queue worker slots pinned round-robin to endpoints.
-	RemoteWorkers []string
+	// Remote, when non-empty, is the base URL cells are observed at
+	// instead of in-process: a predictd node, or a predictd -router whose
+	// ring places each (field, step) buffer on one node of a fleet and
+	// whose breakers and probes route around a dead one.
+	Remote string
 	// Progress, when non-nil, receives one line per completed task plus
 	// a final queue summary. It is called concurrently from worker
 	// goroutines and must be safe for concurrent use.
 	Progress func(string)
-
-	// poolCfg overrides the remote pool tuning (in-package tests only).
-	poolCfg *poolConfig
 }
 
 // Target values.
 const (
-	TargetCR        = "cr"
-	TargetBandwidth = "bandwidth"
+	TargetCR        = core.TargetCR
+	TargetBandwidth = core.TargetBandwidth
 )
 
 const defaultWorkers = 4
@@ -148,38 +150,8 @@ func (s *Spec) defaults() {
 	}
 }
 
-// Observation is one checkpointable unit: every metric result and the
-// compressor target for one (field, step, bound, compressor) cell.
-type Observation struct {
-	Field      string
-	Step       int
-	Bound      float64
-	Compressor string
-
-	Features     map[string]float64
-	MetricMS     map[string]float64 // metric name → wall ms
-	CR           float64
-	CompressMS   float64 // mean over replicates
-	DecompressMS float64 // mean over replicates
-	ByteSize     int     // uncompressed bytes (for bandwidth targets)
-	Replicates   int
-}
-
-// BandwidthMBps returns the observed compression throughput.
-func (ob *Observation) BandwidthMBps() float64 {
-	if ob.CompressMS <= 0 {
-		return 0
-	}
-	return float64(ob.ByteSize) / (1 << 20) / (ob.CompressMS / 1e3)
-}
-
-// TargetValue returns the value a scheme predicts under the given target.
-func (ob *Observation) TargetValue(target string) float64 {
-	if target == TargetBandwidth {
-		return ob.BandwidthMBps()
-	}
-	return ob.CR
-}
+// Observation is one checkpointable unit (core.ObserveCell makes them).
+type Observation = core.Observation
 
 // featureMetricsFor returns the union of feature metrics the evaluated
 // schemes need for a compressor, so each cell is observed exactly once
@@ -200,13 +172,6 @@ func featureMetricsFor(schemes []string, compressor string) ([]string, error) {
 	return slices.Compact(out), nil
 }
 
-// metricUnion is the core.MetricSet a cell is planned over: no feature
-// vector, because an Observation keeps every scalar result.
-type metricUnion []string
-
-func (u metricUnion) Metrics() []string { return u }
-func (metricUnion) Features() []string  { return nil }
-
 // newCellCache is the loader → local-cache stack (paper Fig. 2) of one
 // observing process: a (field, step) buffer is synthesized once however
 // many cells read it. The budget is two float32 grids of dims per worker:
@@ -218,49 +183,6 @@ func newCellCache(workers int, dims []int) (*dataset.TieredCache, error) {
 		capacity *= int64(d)
 	}
 	return dataset.NewTiered(dataset.TieredConfig{CapacityBytes: capacity})
-}
-
-// observe computes one cell: its buffer from the cache (pinned while the
-// cell runs), the metrics through one plan, and the compressor target.
-func observe(ctx context.Context, cache *dataset.TieredCache, eval *core.Evaluator, a ObserveArgs) (*Observation, error) {
-	h, err := cache.Acquire(a.Field, a.Step, a.Dims)
-	if err != nil {
-		return nil, err
-	}
-	defer h.Release()
-	data := h.Data()
-	opts := pressio.Options{}
-	opts.Set(pressio.OptAbs, a.Bound)
-	plan, err := eval.Plan(metricUnion(a.MetricNames), a.Compressor, opts)
-	if err != nil {
-		return nil, err
-	}
-	ev, err := plan.EvaluateDetailed(ctx, data)
-	if err != nil {
-		return nil, err
-	}
-	ob := &Observation{
-		Field: a.Field, Step: a.Step, Bound: a.Bound, Compressor: a.Compressor,
-		Features: map[string]float64{},
-		MetricMS: ev.MetricMS,
-		ByteSize: data.ByteSize(), Replicates: a.Replicates,
-	}
-	for k := range ev.Results {
-		if v, ok := ev.Results.GetFloat(k); ok { // the numeric results
-			ob.Features[k] = v
-		}
-	}
-	// runtime observations are nondeterministic: average over replicates
-	for r := 0; r < a.Replicates; r++ {
-		cr, c, d, err := core.ObserveTarget(a.Compressor, data, opts)
-		if err != nil {
-			return nil, err
-		}
-		ob.CR = cr
-		ob.CompressMS += c / float64(a.Replicates)
-		ob.DecompressMS += d / float64(a.Replicates)
-	}
-	return ob, nil
 }
 
 // cellKey builds the stable checkpoint key of one cell from its
@@ -285,10 +207,41 @@ func dimsString(dims []int) string {
 	return strings.ReplaceAll(strings.Trim(fmt.Sprint(dims), "[]"), " ", "x")
 }
 
-func encodeObservation(ob *Observation) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(ob)
-	return buf.Bytes(), err
+func encodeObservation(ob *Observation) ([]byte, error) { return core.EncodeObservation(ob) }
+
+// observeRemote is the whole remote client: one POST of the cell to
+// base's /v1/observe under the task's context. A transport error or a
+// non-200 answer is the task's error: the queue's seeded backoff retries
+// it, and a router behind base has failed over by then. The reply is the
+// observation's record, returned beside the decoded value so the
+// checkpoint stores the bytes the node sent.
+func observeRemote(ctx context.Context, client *http.Client, base string, args *core.ObserveRequest) (*Observation, []byte, error) {
+	body, err := json.Marshal(args)
+	if err != nil {
+		return nil, nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/observe", bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, nil, fmt.Errorf("bench: %s/v1/observe: HTTP %d: %s", base, resp.StatusCode, bytes.TrimSpace(raw))
+	}
+	ob := new(Observation)
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(ob); err != nil {
+		return nil, nil, fmt.Errorf("bench: %s/v1/observe: reply: %w", base, err)
+	}
+	return ob, raw, nil
 }
 
 // obsZero is the checkpoint record of an empty Observation and
@@ -359,8 +312,8 @@ type CollectResult struct {
 	Observations []*Observation
 	Failed       []CellFailure
 	QueueStats   queue.Stats
-	Pool         *PoolStats // nil for local runs
-	// What a local run reused; remote workers keep their own (zero here).
+	// What a local run reused; a remote run's nodes keep their own, on
+	// their /statz (zero here).
 	Data                 dataset.TieredStats
 	MemoHits, MemoMisses uint64
 }
@@ -379,8 +332,9 @@ func Collect(ctx context.Context, spec *Spec) ([]*Observation, error) {
 }
 
 // CollectDetailed is Collect with whole-run cancellation and the full
-// resilience picture: failed cells, queue statistics, and remote-pool
-// breaker state. Cancelling ctx stops scheduling; already-finished cells
+// resilience picture: failed cells and queue statistics (a remote run's
+// breaker states and re-pins are the router's, on /v1/router/status).
+// Cancelling ctx stops scheduling; already-finished cells
 // stay checkpointed so a rerun resumes where this one stopped.
 func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 	spec.defaults()
@@ -426,22 +380,8 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 		return nil, err
 	}
 	var eval core.Evaluator
-	var pool *remotePool
-	if len(spec.RemoteWorkers) > 0 {
-		cfg := poolConfig{Inject: plan}
-		if spec.poolCfg != nil {
-			cfg = *spec.poolCfg
-			if cfg.Inject == nil {
-				cfg.Inject = plan
-			}
-		}
-		if spec.TaskTimeout > 0 && cfg.CallTimeout == 0 {
-			cfg.CallTimeout = spec.TaskTimeout
-		}
-		pool = newRemotePool(spec.RemoteWorkers, cfg)
-		defer pool.close()
-	}
-	meta := map[string]ObserveArgs{}
+	client := &http.Client{Transport: &faultinject.RoundTripper{Plan: plan}}
+	meta := map[string]core.ObserveRequest{}
 	var keys []string
 	for _, compressor := range spec.Compressors {
 		metricNames, err := featureMetricsFor(spec.Schemes, compressor)
@@ -453,11 +393,8 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 				for step := 0; step < spec.Steps; step++ {
 					key := cellKey(spec, field, step, bound, compressor)
 					keys = append(keys, key)
-					args := ObserveArgs{
-						Dims:        spec.Dims,
-						Replicates:  spec.Replicates,
-						Field:       field,
-						Step:        step,
+					args := core.ObserveRequest{
+						Cell:        core.Cell{Field: field, Step: step, Dims: spec.Dims, Replicates: spec.Replicates},
 						Bound:       bound,
 						Compressor:  compressor,
 						MetricNames: metricNames,
@@ -468,11 +405,12 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 						DataKey: fmt.Sprintf("%s/%d", field, step),
 						Run: func(ctx context.Context, worker int) error {
 							var ob *Observation
+							var raw []byte // a remote cell's record, as the node sent it
 							var err error
-							if pool != nil {
-								ob, err = pool.observeRemote(worker, args)
+							if spec.Remote != "" {
+								ob, raw, err = observeRemote(ctx, client, spec.Remote, &args)
 							} else {
-								ob, err = observe(ctx, cache, &eval, args)
+								ob, err = args.Observe(ctx, cache, &eval)
 							}
 							if err != nil {
 								return err
@@ -481,9 +419,10 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 							results[key] = ob
 							mu.Unlock()
 							if st != nil {
-								raw, err := encodeObservation(ob)
-								if err != nil {
-									return err
+								if raw == nil {
+									if raw, err = encodeObservation(ob); err != nil {
+										return err
+									}
 								}
 								if err := st.Put(key, raw); err != nil {
 									return err
@@ -513,10 +452,6 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 	qResults := q.Run(ctx)
 	res := &CollectResult{QueueStats: q.Stats(), Data: cache.Stats()}
 	res.MemoHits, res.MemoMisses = eval.MemoStats()
-	if pool != nil {
-		ps := pool.stats()
-		res.Pool = &ps
-	}
 	for _, key := range keys {
 		r := qResults[key]
 		if r == nil || r.Err == nil {
@@ -542,20 +477,11 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 		line := fmt.Sprintf(
 			"queue: %d tasks (%d from checkpoint), %d retried, %d failed, %d timed out, %d locality hits",
 			qs.Tasks, qs.Skipped, qs.Retried, qs.Failed, qs.TimedOut, qs.LocalityHits)
-		if res.Pool == nil {
+		if spec.Remote == "" {
 			line += fmt.Sprintf("; data: %d loads, %d hits; features: %d memo hits, %d computed",
 				res.Data.Misses, res.Data.MemHits, res.MemoHits, res.MemoMisses)
 		}
 		spec.Progress(line)
-		if res.Pool != nil {
-			for _, ep := range res.Pool.Endpoints {
-				spec.Progress(fmt.Sprintf("endpoint %s: %d calls, %d failures, breaker %s %v",
-					ep.Addr, ep.Calls, ep.Failures, ep.State, ep.Transitions))
-			}
-			if res.Pool.Repins > 0 {
-				spec.Progress(fmt.Sprintf("pool: %d worker-slot re-pins (failover)", res.Pool.Repins))
-			}
-		}
 	}
 	// q.Run abandons an attempt on cancel or timeout while its goroutine
 	// may still be storing its result: read under the tasks' lock
@@ -778,15 +704,9 @@ func crossValidate(spec *Spec, scheme core.Scheme, compressor string, cobs []*Ob
 	groups := make([]string, len(cobs))
 	ho := &heldOut{preds: make([]float64, len(cobs)), actuals: make([]float64, len(cobs)), trained: pred0.Trains()}
 	for i, ob := range cobs {
-		fv := make([]float64, len(featureKeys))
-		for j, k := range featureKeys {
-			v, ok := ob.Features[k]
-			if !ok {
-				return nil, fmt.Errorf("bench: observation %s/%d missing feature %s", ob.Field, ob.Step, k)
-			}
-			fv[j] = v
+		if x[i], err = ob.Vector(featureKeys); err != nil {
+			return nil, err
 		}
-		x[i] = fv
 		ho.actuals[i] = ob.TargetValue(spec.Target)
 		groups[i] = ob.Field
 	}

@@ -577,102 +577,6 @@ func TestReplicatesAffectCellKey(t *testing.T) {
 	}
 }
 
-func TestRemoteWorkers(t *testing.T) {
-	// spin up two in-process TCP workers and fan the cells out to them
-	svc1, svc2 := &WorkerService{}, &WorkerService{}
-	ln1, err := serveWorker("127.0.0.1:0", svc1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln1.Close()
-	ln2, err := serveWorker("127.0.0.1:0", svc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln2.Close()
-
-	spec := tinySpec(t)
-	spec.Fields = []string{"P", "CLOUD", "U"}
-	spec.Steps = 2
-	spec.Compressors = []string{"sz3"}
-	spec.RemoteWorkers = []string{ln1.Addr().String(), ln2.Addr().String()}
-	remoteObs, err := Collect(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// the workers keep the buffers locality sends them: a buffer's cells
-	// do not each load it, and find its error-agnostic results on it
-	var loads, memoHits uint64
-	for _, svc := range []*WorkerService{svc1, svc2} {
-		svc.mu.Lock()
-		if svc.cache != nil {
-			loads += svc.cache.Stats().Misses
-		}
-		svc.mu.Unlock()
-		hits, _ := svc.eval.MemoStats()
-		memoHits += hits
-	}
-	if cells := uint64(len(remoteObs)); loads == 0 || loads >= cells || memoHits == 0 {
-		t.Errorf("workers loaded %d buffers for %d cells with %d memo hits: want fewer loads than cells and some hits", loads, cells, memoHits)
-	}
-
-	localSpec := *spec
-	localSpec.RemoteWorkers = nil
-	localObs, err := Collect(context.Background(), &localSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remoteObs) != len(localObs) {
-		t.Fatalf("remote %d vs local %d observations", len(remoteObs), len(localObs))
-	}
-	// deterministic quantities must agree exactly across processes
-	for i := range remoteObs {
-		r, l := remoteObs[i], localObs[i]
-		if r.Field != l.Field || r.Step != l.Step || r.CR != l.CR {
-			t.Errorf("cell %d differs: remote %s/%d CR=%v, local %s/%d CR=%v",
-				i, r.Field, r.Step, r.CR, l.Field, l.Step, l.CR)
-		}
-		for k, lv := range l.Features {
-			rv, ok := r.Features[k]
-			// map-iteration summation order may differ by an ULP
-			if !ok || math.Abs(rv-lv) > 1e-9*(math.Abs(lv)+1) {
-				t.Errorf("cell %d feature %s: remote %v, local %v", i, k, rv, lv)
-				break
-			}
-		}
-	}
-}
-
-func TestRemoteWorkerDown(t *testing.T) {
-	spec := tinySpec(t)
-	spec.Fields = []string{"P"}
-	spec.Steps = 1
-	spec.Compressors = []string{"sz3"}
-	spec.RemoteWorkers = []string{"127.0.0.1:1"} // nothing listens here
-	if _, err := Collect(context.Background(), spec); err == nil {
-		t.Error("unreachable worker should surface an error after retries")
-	}
-}
-
-func TestWorkerPing(t *testing.T) {
-	ln, err := ServeWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	pool := newRemotePool([]string{ln.Addr().String()}, poolConfig{PingInterval: -1})
-	defer pool.close()
-	ep, ok := pool.acquire(0)
-	if !ok {
-		t.Fatal("fresh endpoint should be available")
-	}
-	var reply string
-	if err := pool.call(ep, "WorkerService.Ping", struct{}{}, &reply, time.Second); err != nil || reply != "ok" {
-		t.Errorf("Ping = %q, %v", reply, err)
-	}
-}
-
 func TestReportCSV(t *testing.T) {
 	spec := tinySpec(t)
 	spec.Fields = []string{"P", "U", "CLOUD", "W"}

@@ -5,5 +5,5 @@ import "time"
 // now is the package clock for measured phases (collection, evaluation,
 // ablation timing). It is a variable, not a call to time.Now, so tests
 // that replay recorded fault schedules can substitute a deterministic
-// clock; the remote pool carries its own injectable poolConfig.Clock.
+// clock.
 var now = time.Now

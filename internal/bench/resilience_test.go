@@ -3,11 +3,8 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
-	"net"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,222 +24,6 @@ func resilienceSpec() *Spec {
 		Folds:       3,
 		Workers:     4,
 		Seed:        7,
-	}
-}
-
-// TestFailoverWithDeadEndpoint is the acceptance scenario: one of two
-// remote endpoints is down from the start; Collect must still complete
-// every cell by re-pinning queue worker slots off the dead endpoint,
-// with the breaker trip visible in the pool stats.
-func TestFailoverWithDeadEndpoint(t *testing.T) {
-	ln, err := ServeWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	// reserve a port and close it so nothing listens there
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-
-	spec := resilienceSpec()
-	spec.Retries = 4
-	spec.RemoteWorkers = []string{deadAddr, ln.Addr().String()}
-	spec.poolCfg = &poolConfig{
-		DialTimeout:      300 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute, // stays open for the whole test
-		PingInterval:     -1,          // deterministic: no background probes
-	}
-	res, err := CollectDetailed(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(spec.Fields) * spec.Steps * len(spec.Bounds) * len(spec.Compressors)
-	if len(res.Observations) != want {
-		t.Fatalf("observations = %d, want %d (failed: %v)", len(res.Observations), want, res.Failed)
-	}
-	if len(res.Failed) != 0 {
-		t.Errorf("failed cells = %v, want none (failover should absorb the dead endpoint)", res.Failed)
-	}
-	if res.Pool == nil {
-		t.Fatal("pool stats missing")
-	}
-	var deadStats, liveStats *EndpointStats
-	for i := range res.Pool.Endpoints {
-		ep := &res.Pool.Endpoints[i]
-		if ep.Addr == deadAddr {
-			deadStats = ep
-		} else {
-			liveStats = ep
-		}
-	}
-	if deadStats == nil || liveStats == nil {
-		t.Fatalf("stats endpoints = %+v", res.Pool.Endpoints)
-	}
-	if deadStats.State != breakerOpen {
-		t.Errorf("dead endpoint breaker = %s, want open", deadStats.State)
-	}
-	found := false
-	for _, tr := range deadStats.Transitions {
-		if tr == "closed→open" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("dead endpoint transitions = %v, want closed→open", deadStats.Transitions)
-	}
-	if res.Pool.Repins == 0 {
-		t.Error("no worker-slot re-pins recorded despite a dead endpoint")
-	}
-	if liveStats.Calls == 0 || liveStats.State != breakerClosed {
-		t.Errorf("live endpoint stats = %+v", liveStats)
-	}
-	if res.QueueStats.Retried == 0 {
-		t.Error("tasks first pinned to the dead endpoint should have retried")
-	}
-}
-
-// flakyProxy fronts a real worker with a severable TCP hop so tests can
-// kill an endpoint (dropping established connections, not just the
-// listener) and later revive it on the same address.
-type flakyProxy struct {
-	ln      net.Listener
-	backend string
-	mu      sync.Mutex
-	conns   map[net.Conn]bool
-	down    bool
-}
-
-func newFlakyProxy(t *testing.T, backend string) *flakyProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &flakyProxy{ln: ln, backend: backend, conns: make(map[net.Conn]bool)}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			p.mu.Lock()
-			rejected := p.down
-			if !rejected {
-				p.conns[conn] = true
-			}
-			p.mu.Unlock()
-			if rejected {
-				conn.Close()
-				continue
-			}
-			go p.pipe(conn)
-		}
-	}()
-	t.Cleanup(func() { ln.Close() })
-	return p
-}
-
-func (p *flakyProxy) pipe(conn net.Conn) {
-	up, err := net.Dial("tcp", p.backend)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	p.mu.Lock()
-	p.conns[up] = true
-	p.mu.Unlock()
-	go func() { io.Copy(up, conn); up.Close() }()
-	io.Copy(conn, up)
-	conn.Close()
-}
-
-func (p *flakyProxy) addr() string { return p.ln.Addr().String() }
-
-// kill severs every live connection and rejects new ones.
-func (p *flakyProxy) kill() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.down = true
-	for c := range p.conns {
-		c.Close()
-	}
-	p.conns = make(map[net.Conn]bool)
-}
-
-func (p *flakyProxy) revive() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.down = false
-}
-
-// TestBreakerRecoversThroughHalfOpen kills an endpoint mid-run, waits
-// for the breaker to open, revives the endpoint, and asserts the
-// background ping drives open → half-open → closed.
-func TestBreakerRecoversThroughHalfOpen(t *testing.T) {
-	ln, err := ServeWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	proxy := newFlakyProxy(t, ln.Addr().String())
-	pool := newRemotePool([]string{proxy.addr()}, poolConfig{
-		DialTimeout:      200 * time.Millisecond,
-		CallTimeout:      time.Second,
-		PingInterval:     20 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
-	defer pool.close()
-
-	// healthy first
-	if _, err := pool.observeRemote(0, ObserveArgs{
-		Dims: []int{4, 8, 8}, Replicates: 1, Field: "P", Compressor: "sz3",
-		Bound: 1e-3,
-	}); err != nil {
-		t.Fatalf("healthy call failed: %v", err)
-	}
-
-	// kill it and push calls until the breaker opens
-	proxy.kill()
-	for i := 0; i < 6; i++ {
-		pool.observeRemote(0, ObserveArgs{Dims: []int{4, 8, 8}, Replicates: 1, Field: "P", Compressor: "sz3", Bound: 1e-3})
-		if pool.stats().Endpoints[0].State == breakerOpen {
-			break
-		}
-	}
-	if s := pool.stats().Endpoints[0]; s.State != breakerOpen {
-		t.Fatalf("breaker = %s after endpoint death, want open (stats %+v)", s.State, s)
-	}
-
-	// revive on the same address; the ping loop should close the breaker
-	proxy.revive()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if pool.stats().Endpoints[0].State == breakerClosed {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	st := pool.stats().Endpoints[0]
-	if st.State != breakerClosed {
-		t.Fatalf("breaker never closed after revival: %+v", st)
-	}
-	joined := strings.Join(st.Transitions, " ")
-	for _, edge := range []string{"closed→open", "open→half-open", "half-open→closed"} {
-		if !strings.Contains(joined, edge) {
-			t.Errorf("transitions %v missing %q", st.Transitions, edge)
-		}
-	}
-	// and traffic flows again
-	if _, err := pool.observeRemote(0, ObserveArgs{
-		Dims: []int{4, 8, 8}, Replicates: 1, Field: "P", Compressor: "sz3", Bound: 1e-3,
-	}); err != nil {
-		t.Errorf("call after recovery failed: %v", err)
 	}
 }
 
@@ -332,8 +113,7 @@ func TestRestartRetriesOnlyFailedCells(t *testing.T) {
 	dir := t.TempDir()
 	var computed atomic.Int64
 	progress := func(line string) {
-		if !strings.HasPrefix(line, "queue:") && !strings.HasPrefix(line, "FAILED") &&
-			!strings.HasPrefix(line, "endpoint") && !strings.HasPrefix(line, "pool:") {
+		if !strings.HasPrefix(line, "queue:") && !strings.HasPrefix(line, "FAILED") {
 			computed.Add(1)
 		}
 	}
@@ -456,58 +236,5 @@ func TestKilledRunResumesFromCheckpoint(t *testing.T) {
 	}
 	if checkpointed == 0 {
 		t.Error("nothing resumed from checkpoint — the first run's work was lost")
-	}
-}
-
-// TestScriptedEndpointDeathMidRun scripts "endpoint A dies at its 4th
-// call" with failover taking over, exercising the RPC reset path
-// end-to-end and its deterministic replay.
-func TestScriptedEndpointDeathMidRun(t *testing.T) {
-	ln1, err := ServeWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln1.Close()
-	ln2, err := ServeWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln2.Close()
-	addrA := ln1.Addr().String()
-
-	run := func() (kinds []string, obs, failed int) {
-		plan := faultinject.New(3, faultinject.Rule{
-			Op: faultinject.OpCall, Kind: faultinject.KindReset,
-			Worker: -1, Key: addrA, At: 4, // dies at its 4th call, forever
-		})
-		spec := resilienceSpec()
-		spec.Workers = 1 // one slot: pins to A, fails over to B when A dies
-		spec.Retries = 4
-		spec.FaultPlan = plan
-		spec.RemoteWorkers = []string{addrA, ln2.Addr().String()}
-		spec.poolCfg = &poolConfig{
-			DialTimeout: 300 * time.Millisecond, BreakerThreshold: 2,
-			BreakerCooldown: time.Minute, PingInterval: -1,
-		}
-		res, err := CollectDetailed(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range plan.Log() {
-			kinds = append(kinds, fmt.Sprintf("%s@%s", e.Kind, e.Key))
-		}
-		return kinds, len(res.Observations), len(res.Failed)
-	}
-	k1, obs1, failed1 := run()
-	k2, obs2, failed2 := run()
-	total := 3 * 2 * 2 // fields × steps × bounds
-	if obs1 != total || failed1 != 0 {
-		t.Errorf("run 1: %d observations, %d failed; failover should complete all %d", obs1, failed1, total)
-	}
-	if len(k1) == 0 {
-		t.Error("scripted endpoint death never fired")
-	}
-	if fmt.Sprint(k1) != fmt.Sprint(k2) || obs1 != obs2 || failed1 != failed2 {
-		t.Errorf("replay diverged: %v/%d/%d vs %v/%d/%d", k1, obs1, failed1, k2, obs2, failed2)
 	}
 }

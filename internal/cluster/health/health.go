@@ -1,14 +1,14 @@
-// Package health holds the failure-detection primitives shared by the
-// remote benchmark pool (internal/bench) and the predictd cluster
-// router (internal/cluster): a per-peer circuit breaker and a seeded,
-// deterministically-jittered exponential backoff. Both are clock- and
-// seed-injected so fault-plan replays (DESIGN.md §8) observe identical
-// breaker transitions and retry schedules run to run.
+// Package health holds the failure-detection primitives of the predictd
+// cluster router (internal/cluster) — the one fault-tolerant fan-out,
+// which predict-bench -remote rides too: a per-peer circuit breaker and a
+// seeded, deterministically-jittered exponential backoff. Both are clock-
+// and seed-injected so fault-plan replays (DESIGN.md §8) observe
+// identical breaker transitions and retry schedules run to run.
 //
-// The Breaker is deliberately NOT internally locked: its owners (the
-// bench remotePool, the cluster router) already serialize peer state
-// under their own mutex, and folding a second lock in would invite
-// lock-ordering bugs for zero benefit. Callers must synchronize.
+// The Breaker is deliberately NOT internally locked: its owner, the
+// router, already serializes peer state under its own mutex, and folding
+// a second lock in would invite lock-ordering bugs for zero benefit.
+// Callers must synchronize.
 package health
 
 import "time"
@@ -80,9 +80,6 @@ func (b *Breaker) Available() bool {
 // MarkProbing records that the admitted half-open probe is in flight;
 // the next OnResult clears it.
 func (b *Breaker) MarkProbing() { b.probing = true }
-
-// Probing reports whether a half-open probe is in flight.
-func (b *Breaker) Probing() bool { return b.probing }
 
 // OnResult folds one request outcome into the breaker.
 func (b *Breaker) OnResult(err error) {

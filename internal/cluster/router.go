@@ -316,10 +316,16 @@ func (r *Router) postAdopt(ctx context.Context, base, dead string) error {
 // Handler returns the router's HTTP API: the predictd surface, proxied.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", r.handlePredict)
+	mux.HandleFunc("/v1/predict", r.toReplica(modelPartition))
 	// a batch routes exactly like a single predict: same routing fields
 	// in the body, same partition key, same replica pinning
-	mux.HandleFunc("/v1/predict/batch", r.handlePredict)
+	mux.HandleFunc("/v1/predict/batch", r.toReplica(modelPartition))
+	// an observation cell (predict-bench -remote) routes by the buffer it
+	// reads: the ring keeps a (field, step) on one node — the data-locality
+	// placement of the paper's task queue, across processes — and the
+	// breakers, probes and re-pins that serve predicts route around a dead
+	// node for the bench too
+	mux.HandleFunc("/v1/observe", r.toReplica(dataPartition))
 	mux.HandleFunc("/v1/fit", r.handleOwnerPost)
 	mux.HandleFunc("/v1/invalidate", r.handleInvalidate)
 	mux.HandleFunc("/v1/jobs/", r.handleJobs)
@@ -338,10 +344,34 @@ func unavailable(w http.ResponseWriter, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// routeBody holds the fields routing needs from a predict/fit body.
+// routeBody holds the fields routing needs from a body: a predict or fit
+// names a model, an observe a dataset buffer.
 type routeBody struct {
 	Scheme     string `json:"scheme"`
 	Compressor string `json:"compressor"`
+	Field      string `json:"field"`
+	Step       int    `json:"step"`
+}
+
+// A partitioner derives a request's partition key from its routing
+// fields, or says which it lacks.
+type partitioner func(rb *routeBody) (pk, missing string)
+
+// modelPartition keys a predict or fit by the model it names.
+func modelPartition(rb *routeBody) (string, string) {
+	if rb.Scheme == "" || rb.Compressor == "" {
+		return "", "scheme and compressor are required"
+	}
+	return PartitionKey(rb.Scheme, rb.Compressor), ""
+}
+
+// dataPartition keys an observe by the buffer it reads: the bench
+// queue's own locality key, "field/step".
+func dataPartition(rb *routeBody) (string, string) {
+	if rb.Field == "" {
+		return "", "field and step are required"
+	}
+	return rb.Field + "/" + strconv.Itoa(rb.Step), ""
 }
 
 // readBody buffers a bounded request body for re-sending across
@@ -351,21 +381,24 @@ func readBody(w http.ResponseWriter, req *http.Request) ([]byte, error) {
 	return io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
 }
 
-// readRouted buffers a predict or fit body and derives its partition key
-// from the scheme and compressor it names. On false it has already
-// written the router's own 400.
-func readRouted(w http.ResponseWriter, req *http.Request) (body []byte, pk string, ok bool) {
+// readRouted buffers a routed body and derives its partition key. On
+// false it has already written the router's own 400.
+func readRouted(w http.ResponseWriter, req *http.Request, partition partitioner) (body []byte, pk string, ok bool) {
 	body, err := readBody(w, req)
 	if err != nil {
 		http.Error(w, `{"error":"bad request body"}`, http.StatusBadRequest)
 		return nil, "", false
 	}
 	var rb routeBody
-	if err := json.Unmarshal(body, &rb); err != nil || rb.Scheme == "" || rb.Compressor == "" {
-		http.Error(w, `{"error":"scheme and compressor are required"}`, http.StatusBadRequest)
+	missing := "a JSON object is required"
+	if json.Unmarshal(body, &rb) == nil {
+		pk, missing = partition(&rb)
+	}
+	if missing != "" {
+		http.Error(w, `{"error":"`+missing+`"}`, http.StatusBadRequest)
 		return nil, "", false
 	}
-	return body, PartitionKey(rb.Scheme, rb.Compressor), true
+	return body, pk, true
 }
 
 // liveName reports whether the named member currently admits requests.
@@ -391,11 +424,12 @@ func (r *Router) resolveOwner(pk string) string {
 }
 
 // forward proxies one buffered request to a member, bounded by the
-// request timeout. It returns false when the backend could not be
-// reached or answered a non-503 5xx (so the caller may try another
-// member); well-formed backend responses — including 429/503
-// backpressure — are relayed as-is with Retry-After guaranteed.
-func (r *Router) forward(w http.ResponseWriter, req *http.Request, name string, body []byte, staleness uint64) bool {
+// request timeout. It returns 0 when the backend could not be reached or
+// answered a non-503 5xx (nothing is written, so the caller may try
+// another member); well-formed backend responses — including 429/503
+// backpressure — are relayed as-is with Retry-After guaranteed, and
+// their status returned.
+func (r *Router) forward(w http.ResponseWriter, req *http.Request, name string, body []byte, staleness uint64) int {
 	m := r.members[name]
 	cctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
@@ -405,7 +439,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, name string, 
 	}
 	out, err := http.NewRequestWithContext(cctx, req.Method, m.base+req.URL.RequestURI(), rd)
 	if err != nil {
-		return false
+		return 0
 	}
 	if ct := req.Header.Get("Content-Type"); ct != "" {
 		out.Header.Set("Content-Type", ct)
@@ -415,12 +449,12 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, name string, 
 	m.br.OnResult(err)
 	r.mu.Unlock()
 	if err != nil {
-		return false
+		return 0
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 && resp.StatusCode != http.StatusServiceUnavailable {
 		io.Copy(io.Discard, resp.Body)
-		return false
+		return 0
 	}
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
@@ -435,7 +469,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, name string, 
 	w.Header().Set("X-Replica-Staleness", strconv.FormatUint(staleness, 10))
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	return true
+	return resp.StatusCode
 }
 
 // stalenessOf estimates how many frames behind the partition owner's
@@ -454,12 +488,19 @@ func (r *Router) stalenessOf(candidate, owner string) uint64 {
 	return om.lastSeq - cm.applied[owner]
 }
 
-func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
+// toReplica serves a read-only POST from any live replica of its
+// partition within the client's staleness bound (an observe sends none:
+// it needs no model).
+func (r *Router) toReplica(partition partitioner) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) { r.handleReplicaPost(w, req, partition) }
+}
+
+func (r *Router) handleReplicaPost(w http.ResponseWriter, req *http.Request, partition partitioner) {
 	if req.Method != http.MethodPost {
 		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
 		return
 	}
-	body, pk, ok := readRouted(w, req)
+	body, pk, ok := readRouted(w, req, partition)
 	if !ok {
 		return
 	}
@@ -493,7 +534,13 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 		order = append([]string{pinned}, removeAt(candidates, i)...)
 	}
 	for _, name := range order {
-		if r.forward(w, req, name, body, r.stalenessOf(name, owner)) {
+		status := r.forward(w, req, name, body, r.stalenessOf(name, owner))
+		if status == 0 {
+			continue
+		}
+		// pin only what a node accepted: pk is client input until then, and
+		// a pin per made-up scheme or field would grow the map without bound
+		if status/100 == 2 {
 			r.mu.Lock()
 			if r.pins[pk] != name {
 				if r.pins[pk] != "" {
@@ -502,8 +549,8 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 				r.pins[pk] = name
 			}
 			r.mu.Unlock()
-			return
 		}
+		return
 	}
 	unavailable(w, "all replicas for %s failed", pk)
 }
@@ -521,7 +568,7 @@ func (r *Router) handleOwnerPost(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
 		return
 	}
-	body, pk, ok := readRouted(w, req)
+	body, pk, ok := readRouted(w, req, modelPartition)
 	if !ok {
 		return
 	}
@@ -532,7 +579,7 @@ func (r *Router) handleOwnerPost(w http.ResponseWriter, req *http.Request) {
 		unavailable(w, "owner %s of %s is unavailable (failover pending)", owner, pk)
 		return
 	}
-	if !r.forward(w, req, owner, body, 0) {
+	if r.forward(w, req, owner, body, 0) == 0 {
 		unavailable(w, "owner %s of %s failed", owner, pk)
 	}
 }
@@ -646,7 +693,7 @@ func (r *Router) handleAnyGet(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	for _, name := range r.liveMembers() {
-		if r.forward(w, req, name, nil, 0) {
+		if r.forward(w, req, name, nil, 0) != 0 {
 			return
 		}
 	}

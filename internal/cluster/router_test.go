@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -59,7 +60,14 @@ func newFakeMember(name string) *fakeMember {
 		m.adopted = append(m.adopted, req.Node)
 		json.NewEncoder(w).Encode(map[string]int{"adopted": 1})
 	})
+	// like a real node, a member refuses names it does not know ("bogus…")
 	predict := func(w http.ResponseWriter, r *http.Request) {
+		var rb routeBody
+		json.NewDecoder(r.Body).Decode(&rb)
+		if strings.HasPrefix(rb.Scheme, "bogus") || strings.HasPrefix(rb.Field, "bogus") {
+			http.Error(w, `{"error":"unknown name"}`, http.StatusBadRequest)
+			return
+		}
 		m.mu.Lock()
 		m.predicts++
 		m.mu.Unlock()
@@ -67,6 +75,7 @@ func newFakeMember(name string) *fakeMember {
 	}
 	mux.HandleFunc("/v1/predict", predict)
 	mux.HandleFunc("/v1/predict/batch", predict)
+	mux.HandleFunc("/v1/observe", predict)
 	mux.HandleFunc("/v1/fit", func(w http.ResponseWriter, r *http.Request) {
 		m.mu.Lock()
 		m.fits++
@@ -176,6 +185,93 @@ func TestRouterPredictRoutesAndPins(t *testing.T) {
 
 	if w := postJSON(h, "/v1/predict", `{"features":{}}`, nil); w.Code != http.StatusBadRequest {
 		t.Errorf("predict without scheme/compressor = %d", w.Code)
+	}
+}
+
+// TestRouterPinsOnlyAcceptedKeys: the partition key is client input until
+// a node has accepted the request, so a request a node answers 400 leaves
+// no pin — N made-up scheme or field names must not grow the map by N.
+func TestRouterPinsOnlyAcceptedKeys(t *testing.T) {
+	members := threeMembers()
+	r := startRouter(t, members, nil)
+	waitFor(t, "all members live", func() bool { return len(r.liveMembers()) == 3 })
+	h := r.Handler()
+	pins := func() int {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(r.pins)
+	}
+	if w := postJSON(h, "/v1/predict", `{"scheme":"s","compressor":"c"}`, nil); w.Code != http.StatusOK {
+		t.Fatalf("predict = %d: %s", w.Code, w.Body)
+	}
+	if w := postJSON(h, "/v1/observe", `{"field":"P","step":3}`, nil); w.Code != http.StatusOK {
+		t.Fatalf("observe = %d: %s", w.Code, w.Body)
+	}
+	before := pins()
+	if before != 2 {
+		t.Fatalf("%d pins after two accepted partitions, want 2", before)
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		for path, body := range map[string]string{
+			"/v1/predict": fmt.Sprintf(`{"scheme":"bogus-%d","compressor":"c"}`, i),
+			"/v1/observe": fmt.Sprintf(`{"field":"bogus-%d","step":0}`, i),
+		} {
+			w := postJSON(h, path, body, nil)
+			checkWellFormed(t, w)
+			if w.Code != http.StatusBadRequest || w.Header().Get("X-Served-By") == "" {
+				t.Fatalf("%s %s = %d served by %q, want a member's 400 relayed", path, body, w.Code, w.Header().Get("X-Served-By"))
+			}
+		}
+	}
+	if got := pins(); got != before {
+		t.Errorf("%d refused keys left %d pins, want the %d accepted ones", 2*n, got, before)
+	}
+}
+
+// TestRouterRoutesObserveByBuffer: an observation cell is routed by the
+// (field, step) it reads — the bench queue's locality key — to the ring's
+// owner of that key, whatever else the body says; a dead owner's buffers
+// re-pin to the next replica, counted, and a body without a field is the
+// router's own 400.
+func TestRouterRoutesObserveByBuffer(t *testing.T) {
+	members := threeMembers()
+	r := startRouter(t, members, nil)
+	waitFor(t, "all members live", func() bool { return len(r.liveMembers()) == 3 })
+	h := r.Handler()
+	ring := NewRing([]string{"n1", "n2", "n3"}, 0)
+	owners := map[string]bool{}
+	for step := 0; step < 12; step++ {
+		want := ring.Owner(fmt.Sprintf("U/%d", step))
+		owners[want] = true
+		for _, bound := range []string{"1e-4", "1e-2"} {
+			w := postJSON(h, "/v1/observe", fmt.Sprintf(`{"field":"U","step":%d,"bound":%s,"compressor":"sz3"}`, step, bound), nil)
+			checkWellFormed(t, w)
+			if got := w.Header().Get("X-Served-By"); w.Code != http.StatusOK || got != want {
+				t.Errorf("U/%d at %s: %d served by %q, want the ring owner %q", step, bound, w.Code, got, want)
+			}
+		}
+	}
+	if len(owners) < 2 {
+		t.Errorf("twelve buffers all hashed to %v: the ring is not spreading them", owners)
+	}
+	if w := postJSON(h, "/v1/observe", `{"step":1,"compressor":"sz3"}`, nil); w.Code != http.StatusBadRequest || w.Header().Get("X-Served-By") != "" {
+		t.Errorf("observe without a field = %d served by %q, want the router's own 400", w.Code, w.Header().Get("X-Served-By"))
+	}
+
+	dead := ring.Owner("U/0")
+	members[dead].srv.CloseClientConnections()
+	members[dead].srv.Close()
+	w := postJSON(h, "/v1/observe", `{"field":"U","step":0}`, nil)
+	checkWellFormed(t, w)
+	if got := w.Header().Get("X-Served-By"); w.Code != http.StatusOK || got == dead || got == "" {
+		t.Errorf("after %s died: %d served by %q, want a surviving replica", dead, w.Code, got)
+	}
+	r.mu.Lock()
+	repins := r.repins
+	r.mu.Unlock()
+	if repins != 1 {
+		t.Errorf("repins = %d, want 1", repins)
 	}
 }
 

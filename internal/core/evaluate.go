@@ -89,12 +89,16 @@ type planMetric struct {
 // the per-envelope part of evaluation, so a batch pays it once and each
 // item pays only Evaluate; nothing else in the tree instantiates, runs or
 // times a scheme's metrics. The plugins carry per-evaluation state: a
-// plan serves one goroutine at a time.
+// plan serves one goroutine at a time. It keeps the pair it was made for
+// (opts is the caller's map, not a copy) so ObserveCell runs the
+// compressor under exactly what the metrics saw.
 type FeaturePlan struct {
-	ev       *Evaluator
-	metrics  []planMetric
-	features []string
-	results  pressio.Options
+	ev         *Evaluator
+	compressor string
+	opts       pressio.Options
+	metrics    []planMetric
+	features   []string
+	results    pressio.Options
 }
 
 // Plan resolves the set's metrics for a compressor and option set.
@@ -104,10 +108,12 @@ type FeaturePlan struct {
 func (e *Evaluator) Plan(set MetricSet, compressor string, opts pressio.Options) (*FeaturePlan, error) {
 	names := set.Metrics()
 	p := &FeaturePlan{
-		ev:       e,
-		metrics:  make([]planMetric, len(names)),
-		features: set.Features(),
-		results:  pressio.Options{},
+		ev:         e,
+		compressor: compressor,
+		opts:       opts,
+		metrics:    make([]planMetric, len(names)),
+		features:   set.Features(),
+		results:    pressio.Options{},
 	}
 	merged := opts.Clone()
 	for i, name := range names {
@@ -202,14 +208,4 @@ func (p *FeaturePlan) EvaluateDetailed(ctx context.Context, data *pressio.Data) 
 	var err error
 	ev.Features, err = ExtractFeatures(ev.Results, p.features)
 	return ev, err
-}
-
-// EvaluateFeatures is Plan followed by Evaluate, for callers with one
-// buffer per option set (a single predict, a training cell).
-func (e *Evaluator) EvaluateFeatures(ctx context.Context, set MetricSet, compressor string, opts pressio.Options, data *pressio.Data) ([]float64, error) {
-	p, err := e.Plan(set, compressor, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.Evaluate(ctx, data)
 }

@@ -107,6 +107,15 @@ func init() {
 	pressio.RegisterMetric("core-eval-runtime", func() pressio.Metric { return &evalRuntime{} })
 }
 
+// evaluateFeatures is Plan followed by Evaluate: one buffer, one option set.
+func evaluateFeatures(ctx context.Context, e *Evaluator, set MetricSet, compressor string, opts pressio.Options, data *pressio.Data) ([]float64, error) {
+	p, err := e.Plan(set, compressor, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Evaluate(ctx, data)
+}
+
 func evalOpts(abs float64, bins int64) pressio.Options {
 	o := pressio.Options{}
 	o.Set(pressio.OptAbs, abs)
@@ -130,7 +139,7 @@ func TestEvaluateFeaturesHonoursInvalidationClasses(t *testing.T) {
 	var ev Evaluator
 	eval := func(abs float64, bins int64) []float64 {
 		t.Helper()
-		f, err := ev.EvaluateFeatures(ctx, scheme, "core-test-half", evalOpts(abs, bins), data)
+		f, err := evaluateFeatures(ctx, &ev, scheme, "core-test-half", evalOpts(abs, bins), data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +206,7 @@ func TestEvaluateFeaturesHonoursInvalidationClasses(t *testing.T) {
 	// a second evaluator has its own epoch and shares nothing it should not
 	var other Evaluator
 	if a, _, _ := runsDuring(func() {
-		if _, err := other.EvaluateFeatures(ctx, scheme, "core-test-half", evalOpts(1e-4, 0), data); err != nil {
+		if _, err := evaluateFeatures(ctx, &other, scheme, "core-test-half", evalOpts(1e-4, 0), data); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 1 {
@@ -236,7 +245,7 @@ func TestEvaluateFeaturesCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ev Evaluator
-	_, err := ev.EvaluateFeatures(ctx, &evalScheme{}, "core-test-half", evalOpts(1e-3, 0), pressio.NewFloat32(4))
+	_, err := evaluateFeatures(ctx, &ev, &evalScheme{}, "core-test-half", evalOpts(1e-3, 0), pressio.NewFloat32(4))
 	if err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -256,7 +265,7 @@ func TestEvaluateFeaturesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				abs := float64(g+1) * 1e-5 * float64(i+1)
-				f, err := ev.EvaluateFeatures(ctx, &evalScheme{}, "core-test-half", evalOpts(abs, 0), data)
+				f, err := evaluateFeatures(ctx, &ev, &evalScheme{}, "core-test-half", evalOpts(abs, 0), data)
 				if err != nil {
 					t.Error(err)
 					return
@@ -291,7 +300,7 @@ func TestMemoSurvivesInvalidationRounds(t *testing.T) {
 			t.Fatal("Invalidate(error_agnostic) reported nothing stale")
 		}
 		a, _, _ := runsDuring(func() {
-			f, err := ev.EvaluateFeatures(ctx, &evalScheme{}, "core-test-half", evalOpts(1e-3, 0), data)
+			f, err := evaluateFeatures(ctx, &ev, &evalScheme{}, "core-test-half", evalOpts(1e-3, 0), data)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,14 +1,14 @@
 // Package faultinject is the deterministic fault-injection framework of
 // predict-bench's resilience layer. A Plan scripts failures — worker
-// death, straggler delays, RPC connection resets, crashes around
+// death, straggler delays, connection resets, crashes around
 // checkpoint writes — against the operation stream of a run, and replays
 // them exactly: matching is by per-rule event counters and a seeded
 // xorshift generator, never by wall clock, so the same plan over the
 // same schedule produces the same failure sequence.
 //
 // Subsystems call Fire at their fault points (the queue before each task
-// attempt, the RPC pool around dials and calls, the store around WAL and
-// snapshot writes) and obey the returned Decision. A nil *Plan is inert,
+// attempt, an HTTP client's RoundTripper before each request, the store
+// around WAL and snapshot writes) and obey the returned Decision. A nil *Plan is inert,
 // so production paths pay one nil check.
 //
 // Plans are built programmatically (Plan{Rules: ...}) or parsed from the
@@ -16,7 +16,7 @@
 //
 //	task error at=10 count=2          # 10th and 11th task attempts fail
 //	task delay=200ms worker=2         # worker 2 straggles on every task
-//	call reset key=127.0.0.1:7001     # every call to that endpoint resets
+//	http reset key=127.0.0.1:7001     # every request to that peer resets
 //	task error rate=0.2               # random faults, seeded
 //	put-before crash at=12            # crash before the 12th WAL append
 //
@@ -38,11 +38,9 @@ import (
 // Op names a fault point in the system.
 type Op string
 
-// Fault points wired into the queue, RPC pool, and store.
+// Fault points wired into the queue and store.
 const (
 	OpTask          Op = "task"           // queue: before a task attempt runs
-	OpDial          Op = "dial"           // pool: before dialing an endpoint
-	OpCall          Op = "call"           // pool: before an RPC call
 	OpPutBefore     Op = "put-before"     // store: before the WAL append
 	OpPutAfter      Op = "put-after"      // store: after the WAL append, before the ack
 	OpCompactBefore Op = "compact-before" // store: snapshot written, before the rename
@@ -73,7 +71,7 @@ const (
 const (
 	KindError     = "error"       // the operation fails with ErrInjected
 	KindDelay     = "delay"       // the operation is delayed (straggler)
-	KindReset     = "reset"       // a connection-level failure (pool drops the client)
+	KindReset     = "reset"       // a connection-level failure
 	KindCrash     = "crash"       // the process "dies" here (store leaves partial state)
 	KindShort     = "short"       // fs-write only: a torn prefix lands, then io.ErrShortWrite
 	KindENOSPC    = "enospc"      // the device is "full": partial write + ENOSPC
@@ -346,7 +344,7 @@ func Parse(seed uint64, text string) (*Plan, error) {
 		}
 		r := Rule{Op: Op(fields[0]), Worker: -1}
 		switch r.Op {
-		case OpTask, OpDial, OpCall, OpPutBefore, OpPutAfter, OpCompactBefore, OpCompactAfter,
+		case OpTask, OpPutBefore, OpPutAfter, OpCompactBefore, OpCompactAfter,
 			OpFSOpen, OpFSWrite, OpFSSync, OpFSRename, OpFSRemove, OpFSTruncate,
 			OpHTTP, OpReplShip, OpReplApply:
 		default:

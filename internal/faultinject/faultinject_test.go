@@ -38,7 +38,7 @@ func TestAtAndCount(t *testing.T) {
 func TestWorkerAndKeyMatch(t *testing.T) {
 	p := New(1,
 		Rule{Op: OpTask, Kind: KindDelay, Delay: 5 * time.Millisecond, Worker: 2},
-		Rule{Op: OpCall, Kind: KindReset, Worker: -1, Key: "host-b"},
+		Rule{Op: OpHTTP, Kind: KindReset, Worker: -1, Key: "host-b"},
 	)
 	if d := p.Fire(OpTask, 1, "t"); d.Delay != 0 {
 		t.Error("worker 1 should not straggle")
@@ -46,10 +46,10 @@ func TestWorkerAndKeyMatch(t *testing.T) {
 	if d := p.Fire(OpTask, 2, "t"); d.Delay != 5*time.Millisecond {
 		t.Errorf("worker 2 delay = %v", d.Delay)
 	}
-	if d := p.Fire(OpCall, 0, "host-a:1"); d.Err != nil {
+	if d := p.Fire(OpHTTP, 0, "host-a:1"); d.Err != nil {
 		t.Error("host-a should be healthy")
 	}
-	d := p.Fire(OpCall, 0, "host-b:1")
+	d := p.Fire(OpHTTP, 0, "host-b:1")
 	if !errors.Is(d.Err, ErrReset) {
 		t.Errorf("host-b err = %v, want reset", d.Err)
 	}
@@ -116,7 +116,7 @@ func TestParse(t *testing.T) {
 		# a comment
 		task error at=10 count=2
 		task delay=200ms worker=2
-		call reset endpoint=127.0.0.1:7001; dial error rate=0.5
+		http reset endpoint=127.0.0.1:7001; http error rate=0.5
 		put-before crash at=1 count=1
 	`)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestParse(t *testing.T) {
 	if rules[2].Key != "127.0.0.1:7001" || rules[2].Kind != KindReset {
 		t.Errorf("rule 2 = %+v", rules[2])
 	}
-	if rules[3].Op != OpDial || rules[3].Rate != 0.5 {
+	if rules[3].Op != OpHTTP || rules[3].Rate != 0.5 {
 		t.Errorf("rule 3 = %+v", rules[3])
 	}
 	if rules[4].Op != OpPutBefore || rules[4].Kind != KindCrash {
@@ -147,6 +147,8 @@ func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"task",                  // missing kind
 		"nope error",            // unknown op
+		"call reset",            // the retired RPC pool's ops: unknown now
+		"dial error",            // likewise
 		"task explode",          // unknown kind
 		"task delay",            // delay without duration
 		"task delay=xyz",        // bad duration

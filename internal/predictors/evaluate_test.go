@@ -36,6 +36,15 @@ func memoFree(t *testing.T, scheme core.Scheme, compressor string, abs float64, 
 	return f
 }
 
+// evaluateFeatures is Plan followed by Evaluate: one buffer, one option set.
+func evaluateFeatures(ctx context.Context, e *core.Evaluator, scheme core.Scheme, compressor string, opts pressio.Options, data *pressio.Data) ([]float64, error) {
+	p, err := e.Plan(scheme, compressor, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Evaluate(ctx, data)
+}
+
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -69,7 +78,7 @@ func TestEvaluatorBitIdenticalToMemoFree(t *testing.T) {
 			for _, abs := range bounds {
 				opts := pressio.Options{}
 				opts.Set(pressio.OptAbs, abs)
-				got, err := ev.EvaluateFeatures(ctx, scheme, compressor, opts, data)
+				got, err := evaluateFeatures(ctx, &ev, scheme, compressor, opts, data)
 				if err != nil {
 					t.Fatalf("%s/%s at %g: %v", name, compressor, abs, err)
 				}
@@ -105,7 +114,7 @@ func TestEvaluatorReshapedViewStartsEmpty(t *testing.T) {
 	opts.Set(pressio.OptAbs, 1e-3)
 	data := field(t, "P", 5)
 	var ev core.Evaluator
-	orig, err := ev.EvaluateFeatures(ctx, scheme, "sz3", opts, data)
+	orig, err := evaluateFeatures(ctx, &ev, scheme, "sz3", opts, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +123,7 @@ func TestEvaluatorReshapedViewStartsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ev.EvaluateFeatures(ctx, scheme, "sz3", opts, view)
+	got, err := evaluateFeatures(ctx, &ev, scheme, "sz3", opts, view)
 	if err != nil {
 		t.Fatal(err)
 	}

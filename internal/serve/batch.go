@@ -266,7 +266,8 @@ func (s *Server) predictFeatureRow(g *batchGroup, features []float64, out *Batch
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // predictCellMiss computes one cold cell: data through the tiered
-// dataset cache (pinned for exactly the feature pass), features through
+// dataset cache (pinned for exactly the feature pass — repeated requests
+// over a cell skip synthesis and share one buffer), features through
 // the group's plan — which finds the error-agnostic metrics' results on
 // the buffer when the cell was evaluated before at another bound —
 // prediction through the group predictor, result into the cache.
@@ -275,18 +276,18 @@ func (s *Server) predictCellMiss(ctx context.Context, g *batchGroup, k cellKey, 
 		out.Error = err.Error()
 		return
 	}
-	data, release, err := s.fieldData(k.field, k.step, g.dims[:])
+	h, err := s.data.Acquire(k.field, k.step, g.dims[:])
 	if err != nil {
 		out.Error = err.Error()
 		return
 	}
-	defer release()
+	defer h.Release()
 	plan, err := s.groupPlan(g)
 	if err != nil {
 		out.Error = err.Error()
 		return
 	}
-	features, err := plan.Evaluate(ctx, data)
+	features, err := plan.Evaluate(ctx, h.Data())
 	if err != nil {
 		out.Error = err.Error()
 		return

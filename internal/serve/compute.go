@@ -31,53 +31,17 @@ func checkDims(dims []int) error {
 	return nil
 }
 
-// fieldData reads one hurricane cell through the tiered dataset cache:
-// repeated requests over the same cell skip synthesis and share one
-// buffer, and with it the error-agnostic metric results earlier requests
-// left on it. The returned release must be called once the buffer is no
-// longer needed.
-func (s *Server) fieldData(field string, step int, dims []int) (*pressio.Data, func(), error) {
-	h, err := s.data.Acquire(field, step, dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	//lint:ignore pressiovet/poolescape ownership transfers to the caller, which must call the returned release
-	return h.Data(), h.Release, nil
-}
-
 // defaultDataDims keeps data-backed predict requests cheap when the
 // client does not pick a grid.
 var defaultDataDims = []int{16, 16, 16}
 
-// observeCell measures one (field, step, bound) training cell: data
-// through the tiered dataset cache — repeated fits over the same
-// hurricane fields (and any concurrent predicts) share buffers and skip
-// regeneration — features via the scheme's metrics (the error-agnostic
-// ones once per cell, however many bounds the fit observes it at),
-// target via a real compressor run. The pin is released before return;
-// observations copy out scalars, never the buffer.
-func (s *Server) observeCell(ctx context.Context, scheme core.Scheme, compressor string, opts pressio.Options, field string, step int, dims []int, bound float64) ([]float64, float64, error) {
-	data, release, err := s.fieldData(field, step, dims)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer release()
-	cellOpts := opts.Clone()
-	cellOpts.Set(pressio.OptAbs, bound)
-	features, err := s.features.EvaluateFeatures(ctx, scheme, compressor, cellOpts, data)
-	if err != nil {
-		return nil, 0, err
-	}
-	cr, _, _, err := core.ObserveTarget(compressor, data, cellOpts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return features, cr, nil
-}
-
 // runFit executes one training job: observe every (field, step, bound)
-// cell — features via the scheme's metrics, target via a real compressor
-// run — fit the predictor, and publish the model to the registry.
+// cell through core.ObserveCell — data through the tiered dataset cache,
+// so repeated fits over the same hurricane fields (and any concurrent
+// predicts) share buffers and skip regeneration; the error-agnostic
+// metrics once per cell, however many bounds the fit observes it at; the
+// target from a real compressor run — fit the predictor, and publish the
+// model to the registry.
 func (s *Server) runFit(ctx context.Context, job *FitJob, req *FitRequest, opts pressio.Options, scheme core.Scheme) error {
 	tr := req.Training
 	key := ModelKey(req.Scheme, req.Compressor, opts, tr)
@@ -102,12 +66,22 @@ func (s *Server) runFit(ctx context.Context, job *FitJob, req *FitRequest, opts 
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				features, cr, err := s.observeCell(ctx, scheme, req.Compressor, opts, field, step, dims, bound)
+				cellOpts := opts.Clone()
+				cellOpts.Set(pressio.OptAbs, bound)
+				plan, err := s.features.Plan(scheme, req.Compressor, cellOpts)
+				if err != nil {
+					return err
+				}
+				ob, err := core.ObserveCell(ctx, s.data, plan, core.Cell{Field: field, Step: step, Dims: dims, Replicates: 1})
+				if err != nil {
+					return err
+				}
+				features, err := ob.Vector(scheme.Features())
 				if err != nil {
 					return err
 				}
 				x = append(x, features)
-				y = append(y, cr)
+				y = append(y, ob.CR)
 			}
 		}
 	}

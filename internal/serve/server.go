@@ -335,6 +335,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", s.timed("/v1/predict", s.handlePredict))
 	mux.HandleFunc("/v1/predict/batch", s.timed("/v1/predict/batch", s.handlePredictBatch))
+	mux.HandleFunc("/v1/observe", s.timed("/v1/observe", s.handleObserve))
 	mux.HandleFunc("/v1/fit", s.timed("/v1/fit", s.handleFit))
 	mux.HandleFunc("/v1/jobs/", s.timed("/v1/jobs", s.handleJob))
 	mux.HandleFunc("/v1/models", s.timed("/v1/models", s.handleModels))
