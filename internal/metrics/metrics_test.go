@@ -3,6 +3,7 @@ package metrics
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	_ "repro/internal/compressor/sz3"
@@ -88,6 +89,31 @@ func TestSpatialDistinguishesFields(t *testing.T) {
 	pDiv, _ := sm.Results().GetFloat("spatial:diversity")
 	if qDiv <= pDiv {
 		t.Errorf("sparse QRAIN diversity %v should exceed dense P %v", qDiv, pDiv)
+	}
+}
+
+// TestSpatialBitsPinned holds spatial:* to the bits recorded before
+// smoothness and coding gain came to share one variance and one lag-1
+// variogram: sharing the pair may not move a result. The values are
+// amd64's (the inputs are hurricane fields, whose bits are pinned there).
+func TestSpatialBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("recorded on amd64; hurricane's transcendentals may round differently on %s", runtime.GOARCH)
+	}
+	keys := []string{"spatial:correlation", "spatial:smoothness", "spatial:diversity", "spatial:coding_gain"}
+	for name, want := range map[string][4]uint64{
+		"P":     {0x3fefff3673dca47f, 0x3fef079125412bc1, 0x3fedb23b8e1f83b9, 0x402e5d15b24e523b},
+		"W":     {0x3fe576905b77b2e5, 0x3fe4baec0c90b5f9, 0x3fea1f307fb13ccf, 0x4012211987497ce2},
+		"QRAIN": {0x3fe50771b0c175c3, 0x3fe35daed16eaa24, 0x3ff655bc19e7e0a2, 0x401024f06fe51a67},
+	} {
+		sm := &Spatial{}
+		sm.BeginCompress(field(t, name))
+		for i, key := range keys {
+			v, ok := sm.Results().GetFloat(key)
+			if !ok || math.Float64bits(v) != want[i] {
+				t.Errorf("%s %s = %#016x (%v), pinned %#016x", name, key, math.Float64bits(v), v, want[i])
+			}
+		}
 	}
 }
 
