@@ -25,7 +25,7 @@ tier1:
 LOC_FIND = find $(1) -name '*.go' -not -name '*_test.go' -not -path './internal/xtools/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go lines: %d\n' $$($(call LOC_FIND,.))
-	@for d in internal/serve internal/cluster internal/bench internal/core internal/dataset internal/predictors internal/compressor/sz3; do \
+	@for d in internal/serve internal/cluster internal/bench internal/core internal/dataset internal/predictors internal/compressor/sz3 internal/hurricane; do \
 		printf '  %-24s %d\n' $$d $$($(call LOC_FIND,./$$d)); done
 
 # check is the full verification gate: formatting, standard vet (with the
@@ -33,9 +33,12 @@ loc:
 # default change can't silently drop them), the pressiovet suite, tier-1
 # at one CPU and at the default (tier-1 includes FuzzDecode's seed corpus
 # in internal/huffman — Encode's streams and hand-corrupted tables, each
-# decoded without a panic or an oversized reservation and round-tripped;
+# decoded without a panic or an oversized reservation and round-tripped —
+# and FuzzFieldMatchesReference's in internal/hurricane — field, step,
+# corpus seed and small grids, each bit-equal to the per-sample reference;
 # to fuzz past the seeds:
-# go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman),
+# go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman
+# go test -run '^$$' -fuzz FuzzFieldMatchesReference -fuzztime 1m ./internal/hurricane),
 # the examples run to completion, and the
 # complete test suite under the race detector. The race run stays
 # `-race -short`: -race is what actually exercises the sync.Pool and

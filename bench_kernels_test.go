@@ -170,11 +170,25 @@ func BenchmarkKernelHuffman(b *testing.B) {
 // hurricane field at the benchmark grid. predictd pays this on a predict
 // miss whose DataRef is in neither tier of the dataset cache (the server
 // materializes the field before feature extraction), and a Table-2
-// collection once per (field, step).
-func BenchmarkKernelHurricaneSynth(b *testing.B) {
+// collection once per (field, step). The cost is the separable pass's:
+// per-call lattice, column and level tables, then 21 lerps and the
+// field's closing arithmetic per sample; allocs/op are those tables.
+func BenchmarkKernelHurricaneSynth(b *testing.B) { benchHurricaneSynth(b, "TC") }
+
+// BenchmarkKernelHurricaneSynthFields covers the two other shapes of
+// field: a wind component (two column terms, one of them a Pow) and a
+// moisture species (rainband column terms, a vertical profile, the
+// clamp to exact zeros).
+func BenchmarkKernelHurricaneSynthFields(b *testing.B) {
+	for _, field := range []string{"U", "QSNOW"} {
+		b.Run(field, func(b *testing.B) { benchHurricaneSynth(b, field) })
+	}
+}
+
+func benchHurricaneSynth(b *testing.B, field string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d, err := hurricane.Field("TC", 24, benchDims)
+		d, err := hurricane.Field(field, 24, benchDims)
 		if err != nil {
 			b.Fatal(err)
 		}

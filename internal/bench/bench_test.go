@@ -117,6 +117,22 @@ func referenceObserve(spec *Spec, field string, step int, bound float64, compres
 	return ob, nil
 }
 
+// TestCollectRefusesBadDims: a grid no field can be synthesized on fails
+// its cells with the generator's error (an overflowing one used to panic
+// a queue worker, an empty one to reach the compressors).
+func TestCollectRefusesBadDims(t *testing.T) {
+	for _, dims := range [][]int{{0, 4, 4}, {-1, 4, 4}, {1 << 30, 1 << 30, 1 << 30}} {
+		spec := tinySpec(t)
+		spec.Fields, spec.Steps, spec.Dims = []string{"P"}, 1, dims
+		obs, err := Collect(context.Background(), spec)
+		if err == nil {
+			t.Errorf("dims %v: %d observations and no error", dims, len(obs))
+		} else if dims[0] >= 0 && !strings.Contains(err.Error(), "hurricane: dims") {
+			t.Errorf("dims %v: %v; want the generator's refusal", dims, err)
+		}
+	}
+}
+
 // TestCollectMatchesReferenceLoop: the planned, cached collection gives
 // the numbers of the reference loop exactly, and says what it reused —
 // each buffer loaded once, each error-agnostic metric run once per buffer.

@@ -64,6 +64,15 @@ func TestSyntheticValidation(t *testing.T) {
 	if s.Len() != 2*len(hurricane.FieldNames) {
 		t.Errorf("nil fields should select all 13: Len=%d", s.Len())
 	}
+	for _, dims := range [][]int{{-1, 4, 4}, {0, 4, 4}} {
+		s, err := NewSynthetic(nil, 2, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := s.LoadData(0); err == nil {
+			t.Errorf("dims %v: LoadData returned %d elements and no error", dims, d.Len())
+		}
+	}
 }
 
 func TestSyntheticLoadAll(t *testing.T) {

@@ -1,7 +1,9 @@
 package hurricane
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -21,6 +23,14 @@ func TestFieldValidation(t *testing.T) {
 	}
 	if _, err := Field("CLOUD", 0, []int{4, 4}); err == nil {
 		t.Error("2-D dims accepted")
+	}
+	// a negative dim used to panic in makeslice, a zero one to return an
+	// empty buffer, an overflowing product to index past a wrapped length
+	for _, dims := range [][]int{{-1, 4, 4}, {0, 4, 4}, {4, 4, 0}, {1 << 30, 1 << 30, 1 << 30}} {
+		d, err := Field("TC", 0, dims)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(dims)) {
+			t.Errorf("dims %v: got %v, %v; want an error naming the dims", dims, d, err)
+		}
 	}
 }
 
@@ -145,14 +155,6 @@ func TestIsSparseCoversAllFields(t *testing.T) {
 	}
 	if IsSparse("P") {
 		t.Error("P must not be sparse")
-	}
-}
-
-func BenchmarkGenerateField(b *testing.B) {
-	dims := []int{32, 64, 64}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Generate("W", i%Timesteps, dims)
 	}
 }
 

@@ -265,9 +265,10 @@ func (m *Spatial) BeginCompress(in *pressio.Data) {
 	xs := stats.Float64Of(in)
 	r := pressio.Options{}
 	r.Set("spatial:correlation", stats.SpatialCorrelation(xs, in.Dims()))
-	r.Set("spatial:smoothness", stats.SpatialSmoothness(xs, in.Dims()))
+	smoothness, gain := stats.SmoothnessAndCodingGain(xs, in.Dims())
+	r.Set("spatial:smoothness", smoothness)
 	r.Set("spatial:diversity", stats.SpatialDiversity(xs, in.Dims(), 64))
-	r.Set("spatial:coding_gain", stats.CodingGain(xs, in.Dims()))
+	r.Set("spatial:coding_gain", gain)
 	m.results = r
 }
 

@@ -315,13 +315,31 @@ func SpatialCorrelation(xs []float64, dims []int) float64 {
 // [0, 1]: 1 for perfectly smooth fields, 0 for white noise (for which the
 // mean squared difference equals twice the variance).
 func SpatialSmoothness(xs []float64, dims []int) float64 {
-	v := Variance(xs)
+	return smoothnessFrom(varianceAndLag1(xs, dims))
+}
+
+// SmoothnessAndCodingGain returns SpatialSmoothness and CodingGain from
+// one variance and one lag-1 variogram: the sweeps both are made of.
+func SmoothnessAndCodingGain(xs []float64, dims []int) (smoothness, gain float64) {
+	v, g1 := varianceAndLag1(xs, dims)
+	return smoothnessFrom(v, g1), codingGainFrom(v, g1)
+}
+
+// varianceAndLag1 returns Var z and the lag-1 semivariance, the latter
+// only when the variance is non-zero (neither consumer reads it otherwise).
+func varianceAndLag1(xs []float64, dims []int) (v, g1 float64) {
+	if v = Variance(xs); v != 0 {
+		g1 = Variogram(xs, dims, 1)[0]
+	}
+	return v, g1
+}
+
+func smoothnessFrom(v, g1 float64) float64 {
 	if v == 0 {
 		return 1
 	}
-	g := Variogram(xs, dims, 1)
-	s := 1 - g[0]/v
-	// Overflowing inputs (v or g infinite) yield NaN; treat as rough.
+	s := 1 - g1/v
+	// Overflowing inputs (v or g1 infinite) yield NaN; treat as rough.
 	if math.IsNaN(s) || s < 0 {
 		return 0
 	}
@@ -378,12 +396,14 @@ func SpatialDiversity(xs []float64, dims []int, blockCount int) float64 {
 // predictors will shrink the data a lot — the coding-gain feature of
 // Ganguli 2023.
 func CodingGain(xs []float64, dims []int) float64 {
-	v := Variance(xs)
+	return codingGainFrom(varianceAndLag1(xs, dims))
+}
+
+func codingGainFrom(v, g1 float64) float64 {
 	if v == 0 {
 		return 60 // constant field: cap at 60 dB, effectively "free"
 	}
-	g := Variogram(xs, dims, 1)
-	residual := 2 * g[0] // E[(z(x+1)-z(x))^2]
+	residual := 2 * g1 // E[(z(x+1)-z(x))^2]
 	if residual <= 0 {
 		return 60
 	}
