@@ -35,10 +35,13 @@ loc:
 # in internal/huffman — Encode's streams and hand-corrupted tables, each
 # decoded without a panic or an oversized reservation and round-tripped —
 # and FuzzFieldMatchesReference's in internal/hurricane — field, step,
-# corpus seed and small grids, each bit-equal to the per-sample reference;
-# to fuzz past the seeds:
+# corpus seed and small grids, each bit-equal to the per-sample reference —
+# and FuzzCodesLorenzo's in internal/compressor/sz3 — shape, bound, bin
+# budget and raw value bits, the row stage's codes equal to Quantizer.Code
+# over LorenzoTerms; to fuzz past the seeds:
 # go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman
-# go test -run '^$$' -fuzz FuzzFieldMatchesReference -fuzztime 1m ./internal/hurricane),
+# go test -run '^$$' -fuzz FuzzFieldMatchesReference -fuzztime 1m ./internal/hurricane
+# go test -run '^$$' -fuzz FuzzCodesLorenzo -fuzztime 1m ./internal/compressor/sz3),
 # the examples run to completion, and the
 # complete test suite under the race detector. The race run stays
 # `-race -short`: -race is what actually exercises the sync.Pool and

@@ -245,3 +245,35 @@ func BenchmarkKernelMetricsChain(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelSurrogate times the three stage models that count codes
+// through sz3's open-loop row stage (Quantizer.CodesLorenzo), warm, on the
+// 32x64x64 TC cell: jin_model over the whole buffer, khan_surrogate over
+// its sixteen sampled runs, zperf_model's lorenzo predictor over its
+// quarter prefix. allocs/op is the hard gate — a fixed handful (jin_model
+// 7: sz3's plan key, the histogram's two columns, the result set and its
+// boxed values), never one per element or per row; it was 262 173.
+func BenchmarkKernelSurrogate(b *testing.B) {
+	data := benchField(b, "TC", 24)
+	for _, c := range []struct{ name, metric string }{
+		{"jin_model", "jin_model"},
+		{"khan_surrogate", "khan_surrogate"},
+		{"zperf_lorenzo", "zperf_model"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := pressio.GetMetric(c.metric)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := m.SetOptions(kernelOpts(b, 1e-4, 1)); err != nil {
+				b.Fatal(err)
+			}
+			m.BeginCompress(data) // fills the pools and the buffer's float64 view
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.BeginCompress(data)
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	_ "repro/internal/compressor/lossless"
@@ -188,24 +189,52 @@ func TestTable2ShapeHolds(t *testing.T) {
 		t.Errorf("khan error-dependent %.3fms not well below sz3 compression %.3fms",
 			k.ErrDep.Mean, base["sz3"].Compress.Mean)
 	}
-	// jin's error-dependent time is of compressor scale (paper: 518 vs
-	// 323 = 1.6x): sz3 compression may cost at most 4x it. On the reduced
-	// grid above fixed flate/huffman setup sets that ratio (it read 2.2 to
-	// 3.5 there, and past 4 on dense fields alone), so this one assertion
-	// is evaluated at the dataset's full 32x64x64 grid, on one dense and
-	// one sparse field, sz3 and jin2022 only: there the ratio read 0.88 to
-	// 1.07 in 20 consecutive runs (0.77 to 0.94 at GOMAXPROCS=1), 0.3 s a
-	// run on 2 vCPUs.
-	full, err := bench.Run(context.Background(), &bench.Spec{
-		Fields: []string{"P", "CLOUD"}, Steps: 2, Dims: []int{32, 64, 64},
-		Compressors: []string{"sz3"}, Schemes: []string{"jin2022"},
-		Folds: 2, Seed: 3, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// the profiled iterator puts jin's error-dependent time at compressor
+	// scale (paper: 518 vs 323 = 1.6x): sz3 compression may cost at most 4x
+	// it. On the reduced grid above fixed flate/huffman setup sets that
+	// ratio, so this is evaluated at the dataset's full 32x64x64 grid, on
+	// one dense and one sparse field at Table 2's two bounds — with
+	// jin:fast_iterator=false set on the metric itself, since a bench.Spec
+	// carries no metric option. The north star's side of it: what jin_model
+	// serves with (sz3's row stage, the paper's future-work item 3) costs
+	// less than one sz3 compression of the same buffers (it read 0.11–0.14x).
+	var naiveMS, servedMS, compressMS float64
+	for _, name := range []string{"P", "CLOUD"} {
+		data, err := hurricane.Field(name, 1, []int{32, 64, 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jinMS := func(opts pressio.Options) float64 {
+			m, err := pressio.GetMetric("jin_model")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetOptions(opts); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			m.BeginCompress(data)
+			return float64(time.Since(start)) / float64(time.Millisecond)
+		}
+		for _, abs := range []float64{1e-6, 1e-4} {
+			opts := pressio.Options{}
+			opts.Set(pressio.OptAbs, abs)
+			_, c, _, err := core.ObserveTarget("sz3", data, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compressMS += c
+			servedMS += jinMS(opts)
+			opts.Set(predictors.OptJinFastIterator, false)
+			naiveMS += jinMS(opts)
+		}
 	}
-	if j, c := full.Rows[0].ErrDep.Mean, full.Baselines[0].Compress.Mean; j < c/4 {
-		t.Errorf("jin error-dependent %.3fms unexpectedly cheap vs compression %.3fms", j, c)
+	t.Logf("32x64x64, P and CLOUD at two bounds: jin naive %.2f ms, jin served %.2f ms, sz3 compression %.2f ms", naiveMS, servedMS, compressMS)
+	if naiveMS < compressMS/4 {
+		t.Errorf("jin on the profiled iterator %.3fms unexpectedly cheap vs compression %.3fms", naiveMS, compressMS)
+	}
+	if servedMS >= compressMS {
+		t.Errorf("jin as served %.3fms costs no less than the compression %.3fms it predicts", servedMS, compressMS)
 	}
 	// jin does not support zfp
 	if rows["zfp/jin2022"].Supported {

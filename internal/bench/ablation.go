@@ -71,8 +71,10 @@ func timeMetric(name string, opts pressio.Options, data *pressio.Data) (float64,
 // AblationJin reproduces the §6 iterator finding: the Jin model's
 // error-dependent time exceeds the compressor's own runtime because of
 // per-element overhead in the multi-dimensional iterator (shared-pointer
-// churn in the profiled C++; per-step allocation here), and the optimized
-// iterator closes the gap. Returns the three timings on `reps` fields.
+// churn in the profiled C++; per-step allocation here, asked for with
+// jin:fast_iterator=false), and the optimized path — sz3's row stage, what
+// jin_model serves with — closes the gap. Returns the three timings on
+// `reps` fields.
 func AblationJin(spec *Spec, reps int) (string, error) {
 	spec.defaults()
 	if reps <= 0 {
@@ -88,13 +90,14 @@ func AblationJin(spec *Spec, reps int) (string, error) {
 		opts := pressio.Options{}
 		opts.Set(pressio.OptAbs, spec.Bounds[0])
 
-		naive, err := timeMetric("jin_model", opts, data)
+		iterOpts := opts.Clone()
+		iterOpts.Set(predictors.OptJinFastIterator, false)
+		naive, err := timeMetric("jin_model", iterOpts, data)
 		if err != nil {
 			return "", err
 		}
-		fastOpts := opts.Clone()
-		fastOpts.Set(predictors.OptJinFastIterator, true)
-		fast, err := timeMetric("jin_model", fastOpts, data)
+		iterOpts.Set(predictors.OptJinFastIterator, true)
+		fast, err := timeMetric("jin_model", iterOpts, data)
 		if err != nil {
 			return "", err
 		}

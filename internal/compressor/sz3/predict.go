@@ -58,8 +58,7 @@ func (q *Quantizer) cast(x float64) float64 {
 // multiple of 2·Abs, or to OutlierCode when that falls outside the bin
 // budget — which a NaN or infinite residual always does. It is the
 // open-loop rule: Quantize adds the check that the reconstruction meets the
-// bound at storage precision, and the stage models in internal/predictors
-// count codes with this alone.
+// bound at storage precision, and CodesLorenzo is this over a whole buffer.
 func (q *Quantizer) Code(residual float64) int32 {
 	c := math.Round(residual / (2 * q.Abs))
 	if half := float64(q.Bins / 2); c < half && c > -half {
@@ -166,6 +165,8 @@ func lorenzoPlanFor(dims []int) *lorenzoPlan {
 	return p
 }
 
+var lorenzoPlan1D = lorenzoPlanFor([]int{1})
+
 // PredictQuantizeLorenzo runs the Lorenzo predictor + quantizer over vals
 // (C-ordered with the given dims) into caller-provided codes and recon
 // buffers (len(vals) each, fully overwritten, so the compressor can recycle
@@ -196,6 +197,83 @@ func PredictQuantizeLorenzo(codes []int32, recon []float64, vals []float64, dims
 		}
 	}
 	return outliers
+}
+
+// CodesLorenzo is the open-loop prediction + quantization stage the stage
+// models in internal/predictors count codes with: codes[i] (len(vals), fully
+// overwritten) is Code of vals[i] less its first-order Lorenzo prediction
+// from the original neighbours, summed in LorenzoTerms order. dims is a
+// buffer's (jin_model) or []int{len(vals)} for a 1-D run, each value less
+// the one before it and the first less zero (khan_surrogate, zperf_model).
+// It runs a row at a time and calls nothing per element: a row has one
+// boundary mask (the innermost bit clear for element 0, set after it), and
+// interior rows of rank 1–3 take the closed-loop kernel's unrolled sum.
+// Bins is within the compressor's range, [4, 1<<24].
+func (q *Quantizer) CodesLorenzo(codes []int32, vals []float64, dims []int) {
+	n, nd := len(vals), len(dims)
+	if n == 0 {
+		return
+	}
+	rowLen := dims[nd-1]
+	plan := lorenzoPlan1D // a 1-D run's terms do not depend on its length
+	if nd > 1 {
+		plan = lorenzoPlanFor(dims)
+	}
+	step, edge := 2*q.Abs, float64(q.Bins/2)-0.5
+	for base := 0; base < n; base += rowLen {
+		var mask uint32 // the leading axes this row has a neighbour behind it on
+		for d, rem := 0, base; d < nd-1; d++ {
+			if rem >= plan.str[d] {
+				mask |= 1 << d
+			}
+			rem %= plan.str[d]
+		}
+		row, out := vals[base:base+rowLen], codes[base:base+rowLen]
+		terms, rest := plan.byMask[mask], plan.byMask[mask|1<<(nd-1)]
+		unrolled := nd <= 3 && len(rest) == len(plan.terms)
+		for k := 0; k < rowLen && (k == 0 || !unrolled); k++ {
+			var pred float64
+			for _, t := range terms {
+				pred += t.Sign * vals[base+k-t.Offset]
+			}
+			out[k] = codeOf((row[k]-pred)/step, edge)
+			terms = rest
+		}
+		switch {
+		case !unrolled: // the term lists took the whole row
+		case nd == 1:
+			for k := 1; k < rowLen; k++ {
+				out[k] = codeOf((row[k]-row[k-1])/step, edge)
+			}
+		case nd == 2:
+			r1 := vals[base-rowLen:][:rowLen]
+			for k := 1; k < rowLen; k++ {
+				out[k] = codeOf((row[k]-(r1[k]+row[k-1]-r1[k-1]))/step, edge)
+			}
+		default:
+			o1, o2 := plan.str[0], plan.str[1]
+			r1, r2, r3 := vals[base-o1:][:rowLen], vals[base-o2:][:rowLen], vals[base-o1-o2:][:rowLen]
+			p1, p2, p3, prev := r1[0], r2[0], r3[0], row[0]
+			for k := 1; k < rowLen; k++ {
+				n1, n2, n3, v := r1[k], r2[k], r3[k], row[k]
+				pred := n1 + n2 - n3 + prev - p1 - p2 + p3
+				out[k] = codeOf((v-pred)/step, edge)
+				p1, p2, p3, prev = n1, n2, n3, v
+			}
+		}
+	}
+}
+
+// codeOf is Code's rule for the quotient x = residual / (2·Abs), without
+// math.Round: x rounds to a code inside the budget exactly when |x| < edge,
+// half the budget less a half; it converts toward zero, then steps away
+// from zero when the remainder — exact — is a half or more.
+func codeOf(x, edge float64) int32 {
+	if x < edge && x > -edge {
+		c := int32(x)
+		return c + int32(2*(x-float64(c)))
+	}
+	return OutlierCode
 }
 
 // lorenzoRowCompress quantizes one contiguous row. mask carries the

@@ -13,19 +13,20 @@ import (
 
 // codeModel is what khan_surrogate's SZ estimate, zperf_model and jin_model
 // have in common once each has chosen which neighbours predict an element
-// and which elements it samples. A residual goes through sz3's Quantizer —
-// the one statement of the rule: the nearest multiple of 2·abs, an outlier
-// outside the bin budget, NaN and ±Inf included — as cm.count(cm.q.Code(r)),
-// and the codes are then counted in a dense window exactly as wide as the
-// span they cover, never the bin budget. The counts come back in code order
-// (entropy, histogram), so a float sum over them runs in the same order on
-// every call; out of a map it differed in its last bits from one call to
-// the next. bitsPerValue is the one cost formula the three end in.
+// and which elements it samples. A stage writes a run of quantization codes
+// into room — sz3's CodesLorenzo, or cm.q.Code per residual, the one
+// statement of the rule: the nearest multiple of 2·abs, an outlier outside
+// the bin budget, NaN and ±Inf included — take counts the run, and the codes
+// are then tallied in a dense window exactly as wide as the span they
+// cover, never the bin budget. The counts come back in code order (entropy,
+// histogram), so a float sum over them runs in the same order on every
+// call; out of a map it differed in its last bits from one call to the
+// next. bitsPerValue is the one cost formula the three end in.
 type codeModel struct {
 	q        sz3.Quantizer
-	codes    []int32 // the codes inside the bin budget, in arrival order
-	lo, hi   int32   // their extremes
-	outliers uint64  // how many more were OutlierCode
+	codes    []int32 // every code taken, in arrival order
+	lo, hi   int32   // the extremes of those inside the bin budget
+	outliers uint64  // how many were OutlierCode
 	// window is where entropy and histogram count the codes, window[i]
 	// for code lo+i, and zero again while it is hot: its whole capacity is
 	// zero between uses, so a warm model allocates and zeroes nothing wider
@@ -46,26 +47,30 @@ func (cm *codeModel) reset(abs float64, bins int) {
 	cm.lo, cm.hi = math.MaxInt32, math.MinInt32
 }
 
-// expect sizes the scratch once for a count of up to n codes, so one that
-// visits a whole buffer does not grow it by doubling.
-func (cm *codeModel) expect(n int) { cm.codes = slices.Grow(cm.codes, n) }
+// room is where a stage writes its next n codes; take then counts them.
+func (cm *codeModel) room(n int) []int32 {
+	at := len(cm.codes)
+	cm.codes = slices.Grow(cm.codes, n)[:at+n]
+	return cm.codes[at:]
+}
 
-// count takes one quantization code, cm.q.Code's or a quantizer stage's.
-func (cm *codeModel) count(c int32) {
-	if c == sz3.OutlierCode {
-		cm.outliers++
-		return
+// take counts the run of codes a stage wrote into room.
+func (cm *codeModel) take(run []int32) {
+	for _, c := range run {
+		if c == sz3.OutlierCode {
+			cm.outliers++
+			continue
+		}
+		cm.lo, cm.hi = min(cm.lo, c), max(cm.hi, c)
 	}
-	cm.codes = append(cm.codes, c)
-	cm.lo, cm.hi = min(cm.lo, c), max(cm.hi, c)
 }
 
 // n is how many codes were counted, outliers included.
-func (cm *codeModel) n() uint64 { return uint64(len(cm.codes)) + cm.outliers }
+func (cm *codeModel) n() uint64 { return uint64(len(cm.codes)) }
 
 // tally fills the window from the codes; the caller zeroes it again.
 func (cm *codeModel) tally() []uint64 {
-	if len(cm.codes) == 0 {
+	if cm.n() == cm.outliers {
 		return nil
 	}
 	span := int(cm.hi) - int(cm.lo) + 1
@@ -74,7 +79,9 @@ func (cm *codeModel) tally() []uint64 {
 	}
 	window := cm.window[:span]
 	for _, c := range cm.codes {
-		window[c-cm.lo]++
+		if c != sz3.OutlierCode {
+			window[c-cm.lo]++
+		}
 	}
 	return window
 }

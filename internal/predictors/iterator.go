@@ -9,24 +9,15 @@
 // forest with interpolation augmentation).
 package predictors
 
-// ndIterator walks a multi-dimensional index space, yielding flat element
-// indices and exposing the current coordinates. The interface indirection
-// exists to reproduce the implementation style of the Jin 2022 code the
-// paper profiled: its "multi-dimensional iterator" managed C++ shared
-// pointers per step, and the paper attributes Jin's surprisingly high
-// error-dependent time (518 ms vs the 322 ms compressor) to exactly this
-// overhead surviving the optimizer (§6).
-type ndIterator interface {
-	// Next advances and returns the flat index, or ok=false at the end.
-	Next() (idx int, ok bool)
-	// Coords returns the coordinates of the element Next just produced.
-	Coords() []int
-}
+import "repro/internal/compressor/sz3"
 
-// naiveIterator is the faithful analogue of the shared-pointer iterator:
-// every step allocates a fresh coordinate snapshot (the shared_ptr churn)
-// and recomputes the flat index from scratch. Used by jin_model unless
-// jin:fast_iterator is set.
+// naiveIterator walks a multi-dimensional index space the way the Jin 2022
+// code the paper profiled did: its "multi-dimensional iterator" managed C++
+// shared pointers per step, and the paper attributes Jin's error-dependent
+// time (518 ms vs the 322 ms compressor) to that overhead surviving the
+// optimizer (§6). Every step allocates a fresh coordinate snapshot and
+// recomputes the flat index from scratch. jin_model runs it only when
+// jin:fast_iterator is false — the §6 ablation; it serves with sz3's row stage.
 type naiveIterator struct {
 	dims   []int
 	coords []int
@@ -41,7 +32,8 @@ func newNaiveIterator(dims []int) *naiveIterator {
 	return &naiveIterator{dims: dims, n: n, i: -1}
 }
 
-// Next implements ndIterator the expensive way: rebuild the stride table,
+// Next advances and returns the flat index, or ok=false at the end, the
+// expensive way: rebuild the stride table,
 // decompose i into coordinates afresh, and allocate the snapshot — every
 // element, as the profiled C++ iterator effectively did once the
 // optimizer failed to elide its shared-pointer bookkeeping.
@@ -66,42 +58,32 @@ func (it *naiveIterator) Next() (int, bool) {
 	return it.i, true
 }
 
-// Coords implements ndIterator.
+// Coords returns the coordinates of the element Next just produced.
 func (it *naiveIterator) Coords() []int { return it.coords }
 
-// fastIterator is the optimized path (the paper's future-work item 3):
-// incremental coordinate updates, no allocation.
-type fastIterator struct {
-	dims   []int
-	coords []int
-	i, n   int
-}
-
-func newFastIterator(dims []int) *fastIterator {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	return &fastIterator{dims: dims, coords: make([]int, len(dims)), n: n, i: -1}
-}
-
-// Next implements ndIterator with an O(1) amortized coordinate update.
-func (it *fastIterator) Next() (int, bool) {
-	it.i++
-	if it.i >= it.n {
-		return 0, false
-	}
-	if it.i > 0 {
-		for d := len(it.dims) - 1; d >= 0; d-- {
-			it.coords[d]++
-			if it.coords[d] < it.dims[d] {
-				break
-			}
-			it.coords[d] = 0
+// naiveLorenzoCodes is sz3's CodesLorenzo stage — the first-order Lorenzo
+// terms read over original neighbours, as the analytic model does, not
+// reconstructed ones, then q.Code — at an element per naiveIterator step.
+func naiveLorenzoCodes(codes []int32, vals []float64, dims []int, q *sz3.Quantizer) {
+	terms := sz3.LorenzoTerms(dims)
+	it := newNaiveIterator(dims)
+	for {
+		idx, ok := it.Next()
+		if !ok {
+			break
 		}
+		var have uint32 // the dimensions with a neighbour behind this element
+		for d, c := range it.Coords() {
+			if c >= 1 {
+				have |= 1 << d
+			}
+		}
+		var pred float64
+		for _, t := range terms {
+			if t.Mask&have == t.Mask {
+				pred += t.Sign * vals[idx-t.Offset]
+			}
+		}
+		codes[idx] = q.Code(vals[idx] - pred)
 	}
-	return it.i, true
 }
-
-// Coords implements ndIterator.
-func (it *fastIterator) Coords() []int { return it.coords }

@@ -1,6 +1,8 @@
 package predictors
 
 import (
+	"fmt"
+
 	"repro/internal/compressor/sz3"
 	"repro/internal/core"
 	"repro/internal/huffman"
@@ -10,15 +12,16 @@ import (
 
 // Option keys of the jin_model metric.
 const (
-	// OptJinFastIterator selects the optimized iterator instead of the
-	// faithful naive one ("jin:fast_iterator") — the ablation of §6.
+	// OptJinFastIterator ("jin:fast_iterator", default true) selects sz3's
+	// row stage; false runs the profiled naive iterator instead — the
+	// ablation of §6. Every result bit is the same either way.
 	OptJinFastIterator = "jin:fast_iterator"
 	// OptJinQuantBins sets the modelled quantizer bin budget.
 	OptJinQuantBins = "jin:quant_bins"
 )
 
 func init() {
-	pressio.RegisterMetric("jin_model", func() pressio.Metric { return &JinModel{} })
+	pressio.RegisterMetric("jin_model", func() pressio.Metric { return &JinModel{FastIter: true} })
 	core.RegisterScheme("jin2022", func() core.Scheme { return &jinScheme{} })
 }
 
@@ -56,7 +59,10 @@ func (m *JinModel) SetOptions(o pressio.Options) error {
 	if v, ok := o.GetBool(OptJinFastIterator); ok {
 		m.FastIter = v
 	}
-	if v, ok := o.GetInt(OptJinQuantBins); ok && v >= 4 {
+	if v, ok := o.GetInt(OptJinQuantBins); ok {
+		if v < 4 || v > 1<<24 { // sz3's own range: a code is an int32, a count window spans the codes
+			return fmt.Errorf("jin_model: %s out of range [4, 1<<24]: %d", OptJinQuantBins, v)
+		}
 		m.Bins = int(v)
 	}
 	return nil
@@ -65,7 +71,7 @@ func (m *JinModel) SetOptions(o pressio.Options) error {
 // Options implements pressio.Metric.
 func (m *JinModel) Options() pressio.Options {
 	o := pressio.Options{}
-	o.Set(pressio.OptAbs, m.Abs)
+	o.Set(pressio.OptAbs, m.abs())
 	o.Set(OptJinFastIterator, m.FastIter)
 	o.Set(OptJinQuantBins, int64(m.bins()))
 	return o
@@ -87,14 +93,18 @@ func (m *JinModel) abs() float64 {
 
 // BeginCompress implements pressio.Metric: runs the analytic model.
 func (m *JinModel) BeginCompress(in *pressio.Data) {
-	dims := in.Dims()
-	var it ndIterator
+	cm := codeModelPool.Get().(*codeModel)
+	defer codeModelPool.Put(cm)
+	cm.reset(m.abs(), m.bins())
+	vals, dims := stats.Float64Of(in), in.Dims()
+	codes := cm.room(len(vals))
 	if m.FastIter {
-		it = newFastIterator(dims)
+		cm.q.CodesLorenzo(codes, vals, dims)
 	} else {
-		it = newNaiveIterator(dims)
+		naiveLorenzoCodes(codes, vals, dims, &cm.q)
 	}
-	hist, outliers, n := lorenzoCodeHistogram(stats.Float64Of(in), dims, m.abs(), m.bins(), it)
+	cm.take(codes)
+	hist, outliers, n := cm.histogram(), cm.outliers, cm.n()
 	r := pressio.Options{}
 	if n == 0 {
 		r.Set("jin_model:cr", 1.0)
@@ -118,39 +128,6 @@ func (m *JinModel) BeginCompress(in *pressio.Data) {
 
 // Results implements pressio.Metric.
 func (m *JinModel) Results() pressio.Options { return m.results.Clone() }
-
-// lorenzoCodeHistogram runs the prediction + quantization stages over every
-// element it yields — sz3's first-order Lorenzo terms, read over original
-// neighbours as the analytic model does, not reconstructed ones — and
-// histograms the quantization codes of the n elements visited.
-func lorenzoCodeHistogram(vals []float64, dims []int, abs float64, bins int, it ndIterator) (hist huffman.Histogram, outliers, n uint64) {
-	cm := codeModelPool.Get().(*codeModel)
-	defer codeModelPool.Put(cm)
-	cm.reset(abs, bins)
-	cm.expect(len(vals)) // every element is visited
-	terms := sz3.LorenzoTerms(dims)
-	for {
-		idx, ok := it.Next()
-		if !ok {
-			break
-		}
-		var have uint32 // the dimensions with a neighbour behind this element
-		for d, c := range it.Coords() {
-			if c >= 1 {
-				have |= 1 << d
-			}
-		}
-		var pred float64
-		for _, t := range terms {
-			if t.Mask&have == t.Mask {
-				pred += t.Sign * vals[idx-t.Offset]
-			}
-		}
-		cm.count(cm.q.Code(vals[idx] - pred))
-	}
-	hist, outliers, n = cm.histogram(), cm.outliers, cm.n()
-	return hist, outliers, n
-}
 
 // jinScheme wires the jin_model metric as a scheme. The prediction IS the
 // metric value, so the predictor is the identity module.

@@ -190,11 +190,10 @@ func (m *KhanSurrogate) estimateSZ(in *pressio.Data, sc *khanScratch) float64 {
 	defer codeModelPool.Put(cm)
 	cm.reset(m.abs(), sz3.DefaultBins)
 	for _, run := range m.sampleRuns(in.Len(), 16, sc.runs[:0]) {
-		prev := 0.0
-		for _, v := range sc.read(in, run) {
-			cm.count(cm.q.Code(v - prev))
-			prev = v
-		}
+		vals := sc.read(in, run)
+		codes := cm.room(len(vals))
+		cm.q.CodesLorenzo(codes, vals, []int{len(vals)})
+		cm.take(codes)
 	}
 	if cm.n() == 0 {
 		return 1

@@ -1,8 +1,10 @@
 package predictors
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/compressor/sz3"
 	"repro/internal/core"
 	"repro/internal/pressio"
 )
@@ -150,5 +152,40 @@ func TestKhanSZXEstimate(t *testing.T) {
 	}
 	if nc < 1 {
 		t.Errorf("estimate below 1: %v", nc)
+	}
+}
+
+// jin:quant_bins is held to sz3's own range: a code is an int32 and the
+// count window spans the codes, so a budget past it is a request for the
+// machine's memory. A refusal names the key and leaves the model as it was;
+// Options reports the bound and budget BeginCompress will use.
+func TestJinQuantBinsIsHeldToSZ3sRange(t *testing.T) {
+	for _, tc := range []struct {
+		bins int64
+		ok   bool
+	}{
+		{4, true}, {512, true}, {1 << 24, true},
+		{3, false}, {0, false}, {-1, false}, {1<<24 + 1, false}, {1 << 33, false},
+	} {
+		m := &JinModel{}
+		opts := pressio.Options{}
+		opts.Set(OptJinQuantBins, tc.bins)
+		err := m.SetOptions(opts)
+		if tc.ok != (err == nil) {
+			t.Errorf("jin:quant_bins=%d: err = %v, want ok=%v", tc.bins, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), OptJinQuantBins) {
+			t.Errorf("jin:quant_bins=%d: error %q does not name the key", tc.bins, err)
+		}
+		want := tc.bins
+		if !tc.ok {
+			want = sz3.DefaultBins
+		}
+		if got, _ := m.Options().GetInt(OptJinQuantBins); got != want {
+			t.Errorf("jin:quant_bins=%d: Options reports %d, want %d", tc.bins, got, want)
+		}
+	}
+	if abs, _ := (&JinModel{}).Options().GetFloat(pressio.OptAbs); abs != 1e-4 {
+		t.Errorf("an unset bound reports %v, want the effective 1e-4", abs)
 	}
 }

@@ -2,10 +2,11 @@ package predictors
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	_ "repro/internal/compressor/lossless"
-	_ "repro/internal/compressor/sz3"
+	"repro/internal/compressor/sz3"
 	_ "repro/internal/compressor/szx"
 	_ "repro/internal/compressor/zfp"
 	"repro/internal/core"
@@ -151,55 +152,78 @@ func TestCalculationSchemesAreInRange(t *testing.T) {
 	}
 }
 
+// The profiled iterator and sz3's row stage are one model at two costs:
+// every quantization code, and every bit of both features, is the same on
+// all 13 fields at three bounds, the cell read as 3-, 2- and 1-D.
 func TestJinNaiveAndFastIteratorsAgree(t *testing.T) {
-	data := field(t, "TC", 10)
-	naive := &JinModel{}
-	opts := pressio.Options{}
-	opts.Set(pressio.OptAbs, 1e-4)
-	naive.SetOptions(opts)
-	naive.BeginCompress(data)
-	nv, _ := naive.Results().GetFloat("jin_model:cr")
+	for _, name := range hurricane.FieldNames {
+		in := field(t, name, 10)
+		for _, shape := range [][]int{testDims, {testDims[0] * testDims[1], testDims[2]}, {in.Len()}} {
+			cell := pressio.FromFloat32(in.Float32(), shape...)
+			for _, abs := range []float64{1.2e-6, 1.3e-4, 1e-2} {
+				q := &sz3.Quantizer{Abs: abs, Bins: sz3.DefaultBins}
+				naive, fast := make([]int32, cell.Len()), make([]int32, cell.Len())
+				naiveLorenzoCodes(naive, stats.Float64Of(cell), shape, q)
+				q.CodesLorenzo(fast, stats.Float64Of(cell), shape)
+				if !slices.Equal(naive, fast) {
+					t.Errorf("%s %v abs=%g: the row stage's codes are not the naive iterator's", name, shape, abs)
+				}
+				var results [2]pressio.Options
+				for i, fastIter := range []bool{false, true} {
+					m := &JinModel{}
+					opts := pressio.Options{}
+					opts.Set(pressio.OptAbs, abs)
+					opts.Set(OptJinFastIterator, fastIter)
+					if err := m.SetOptions(opts); err != nil {
+						t.Fatal(err)
+					}
+					m.BeginCompress(cell)
+					results[i] = m.Results()
+				}
+				for _, key := range []string{"jin_model:cr", "jin_model:outlier_fraction"} {
+					nv, _ := results[0].GetFloat(key)
+					fv, ok := results[1].GetFloat(key)
+					if !ok || math.Float64bits(nv) != math.Float64bits(fv) {
+						t.Errorf("%s %v abs=%g: %s naive=%v fast=%v", name, shape, abs, key, nv, fv)
+					}
+				}
+			}
+		}
+	}
+}
 
-	fast := &JinModel{}
-	opts.Set(OptJinFastIterator, true)
-	fast.SetOptions(opts)
-	fast.BeginCompress(data)
-	fv, _ := fast.Results().GetFloat("jin_model:cr")
-
-	if math.Abs(nv-fv) > 1e-9 {
-		t.Errorf("iterator implementations disagree: naive=%v fast=%v", nv, fv)
+// The registry's jin_model — what a session, predictd and predict-bench
+// run — is the row stage; the profiled iterator is asked for by name.
+func TestJinServesTheRowStageByDefault(t *testing.T) {
+	m, err := pressio.GetMetric("jin_model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast, ok := m.Options().GetBool(OptJinFastIterator); !ok || !fast {
+		t.Errorf("%s defaults to %v, want true", OptJinFastIterator, fast)
 	}
 }
 
 func TestIteratorsVisitAllIndices(t *testing.T) {
-	dims := []int{3, 4, 5}
-	for _, mk := range []func() ndIterator{
-		func() ndIterator { return newNaiveIterator(dims) },
-		func() ndIterator { return newFastIterator(dims) },
-	} {
-		it := mk()
-		count := 0
-		expect := 0
-		for {
-			idx, ok := it.Next()
-			if !ok {
-				break
-			}
-			if idx != expect {
-				t.Fatalf("index %d out of order (want %d)", idx, expect)
-			}
-			// coords must decode back to idx
-			c := it.Coords()
-			flat := (c[0]*4+c[1])*5 + c[2]
-			if flat != idx {
-				t.Fatalf("coords %v do not match index %d", c, idx)
-			}
-			expect++
-			count++
+	it := newNaiveIterator([]int{3, 4, 5})
+	expect := 0
+	for {
+		idx, ok := it.Next()
+		if !ok {
+			break
 		}
-		if count != 60 {
-			t.Fatalf("visited %d of 60", count)
+		if idx != expect {
+			t.Fatalf("index %d out of order (want %d)", idx, expect)
 		}
+		// coords must decode back to idx
+		c := it.Coords()
+		if flat := (c[0]*4+c[1])*5 + c[2]; flat != idx {
+			t.Fatalf("coords %v do not match index %d", c, idx)
+		}
+		expect++
+	}
+	if expect != 60 {
+		t.Fatalf("visited %d of 60", expect)
 	}
 }
 
@@ -332,6 +356,7 @@ func BenchmarkJinNaiveIterator(b *testing.B) {
 	m := &JinModel{}
 	opts := pressio.Options{}
 	opts.Set(pressio.OptAbs, 1e-4)
+	opts.Set(OptJinFastIterator, false)
 	m.SetOptions(opts)
 	b.ReportAllocs()
 	b.ResetTimer()

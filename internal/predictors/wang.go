@@ -202,18 +202,15 @@ func (m *ZperfModel) residualHistogram(sample []float64) (huffman.Histogram, uin
 	cm := codeModelPool.Get().(*codeModel)
 	defer codeModelPool.Put(cm)
 	cm.reset(m.abs(), sz3.DefaultBins)
+	codes := cm.room(len(sample))
 	switch m.predictor() {
 	case "regression":
 		// SZ2-style block regression: reuse the compressor's own stage
-		codes := make([]int32, len(sample))
 		sz3.PredictQuantizeRegression(codes, sample, []int{len(sample)}, &cm.q, 0)
-		for _, c := range codes {
-			cm.count(c)
-		}
 	case "mean":
 		mean := stats.Mean(sample)
-		for _, v := range sample {
-			cm.count(cm.q.Code(v - mean))
+		for i, v := range sample {
+			codes[i] = cm.q.Code(v - mean)
 		}
 	case "interp":
 		// midpoint interpolation at stride 2
@@ -224,15 +221,12 @@ func (m *ZperfModel) residualHistogram(sample []float64) (huffman.Histogram, uin
 			} else if i >= 2 {
 				pred = sample[i-2]
 			}
-			cm.count(cm.q.Code(v - pred))
+			codes[i] = cm.q.Code(v - pred)
 		}
 	default: // lorenzo (1-D on the sampled slab)
-		prev := 0.0
-		for _, v := range sample {
-			cm.count(cm.q.Code(v - prev))
-			prev = v
-		}
+		cm.q.CodesLorenzo(codes, sample, []int{len(sample)})
 	}
+	cm.take(codes)
 	hist, outliers := cm.histogram(), cm.outliers
 	return hist, outliers
 }

@@ -592,3 +592,39 @@ func TestPredictIntervalAlpha(t *testing.T) {
 		t.Errorf("interval %v should bracket prediction %v", pr.Interval, pr.Prediction)
 	}
 }
+
+// One request could kill the daemon: jin_model took any jin:quant_bins and
+// sized its count window by the span of the codes, so 2^33 bins at a 1e-12
+// bound asked for ~17 GB — an out-of-memory fatal, not a panic to recover.
+// The metric refuses the option by name now: a single predict is a 400, a
+// batch keeps its partial-failure contract (200, every item carrying the
+// refusal), and the daemon answers the next request.
+func TestJinQuantBinsPastSZ3sRangeIsRefusedNotFatal(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	bad := map[string]any{"pressio:abs": 1e-12, "jin:quant_bins": 8589934592}
+	cell := &DataRef{Field: "P", Step: 1, Dims: []int{8, 8, 8}}
+
+	resp, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Scheme: "jin2022", Compressor: "sz3", Options: bad, Data: cell})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "jin:quant_bins") {
+		t.Errorf("predict: status %d body %s, want 400 naming jin:quant_bins", resp.StatusCode, body)
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{Scheme: "jin2022", Compressor: "sz3", Options: bad,
+		Dims: cell.Dims, Fields: []string{"P", "U"}, Steps: []int{1, 1}})
+	var batch BatchResponse
+	if err := json.Unmarshal(body, &batch); err != nil || resp.StatusCode != http.StatusOK || batch.Errors != 2 {
+		t.Fatalf("batch: status %d body %s (%v), want 200 with both items refused", resp.StatusCode, body, err)
+	}
+	for i, r := range batch.Results {
+		if !strings.Contains(r.Error, "jin:quant_bins") {
+			t.Errorf("batch item %d: error %q does not name jin:quant_bins", i, r.Error)
+		}
+	}
+
+	ok := map[string]any{"pressio:abs": 1e-4, "jin:quant_bins": 1024}
+	resp, body = postJSON(t, ts.URL+"/v1/predict", PredictRequest{Scheme: "jin2022", Compressor: "sz3", Options: ok, Data: cell})
+	var pr PredictResponse
+	if err := json.Unmarshal(body, &pr); err != nil || resp.StatusCode != http.StatusOK || !(pr.Prediction >= 1) {
+		t.Errorf("the next predict: status %d body %s (%v), want a served ratio", resp.StatusCode, body, err)
+	}
+}
