@@ -108,6 +108,72 @@ func TestPredictBatchPartialFailure(t *testing.T) {
 	}
 }
 
+// TestBatchRepeatedCells pins what a batch answers for a cell it names
+// more than once: a cold cell is computed at its first occurrence and
+// reads back cached after it, a warm cell is a hit every time, a failed
+// cell fails every time with its own error — and /statz counts each item.
+func TestBatchRepeatedCells(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	batch := func(fields []string, steps []int) ([]byte, BatchResponse) {
+		t.Helper()
+		resp, raw := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
+			Scheme: "khan2023", Compressor: "sz3", Dims: []int{8, 8, 8}, Fields: fields, Steps: steps,
+		})
+		var out BatchResponse
+		if err := json.Unmarshal(raw, &out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %v: status %d body %q: %v", fields, resp.StatusCode, raw, err)
+		}
+		return raw, out
+	}
+	_, warm := batch([]string{"P"}, []int{0})
+	_, bad := batch([]string{"NOPE"}, []int{0})
+	if bad.Errors != 1 || !strings.Contains(bad.Results[0].Error, `"NOPE"`) {
+		t.Fatalf("an unknown field must fail its item by name: %+v", bad)
+	}
+
+	// cold TC t1 three times, warm P t0 three times, unknown NOPE twice
+	fields := []string{"TC", "P", "NOPE", "TC", "P", "NOPE", "P", "TC"}
+	steps := []int{1, 0, 0, 1, 0, 0, 0, 1}
+	for pass, wantDelta := range []struct{ hits, misses uint64 }{{5, 1}, {6, 0}} {
+		before := statz(t, ts.URL)
+		raw, out := batch(fields, steps)
+		cold := out.Results[0].Prediction
+		if cold == 0 {
+			t.Fatalf("pass %d: cold cell answered %s", pass, raw)
+		}
+		want := BatchResponse{Scheme: "khan2023", Compressor: "sz3", Target: warm.Target, Count: len(fields), Errors: 2}
+		for i, f := range fields {
+			switch f {
+			case "TC":
+				want.Results = append(want.Results, BatchItemResult{Prediction: cold, Cached: pass > 0 || i > 0})
+			case "P":
+				want.Results = append(want.Results, warm.Results[0])
+				want.Results[i].Cached = true
+			default:
+				want.Results = append(want.Results, bad.Results[0])
+			}
+		}
+		var wantRaw bytes.Buffer
+		if err := json.NewEncoder(&wantRaw).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, wantRaw.Bytes()) {
+			t.Errorf("pass %d reply\n got %s\nwant %s", pass, raw, wantRaw.Bytes())
+		}
+		st := statz(t, ts.URL)
+		if d := st.CacheHits - before.CacheHits; d != wantDelta.hits {
+			t.Errorf("pass %d: cache_hits +%d, want +%d", pass, d, wantDelta.hits)
+		}
+		if d := st.CacheMisses - before.CacheMisses; d != wantDelta.misses {
+			t.Errorf("pass %d: cache_misses +%d, want +%d", pass, d, wantDelta.misses)
+		}
+		if st.BatchPreds-before.BatchPreds != uint64(len(fields)) || st.BatchRequests-before.BatchRequests != 1 {
+			t.Errorf("pass %d: batch_predictions +%d in +%d requests, want +%d in +1",
+				pass, st.BatchPreds-before.BatchPreds, st.BatchRequests-before.BatchRequests, len(fields))
+		}
+	}
+}
+
 // TestPredictBatchFeatureRows drives the flat row-major features matrix.
 func TestPredictBatchFeatureRows(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
