@@ -105,6 +105,9 @@ fmt-check:
 # decoder's differential table, scanner against encoding/json) and the
 # daemon build, all under the race detector. To fuzz past the seeds:
 # go test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 1m ./internal/serve
+# It gates no speed; serve_hot's in-process loopback twin (a real
+# 127.0.0.1 server, two keep-alive clients, items/s) is, with a profile:
+# go test -run '^$$' -bench ServeHotLoopback -cpuprofile /tmp/hot.prof ./internal/serve
 serve-check:
 	$(GO) vet ./internal/serve/ ./cmd/predictd/
 	$(GO) build -o /dev/null ./cmd/predictd/

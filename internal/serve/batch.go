@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/hurricane"
 	"repro/internal/opthash"
 	"repro/internal/pressio"
 )
@@ -312,11 +313,18 @@ func (s *Server) cacheResult(g *batchGroup, k cellKey, out *BatchItemResult) {
 	})
 }
 
-// predictBatchItems serves every item of a decoded batch into the
-// item-aligned results slice on the calling goroutine (the handler wraps
+// predictBatchItems serves every item of the scratch's decoded batch into
+// its item-aligned results on the calling goroutine (the handler wraps
 // the call in one worker-pool slot). This is the steady-state core the
-// serve benchmark measures.
-func (s *Server) predictBatchItems(ctx context.Context, g *batchGroup, req *BatchRequest, results []BatchItemResult) (hits, errs int) {
+// serve benchmark measures. A batch costs its distinct cells: the first
+// occurrence of a (field, step) is looked up in the cache, or computed
+// and cached, and every repeat copies that item as a hit — a computed
+// item's copy encodes as the fragment cacheResult stored — even if the
+// cache has evicted the entry since, as a batch naming more distinct
+// cells than CacheSize can make it do. A failed cell is never copied:
+// each repeat tries again and carries its own error.
+func (s *Server) predictBatchItems(ctx context.Context, g *batchGroup, sc *batchScratch) (hits, errs int) {
+	req, results := &sc.req, sc.results
 	if len(req.Features) > 0 {
 		nf := len(g.scheme.Features())
 		for i := range results {
@@ -327,29 +335,56 @@ func (s *Server) predictBatchItems(ctx context.Context, g *batchGroup, req *Batc
 		}
 		return 0, errs
 	}
+	if sc.cells == nil {
+		sc.cells = map[string]*stepItems{}
+	}
+	for _, seen := range sc.cells {
+		*seen = stepItems{}
+	}
 	for i := range results {
-		k := cellKey{base: g.base, field: req.Fields[i], step: req.Steps[i]}
-		if s.cellHitInto(k, &results[i]) {
+		field, step, out := req.Fields[i], req.Steps[i], &results[i]
+		seen := sc.cells[field]
+		if seen != nil && uint(step) < uint(len(seen)) && seen[step] != 0 {
+			*out = results[seen[step]-1]
+			out.Cached = true
 			hits++
 			continue
 		}
-		s.predictCellMiss(ctx, g, k, &results[i])
-		if results[i].Error != "" {
+		k := cellKey{base: g.base, field: field, step: step}
+		if s.cellHitInto(k, out) {
+			hits++
+		} else if s.predictCellMiss(ctx, g, k, out); out.Error != "" {
 			errs++
+			continue
+		}
+		if seen == nil {
+			seen = new(stepItems)
+			sc.cells[field] = seen
+		}
+		if uint(step) < uint(len(seen)) {
+			seen[step] = int32(i + 1)
 		}
 	}
 	return hits, errs
 }
 
+// stepItems is one field's row of a batch's distinct-cell table: per
+// step, 1 + the index of the item the cell was resolved at, 0 while it
+// is not. A cell that resolves is a hurricane field at a step below
+// Timesteps, so the table holds a row per field the data tier serves.
+type stepItems [hurricane.Timesteps]int32
+
 // batchScratch is the pooled scratch of one batch request: the body as
 // read, the envelope decoded from it (slices reused across requests by
 // resetting length, not capacity; names holds the strings they share),
-// the item-aligned results and the reply encoded from them. Owned by
-// exactly one handler between Get and Put.
+// the item each distinct cell was resolved at, by field name, the
+// item-aligned results and the reply encoded from them. Owned by exactly
+// one handler between Get and Put.
 type batchScratch struct {
 	body    bytes.Buffer
 	names   map[string]string
 	req     BatchRequest
+	cells   map[string]*stepItems
 	results []BatchItemResult
 	reply   []byte
 }
@@ -410,7 +445,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) int 
 // by scan when the body is what scan accepts, and otherwise by decodeJSON
 // over the same bytes and the same end of stream — the capped reader
 // repeats the error it ended on — so every refusal is the one that
-// decoder gives.
+// decoder gives. Either way the field names come out interned.
 func (sc *batchScratch) decode(w http.ResponseWriter, r *http.Request) (int, error) {
 	sc.reset()
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -419,7 +454,11 @@ func (sc *batchScratch) decode(w http.ResponseWriter, r *http.Request) (int, err
 		return 0, nil
 	}
 	sc.reset()
-	return decodeJSONFrom(io.MultiReader(bytes.NewReader(sc.body.Bytes()), body), &sc.req)
+	status, err := decodeJSONFrom(io.MultiReader(bytes.NewReader(sc.body.Bytes()), body), &sc.req)
+	for i, f := range sc.req.Fields {
+		sc.req.Fields[i] = sc.intern([]byte(f))
+	}
+	return status, err
 }
 
 // runBatch validates the decoded batch, computes it in one worker-pool
@@ -473,7 +512,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, sc *batchScrat
 		if s.cfg.testHookBatchFlush != nil {
 			s.cfg.testHookBatchFlush()
 		}
-		hits, errs = s.predictBatchItems(ctx, g, req, sc.results)
+		hits, errs = s.predictBatchItems(ctx, g, sc)
 	})
 	if !submitted {
 		s.stats.reject()

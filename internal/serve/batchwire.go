@@ -16,16 +16,11 @@ import (
 // per entry; past either a name costs its own allocation, as before.
 const maxInterned = 256
 
-// name consumes a string and returns it shared with every earlier
-// occurrence the scratch has seen: a batch names a handful of fields
-// thousands of times.
-func (sc *batchScratch) name(p *scanner) (string, bool) {
-	b, ok := p.str()
-	if !ok {
-		return "", false
-	}
+// intern returns b as a string shared with every earlier occurrence the
+// scratch has seen: a batch names a handful of fields thousands of times.
+func (sc *batchScratch) intern(b []byte) string {
 	if s, ok := sc.names[string(b)]; ok {
-		return s, true
+		return s
 	}
 	s := string(b)
 	if len(s) <= maxInterned && len(sc.names) < maxInterned {
@@ -34,7 +29,16 @@ func (sc *batchScratch) name(p *scanner) (string, bool) {
 		}
 		sc.names[s] = s
 	}
-	return s, true
+	return s
+}
+
+// name consumes a string and interns it.
+func (sc *batchScratch) name(p *scanner) (string, bool) {
+	b, ok := p.str()
+	if !ok {
+		return "", false
+	}
+	return sc.intern(b), true
 }
 
 // scan fills sc.req from sc.body when the body is the plain columnar

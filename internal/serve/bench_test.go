@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -19,10 +20,14 @@ import (
 	"repro/internal/store"
 )
 
-// warmBatch16 builds a server and a 16-item khan2023 batch and runs the
-// batch once, so every cell is resident in the cache: each call of the
-// returned function is then one all-hit predictBatchItems pass, the op
-// BenchmarkServePredictBatch times and
+// warmBatchItems is warmBatch16's batch: each of its 16 cells twice.
+const warmBatchItems = 32
+
+// warmBatch16 builds a server and a khan2023 batch naming 16 cells twice
+// each, and runs the batch once, so every cell is resident in the cache:
+// each call of the returned function is then one all-hit
+// predictBatchItems pass — 16 cache lookups, 16 copies from the
+// distinct-cell table — the op BenchmarkServePredictBatch times and
 // TestPredictBatchWarmPathAllocatesNothing counts allocations of.
 func warmBatch16(tb testing.TB) (hitPass func() (hits int)) {
 	tb.Helper()
@@ -46,56 +51,60 @@ func warmBatch16(tb testing.TB) (hitPass func() (hits int)) {
 	}
 	dims := []int{8, 8, 8}
 	g := newBatchGroup("khan2023", "sz3", scheme, pressio.Options{}, nil, 0, dims)
-	const batch = 16
-	req := &BatchRequest{Scheme: "khan2023", Compressor: "sz3", Dims: dims}
-	fields := []string{"P", "TC", "QVAPOR", "W"}
-	for i := 0; i < batch; i++ {
-		req.Fields = append(req.Fields, fields[i%len(fields)])
-		req.Steps = append(req.Steps, i/len(fields))
+	const cells = 16
+	sc := &batchScratch{
+		req:     BatchRequest{Scheme: "khan2023", Compressor: "sz3", Dims: dims},
+		results: make([]BatchItemResult, warmBatchItems),
 	}
-	results := make([]BatchItemResult, batch)
+	fields := []string{"P", "TC", "QVAPOR", "W"}
+	for i := 0; i < warmBatchItems; i++ {
+		c := i % cells
+		sc.req.Fields = append(sc.req.Fields, fields[c%len(fields)])
+		sc.req.Steps = append(sc.req.Steps, c/len(fields))
+	}
 	ctx := context.Background()
 
-	// warm pass: misses populate the cache through the tiered
-	// dataset cache; every later pass is then all hits
-	if hits, errs := s.predictBatchItems(ctx, g, req, results); errs != 0 || hits != 0 {
-		tb.Fatalf("warm pass: hits=%d errs=%d (want 0 hits, 0 errs): %+v", hits, errs, results[0])
+	// warm pass: first occurrences miss and populate the cache through
+	// the tiered dataset cache, repeats copy them; every later pass is
+	// then all hits
+	if hits, errs := s.predictBatchItems(ctx, g, sc); errs != 0 || hits != warmBatchItems-cells {
+		tb.Fatalf("warm pass: hits=%d errs=%d (want %d hits, 0 errs): %+v", hits, errs, warmBatchItems-cells, sc.results[0])
 	}
 	return func() int {
-		hits, _ := s.predictBatchItems(ctx, g, req, results)
+		hits, _ := s.predictBatchItems(ctx, g, sc)
 		return hits
 	}
 }
 
 // BenchmarkServePredictBatch measures the steady-state batch hot path:
-// one 16-item batch through predictBatchItems with every cell resident
-// in the cache. Its ns/op is gated in BENCH_kernels.json; that the path
-// allocates nothing is machine-independent and pinned in tier-1 by
-// TestPredictBatchWarmPathAllocatesNothing.
+// one 32-item batch over 16 cells through predictBatchItems with every
+// cell resident in the cache. Its ns/op is gated in BENCH_kernels.json;
+// that the path allocates nothing is machine-independent and pinned in
+// tier-1 by TestPredictBatchWarmPathAllocatesNothing.
 func BenchmarkServePredictBatch(b *testing.B) {
 	hitPass := warmBatch16(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if hits := hitPass(); hits != 16 {
-			b.Fatalf("iteration %d: %d/16 hits", i, hits)
+		if hits := hitPass(); hits != warmBatchItems {
+			b.Fatalf("iteration %d: %d/%d hits", i, hits, warmBatchItems)
 		}
 	}
 }
 
 // TestPredictBatchWarmPathAllocatesNothing pins DESIGN §15's invariant
 // where every change runs it: an all-hit batch (pooled scratch, struct
-// cell keys, shared interval slices) performs zero allocations, so a
-// regression that reintroduces per-item garbage fails tier-1 on any
-// machine, not only an opt-in benchmark gate.
+// cell keys, shared interval slices, the distinct-cell table) performs
+// zero allocations, so a regression that reintroduces per-item garbage
+// fails tier-1 on any machine, not only an opt-in benchmark gate.
 func TestPredictBatchWarmPathAllocatesNothing(t *testing.T) {
 	hitPass := warmBatch16(t)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if hits := hitPass(); hits != 16 {
-			t.Fatalf("%d/16 hits on the warm path", hits)
+		if hits := hitPass(); hits != warmBatchItems {
+			t.Fatalf("%d/%d hits on the warm path", hits, warmBatchItems)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm 16-item batch: %v allocs/op, want 0", allocs)
+		t.Errorf("warm %d-item batch: %v allocs/op, want 0", warmBatchItems, allocs)
 	}
 }
 
@@ -173,26 +182,52 @@ func (w *replyRecorder) Header() http.Header         { return w.header }
 func (w *replyRecorder) WriteHeader(status int)      { w.status = status }
 func (w *replyRecorder) Write(p []byte) (int, error) { return w.body.Write(p) }
 
+// batchBody is a columnar khan2023 body over the cells fields[i] at
+// steps[i] — the shape the serve benchmarks post.
+func batchBody(fields []string, steps []int) string {
+	quoted, written := make([]string, len(fields)), make([]string, len(steps))
+	for i := range fields {
+		quoted[i], written[i] = strconv.Quote(fields[i]), strconv.Itoa(steps[i])
+	}
+	return fmt.Sprintf(`{"scheme":"khan2023","compressor":"sz3","options":{"pressio:abs":0.0001},"dims":[8,8,8],"fields":[%s],"steps":[%s]}`,
+		strings.Join(quoted, ","), strings.Join(written, ","))
+}
+
+// hotBody is serve_hot's request: 4004 items drawn with repetition from
+// 104 cells (13 fields × 8 steps).
+func hotBody() (body string, items int) {
+	const n = 4004
+	rng := rand.New(rand.NewSource(7))
+	fields, steps := make([]string, n), make([]int, n)
+	for i := range fields {
+		fields[i], steps[i] = hurricane.FieldNames[rng.Intn(len(hurricane.FieldNames))], rng.Intn(8)
+	}
+	return batchBody(fields, steps), n
+}
+
+// distinctBody names each of the 624 cells at these dims (13 fields ×
+// 48 steps) once: a batch the distinct-cell table cannot shorten, within
+// the default CacheSize of 1024.
+func distinctBody() (body string, items int) {
+	var fields []string
+	var steps []int
+	for step := 0; step < hurricane.Timesteps; step++ {
+		for _, f := range hurricane.FieldNames {
+			fields, steps = append(fields, f), append(steps, step)
+		}
+	}
+	return batchBody(fields, steps), len(fields)
+}
+
 // warmBatchHandler is the in-process twin of the benchmark's serve_hot
-// workload: a server, and one 4004-item columnar khan2023 body drawn with
-// repetition from 104 cells (13 fields × 8 steps), posted once so every
-// cell is resident. Each call of the returned function posts the body
-// again through Handler() — decode, group, 4004 cache hits, encode — and
-// returns the reply, which stays valid until the next call.
-func warmBatchHandler(tb testing.TB) (post func() []byte) {
+// workload: a server, and one columnar body of items cells, posted once
+// so every cell is resident. Each call of the returned function posts the
+// body again through Handler() — decode, group, the cache hits, encode —
+// and returns the reply, which stays valid until the next call.
+func warmBatchHandler(tb testing.TB, body string, items int) (post func() []byte) {
 	tb.Helper()
 	s, _ := newTestServer(tb, Config{})
 	h := s.Handler()
-
-	const items = 4004
-	rng := rand.New(rand.NewSource(7))
-	fields, steps := make([]string, items), make([]string, items)
-	for i := range fields {
-		fields[i] = strconv.Quote(hurricane.FieldNames[rng.Intn(len(hurricane.FieldNames))])
-		steps[i] = strconv.Itoa(rng.Intn(8))
-	}
-	body := fmt.Sprintf(`{"scheme":"khan2023","compressor":"sz3","options":{"pressio:abs":0.0001},"dims":[8,8,8],"fields":[%s],"steps":[%s]}`,
-		strings.Join(fields, ","), strings.Join(steps, ","))
 
 	w := &replyRecorder{header: http.Header{}}
 	rd := strings.NewReader(body)
@@ -212,16 +247,26 @@ func warmBatchHandler(tb testing.TB) (post func() []byte) {
 	return post
 }
 
-// BenchmarkServeBatchHandler measures what serve_hot saturates: one
-// 4004-item all-hit columnar batch through Handler(), body decode and
-// reply encode included. Its allocs/op is gated in BENCH_kernels.json and
+// BenchmarkServeBatchHandler measures an all-hit columnar batch through
+// Handler(), body decode and reply encode included: hot is what serve_hot
+// saturates (4004 items over 104 cells), distinct a batch with no
+// repeated cell (624 items), where the distinct-cell table can only
+// cost. Their allocs/op are gated in BENCH_kernels.json and hot's is
 // bounded in tier-1 by TestBatchHandlerWarmAllocs.
 func BenchmarkServeBatchHandler(b *testing.B) {
-	post := warmBatchHandler(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		post()
+	for _, bc := range []struct {
+		name string
+		body func() (string, int)
+	}{{"hot", hotBody}, {"distinct", distinctBody}} {
+		b.Run(bc.name, func(b *testing.B) {
+			body, items := bc.body()
+			post := warmBatchHandler(b, body, items)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+		})
 	}
 }
 
@@ -233,8 +278,67 @@ func TestBatchHandlerWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the request scratch at random under the race detector")
 	}
-	post := warmBatchHandler(t)
+	body, items := hotBody()
+	post := warmBatchHandler(t, body, items)
 	if allocs := testing.AllocsPerRun(20, func() { post() }); allocs > 64 {
 		t.Errorf("warm 4004-item batch through the handler: %v allocs, want at most 64", allocs)
 	}
+}
+
+// BenchmarkServeHotLoopback is serve_hot over a real socket, in process:
+// Handler() behind an HTTP server on 127.0.0.1, and two clients on two
+// keep-alive connections posting the 4004-item all-hit body and reading
+// each reply whole. It reports items/s. Under -cpuprofile it splits a
+// request between the handler, the transport and the client — how
+// ROADMAP 4(c) was sized, without the harness's 24 s runs. Not in
+// BENCH_kernels.json: a loopback rate moves with whatever else the host
+// runs.
+func BenchmarkServeHotLoopback(b *testing.B) {
+	body, items := hotBody()
+	_, ts := newTestServer(b, Config{})
+	client := ts.Client() // the default transport keeps 2 idle connections per host
+	post := func(reply *bytes.Buffer) error {
+		resp, err := client.Post(ts.URL+"/v1/predict/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		reply.Reset()
+		if _, err := reply.ReadFrom(resp.Body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("batch: HTTP %d %s", resp.StatusCode, reply.Bytes())
+		}
+		return nil
+	}
+	var reply bytes.Buffer
+	for pass := 0; pass < 2; pass++ {
+		if err := post(&reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := bytes.Count(reply.Bytes(), []byte(`"cached":true`)); n != items {
+		b.Fatalf("warm pass: %d/%d items cached", n, items)
+	}
+
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var reply bytes.Buffer
+			for next.Add(1) <= int64(b.N) {
+				if err := post(&reply); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*float64(items)/b.Elapsed().Seconds(), "items/s")
 }

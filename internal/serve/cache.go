@@ -6,7 +6,10 @@ import (
 )
 
 // lru is a fixed-capacity least-recently-used map. Safe for concurrent
-// use; a hit is one lock, one map lookup, one move-to-front.
+// use; a hit is one lock, one map lookup, one move-to-front. A batch
+// looks up each distinct cell once, at its first occurrence, and its
+// repeats copy that answer (predictBatchItems): a batch touches the
+// recency of each of its cells once, in first-occurrence order.
 type lru[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
