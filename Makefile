@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check cross-build examples-check serve-check crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check docs-check cross-build examples-check serve-check crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -28,7 +28,8 @@ loc:
 	@for d in internal/serve internal/cluster internal/bench internal/core internal/dataset internal/predictors internal/compressor/sz3 internal/hurricane; do \
 		printf '  %-24s %d\n' $$d $$($(call LOC_FIND,./$$d)); done
 
-# check is the full verification gate: formatting, standard vet (with the
+# check is the full verification gate: formatting, the docs naming only
+# what exists (docs-check), standard vet (with the
 # extra unreachable/copylocks/lostcancel passes spelled out so a vet
 # default change can't silently drop them), the pressiovet suite, tier-1
 # at one CPU and at the default (tier-1 includes FuzzDecode's seed corpus
@@ -42,8 +43,8 @@ loc:
 # go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman
 # go test -run '^$$' -fuzz FuzzFieldMatchesReference -fuzztime 1m ./internal/hurricane
 # go test -run '^$$' -fuzz FuzzCodesLorenzo -fuzztime 1m ./internal/compressor/sz3),
-# the examples run to completion, and the
-# complete test suite under the race detector. The race run stays
+# the examples and predict-bench's -table1 and -corpus modes run to
+# completion, and the complete test suite under the race detector. The race run stays
 # `-race -short`: -race is what actually exercises the sync.Pool and
 # queue invariants the linters guard statically, and -short keeps the
 # gate fast enough to run on every change by skipping the long queue
@@ -54,7 +55,7 @@ loc:
 # scenarios (SLOs and prediction
 # accounting under load; no performance number is gated here — the only
 # performance gate is bench-check, opt-in behind BENCH=1).
-check: fmt-check
+check: fmt-check docs-check
 	$(GO) vet ./...
 	$(GO) vet -unreachable -copylocks -lostcancel ./...
 	$(MAKE) cross-build
@@ -80,9 +81,26 @@ lint:
 # examples-check runs each examples/* main to completion. `go build
 # ./...` compiles them and nothing else executes them, yet they are the
 # code that drives core.Session end to end (quickstart, autotuning, ...).
-# All six finish in seconds; any non-zero exit fails the target.
+# Then predict-bench's two modes that no test runs: -table1, and -corpus
+# twice into one directory, the second run required to reuse the first's
+# corpus after verifying its manifest. All finish in seconds; any
+# non-zero exit fails the target.
 examples-check:
 	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+	$(GO) build -o bin/predict-bench ./cmd/predict-bench
+	bin/predict-bench -table1 > /dev/null
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	corpus="bin/predict-bench -corpus $$tmp -fields P -steps 2 -dims 4x4x4" && \
+	$$corpus && out=$$($$corpus) && echo "$$out" && \
+	case "$$out" in reusing*"(manifest verified)") ;; *) echo "second -corpus run did not reuse the corpus"; exit 1;; esac
+
+# docs-check fails when README.md, DESIGN.md or EXPERIMENTS.md names a
+# cmd/<name> directory, a `go run`/`go build`/`go test` package path or a
+# back-quoted `make <target>` that does not exist. The test first runs the
+# checker over a fixture naming a deleted command (its negative control),
+# then over the three docs.
+docs-check:
+	$(GO) test -count=1 -run TestDocsNameWhatExists .
 
 # cross-build compiles the tree for a platform without the linux mmap
 # path, and internal/dataset (tests included, via vet) for one without

@@ -11,6 +11,8 @@
 //	predict-bench -ablation svd                # Underwood SVD-cost ablation
 //	predict-bench -ablation jin                # Jin iterator ablation
 //	predict-bench -table2 -remote http://host:8080   # cells observed by predictd
+//	predict-bench -table1                      # Table 1, then the scheme registry
+//	predict-bench -corpus ./hurricane          # write the dataset as .f32 files
 //
 // -remote names one predictd base URL: a node, or a `predictd -router`
 // whose ring keeps each (field, step) buffer on one node of a fleet and
@@ -21,6 +23,15 @@
 // -workers. Defaults reproduce the paper's setup (13 fields × 48
 // timesteps, bounds 1e-6 and 1e-4, SZ3 + ZFP, 10-fold CV) on the
 // synthetic Hurricane grid.
+//
+// -corpus materializes the synthetic Hurricane dataset to disk as raw
+// .f32 files in the naming convention the folder loader parses, standing
+// in for downloading the Hurricane Isabel binaries. It honors -fields,
+// -steps, -dims and -seed (the corpus seed: 0, the default, is the
+// canonical dataset predictd synthesizes) and writes a MANIFEST.json of
+// the generator inputs and every file's size and SHA-256, so a corpus is
+// byte-reproducible and a re-run (or the scenario harness) verifies and
+// reuses it instead of regenerating.
 //
 // Resilience knobs: -task-timeout bounds each observation attempt,
 // -retries sets the per-task retry budget, and -fault-plan scripts
@@ -40,7 +51,11 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cliutil"
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/faultinject"
+	"repro/internal/hurricane"
+	"repro/internal/pressio"
 )
 
 func main() {
@@ -48,6 +63,8 @@ func main() {
 		table2      = flag.Bool("table2", false, "run the Table-2 evaluation (default action)")
 		baseline    = flag.Bool("baseline", false, "measure compressor baselines only")
 		ablation    = flag.String("ablation", "", "run an ablation: svd | jin")
+		table1      = flag.Bool("table1", false, "print the Table-1 taxonomy and the scheme registry, then exit")
+		corpus      = flag.String("corpus", "", "write the synthetic dataset as .f32 files + manifest to this directory, then exit")
 		fields      = flag.String("fields", "", "comma-separated Hurricane fields (default all 13)")
 		steps       = flag.Int("steps", 0, "timesteps (default 48)")
 		dims        = flag.String("dims", "", "grid dims ZxYxX (default 32x64x64)")
@@ -63,7 +80,7 @@ func main() {
 		taskTimeout = flag.Duration("task-timeout", 0, "per-task attempt deadline, e.g. 30s (0 = none)")
 		retries     = flag.Int("retries", 0, "per-task retry budget (default 2, -1 for none)")
 		faultPlan   = flag.String("fault-plan", "", "fault-injection script, inline or @file (resilience drills)")
-		seed        = flag.Int64("seed", 0, "seed for folds, backoff jitter, and fault injection (default 1)")
+		seed        = flag.Int64("seed", 0, "seed for folds, backoff jitter, and fault injection (default 1); with -corpus, the corpus seed (default 0, the canonical one)")
 		format      = flag.String("format", "table", "table2 output format: table | csv")
 		scatter     = flag.String("scatter", "", "emit predicted-vs-actual CSV for scheme,compressor (e.g. rahman2023,sz3)")
 		storeInfo   = flag.String("store-info", "", "summarize a checkpoint directory and exit")
@@ -143,6 +160,34 @@ func main() {
 	}()
 
 	switch {
+	case *table1:
+		fmt.Print(bench.Table1())
+		printSchemes()
+	case *corpus != "":
+		if *seed < 0 {
+			fatal(fmt.Errorf("-seed %d: a corpus seed is not negative", *seed))
+		}
+		fieldList, n, dimList := spec.Fields, spec.Steps, spec.Dims
+		if fieldList == nil {
+			fieldList = hurricane.FieldNames
+		}
+		if n <= 0 {
+			n = hurricane.Timesteps
+		}
+		if dimList == nil {
+			dimList = hurricane.DefaultDims
+		}
+		m, cached, err := dataset.BuildCorpus(*corpus, fieldList, n, dimList, uint64(*seed))
+		if err != nil {
+			fatal(err)
+		}
+		if cached {
+			fmt.Printf("reusing %d files (%.1f MiB) in %s (manifest verified)\n",
+				len(m.Entries), float64(m.TotalBytes())/(1<<20), *corpus)
+		} else {
+			fmt.Printf("wrote %d files (%.1f MiB) to %s (seed %d, manifest %s)\n",
+				len(m.Entries), float64(m.TotalBytes())/(1<<20), *corpus, *seed, dataset.ManifestName)
+		}
 	case *storeInfo != "":
 		out, err := bench.StoreInfo(*storeInfo)
 		if err != nil {
@@ -200,6 +245,37 @@ func main() {
 		} else {
 			fmt.Print(report.Table2())
 		}
+	}
+}
+
+// printSchemes lists every registered scheme with its metrics, features,
+// target and supported compressors.
+func printSchemes() {
+	for _, name := range core.SchemeNames() {
+		s, err := core.GetScheme(name)
+		if err != nil {
+			continue
+		}
+		info := s.Info()
+		if info.Method == "" {
+			continue
+		}
+		var supported []string
+		for _, comp := range pressio.CompressorNames() {
+			if s.Supports(comp) {
+				supported = append(supported, comp)
+			}
+		}
+		fmt.Printf("%s (%s)\n", name, info.Method)
+		fmt.Printf("  approach:    %s (%s)\n", info.Approach, info.Goal)
+		fmt.Printf("  metrics:     %s\n", strings.Join(s.Metrics(), ", "))
+		fmt.Printf("  features:    %s\n", strings.Join(s.Features(), ", "))
+		fmt.Printf("  target:      %s\n", s.Target())
+		fmt.Printf("  compressors: %s\n", strings.Join(supported, ", "))
+		if info.Features != "" {
+			fmt.Printf("  extras:      %s\n", info.Features)
+		}
+		fmt.Println()
 	}
 }
 

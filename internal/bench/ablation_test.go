@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -51,32 +50,5 @@ func TestBaselineOnly(t *testing.T) {
 	}
 	if !strings.Contains(out, "mean CR") {
 		t.Errorf("baseline should report the mean CR:\n%s", out)
-	}
-}
-
-func TestMedAPEOnly(t *testing.T) {
-	spec := tinySpec(t)
-	spec.Fields = []string{"P", "CLOUD", "U", "W"}
-	spec.Steps = 2
-	spec.Compressors = []string{"sz3"}
-	spec.Schemes = []string{"khan2023"}
-	obs, err := Collect(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	medape, err := MedAPEOnly(spec, "khan2023", "sz3", obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if medape < 0 || medape > 10000 {
-		t.Errorf("MedAPE = %v implausible", medape)
-	}
-	// unsupported pairing yields NaN
-	nan, err := MedAPEOnly(spec, "jin2022", "zfp", obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nan == nan { // NaN != NaN
-		t.Errorf("unsupported pair should yield NaN, got %v", nan)
 	}
 }

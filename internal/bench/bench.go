@@ -76,10 +76,7 @@ type Spec struct {
 	// requests of a remote run (http rules), and the checkpoint store
 	// (tests and resilience drills).
 	FaultPlan *faultinject.Plan
-	// FailureRate injects random worker faults with this probability
-	// (tests only); shorthand for a rate rule in FaultPlan.
-	FailureRate float64
-	// Seed drives fold assignment and failure injection.
+	// Seed drives fold assignment and backoff jitter.
 	Seed int64
 	// InSample switches cross-validation from the paper's out-of-sample
 	// grouping (all timesteps of a field stay together) to plain k-fold,
@@ -340,13 +337,6 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 	spec.defaults()
 
 	plan := spec.FaultPlan
-	if plan == nil && spec.FailureRate > 0 {
-		plan = faultinject.New(uint64(spec.Seed), faultinject.Rule{
-			Op: faultinject.OpTask, Kind: faultinject.KindError,
-			Worker: -1, Rate: spec.FailureRate,
-		})
-	}
-
 	var st *store.Store
 	var mu sync.Mutex
 	results := map[string]*Observation{}
@@ -836,19 +826,6 @@ func Table1() string {
 			info.Goal, info.Metrics, info.Approach, info.Features)
 	}
 	return b.String()
-}
-
-// MedAPEOnly recomputes just the quality number for a scheme from
-// observations — used by ablation tooling.
-func MedAPEOnly(spec *Spec, schemeName, compressor string, obs []*Observation) (float64, error) {
-	row, err := evaluateScheme(spec, schemeName, compressor, obs)
-	if err != nil {
-		return 0, err
-	}
-	if !row.HasMedAPE {
-		return math.NaN(), nil
-	}
-	return row.MedAPE, nil
 }
 
 // CSV renders the report machine-readably (for plotting/regression

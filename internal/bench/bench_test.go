@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/hurricane"
 	"repro/internal/predictors"
 	"repro/internal/pressio"
@@ -454,7 +455,9 @@ func TestCollectSurvivesInjectedFaults(t *testing.T) {
 	spec := tinySpec(t)
 	spec.Fields = []string{"P", "W"}
 	spec.Steps = 2
-	spec.FailureRate = 0.2
+	spec.FaultPlan = faultinject.New(uint64(spec.Seed), faultinject.Rule{
+		Op: faultinject.OpTask, Kind: faultinject.KindError, Worker: -1, Rate: 0.2,
+	})
 	obs, err := Collect(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("fault injection should be absorbed by retries: %v", err)

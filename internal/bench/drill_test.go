@@ -66,7 +66,7 @@ func TestRemoteDrill(t *testing.T) {
 		names = append(names, p.Name)
 		procs[p.Name] = p
 	}
-	victim := cluster.NewRing(names, 0).Owner("P/0")
+	victim := cluster.NewRing(names).Owner("P/0")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	dir := t.TempDir()

@@ -378,7 +378,7 @@ func TestScriptedEndpointDeathMidRun(t *testing.T) {
 	spec0 := resilienceSpec()
 	// A is whoever the ring gives the most buffers: at least half of the
 	// six, so its fourth cell exists
-	ring, owned := cluster.NewRing(names, 0), map[string]int{}
+	ring, owned := cluster.NewRing(names), map[string]int{}
 	for _, field := range spec0.Fields {
 		for step := 0; step < spec0.Steps; step++ {
 			owned[ring.Owner(fmt.Sprintf("%s/%d", field, step))]++

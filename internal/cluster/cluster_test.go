@@ -46,7 +46,7 @@ const (
 var (
 	harnessNames = []string{"n1", "n2", "n3"}
 	// harnessOwner is the ring owner of the one partition the tests load.
-	harnessOwner = cluster.NewRing(harnessNames, 0).Owner(cluster.PartitionKey(harnessScheme, harnessCompressor))
+	harnessOwner = cluster.NewRing(harnessNames).Owner(cluster.PartitionKey(harnessScheme, harnessCompressor))
 )
 
 var (

@@ -18,9 +18,9 @@ import (
 	"sort"
 )
 
-// defaultVnodes is the virtual-node count per member; 64 keeps the
-// partition spread within a few percent of even for small clusters.
-const defaultVnodes = 64
+// vnodes is the virtual-node count per member; 64 keeps the partition
+// spread within a few percent of even for small clusters.
+const vnodes = 64
 
 // Ring is an immutable consistent-hash ring over the cluster members.
 // Keys are partition keys — "scheme/compressor", the prefix every model
@@ -37,12 +37,9 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring over the named members with vnodes virtual
-// points each (0 picks the default). Node order does not matter: the
-// ring depends only on the set of names.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+// points each. Node order does not matter: the ring depends only on the
+// set of names.
+func NewRing(nodes []string) *Ring {
 	r := &Ring{nodes: append([]string(nil), nodes...)}
 	sort.Strings(r.nodes)
 	for _, n := range r.nodes {

@@ -7,8 +7,8 @@ import (
 )
 
 func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
-	a := NewRing([]string{"n1", "n2", "n3"}, 0)
-	b := NewRing([]string{"n3", "n1", "n2"}, 0)
+	a := NewRing([]string{"n1", "n2", "n3"})
+	b := NewRing([]string{"n3", "n1", "n2"})
 	for i := 0; i < 100; i++ {
 		key := PartitionKey("scheme", fmt.Sprintf("comp-%d", i))
 		if a.Owner(key) != b.Owner(key) {
@@ -21,7 +21,7 @@ func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
 }
 
 func TestRingReplicasDistinctOwnerFirst(t *testing.T) {
-	r := NewRing([]string{"n1", "n2", "n3"}, 0)
+	r := NewRing([]string{"n1", "n2", "n3"})
 	for i := 0; i < 50; i++ {
 		key := PartitionKey("s", fmt.Sprintf("c%d", i))
 		reps := r.Replicas(key, 3)
@@ -43,13 +43,13 @@ func TestRingReplicasDistinctOwnerFirst(t *testing.T) {
 	if got := r.Replicas("k", 10); len(got) != 3 {
 		t.Errorf("Replicas(10) = %d members", len(got))
 	}
-	if empty := NewRing(nil, 0); empty.Owner("k") != "" {
+	if empty := NewRing(nil); empty.Owner("k") != "" {
 		t.Error("empty ring has an owner")
 	}
 }
 
 func TestRingSpread(t *testing.T) {
-	r := NewRing([]string{"n1", "n2", "n3"}, 0)
+	r := NewRing([]string{"n1", "n2", "n3"})
 	counts := map[string]int{}
 	const n = 3000
 	for i := 0; i < n; i++ {

@@ -19,8 +19,6 @@ import (
 type RouterConfig struct {
 	// Members maps node names to base URLs.
 	Members map[string]string
-	// Vnodes is the ring's virtual-node count (0 → default).
-	Vnodes int
 	// Replicas is R: how many members hold each partition (default all).
 	Replicas int
 	// ProbeInterval paces health probing (default 200ms).
@@ -108,7 +106,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	}
 	r := &Router{
 		cfg:       cfg,
-		ring:      NewRing(names, cfg.Vnodes),
+		ring:      NewRing(names),
 		backoff:   health.NewBackoff(cfg.Cooldown, 8*cfg.Cooldown, cfg.Seed),
 		members:   map[string]*routerMember{},
 		overrides: map[string]string{},

@@ -239,7 +239,7 @@ func TestRouterRoutesObserveByBuffer(t *testing.T) {
 	r := startRouter(t, members, nil)
 	waitFor(t, "all members live", func() bool { return len(r.liveMembers()) == 3 })
 	h := r.Handler()
-	ring := NewRing([]string{"n1", "n2", "n3"}, 0)
+	ring := NewRing([]string{"n1", "n2", "n3"})
 	owners := map[string]bool{}
 	for step := 0; step < 12; step++ {
 		want := ring.Owner(fmt.Sprintf("U/%d", step))

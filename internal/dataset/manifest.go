@@ -28,7 +28,7 @@ type ManifestEntry struct {
 
 // Manifest records what a generated corpus contains and the exact
 // generator inputs that produced it, so a scenario harness (or a second
-// datagen run) can prove an existing corpus is byte-identical to the one
+// predict-bench -corpus run) can prove an existing corpus is byte-identical to the one
 // it wants and reuse it instead of regenerating — and detect a stale or
 // tampered corpus instead of silently benchmarking against it.
 type Manifest struct {

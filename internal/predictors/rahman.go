@@ -75,7 +75,7 @@ func (p *rahmanPredictor) Fit(x [][]float64, y []float64) error {
 // SurveyedInfo returns the Table-1 rows for the methods the paper surveys
 // but which are not ported to the framework (Lu 2018's Gaussian-process
 // models and Qin 2020's deep neural networks rely on compressor-internal
-// training corpora we have no analogue for); cmd/schemes merges them with
+// training corpora we have no analogue for); bench.Table1 merges them with
 // the implemented registry so the regenerated Table 1 covers all ten rows.
 func SurveyedInfo() []core.Info {
 	return []core.Info{

@@ -6,8 +6,8 @@
 //   - data-locality-aware placement: tasks tagged with a DataKey prefer a
 //     worker that recently held that data, because data loading dominates
 //     task runtime for most compressors;
-//   - dynamic dependency addition: invalidations create new work while
-//     the queue is running, so Add is legal at any time;
+//   - dynamic addition: invalidations create new work while the queue is
+//     running, so Add is legal at any time;
 //   - fault tolerance: worker failures (scriptable through a faultinject
 //     plan) requeue the task on a different worker after a capped
 //     exponential backoff with deterministic jitter, up to a retry
@@ -35,8 +35,6 @@ type Task struct {
 	// DataKey names the data the task reads; tasks sharing a DataKey
 	// are preferentially placed on the same worker.
 	DataKey string
-	// Deps lists task IDs that must complete successfully first.
-	Deps []string
 	// Run executes the task. ctx carries the per-attempt deadline and
 	// whole-run cancellation; long tasks should honor it. The worker
 	// index lets tests observe placement.
@@ -78,10 +76,6 @@ type Config struct {
 	Seed uint64
 }
 
-// ErrDependencyFailed marks tasks abandoned because a dependency
-// exhausted its retries.
-var ErrDependencyFailed = errors.New("queue: dependency failed")
-
 // ErrCancelled marks tasks abandoned because the run context was
 // cancelled before they could run (wraps context.Canceled via %w at the
 // recording site, so errors.Is works for either).
@@ -114,8 +108,6 @@ type Queue struct {
 
 type taskState struct {
 	task       Task
-	waiting    map[string]bool // unmet deps
-	dependents []*taskState
 	attempts   int
 	lastWorker int
 	timedOut   bool
@@ -155,8 +147,8 @@ func New(cfg Config) *Queue {
 	return q
 }
 
-// Add enqueues a task; legal before and during Run. Duplicate IDs and
-// dependencies on unknown tasks are errors (add dependencies first).
+// Add enqueues a task; legal before and during Run. A duplicate ID is an
+// error.
 func (q *Queue) Add(t Task) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -166,62 +158,18 @@ func (q *Queue) Add(t Task) error {
 	if _, dup := q.tasks[t.ID]; dup {
 		return fmt.Errorf("queue: duplicate task %q", t.ID)
 	}
-	st := &taskState{task: t, waiting: make(map[string]bool)}
-	for _, dep := range t.Deps {
-		depState, ok := q.tasks[dep]
-		if !ok {
-			return fmt.Errorf("queue: task %q depends on unknown task %q", t.ID, dep)
-		}
-		if depState.failed {
-			return fmt.Errorf("queue: task %q depends on failed task %q", t.ID, dep)
-		}
-		if !depState.done {
-			st.waiting[dep] = true
-			depState.dependents = append(depState.dependents, st)
-		}
-	}
+	st := &taskState{task: t}
 	q.tasks[t.ID] = st
-
 	if q.cfg.Completed[t.ID] {
 		// checkpointed: complete instantly
 		st.done = true
 		q.results[t.ID] = &Result{ID: t.ID, Skipped: true, Worker: -1}
-		q.releaseDependentsLocked(st)
-		q.cond.Broadcast()
 		return nil
 	}
 	q.pending++
-	if len(st.waiting) == 0 {
-		q.ready = append(q.ready, st)
-	}
+	q.ready = append(q.ready, st)
 	q.cond.Broadcast()
 	return nil
-}
-
-// releaseDependentsLocked unblocks tasks waiting on st.
-func (q *Queue) releaseDependentsLocked(st *taskState) {
-	for _, dep := range st.dependents {
-		delete(dep.waiting, st.task.ID)
-		if len(dep.waiting) == 0 && !dep.done && !dep.failed {
-			q.ready = append(q.ready, dep)
-		}
-	}
-	st.dependents = nil
-}
-
-// failDependentsLocked abandons the transitive dependents of a failed
-// task.
-func (q *Queue) failDependentsLocked(st *taskState) {
-	for _, dep := range st.dependents {
-		if dep.failed || dep.done {
-			continue
-		}
-		dep.failed = true
-		q.pending--
-		q.results[dep.task.ID] = &Result{ID: dep.task.ID, Err: ErrDependencyFailed, Worker: -1}
-		q.failDependentsLocked(dep)
-	}
-	st.dependents = nil
 }
 
 // pickLocked chooses a ready task for the given worker: the first whose
@@ -394,7 +342,6 @@ func (q *Queue) Run(ctx context.Context) map[string]*Result {
 						ID: st.task.ID, Worker: worker, Attempts: st.attempts,
 						TimedOut: st.timedOut,
 					}
-					q.releaseDependentsLocked(st)
 				} else if st.attempts <= q.cfg.Retries && !q.cancelled && ctx.Err() == nil {
 					q.requeueLocked(st)
 				} else {
@@ -409,7 +356,6 @@ func (q *Queue) Run(ctx context.Context) map[string]*Result {
 						ID: st.task.ID, Worker: worker, Attempts: st.attempts, Err: err,
 						TimedOut: st.timedOut,
 					}
-					q.failDependentsLocked(st)
 				}
 				q.cond.Broadcast()
 			}

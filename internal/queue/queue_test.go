@@ -38,34 +38,6 @@ func TestRunsAllTasks(t *testing.T) {
 	}
 }
 
-func TestDependencyOrdering(t *testing.T) {
-	q := New(Config{Workers: 4})
-	var mu sync.Mutex
-	var order []string
-	record := func(id string) func(context.Context, int) error {
-		return func(context.Context, int) error {
-			mu.Lock()
-			order = append(order, id)
-			mu.Unlock()
-			return nil
-		}
-	}
-	q.Add(Task{ID: "a", Run: record("a")})
-	q.Add(Task{ID: "b", Deps: []string{"a"}, Run: record("b")})
-	q.Add(Task{ID: "c", Deps: []string{"a", "b"}, Run: record("c")})
-	results := q.Run(context.Background())
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
-	}
-	pos := map[string]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
-	if !(pos["a"] < pos["b"] && pos["b"] < pos["c"]) {
-		t.Errorf("order violated: %v", order)
-	}
-}
-
 func TestUnknownAndDuplicateTasks(t *testing.T) {
 	q := New(Config{})
 	if err := q.Add(Task{ID: ""}); err == nil {
@@ -74,9 +46,6 @@ func TestUnknownAndDuplicateTasks(t *testing.T) {
 	q.Add(Task{ID: "x", Run: func(context.Context, int) error { return nil }})
 	if err := q.Add(Task{ID: "x"}); err == nil {
 		t.Error("duplicate ID accepted")
-	}
-	if err := q.Add(Task{ID: "y", Deps: []string{"nope"}}); err == nil {
-		t.Error("unknown dependency accepted")
 	}
 	q.Run(context.Background())
 }
@@ -87,8 +56,7 @@ func TestCheckpointSkip(t *testing.T) {
 	var ran atomic.Int64
 	q.Add(Task{ID: "a", Run: func(context.Context, int) error { ran.Add(1); return nil }})
 	q.Add(Task{ID: "b", Run: func(context.Context, int) error { ran.Add(1); return nil }})
-	// c depends on checkpointed tasks and must still run
-	q.Add(Task{ID: "c", Deps: []string{"a", "b"}, Run: func(context.Context, int) error { ran.Add(1); return nil }})
+	q.Add(Task{ID: "c", Run: func(context.Context, int) error { ran.Add(1); return nil }})
 	results := q.Run(context.Background())
 	if ran.Load() != 1 {
 		t.Errorf("ran %d tasks, want 1 (two skipped)", ran.Load())
@@ -117,27 +85,6 @@ func TestRetriesOnFailure(t *testing.T) {
 	}
 	if r.Attempts != 3 {
 		t.Errorf("attempts = %d, want 3", r.Attempts)
-	}
-}
-
-func TestPermanentFailureAbandonsDependents(t *testing.T) {
-	q := New(Config{Workers: 2, Retries: 1})
-	q.Add(Task{ID: "bad", Run: func(context.Context, int) error { return errors.New("always") }})
-	q.Add(Task{ID: "child", Deps: []string{"bad"}, Run: func(context.Context, int) error { return nil }})
-	q.Add(Task{ID: "grandchild", Deps: []string{"child"}, Run: func(context.Context, int) error { return nil }})
-	q.Add(Task{ID: "unrelated", Run: func(context.Context, int) error { return nil }})
-	results := q.Run(context.Background())
-	if results["bad"].Err == nil {
-		t.Error("bad should fail")
-	}
-	if !errors.Is(results["child"].Err, ErrDependencyFailed) {
-		t.Errorf("child err = %v", results["child"].Err)
-	}
-	if !errors.Is(results["grandchild"].Err, ErrDependencyFailed) {
-		t.Errorf("grandchild err = %v", results["grandchild"].Err)
-	}
-	if results["unrelated"].Err != nil {
-		t.Error("unrelated task should still run")
 	}
 }
 
@@ -339,7 +286,9 @@ func TestTimeoutAbandonsNonCooperativeTask(t *testing.T) {
 
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	q := New(Config{Workers: 2, Retries: 0})
+	// one worker holds the blocker, so the 20 tasks queued behind it
+	// never start
+	q := New(Config{Workers: 1, Retries: 0})
 	started := make(chan struct{})
 	var once sync.Once
 	q.Add(Task{ID: "blocker", Run: func(ctx context.Context, _ int) error {
@@ -348,8 +297,7 @@ func TestRunCancellation(t *testing.T) {
 		return ctx.Err()
 	}})
 	for i := 0; i < 20; i++ {
-		q.Add(Task{ID: fmt.Sprintf("later%d", i), Deps: []string{"blocker"},
-			Run: func(context.Context, int) error { return nil }})
+		q.Add(Task{ID: fmt.Sprintf("later%d", i), Run: func(context.Context, int) error { return nil }})
 	}
 	go func() {
 		<-started
@@ -364,14 +312,14 @@ func TestRunCancellation(t *testing.T) {
 	}
 	cancelled := 0
 	for _, r := range results {
-		if errors.Is(r.Err, ErrCancelled) || errors.Is(r.Err, ErrDependencyFailed) {
+		if errors.Is(r.Err, ErrCancelled) {
 			cancelled++
 		}
 	}
-	// 20 never-started dependents + the blocker itself, whose in-flight
+	// 20 never-started tasks + the blocker itself, whose in-flight
 	// attempt died of the cancellation
 	if cancelled != 21 {
-		t.Errorf("cancelled/abandoned = %d, want 21", cancelled)
+		t.Errorf("cancelled = %d, want 21", cancelled)
 	}
 	if !errors.Is(results["blocker"].Err, ErrCancelled) {
 		t.Errorf("blocker err = %v, want ErrCancelled wrap", results["blocker"].Err)
@@ -439,19 +387,21 @@ func TestDeterministicInjectionSequence(t *testing.T) {
 	}
 }
 
-// TestStressDeepChainsWithFaults is the lost-wakeup regression test: many
-// workers contending over deep dependency chains with injected faults,
-// timeouts, and dynamic adds. Before the sync.Cond rewrite, a worker
-// could park after a nil pick while another worker was between releasing
-// dependents and signalling, missing the wakeup; under load that wedged
-// the queue. Run it under -race (`make check`).
-func TestStressDeepChainsWithFaults(t *testing.T) {
+// TestStressWithFaults is the lost-wakeup regression test: many workers
+// contending over injected faults, real backoff windows, timeouts, and
+// dynamic adds from running tasks. Workers park on the sync.Cond while
+// retries wait out their backoff timers, so a worker that parked after a
+// nil pick while a timer or an Add was between readying a task and
+// signalling would miss the wakeup; under load that wedged the queue. Run
+// it under -race (`make stress`).
+func TestStressWithFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
 	}
 	const (
-		chains = 24
-		depth  = 12
+		keys  = 24
+		tasks = 12 // per key
+		fan   = 3  // tasks each adder adds while it runs
 	)
 	plan := faultinject.New(3, faultinject.Rule{
 		Op: faultinject.OpTask, Kind: faultinject.KindError, Worker: -1, Rate: 0.15,
@@ -463,43 +413,26 @@ func TestStressDeepChainsWithFaults(t *testing.T) {
 		Inject:      plan,
 	})
 	var ran atomic.Int64
-	for c := 0; c < chains; c++ {
-		var prev string
-		for d := 0; d < depth; d++ {
-			id := fmt.Sprintf("c%02d/d%02d", c, d)
-			var deps []string
-			if prev != "" {
-				deps = []string{prev}
-			}
-			task := Task{
-				ID: id, DataKey: fmt.Sprintf("chain%d", c), Deps: deps,
-				Run: func(context.Context, int) error { ran.Add(1); return nil },
-			}
-			if d == depth/2 {
-				// dynamic fan-out halfway down each chain
-				parent := id
+	leaf := func(context.Context, int) error { ran.Add(1); return nil }
+	for k := 0; k < keys; k++ {
+		for i := 0; i < tasks; i++ {
+			id := fmt.Sprintf("k%02d/t%02d", k, i)
+			task := Task{ID: id, DataKey: fmt.Sprintf("key%d", k), Run: leaf}
+			if i == tasks/2 {
+				// dynamic fan-out: a running task adds more work
 				task.Run = func(context.Context, int) error {
 					ran.Add(1)
-					for j := 0; j < 3; j++ {
-						if err := q.Add(Task{
-							ID:   fmt.Sprintf("%s/fan%d", parent, j),
-							Deps: []string{parent},
-							Run:  func(context.Context, int) error { ran.Add(1); return nil },
-						}); err != nil {
+					for j := 0; j < fan; j++ {
+						if err := q.Add(Task{ID: fmt.Sprintf("%s/fan%d", id, j), Run: leaf}); err != nil {
 							return err
 						}
 					}
 					return nil
 				}
-				// note: fan tasks depend on the task that adds them, which
-				// has not completed yet — Add must handle that (it does:
-				// the dependency is the running task itself)
-				_ = parent
 			}
 			if err := q.Add(task); err != nil {
 				t.Fatal(err)
 			}
-			prev = id
 		}
 	}
 	done := make(chan map[string]*Result, 1)
@@ -510,7 +443,7 @@ func TestStressDeepChainsWithFaults(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("queue wedged (lost wakeup?)")
 	}
-	want := chains*depth + chains*3
+	want := keys*tasks + keys*fan
 	if len(results) != want {
 		t.Fatalf("results = %d, want %d", len(results), want)
 	}
@@ -521,5 +454,8 @@ func TestStressDeepChainsWithFaults(t *testing.T) {
 	}
 	if n := ran.Load(); n != int64(want) {
 		t.Errorf("ran %d, want %d", n, want)
+	}
+	if s := q.Stats(); s.Backoffs == 0 {
+		t.Error("no retry waited out a backoff window (injection at 0.15 should force some)")
 	}
 }
