@@ -21,12 +21,14 @@ tier1:
 # loc prints the non-test Go line count every simplicity PR quotes —
 # hand-written source only: no tests, no vendored analysis framework
 # (internal/xtools), no benchmark module or its build output — and the
-# split for the packages those PRs work in.
+# split for the packages those PRs work in. Its last line counts the
+# vendored internal/xtools apart.
 LOC_FIND = find $(1) -name '*.go' -not -name '*_test.go' -not -path './internal/xtools/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go lines: %d\n' $$($(call LOC_FIND,.))
 	@for d in internal/serve internal/cluster internal/bench internal/core internal/dataset internal/predictors internal/compressor/sz3 internal/hurricane; do \
 		printf '  %-24s %d\n' $$d $$($(call LOC_FIND,./$$d)); done
+	@printf 'vendored internal/xtools: %d\n' $$(find internal/xtools -name '*.go' | xargs cat | wc -l)
 
 # check is the full verification gate: formatting, the docs naming only
 # what exists (docs-check), standard vet (with the
@@ -72,8 +74,9 @@ ifdef BENCH
 endif
 
 # lint runs the pressiovet analyzers (DESIGN.md §11) over the whole tree
-# via the `go vet -vettool` unitchecker protocol. Idempotent: rebuilds
-# the tool from source each run; exits non-zero on any finding.
+# as a `go vet -vettool`: go vet loads and caches the packages and hands
+# cmd/pressiovet one unit at a time. Idempotent: rebuilds the tool from
+# source each run; exits non-zero on any finding.
 lint:
 	$(GO) build -o $(PRESSIOVET) ./cmd/pressiovet
 	$(GO) vet -vettool=$(abspath $(PRESSIOVET)) ./...

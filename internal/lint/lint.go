@@ -25,7 +25,15 @@
 // mandatory — a directive without one does not suppress anything.
 package lint
 
-import "repro/internal/xtools/analysis"
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/token"
+	"go/types"
+
+	"repro/internal/xtools/analysis"
+)
 
 // Analyzers returns the full pressiovet suite in stable order. This is
 // the single registration point: cmd/pressiovet drives exactly this set,
@@ -38,4 +46,72 @@ func Analyzers() []*analysis.Analyzer {
 		CtxFlow,
 		DetRand,
 	}
+}
+
+// Validate is analysis.Validate plus the rule the drivers here rely on:
+// no analyzer, nor any analyzer it requires, declares FactTypes. Facts
+// carry results from a package to its importers; cmd/pressiovet passes
+// none and RunUnit gives a Pass no fact functions.
+func Validate(analyzers []*analysis.Analyzer) error {
+	if err := analysis.Validate(analyzers); err != nil {
+		return err
+	}
+	var visit func(as []*analysis.Analyzer) error
+	visit = func(as []*analysis.Analyzer) error {
+		for _, a := range as {
+			if len(a.FactTypes) > 0 {
+				return fmt.Errorf("analyzer %s declares FactTypes, but pressiovet's fact plumbing was removed; restore it from git history (git log --diff-filter=D -- internal/xtools/facts)", a.Name)
+			}
+			if err := visit(a.Requires); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return visit(analyzers)
+}
+
+// RunUnit runs each root analyzer over one type-checked package, each
+// after the analyzers it requires, one at a time and each once. It
+// returns the diagnostics every analyzer that ran reported; an analyzer
+// that fails stops the run. cmd/pressiovet and linttest both drive the
+// suite through it.
+func RunUnit(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, roots []*analysis.Analyzer) (map[*analysis.Analyzer][]analysis.Diagnostic, error) {
+	sizes := types.SizesFor("gc", build.Default.GOARCH)
+	results := map[*analysis.Analyzer]any{}
+	diags := map[*analysis.Analyzer][]analysis.Diagnostic{}
+	var run func(a *analysis.Analyzer) error
+	run = func(a *analysis.Analyzer) error {
+		if _, done := results[a]; done {
+			return nil
+		}
+		pass := &analysis.Pass{
+			Analyzer:   a,
+			Fset:       fset,
+			Files:      files,
+			Pkg:        pkg,
+			TypesInfo:  info,
+			TypesSizes: sizes,
+			ResultOf:   map[*analysis.Analyzer]any{},
+			Report:     func(d analysis.Diagnostic) { diags[a] = append(diags[a], d) },
+		}
+		for _, req := range a.Requires {
+			if err := run(req); err != nil {
+				return err
+			}
+			pass.ResultOf[req] = results[req]
+		}
+		res, err := a.Run(pass)
+		if err != nil {
+			return fmt.Errorf("%s failed on %s: %w", a.Name, pkg.Path(), err)
+		}
+		results[a] = res
+		return nil
+	}
+	for _, a := range roots {
+		if err := run(a); err != nil {
+			return nil, err
+		}
+	}
+	return diags, nil
 }

@@ -2,14 +2,17 @@ package lint_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
 	"repro/internal/lint/linttest"
+	"repro/internal/xtools/analysis"
 )
 
 // TestAnalyzerSet pins the suite: adding or removing an analyzer must be
-// a deliberate, reviewed change (and documented in DESIGN.md §11).
+// a deliberate, reviewed change (and documented in DESIGN.md §11). It
+// also holds the suite to declaring no facts.
 func TestAnalyzerSet(t *testing.T) {
 	want := []string{"ctxflow", "detrand", "invalidatedecl", "opthashcomplete", "poolescape"}
 	var got []string
@@ -31,7 +34,23 @@ func TestAnalyzerSet(t *testing.T) {
 			t.Fatalf("analyzer set = %v, want %v", got, want)
 		}
 	}
+
+	// No analyzer, nor one it requires, may declare facts: pressiovet
+	// carries none. Validate is the check cmd/pressiovet refuses to start
+	// on; the fake pair below is its negative control.
+	if err := lint.Validate(lint.Analyzers()); err != nil {
+		t.Error(err)
+	}
+	withFacts := &analysis.Analyzer{Name: "withfacts", Doc: "d", Run: lint.DetRand.Run, FactTypes: []analysis.Fact{new(fact)}}
+	user := &analysis.Analyzer{Name: "user", Doc: "d", Run: lint.DetRand.Run, Requires: []*analysis.Analyzer{withFacts}}
+	if err := lint.Validate([]*analysis.Analyzer{user}); err == nil || !strings.Contains(err.Error(), "withfacts declares FactTypes") {
+		t.Errorf("Validate of an analyzer requiring one with facts = %v", err)
+	}
 }
+
+type fact struct{}
+
+func (*fact) AFact() {}
 
 func TestOptHashComplete(t *testing.T) {
 	linttest.Run(t, linttest.TestdataDir(t), lint.OptHashComplete, "opthash/a")

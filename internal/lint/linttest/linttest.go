@@ -3,8 +3,8 @@
 // and therefore cannot be vendored compactly). It loads GOPATH-layout
 // fixture packages from testdata/src/<importpath>/, type-checks them
 // against the standard library via the source importer, runs one
-// analyzer, and matches its diagnostics against analysistest-style
-// expectations:
+// analyzer through lint.RunUnit (the runner cmd/pressiovet uses), and
+// matches its diagnostics against analysistest-style expectations:
 //
 //	bad()   // want `regexp`
 //	bad2()  // want "one" "two"
@@ -29,6 +29,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/lint"
 	"repro/internal/xtools/analysis"
 )
 
@@ -44,8 +45,11 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 			t.Errorf("%s: loading fixture %s: %v", a.Name, path, err)
 			continue
 		}
-		diags := runAnalyzer(t, a, pkg)
-		checkExpectations(t, a, pkg, diags)
+		diags, err := lint.RunUnit(pkg.fset, pkg.files, pkg.pkg, pkg.info, []*analysis.Analyzer{a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkExpectations(t, a, pkg, diags[a])
 	}
 }
 
@@ -154,47 +158,6 @@ func (ld *loader) load(path string) (*fixturePkg, error) {
 func isDir(p string) bool {
 	st, err := os.Stat(p)
 	return err == nil && st.IsDir()
-}
-
-// runAnalyzer executes a (and, recursively, its Requires) over pkg and
-// returns the diagnostics a reported.
-func runAnalyzer(t *testing.T, a *analysis.Analyzer, pkg *fixturePkg) []analysis.Diagnostic {
-	t.Helper()
-	results := map[*analysis.Analyzer]any{}
-	var diags []analysis.Diagnostic
-	var run func(a *analysis.Analyzer, record bool)
-	run = func(a *analysis.Analyzer, record bool) {
-		if _, done := results[a]; done {
-			return
-		}
-		for _, req := range a.Requires {
-			run(req, false)
-		}
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       pkg.fset,
-			Files:      pkg.files,
-			Pkg:        pkg.pkg,
-			TypesInfo:  pkg.info,
-			TypesSizes: types.SizesFor("gc", runtime.GOARCH),
-			ResultOf:   map[*analysis.Analyzer]any{},
-			Report: func(d analysis.Diagnostic) {
-				if record {
-					diags = append(diags, d)
-				}
-			},
-		}
-		for _, req := range a.Requires {
-			pass.ResultOf[req] = results[req]
-		}
-		res, err := a.Run(pass)
-		if err != nil {
-			t.Fatalf("%s: analyzer failed on %s: %v", a.Name, pkg.path, err)
-		}
-		results[a] = res
-	}
-	run(a, true)
-	return diags
 }
 
 // wantRe matches one `// want "rx"` / `// want `+"`rx`"+“ comment, with
