@@ -445,8 +445,13 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) int 
 // by scan when the body is what scan accepts, and otherwise by decodeJSON
 // over the same bytes and the same end of stream — the capped reader
 // repeats the error it ended on — so every refusal is the one that
-// decoder gives. Either way the field names come out interned.
+// decoder gives. Either way the field names come out interned; a table an
+// earlier request filled starts over, or none of this request's names
+// would be interned.
 func (sc *batchScratch) decode(w http.ResponseWriter, r *http.Request) (int, error) {
+	if len(sc.names) >= maxInterned {
+		clear(sc.names)
+	}
 	sc.reset()
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	sc.body.Reset()

@@ -13,7 +13,8 @@ import (
 // the encoder writes what encoding/json would, byte for byte.
 
 // maxInterned bounds the scratch's string table, in entries and in bytes
-// per entry; past either a name costs its own allocation, as before.
+// per entry; past either a name costs its own allocation, and a full table
+// is cleared when the scratch's next request starts to decode.
 const maxInterned = 256
 
 // intern returns b as a string shared with every earlier occurrence the

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -223,15 +224,16 @@ func distinctBody() (body string, items int) {
 // workload: a server, and one columnar body of items cells, posted once
 // so every cell is resident. Each call of the returned function posts the
 // body again through Handler() — decode, group, the cache hits, encode —
-// and returns the reply, which stays valid until the next call.
-func warmBatchHandler(tb testing.TB, body string, items int) (post func() []byte) {
+// and returns the reply, which stays valid until the next call. The
+// bodies in before are posted once each, in order, ahead of all that.
+func warmBatchHandler(tb testing.TB, body string, items int, before ...string) (post func() []byte) {
 	tb.Helper()
 	s, _ := newTestServer(tb, Config{})
 	h := s.Handler()
 
 	w := &replyRecorder{header: http.Header{}}
 	rd := strings.NewReader(body)
-	post = func() []byte {
+	send := func(body string) []byte {
 		rd.Reset(body)
 		w.body.Reset()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict/batch", rd))
@@ -240,6 +242,10 @@ func warmBatchHandler(tb testing.TB, body string, items int) (post func() []byte
 		}
 		return w.body.Bytes()
 	}
+	for _, b := range before {
+		send(b)
+	}
+	post = func() []byte { return send(body) }
 	post()
 	if reply := post(); bytes.Count(reply, []byte(`"cached":true`)) != items {
 		tb.Fatalf("warm pass: %d/%d items cached", bytes.Count(reply, []byte(`"cached":true`)), items)
@@ -282,6 +288,30 @@ func TestBatchHandlerWarmAllocs(t *testing.T) {
 	post := warmBatchHandler(t, body, items)
 	if allocs := testing.AllocsPerRun(20, func() { post() }); allocs > 64 {
 		t.Errorf("warm 4004-item batch through the handler: %v allocs, want at most 64", allocs)
+	}
+}
+
+// TestBatchInternTableStartsOverWhenFull: a request naming more distinct
+// strings than the scratch's intern table holds fills it, and the next
+// decode on that scratch starts the table over — so serve_hot's body,
+// arriving after it, interns its names again and stays within
+// TestBatchHandlerWarmAllocs's bound instead of allocating every name.
+func TestBatchInternTableStartsOverWhenFull(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the request scratch at random under the race detector")
+	}
+	names := make([]string, 300)
+	for i := range names {
+		names[i] = fmt.Sprintf("X%03d", i)
+	}
+	// two collections empty the scratch pool: the 300-name request fills
+	// the table of a fresh scratch, not one that already holds the hot names
+	runtime.GC()
+	runtime.GC()
+	body, items := hotBody()
+	post := warmBatchHandler(t, body, items, batchBody(names, make([]int, len(names))))
+	if allocs := testing.AllocsPerRun(20, func() { post() }); allocs > 64 {
+		t.Errorf("warm 4004-item batch after a 300-name one: %v allocs, want at most 64", allocs)
 	}
 }
 
