@@ -41,21 +41,27 @@ loc:
 # corpus seed and small grids, each bit-equal to the per-sample reference —
 # and FuzzCodesLorenzo's in internal/compressor/sz3 — shape, bound, bin
 # budget and raw value bits, the row stage's codes equal to Quantizer.Code
-# over LorenzoTerms; to fuzz past the seeds:
+# over LorenzoTerms — and FuzzCodeModelCount's in internal/predictors —
+# code runs of every span up to the bin budget and outlier share, the
+# code model's entropy and histogram equal to a dense window's and its
+# scratch left zero; to fuzz past the seeds:
 # go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman
 # go test -run '^$$' -fuzz FuzzFieldMatchesReference -fuzztime 1m ./internal/hurricane
-# go test -run '^$$' -fuzz FuzzCodesLorenzo -fuzztime 1m ./internal/compressor/sz3),
+# go test -run '^$$' -fuzz FuzzCodesLorenzo -fuzztime 1m ./internal/compressor/sz3
+# go test -run '^$$' -fuzz FuzzCodeModelCount -fuzztime 1m ./internal/predictors),
 # the examples and predict-bench's -table1 and -corpus modes run to
 # completion, and the complete test suite under the race detector. The race run stays
 # `-race -short`: -race is what actually exercises the sync.Pool and
 # queue invariants the linters guard statically, and -short keeps the
 # gate fast enough to run on every change by skipping the long queue
 # stress test and the model-fitting serve tests (run `make stress` and
-# `make serve-check` to include them). Last come the four multi-process
-# harnesses, also under -race: kill-restart recovery, the replicated
-# cluster's kill tests, predict-bench's remote drill, and the seeded
-# scenarios (SLOs and prediction
-# accounting under load; no performance number is gated here — the only
+# `make serve-check` to include them). predictors and serve then run
+# twice more under it (-count=2): their pool-dependent allocation tests
+# must hold (or skip) when a second pass finds the pools a first one
+# left. Last come the four multi-process harnesses, also under -race:
+# kill-restart recovery, the replicated cluster's kill tests,
+# predict-bench's remote drill, and the seeded scenarios (SLOs and
+# prediction accounting under load; no performance number is gated here — the only
 # performance gate is bench-check, opt-in behind BENCH=1).
 check: fmt-check docs-check
 	$(GO) vet ./...
@@ -65,6 +71,7 @@ check: fmt-check docs-check
 	$(MAKE) tier1
 	$(MAKE) examples-check
 	$(GO) test -race -short ./...
+	$(GO) test -race -short -count=2 ./internal/predictors ./internal/serve
 	$(MAKE) crash-check
 	$(MAKE) cluster-check
 	$(MAKE) remote-check

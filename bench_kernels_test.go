@@ -250,29 +250,40 @@ func BenchmarkKernelMetricsChain(b *testing.B) {
 // through sz3's open-loop row stage (Quantizer.CodesLorenzo), warm, on the
 // 32x64x64 TC cell: jin_model over the whole buffer, khan_surrogate over
 // its sixteen sampled runs, zperf_model's lorenzo predictor over its
-// quarter prefix. allocs/op is the hard gate — a fixed handful (jin_model
-// 7: sz3's plan key, the histogram's two columns, the result set and its
-// boxed values), never one per element or per row; it was 262 173.
+// quarter prefix. khan_surrogate_tight is serve_cold's 64x64x96 TC cell at
+// abs=1e-6, where the sampled codes span nearly the whole bin budget.
+// allocs/op is the hard gate — a fixed handful (jin_model 7: sz3's plan
+// key, the histogram's two columns, the result set and its boxed values),
+// never one per element or per row; it was 262 173.
 func BenchmarkKernelSurrogate(b *testing.B) {
 	data := benchField(b, "TC", 24)
-	for _, c := range []struct{ name, metric string }{
-		{"jin_model", "jin_model"},
-		{"khan_surrogate", "khan_surrogate"},
-		{"zperf_lorenzo", "zperf_model"},
+	cold, err := hurricane.Field("TC", 0, []int{64, 64, 96})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, metric string
+		data         *pressio.Data
+		abs          float64
+	}{
+		{"jin_model", "jin_model", data, 1e-4},
+		{"khan_surrogate", "khan_surrogate", data, 1e-4},
+		{"khan_surrogate_tight", "khan_surrogate", cold, 1e-6},
+		{"zperf_lorenzo", "zperf_model", data, 1e-4},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			m, err := pressio.GetMetric(c.metric)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := m.SetOptions(kernelOpts(b, 1e-4, 1)); err != nil {
+			if err := m.SetOptions(kernelOpts(b, c.abs, 1)); err != nil {
 				b.Fatal(err)
 			}
-			m.BeginCompress(data) // fills the pools and the buffer's float64 view
+			m.BeginCompress(c.data) // fills the pools and the buffer's float64 view
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.BeginCompress(data)
+				m.BeginCompress(c.data)
 			}
 		})
 	}

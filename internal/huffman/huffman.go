@@ -56,30 +56,6 @@ type Histogram struct {
 // Len returns the number of distinct symbols.
 func (h Histogram) Len() int { return len(h.Symbols) }
 
-// DenseHistogram compacts a dense counting window — window[i] counts symbol
-// base+i — into a Histogram. The window is not modified.
-func DenseHistogram(base int32, window []uint64) Histogram {
-	return compactWindow(base, window, 0)
-}
-
-// compactWindow is DenseHistogram with room for extra more symbols.
-func compactWindow(base int32, window []uint64, extra int) Histogram {
-	n := extra
-	for _, c := range window {
-		if c != 0 {
-			n++
-		}
-	}
-	h := Histogram{Symbols: make([]int32, 0, n), Counts: make([]uint64, 0, n)}
-	for i, c := range window {
-		if c != 0 {
-			h.Symbols = append(h.Symbols, base+int32(i))
-			h.Counts = append(h.Counts, c)
-		}
-	}
-	return h
-}
-
 // scratch is the working memory of one table construction or one Decode.
 // It is held between a Get and a Put inside one call and nothing returned
 // to a caller points into it.
@@ -459,7 +435,18 @@ func HistogramInt32(data []int32, workers int) Histogram {
 		}
 		rest.Counts[len(rest.Counts)-1]++
 	}
-	out := compactWindow(lo, window, rest.Len())
+	n := rest.Len()
+	for _, c := range window {
+		if c != 0 {
+			n++
+		}
+	}
+	out := Histogram{Symbols: make([]int32, 0, n), Counts: make([]uint64, 0, n)}
+	for i, c := range window {
+		if c != 0 {
+			out.Symbols, out.Counts = append(out.Symbols, lo+int32(i)), append(out.Counts, c)
+		}
+	}
 	clear(window)
 	denseHistPool.Put(window)
 	out.Symbols, out.Counts = append(out.Symbols, rest.Symbols...), append(out.Counts, rest.Counts...)

@@ -2,6 +2,7 @@ package predictors
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -16,22 +17,22 @@ import (
 // and which elements it samples. A stage writes a run of quantization codes
 // into room — sz3's CodesLorenzo, or cm.q.Code per residual, the one
 // statement of the rule: the nearest multiple of 2·abs, an outlier outside
-// the bin budget, NaN and ±Inf included — take counts the run, and the codes
-// are then tallied in a dense window exactly as wide as the span they
-// cover, never the bin budget. The counts come back in code order (entropy,
-// histogram), so a float sum over them runs in the same order on every
-// call; out of a map it differed in its last bits from one call to the
-// next. bitsPerValue is the one cost formula the three end in.
+// the bin budget, NaN and ±Inf included — take counts the run, and tally
+// lists the bins the codes occupy, costing the codes, not their span. The
+// counts come back in code order (entropy, histogram), so a float sum over
+// them runs in the same order on every call; out of a map it differed in
+// its last bits from one call to the next. bitsPerValue is the one cost
+// formula the three end in.
 type codeModel struct {
 	q        sz3.Quantizer
 	codes    []int32 // every code taken, in arrival order
 	lo, hi   int32   // the extremes of those inside the bin budget
 	outliers uint64  // how many were OutlierCode
-	// window is where entropy and histogram count the codes, window[i]
-	// for code lo+i, and zero again while it is hot: its whole capacity is
-	// zero between uses, so a warm model allocates and zeroes nothing wider
-	// than the span of its codes.
-	window []uint64
+	// window[i] counts code lo+i and occupied has a bit per bin a code
+	// landed in; tally zeroes what it set, so both are zero between uses
+	window, occupied []uint64
+	symbols          []int32  // the occupied bins in code order, as tally left them
+	counts           []uint64 // and their counts
 }
 
 // codeModelPool recycles models: Get, defer Put, reset — and what a user
@@ -54,52 +55,88 @@ func (cm *codeModel) room(n int) []int32 {
 	return cm.codes[at:]
 }
 
-// take counts the run of codes a stage wrote into room.
+// take counts the run of codes a stage wrote into room, in locals: a
+// field stored per code would chain each code behind the last store.
 func (cm *codeModel) take(run []int32) {
+	lo, hi, outliers := cm.lo, cm.hi, cm.outliers
 	for _, c := range run {
 		if c == sz3.OutlierCode {
-			cm.outliers++
+			outliers++
 			continue
 		}
-		cm.lo, cm.hi = min(cm.lo, c), max(cm.hi, c)
+		lo, hi = min(lo, c), max(hi, c)
 	}
+	cm.lo, cm.hi, cm.outliers = lo, hi, outliers
 }
 
 // n is how many codes were counted, outliers included.
 func (cm *codeModel) n() uint64 { return uint64(len(cm.codes)) }
 
-// tally fills the window from the codes; the caller zeroes it again.
-func (cm *codeModel) tally() []uint64 {
+// tally counts the codes into the window, then lists the bins they occupy
+// in code order as symbols and counts, zeroing each as it goes. Codes
+// spanning more bins than there are codes mark the bins they land in and
+// the list walks the marks; a narrower span, cheaper to read whole than
+// to mark per code, is read bin by bin.
+func (cm *codeModel) tally() {
+	cm.symbols, cm.counts = cm.symbols[:0], cm.counts[:0]
 	if cm.n() == cm.outliers {
-		return nil
+		return
 	}
-	span := int(cm.hi) - int(cm.lo) + 1
+	lo, span := cm.lo, int(cm.hi)-int(cm.lo)+1
 	if cap(cm.window) < span {
 		cm.window = make([]uint64, span)
 	}
 	window := cm.window[:span]
-	for _, c := range cm.codes {
-		if c != sz3.OutlierCode {
-			window[c-cm.lo]++
+	most := min(span, len(cm.codes)-int(cm.outliers))
+	symbols, counts := slices.Grow(cm.symbols, most)[:most], slices.Grow(cm.counts, most)[:most]
+	k := 0
+	if span <= len(cm.codes) {
+		for _, c := range cm.codes {
+			if c != sz3.OutlierCode {
+				window[c-lo]++
+			}
+		}
+		for i, c := range window {
+			if c != 0 {
+				symbols[k], counts[k], window[i] = lo+int32(i), c, 0
+				k++
+			}
+		}
+	} else {
+		words := (span + 63) / 64
+		if cap(cm.occupied) < words {
+			cm.occupied = make([]uint64, words)
+		}
+		occupied := cm.occupied[:words]
+		for _, c := range cm.codes {
+			if c != sz3.OutlierCode {
+				i := uint32(c - lo)
+				window[i]++
+				occupied[i/64] |= 1 << (i % 64)
+			}
+		}
+		for w, bin := range occupied {
+			for ; bin != 0; bin &= bin - 1 {
+				i := w*64 + bits.TrailingZeros64(bin)
+				symbols[k], counts[k], window[i] = lo+int32(i), window[i], 0
+				k++
+			}
+			occupied[w] = 0
 		}
 	}
-	return window
+	cm.symbols, cm.counts = symbols[:k], counts[:k]
 }
 
 // entropy is the Shannon entropy of the counted codes, in bits per code.
 func (cm *codeModel) entropy() float64 {
-	window := cm.tally()
-	h := stats.EntropyFromCounts(window)
-	clear(window)
-	return h
+	cm.tally()
+	return stats.EntropyFromCounts(cm.counts)
 }
 
 // histogram is the counted codes in the form the Huffman analysis takes.
 func (cm *codeModel) histogram() huffman.Histogram {
-	window := cm.tally()
-	h := huffman.DenseHistogram(cm.lo, window)
-	clear(window)
-	return h
+	cm.tally()
+	return huffman.Histogram{Symbols: slices.Clone(cm.symbols), Counts: slices.Clone(cm.counts)}
 }
 
 // bitsPerValue turns the cost of a quantization code into the modelled

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -368,12 +369,13 @@ func TestStageModelsCountNonFiniteValuesAsOutliers(t *testing.T) {
 	}
 }
 
-// A code count costs the span of its codes, not the bin budget: a warm
-// BeginCompress on a 32x64x64 float32 cell allocates — beyond the float64
-// sample zperf_model reads, or nothing for jin_model, whose view rides on
-// the buffer — less than the 512 KiB a Bins-wide []uint64 is, which each
-// used to allocate and zero per call. khan_surrogate's warm predict stays
-// free of anything proportional to its sample.
+// A code count never costs the bin budget: a warm BeginCompress on a
+// 32x64x64 float32 cell allocates — beyond the float64 sample zperf_model
+// reads, or nothing for jin_model, whose view rides on the buffer — less
+// than the 512 KiB a Bins-wide []uint64 is, which each used to allocate
+// and zero per call, plus the occupancy marks of the widest span, one bit
+// per bin. khan_surrogate's warm predict stays free of anything
+// proportional to its sample.
 func TestCodeModelAllocatesItsSpanNotTheBinBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the pooled code model at random under the race detector")
@@ -382,16 +384,16 @@ func TestCodeModelAllocatesItsSpanNotTheBinBudget(t *testing.T) {
 	for i := range in.Float32() {
 		in.Float32()[i] = float32(math.Sin(float64(i) / 29))
 	}
-	const binsWide = sz3.DefaultBins * 8
+	const binsWide, marks = sz3.DefaultBins * 8, sz3.DefaultBins / 8
 	zp, jin, khan := &ZperfModel{}, &JinModel{FastIter: true}, &KhanSurrogate{}
 	for _, c := range []struct {
 		name   string
 		metric pressio.Metric
 		limit  uint64
 	}{
-		{"zperf_model", zp, uint64(float64(in.Len())*zp.fraction())*8 + binsWide},
-		{"jin_model", jin, binsWide},
-		{"khan_surrogate", khan, uint64(float64(in.Len())*khan.fraction()) * 4},
+		{"zperf_model", zp, uint64(float64(in.Len())*zp.fraction())*8 + binsWide + marks},
+		{"jin_model", jin, binsWide + marks},
+		{"khan_surrogate", khan, uint64(float64(in.Len())*khan.fraction())*4 + marks},
 	} {
 		// the first call fills the pools and the buffer's float64 view; a
 		// collection between two calls can empty the pools again, so the
@@ -409,4 +411,95 @@ func TestCodeModelAllocatesItsSpanNotTheBinBudget(t *testing.T) {
 			t.Errorf("%s: a warm BeginCompress allocated %d bytes, want < %d", c.name, least, c.limit)
 		}
 	}
+}
+
+// FuzzCodeModelCount holds tally to a dense window over the same codes,
+// whichever way it walks them: n codes (at least one), a share of them
+// outliers (outlierShare/255, all at 255), the rest uniform over span bins
+// (1 up to the bin budget) placed at offset, taken in two runs. entropy()
+// must be bit-equal to EntropyFromCounts over the reference window and to
+// a term-by-term sum, histogram() must list the window's non-zero bins in
+// code order, and the window and the occupancy marks must be all zero
+// after each.
+func FuzzCodeModelCount(f *testing.F) {
+	// the default bin budget's codes run from -32767 to 32767
+	const budget = sz3.DefaultBins - 1
+	f.Add(uint64(1), uint16(7856), uint32(budget), uint32(0), uint8(0))    // khan's sample over the widest span
+	f.Add(uint64(2), uint16(7856), uint32(3279), uint32(30000), uint8(0))  // narrower than the sample
+	f.Add(uint64(3), uint16(1), uint32(1), uint32(0), uint8(0))            // a single code
+	f.Add(uint64(4), uint16(600), uint32(200), uint32(9), uint8(255))      // all outliers
+	f.Add(uint64(5), uint16(9000), uint32(12), uint32(7), uint8(40))       // counts of hundreds
+	f.Add(uint64(6), uint16(2000), uint32(65000), uint32(500), uint8(128)) // half outliers
+	f.Add(uint64(7), uint16(63), uint32(64), uint32(64), uint8(0))         // one mark word
+	f.Add(uint64(8), uint16(64), uint32(64), uint32(64), uint8(0))         // as wide as the codes are many
+	f.Add(uint64(9), uint16(65535), uint32(300), uint32(1), uint8(3))      // counts of a few hundred
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, span, offset uint32, outlierShare uint8) {
+		span = 1 + span%budget
+		lo := -int32(budget/2) + int32(offset%(budget-span+1))
+		rng := splitmix(seed)
+		codes := make([]int32, max(int(n), 1))
+		for i := range codes {
+			if r := rng(); uint8(r) < outlierShare || outlierShare == 255 {
+				codes[i] = sz3.OutlierCode
+			} else {
+				codes[i] = lo + int32((r>>8)%uint64(span))
+			}
+		}
+		ref := make([]uint64, span) // ref[i] counts code lo+i
+		for _, c := range codes {
+			if c != sz3.OutlierCode {
+				ref[c-lo]++
+			}
+		}
+		var symbols []int32
+		var counts []uint64
+		var total uint64
+		for i, c := range ref {
+			if c != 0 {
+				symbols, counts = append(symbols, lo+int32(i)), append(counts, c)
+				total += c
+			}
+		}
+		var termwise float64
+		for _, c := range counts {
+			p := float64(c) / float64(total)
+			termwise -= float64(p * math.Log2(p))
+		}
+
+		cm := new(codeModel)
+		zeroed := func(after string) {
+			for i, c := range cm.window[:cap(cm.window)] {
+				if c != 0 {
+					t.Fatalf("after %s: window[%d] = %d", after, i, c)
+				}
+			}
+			for w, m := range cm.occupied[:cap(cm.occupied)] {
+				if m != 0 {
+					t.Fatalf("after %s: occupancy word %d = %#x", after, w, m)
+				}
+			}
+		}
+		for pass := 0; pass < 2; pass++ { // the second on the first's storage
+			cm.reset(1, sz3.DefaultBins)
+			half := len(codes) / 2
+			for _, run := range [][]int32{codes[:half], codes[half:]} {
+				room := cm.room(len(run))
+				copy(room, run)
+				cm.take(room)
+			}
+			h := cm.entropy()
+			zeroed("entropy")
+			if want := stats.EntropyFromCounts(ref); math.Float64bits(h) != math.Float64bits(want) {
+				t.Fatalf("pass %d: entropy %v, EntropyFromCounts over the window %v", pass, h, want)
+			}
+			if math.Float64bits(h) != math.Float64bits(termwise) {
+				t.Fatalf("pass %d: entropy %v, term by term %v", pass, h, termwise)
+			}
+			hist := cm.histogram()
+			zeroed("histogram")
+			if !slices.Equal(hist.Symbols, symbols) || !slices.Equal(hist.Counts, counts) {
+				t.Fatalf("pass %d: histogram %v %v, window's bins %v %v", pass, hist.Symbols, hist.Counts, symbols, counts)
+			}
+		}
+	})
 }

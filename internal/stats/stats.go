@@ -134,7 +134,10 @@ func Histogram(xs []float64, lo, hi float64, bins int) []uint64 {
 }
 
 // EntropyFromCounts returns the Shannon entropy in bits of the empirical
-// distribution described by counts.
+// distribution described by counts, summed in their order. A count below
+// 64 has its term computed once per call (at tight bounds nearly every
+// count is 1–3); each term is rounded before it is subtracted, so no
+// platform fuses the two and a memoized term is the bits a fresh one is.
 func EntropyFromCounts(counts []uint64) float64 {
 	var total uint64
 	for _, c := range counts {
@@ -143,14 +146,23 @@ func EntropyFromCounts(counts []uint64) float64 {
 	if total == 0 {
 		return 0
 	}
+	var memo [64]float64 // memo[c] is c's term, 0 until computed
 	var h float64
 	ft := float64(total)
 	for _, c := range counts {
 		if c == 0 {
 			continue
 		}
+		if c < uint64(len(memo)) && memo[c] != 0 {
+			h -= memo[c]
+			continue
+		}
 		p := float64(c) / ft
-		h -= p * math.Log2(p)
+		term := float64(p * math.Log2(p))
+		if c < uint64(len(memo)) {
+			memo[c] = term
+		}
+		h -= term
 	}
 	return h
 }
