@@ -1,13 +1,12 @@
 package repro
 
 // Kernel microbenchmarks backing the BENCH_kernels.json regression gate
-// (make bench-baseline / make bench-check). Each compressor benchmark has a
-// serial variant (pressio:nthreads=1) and a parallel variant (nthreads=0,
-// i.e. all cores), so the baseline records both the single-thread cost and
-// the scaling headroom; the gate fails when either regresses by more than
-// 10% in ns/op or allocs/op. The metrics benchmarks pin the fused
-// single-pass feature extraction against the per-metric multi-pass chain
-// it replaced.
+// (make bench-baseline / make bench-check). Each compressor benchmark is
+// one (de)compression on the caller's goroutine, the way a bench queue
+// worker or a predictd pool slot runs it; the gate fails when one
+// regresses by more than 10% in ns/op or allocs/op. The metrics
+// benchmarks pin the fused single-pass feature extraction against the
+// per-metric multi-pass chain it replaced.
 
 import (
 	"testing"
@@ -19,21 +18,19 @@ import (
 	"repro/internal/stats"
 )
 
-func kernelOpts(b *testing.B, abs float64, nthreads int) pressio.Options {
-	b.Helper()
+func kernelOpts(abs float64) pressio.Options {
 	o := pressio.Options{}
 	o.Set(pressio.OptAbs, abs)
-	o.Set(pressio.OptNThreads, int64(nthreads))
 	return o
 }
 
-func benchmarkKernelCompress(b *testing.B, name string, nthreads int) {
+func benchmarkKernelCompress(b *testing.B, name string) {
 	data := benchField(b, "TC", 24)
 	comp, err := pressio.GetCompressor(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := comp.SetOptions(kernelOpts(b, 1e-4, nthreads)); err != nil {
+	if err := comp.SetOptions(kernelOpts(1e-4)); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(data.ByteSize()))
@@ -46,13 +43,13 @@ func benchmarkKernelCompress(b *testing.B, name string, nthreads int) {
 	}
 }
 
-func benchmarkKernelDecompress(b *testing.B, name string, nthreads int) {
+func benchmarkKernelDecompress(b *testing.B, name string) {
 	data := benchField(b, "TC", 24)
 	comp, err := pressio.GetCompressor(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := comp.SetOptions(kernelOpts(b, 1e-4, nthreads)); err != nil {
+	if err := comp.SetOptions(kernelOpts(1e-4)); err != nil {
 		b.Fatal(err)
 	}
 	compressed, err := comp.Compress(data)
@@ -70,35 +67,17 @@ func benchmarkKernelDecompress(b *testing.B, name string, nthreads int) {
 	}
 }
 
-func BenchmarkKernelSZ3Compress(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkKernelCompress(b, "sz3", 1) })
-	b.Run("parallel", func(b *testing.B) { benchmarkKernelCompress(b, "sz3", 0) })
-}
+func BenchmarkKernelSZ3Compress(b *testing.B) { benchmarkKernelCompress(b, "sz3") }
 
-func BenchmarkKernelSZ3Decompress(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkKernelDecompress(b, "sz3", 1) })
-	b.Run("parallel", func(b *testing.B) { benchmarkKernelDecompress(b, "sz3", 0) })
-}
+func BenchmarkKernelSZ3Decompress(b *testing.B) { benchmarkKernelDecompress(b, "sz3") }
 
-func BenchmarkKernelZFPCompress(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkKernelCompress(b, "zfp", 1) })
-	b.Run("parallel", func(b *testing.B) { benchmarkKernelCompress(b, "zfp", 0) })
-}
+func BenchmarkKernelZFPCompress(b *testing.B) { benchmarkKernelCompress(b, "zfp") }
 
-func BenchmarkKernelZFPDecompress(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkKernelDecompress(b, "zfp", 1) })
-	b.Run("parallel", func(b *testing.B) { benchmarkKernelDecompress(b, "zfp", 0) })
-}
+func BenchmarkKernelZFPDecompress(b *testing.B) { benchmarkKernelDecompress(b, "zfp") }
 
-func BenchmarkKernelSZXCompress(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkKernelCompress(b, "szx", 1) })
-	b.Run("parallel", func(b *testing.B) { benchmarkKernelCompress(b, "szx", 0) })
-}
+func BenchmarkKernelSZXCompress(b *testing.B) { benchmarkKernelCompress(b, "szx") }
 
-func BenchmarkKernelSZXDecompress(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkKernelDecompress(b, "szx", 1) })
-	b.Run("parallel", func(b *testing.B) { benchmarkKernelDecompress(b, "szx", 0) })
-}
+func BenchmarkKernelSZXDecompress(b *testing.B) { benchmarkKernelDecompress(b, "szx") }
 
 // BenchmarkKernelHuffman pins the entropy-coding stage alone on the two
 // shapes sz3 hands it. The narrow stream is a loose bound's: a 7-symbol
@@ -126,8 +105,8 @@ func BenchmarkKernelHuffman(b *testing.B) {
 	u := benchField(b, "U", 24)
 	q := &sz3.Quantizer{Abs: 1e-6, Bins: sz3.DefaultBins, DType: u.DType()}
 	wide := make([]int32, u.Len())
-	sz3.PredictQuantizeLorenzo(wide, make([]float64, u.Len()), stats.Float64Of(u), u.Dims(), q, 0)
-	hist := huffman.HistogramInt32(wide, 0)
+	sz3.PredictQuantizeLorenzo(wide, make([]float64, u.Len()), stats.Float64Of(u), u.Dims(), q)
+	hist := huffman.HistogramInt32(wide)
 	if hist.Len() <= 20000 {
 		b.Fatalf("the wide stream has %d distinct symbols, want > 20000", hist.Len())
 	}
@@ -199,7 +178,7 @@ func benchHurricaneSynth(b *testing.B, field string) {
 }
 
 // BenchmarkKernelFusedSummary pins the single-pass fused extractor on its
-// own: one parallel sweep producing min/max/mean/std/sparsity/histogram.
+// own: two in-order sweeps producing min/max/mean/std/sparsity/histogram.
 // Touch invalidates the per-buffer cache each iteration so every pass is
 // a real recomputation, not a cache hit.
 func BenchmarkKernelFusedSummary(b *testing.B) {
@@ -209,7 +188,7 @@ func BenchmarkKernelFusedSummary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data.Touch()
-		if s := stats.SummaryOf(data, 4096, 1); s.N != data.Len() {
+		if s := stats.SummaryOf(data, 4096, 0); s.N != data.Len() {
 			b.Fatalf("summary covered %d of %d elements", s.N, data.Len())
 		}
 	}
@@ -229,7 +208,7 @@ func BenchmarkKernelMetricsChain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := m.SetOptions(kernelOpts(b, 1e-4, 1)); err != nil {
+		if err := m.SetOptions(kernelOpts(1e-4)); err != nil {
 			b.Fatal(err)
 		}
 		chain = append(chain, m)
@@ -276,7 +255,7 @@ func BenchmarkKernelSurrogate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := m.SetOptions(kernelOpts(b, c.abs, 1)); err != nil {
+			if err := m.SetOptions(kernelOpts(c.abs)); err != nil {
 				b.Fatal(err)
 			}
 			m.BeginCompress(c.data) // fills the pools and the buffer's float64 view

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // ErrShortStream is returned when a read runs past the end of the stream.
@@ -26,6 +25,12 @@ type Writer struct {
 	acc  uint64 // pending bits, right-aligned (low nacc bits)
 	nacc uint   // number of pending bits in acc, in [0, 64)
 }
+
+// NewWriter returns a Writer that appends its stream to buf: Bytes returns
+// buf's bytes followed by the stream (BitLen counts both), in buf's
+// storage while its capacity lasts, so a caller can write a stream in
+// place behind its header.
+func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
 
 // WriteBit appends a single bit (0 or 1).
 func (w *Writer) WriteBit(bit uint64) {
@@ -97,54 +102,6 @@ func (w *Writer) Bytes() []byte {
 	}
 	w.acc = 0
 	return w.buf
-}
-
-// AppendBits appends the first nbits of buf, interpreted as an MSB-first
-// bit stream, to the writer. It is the splice primitive behind the
-// parallel entropy coders: chunks encoded into separate writers are
-// concatenated bit-exactly, so the result is identical to single-writer
-// encoding.
-func (w *Writer) AppendBits(buf []byte, nbits int) {
-	full := nbits >> 3
-	rem := uint(nbits & 7)
-	if w.nacc == 0 {
-		// byte-aligned: whole bytes copy directly
-		w.buf = append(w.buf, buf[:full]...)
-	} else {
-		i := 0
-		for ; i+8 <= full; i += 8 {
-			w.WriteBits(binary.BigEndian.Uint64(buf[i:]), 64)
-		}
-		for ; i < full; i++ {
-			w.WriteBits(uint64(buf[i]), 8)
-		}
-	}
-	if rem > 0 {
-		w.WriteBits(uint64(buf[full]>>(8-rem)), rem)
-	}
-}
-
-// AppendWriter appends the entire content of o — full bytes plus any
-// pending partial bits — to w. o is not modified.
-func (w *Writer) AppendWriter(o *Writer) {
-	w.AppendBits(o.buf, len(o.buf)*8)
-	if o.nacc > 0 {
-		w.WriteBits(o.acc, o.nacc)
-	}
-}
-
-// writerPool recycles Writers (and their grown buffers) across the
-// per-chunk encoders of the parallel kernels.
-var writerPool = sync.Pool{New: func() any { return new(Writer) }}
-
-// GetWriter returns a reset Writer from the shared pool.
-func GetWriter() *Writer { return writerPool.Get().(*Writer) }
-
-// PutWriter resets w and returns it to the shared pool. The caller must
-// not retain w or any slice previously returned by w.Bytes().
-func PutWriter(w *Writer) {
-	w.Reset()
-	writerPool.Put(w)
 }
 
 // Reader consumes bits MSB-first from a byte slice.

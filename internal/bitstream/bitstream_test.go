@@ -64,6 +64,20 @@ func TestBitLen(t *testing.T) {
 	}
 }
 
+func TestWriterReset(t *testing.T) {
+	var w Writer
+	w.WriteBits(0xFFFF, 16)
+	w.WriteBits(1, 3)
+	w.Reset()
+	if w.BitLen() != 0 {
+		t.Fatalf("BitLen after Reset = %d, want 0", w.BitLen())
+	}
+	w.WriteBits(0xA5, 8)
+	if got := w.Bytes(); len(got) != 1 || got[0] != 0xA5 {
+		t.Fatalf("post-Reset write: got %x", got)
+	}
+}
+
 func TestShortStream(t *testing.T) {
 	r := NewReader([]byte{0xAB})
 	if _, err := r.ReadBits(8); err != nil {

@@ -1,17 +1,12 @@
 package compressor_test
 
 // Golden tests pin the exact compressed byte streams of the sz3, zfp, and
-// szx kernels. The fixtures were generated from the serial implementations
-// before the block-parallel refactor; any change to the on-disk hashes
-// means the encoding changed, which breaks stored streams and the
-// determinism guarantee of DESIGN.md §10. Regenerate (only for a
-// deliberate, versioned format change) with:
+// szx kernels. Any change to the on-disk hashes means the encoding
+// changed, which breaks stored streams and the determinism guarantee of
+// DESIGN.md §10. Regenerate (only for a deliberate, versioned format
+// change) with:
 //
 //	go test ./internal/compressor/ -run TestGolden -update-golden
-//
-// The tests also assert that every thread count produces byte-identical
-// output to the serial path, which is the contract that makes
-// pressio:nthreads a pure performance knob.
 
 import (
 	"crypto/sha256"

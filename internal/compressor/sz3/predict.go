@@ -11,24 +11,18 @@
 // makes the prediction problem studied in the paper well-posed against
 // this implementation.
 //
-// The Lorenzo kernels run block-parallel over a wavefront decomposition
-// (DESIGN.md §10): the innermost dimension forms contiguous rows, rows are
-// grouped by the sum of their leading coordinates, and every row in a
-// diagonal group depends only on rows from earlier groups — so groups run
-// in order while rows within a group run concurrently on the shared
-// worker pool. The interpolation kernels parallelize per refinement
-// level. Both produce bit-identical output to the serial traversal for
-// any worker count: element arithmetic and ordering are unchanged, only
-// the schedule differs.
+// Every stage runs on its caller's goroutine (DESIGN.md §10). The Lorenzo
+// kernels visit the contiguous innermost rows in index order, which puts
+// every neighbour a row reads before it; the interpolation kernels visit
+// the refinement levels coarse to fine; outliers are appended as the
+// traversal meets them.
 package sz3
 
 import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/parallel"
 	"repro/internal/pressio"
 )
 
@@ -165,36 +159,36 @@ func lorenzoPlanFor(dims []int) *lorenzoPlan {
 	return p
 }
 
+// rowMask returns the boundary mask of the innermost row starting at flat
+// index base: bit d is set when the row's coordinate on leading axis d is
+// at least 1, so it has a neighbour behind it there.
+func (p *lorenzoPlan) rowMask(base int) uint32 {
+	var mask uint32
+	for d, rem := 0, base; d < len(p.dims)-1; d++ {
+		if rem >= p.str[d] {
+			mask |= 1 << d
+		}
+		rem %= p.str[d]
+	}
+	return mask
+}
+
 var lorenzoPlan1D = lorenzoPlanFor([]int{1})
 
 // PredictQuantizeLorenzo runs the Lorenzo predictor + quantizer over vals
 // (C-ordered with the given dims) into caller-provided codes and recon
 // buffers (len(vals) each, fully overwritten, so the compressor can recycle
-// them through a pool) and returns the exactly-stored outlier values.
-// workers caps the parallelism (0 = all cores); output is identical for
-// every worker count.
-func PredictQuantizeLorenzo(codes []int32, recon []float64, vals []float64, dims []int, q *Quantizer, workers int) (outliers []float64) {
+// them through a pool) and returns the exactly-stored outlier values in
+// index order.
+func PredictQuantizeLorenzo(codes []int32, recon []float64, vals []float64, dims []int, q *Quantizer) (outliers []float64) {
 	n := len(vals)
 	if n == 0 {
 		return nil
 	}
 	plan := lorenzoPlanFor(dims)
-	var outlierCount int64
-	forEachRowWavefront(plan, workers, func(base, rowLen int, mask uint32) {
-		c := lorenzoRowCompress(vals, recon, codes, base, rowLen, plan, mask, q)
-		if c != 0 {
-			atomic.AddInt64(&outlierCount, int64(c))
-		}
-	})
-	if outlierCount > 0 {
-		// serial gather keeps the outlier stream in index order, exactly
-		// as the serial traversal emitted it (recon holds the cast value)
-		outliers = make([]float64, 0, outlierCount)
-		for i, c := range codes {
-			if c == OutlierCode {
-				outliers = append(outliers, recon[i])
-			}
-		}
+	rowLen := plan.dims[len(plan.dims)-1]
+	for base := 0; base < n; base += rowLen {
+		outliers = lorenzoRowCompress(vals, recon, codes, base, rowLen, plan, plan.rowMask(base), q, outliers)
 	}
 	return outliers
 }
@@ -221,13 +215,7 @@ func (q *Quantizer) CodesLorenzo(codes []int32, vals []float64, dims []int) {
 	}
 	step, edge := 2*q.Abs, float64(q.Bins/2)-0.5
 	for base := 0; base < n; base += rowLen {
-		var mask uint32 // the leading axes this row has a neighbour behind it on
-		for d, rem := 0, base; d < nd-1; d++ {
-			if rem >= plan.str[d] {
-				mask |= 1 << d
-			}
-			rem %= plan.str[d]
-		}
+		mask := plan.rowMask(base)
 		row, out := vals[base:base+rowLen], codes[base:base+rowLen]
 		terms, rest := plan.byMask[mask], plan.byMask[mask|1<<(nd-1)]
 		unrolled := nd <= 3 && len(rest) == len(plan.terms)
@@ -278,9 +266,9 @@ func codeOf(x, edge float64) int32 {
 
 // lorenzoRowCompress quantizes one contiguous row. mask carries the
 // boundary bits of the row's leading coordinates; the innermost bit is
-// handled per element (clear for element 0, set afterwards). Returns the
-// row's outlier count.
-func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, plan *lorenzoPlan, mask uint32, q *Quantizer) int {
+// handled per element (clear for element 0, set afterwards). It returns
+// outliers with the row's own appended.
+func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, plan *lorenzoPlan, mask uint32, q *Quantizer, outliers []float64) []float64 {
 	nd := len(plan.dims)
 	lastBit := uint32(1) << (nd - 1)
 	first := plan.byMask[mask&^lastBit]
@@ -289,7 +277,6 @@ func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, 
 	abs := q.Abs
 	half := float64(q.Bins / 2)
 	f32 := q.DType == pressio.DTypeFloat32
-	out := 0
 
 	// interior rows of 2-D/3-D data take a branch-free unrolled
 	// prediction; everything else walks the cached filtered term list
@@ -361,54 +348,27 @@ func lorenzoRowCompress(vals, recon []float64, codes []int32, base, rowLen int, 
 		codes[i] = OutlierCode
 		recon[i] = cand
 		prev = cand
-		out++
+		outliers = append(outliers, cand)
 	}
-	return out
+	return outliers
 }
 
 // reconstructLorenzo inverts PredictQuantizeLorenzo given the codes and
-// outlier stream.
-func reconstructLorenzo(codes []int32, outliers []float64, dims []int, q *Quantizer, workers int) []float64 {
+// outlier stream, which holds exactly one value per OutlierCode.
+func reconstructLorenzo(codes []int32, outliers []float64, dims []int, q *Quantizer) []float64 {
 	n := len(codes)
 	recon := make([]float64, n)
-	if n == 0 {
-		return recon
-	}
 	plan := lorenzoPlanFor(dims)
 	rowLen := plan.dims[len(plan.dims)-1]
-	if len(plan.dims) == 1 {
-		rowLen = n
+	for base := 0; base < n; base += rowLen {
+		outliers = lorenzoRowDecompress(codes, outliers, recon, base, rowLen, plan, plan.rowMask(base), q)
 	}
-	// rows consume the outlier stream in index order: precompute each
-	// row's starting offset when outliers are present
-	var rowOi []int
-	if len(outliers) > 0 {
-		nrows := n / rowLen
-		rowOi = make([]int, nrows)
-		run := 0
-		for r := 0; r < nrows; r++ {
-			rowOi[r] = run
-			lo := r * rowLen
-			for _, c := range codes[lo : lo+rowLen] {
-				if c == OutlierCode {
-					run++
-				}
-			}
-		}
-	}
-	forEachRowWavefront(plan, workers, func(base, rl int, mask uint32) {
-		oi := 0
-		if rowOi != nil {
-			oi = rowOi[base/rowLen]
-		}
-		lorenzoRowDecompress(codes, outliers, recon, base, rl, plan, mask, q, oi)
-	})
 	return recon
 }
 
-// lorenzoRowDecompress reconstructs one contiguous row; oi is the row's
-// starting index into the outlier stream.
-func lorenzoRowDecompress(codes []int32, outliers, recon []float64, base, rowLen int, plan *lorenzoPlan, mask uint32, q *Quantizer, oi int) {
+// lorenzoRowDecompress reconstructs one contiguous row, taking its
+// outliers from the front of the stream; it returns the rest.
+func lorenzoRowDecompress(codes []int32, outliers, recon []float64, base, rowLen int, plan *lorenzoPlan, mask uint32, q *Quantizer) []float64 {
 	nd := len(plan.dims)
 	lastBit := uint32(1) << (nd - 1)
 	first := plan.byMask[mask&^lastBit]
@@ -443,8 +403,8 @@ func lorenzoRowDecompress(codes []int32, outliers, recon []float64, base, rowLen
 			}
 		}
 		if codes[i] == OutlierCode {
-			v := outliers[oi]
-			oi++
+			v := outliers[0]
+			outliers = outliers[1:]
 			if f32 {
 				v = float64(float32(v))
 			}
@@ -457,77 +417,7 @@ func lorenzoRowDecompress(codes []int32, outliers, recon []float64, base, rowLen
 		}
 		recon[i] = r
 	}
-}
-
-// rowRef is one row of a wavefront diagonal: its flat base index and the
-// boundary mask of its leading coordinates.
-type rowRef struct {
-	base int
-	mask uint32
-}
-
-// forEachRowWavefront invokes fn once per contiguous innermost row,
-// scheduling rows so that every dependency of a row (all rows whose
-// leading coordinates are component-wise ≤) has completed before the row
-// runs. Rows whose leading coordinates sum to t form diagonal group t;
-// groups run in order, rows within a group run in parallel. 1-D data is a
-// single row; 2-D data degrades to one row per group (serial), which is
-// correct — each 2-D row depends on the whole previous row.
-func forEachRowWavefront(plan *lorenzoPlan, workers int, fn func(base, rowLen int, mask uint32)) {
-	nd := len(plan.dims)
-	if nd == 1 {
-		fn(0, plan.dims[0], 0)
-		return
-	}
-	lead := plan.dims[:nd-1]
-	rowLen := plan.dims[nd-1]
-	maxSum := 0
-	for _, d := range lead {
-		maxSum += d - 1
-	}
-	// suffix[d] = max coordinate sum achievable from dims d+1.. of lead
-	suffix := make([]int, len(lead)+1)
-	for d := len(lead) - 1; d >= 0; d-- {
-		suffix[d] = suffix[d+1] + lead[d] - 1
-	}
-	rows := make([]rowRef, 0, 64)
-	for t := 0; t <= maxSum; t++ {
-		rows = rows[:0]
-		// enumerate leading coordinate tuples with sum t
-		var rec func(d, rem, base int, mask uint32)
-		rec = func(d, rem, base int, mask uint32) {
-			if d == len(lead) {
-				if rem == 0 {
-					rows = append(rows, rowRef{base: base, mask: mask})
-				}
-				return
-			}
-			lo := rem - suffix[d+1]
-			if lo < 0 {
-				lo = 0
-			}
-			hi := lead[d] - 1
-			if hi > rem {
-				hi = rem
-			}
-			for c := lo; c <= hi; c++ {
-				m := mask
-				if c >= 1 {
-					m |= 1 << d
-				}
-				rec(d+1, rem-c, base+c*plan.str[d], m)
-			}
-		}
-		rec(0, t, 0, 0)
-		if len(rows) == 1 {
-			fn(rows[0].base, rowLen, rows[0].mask)
-			continue
-		}
-		rs := rows
-		parallel.ForTasks(workers, len(rs), func(i int) {
-			fn(rs[i].base, rowLen, rs[i].mask)
-		})
-	}
+	return outliers
 }
 
 // interpOrder returns the traversal order of the multi-level linear
@@ -556,7 +446,7 @@ func interpOrder(n int) []int {
 // with the level's stride and the traversal position of its first
 // element. Within a level, element k sits at index s+2*s*k and traversal
 // position pos0+k; its bracketing neighbours are multiples of 2*s, which
-// earlier levels have already reconstructed — so levels parallelize.
+// earlier levels have already reconstructed.
 func interpLevels(n int, fn func(s, pos0, count int)) {
 	if n <= 1 {
 		return
@@ -576,9 +466,8 @@ func interpLevels(n int, fn func(s, pos0, count int)) {
 // predictQuantizeInterp runs the multi-level linear interpolation
 // predictor + quantizer over vals flattened to 1-D, into caller-provided
 // codes and recon buffers (len(vals) each, fully overwritten). Codes and
-// outliers are in traversal order; output is identical for every worker
-// count.
-func predictQuantizeInterp(codes []int32, recon []float64, vals []float64, q *Quantizer, workers int) (outliers []float64) {
+// outliers are in traversal order.
+func predictQuantizeInterp(codes []int32, recon []float64, vals []float64, q *Quantizer) (outliers []float64) {
 	n := len(vals)
 	if n == 0 {
 		return nil
@@ -587,9 +476,8 @@ func predictQuantizeInterp(codes []int32, recon []float64, vals []float64, q *Qu
 	abs := q.Abs
 	half := float64(q.Bins / 2)
 	f32 := q.DType == pressio.DTypeFloat32
-	var outlierCount int64
 
-	quantizeAt := func(i, pos int, pred float64) int {
+	quantizeAt := func(i, pos int, pred float64) {
 		v := vals[i]
 		c := math.Round((v - pred) / step)
 		if c < half && c > -half {
@@ -604,7 +492,7 @@ func predictQuantizeInterp(codes []int32, recon []float64, vals []float64, q *Qu
 			if ad <= abs {
 				codes[pos] = int32(c)
 				recon[i] = cand
-				return 0
+				return
 			}
 		}
 		cand := v
@@ -613,50 +501,30 @@ func predictQuantizeInterp(codes []int32, recon []float64, vals []float64, q *Qu
 		}
 		codes[pos] = OutlierCode
 		recon[i] = cand
-		return 1
+		outliers = append(outliers, cand)
 	}
 
-	outlierCount += int64(quantizeAt(0, 0, 0))
+	quantizeAt(0, 0, 0)
 	interpLevels(n, func(s, pos0, count int) {
-		parallel.For(workers, count, func(lo, hi int) {
-			out := 0
-			for k := lo; k < hi; k++ {
-				i := s + 2*s*k
-				left := i - s
-				right := i + s
-				var pred float64
-				if right < n {
-					pred = (recon[left] + recon[right]) / 2
-				} else {
-					pred = recon[left]
-				}
-				out += quantizeAt(i, pos0+k, pred)
+		for k := range count {
+			i := s + 2*s*k
+			left := i - s
+			right := i + s
+			var pred float64
+			if right < n {
+				pred = (recon[left] + recon[right]) / 2
+			} else {
+				pred = recon[left]
 			}
-			if out != 0 {
-				atomic.AddInt64(&outlierCount, int64(out))
-			}
-		})
-	})
-	if outlierCount > 0 {
-		outliers = make([]float64, 0, outlierCount)
-		// gather in traversal order: level layout maps code position to
-		// element index directly
-		if codes[0] == OutlierCode {
-			outliers = append(outliers, recon[0])
+			quantizeAt(i, pos0+k, pred)
 		}
-		interpLevels(n, func(s, pos0, count int) {
-			for k := 0; k < count; k++ {
-				if codes[pos0+k] == OutlierCode {
-					outliers = append(outliers, recon[s+2*s*k])
-				}
-			}
-		})
-	}
+	})
 	return outliers
 }
 
-// reconstructInterp inverts predictQuantizeInterp.
-func reconstructInterp(codes []int32, outliers []float64, n int, q *Quantizer, workers int) []float64 {
+// reconstructInterp inverts predictQuantizeInterp; outliers holds exactly
+// one value per OutlierCode.
+func reconstructInterp(codes []int32, outliers []float64, n int, q *Quantizer) []float64 {
 	recon := make([]float64, n)
 	if n == 0 {
 		return recon
@@ -664,22 +532,10 @@ func reconstructInterp(codes []int32, outliers []float64, n int, q *Quantizer, w
 	step := 2 * q.Abs
 	f32 := q.DType == pressio.DTypeFloat32
 
-	// map each traversal position to its outlier-stream offset up front,
-	// so levels can run in parallel even with outliers present
-	var ois []int32
-	if len(outliers) > 0 {
-		ois = make([]int32, len(codes))
-		run := int32(0)
-		for p, c := range codes {
-			ois[p] = run
-			if c == OutlierCode {
-				run++
-			}
-		}
-	}
 	reconAt := func(i, pos int, pred float64) {
 		if codes[pos] == OutlierCode {
-			v := outliers[ois[pos]]
+			v := outliers[0]
+			outliers = outliers[1:]
 			if f32 {
 				v = float64(float32(v))
 			}
@@ -694,20 +550,18 @@ func reconstructInterp(codes []int32, outliers []float64, n int, q *Quantizer, w
 	}
 	reconAt(0, 0, 0)
 	interpLevels(n, func(s, pos0, count int) {
-		parallel.For(workers, count, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				i := s + 2*s*k
-				left := i - s
-				right := i + s
-				var pred float64
-				if right < n {
-					pred = (recon[left] + recon[right]) / 2
-				} else {
-					pred = recon[left]
-				}
-				reconAt(i, pos0+k, pred)
+		for k := range count {
+			i := s + 2*s*k
+			left := i - s
+			right := i + s
+			var pred float64
+			if right < n {
+				pred = (recon[left] + recon[right]) / 2
+			} else {
+				pred = recon[left]
 			}
-		})
+			reconAt(i, pos0+k, pred)
+		}
 	})
 	return recon
 }

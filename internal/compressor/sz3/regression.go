@@ -1,7 +1,5 @@
 package sz3
 
-import "repro/internal/parallel"
-
 // Block-regression prediction, the hallmark predictor of SZ2 (which the
 // paper's future-work item (3) contrasts with SZ3's interpolation): the
 // domain is tiled into fixed-size blocks, each block's values are fitted
@@ -113,101 +111,66 @@ func regressionBlocks(dims []int, f func(origin, size []int)) {
 	}
 }
 
-// regBlock is one tile of the regression decomposition with its code
-// stream offset precomputed, so blocks can be processed in any order
-// while codes land at exactly the positions the serial traversal used.
-type regBlock struct {
-	origin [3]int
-	size   [3]int
-	start  int // offset of the block's first code in the code stream
-	vol    int // number of elements in the block
-}
-
-// regressionBlockList materializes the block traversal with per-block
-// code offsets. Blocks are fully independent (prediction reads original
-// values, not reconstructions), so the list is the unit of parallelism.
-func regressionBlockList(dims []int) []regBlock {
-	var blocks []regBlock
-	run := 0
-	regressionBlocks(dims, func(origin, size []int) {
-		var b regBlock
-		vol := 1
-		for d := range origin {
-			b.origin[d] = origin[d]
-			b.size[d] = size[d]
-			vol *= size[d]
-		}
-		b.start = run
-		b.vol = vol
-		run += vol
-		blocks = append(blocks, b)
-	})
-	return blocks
+// regressionBlockCount is the number of blocks regressionBlocks visits.
+func regressionBlockCount(dims []int) int {
+	n := 1
+	for _, d := range dims {
+		n *= (d + regBlockEdge - 1) / regBlockEdge
+	}
+	return n
 }
 
 // PredictQuantizeRegression runs the block-regression predictor +
 // quantizer into a caller-provided codes buffer (len(vals), fully
-// overwritten). The returned coefficient list has one entry per block in
-// traversal order; codes and outliers follow the same order. workers caps
-// the parallelism (0 = all cores); output is identical for every worker
-// count: blocks are independent, codes write to precomputed offsets, and
-// outliers are concatenated in block order afterwards.
-func PredictQuantizeRegression(codes []int32, vals []float64, dims []int, q *Quantizer, workers int) (outliers []float64, coeffs []float64) {
+// overwritten). Blocks are visited in traversal order; the returned
+// coefficient list has one entry per block, and codes and outliers follow
+// the same order.
+func PredictQuantizeRegression(codes []int32, vals []float64, dims []int, q *Quantizer) (outliers []float64, coeffs []float64) {
 	if len(dims) > 3 {
 		dims = flattenTo3(dims)
 	}
 	nd := len(dims)
 	str := stridesOf(dims)
-	blocks := regressionBlockList(dims)
-	coeffs = make([]float64, len(blocks)*(nd+1))
-	blockOutliers := make([][]float64, len(blocks))
-	parallel.ForTasks(workers, len(blocks), func(b int) {
-		bl := &blocks[b]
-		co := fitBlock(vals, dims, str, bl.origin[:nd], bl.size[:nd])
-		copy(coeffs[b*(nd+1):], co.c[:nd+1])
-		var out []float64
+	coeffs = make([]float64, 0, regressionBlockCount(dims)*(nd+1))
+	k := 0
+	regressionBlocks(dims, func(origin, size []int) {
+		co := fitBlock(vals, dims, str, origin, size)
+		coeffs = append(coeffs, co.c[:nd+1]...)
 		var local [3]int
-		k := bl.start
 		for {
 			idx := 0
 			for d := 0; d < nd; d++ {
-				idx += (bl.origin[d] + local[d]) * str[d]
+				idx += (origin[d] + local[d]) * str[d]
 			}
 			pred := co.c[0]
 			for d := 0; d < nd; d++ {
-				pred += co.c[d+1] * (float64(local[d]) - float64(bl.size[d]-1)/2)
+				pred += co.c[d+1] * (float64(local[d]) - float64(size[d]-1)/2)
 			}
 			code, r := q.Quantize(vals[idx], pred)
 			codes[k] = code
 			k++
 			if code == OutlierCode {
-				out = append(out, r)
+				outliers = append(outliers, r)
 			}
 			d := nd - 1
 			for ; d >= 0; d-- {
 				local[d]++
-				if local[d] < bl.size[d] {
+				if local[d] < size[d] {
 					break
 				}
 				local[d] = 0
 			}
 			if d < 0 {
-				break
+				return
 			}
 		}
-		if len(out) > 0 {
-			blockOutliers[b] = out
-		}
 	})
-	for _, out := range blockOutliers {
-		outliers = append(outliers, out...)
-	}
 	return outliers, coeffs
 }
 
 // reconstructRegression inverts PredictQuantizeRegression into a flat
 // value slice.
-func reconstructRegression(codes []int32, outliers, coeffs []float64, dims []int, q *Quantizer, workers int) ([]float64, error) {
+func reconstructRegression(codes []int32, outliers, coeffs []float64, dims []int, q *Quantizer) ([]float64, error) {
 	if len(dims) > 3 {
 		dims = flattenTo3(dims)
 	}
@@ -217,64 +180,54 @@ func reconstructRegression(codes []int32, outliers, coeffs []float64, dims []int
 	for _, d := range dims {
 		total *= d
 	}
-	blocks := regressionBlockList(dims)
-	if len(codes) != total || len(coeffs) < len(blocks)*(nd+1) {
-		return nil, ErrCorrupt
-	}
-	// blocks consume the outlier stream in code order: precompute each
-	// block's starting offset
-	run := 0
-	blockOi := make([]int, len(blocks))
-	for b := range blocks {
-		blockOi[b] = run
-		lo := blocks[b].start
-		for _, c := range codes[lo : lo+blocks[b].vol] {
-			if c == OutlierCode {
-				run++
-			}
-		}
-	}
-	if run > len(outliers) {
+	if len(codes) != total || len(coeffs) < regressionBlockCount(dims)*(nd+1) {
 		return nil, ErrCorrupt
 	}
 	out := make([]float64, total)
-	parallel.ForTasks(workers, len(blocks), func(b int) {
-		bl := &blocks[b]
+	k, oi := 0, 0
+	short := false // the codes name more outliers than the stream holds
+	regressionBlocks(dims, func(origin, size []int) {
 		var co regCoeffs
-		copy(co.c[:nd+1], coeffs[b*(nd+1):])
+		copy(co.c[:nd+1], coeffs)
+		coeffs = coeffs[nd+1:]
 		var local [3]int
-		k := bl.start
-		oi := blockOi[b]
-		for {
+		for !short {
 			idx := 0
 			for d := 0; d < nd; d++ {
-				idx += (bl.origin[d] + local[d]) * str[d]
+				idx += (origin[d] + local[d]) * str[d]
 			}
 			code := codes[k]
 			k++
 			if code == OutlierCode {
+				if oi == len(outliers) {
+					short = true
+					return
+				}
 				out[idx] = q.cast(outliers[oi])
 				oi++
 			} else {
 				pred := co.c[0]
 				for d := 0; d < nd; d++ {
-					pred += co.c[d+1] * (float64(local[d]) - float64(bl.size[d]-1)/2)
+					pred += co.c[d+1] * (float64(local[d]) - float64(size[d]-1)/2)
 				}
 				out[idx] = q.Reconstruct(code, pred)
 			}
 			d := nd - 1
 			for ; d >= 0; d-- {
 				local[d]++
-				if local[d] < bl.size[d] {
+				if local[d] < size[d] {
 					break
 				}
 				local[d] = 0
 			}
 			if d < 0 {
-				break
+				return
 			}
 		}
 	})
+	if short {
+		return nil, ErrCorrupt
+	}
 	return out, nil
 }
 

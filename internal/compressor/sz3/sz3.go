@@ -44,7 +44,6 @@ type Compressor struct {
 	abs       float64
 	bins      int
 	predictor string
-	threads   int // worker cap for the parallel kernels; 0 = all cores
 }
 
 // kernel scratch pools: the codes and recon working buffers are sized by
@@ -118,12 +117,6 @@ func (c *Compressor) SetOptions(opts pressio.Options) error {
 		}
 		c.predictor = v
 	}
-	if v, ok := opts.GetInt(pressio.OptNThreads); ok {
-		if v < 0 {
-			return fmt.Errorf("sz3: %s must be non-negative, got %d", pressio.OptNThreads, v)
-		}
-		c.threads = int(v)
-	}
 	return nil
 }
 
@@ -133,7 +126,6 @@ func (c *Compressor) Options() pressio.Options {
 	o.Set(pressio.OptAbs, c.abs)
 	o.Set(OptQuantBins, int64(c.bins))
 	o.Set(OptPredictor, c.predictor)
-	o.Set(pressio.OptNThreads, int64(c.threads))
 	return o
 }
 
@@ -172,19 +164,19 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	case "interp":
 		mode = modeInterp
 		recon := getF64Buf(len(vals))
-		outliers = predictQuantizeInterp(codes, recon, vals, q, c.threads)
+		outliers = predictQuantizeInterp(codes, recon, vals, q)
 		f64Pool.Put(recon)
 	case "regression":
 		mode = modeRegression
-		outliers, coeffs = PredictQuantizeRegression(codes, vals, in.Dims(), q, c.threads)
+		outliers, coeffs = PredictQuantizeRegression(codes, vals, in.Dims(), q)
 	default:
 		mode = modeLorenzo
 		recon := getF64Buf(len(vals))
-		outliers = PredictQuantizeLorenzo(codes, recon, vals, in.Dims(), q, c.threads)
+		outliers = PredictQuantizeLorenzo(codes, recon, vals, in.Dims(), q)
 		f64Pool.Put(recon)
 	}
 
-	coded, err := huffman.EncodeWorkers(codes, c.threads)
+	coded, err := huffman.Encode(codes)
 	if err != nil {
 		return nil, err
 	}
@@ -337,14 +329,14 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	var recon []float64
 	switch mode {
 	case modeInterp:
-		recon = reconstructInterp(codes, outliers, total, q, c.threads)
+		recon = reconstructInterp(codes, outliers, total, q)
 	case modeRegression:
-		recon, err = reconstructRegression(codes, outliers, coeffs, dims, q, c.threads)
+		recon, err = reconstructRegression(codes, outliers, coeffs, dims, q)
 		if err != nil {
 			return err
 		}
 	case modeLorenzo:
-		recon = reconstructLorenzo(codes, outliers, dims, q, c.threads)
+		recon = reconstructLorenzo(codes, outliers, dims, q)
 	default:
 		return ErrCorrupt
 	}

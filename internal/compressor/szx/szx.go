@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/pressio"
 	"repro/internal/stats"
 )
@@ -33,7 +32,6 @@ var ErrCorrupt = errors.New("szx: corrupt stream")
 type Compressor struct {
 	abs       float64
 	blockSize int
-	threads   int // worker cap for the parallel block passes; 0 = all cores
 }
 
 // New returns an szx compressor with defaults (abs=1e-4, 128-sample blocks).
@@ -60,12 +58,6 @@ func (c *Compressor) SetOptions(opts pressio.Options) error {
 		}
 		c.blockSize = int(v)
 	}
-	if v, ok := opts.GetInt(pressio.OptNThreads); ok {
-		if v < 0 {
-			return fmt.Errorf("szx: %s must be non-negative, got %d", pressio.OptNThreads, v)
-		}
-		c.threads = int(v)
-	}
 	return nil
 }
 
@@ -74,7 +66,6 @@ func (c *Compressor) Options() pressio.Options {
 	o := pressio.Options{}
 	o.Set(pressio.OptAbs, c.abs)
 	o.Set(OptBlockSize, int64(c.blockSize))
-	o.Set(pressio.OptNThreads, int64(c.threads))
 	return o
 }
 
@@ -98,7 +89,13 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	n := len(vals)
 	nblocks := (n + c.blockSize - 1) / c.blockSize
 
-	out := make([]byte, 0, n/2+64)
+	elem := 8
+	if in.DType() == pressio.DTypeFloat32 {
+		elem = 4
+	}
+	// room for every block verbatim (a short last block may store a
+	// constant wider than itself), so the appends below never move out
+	out := make([]byte, 0, 4+2+8+4+8*len(in.Dims())+(nblocks+7)/8+n*elem+8)
 	out = append(out, magic...)
 	out = append(out, byte(in.DType()), byte(len(in.Dims())))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(c.abs))
@@ -107,24 +104,14 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 		out = binary.LittleEndian.AppendUint64(out, uint64(d))
 	}
 
-	// Pass 1 (parallel): classify each block and compute its constant
-	// representative. Flags land in a per-block bool slice so workers
-	// never share a byte; the bitset packs serially afterwards.
-	isConst := make([]bool, nblocks)
-	mids := make([]float64, nblocks)
-	elem := 8
-	if in.DType() == pressio.DTypeFloat32 {
-		elem = 4
-	}
-	dtype := in.DType()
-	parallel.ForTasks(c.threads, nblocks, func(b int) {
-		lo := b * c.blockSize
-		hi := lo + c.blockSize
-		if hi > n {
-			hi = n
-		}
-		mn, mx := vals[lo], vals[lo]
-		for _, v := range vals[lo+1 : hi] {
+	// one pass over the blocks: a block's flag bit is set in the bitset
+	// reserved ahead of the payload, and its bytes appended behind it
+	flagsAt := len(out)
+	out = append(out, make([]byte, (nblocks+7)/8)...)
+	for b := range nblocks {
+		block := vals[b*c.blockSize : min((b+1)*c.blockSize, n)]
+		mn, mx := block[0], block[0]
+		for _, v := range block[1:] {
 			if v < mn {
 				mn = v
 			}
@@ -133,52 +120,20 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 			}
 		}
 		mid := mn + (mx-mn)/2
-		if mx-mn <= 2*c.abs && withinStorage(mid, mn, mx, c.abs, dtype) {
-			isConst[b] = true
-			mids[b] = mid
-		}
-	})
-
-	// payload offsets by prefix sum, then pass 2 (parallel) writes each
-	// block's bytes into its slot — identical bytes to the serial append
-	flags := make([]byte, (nblocks+7)/8)
-	offs := make([]int, nblocks+1)
-	for b := 0; b < nblocks; b++ {
-		size := 8
-		if !isConst[b] {
-			lo := b * c.blockSize
-			hi := lo + c.blockSize
-			if hi > n {
-				hi = n
+		switch {
+		case mx-mn <= 2*c.abs && withinStorage(mid, mn, mx, c.abs, in.DType()):
+			out[flagsAt+b/8] |= 1 << (b % 8)
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(mid))
+		case elem == 4:
+			for _, v := range block {
+				out = binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(v)))
 			}
-			size = (hi - lo) * elem
-		} else {
-			flags[b/8] |= 1 << (b % 8)
+		default:
+			for _, v := range block {
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+			}
 		}
-		offs[b+1] = offs[b] + size
 	}
-	payload := make([]byte, offs[nblocks])
-	parallel.ForTasks(c.threads, nblocks, func(b int) {
-		lo := b * c.blockSize
-		hi := lo + c.blockSize
-		if hi > n {
-			hi = n
-		}
-		p := payload[offs[b]:offs[b+1]]
-		if isConst[b] {
-			binary.LittleEndian.PutUint64(p, math.Float64bits(mids[b]))
-		} else if elem == 4 {
-			for i, v := range vals[lo:hi] {
-				binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(float32(v)))
-			}
-		} else {
-			for i, v := range vals[lo:hi] {
-				binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v))
-			}
-		}
-	})
-	out = append(out, flags...)
-	out = append(out, payload...)
 	return pressio.NewByte(out), nil
 }
 
@@ -236,24 +191,6 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	if dtype == pressio.DTypeFloat32 {
 		elem = 4
 	}
-	// offsets from the flag bits (serial prescan), then blocks decode in
-	// parallel into a flat buffer
-	offs := make([]int, nblocks+1)
-	for b := 0; b < nblocks; b++ {
-		lo := b * blockSize
-		hi := lo + blockSize
-		if hi > total {
-			hi = total
-		}
-		size := 8
-		if flags[b/8]&(1<<(b%8)) == 0 {
-			size = (hi - lo) * elem
-		}
-		offs[b+1] = offs[b] + size
-	}
-	if offs[nblocks] > len(payload) {
-		return ErrCorrupt
-	}
 	// decode straight into the typed output storage (verbatim blocks are
 	// a byte-level copy of the payload), with one version bump at the end
 	var dst32 []float32
@@ -263,14 +200,22 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	} else {
 		dst64 = out.Float64()
 	}
-	parallel.ForTasks(c.threads, nblocks, func(b int) {
+	defer out.Touch() // a stream found short part way has written some blocks
+	for b := range nblocks {
 		lo := b * blockSize
-		hi := lo + blockSize
-		if hi > total {
-			hi = total
+		hi := min(lo+blockSize, total)
+		constant := flags[b/8]&(1<<(b%8)) != 0
+		size := 8
+		if !constant {
+			size = (hi - lo) * elem
 		}
-		p := payload[offs[b]:]
-		if flags[b/8]&(1<<(b%8)) != 0 {
+		if len(payload) < size {
+			return ErrCorrupt
+		}
+		p := payload[:size]
+		payload = payload[size:]
+		switch {
+		case constant:
 			v := math.Float64frombits(binary.LittleEndian.Uint64(p))
 			if dst32 != nil {
 				f := float32(v)
@@ -282,16 +227,15 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 					dst64[i] = v
 				}
 			}
-		} else if elem == 4 {
+		case elem == 4:
 			for i := lo; i < hi; i++ {
 				dst32[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*(i-lo):]))
 			}
-		} else {
+		default:
 			for i := lo; i < hi; i++ {
 				dst64[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*(i-lo):]))
 			}
 		}
-	})
-	out.Touch()
+	}
 	return nil
 }

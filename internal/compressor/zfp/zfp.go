@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	"repro/internal/bitstream"
-	"repro/internal/parallel"
 	"repro/internal/pressio"
 	"repro/internal/stats"
 )
@@ -47,8 +46,7 @@ var ErrCorrupt = errors.New("zfp: corrupt stream")
 
 // Compressor is the zfp plugin. Use New.
 type Compressor struct {
-	tol     float64
-	threads int // worker cap for the parallel block coder; 0 = all cores
+	tol float64
 }
 
 // New returns a zfp compressor with the default tolerance 1e-4.
@@ -61,20 +59,13 @@ func init() {
 // Name implements pressio.Compressor.
 func (c *Compressor) Name() string { return "zfp" }
 
-// SetOptions implements pressio.Compressor; it honours pressio:abs and
-// pressio:nthreads.
+// SetOptions implements pressio.Compressor; it honours pressio:abs.
 func (c *Compressor) SetOptions(opts pressio.Options) error {
 	if v, ok := opts.GetFloat(pressio.OptAbs); ok {
 		if v <= 0 {
 			return fmt.Errorf("zfp: %s must be positive, got %v", pressio.OptAbs, v)
 		}
 		c.tol = v
-	}
-	if v, ok := opts.GetInt(pressio.OptNThreads); ok {
-		if v < 0 {
-			return fmt.Errorf("zfp: %s must be non-negative, got %d", pressio.OptNThreads, v)
-		}
-		c.threads = int(v)
 	}
 	return nil
 }
@@ -83,7 +74,6 @@ func (c *Compressor) SetOptions(opts pressio.Options) error {
 func (c *Compressor) Options() pressio.Options {
 	o := pressio.Options{}
 	o.Set(pressio.OptAbs, c.tol)
-	o.Set(pressio.OptNThreads, int64(c.threads))
 	return o
 }
 
@@ -397,69 +387,25 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 		out = binary.LittleEndian.AppendUint64(out, uint64(d))
 	}
 
-	// Blocks are fully independent, so chunks of the block list encode
-	// concurrently into separate writers that are bit-spliced in block
-	// order afterwards — the spliced stream is identical to serial
-	// encoding for any worker count (DESIGN.md §10).
-	origins := blockOrigins(dims)
-	nchunks := parallel.Resolve(c.threads)
-	if max := (len(origins) + minBlocksPerChunk - 1) / minBlocksPerChunk; nchunks > max {
-		nchunks = max
-	}
-	if nchunks < 1 {
-		nchunks = 1
-	}
-	chunkWriters := make([]*bitstream.Writer, nchunks)
-	per := (len(origins) + nchunks - 1) / nchunks
-	parallel.ForTasks(c.threads, nchunks, func(ci int) {
-		lo := ci * per
-		hi := lo + per
-		if hi > len(origins) {
-			hi = len(origins)
-		}
-		w := bitstream.GetWriter()
-		sc := getScratch(nd)
-		sc.setDims(dims)
-		for _, origin := range origins[lo:hi] {
-			sc.gather(vals, dims, origin[:nd])
-			encodeBlockF(w, sc, nd, c.tol)
-		}
-		putScratch(sc)
-		chunkWriters[ci] = w
+	// blocks encode one after another, in traversal order, into one
+	// stream written in place behind its length
+	lenAt := len(out)
+	out = binary.LittleEndian.AppendUint64(out, 0)
+	w := bitstream.NewWriter(out)
+	sc := getScratch(nd)
+	sc.setDims(dims)
+	forEachBlock(dims, func(origin []int) {
+		sc.gather(vals, dims, origin)
+		encodeBlockF(w, sc, nd, c.tol)
 	})
-	var w bitstream.Writer
-	for _, cw := range chunkWriters {
-		w.AppendWriter(cw)
-		bitstream.PutWriter(cw)
-	}
-	payload := w.Bytes()
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
+	putScratch(sc)
+	out = w.Bytes()
+	binary.LittleEndian.PutUint64(out[lenAt:], uint64(len(out)-lenAt-8))
 	return pressio.NewByte(out), nil
 }
 
-// minBlocksPerChunk keeps parallel chunks coarse enough that writer
-// splicing and scratch churn stay negligible.
-const minBlocksPerChunk = 32
-
-// blockOrigins materializes the block traversal of forEachBlock so it can
-// be partitioned across workers.
-func blockOrigins(dims []int) [][3]int {
-	nd := len(dims)
-	n := 1
-	for _, d := range dims {
-		n *= (d + blockLen - 1) / blockLen
-	}
-	origins := make([][3]int, 0, n)
-	forEachBlock(dims, func(origin []int) {
-		var o [3]int
-		copy(o[:], origin[:nd])
-		origins = append(origins, o)
-	})
-	return origins
-}
-
-// scratchPools recycles per-worker block scratch, indexed by nd.
+// scratchPools recycles block scratch across (de)compressions, indexed by
+// nd.
 var scratchPools [4]sync.Pool
 
 func getScratch(nd int) *scratch {
@@ -716,9 +662,6 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 		return fmt.Errorf("zfp: output has %d elements, stream has %d", out.Len(), total)
 	}
 
-	// Decoding is serial: block segments are variable-length and the
-	// stream carries no block index, so a segment's start is only known
-	// once its predecessor is decoded.
 	dims := effectiveDims(origDims)
 	recon := make([]float64, total)
 	r := bitstream.NewReader(buf[:payloadLen])

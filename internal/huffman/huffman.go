@@ -17,10 +17,7 @@
 // into a dense window array (quantizer codes cluster tightly; outlier
 // sentinels overflow into a short sorted list), encoding looks codes up in
 // a dense packed table, and decoding drives a canonical first-code table
-// through a K-bit prefix lookup instead of walking a pointer trie. Payload
-// encoding is chunk-parallel over the shared worker pool: each chunk
-// encodes into a pooled writer and the chunks are bit-spliced in order, so
-// the output is byte-identical to single-threaded encoding.
+// through a K-bit prefix lookup instead of walking a pointer trie.
 package huffman
 
 import (
@@ -33,7 +30,6 @@ import (
 	"sync"
 
 	"repro/internal/bitstream"
-	"repro/internal/parallel"
 )
 
 // maxCodeLen bounds code lengths; 58 leaves room in the canonical
@@ -299,65 +295,40 @@ func (e *Encoder) lookup(s int32) (packedCode, bool) {
 	return 0, false
 }
 
-// Encode serializes the code table and payload for data into one buffer,
-// using up to `workers` pool workers for the payload ("0" = all cores).
+// Encode serializes the code table and payload for data into one buffer.
 //
 // Layout: u32 symbolCount, then per symbol (i32 symbol, u8 length) in
 // canonical order, then u64 payload element count, then u64 payload byte
-// length, then the bit stream. The bytes are identical for every worker
-// count: chunk streams are spliced in order, reproducing the serial bit
-// sequence exactly.
-func (e *Encoder) Encode(data []int32, workers int) ([]byte, error) {
-	// split the payload into deterministic chunks, one pooled writer each
-	nchunks := max(1, min(parallel.Resolve(workers), (len(data)+1<<14-1)>>14))
-	chunk := (len(data) + nchunks - 1) / nchunks
-	writers := make([]*bitstream.Writer, nchunks)
-	errs := make([]error, nchunks)
-	parallel.ForTasks(workers, nchunks, func(ci int) {
-		lo := ci * chunk
-		w := bitstream.GetWriter()
-		writers[ci] = w
-		for _, s := range data[lo:min(lo+chunk, len(data))] {
-			p, ok := e.lookup(s)
-			if !ok {
-				errs[ci] = fmt.Errorf("huffman: symbol %d not in code table", s)
-				return
-			}
-			w.WriteBits(p>>6, uint(p&63))
+// length, then the bit stream.
+func (e *Encoder) Encode(data []int32) ([]byte, error) {
+	// the payload is written in place behind the header and the two
+	// counts, into room for four bits a symbol to start with
+	head := len(e.header) + 16
+	out := make([]byte, head, head+len(data)/2)
+	copy(out, e.header)
+	w := bitstream.NewWriter(out)
+	for _, s := range data {
+		p, ok := e.lookup(s)
+		if !ok {
+			return nil, fmt.Errorf("huffman: symbol %d not in code table", s)
 		}
-	})
-	var w bitstream.Writer
-	for _, cw := range writers {
-		w.AppendWriter(cw)
-		bitstream.PutWriter(cw)
+		w.WriteBits(p>>6, uint(p&63))
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	payload := w.Bytes()
-	out := make([]byte, 0, len(e.header)+16+len(payload))
-	out = append(out, e.header...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(data)))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
+	out = w.Bytes()
+	binary.LittleEndian.PutUint64(out[head-16:], uint64(len(data)))
+	binary.LittleEndian.PutUint64(out[head-8:], uint64(len(out)-head))
 	return out, nil
 }
 
 // Encode is a convenience that histograms data, builds the table, and
-// encodes in one call using the default worker count.
-func Encode(data []int32) ([]byte, error) { return EncodeWorkers(data, 0) }
-
-// EncodeWorkers is Encode with an explicit worker cap (0 = all cores).
-// The output bytes do not depend on the worker count. An empty stream is
-// symbolCount=0, elementCount=0, payloadLen=0.
-func EncodeWorkers(data []int32, workers int) ([]byte, error) {
-	e, err := NewEncoder(HistogramInt32(data, workers))
+// encodes in one call. An empty stream is symbolCount=0, elementCount=0,
+// payloadLen=0.
+func Encode(data []int32) ([]byte, error) {
+	e, err := NewEncoder(HistogramInt32(data))
 	if err != nil {
 		return nil, err
 	}
-	return e.Encode(data, workers)
+	return e.Encode(data)
 }
 
 // denseHistPool recycles the dense counting windows of HistogramInt32;
@@ -365,68 +336,44 @@ func EncodeWorkers(data []int32, workers int) ([]byte, error) {
 var denseHistPool = sync.Pool{New: func() any { return []uint64(nil) }}
 
 // extremes returns the smallest symbol of data and the largest one below
-// limit, reduced over parallel chunks.
-func extremes(data []int32, workers int, limit int64) (lo, hi int32) {
+// limit.
+func extremes(data []int32, limit int64) (lo, hi int32) {
 	lo, hi = data[0], math.MinInt32
-	var mu sync.Mutex
-	parallel.For(workers, len(data), func(clo, chi int) {
-		l, h := data[clo], int32(math.MinInt32)
-		for _, s := range data[clo:chi] {
-			l = min(l, s)
-			if s > h && int64(s) < limit {
-				h = s
-			}
+	for _, s := range data {
+		lo = min(lo, s)
+		if s > hi && int64(s) < limit {
+			hi = s
 		}
-		mu.Lock()
-		lo, hi = min(lo, l), max(hi, h)
-		mu.Unlock()
-	})
+	}
 	return lo, hi
 }
 
 // HistogramInt32 counts symbol occurrences using a dense window array for
 // the clustered bulk of the alphabet and a sorted list for far outliers,
-// with the window chosen from the data minimum. Chunks count in parallel
-// and merge.
-func HistogramInt32(data []int32, workers int) Histogram {
+// with the window chosen from the data minimum.
+func HistogramInt32(data []int32) Histogram {
 	if len(data) == 0 {
 		return Histogram{}
 	}
-	lo, hi := extremes(data, workers, math.MaxInt64)
+	lo, hi := extremes(data, math.MaxInt64)
 	span := int64(hi) - int64(lo) + 1
 	if span > denseMax {
 		// typically a far sentinel inflating an otherwise tight alphabet:
 		// re-reduce for the largest symbol inside the capped window, so
-		// the window stays small to zero, merge, and scan
-		_, hi = extremes(data, workers, int64(lo)+denseMax)
+		// the window stays small to zero and scan
+		_, hi = extremes(data, int64(lo)+denseMax)
 		span = int64(hi) - int64(lo) + 1
 	}
-	var mu sync.Mutex
 	window := denseHistPool.Get().([]uint64)
 	window = grow(window, int(span))
 	var far []int32 // every occurrence of a symbol above the window
-	parallel.For(workers, len(data), func(clo, chi int) {
-		local := denseHistPool.Get().([]uint64)
-		local = grow(local, int(span))
-		var localFar []int32
-		for _, s := range data[clo:chi] {
-			if idx := int64(s) - int64(lo); idx < span {
-				local[idx]++
-			} else {
-				localFar = append(localFar, s)
-			}
+	for _, s := range data {
+		if idx := int64(s) - int64(lo); idx < span {
+			window[idx]++
+		} else {
+			far = append(far, s)
 		}
-		mu.Lock()
-		for i, c := range local {
-			if c != 0 {
-				window[i] += c
-				local[i] = 0
-			}
-		}
-		far = append(far, localFar...)
-		mu.Unlock()
-		denseHistPool.Put(local)
-	})
+	}
 	slices.Sort(far)
 	var rest Histogram
 	for i, s := range far {

@@ -379,14 +379,12 @@ func TestEncodeMatchesReferenceEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
-		for _, workers := range []int{1, 0} {
-			got, err := EncodeWorkers(data, workers)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: %d bytes with %d workers differ from the reference encoder's %d", name, len(got), workers, len(want))
-			}
+		got, err := Encode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from the reference encoder's %d", name, len(got), len(want))
 		}
 		roundTrip(t, data)
 	}
@@ -424,11 +422,8 @@ func TestHistogramInt32(t *testing.T) {
 			counts[s]++
 		}
 		want := histOf(counts)
-		for _, workers := range []int{1, 0} {
-			got := HistogramInt32(data, workers)
-			if !slices.Equal(got.Symbols, want.Symbols) || !slices.Equal(got.Counts, want.Counts) {
-				t.Errorf("%s, %d workers: histogram of %d symbols differs from the counted one of %d", name, workers, got.Len(), want.Len())
-			}
+		if got := HistogramInt32(data); !slices.Equal(got.Symbols, want.Symbols) || !slices.Equal(got.Counts, want.Counts) {
+			t.Errorf("%s: histogram of %d symbols differs from the counted one of %d", name, got.Len(), want.Len())
 		}
 	}
 }
@@ -629,7 +624,7 @@ func TestEncoderRejectsUnknownSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Encode([]int32{1, 2, 99}, 1); err == nil {
+	if _, err := e.Encode([]int32{1, 2, 99}); err == nil {
 		t.Error("Encode accepted symbol missing from the table")
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 const poolescapeDoc = `forbid pooled/refcounted scratch values from outliving their release
 
-The block-parallel kernels (DESIGN.md §10) recycle scratch buffers
+The compression kernels (DESIGN.md §10) recycle scratch buffers
 through sync.Pool, and the tiered dataset cache (DESIGN.md §15) hands
 out refcounted mmap-backed handles; correctness of the -race concurrency
 drills rests on each in-flight computation holding its scratch
@@ -27,7 +27,7 @@ that acquires such a value it reports:
     variable (retention beyond the call);
   - returning the acquired value from a function that never releases
     it — an ownership-transfer accessor. Deliberate accessors
-    (GetWriter/PutWriter pairs, handle-returning getters that also hand
+    (getScratch/putScratch pairs, handle-returning getters that also hand
     the caller the release func) carry //lint:ignore
     pressiovet/poolescape.
 

@@ -153,7 +153,7 @@ func (m *QuantizedEntropy) Options() pressio.Options {
 // key range bounded by the shared summary's min/max.
 func (m *QuantizedEntropy) BeginCompress(in *pressio.Data) {
 	r := pressio.Options{}
-	r.Set("quantized_entropy:bits", stats.QuantizedEntropyOf(in, m.Abs, 0))
+	r.Set("quantized_entropy:bits", stats.QuantizedEntropyOf(in, m.Abs))
 	m.results = r
 }
 

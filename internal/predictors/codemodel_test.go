@@ -154,7 +154,7 @@ func referenceZperfCoders(m *ZperfModel, in *pressio.Data) float64 {
 	case "regression":
 		q := &sz3.Quantizer{Abs: m.abs(), Bins: 65536, DType: pressio.DTypeFloat64}
 		codes := make([]int32, len(sample))
-		outs, _ := sz3.PredictQuantizeRegression(codes, sample, []int{len(sample)}, q, 0)
+		outs, _ := sz3.PredictQuantizeRegression(codes, sample, []int{len(sample)}, q)
 		for _, c := range codes {
 			if c != sz3.OutlierCode {
 				hist[c]++

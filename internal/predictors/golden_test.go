@@ -82,7 +82,7 @@ func codeModelBits(t *testing.T) map[string]string {
 
 	for _, field := range []string{"P", "CLOUD"} {
 		in := cell(field, 3, []int{32, 32, 64})
-		put(fmt.Sprintf("summary/%s/entropy", field), stats.Summarize(in, 4096, 1).Entropy())
+		put(fmt.Sprintf("summary/%s/entropy", field), stats.Summarize(in, 4096).Entropy())
 		put(fmt.Sprintf("stats/%s/quantized_entropy", field), stats.QuantizedEntropy(stats.Float64Of(in), 1e-4))
 		for _, abs := range []float64{1e-6, 1e-4} {
 			zp := &ZperfModel{Abs: abs}

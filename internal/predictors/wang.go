@@ -206,7 +206,7 @@ func (m *ZperfModel) residualHistogram(sample []float64) (huffman.Histogram, uin
 	switch m.predictor() {
 	case "regression":
 		// SZ2-style block regression: reuse the compressor's own stage
-		sz3.PredictQuantizeRegression(codes, sample, []int{len(sample)}, &cm.q, 0)
+		sz3.PredictQuantizeRegression(codes, sample, []int{len(sample)}, &cm.q)
 	case "mean":
 		mean := stats.Mean(sample)
 		for i, v := range sample {

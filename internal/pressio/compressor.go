@@ -12,12 +12,6 @@ const (
 	// compressor in this repository ("pressio:abs").
 	OptAbs = "pressio:abs"
 
-	// OptNThreads caps the worker threads a kernel may use for one
-	// (de)compression call ("pressio:nthreads"). 0 means "all cores"
-	// (the shared pool default), 1 forces the serial path. Thread count
-	// never changes the output bytes — it is a pure performance knob.
-	OptNThreads = "pressio:nthreads"
-
 	// CfgThreadSafe marks a plugin safe for concurrent use from multiple
 	// goroutines after configuration.
 	CfgThreadSafe = "pressio:thread_safe"

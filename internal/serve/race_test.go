@@ -11,14 +11,13 @@ import (
 )
 
 // TestConcurrentKernelsUnderLoad is the -race regression drill for the
-// block-parallel kernels: two compressors drawing on the shared worker
-// pool and the package-level scratch pools run flat out while LoadGen
-// drives the predict server, which itself evaluates metrics on the same
-// pools. Every compression is compared byte-for-byte against a serial
-// reference computed up front, so the test pins two properties at once —
-// the race detector proves pooled scratch is never shared between
-// in-flight compressions, and the byte comparison proves concurrency
-// never changes the encoding.
+// kernels' package-level scratch pools: two compressors drawing on them
+// run flat out while LoadGen drives the predict server, which itself
+// evaluates metrics on the same pools. Every compression is compared
+// byte-for-byte against a reference computed before any concurrency
+// starts, so the test pins two properties at once — the race detector
+// proves pooled scratch is never shared between in-flight compressions,
+// and the byte comparison proves concurrency never changes the encoding.
 func TestConcurrentKernelsUnderLoad(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 256, Deadline: 30 * time.Second})
 	defer s.Drain()
@@ -28,11 +27,11 @@ func TestConcurrentKernelsUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// serial references, one per kernel, before any concurrency starts
+	// references, one per kernel, before any concurrency starts
 	kernels := []string{"sz3", "zfp"}
 	refs := make(map[string][]byte, len(kernels))
 	for _, name := range kernels {
-		comp := newKernel(t, name, 1)
+		comp := newKernel(t, name)
 		c, err := comp.Compress(data)
 		if err != nil {
 			t.Fatal(err)
@@ -45,13 +44,13 @@ func TestConcurrentKernelsUnderLoad(t *testing.T) {
 	errc := make(chan error, len(kernels)*rounds+1)
 
 	// the two compressors: each goroutine owns its Compressor instance
-	// (plugins are not thread-safe) but all of them contend on the shared
-	// worker pool and the pooled codes/recon/writer scratch
+	// (plugins are not thread-safe) but all of them contend on the pooled
+	// codes/recon/block scratch
 	for _, name := range kernels {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			comp := newKernel(t, name, 0)
+			comp := newKernel(t, name)
 			out := pressio.New(data.DType(), data.Dims()...)
 			for i := 0; i < rounds; i++ {
 				c, err := comp.Compress(data)
@@ -72,7 +71,7 @@ func TestConcurrentKernelsUnderLoad(t *testing.T) {
 	}
 
 	// the serve workload shares the process: its metric evaluations hit
-	// the same stats/parallel layers the kernels do
+	// the same stats layer the kernels do
 	wg.Add(1)
 	var res *LoadGenResult
 	go func() {
@@ -96,8 +95,8 @@ func TestConcurrentKernelsUnderLoad(t *testing.T) {
 	}
 }
 
-// newKernel builds a named compressor pinned to nthreads workers.
-func newKernel(t *testing.T, name string, nthreads int) pressio.Compressor {
+// newKernel builds a named compressor at abs=1e-4.
+func newKernel(t *testing.T, name string) pressio.Compressor {
 	t.Helper()
 	comp, err := pressio.GetCompressor(name)
 	if err != nil {
@@ -105,7 +104,6 @@ func newKernel(t *testing.T, name string, nthreads int) pressio.Compressor {
 	}
 	opts := pressio.Options{}
 	opts.Set(pressio.OptAbs, 1e-4)
-	opts.Set(pressio.OptNThreads, int64(nthreads))
 	if err := comp.SetOptions(opts); err != nil {
 		t.Fatal(err)
 	}

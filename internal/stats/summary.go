@@ -5,17 +5,15 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/parallel"
 	"repro/internal/pressio"
 )
 
-// Summary is the fused single-pass feature extraction over one data
-// buffer: min/max/mean/std/sparsity and (optionally) a fixed-width
-// histogram, computed by parallel chunked sweeps over the native element
-// type — no float64 materialization, no per-metric re-reads. One Summary
-// is shared by every metric observing the same buffer (SummaryOf), which
-// is what lets a chain of N metrics touch the data once instead of N
-// times.
+// Summary is the fused feature extraction over one data buffer:
+// min/max/mean/std/sparsity and (optionally) a fixed-width histogram,
+// computed by two in-order sweeps over the native element type — no
+// float64 materialization, no per-metric re-reads. One Summary is shared
+// by every metric observing the same buffer (SummaryOf), which is what
+// lets a chain of N metrics touch the data once instead of N times.
 type Summary struct {
 	N        int
 	Min, Max float64
@@ -52,8 +50,8 @@ func (s *Summary) Sparsity() float64 {
 // EntropyFromCounts(Histogram(xs, Min, Max, Bins)).
 func (s *Summary) Entropy() float64 { return EntropyFromCounts(s.Hist) }
 
-// momentAcc is one chunk's partial reduction for the first sweep.
-type momentAcc struct {
+// moments is the first sweep's reduction.
+type moments struct {
 	min, max float64
 	sum      float64
 	n        int // finite element count
@@ -62,98 +60,43 @@ type momentAcc struct {
 	infs     int
 }
 
-// sweepMoments reduces one chunk of the buffer via the generic accessor;
-// typed fast paths below shadow it for float32/float64.
-func sweepMoments(at func(int) float64, lo, hi int) momentAcc {
-	acc := momentAcc{min: math.Inf(1), max: math.Inf(-1)}
-	for i := lo; i < hi; i++ {
-		v := at(i)
-		if v == 0 {
-			acc.zeros++
-		}
-		if math.IsNaN(v) {
-			acc.nans++
-			continue
-		}
-		if math.IsInf(v, 0) {
-			acc.infs++
-		}
-		if v < acc.min {
-			acc.min = v
-		}
-		if v > acc.max {
-			acc.max = v
-		}
-		acc.sum += v
-		acc.n++
+func (m *moments) add(v float64) {
+	if v == 0 {
+		m.zeros++
 	}
-	return acc
+	if math.IsNaN(v) {
+		m.nans++
+		return
+	}
+	if math.IsInf(v, 0) {
+		m.infs++
+	}
+	if v < m.min {
+		m.min = v
+	}
+	if v > m.max {
+		m.max = v
+	}
+	m.sum += v
+	m.n++
 }
 
-func momentsF32(xs []float32, lo, hi int) momentAcc {
-	acc := momentAcc{min: math.Inf(1), max: math.Inf(-1)}
-	for _, f := range xs[lo:hi] {
-		v := float64(f)
-		if v == 0 {
-			acc.zeros++
-		}
-		if math.IsNaN(v) {
-			acc.nans++
-			continue
-		}
-		if math.IsInf(v, 0) {
-			acc.infs++
-		}
-		if v < acc.min {
-			acc.min = v
-		}
-		if v > acc.max {
-			acc.max = v
-		}
-		acc.sum += v
-		acc.n++
+// momentsOf is the first sweep over a float32 or float64 buffer, in
+// index order.
+func momentsOf[T float32 | float64](xs []T) moments {
+	m := moments{min: math.Inf(1), max: math.Inf(-1)}
+	for _, f := range xs {
+		m.add(float64(f))
 	}
-	return acc
-}
-
-func momentsF64(xs []float64, lo, hi int) momentAcc {
-	acc := momentAcc{min: math.Inf(1), max: math.Inf(-1)}
-	for _, v := range xs[lo:hi] {
-		if v == 0 {
-			acc.zeros++
-		}
-		if math.IsNaN(v) {
-			acc.nans++
-			continue
-		}
-		if math.IsInf(v, 0) {
-			acc.infs++
-		}
-		if v < acc.min {
-			acc.min = v
-		}
-		if v > acc.max {
-			acc.max = v
-		}
-		acc.sum += v
-		acc.n++
-	}
-	return acc
-}
-
-// devHistAcc is one chunk's partial reduction for the second sweep:
-// squared deviations from the global mean plus the histogram counts.
-type devHistAcc struct {
-	sumSq float64
-	hist  []uint64
+	return m
 }
 
 // Summarize computes the fused summary of d with the given histogram bin
-// count (0 skips the histogram) using up to `workers` pool workers. The
-// result is independent of the worker count up to float addition order;
-// histogram counts are exact. Prefer SummaryOf, which keeps the result
-// on the buffer.
-func Summarize(d *pressio.Data, bins, workers int) *Summary {
+// count (0 skips the histogram) on the calling goroutine. Every sum runs
+// in index order, so the result is the same on every machine; histogram
+// counts are exact. Prefer SummaryOf, which keeps the result on the
+// buffer.
+func Summarize(d *pressio.Data, bins int) *Summary {
 	n := d.Len()
 	s := &Summary{N: n, Bins: bins}
 	if n == 0 {
@@ -163,119 +106,81 @@ func Summarize(d *pressio.Data, bins, workers int) *Summary {
 		return s
 	}
 
-	// sweep 1: min/max/sum/zeros in parallel chunks over the native type.
-	// Partials land in a chunk-indexed slice and merge sequentially in
-	// chunk order: float sums merged in completion order would make Mean
-	// (and everything derived from it) vary run to run, and replicated
-	// predictd relies on refitting a model being byte-reproducible.
-	bounds := parallel.Split(workers, n)
-	accs := make([]momentAcc, len(bounds)-1)
-	parallel.ForTasks(workers, len(accs), func(ci int) {
-		lo, hi := bounds[ci], bounds[ci+1]
-		switch d.DType() {
-		case pressio.DTypeFloat32:
-			accs[ci] = momentsF32(d.Float32(), lo, hi)
-		case pressio.DTypeFloat64:
-			accs[ci] = momentsF64(d.Float64(), lo, hi)
-		default:
-			accs[ci] = sweepMoments(d.At, lo, hi)
+	// sweep 1: min/max/sum/zeros over the native type
+	var m moments
+	switch d.DType() {
+	case pressio.DTypeFloat32:
+		m = momentsOf(d.Float32())
+	case pressio.DTypeFloat64:
+		m = momentsOf(d.Float64())
+	default:
+		m = moments{min: math.Inf(1), max: math.Inf(-1)}
+		for i := range n {
+			m.add(d.At(i))
 		}
-	})
-	total := momentAcc{min: math.Inf(1), max: math.Inf(-1)}
-	for _, acc := range accs {
-		if acc.min < total.min {
-			total.min = acc.min
-		}
-		if acc.max > total.max {
-			total.max = acc.max
-		}
-		total.sum += acc.sum
-		total.n += acc.n
-		total.zeros += acc.zeros
-		total.nans += acc.nans
-		total.infs += acc.infs
 	}
-	s.ZeroCount = total.zeros
-	s.NaNCount = total.nans
-	s.InfCount = total.infs
-	if total.n == 0 {
+	s.ZeroCount = m.zeros
+	s.NaNCount = m.nans
+	s.InfCount = m.infs
+	if m.n == 0 {
 		// all-NaN buffer: no finite values to summarize
 		if bins > 0 {
 			s.Hist = make([]uint64, bins)
-			s.Hist[0] = uint64(total.nans)
+			s.Hist[0] = uint64(m.nans)
 		}
 		return s
 	}
-	s.Min = total.min
-	s.Max = total.max
-	s.Mean = total.sum / float64(total.n)
+	s.Min = m.min
+	s.Max = m.max
+	s.Mean = m.sum / float64(m.n)
 
 	// sweep 2: squared deviations and histogram against the known range
-	lo64, hi64, mean := s.Min, s.Max, s.Mean
-	degenerate := bins > 0 && hi64 <= lo64
+	lo, mean := s.Min, s.Mean
+	degenerate := bins > 0 && s.Max <= lo
 	scale := 0.0
 	if bins > 0 && !degenerate {
-		scale = float64(bins) / (hi64 - lo64)
+		scale = float64(bins) / (s.Max - lo)
 	}
-	var hist []uint64
-	if bins > 0 {
-		hist = make([]uint64, bins)
-	}
-	accs2 := make([]devHistAcc, len(bounds)-1)
-	parallel.ForTasks(workers, len(accs2), func(ci int) {
-		clo, chi := bounds[ci], bounds[ci+1]
-		acc := devHistAcc{}
-		if bins > 0 {
-			acc.hist = make([]uint64, bins)
-		}
-		at := d.At
-		sweep := func(v float64) {
-			if !math.IsNaN(v) {
-				dv := v - mean
-				acc.sumSq += dv * dv
-			}
-			if bins > 0 {
-				if degenerate {
-					acc.hist[0]++
-					return
-				}
-				i := int((v - lo64) * scale)
-				if i < 0 {
-					i = 0
-				}
-				if i >= bins {
-					i = bins - 1
-				}
-				acc.hist[i]++
-			}
-		}
-		switch d.DType() {
-		case pressio.DTypeFloat32:
-			for _, f := range d.Float32()[clo:chi] {
-				sweep(float64(f))
-			}
-		case pressio.DTypeFloat64:
-			for _, v := range d.Float64()[clo:chi] {
-				sweep(v)
-			}
-		default:
-			for i := clo; i < chi; i++ {
-				sweep(at(i))
-			}
-		}
-		accs2[ci] = acc
-	})
 	var sumSq float64
-	for _, acc := range accs2 {
-		sumSq += acc.sumSq
-		for i, c := range acc.hist {
-			if c != 0 {
-				hist[i] += c
+	if bins > 0 {
+		s.Hist = make([]uint64, bins)
+	}
+	hist := s.Hist
+	sweep := func(v float64) {
+		if !math.IsNaN(v) {
+			dv := v - mean
+			sumSq += dv * dv
+		}
+		if bins > 0 {
+			if degenerate {
+				hist[0]++
+				return
 			}
+			i := int((v - lo) * scale)
+			if i < 0 {
+				i = 0
+			}
+			if i >= bins {
+				i = bins - 1
+			}
+			hist[i]++
 		}
 	}
-	s.Std = math.Sqrt(sumSq / float64(total.n))
-	s.Hist = hist
+	switch d.DType() {
+	case pressio.DTypeFloat32:
+		for _, f := range d.Float32() {
+			sweep(float64(f))
+		}
+	case pressio.DTypeFloat64:
+		for _, v := range d.Float64() {
+			sweep(v)
+		}
+	default:
+		for i := range n {
+			sweep(d.At(i))
+		}
+	}
+	s.Std = math.Sqrt(sumSq / float64(m.n))
 	return s
 }
 
@@ -363,20 +268,7 @@ func Float64Of(d *pressio.Data) []float64 {
 	if xs != nil {
 		return xs
 	}
-	n := d.Len()
-	out := make([]float64, n)
-	if d.DType() == pressio.DTypeFloat32 {
-		src := d.Float32()
-		parallel.For(0, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = float64(src[i])
-			}
-		})
-	} else {
-		for i := 0; i < n; i++ {
-			out[i] = d.At(i)
-		}
-	}
+	out := Float64Run(d, 0, d.Len(), nil)
 	views.mu.Lock()
 	e.f64 = out
 	views.mu.Unlock()
@@ -427,12 +319,14 @@ func histRides(d *pressio.Data, bins int) bool { return 8*8*bins <= d.ByteSize()
 // again (cheap there, and predictd memoises the metric that asks).
 // Concurrent first callers may both compute; the results are identical,
 // so the last store wins.
+//
+// workers is ignored; benchmark/serve_trace.go still compiles against it.
 func SummaryOf(d *pressio.Data, bins, workers int) *Summary {
 	stored, _ := d.Derived(summaryKey{}).(*Summary)
 	if stored != nil && (bins == 0 || stored.Bins == bins) {
 		return stored
 	}
-	s := Summarize(d, bins, workers)
+	s := Summarize(d, bins)
 	keep := s
 	if bins != 0 && !histRides(d, bins) {
 		moments := *s
@@ -451,11 +345,11 @@ func SummaryOf(d *pressio.Data, bins, workers int) *Summary {
 // quantized key span is small it counts into a pooled dense array
 // instead of a map, which is the common case for real error bounds and
 // is several times faster.
-func QuantizedEntropyOf(d *pressio.Data, abs float64, workers int) float64 {
+func QuantizedEntropyOf(d *pressio.Data, abs float64) float64 {
 	if qe, ok := d.Derived(qeKey{}).(qeValue); ok && qe.abs == abs {
 		return qe.bits
 	}
-	bits := quantizedEntropyData(d, abs, workers)
+	bits := quantizedEntropyData(d, abs)
 	d.StoreDerived(qeKey{}, qeValue{abs: abs, bits: bits})
 	return bits
 }
@@ -468,7 +362,7 @@ var denseCountPool = sync.Pool{New: func() any { return []uint32(nil) }}
 // wider spans (pathological bounds) fall back to the map path.
 const maxDenseSpan = 1 << 21
 
-func quantizedEntropyData(d *pressio.Data, abs float64, workers int) float64 {
+func quantizedEntropyData(d *pressio.Data, abs float64) float64 {
 	n := d.Len()
 	if n == 0 {
 		return 0
@@ -478,7 +372,7 @@ func quantizedEntropyData(d *pressio.Data, abs float64, workers int) float64 {
 		return QuantizedEntropy(Float64Of(d), abs)
 	}
 	q := 2 * abs
-	s := SummaryOf(d, 0, workers)
+	s := SummaryOf(d, 0, 0)
 	if s.NaNCount == 0 && s.InfCount == 0 {
 		kmin := int64(math.Floor(s.Min / q))
 		kmax := int64(math.Floor(s.Max / q))
@@ -529,31 +423,22 @@ func quantizedEntropyData(d *pressio.Data, abs float64, workers int) float64 {
 			return h
 		}
 	}
-	// exact fallback: parallel partial maps, merged
-	var mu sync.Mutex
+	// exact fallback: count every quantized key in a map
 	counts := make(map[int64]uint64, 1024)
-	parallel.For(workers, n, func(lo, hi int) {
-		local := make(map[int64]uint64, 256)
-		switch d.DType() {
-		case pressio.DTypeFloat32:
-			for _, f := range d.Float32()[lo:hi] {
-				local[int64(math.Floor(float64(f)/q))]++
-			}
-		case pressio.DTypeFloat64:
-			for _, v := range d.Float64()[lo:hi] {
-				local[int64(math.Floor(v/q))]++
-			}
-		default:
-			for i := lo; i < hi; i++ {
-				local[int64(math.Floor(d.At(i)/q))]++
-			}
+	switch d.DType() {
+	case pressio.DTypeFloat32:
+		for _, f := range d.Float32() {
+			counts[int64(math.Floor(float64(f)/q))]++
 		}
-		mu.Lock()
-		for k, c := range local {
-			counts[k] += c
+	case pressio.DTypeFloat64:
+		for _, v := range d.Float64() {
+			counts[int64(math.Floor(v/q))]++
 		}
-		mu.Unlock()
-	})
+	default:
+		for i := range n {
+			counts[int64(math.Floor(d.At(i)/q))]++
+		}
+	}
 	// reduce in key order: summing -p·log2(p) in map iteration order would
 	// make the entropy vary in its last bits from run to run
 	keys := make([]int64, 0, len(counts))

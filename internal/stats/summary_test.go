@@ -64,7 +64,7 @@ func TestHistogramNonFinite(t *testing.T) {
 func summaryFor(t *testing.T, vals []float32, bins int) *Summary {
 	t.Helper()
 	d := pressio.FromFloat32(vals, len(vals))
-	return Summarize(d, bins, 1)
+	return Summarize(d, bins)
 }
 
 func TestSummaryMatchesReferenceStats(t *testing.T) {
@@ -76,7 +76,7 @@ func TestSummaryMatchesReferenceStats(t *testing.T) {
 		}
 	}
 	d := pressio.FromFloat32(vals, 100, 100)
-	s := Summarize(d, 256, 1)
+	s := Summarize(d, 256)
 
 	xs := make([]float64, len(vals))
 	for i, v := range vals {
@@ -326,7 +326,7 @@ func TestQuantizedEntropyOfMatchesReference(t *testing.T) {
 		xs[i] = float64(v)
 	}
 	for _, abs := range []float64{1e-1, 1e-3, 1e-6} {
-		got := QuantizedEntropyOf(d, abs, 1)
+		got := QuantizedEntropyOf(d, abs)
 		want := QuantizedEntropy(xs, abs)
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("abs=%g: quantized entropy = %g, want %g", abs, got, want)
@@ -336,7 +336,7 @@ func TestQuantizedEntropyOfMatchesReference(t *testing.T) {
 	vals[17] = float32(math.NaN())
 	d2 := pressio.FromFloat32(vals, len(vals))
 	xs[17] = math.NaN()
-	got := QuantizedEntropyOf(d2, 1e-3, 1)
+	got := QuantizedEntropyOf(d2, 1e-3)
 	want := QuantizedEntropy(xs, 1e-3)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("NaN fallback: quantized entropy = %g, want %g", got, want)
