@@ -378,8 +378,9 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	}
 	nd := len(dims)
 
-	// header
-	out := make([]byte, 0, in.ByteSize()/4+64)
+	// header, with room behind it for the input's size: a dense field's
+	// stream is most of that
+	out := make([]byte, 0, in.ByteSize()+64)
 	out = append(out, magic...)
 	out = append(out, byte(in.DType()), byte(len(in.Dims())))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(c.tol))

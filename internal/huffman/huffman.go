@@ -234,6 +234,7 @@ type Encoder struct {
 	dense    []packedCode
 	farSyms  []int32 // symbols above the dense window, ascending
 	farCodes []packedCode
+	bits     uint64 // payload size of the histogram the table was built from
 }
 
 // NewEncoder builds an encoder for the histogram of the symbols to encode.
@@ -272,6 +273,7 @@ func (sc *scratch) newEncoder(h Histogram) (*Encoder, error) {
 		rec := e.header[4+5*pos:]
 		binary.LittleEndian.PutUint32(rec, uint32(s))
 		rec[4] = l
+		e.bits += h.Counts[i] * uint64(l)
 		p := packCode(cn.firstCode[l]+pos-cn.firstIdx[l], uint(l))
 		if i < near {
 			e.dense[int64(s)-int64(e.base)] = p
@@ -302,9 +304,9 @@ func (e *Encoder) lookup(s int32) (packedCode, bool) {
 // length, then the bit stream.
 func (e *Encoder) Encode(data []int32) ([]byte, error) {
 	// the payload is written in place behind the header and the two
-	// counts, into room for four bits a symbol to start with
+	// counts, into room for the histogram's payload
 	head := len(e.header) + 16
-	out := make([]byte, head, head+len(data)/2)
+	out := make([]byte, head, head+int((e.bits+7)/8))
 	copy(out, e.header)
 	w := bitstream.NewWriter(out)
 	for _, s := range data {
