@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check docs-check cross-build examples-check serve-check crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check serve-check crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,7 @@ tier1:
 LOC_FIND = find $(1) -name '*.go' -not -name '*_test.go' -not -path './internal/xtools/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go lines: %d\n' $$($(call LOC_FIND,.))
-	@for d in internal/serve internal/cluster internal/bench internal/core internal/dataset internal/predictors internal/compressor/sz3 internal/hurricane; do \
+	@for d in internal/serve internal/cluster internal/bench internal/core internal/dataset internal/predictors internal/compressor internal/compressor/sz3 internal/huffman internal/stats internal/hurricane; do \
 		printf '  %-24s %d\n' $$d $$($(call LOC_FIND,./$$d)); done
 	@printf 'vendored internal/xtools: %d\n' $$(find internal/xtools -name '*.go' | xargs cat | wc -l)
 
@@ -63,7 +63,7 @@ loc:
 # predict-bench's remote drill, and the seeded scenarios (SLOs and
 # prediction accounting under load; no performance number is gated here — the only
 # performance gate is bench-check, opt-in behind BENCH=1).
-check: fmt-check docs-check
+check: fmt-check docs-check serial-check
 	$(GO) vet ./...
 	$(GO) vet -unreachable -copylocks -lostcancel ./...
 	$(MAKE) cross-build
@@ -111,6 +111,16 @@ examples-check:
 # then over the three docs.
 docs-check:
 	$(GO) test -count=1 -run TestDocsNameWhatExists .
+
+# serial-check fails when a non-test file of a kernel package — the
+# compressors, the entropy coder, the fused summary, the bit streams —
+# starts a goroutine. Kernels run on their caller's goroutine and
+# concurrency belongs to the task layer (DESIGN.md §10); fan-out inside a
+# kernel comes back only by revisiting that decision.
+KERNEL_DIRS = internal/compressor internal/huffman internal/stats internal/bitstream
+serial-check:
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]+[[:alnum:]_(]' $(KERNEL_DIRS)); \
+	if [ -n "$$out" ]; then echo "goroutines started in kernel packages:"; echo "$$out"; exit 1; fi
 
 # cross-build compiles the tree for a platform without the linux mmap
 # path, and internal/dataset (tests included, via vet) for one without
@@ -188,8 +198,8 @@ bench-baseline:
 
 # bench-check re-runs the kernel benchmarks and fails if ns/op or
 # allocs/op regressed more than 10% against BENCH_kernels.json (allocs/op
-# only on a machine with the baseline's num_cpu: the worker pool is sized
-# by it). It is wired into `make check` behind BENCH=1 (benchmarks need a
+# on any machine: no kernel's allocations depend on its core count). It is
+# wired into `make check` behind BENCH=1 (benchmarks need a
 # quiet machine, so the default check stays deterministic).
 bench-check:
 	$(GO) run ./cmd/benchgate -check

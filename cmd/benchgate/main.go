@@ -5,10 +5,9 @@
 //	benchgate -check      re-measure and fail on >10% ns/op or allocs/op
 //	                      regression against the committed baseline
 //
-// internal/parallel sizes its worker pool by runtime.NumCPU(), so the
-// allocs/op of every fan-out path is a function of the core count. The
-// baseline records the count it was written on, and -check compares
-// allocs/op only on a machine with the same one; ns/op is always compared.
+// Every kernel runs on its caller's goroutine, so allocs/op does not
+// depend on the machine and is compared on every one. The baseline
+// records the CPU model and count its ns/op were measured on.
 package main
 
 import (
@@ -89,14 +88,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v (run `make bench-baseline` first)\n", err)
 		os.Exit(1)
 	}
-	rules := []gate.Rule{nsRule}
-	if prev.NumCPU == runtime.NumCPU() {
-		rules = append(rules, allocsRule)
-	} else {
-		fmt.Printf("benchgate: allocs/op not compared: %s was written on %d CPUs, this machine has %d (the worker pool is sized by CPU count)\n",
-			*file, prev.NumCPU, runtime.NumCPU())
-	}
-	if failures := compare(prev.Benchmarks, results, rules); len(failures) > 0 {
+	if failures := compare(prev.Benchmarks, results, []gate.Rule{nsRule, allocsRule}); len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "benchgate: FAIL", f)
 		}
@@ -107,7 +99,7 @@ func main() {
 
 // benchLine matches one `go test -bench` result row, e.g.
 //
-//	BenchmarkKernelSZ3Compress/serial-4   142   8400000 ns/op   164 MB/s   12 B/op   166 allocs/op
+//	BenchmarkKernelSZ3Compress-4   142   8400000 ns/op   164 MB/s   12 B/op   166 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:.*?\s([\d.]+) allocs/op)?`)
 
 // runBenchmarks executes the gated benchmark suites once per package
@@ -161,7 +153,7 @@ func runPackage(pkg string, results map[string]Measurement) (string, error) {
 // The kernel schema's gate: ns/op and allocs/op both regress upward.
 // allocs/op gets an absolute slack of one: `go test` prints the truncated
 // mean, and a pooled path whose pool a GC cycle empties now and then reads
-// N on one run and N+1 on the next (ZFPDecompress/serial: 4 or 5), which a
+// N on one run and N+1 on the next (ZFPDecompress: 4 or 5), which a
 // relative band alone turns into a failure below ten allocations.
 var (
 	nsRule     = gate.Rule{Metric: "ns_per_op", Tolerance: tolerance}
