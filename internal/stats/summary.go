@@ -81,14 +81,11 @@ func (m *moments) add(v float64) {
 	m.n++
 }
 
-// momentsOf is the first sweep over a float32 or float64 buffer, in
-// index order.
-func momentsOf[T float32 | float64](xs []T) moments {
-	m := moments{min: math.Inf(1), max: math.Inf(-1)}
+// addAll folds a float32 or float64 buffer into m in index order.
+func addAll[T float32 | float64](m *moments, xs []T) {
 	for _, f := range xs {
 		m.add(float64(f))
 	}
-	return m
 }
 
 // Summarize computes the fused summary of d with the given histogram bin
@@ -107,14 +104,13 @@ func Summarize(d *pressio.Data, bins int) *Summary {
 	}
 
 	// sweep 1: min/max/sum/zeros over the native type
-	var m moments
+	m := moments{min: math.Inf(1), max: math.Inf(-1)}
 	switch d.DType() {
 	case pressio.DTypeFloat32:
-		m = momentsOf(d.Float32())
+		addAll(&m, d.Float32())
 	case pressio.DTypeFloat64:
-		m = momentsOf(d.Float64())
+		addAll(&m, d.Float64())
 	default:
-		m = moments{min: math.Inf(1), max: math.Inf(-1)}
 		for i := range n {
 			m.add(d.At(i))
 		}
