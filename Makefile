@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check serve-check crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check benchmark-check serve-check crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -50,7 +50,8 @@ loc:
 # go test -run '^$$' -fuzz FuzzCodesLorenzo -fuzztime 1m ./internal/compressor/sz3
 # go test -run '^$$' -fuzz FuzzCodeModelCount -fuzztime 1m ./internal/predictors),
 # the examples and predict-bench's -table1 and -corpus modes run to
-# completion, and the complete test suite under the race detector. The race run stays
+# completion, the benchmark harness's self-test (benchmark-check), and
+# the complete test suite under the race detector. The race run stays
 # `-race -short`: -race is what actually exercises the sync.Pool and
 # queue invariants the linters guard statically, and -short keeps the
 # gate fast enough to run on every change by skipping the long queue
@@ -70,6 +71,7 @@ check: fmt-check docs-check serial-check
 	$(MAKE) lint
 	$(MAKE) tier1
 	$(MAKE) examples-check
+	$(MAKE) benchmark-check
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=2 ./internal/predictors ./internal/serve
 	$(MAKE) crash-check
@@ -103,6 +105,14 @@ examples-check:
 	corpus="bin/predict-bench -corpus $$tmp -fields P -steps 2 -dims 4x4x4" && \
 	$$corpus && out=$$($$corpus) && echo "$$out" && \
 	case "$$out" in reusing*"(manifest verified)") ;; *) echo "second -corpus run did not reuse the corpus"; exit 1;; esac
+
+# benchmark-check vets and self-tests the benchmark harness (toy sizes,
+# seconds). It is a module of its own, so `go build ./...` and `go test
+# ./...` never compile it, yet it builds against internal/serve and reads
+# predictd's /statz JSON: a change to either is caught here, not by the
+# next benchmark run.
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # docs-check fails when README.md, DESIGN.md or EXPERIMENTS.md names a
 # cmd/<name> directory, a `go run`/`go build`/`go test` package path or a
@@ -138,7 +148,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # serve-check gates the serving subsystem: vet + the full internal/serve
-# suite (end-to-end fit/predict/invalidate, singleflight, backpressure,
+# suite (end-to-end fit/predict/invalidate, concurrent singles, backpressure,
 # loadgen soak, and FuzzDecodeBatch's seed corpus — every body in the batch
 # decoder's differential table, scanner against encoding/json) and the
 # daemon build, all under the race detector. To fuzz past the seeds:

@@ -31,33 +31,32 @@ type Metrics struct {
 	// an itemized error counts here, with none of its items answered).
 	Answered int
 	Failed   int
-	// CacheHits, CoalescedHits and CacheMisses are the three /statz
-	// prediction buckets summed over the nodes at the end of the run. A
-	// node puts every answered prediction in exactly one of them, so on a
-	// run with Failed == 0 they sum to Answered.
-	CacheHits     uint64
-	CoalescedHits uint64
-	CacheMisses   uint64
+	// CacheHits and CacheMisses are the two /statz prediction buckets
+	// summed over the nodes at the end of the run. A node puts every
+	// answered prediction in exactly one of them, so on a run with
+	// Failed == 0 they sum to Answered.
+	CacheHits   uint64
+	CacheMisses uint64
 	// MaxRSSBytes is the largest per-node resident set observed.
 	MaxRSSBytes int64
 }
 
-// CacheHitRate is the cluster-wide share of predictions that did not
-// compute: served from the cache or shared an in-flight computation.
+// CacheHitRate is the cluster-wide share of predictions served from the
+// cache.
 func (m *Metrics) CacheHitRate() float64 {
-	total := m.CacheHits + m.CoalescedHits + m.CacheMisses
+	total := m.CacheHits + m.CacheMisses
 	if total == 0 {
 		return 0
 	}
-	return float64(m.CacheHits+m.CoalescedHits) / float64(total)
+	return float64(m.CacheHits) / float64(total)
 }
 
 // String is the one-line summary scenariobench and TestScenario print.
 func (m *Metrics) String() string {
 	return fmt.Sprintf("%d requests (%d predictions), %d errors, %.1f req/s / %.1f predictions/s, "+
-		"p50 %.1fms p99 %.1fms, hit rate %.2f (%d hits, %d shared, %d computed; %d answered, %d failed), max rss %d MiB",
+		"p50 %.1fms p99 %.1fms, hit rate %.2f (%d hits, %d computed; %d answered, %d failed), max rss %d MiB",
 		m.Requests, m.Predictions, m.Errors, m.AchievedQPS, m.PredictionQPS,
-		m.P50MS, m.P99MS, m.CacheHitRate(), m.CacheHits, m.CoalescedHits, m.CacheMisses,
+		m.P50MS, m.P99MS, m.CacheHitRate(), m.CacheHits, m.CacheMisses,
 		m.Answered, m.Failed, m.MaxRSSBytes>>20)
 }
 

@@ -277,7 +277,6 @@ func (d *driver) metrics(ctx context.Context) (*Metrics, error) {
 	}
 	for _, st := range sts {
 		m.CacheHits += st.CacheHits
-		m.CoalescedHits += st.CoalescedHits
 		m.CacheMisses += st.CacheMisses
 		if st.Process.RSSBytes > m.MaxRSSBytes {
 			m.MaxRSSBytes = st.Process.RSSBytes

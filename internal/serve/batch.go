@@ -423,7 +423,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) int 
 		return writeError(w, http.StatusMethodNotAllowed, "POST only")
 	}
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.retryAfterPredict())
+		w.Header().Set("Retry-After", s.pool.retryAfter(1, 30))
 		return writeError(w, http.StatusServiceUnavailable, "draining")
 	}
 	if ct := retiredBatchEncoding(r.Header.Get("Content-Type")); ct != "" {
@@ -510,19 +510,10 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, sc *batchScrat
 	// point of the endpoint; a full queue sheds the whole batch with 429
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
 	defer cancel()
-	done := make(chan struct{})
 	var hits, errs int
-	submitted := s.pool.trySubmit(func() {
-		defer close(done)
-		if s.cfg.testHookBatchFlush != nil {
-			s.cfg.testHookBatchFlush()
-		}
-		hits, errs = s.predictBatchItems(ctx, g, sc)
-	})
-	if !submitted {
-		s.stats.reject()
-		w.Header().Set("Retry-After", s.retryAfterPredict())
-		return writeError(w, http.StatusTooManyRequests, "saturated: %d workers busy, queue full", s.cfg.Workers)
+	done, status := s.inSlot(w, func() { hits, errs = s.predictBatchItems(ctx, g, sc) })
+	if done == nil {
+		return status
 	}
 	// wait for the task, not the context: the task honors ctx internally,
 	// and returning early would hand the pooled scratch back while the

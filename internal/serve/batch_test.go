@@ -280,8 +280,8 @@ func TestPredictBatchValidation(t *testing.T) {
 
 // TestPredictConcurrentSameCell exercises the ungated single path under
 // load (and under -race in the race gate): many concurrent requests for
-// one cell — leaders, sharers and cache hits in whatever mix the
-// schedule produces — all land with the same answer.
+// one cell — misses and cache hits in whatever mix the schedule
+// produces — all land with the same answer.
 func TestPredictConcurrentSameCell(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const n = 24

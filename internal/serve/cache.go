@@ -80,57 +80,3 @@ func (c *lru[K, V]) evictIf(pred func(V) bool) int {
 	}
 	return n
 }
-
-// flightGroup collapses concurrent computations of one cache key: the
-// first caller for a key runs fn, later callers for the same in-flight
-// key block and share its result — singleflight over the cache key, so a
-// thundering herd of identical predictions computes once.
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[cellKey]*flightCall
-}
-
-type flightCall struct {
-	done    chan struct{}
-	waiters int // guarded by flightGroup.mu
-	val     BatchItemResult
-	err     error
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: map[cellKey]*flightCall{}}
-}
-
-// do runs fn once per concurrent key; shared reports whether this caller
-// piggybacked on another's computation.
-func (g *flightGroup) do(key cellKey, fn func() (BatchItemResult, error)) (val BatchItemResult, err error, shared bool) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
-		c.waiters++
-		g.mu.Unlock()
-		<-c.done
-		return c.val, c.err, true
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	c.val, c.err = fn()
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.val, c.err, false
-}
-
-// waiting reports how many callers are blocked on the key's in-flight
-// computation — lets tests release a gated compute only after every
-// duplicate has enrolled.
-func (g *flightGroup) waiting(key cellKey) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.calls[key]; ok {
-		return c.waiters
-	}
-	return 0
-}

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestLRUCacheEviction(t *testing.T) {
@@ -43,63 +41,6 @@ func TestLRUCacheEvictIf(t *testing.T) {
 	}
 	if c.len() != 1 {
 		t.Errorf("len = %d, want 1", c.len())
-	}
-}
-
-func TestFlightGroupCollapsesConcurrentDuplicates(t *testing.T) {
-	g := newFlightGroup()
-	key := cellKey{base: "same-key"}
-	var computes atomic.Int64
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-
-	const followers = 7
-	var wg sync.WaitGroup
-	var sharedCount atomic.Int64
-	call := func() {
-		defer wg.Done()
-		resp, err, shared := g.do(key, func() (BatchItemResult, error) {
-			computes.Add(1)
-			entered <- struct{}{}
-			<-gate
-			return BatchItemResult{Prediction: 42}, nil
-		})
-		if err != nil || resp.Prediction != 42 {
-			t.Errorf("do: %v %v", resp, err)
-		}
-		if shared {
-			sharedCount.Add(1)
-		}
-	}
-	// the leader first: once it is inside fn the flight stays open until
-	// the gate drops, so everyone arriving after must piggyback
-	wg.Add(1)
-	go call()
-	<-entered
-	wg.Add(followers)
-	for i := 0; i < followers; i++ {
-		go call()
-	}
-	// release the compute only after every follower is enrolled
-	for g.waiting(key) < followers {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	if got := computes.Load(); got != 1 {
-		t.Errorf("fn ran %d times, want exactly 1", got)
-	}
-	if got := sharedCount.Load(); got != followers {
-		t.Errorf("%d callers shared, want %d", got, followers)
-	}
-
-	// after the flight lands, the key computes fresh again
-	_, _, shared := g.do(key, func() (BatchItemResult, error) {
-		computes.Add(1)
-		return BatchItemResult{}, nil
-	})
-	if shared || computes.Load() != 2 {
-		t.Error("a finished key should compute anew")
 	}
 }
 

@@ -100,35 +100,35 @@ func TestRetryAfterAdaptsToMeasuredLatency(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 4, FitWorkers: 1})
 
 	// nothing measured yet: conservative floors
-	if got := s.retryAfterFit(); got != "2" {
+	if got := s.fitPool.retryAfter(2, 120); got != "2" {
 		t.Errorf("cold fit Retry-After = %s, want 2", got)
 	}
-	if got := s.retryAfterPredict(); got != "1" {
+	if got := s.pool.retryAfter(1, 30); got != "1" {
 		t.Errorf("cold predict Retry-After = %s, want 1", got)
 	}
 
 	// fits measured at ~4s median, one worker, empty queue → ~4s advice
 	for i := 0; i < 32; i++ {
-		s.stats.fitObserve(4000)
+		s.fitPool.observe(4 * time.Second)
 	}
-	if got := s.retryAfterFit(); got != "4" {
+	if got := s.fitPool.retryAfter(2, 120); got != "4" {
 		t.Errorf("fit Retry-After at 4s median = %s, want 4", got)
 	}
 
 	// pathological latencies clamp instead of advising an hour
 	for i := 0; i < latencyWindow; i++ {
-		s.stats.fitObserve(10 * 60 * 1000)
+		s.fitPool.observe(10 * time.Minute)
 	}
-	if got := s.retryAfterFit(); got != "120" {
+	if got := s.fitPool.retryAfter(2, 120); got != "120" {
 		t.Errorf("fit Retry-After clamp = %s, want 120", got)
 	}
 
-	// predict advice follows the endpoint's p50 and worker count:
-	// 2s median / 4 workers → 1s even before queue depth piles on
+	// predict advice follows the predict pool's task p50 and worker
+	// count: 2s median / 4 workers → 1s even before queue depth piles on
 	for i := 0; i < 32; i++ {
-		s.stats.observe("/v1/predict", http.StatusOK, 2000)
+		s.pool.observe(2 * time.Second)
 	}
-	if got := s.retryAfterPredict(); got != "1" {
+	if got := s.pool.retryAfter(1, 30); got != "1" {
 		t.Errorf("predict Retry-After = %s, want 1", got)
 	}
 }

@@ -8,14 +8,30 @@ import (
 	"repro/internal/stats"
 )
 
-// latencyWindow bounds the per-endpoint latency sample ring /statz
-// quantiles are computed over.
+// latencyWindow bounds a ring of duration samples: the per-endpoint
+// latencies /statz quantiles are computed over, and a pool's task
+// durations.
 const latencyWindow = 1024
+
+// ring keeps the last latencyWindow samples (ms).
+type ring struct {
+	samples []float64
+	next    int
+}
+
+func (r *ring) add(ms float64) {
+	if len(r.samples) < latencyWindow {
+		r.samples = append(r.samples, ms)
+		return
+	}
+	r.samples[r.next] = ms
+	r.next = (r.next + 1) % latencyWindow
+}
 
 // counters aggregates the serving metrics surfaced on /statz: per-
 // endpoint request/error counts and latency samples, per-scheme request
-// counts, and the cache/collapse/backpressure counters. Safe for concurrent
-// use; hot-path cost is one mutex and a few map increments.
+// counts, and the cache/backpressure counters. Safe for concurrent use;
+// hot-path cost is one mutex and a few map increments.
 type counters struct {
 	mu        sync.Mutex
 	start     time.Time
@@ -23,11 +39,9 @@ type counters struct {
 	schemes   map[string]uint64
 
 	// every answered single predict and batch item lands in exactly one
-	// of: served from the cache, shared another request's in-flight
-	// computation, computed
-	cacheHits     uint64
-	coalescedHits uint64
-	cacheMisses   uint64
+	// of: served from the cache, computed
+	cacheHits   uint64
+	cacheMisses uint64
 
 	batchRequests uint64
 	batchPreds    uint64
@@ -36,16 +50,12 @@ type counters struct {
 	evictedCached uint64
 	evictedJobs   uint64
 	journalErrors uint64
-
-	fitDurations []float64 // ring of the last latencyWindow fit-execution ms
-	fitNext      int
 }
 
 type endpointCounter struct {
 	requests  uint64
 	errors    uint64
-	latencies []float64 // ring of the last latencyWindow request ms
-	next      int
+	latencies ring
 }
 
 func newCounters() *counters {
@@ -69,18 +79,12 @@ func (c *counters) observe(endpoint string, status int, ms float64) {
 	if status >= 400 {
 		ep.errors++
 	}
-	if len(ep.latencies) < latencyWindow {
-		ep.latencies = append(ep.latencies, ms)
-	} else {
-		ep.latencies[ep.next] = ms
-		ep.next = (ep.next + 1) % latencyWindow
-	}
+	ep.latencies.add(ms)
 }
 
 func (c *counters) scheme(name string) { c.mu.Lock(); c.schemes[name]++; c.mu.Unlock() }
 func (c *counters) cacheHit()          { c.mu.Lock(); c.cacheHits++; c.mu.Unlock() }
 func (c *counters) cacheMiss()         { c.mu.Lock(); c.cacheMisses++; c.mu.Unlock() }
-func (c *counters) coalescedHit()      { c.mu.Lock(); c.coalescedHits++; c.mu.Unlock() }
 
 // batch records one batch request: every item is exactly one of a cache
 // hit, a computed miss, or an itemized error (errors are outside
@@ -105,39 +109,6 @@ func (c *counters) evicted(models, cached int) {
 func (c *counters) jobsEvicted(n int) { c.mu.Lock(); c.evictedJobs += uint64(n); c.mu.Unlock() }
 func (c *counters) journalError()     { c.mu.Lock(); c.journalErrors++; c.mu.Unlock() }
 
-// fitObserve records one fit execution's duration (ms) for the adaptive
-// fit Retry-After.
-func (c *counters) fitObserve(ms float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.fitDurations) < latencyWindow {
-		c.fitDurations = append(c.fitDurations, ms)
-	} else {
-		c.fitDurations[c.fitNext] = ms
-		c.fitNext = (c.fitNext + 1) % latencyWindow
-	}
-}
-
-// fitP50 is the median recent fit-execution duration (ms); 0 when no
-// fit has completed yet.
-func (c *counters) fitP50() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return stats.Quantile(c.fitDurations, 0.50)
-}
-
-// latencyP50 is the median recent request latency (ms) on an endpoint;
-// 0 when the endpoint has no samples.
-func (c *counters) latencyP50(endpoint string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ep := c.endpoints[endpoint]
-	if ep == nil {
-		return 0
-	}
-	return stats.Quantile(ep.latencies, 0.50)
-}
-
 // EndpointStats is one endpoint's row in the /statz report.
 type EndpointStats struct {
 	Requests uint64  `json:"requests"`
@@ -160,7 +131,6 @@ type Statz struct {
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
 	Schemes       map[string]uint64        `json:"schemes"`
 	CacheHits     uint64                   `json:"cache_hits"`
-	CoalescedHits uint64                   `json:"coalesced_hits"`
 	CacheMisses   uint64                   `json:"cache_misses"`
 	CacheSize     int                      `json:"cache_size"`
 	BatchRequests uint64                   `json:"batch_requests"`
@@ -175,7 +145,7 @@ type Statz struct {
 	// FeatureMemo counts error-agnostic metric evaluations on the miss
 	// path: served from the buffer they were computed on (hits) or run
 	// (misses). It is per metric, not per prediction, and so stands
-	// outside the cache_hits/coalesced_hits/cache_misses partition: a
+	// outside the cache_hits/cache_misses partition: a
 	// prediction counted there as one miss may be several memo hits here.
 	FeatureMemo FeatureMemoStats `json:"feature_memo"`
 	Process     ProcessStats     `json:"process"`
@@ -197,7 +167,6 @@ func (c *counters) snapshot() Statz {
 		Endpoints:     make(map[string]EndpointStats, len(c.endpoints)),
 		Schemes:       make(map[string]uint64, len(c.schemes)),
 		CacheHits:     c.cacheHits,
-		CoalescedHits: c.coalescedHits,
 		CacheMisses:   c.cacheMisses,
 		BatchRequests: c.batchRequests,
 		BatchPreds:    c.batchPreds,
@@ -211,9 +180,9 @@ func (c *counters) snapshot() Statz {
 		s.Endpoints[name] = EndpointStats{
 			Requests: ep.requests,
 			Errors:   ep.errors,
-			P50MS:    stats.Quantile(ep.latencies, 0.50),
-			P90MS:    stats.Quantile(ep.latencies, 0.90),
-			P99MS:    stats.Quantile(ep.latencies, 0.99),
+			P50MS:    stats.Quantile(ep.latencies.samples, 0.50),
+			P90MS:    stats.Quantile(ep.latencies.samples, 0.90),
+			P99MS:    stats.Quantile(ep.latencies.samples, 0.99),
 		}
 	}
 	for name, n := range c.schemes {

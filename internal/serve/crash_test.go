@@ -345,7 +345,7 @@ func TestCrashHarnessCatchesJournalLoss(t *testing.T) {
 // TestKillDuringBatchFlush kills the node while a coalesced batch flush
 // is mid-computation — the instant the tentpole's hot path is busiest.
 // The disk is frozen exactly when the flush worker starts (via the
-// testHookBatchFlush crash point), then the frozen state is restarted:
+// testHookPredict crash point), then the frozen state is restarted:
 // the fit job acked before the kill must still be done with its model
 // intact, and the restarted node must serve batch traffic again. Batch
 // work in flight at the kill was never acked, so it may vanish — but it
@@ -363,7 +363,7 @@ func TestKillDuringBatchFlush(t *testing.T) {
 	gate := make(chan struct{})
 	var arm sync.Once
 	cfg := Config{Deadline: time.Minute}
-	cfg.testHookBatchFlush = func() {
+	cfg.testHookPredict = func() {
 		arm.Do(func() { close(flushStarted) })
 		<-gate
 	}

@@ -230,8 +230,8 @@ func TestLoadGenDrivesPredictd(t *testing.T) {
 	if res.OK != res.Requests {
 		t.Errorf("%d OK of %d", res.OK, res.Requests)
 	}
-	// at most len(reqs) computes can miss; everything else must hit the
-	// cache or collapse into an in-flight compute
+	// only a client's first laps can miss; everything else must hit the
+	// cache
 	if hr := res.HitRate(); hr < 0.9 {
 		t.Errorf("cache hit rate %.2f, want >= 0.90", hr)
 	}

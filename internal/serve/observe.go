@@ -56,7 +56,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusMethodNotAllowed, "POST only")
 	}
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.retryAfterPredict())
+		w.Header().Set("Retry-After", s.pool.retryAfter(1, 30))
 		return writeError(w, http.StatusServiceUnavailable, "draining")
 	}
 	var req core.ObserveRequest
@@ -68,17 +68,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	}
 	var raw []byte
 	var err error
-	done := make(chan struct{})
-	if !s.pool.trySubmit(func() {
-		defer close(done)
+	done, status := s.inSlot(w, func() {
 		var ob *core.Observation
 		if ob, err = req.Observe(r.Context(), s.data, &s.features); err == nil {
 			raw, err = core.EncodeObservation(ob)
 		}
-	}) {
-		s.stats.reject()
-		w.Header().Set("Retry-After", s.retryAfterPredict())
-		return writeError(w, http.StatusTooManyRequests, "saturated: %d workers busy, queue full", s.cfg.Workers)
+	})
+	if done == nil {
+		return status
 	}
 	<-done
 	if err != nil {

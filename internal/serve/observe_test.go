@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -162,6 +163,75 @@ func TestObserveShedsWhenThePoolIsFull(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/observe", observeRequest())
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Errorf("draining: status %d, want 503 with Retry-After", resp.StatusCode)
+	}
+}
+
+// TestObserveRetryAfterFollowsItsPool: a node that serves only
+// observations quotes a Retry-After from how long its predict-pool tasks
+// take, not from single-predict latency it has never measured. One
+// observation held ~1.5 s, then a full pool: with one worker and one
+// queued task ahead, a retry waits about two task lengths.
+func TestObserveRetryAfterFollowsItsPool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("holds an observation for 1.5 s")
+	}
+	release := make(chan struct{})
+	entered := make(chan struct{}, 3)
+	s, ts := newTestServer(t, Config{
+		Workers:    1,
+		QueueDepth: 1,
+		testHookPredict: func() {
+			entered <- struct{}{}
+			<-release
+		},
+	})
+	observe := func() (*http.Response, []byte) { return postJSON(t, ts.URL+"/v1/observe", observeRequest()) }
+	await := func() {
+		t.Helper()
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatal("no observation reached the hook")
+		}
+	}
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		if resp, body := observe(); resp.StatusCode != http.StatusOK {
+			t.Errorf("held observation: status %d body %s", resp.StatusCode, body)
+		}
+	}()
+	await()
+	time.Sleep(1500 * time.Millisecond)
+	release <- struct{}{}
+	<-held
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ { // one holds the worker, one the queue slot
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, body := observe(); resp.StatusCode != http.StatusOK {
+				t.Errorf("occupier: status %d body %s", resp.StatusCode, body)
+			}
+		}()
+	}
+	await()
+	for deadline := time.Now().Add(10 * time.Second); s.pool.pending() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the queue slot never filled")
+		}
+	}
+	resp, body := observe()
+	close(release)
+	wg.Wait()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated: status %d body %s, want 429", resp.StatusCode, body)
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 2 {
+		t.Errorf("Retry-After %q after a 1.5 s task with one queued ahead, want >= 2", resp.Header.Get("Retry-After"))
 	}
 }
 

@@ -12,10 +12,11 @@
 //     honoring predictors:invalidate semantics: error_dependent- or
 //     training-invalidated entries are evicted rather than served stale;
 //   - one opthash-keyed LRU of served predictions that single and batch
-//     predicts share, with singleflight over the same key so concurrent
-//     identical single requests compute once;
-//   - a bounded worker pool with queue-depth backpressure (429 +
-//     Retry-After when saturated) and per-request deadlines;
+//     predicts share;
+//   - a bounded worker pool that runs every single miss, batch and
+//     observation in one slot under its request's context, with
+//     queue-depth backpressure (429 + Retry-After from the pool's own
+//     task durations when saturated) and per-request deadlines;
 //   - per-endpoint/per-scheme counters and latency quantiles (via
 //     internal/stats) surfaced on /statz, liveness on /healthz, and
 //     graceful drain for SIGTERM shutdown.

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/pressio"
 	"repro/internal/store"
 )
@@ -229,127 +228,133 @@ func khanRequest(feature float64) PredictRequest {
 	}
 }
 
-// TestPredictSingleflightCollapse pins the one predict path's accounting
-// for both request forms: k concurrent singles over m distinct keys, the
-// compute held open until every duplicate has joined its key's flight,
-// are exactly m computations, m cache_misses and k-m coalesced_hits;
-// afterwards the keys are plain cache hits — for a repeat single and for
-// a batch over the same cells, with byte-equal predictions.
-func TestPredictSingleflightCollapse(t *testing.T) {
+// TestConcurrentSinglesShareOneLoad pins the single path's accounting
+// without a request-level collapse: k concurrent data-cell singles over m
+// cells, all held in their slots until every one has missed the result
+// cache, each compute and land in one of the two buckets with
+// bit-equal answers per cell, while the data tier loads each cell once —
+// the one collapse left. Afterwards the cells are plain cache hits, for a
+// repeat single and for a batch over them.
+func TestConcurrentSinglesShareOneLoad(t *testing.T) {
 	const k, m = 6, 2
-	scheme, err := core.GetScheme("khan2023")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := newBatchGroup("khan2023", "sz3", scheme, pressio.Options{}, nil, 0, defaultDataDims).base
 	fields := [m]string{"P", "TC"}
-	cases := []struct {
-		name  string
-		req   func(i int) PredictRequest
-		key   func(i int) cellKey
-		batch bool // the keys are data cells a batch can ask for
-	}{
-		{
-			name: "feature vector",
-			req:  func(i int) PredictRequest { return khanRequest(7.5 + float64(i%m)) },
-			key:  func(i int) cellKey { return featureKey(base, []float64{7.5 + float64(i%m)}) },
+	gate := make(chan struct{})
+	entered := make(chan struct{}, k)
+	_, ts := newTestServer(t, Config{
+		Workers: k,
+		testHookPredict: func() {
+			entered <- struct{}{}
+			<-gate
 		},
-		{
-			name: "data cell",
-			req: func(i int) PredictRequest {
-				return PredictRequest{Scheme: "khan2023", Compressor: "sz3", Data: &DataRef{Field: fields[i%m]}}
-			},
-			key:   func(i int) cellKey { return cellKey{base: base, field: fields[i%m]} },
-			batch: true,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			gate := make(chan struct{})
-			var computes atomic.Int64
-			s, ts := newTestServer(t, Config{
-				Workers: 4,
-				testHookPredict: func() {
-					computes.Add(1)
-					<-gate
-				},
+	})
+
+	preds := make([]float64, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{
+				Scheme: "khan2023", Compressor: "sz3", Data: &DataRef{Field: fields[i%m]},
 			})
-
-			preds := make([]float64, k)
-			var wg sync.WaitGroup
-			for i := 0; i < k; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					resp, body := postJSON(t, ts.URL+"/v1/predict", tc.req(i))
-					var pr PredictResponse
-					if err := json.Unmarshal(body, &pr); err != nil || resp.StatusCode != http.StatusOK || pr.Cached {
-						t.Errorf("request %d: status %d body %s: %v", i, resp.StatusCode, body, err)
-					}
-					preds[i] = pr.Prediction
-				}(i)
-			}
-			// a leader cannot land while the gate is closed, so every
-			// request that joins before the release shares its computation
-			enrolled := func() (n int) {
-				for j := 0; j < m; j++ {
-					n += s.flight.waiting(tc.key(j))
-				}
-				return n
-			}
-			for deadline := time.Now().Add(10 * time.Second); enrolled() < k-m; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("only %d of %d duplicates joined a flight", enrolled(), k-m)
-				}
-			}
-			close(gate)
-			wg.Wait()
-
-			if got := computes.Load(); got != m {
-				t.Errorf("compute ran %d times, want exactly %d", got, m)
-			}
-			for i := m; i < k; i++ {
-				if math.Float64bits(preds[i]) != math.Float64bits(preds[i%m]) {
-					t.Errorf("request %d shared prediction %v, its leader answered %v", i, preds[i], preds[i%m])
-				}
-			}
-			st := statz(t, ts.URL)
-			if st.CacheMisses != m || st.CoalescedHits != k-m || st.CacheHits != 0 {
-				t.Fatalf("want %d misses + %d coalesced + 0 hits, got misses=%d coalesced=%d hits=%d",
-					m, k-m, st.CacheMisses, st.CoalescedHits, st.CacheHits)
-			}
-			if st.CacheSize != m {
-				t.Errorf("cache_size = %d, want %d", st.CacheSize, m)
-			}
-
-			// the landed flights are now plain cache hits
-			resp, body := postJSON(t, ts.URL+"/v1/predict", tc.req(0))
 			var pr PredictResponse
-			json.Unmarshal(body, &pr)
-			if resp.StatusCode != http.StatusOK || !pr.Cached || math.Float64bits(pr.Prediction) != math.Float64bits(preds[0]) {
-				t.Errorf("repeat single: status %d body %s, want cached %v", resp.StatusCode, body, preds[0])
+			if err := json.Unmarshal(body, &pr); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d body %s: %v", i, resp.StatusCode, body, err)
 			}
-			hits := uint64(1)
-			if tc.batch {
-				resp, raw := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
-					Scheme: "khan2023", Compressor: "sz3", Fields: fields[:], Steps: make([]int, m),
-				})
-				var out BatchResponse
-				if err := json.Unmarshal(raw, &out); err != nil || resp.StatusCode != http.StatusOK || len(out.Results) != m {
-					t.Fatalf("batch: status %d body %s: %v", resp.StatusCode, raw, err)
-				}
-				for j, r := range out.Results {
-					if !r.Cached || math.Float64bits(r.Prediction) != math.Float64bits(preds[j]) {
-						t.Errorf("batch item %d = %+v, want cached %v", j, r, preds[j])
-					}
-				}
-				hits += m
-			}
-			st = statz(t, ts.URL)
-			if st.CacheHits != hits || st.CacheMisses != m || st.CoalescedHits != k-m || computes.Load() != m {
-				t.Errorf("hit traffic: want %d hits and unmoved miss buckets, got %+v", hits, st)
-			}
-		})
+			preds[i] = pr.Prediction
+		}(i)
+	}
+	for i := 0; i < k; i++ {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			close(gate)
+			t.Fatalf("%d of %d singles reached a slot", i, k)
+		}
+	}
+	close(gate)
+	wg.Wait()
+
+	for i := m; i < k; i++ {
+		if math.Float64bits(preds[i]) != math.Float64bits(preds[i%m]) {
+			t.Errorf("request %d answered %v, request %d over the same cell %v", i, preds[i], i%m, preds[i%m])
+		}
+	}
+	st := statz(t, ts.URL)
+	if st.CacheHits+st.CacheMisses != k {
+		t.Errorf("cache_hits %d + cache_misses %d, want the %d answered singles", st.CacheHits, st.CacheMisses, k)
+	}
+	if st.DataCache.Misses != m {
+		t.Errorf("data_cache.misses = %d, want one load per cell (%d)", st.DataCache.Misses, m)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{
+		Scheme: "khan2023", Compressor: "sz3", Data: &DataRef{Field: fields[0]},
+	})
+	var pr PredictResponse
+	json.Unmarshal(body, &pr)
+	if resp.StatusCode != http.StatusOK || !pr.Cached || math.Float64bits(pr.Prediction) != math.Float64bits(preds[0]) {
+		t.Errorf("repeat single: status %d body %s, want cached %v", resp.StatusCode, body, preds[0])
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
+		Scheme: "khan2023", Compressor: "sz3", Fields: fields[:], Steps: make([]int, m),
+	})
+	var out BatchResponse
+	if err := json.Unmarshal(raw, &out); err != nil || resp.StatusCode != http.StatusOK || len(out.Results) != m {
+		t.Fatalf("batch: status %d body %s: %v", resp.StatusCode, raw, err)
+	}
+	for j, r := range out.Results {
+		if !r.Cached || math.Float64bits(r.Prediction) != math.Float64bits(preds[j]) {
+			t.Errorf("batch item %d = %+v, want cached %v", j, r, preds[j])
+		}
+	}
+}
+
+// TestAbandonedSingleComputesNothing: a single's miss runs under its
+// request's context, so a client that leaves while the miss is queued
+// costs the node no load and caches nothing.
+func TestAbandonedSingleComputesNothing(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 2)
+	s, ts := newTestServer(t, Config{
+		Workers:    1,
+		QueueDepth: 1,
+		testHookPredict: func() {
+			entered <- struct{}{}
+			<-gate
+		},
+	})
+	occupied := make(chan struct{})
+	go func() {
+		defer close(occupied)
+		if resp, body := postJSON(t, ts.URL+"/v1/predict", khanRequest(1)); resp.StatusCode != http.StatusOK {
+			t.Errorf("occupier: status %d body %s", resp.StatusCode, body)
+		}
+	}()
+	<-entered
+
+	body, _ := json.Marshal(PredictRequest{Scheme: "khan2023", Compressor: "sz3", Data: &DataRef{Field: "P"}})
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan int)
+	go func() {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)).WithContext(ctx))
+		abandoned <- w.Code
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.pool.pending() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the single never queued")
+		}
+	}
+	cancel()
+	<-abandoned
+	close(gate)
+	<-occupied
+	s.Drain() // the queued miss has run
+
+	st := statz(t, ts.URL)
+	if st.DataCache.Misses != 0 || st.CacheSize != 1 {
+		t.Errorf("data_cache.misses = %d, cache_size = %d: want the abandoned cell neither loaded nor cached", st.DataCache.Misses, st.CacheSize)
 	}
 }
 

@@ -8,10 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,14 +84,12 @@ type Config struct {
 	// CoalesceWindow is ignored: benchmark/serve_trace.go still sets it and this tree may not edit benchmark/.
 	CoalesceWindow time.Duration
 
-	// testHookPredict, when set, runs inside every uncached predict
-	// computation — tests use it to hold worker slots busy.
+	// testHookPredict, when set, runs at the start of every predict-pool
+	// task (a single's miss, a batch, an observation) — tests use it to
+	// hold worker slots busy, and the crash harness kills a batch here.
 	testHookPredict func()
 	// testHookFit, when set, runs at the start of every fit execution.
 	testHookFit func()
-	// testHookBatchFlush, when set, runs at the start of every batch
-	// computation (the crash harness kills here).
-	testHookBatchFlush func()
 	// testClock, when set, replaces time.Now for job TTL eviction.
 	testClock func() time.Time
 }
@@ -199,15 +195,14 @@ func jobFromRecord(rec jobRecord, node string) (*FitJob, bool) {
 	return &FitJob{rec: rec}, interrupted
 }
 
-// Server is the prediction-serving subsystem: registry + cache +
-// singleflight + bounded pools behind an http.Handler.
+// Server is the prediction-serving subsystem: registry + cache + bounded
+// pools behind an http.Handler.
 type Server struct {
 	cfg       Config
 	registry  *Registry
 	cache     *lru[cellKey, cellValue]
 	data      *dataset.TieredCache
 	features  core.Evaluator
-	flight    *flightGroup
 	pool      *workerPool
 	fitPool   *workerPool
 	stats     *counters
@@ -234,7 +229,6 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		cfg:      cfg,
 		registry: reg,
 		cache:    newLRU[cellKey, cellValue](cfg.CacheSize),
-		flight:   newFlightGroup(),
 		pool:     newWorkerPool(cfg.Workers, cfg.QueueDepth),
 		fitPool:  newWorkerPool(cfg.FitWorkers, cfg.FitQueueDepth),
 		stats:    newCounters(),
@@ -412,57 +406,37 @@ func decodeJSONFrom(body io.Reader, v any) (int, error) {
 	return http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
 }
 
-// retryAfterPredict derives an honest Retry-After for the predict path
-// from live backpressure state: the work queued ahead of a retry times
-// the recent per-request latency, spread over the workers. Clamped to
-// [1, 30] seconds so a cold or idle server still answers "1".
-func (s *Server) retryAfterPredict() string {
-	depth := s.pool.pending()
-	p50 := s.stats.latencyP50("/v1/predict")
-	if p50 <= 0 {
-		p50 = 100 // no samples yet: assume a cheap request
+// inSlot runs fn in one predict-pool slot, after the test hook, and
+// returns the channel closed once fn has returned. A full queue sheds
+// fn: the reply is then written (429 + Retry-After), the channel is nil
+// and the int is the reply's status.
+func (s *Server) inSlot(w http.ResponseWriter, fn func()) (<-chan struct{}, int) {
+	done := make(chan struct{})
+	if !s.pool.trySubmit(func() {
+		defer close(done)
+		if s.cfg.testHookPredict != nil {
+			s.cfg.testHookPredict()
+		}
+		fn()
+	}) {
+		s.stats.reject()
+		w.Header().Set("Retry-After", s.pool.retryAfter(1, 30))
+		return nil, writeError(w, http.StatusTooManyRequests, "saturated: %d workers busy, queue full", s.cfg.Workers)
 	}
-	secs := int(math.Ceil(float64(depth+1) * p50 / 1e3 / float64(s.cfg.Workers)))
-	return strconv.Itoa(clampInt(secs, 1, 30))
+	return done, 0
 }
-
-// retryAfterFit is the fit-path analogue of retryAfterPredict, using
-// tracked fit execution durations (fits run seconds-to-minutes, so the
-// clamp is [2, 120]).
-func (s *Server) retryAfterFit() string {
-	depth := s.fitPool.pending()
-	p50 := s.stats.fitP50()
-	if p50 <= 0 {
-		return "2" // nothing measured yet
-	}
-	secs := int(math.Ceil(float64(depth+1) * p50 / 1e3 / float64(s.cfg.FitWorkers)))
-	return strconv.Itoa(clampInt(secs, 2, 120))
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// errSaturated is the backpressure sentinel the predict path maps to 429.
-var errSaturated = errors.New("serve: worker pool saturated")
 
 // handlePredict serves one prediction as a batch of one: the same group
 // resolution, cache key, hit path and miss computation as a batch item.
-// What a single adds is the in-flight collapse — concurrent requests for
-// one uncached key share the leader's computation — and a deadline the
-// handler enforces while the shared computation runs on.
+// What a single adds is a deadline the handler enforces while its miss
+// runs: the miss writes into its own result and runs under the request's
+// context, so a client that leaves stops its computation.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "POST only")
 	}
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.retryAfterPredict())
+		w.Header().Set("Retry-After", s.pool.retryAfter(1, 30))
 		return writeError(w, http.StatusServiceUnavailable, "draining")
 	}
 	var req PredictRequest
@@ -495,71 +469,33 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	} else {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
 		defer cancel()
-		type flightOut struct {
-			out    BatchItemResult
-			err    error
-			shared bool
-		}
-		ch := make(chan flightOut, 1)
-		go func() {
-			out, err, shared := s.flight.do(key, func() (BatchItemResult, error) {
-				return s.predictSingleMiss(g, key, req.Features)
-			})
-			ch <- flightOut{out, err, shared}
-		}()
-		select {
-		case fo := <-ch:
-			out = fo.out
-			// one accounting bucket per answered request: a sharer of
-			// another request's computation, or the one that computed
-			switch {
-			case errors.Is(fo.err, errSaturated):
-				s.stats.reject()
-				w.Header().Set("Retry-After", s.retryAfterPredict())
-				return writeError(w, http.StatusTooManyRequests, "saturated: %d workers busy, queue full", s.cfg.Workers)
-			case out.Error != "":
-				return writeError(w, http.StatusBadRequest, "%s", out.Error)
-			case fo.shared:
-				s.stats.coalescedHit()
-			default:
-				s.stats.cacheMiss()
+		// the slot's own result: a handler that gives up leaves it behind
+		miss := new(BatchItemResult)
+		done, status := s.inSlot(w, func() {
+			if req.Data != nil {
+				s.predictCellMiss(ctx, g, key, miss)
+				return
 			}
+			s.predictFeatureRow(g, req.Features, miss)
+			s.cacheResult(g, key, miss)
+		})
+		if done == nil {
+			return status
+		}
+		select {
+		case <-done:
 		case <-ctx.Done():
 			return writeError(w, http.StatusGatewayTimeout, "deadline exceeded after %v", s.cfg.Deadline)
 		}
+		if out = *miss; out.Error != "" {
+			return writeError(w, http.StatusBadRequest, "%s", out.Error)
+		}
+		s.stats.cacheMiss()
 	}
 	return writeJSON(w, http.StatusOK, PredictResponse{
 		Scheme: g.schemeName, Compressor: g.compressor, Target: g.target,
 		Prediction: out.Prediction, Interval: out.Interval, Model: g.model, Cached: out.Cached,
 	})
-}
-
-// predictSingleMiss is the flight leader's computation: one worker-pool
-// slot runs the same miss path a batch item takes; a full queue is the
-// saturation signal every sharer sees. features is nil for a data cell.
-func (s *Server) predictSingleMiss(g *batchGroup, key cellKey, features []float64) (out BatchItemResult, err error) {
-	// the compute context is detached from the leader's request so an
-	// impatient leader doesn't poison piggybacked callers
-	//lint:ignore pressiovet/ctxflow singleflight leader: shared computation must outlive any one caller; bounded by cfg.Deadline instead
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Deadline)
-	defer cancel()
-	done := make(chan struct{})
-	if !s.pool.trySubmit(func() {
-		defer close(done)
-		if s.cfg.testHookPredict != nil {
-			s.cfg.testHookPredict()
-		}
-		if features == nil {
-			s.predictCellMiss(ctx, g, key, &out)
-			return
-		}
-		s.predictFeatureRow(g, features, &out)
-		s.cacheResult(g, key, &out)
-	}) {
-		return out, errSaturated
-	}
-	<-done
-	return out, nil
 }
 
 // schemeTrains probes whether the scheme's predictor needs a trained
@@ -594,7 +530,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusMethodNotAllowed, "POST only")
 	}
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.retryAfterFit())
+		w.Header().Set("Retry-After", s.fitPool.retryAfter(2, 120))
 		return writeError(w, http.StatusServiceUnavailable, "draining")
 	}
 	if s.replaying.Load() {
@@ -678,7 +614,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) int {
 		if err := s.cfg.AckBarrier(r.Context()); err != nil {
 			s.unregisterJob(job)
 			s.journal.remove(key) // never acknowledged: withdraw the record
-			w.Header().Set("Retry-After", s.retryAfterFit())
+			w.Header().Set("Retry-After", s.fitPool.retryAfter(2, 120))
 			return writeError(w, http.StatusServiceUnavailable, "replication barrier: %v", err)
 		}
 	}
@@ -686,7 +622,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) int {
 		s.unregisterJob(job)
 		s.journal.remove(key) // never acknowledged: withdraw the record
 		s.stats.reject()
-		w.Header().Set("Retry-After", s.retryAfterFit())
+		w.Header().Set("Retry-After", s.fitPool.retryAfter(2, 120))
 		return writeError(w, http.StatusTooManyRequests, "fit queue full")
 	}
 	s.sweepJobs()
@@ -726,7 +662,6 @@ func (s *Server) enqueueFit(job *FitJob) bool {
 // transition. Journal failures past the queued ack are counted but do
 // not abort the job: the queued record already guarantees a replay.
 func (s *Server) executeFit(job *FitJob) {
-	start := s.now()
 	job.setStatus("running", "")
 	s.journalJob(job)
 	if s.cfg.testHookFit != nil {
@@ -740,7 +675,6 @@ func (s *Server) executeFit(job *FitJob) {
 	} else {
 		job.finish("done", "", s.now())
 	}
-	s.stats.fitObserve(s.now().Sub(start).Seconds() * 1e3)
 	s.journalJob(job)
 	s.sweepJobs()
 }

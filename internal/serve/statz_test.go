@@ -50,7 +50,7 @@ func TestStatzJSONShape(t *testing.T) {
 	for _, key := range []string{
 		"uptime_seconds", "draining", "replaying", "models", "jobs",
 		"jobs_retained", "jobs_evicted", "journal_errors", "endpoints",
-		"schemes", "cache_hits", "coalesced_hits", "cache_misses",
+		"schemes", "cache_hits", "cache_misses",
 		"cache_size", "batch_requests", "batch_predictions", "data_cache",
 		"feature_memo", "rejected", "evicted_models", "evicted_cached",
 		"process",
@@ -60,8 +60,9 @@ func TestStatzJSONShape(t *testing.T) {
 		}
 	}
 
-	// one cache and one collapse: the keys of the second ones are gone
-	for _, key := range []string{"cell_hits", "cell_cache_size", "dedup_collapses"} {
+	// one cache and no request-level collapse: the keys of the others are
+	// gone
+	for _, key := range []string{"cell_hits", "cell_cache_size", "dedup_collapses", "coalesced_hits"} {
 		if _, ok := doc[key]; ok {
 			t.Errorf("/statz still reports %q", key)
 		}
