@@ -116,8 +116,10 @@ benchmark-check:
 
 # docs-check fails when README.md, DESIGN.md or EXPERIMENTS.md names a
 # cmd/<name> directory, a `go run`/`go build`/`go test` package path or a
-# back-quoted `make <target>` that does not exist. The test first runs the
-# checker over a fixture naming a deleted command (its negative control),
+# back-quoted `make <target>` that does not exist, or README.md or
+# DESIGN.md an internal/<path> that does not (EXPERIMENTS.md, a ledger,
+# may name deleted packages). The test first runs the checker over a
+# fixture naming a deleted command and package (its negative control),
 # then over the three docs.
 docs-check:
 	$(GO) test -count=1 -run TestDocsNameWhatExists .

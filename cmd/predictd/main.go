@@ -1,7 +1,6 @@
 // Command predictd is the online prediction-serving daemon: it exposes
 // the internal/serve subsystem — model registry, opthash-keyed result
-// cache with singleflight dedup, and bounded worker pools — over an HTTP
-// JSON API.
+// cache, and bounded worker pools — over an HTTP JSON API.
 //
 // Usage:
 //
@@ -125,7 +124,6 @@ func main() {
 		err = runRouter(*addr, *membersFlag, *readyFile, cluster.RouterConfig{
 			ProbeInterval: *probeInterval,
 			Replicas:      *replicas,
-			Seed:          *faultSeed,
 		}, plan)
 	} else {
 		err = run(runConfig{

@@ -29,11 +29,9 @@ import (
 // the same crash signature as the WAL it mirrors.
 type Log struct {
 	mu      sync.Mutex
-	fs      vfs.FS
 	path    string
 	f       vfs.File
 	entries [][]byte // frame bytes, entries[i] holds seq i+1
-	waiters chan struct{}
 }
 
 // logHeader is the fixed per-entry prefix: u64 seq + u32 len.
@@ -47,7 +45,7 @@ func OpenLog(dir string, fsys vfs.FS, stream string) (*Log, error) {
 		return nil, fmt.Errorf("cluster: log dir: %w", err)
 	}
 	path := filepath.Join(dir, stream+".rlog")
-	l := &Log{fs: fsys, path: path, waiters: make(chan struct{})}
+	l := &Log{path: path}
 
 	buf, err := fsys.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -147,8 +145,6 @@ func (l *Log) appendLocked(seq uint64, frame []byte) (uint64, error) {
 		return 0, fmt.Errorf("cluster: log %s: %w", l.path, err)
 	}
 	l.entries = append(l.entries, append([]byte(nil), frame...))
-	close(l.waiters)
-	l.waiters = make(chan struct{})
 	return seq, nil
 }
 
@@ -170,12 +166,4 @@ func (l *Log) EntriesFrom(seq uint64, max int) []Entry {
 		out = append(out, Entry{Seq: seq, Frame: l.entries[seq-1]})
 	}
 	return out
-}
-
-// WaitCh returns a channel closed on the next append — the long-poll
-// hook of the stream endpoint.
-func (l *Log) WaitCh() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.waiters
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -35,8 +34,6 @@ type NodeConfig struct {
 	Peers map[string]string
 	// ReplDir holds the replication logs (own stream + peer copies).
 	ReplDir string
-	// FS is the filesystem seam (default vfs.OS).
-	FS vfs.FS
 	// MinAcks is how many followers must hold a journaled fit durably
 	// before the 202 ack (default 1 when there are peers, 0 otherwise).
 	// Negative disables the barrier.
@@ -50,16 +47,11 @@ type NodeConfig struct {
 	// Client performs replication HTTP calls; tests inject a
 	// fault-wrapped transport (default plain http.Client).
 	Client *http.Client
-	// Clock supplies time for recorded timings (default time.Now).
-	Clock func() time.Time
 	// Inject scripts replication faults (OpReplShip / OpReplApply).
 	Inject *faultinject.Plan
 }
 
 func (c *NodeConfig) defaults() {
-	if c.FS == nil {
-		c.FS = vfs.OS
-	}
 	if c.MinAcks == 0 && len(c.Peers) > 0 {
 		c.MinAcks = 1
 	}
@@ -80,9 +72,6 @@ func (c *NodeConfig) defaults() {
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 }
 
@@ -130,7 +119,7 @@ func NewNode(st *store.Store, cfg NodeConfig) (*Node, error) {
 		stop:    make(chan struct{}),
 	}
 	var err error
-	n.log, err = OpenLog(cfg.ReplDir, cfg.FS, cfg.Name)
+	n.log, err = OpenLog(cfg.ReplDir, vfs.OS, cfg.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +127,7 @@ func NewNode(st *store.Store, cfg NodeConfig) (*Node, error) {
 		if peer == cfg.Name {
 			return nil, fmt.Errorf("cluster: node %s listed as its own peer", cfg.Name)
 		}
-		n.copies[peer], err = OpenLog(cfg.ReplDir, cfg.FS, peer)
+		n.copies[peer], err = OpenLog(cfg.ReplDir, vfs.OS, peer)
 		if err != nil {
 			return nil, err
 		}
@@ -373,26 +362,10 @@ func (n *Node) fetchEntries(ctx context.Context, src, stream string, from uint64
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown peer %s", src)
 	}
-	cctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
-	defer cancel()
 	url := fmt.Sprintf("%s/v1/repl/stream?stream=%s&from=%d&max=256", base, stream, from)
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: stream %s from %s: HTTP %d", stream, src, resp.StatusCode)
-	}
 	var out []Entry
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	err := call(ctx, n.cfg.Client, n.cfg.RequestTimeout, http.MethodGet, url, nil, &out)
+	return out, err
 }
 
 // sendAck posts our applied position on stream to its author.
@@ -404,20 +377,8 @@ func (n *Node) sendAck(ctx context.Context, stream string) {
 	n.mu.Lock()
 	seq := n.applied[stream]
 	n.mu.Unlock()
-	body, _ := json.Marshal(ackRequest{Stream: stream, Node: n.cfg.Name, Seq: seq})
-	cctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost,
-		base+"/v1/repl/ack", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return
-	}
-	resp.Body.Close()
+	call(ctx, n.cfg.Client, n.cfg.RequestTimeout, http.MethodPost, base+"/v1/repl/ack",
+		ackRequest{Stream: stream, Node: n.cfg.Name, Seq: seq}, nil)
 }
 
 // Barrier blocks until MinAcks followers have durably applied
@@ -520,7 +481,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	stream := q.Get("stream")
 	l := n.streamFor(stream)
 	if l == nil {
-		http.Error(w, fmt.Sprintf(`{"error":"unknown stream %q"}`, stream), http.StatusNotFound)
+		writeError(w, http.StatusNotFound, "unknown stream %q", stream)
 		return
 	}
 	from, _ := strconv.ParseUint(q.Get("from"), 10, 64)
@@ -537,7 +498,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	for i, e := range ents {
 		if d := n.cfg.Inject.Fire(faultinject.OpReplShip, -1, fmt.Sprintf("%s/%d", stream, e.Seq)); d.Err != nil {
 			if i == 0 {
-				http.Error(w, `{"error":"ship fault"}`, http.StatusInternalServerError)
+				writeError(w, http.StatusInternalServerError, "ship fault")
 				return
 			}
 			ents = ents[:i] // ship what precedes the fault
@@ -553,12 +514,12 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 
 func (n *Node) handleAck(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req ackRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		http.Error(w, `{"error":"bad ack body"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "bad ack body")
 		return
 	}
 	if req.Stream != n.cfg.Name {
@@ -583,24 +544,24 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req adoptRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		http.Error(w, `{"error":"bad adopt body"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "bad adopt body")
 		return
 	}
 	n.mu.Lock()
 	srv := n.srv
 	n.mu.Unlock()
 	if srv == nil {
-		http.Error(w, `{"error":"no server attached"}`, http.StatusServiceUnavailable)
+		writeError(w, http.StatusServiceUnavailable, "no server attached")
 		return
 	}
 	adopted, err := srv.Adopt(r.Context(), req.Node)
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

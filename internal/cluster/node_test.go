@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -113,6 +114,28 @@ func TestReplicationConvergence(t *testing.T) {
 		if st := f.n.Status(); st.Divergence != 0 || st.ApplyErrors != 0 {
 			t.Errorf("%s status = %+v", follower, st)
 		}
+	}
+}
+
+// TestReplErrorsAreJSON: the cluster's own error replies are JSON an
+// encoding/json client can read, an unknown stream's name included.
+func TestReplErrorsAreJSON(t *testing.T) {
+	nodes := startCluster(t, []string{"n1"}, nil)
+	resp, err := http.Get(nodes["n1"].srv.URL + "/v1/repl/stream?stream=nope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("body is not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusNotFound || resp.Header.Get("Content-Type") != "application/json" ||
+		!strings.Contains(body.Error, "nope") {
+		t.Errorf("unknown stream: %d %q, error %q; want 404 application/json naming nope",
+			resp.StatusCode, resp.Header.Get("Content-Type"), body.Error)
 	}
 }
 

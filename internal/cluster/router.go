@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster/health"
+	"repro/internal/serve"
 )
 
 // RouterConfig tunes the stateless cluster router.
@@ -23,21 +23,19 @@ type RouterConfig struct {
 	Replicas int
 	// ProbeInterval paces health probing (default 200ms).
 	ProbeInterval time.Duration
-	// FailThreshold is the consecutive probe failures that mark a member
-	// dead (default 2).
+	// FailThreshold is the consecutive failed probes and forwards that
+	// mark a member dead (default 2).
 	FailThreshold int
-	// Cooldown is how long a dead member waits before a recovery probe
-	// (default 1s).
+	// Cooldown is how long a dead member waits past its last failure for
+	// a recovery probe, and a failed adopt for its retry (default 1s).
 	Cooldown time.Duration
 	// RequestTimeout bounds every proxied request and probe (default 10s),
 	// so a wedged backend can never pin a router connection.
 	RequestTimeout time.Duration
 	// Client performs backend calls (tests inject fault transports).
 	Client *http.Client
-	// Clock supplies time for breaker cooldowns (default time.Now).
+	// Clock supplies time for cooldowns (default time.Now).
 	Clock func() time.Time
-	// Seed drives the failover backoff jitter.
-	Seed uint64
 }
 
 func (c *RouterConfig) defaults() {
@@ -68,14 +66,17 @@ func (c *RouterConfig) defaults() {
 type routerMember struct {
 	name string
 	base string
-	br   *health.Breaker
+	// fails counts the member's consecutive failed probes and forwards:
+	// it is live while fails < FailThreshold. failedAt stamps the last
+	// failure, which a dead member's recovery probe waits Cooldown past.
+	fails    int
+	failedAt time.Time
 	// lastSeq is the member's own stream position; applied is its
 	// position in every other stream (both from /v1/repl/status).
 	lastSeq uint64
 	applied map[string]uint64
 
-	adoptAttempts int
-	nextAdoptTry  time.Time // earliest next adopt targeting THIS dead member
+	nextAdoptTry time.Time // earliest next adopt targeting THIS dead member
 }
 
 // Router is the thin stateless entry point of the cluster: it owns no
@@ -85,9 +86,8 @@ type routerMember struct {
 // originates is a well-formed 2xx/4xx/429/503 — backpressure, never a
 // hang.
 type Router struct {
-	cfg     RouterConfig
-	ring    *Ring
-	backoff *health.Backoff
+	cfg  RouterConfig
+	ring *Ring
 
 	mu        sync.Mutex
 	members   map[string]*routerMember
@@ -107,19 +107,37 @@ func NewRouter(cfg RouterConfig) *Router {
 	r := &Router{
 		cfg:       cfg,
 		ring:      NewRing(names),
-		backoff:   health.NewBackoff(cfg.Cooldown, 8*cfg.Cooldown, cfg.Seed),
 		members:   map[string]*routerMember{},
 		overrides: map[string]string{},
 		pins:      map[string]string{},
 	}
 	for n, base := range cfg.Members {
-		r.members[n] = &routerMember{
-			name: n, base: base,
-			br:      health.NewBreaker(cfg.FailThreshold, cfg.Cooldown, cfg.Clock),
-			applied: map[string]uint64{},
-		}
+		r.members[n] = &routerMember{name: n, base: base, applied: map[string]uint64{}}
 	}
 	return r
+}
+
+// live reports whether m admits requests. The caller holds r.mu.
+func (r *Router) live(m *routerMember) bool { return m.fails < r.cfg.FailThreshold }
+
+// record folds one probe or forward outcome into m's liveness. The
+// caller holds r.mu.
+func (r *Router) record(m *routerMember, err error) {
+	if err == nil {
+		m.fails = 0
+		return
+	}
+	m.fails++
+	m.failedAt = r.cfg.Clock()
+}
+
+// servedBy maps a member to the one serving its partitions: its adopter
+// while it has one. The caller holds r.mu.
+func (r *Router) servedBy(name string) string {
+	if o, ok := r.overrides[name]; ok {
+		return o
+	}
+	return name
 }
 
 // Start launches the probe/failover loop; it stops with ctx.
@@ -141,76 +159,48 @@ func (r *Router) probeLoop(ctx context.Context) {
 	}
 }
 
-// probeOnce health-checks every member whose breaker admits a probe and
-// refreshes replication positions of live members.
+// probeOnce health-checks every live member, and every dead one whose
+// Cooldown has passed since its last failure, and refreshes the
+// replication positions of those that answer.
 func (r *Router) probeOnce(ctx context.Context) {
+	now := r.cfg.Clock()
 	r.mu.Lock()
 	var due []*routerMember
 	for _, m := range r.members {
-		if m.br.Available() {
-			if m.br.State() == health.StateHalfOpen {
-				m.br.MarkProbing()
-			}
+		if r.live(m) || now.Sub(m.failedAt) >= r.cfg.Cooldown {
 			due = append(due, m)
 		}
 	}
 	r.mu.Unlock()
 	for _, m := range due {
-		err := r.probeMember(ctx, m)
+		err := r.call(ctx, http.MethodGet, m.base+"/healthz", nil, nil)
+		// replication positions are best-effort: health already decided
+		var st StatusResponse
+		known := err == nil && r.call(ctx, http.MethodGet, m.base+"/v1/repl/status", nil, &st) == nil
 		r.mu.Lock()
-		m.br.OnResult(err)
+		r.record(m, err)
+		if known {
+			m.lastSeq = st.LastSeq
+			for k, v := range st.Applied {
+				m.applied[k] = v
+			}
+		}
 		r.mu.Unlock()
 	}
 }
 
-func (r *Router) probeMember(ctx context.Context, m *routerMember) error {
-	cctx, cancel := context.WithTimeout(ctx, r.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, m.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s /healthz: HTTP %d", m.name, resp.StatusCode)
-	}
-	// refresh replication positions (best-effort; health already passed)
-	req, err = http.NewRequestWithContext(cctx, http.MethodGet, m.base+"/v1/repl/status", nil)
-	if err != nil {
-		return nil
-	}
-	sresp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer sresp.Body.Close()
-	if sresp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var st StatusResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		return nil
-	}
-	r.mu.Lock()
-	m.lastSeq = st.LastSeq
-	for k, v := range st.Applied {
-		m.applied[k] = v
-	}
-	r.mu.Unlock()
-	return nil
+// call sends a control request to a member under the router's client
+// and request timeout.
+func (r *Router) call(ctx context.Context, method, url string, in, out any) error {
+	return call(ctx, r.cfg.Client, r.cfg.RequestTimeout, method, url, in, out)
 }
 
 // failoverOnce reassigns ownership away from dead members: the live
 // member most caught up on the dead node's stream adopts its journaled
-// jobs and becomes the routing override for its partitions. Failed
-// adopt attempts retry on a jittered backoff. A recovered member takes
-// its partitions back (its own journal recovery re-runs anything it
-// still holds).
+// jobs and becomes the routing override for its partitions. A failed
+// adopt is retried one Cooldown later, the cadence of the re-adopts. A
+// recovered member takes its partitions back (its own journal recovery
+// re-runs anything it still holds).
 func (r *Router) failoverOnce(ctx context.Context) {
 	type attempt struct {
 		dead, adopter string
@@ -221,58 +211,47 @@ func (r *Router) failoverOnce(ctx context.Context) {
 	now := r.cfg.Clock()
 	r.mu.Lock()
 	for name, m := range r.members {
-		if m.br.State() == health.StateClosed {
-			if _, ok := r.overrides[name]; ok {
-				delete(r.overrides, name)
-				m.adoptAttempts = 0
-			}
-			continue
-		}
-		if m.br.State() != health.StateOpen {
-			continue
-		}
-		if adopter, ok := r.overrides[name]; ok {
+		adopter, adopted := r.overrides[name]
+		switch {
+		case r.live(m):
+			delete(r.overrides, name)
+		case adopted && !r.live(r.members[adopter]):
 			// an override pointing at a member that has since died is
 			// worse than none: drop it so a live adopter can be chosen
-			if am := r.members[adopter]; am == nil || am.br.State() != health.StateClosed {
-				delete(r.overrides, name)
-				m.adoptAttempts = 0
-			} else if !now.Before(m.nextAdoptTry) {
-				// while the member stays dead, periodically re-adopt on the
-				// standing adopter: journal records that reached only the
-				// other follower keep trickling in over relays, and Adopt is
-				// idempotent for everything already taken
-				attempts = append(attempts, attempt{dead: name, adopter: adopter, base: am.base, readopt: true})
-				m.nextAdoptTry = now.Add(r.cfg.Cooldown)
+			delete(r.overrides, name)
+		case now.Before(m.nextAdoptTry):
+		case adopted:
+			// while the member stays dead, periodically re-adopt on the
+			// standing adopter: journal records that reached only the
+			// other follower keep trickling in over relays, and Adopt is
+			// idempotent for everything already taken
+			attempts = append(attempts, attempt{dead: name, adopter: adopter, base: r.members[adopter].base, readopt: true})
+			m.nextAdoptTry = now.Add(r.cfg.Cooldown)
+		default:
+			// most-caught-up live follower on the dead node's stream
+			// wins; ties break by name so concurrent routers pick the
+			// same adopter
+			best := ""
+			var bestSeq uint64
+			for on, om := range r.members {
+				if on == name || !r.live(om) {
+					continue
+				}
+				if best == "" || om.applied[name] > bestSeq ||
+					(om.applied[name] == bestSeq && on < best) {
+					best, bestSeq = on, om.applied[name]
+				}
 			}
-			continue
-		}
-		if now.Before(m.nextAdoptTry) {
-			continue
-		}
-		// most-caught-up live follower on the dead node's stream wins;
-		// ties break by name so concurrent routers pick the same adopter
-		best := ""
-		var bestSeq uint64
-		for on, om := range r.members {
-			if on == name || om.br.State() != health.StateClosed {
-				continue
+			if best != "" {
+				attempts = append(attempts, attempt{dead: name, adopter: best, base: r.members[best].base})
 			}
-			if best == "" || om.applied[name] > bestSeq ||
-				(om.applied[name] == bestSeq && on < best) {
-				best, bestSeq = on, om.applied[name]
-			}
-		}
-		if best != "" {
-			attempts = append(attempts, attempt{dead: name, adopter: best, base: r.members[best].base})
 		}
 	}
 	r.mu.Unlock()
 
 	for _, a := range attempts {
-		err := r.postAdopt(ctx, a.base, a.dead)
+		err := r.call(ctx, http.MethodPost, a.base+"/v1/repl/adopt", adoptRequest{Node: a.dead}, nil)
 		r.mu.Lock()
-		m := r.members[a.dead]
 		if err == nil {
 			r.overrides[a.dead] = a.adopter
 			if !a.readopt {
@@ -280,35 +259,11 @@ func (r *Router) failoverOnce(ctx context.Context) {
 				// not new failover decisions
 				r.failovers++
 			}
-			m.adoptAttempts = 0
 		} else {
-			m.adoptAttempts++
-			m.nextAdoptTry = r.cfg.Clock().Add(r.backoff.Delay(m.adoptAttempts))
+			r.members[a.dead].nextAdoptTry = r.cfg.Clock().Add(r.cfg.Cooldown)
 		}
 		r.mu.Unlock()
 	}
-}
-
-func (r *Router) postAdopt(ctx context.Context, base, dead string) error {
-	body, _ := json.Marshal(adoptRequest{Node: dead})
-	cctx, cancel := context.WithTimeout(ctx, r.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost,
-		base+"/v1/repl/adopt", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: adopt %s on %s: HTTP %d", dead, base, resp.StatusCode)
-	}
-	return nil
 }
 
 // Handler returns the router's HTTP API: the predictd surface, proxied.
@@ -334,12 +289,54 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// unavailable writes the router's own 503 — always with Retry-After.
-func unavailable(w http.ResponseWriter, format string, args ...any) {
-	w.Header().Set("Retry-After", "1")
+// writeError writes the cluster's own error reply, {"error": msg} as
+// JSON; a 503 always carries Retry-After.
+func writeError(w http.ResponseWriter, code int, format string, args ...any) {
+	if code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
+	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// call sends one control request, bounded by timeout: in (unless nil)
+// as its JSON body. A 200 reply is decoded into out (unless nil), a 204
+// is success with no body, and any other status is an error.
+func call(ctx context.Context, client *http.Client, timeout time.Duration, method, url string, in, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	switch {
+	case resp.StatusCode == http.StatusNoContent:
+		return nil
+	case resp.StatusCode != http.StatusOK:
+		io.Copy(io.Discard, resp.Body)
+		return fmt.Errorf("cluster: %s %s: HTTP %d", method, url, resp.StatusCode)
+	case out == nil:
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // routeBody holds the fields routing needs from a body: a predict or fit
@@ -384,7 +381,7 @@ func readBody(w http.ResponseWriter, req *http.Request) ([]byte, error) {
 func readRouted(w http.ResponseWriter, req *http.Request, partition partitioner) (body []byte, pk string, ok bool) {
 	body, err := readBody(w, req)
 	if err != nil {
-		http.Error(w, `{"error":"bad request body"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "bad request body")
 		return nil, "", false
 	}
 	var rb routeBody
@@ -393,32 +390,10 @@ func readRouted(w http.ResponseWriter, req *http.Request, partition partitioner)
 		pk, missing = partition(&rb)
 	}
 	if missing != "" {
-		http.Error(w, `{"error":"`+missing+`"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "%s", missing)
 		return nil, "", false
 	}
 	return body, pk, true
-}
-
-// liveName reports whether the named member currently admits requests.
-func (r *Router) liveName(name string) bool {
-	m := r.members[name]
-	if m == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return m.br.State() == health.StateClosed
-}
-
-// resolveOwner maps a partition's ring owner through failover overrides.
-func (r *Router) resolveOwner(pk string) string {
-	owner := r.ring.Owner(pk)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if o, ok := r.overrides[owner]; ok {
-		return o
-	}
-	return owner
 }
 
 // forward proxies one buffered request to a member, bounded by the
@@ -444,7 +419,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, name string, 
 	}
 	resp, err := r.cfg.Client.Do(out)
 	r.mu.Lock()
-	m.br.OnResult(err)
+	r.record(m, err)
 	r.mu.Unlock()
 	if err != nil {
 		return 0
@@ -470,22 +445,6 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, name string, 
 	return resp.StatusCode
 }
 
-// stalenessOf estimates how many frames behind the partition owner's
-// stream a candidate is (0 for the owner itself, or when the owner's
-// position is unknown).
-func (r *Router) stalenessOf(candidate, owner string) uint64 {
-	if candidate == owner {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	om, cm := r.members[owner], r.members[candidate]
-	if om == nil || cm == nil || om.lastSeq <= cm.applied[owner] {
-		return 0
-	}
-	return om.lastSeq - cm.applied[owner]
-}
-
 // toReplica serves a read-only POST from any live replica of its
 // partition within the client's staleness bound (an observe sends none:
 // it needs no model).
@@ -493,46 +452,68 @@ func (r *Router) toReplica(partition partitioner) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) { r.handleReplicaPost(w, req, partition) }
 }
 
+// target is a member a routed request may go to, with its lag behind
+// the partition owner's stream.
+type target struct {
+	name  string
+	stale uint64
+}
+
+// replicas snapshots, under one lock, the live replicas of pk within
+// maxStale frames of its owner's stream, the pinned one first.
+func (r *Router) replicas(pk string, maxStale uint64) []target {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	owner := r.members[r.servedBy(r.ring.Owner(pk))]
+	var out []target
+	for _, name := range r.ring.Replicas(pk, r.cfg.Replicas) {
+		m := r.members[r.servedBy(name)]
+		if !r.live(m) {
+			continue
+		}
+		t := target{name: m.name}
+		if m != owner && owner.lastSeq > m.applied[owner.name] {
+			t.stale = owner.lastSeq - m.applied[owner.name]
+		}
+		if t.stale > maxStale {
+			continue
+		}
+		out = append(out, t)
+	}
+	// stick with the pinned replica while it stays a candidate (warm
+	// caches), fail over — and count the re-pin — when it does not
+	for i, t := range out {
+		if t.name == r.pins[pk] {
+			copy(out[1:i+1], out[:i])
+			out[0] = t
+			break
+		}
+	}
+	return out
+}
+
 func (r *Router) handleReplicaPost(w http.ResponseWriter, req *http.Request, partition partitioner) {
 	if req.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	body, pk, ok := readRouted(w, req, partition)
 	if !ok {
 		return
 	}
-	owner := r.resolveOwner(pk)
 	maxStale := uint64(1<<63 - 1)
 	if h := req.Header.Get("X-Max-Staleness"); h != "" {
 		if v, perr := strconv.ParseUint(h, 10, 64); perr == nil {
 			maxStale = v
 		}
 	}
-	var candidates []string
-	for _, name := range r.ring.Replicas(pk, r.cfg.Replicas) {
-		if o, ok := r.overrideFor(name); ok {
-			name = o
-		}
-		if r.liveName(name) && r.stalenessOf(name, owner) <= maxStale {
-			candidates = append(candidates, name)
-		}
-	}
-	if len(candidates) == 0 {
-		unavailable(w, "no live replica for %s within staleness bound", pk)
+	targets := r.replicas(pk, maxStale)
+	if len(targets) == 0 {
+		writeError(w, http.StatusServiceUnavailable, "no live replica for %s within staleness bound", pk)
 		return
 	}
-	// stick with the pinned replica while it stays a candidate (warm
-	// caches), fail over — and count the re-pin — when it does not
-	r.mu.Lock()
-	pinned := r.pins[pk]
-	r.mu.Unlock()
-	order := candidates
-	if i := indexOf(candidates, pinned); i > 0 {
-		order = append([]string{pinned}, removeAt(candidates, i)...)
-	}
-	for _, name := range order {
-		status := r.forward(w, req, name, body, r.stalenessOf(name, owner))
+	for _, t := range targets {
+		status := r.forward(w, req, t.name, body, t.stale)
 		if status == 0 {
 			continue
 		}
@@ -540,45 +521,41 @@ func (r *Router) handleReplicaPost(w http.ResponseWriter, req *http.Request, par
 		// a pin per made-up scheme or field would grow the map without bound
 		if status/100 == 2 {
 			r.mu.Lock()
-			if r.pins[pk] != name {
+			if r.pins[pk] != t.name {
 				if r.pins[pk] != "" {
 					r.repins++
 				}
-				r.pins[pk] = name
+				r.pins[pk] = t.name
 			}
 			r.mu.Unlock()
 		}
 		return
 	}
-	unavailable(w, "all replicas for %s failed", pk)
-}
-
-func (r *Router) overrideFor(name string) (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	o, ok := r.overrides[name]
-	return o, ok
+	writeError(w, http.StatusServiceUnavailable, "all replicas for %s failed", pk)
 }
 
 // handleOwnerPost routes a fit to the partition owner (or its adopter).
 func (r *Router) handleOwnerPost(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	body, pk, ok := readRouted(w, req, modelPartition)
 	if !ok {
 		return
 	}
-	owner := r.resolveOwner(pk)
-	if !r.liveName(owner) {
+	r.mu.Lock()
+	owner := r.servedBy(r.ring.Owner(pk))
+	live := r.live(r.members[owner])
+	r.mu.Unlock()
+	if !live {
 		// the owner is down and no adopter has taken over yet: shed the
 		// write honestly instead of letting two nodes fit one opthash
-		unavailable(w, "owner %s of %s is unavailable (failover pending)", owner, pk)
+		writeError(w, http.StatusServiceUnavailable, "owner %s of %s is unavailable (failover pending)", owner, pk)
 		return
 	}
 	if r.forward(w, req, owner, body, 0) == 0 {
-		unavailable(w, "owner %s of %s failed", owner, pk)
+		writeError(w, http.StatusServiceUnavailable, "owner %s of %s failed", owner, pk)
 	}
 }
 
@@ -587,48 +564,30 @@ func (r *Router) handleOwnerPost(w http.ResponseWriter, req *http.Request) {
 // must drop its stale models (shipped deletes make stragglers converge).
 func (r *Router) handleInvalidate(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	body, err := readBody(w, req)
 	if err != nil {
-		http.Error(w, `{"error":"bad request body"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "bad request body")
 		return
 	}
 	evicted := map[string]bool{}
 	cleared := 0
 	reached := 0
 	for _, name := range r.liveMembers() {
-		m := r.members[name]
-		cctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
-		out, nerr := http.NewRequestWithContext(cctx, http.MethodPost,
-			m.base+"/v1/invalidate", bytes.NewReader(body))
-		if nerr != nil {
-			cancel()
+		var ir serve.InvalidateResponse
+		if r.call(req.Context(), http.MethodPost, r.members[name].base+"/v1/invalidate", json.RawMessage(body), &ir) != nil {
 			continue
 		}
-		out.Header.Set("Content-Type", "application/json")
-		resp, derr := r.cfg.Client.Do(out)
-		if derr != nil {
-			cancel()
-			continue
+		reached++
+		for _, k := range ir.EvictedModels {
+			evicted[k] = true
 		}
-		var ir struct {
-			EvictedModels []string `json:"evicted_models"`
-			ClearedCached int      `json:"cleared_cached"`
-		}
-		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&ir) == nil {
-			reached++
-			for _, k := range ir.EvictedModels {
-				evicted[k] = true
-			}
-			cleared += ir.ClearedCached
-		}
-		resp.Body.Close()
-		cancel()
+		cleared += ir.ClearedCached
 	}
 	if reached == 0 {
-		unavailable(w, "no live member accepted the invalidation")
+		writeError(w, http.StatusServiceUnavailable, "no live member accepted the invalidation")
 		return
 	}
 	keys := make([]string, 0, len(evicted))
@@ -647,47 +606,32 @@ func (r *Router) handleInvalidate(w http.ResponseWriter, req *http.Request) {
 // which node that is.
 func (r *Router) handleJobs(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	live := r.liveMembers()
 	if len(live) == 0 {
-		unavailable(w, "no live members")
+		writeError(w, http.StatusServiceUnavailable, "no live members")
 		return
 	}
 	for _, name := range live {
-		m := r.members[name]
-		cctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
-		out, nerr := http.NewRequestWithContext(cctx, http.MethodGet, m.base+req.URL.RequestURI(), nil)
-		if nerr != nil {
-			cancel()
+		var job json.RawMessage
+		if r.call(req.Context(), http.MethodGet, r.members[name].base+req.URL.RequestURI(), nil, &job) != nil {
 			continue
 		}
-		resp, derr := r.cfg.Client.Do(out)
-		if derr != nil {
-			cancel()
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Served-By", name)
-			w.WriteHeader(http.StatusOK)
-			io.Copy(w, resp.Body)
-			resp.Body.Close()
-			cancel()
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		cancel()
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Served-By", name)
+		w.WriteHeader(http.StatusOK)
+		w.Write(append(job, '\n'))
+		return
 	}
-	http.Error(w, `{"error":"job not found on any live member"}`, http.StatusNotFound)
+	writeError(w, http.StatusNotFound, "job not found on any live member")
 }
 
 // handleAnyGet forwards a read to the first live member.
 func (r *Router) handleAnyGet(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET only"}`, http.StatusMethodNotAllowed)
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	for _, name := range r.liveMembers() {
@@ -695,7 +639,7 @@ func (r *Router) handleAnyGet(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	unavailable(w, "no live members")
+	writeError(w, http.StatusServiceUnavailable, "no live members")
 }
 
 // liveMembers returns the currently-live member names, sorted.
@@ -704,7 +648,7 @@ func (r *Router) liveMembers() []string {
 	defer r.mu.Unlock()
 	var out []string
 	for name, m := range r.members {
-		if m.br.State() == health.StateClosed {
+		if r.live(m) {
 			out = append(out, name)
 		}
 	}
@@ -726,7 +670,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 
 // RouterStatus is the /v1/router/status document.
 type RouterStatus struct {
-	Members   map[string]string `json:"members"` // name → breaker state
+	Members   map[string]string `json:"members"` // name → "closed" (live) or "open" (dead)
 	Overrides map[string]string `json:"overrides,omitempty"`
 	Repins    int               `json:"repins"`
 	Failovers int               `json:"failovers"`
@@ -741,7 +685,10 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		Failovers: r.failovers,
 	}
 	for name, m := range r.members {
-		st.Members[name] = m.br.State()
+		st.Members[name] = "open"
+		if r.live(m) {
+			st.Members[name] = "closed"
+		}
 	}
 	for k, v := range r.overrides {
 		st.Overrides[k] = v
@@ -749,18 +696,4 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	r.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
-}
-
-func indexOf(xs []string, s string) int {
-	for i, x := range xs {
-		if x == s {
-			return i
-		}
-	}
-	return -1
-}
-
-func removeAt(xs []string, i int) []string {
-	out := append([]string(nil), xs[:i]...)
-	return append(out, xs[i+1:]...)
 }

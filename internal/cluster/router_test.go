@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/cluster/health"
 )
 
 // fakeMember simulates one predictd node's HTTP surface for router tests.
@@ -22,8 +20,10 @@ type fakeMember struct {
 
 	mu       sync.Mutex
 	healthy  bool
+	probes   int // /healthz requests answered
 	status   StatusResponse
 	adopted  []string
+	adoptAt  []time.Time // arrival of every adopt POST, failed ones too
 	fits     int
 	predicts int
 	hasJob   bool
@@ -35,6 +35,7 @@ func newFakeMember(name string) *fakeMember {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		m.mu.Lock()
+		m.probes++
 		ok := m.healthy
 		m.mu.Unlock()
 		if !ok {
@@ -53,6 +54,7 @@ func newFakeMember(name string) *fakeMember {
 		json.NewDecoder(r.Body).Decode(&req)
 		m.mu.Lock()
 		defer m.mu.Unlock()
+		m.adoptAt = append(m.adoptAt, time.Now())
 		if m.adoptErr {
 			http.Error(w, `{"error":"adopt failed"}`, http.StatusInternalServerError)
 			return
@@ -106,6 +108,14 @@ func (m *fakeMember) setHealthy(ok bool) {
 	m.mu.Lock()
 	m.healthy = ok
 	m.mu.Unlock()
+}
+
+// overrideFor reads the failover override standing for a member.
+func (r *Router) overrideFor(name string) (string, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	o, ok := r.overrides[name]
+	return o, ok
 }
 
 func startRouter(t *testing.T, members map[string]*fakeMember, tweak func(*RouterConfig)) *Router {
@@ -416,7 +426,7 @@ func TestRouterShedsFitWhileFailoverPending(t *testing.T) {
 	waitFor(t, "owner marked dead", func() bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		return r.members[owner].br.State() == health.StateOpen
+		return !r.live(r.members[owner])
 	})
 
 	// no adopter: fits must shed with a well-formed 503, never hang and
@@ -442,6 +452,91 @@ func TestRouterShedsFitWhileFailoverPending(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Errorf("predict during failover = %d", w.Code)
 	}
+
+	// every adopt fails: each is retried one Cooldown after the last
+	adoptAt := func() (all [][]time.Time) {
+		for _, m := range members {
+			m.mu.Lock()
+			all = append(all, append([]time.Time(nil), m.adoptAt...))
+			m.mu.Unlock()
+		}
+		return all
+	}
+	waitFor(t, "three adopt attempts", func() bool {
+		n := 0
+		for _, at := range adoptAt() {
+			n += len(at)
+		}
+		return n >= 3
+	})
+	for _, at := range adoptAt() {
+		for i := 1; i < len(at); i++ {
+			if gap := at[i].Sub(at[i-1]); gap < 100*time.Millisecond {
+				t.Errorf("adopt %d came %v after the one before, want at least the 100ms Cooldown", i, gap)
+			}
+		}
+	}
+}
+
+// TestRouterLivenessRule walks the router's one liveness rule on a fake
+// clock: FailThreshold straight failures kill a member, a success in
+// between resets the count, and a dead member is probed again only
+// Cooldown past its last failure.
+func TestRouterLivenessRule(t *testing.T) {
+	const cooldown = 50 * time.Millisecond
+	fm := newFakeMember("n1")
+	defer fm.srv.Close()
+	now := time.Unix(1000, 0)
+	// not started: the test drives every probe round itself
+	r := NewRouter(RouterConfig{
+		Members:       map[string]string{"n1": fm.srv.URL},
+		FailThreshold: 3,
+		Cooldown:      cooldown,
+		Clock:         func() time.Time { return now },
+	})
+	ctx := context.Background()
+	state := func() string {
+		w := httptest.NewRecorder()
+		r.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/router/status", nil))
+		var st RouterStatus
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Members["n1"]
+	}
+	probes := func() int {
+		fm.mu.Lock()
+		defer fm.mu.Unlock()
+		return fm.probes
+	}
+	step := func(what string, advance time.Duration, wantProbed bool, want string) {
+		t.Helper()
+		now = now.Add(advance)
+		before := probes()
+		r.probeOnce(ctx)
+		if probed := probes() > before; probed != wantProbed {
+			t.Fatalf("%s: probed = %v, want %v", what, probed, wantProbed)
+		}
+		if got := state(); got != want {
+			t.Fatalf("%s: state %q, want %q", what, got, want)
+		}
+	}
+
+	fm.setHealthy(false)
+	step("failed probe 1 of 3", 0, true, "closed")
+	step("failed probe 2 of 3", 0, true, "closed")
+	if w := postJSON(r.Handler(), "/v1/predict", `{"scheme":"s","compressor":"c"}`, nil); w.Code != http.StatusOK {
+		t.Fatalf("predict = %d: %s", w.Code, w.Body)
+	}
+	step("a forward reset the count: failed probe 1 of 3", 0, true, "closed")
+	step("failed probe 2 of 3", 0, true, "closed")
+	step("the third straight failure kills it", 0, true, "open")
+	step("no probe before the cooldown", cooldown-time.Nanosecond, false, "open")
+	step("the cooldown passed: a revival probe, which fails", time.Nanosecond, true, "open")
+	step("the failed revival restarted the cooldown", cooldown-time.Nanosecond, false, "open")
+	fm.setHealthy(true)
+	step("the next revival probe answers: live again", time.Nanosecond, true, "closed")
+	step("a live member is probed every round", 0, true, "closed")
 }
 
 func TestRouterStalenessBound(t *testing.T) {
@@ -578,7 +673,7 @@ func TestRouterStatusDocument(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Members) != 3 || st.Members["n1"] != health.StateClosed {
+	if len(st.Members) != 3 || st.Members["n1"] != "closed" {
 		t.Errorf("status = %+v", st)
 	}
 }

@@ -30,7 +30,7 @@ var CtxFlow = &analysis.Analyzer{
 
 // ctxflowScope is the default comma-separated package-path-suffix scope,
 // overridable with -ctxflow.scope.
-var ctxflowScope = "internal/queue,internal/serve,internal/bench,internal/store,internal/cluster,internal/cluster/health,internal/scenario"
+var ctxflowScope = "internal/queue,internal/serve,internal/bench,internal/store,internal/cluster,internal/scenario"
 
 func init() {
 	CtxFlow.Flags.StringVar(&ctxflowScope, "scope",

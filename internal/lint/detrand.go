@@ -31,7 +31,7 @@ var DetRand = &analysis.Analyzer{
 
 // detrandScope is the default comma-separated package-path-suffix scope,
 // overridable with -detrand.scope.
-var detrandScope = "internal/faultinject,internal/queue,internal/bench,internal/store,internal/vfs,internal/cluster,internal/cluster/health,internal/scenario"
+var detrandScope = "internal/faultinject,internal/queue,internal/bench,internal/store,internal/vfs,internal/cluster,internal/scenario"
 
 func init() {
 	DetRand.Flags.StringVar(&detrandScope, "scope",

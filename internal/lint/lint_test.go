@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -72,4 +74,26 @@ func TestCtxFlow(t *testing.T) {
 func TestDetRand(t *testing.T) {
 	linttest.Run(t, linttest.TestdataDir(t), lint.DetRand,
 		"scope/internal/faultinject", "scope/internal/timing")
+}
+
+// TestScopesNameExistingPackages: every entry of an analyzer's default
+// -scope is a package directory of this module, so renaming or deleting
+// a package cannot silently drop it from the policed set.
+func TestScopesNameExistingPackages(t *testing.T) {
+	scoped := 0
+	for _, a := range lint.Analyzers() {
+		f := a.Flags.Lookup("scope")
+		if f == nil {
+			continue
+		}
+		scoped++
+		for _, dir := range strings.Split(f.DefValue, ",") {
+			if fi, err := os.Stat(filepath.Join("..", "..", dir)); err != nil || !fi.IsDir() {
+				t.Errorf("%s scope names %q, which is no directory under the module root", a.Name, dir)
+			}
+		}
+	}
+	if scoped != 2 {
+		t.Errorf("%d analyzers have a -scope flag, want 2 (ctxflow, detrand)", scoped)
+	}
 }
