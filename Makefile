@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check benchmark-check serve-check crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check benchmark-check serve-check fuzz-batch crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -152,16 +152,24 @@ fmt-check:
 # serve-check gates the serving subsystem: vet + the full internal/serve
 # suite (end-to-end fit/predict/invalidate, concurrent singles, backpressure,
 # loadgen soak, and FuzzDecodeBatch's seed corpus — every body in the batch
-# decoder's differential table, scanner against encoding/json) and the
-# daemon build, all under the race detector. To fuzz past the seeds:
-# go test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 1m ./internal/serve
-# It gates no speed; serve_hot's in-process loopback twin (a real
-# 127.0.0.1 server, two keep-alive clients, items/s) is, with a profile:
+# decoder's differential table, scanner against encoding/json, through a
+# fresh scratch and through one reused as the pool reuses it) and the
+# daemon build, all under the race detector. Past the seeds, `make
+# fuzz-batch` fuzzes the scanner's column loops for 30 s (CI runs it as a
+# job of its own). It gates no speed; serve_hot's in-process loopback
+# twin (a real 127.0.0.1 server, two keep-alive clients, items/s) is,
+# with a profile:
 # go test -run '^$$' -bench ServeHotLoopback -cpuprofile /tmp/hot.prof ./internal/serve
 serve-check:
 	$(GO) vet ./internal/serve/ ./cmd/predictd/
 	$(GO) build -o /dev/null ./cmd/predictd/
 	$(GO) test -race ./internal/serve/
+
+# fuzz-batch runs FuzzDecodeBatch past its seed corpus: random bodies
+# through the batch scanner's fields and steps loops, each held to
+# encoding/json's decode and the encoding/json-only handler's reply.
+fuzz-batch:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 30s ./internal/serve
 
 # crash-check runs the kill-restart recovery harness (DESIGN.md §12)
 # under the race detector: every cataloged crash point, the torn compact

@@ -174,6 +174,26 @@ func TestBatchRepeatedCells(t *testing.T) {
 	}
 }
 
+// TestBatchReplyStatesItsLength: a batch reply carries its
+// Content-Length, so a reply larger than the server buffers before
+// chunking is not sent chunked — on a second batch of another length too.
+func TestBatchReplyStatesItsLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, n := range []int{200, 3} {
+		fields, steps := make([]string, n), make([]int, n)
+		for i := range fields {
+			fields[i], steps[i] = "P", i%4
+		}
+		resp, raw := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{
+			Scheme: "khan2023", Compressor: "sz3", Dims: []int{8, 8, 8}, Fields: fields, Steps: steps,
+		})
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%d items: status %d, Content-Length %d, Transfer-Encoding %q for a %d-byte reply",
+				n, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, len(raw))
+		}
+	}
+}
+
 // TestPredictBatchFeatureRows drives the flat row-major features matrix.
 func TestPredictBatchFeatureRows(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -63,6 +63,7 @@ func warmBatch16(tb testing.TB) (hitPass func() (hits int)) {
 		sc.req.Fields = append(sc.req.Fields, fields[c%len(fields)])
 		sc.req.Steps = append(sc.req.Steps, c/len(fields))
 	}
+	sc.internFields()
 	ctx := context.Background()
 
 	// warm pass: first occurrences miss and populate the cache through
