@@ -47,7 +47,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -81,10 +80,10 @@ func main() {
 
 		nodeName     = flag.String("node", "", "cluster node name (enables replicated mode; requires -peers)")
 		peersFlag    = flag.String("peers", "", "cluster peers, name=url[,name=url...]")
-		replDir      = flag.String("repl-dir", "", "replication log directory (default <store>/repl)")
 		minAcks      = flag.Int("min-acks", 0, "follower acks required before a fit 202 (default 1 with peers; -1 disables)")
 		ackTimeout   = flag.Duration("ack-timeout", 5*time.Second, "fit replication-barrier timeout")
 		pollInterval = flag.Duration("poll-interval", 100*time.Millisecond, "replication fetch interval")
+		_            = flag.String("repl-dir", "", "ignored: a node's one durable log is its -store WAL, which serves every replication stream (accepted so existing command lines still start)")
 
 		routerMode    = flag.Bool("router", false, "run as the stateless cluster router (requires -members)")
 		membersFlag   = flag.String("members", "", "router members, name=url[,name=url...]")
@@ -128,7 +127,7 @@ func main() {
 	} else {
 		err = run(runConfig{
 			addr: *addr, storeDir: *storeDir, optsFlag: *optsFlag, fsync: *fsync,
-			nodeName: *nodeName, peersFlag: *peersFlag, replDir: *replDir,
+			nodeName: *nodeName, peersFlag: *peersFlag,
 			minAcks: *minAcks, ackTimeout: *ackTimeout, pollInterval: *pollInterval,
 			readyFile: *readyFile, plan: plan,
 		}, serve.Config{
@@ -154,7 +153,6 @@ type runConfig struct {
 	addr, storeDir, optsFlag string
 	fsync                    bool
 	nodeName, peersFlag      string
-	replDir                  string
 	minAcks                  int
 	ackTimeout, pollInterval time.Duration
 	readyFile                string
@@ -234,20 +232,16 @@ func run(rc runConfig, cfg serve.Config) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	// cluster mode: open the replication logs and heal the copy-log
-	// suffix before the registry loads, so absorbed models are visible
+	// cluster mode: the store is the node's log, so its streams'
+	// positions are already loaded before the registry opens
 	var node *cluster.Node
 	if rc.nodeName != "" {
 		peers, err := parseMembers(rc.peersFlag)
 		if err != nil {
 			return err
 		}
-		dir := rc.replDir
-		if dir == "" {
-			dir = filepath.Join(rc.storeDir, "repl")
-		}
 		node, err = cluster.NewNode(st, cluster.NodeConfig{
-			Name: rc.nodeName, Peers: peers, ReplDir: dir,
+			Name: rc.nodeName, Peers: peers,
 			MinAcks: rc.minAcks, AckTimeout: rc.ackTimeout,
 			PollInterval: rc.pollInterval,
 			Client:       &http.Client{Transport: &faultinject.RoundTripper{Plan: rc.plan}},

@@ -13,13 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/serve"
 	"repro/internal/store"
-	"repro/internal/vfs"
 )
-
-// replPrefix namespaces the replication layer's own store keys (applied
-// watermarks). The mirror hook never ships them: they are per-node
-// positions in *other* nodes' streams, meaningless anywhere else.
-const replPrefix = "repl/"
 
 // modelKeyPrefix mirrors serve's registry namespace; the apply path
 // uses it to detect divergent model publishes and to keep the serving
@@ -32,8 +26,6 @@ type NodeConfig struct {
 	Name string
 	// Peers maps peer node names to base URLs (e.g. "http://127.0.0.1:7002").
 	Peers map[string]string
-	// ReplDir holds the replication logs (own stream + peer copies).
-	ReplDir string
 	// MinAcks is how many followers must hold a journaled fit durably
 	// before the 202 ack (default 1 when there are peers, 0 otherwise).
 	// Negative disables the barrier.
@@ -75,21 +67,19 @@ func (c *NodeConfig) defaults() {
 	}
 }
 
-// Node is one replicated predictd member: it authors a replication log
-// from its store's WAL mirror, pulls every peer's stream into local
-// copy logs, applies shipped frames to its own store, and answers the
-// replication HTTP API.
+// Node is one replicated predictd member. Its store's WAL is its one
+// durable log: the store's Local stream is the stream this node authors,
+// and every peer's stream is applied to the store at the seqs it
+// carries. The node pulls those streams, serves its own and relays the
+// rest straight from the WAL, and answers the replication HTTP API.
 type Node struct {
-	cfg    NodeConfig
-	st     *store.Store
-	log    *Log            // stream this node authors
-	copies map[string]*Log // peer name → local copy of that peer's stream
+	cfg NodeConfig
+	log *store.Store
 
 	mu          sync.Mutex
 	srv         *serve.Server
 	acks        map[string]uint64 // follower → acked seq of OUR stream
 	ackCh       chan struct{}     // rotated when acks advance
-	applied     map[string]uint64 // stream → last seq applied to our store
 	divergence  uint64
 	applyErrors uint64
 	lastErr     string
@@ -99,45 +89,23 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// NewNode opens the node's replication logs, installs the store mirror
-// that feeds its authored stream, and replays any shipped-but-unapplied
-// copy-log suffix into the store (the crash between "frame durable in
-// copy log" and "frame applied" heals here, before the registry opens).
-// Call AttachServer once the serve.Server exists, then Start.
+// NewNode makes st the node's log; its positions in every stream come
+// from st. Call AttachServer once the serve.Server exists, then Start.
 func NewNode(st *store.Store, cfg NodeConfig) (*Node, error) {
 	cfg.defaults()
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("cluster: node name required")
 	}
-	n := &Node{
-		cfg:     cfg,
-		st:      st,
-		copies:  map[string]*Log{},
-		acks:    map[string]uint64{},
-		ackCh:   make(chan struct{}),
-		applied: map[string]uint64{},
-		stop:    make(chan struct{}),
+	if _, ok := cfg.Peers[cfg.Name]; ok {
+		return nil, fmt.Errorf("cluster: node %s listed as its own peer", cfg.Name)
 	}
-	var err error
-	n.log, err = OpenLog(cfg.ReplDir, vfs.OS, cfg.Name)
-	if err != nil {
-		return nil, err
-	}
-	for peer := range cfg.Peers {
-		if peer == cfg.Name {
-			return nil, fmt.Errorf("cluster: node %s listed as its own peer", cfg.Name)
-		}
-		n.copies[peer], err = OpenLog(cfg.ReplDir, vfs.OS, peer)
-		if err != nil {
-			return nil, err
-		}
-		n.applied[peer] = n.readApplied(peer)
-		if err := n.replayCopy(peer); err != nil {
-			return nil, err
-		}
-	}
-	st.SetMirror(n.mirror)
-	return n, nil
+	return &Node{
+		cfg:   cfg,
+		log:   st,
+		acks:  map[string]uint64{},
+		ackCh: make(chan struct{}),
+		stop:  make(chan struct{}),
+	}, nil
 }
 
 // AttachServer wires the serving subsystem for cache absorption and
@@ -163,11 +131,9 @@ func (n *Node) Start(ctx context.Context) {
 // arrive as replicated state instead of being re-run from stale records.
 func (n *Node) CatchUp(ctx context.Context) {
 	position := func() uint64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		var sum uint64
-		for _, seq := range n.applied {
-			sum += seq
+		for peer := range n.cfg.Peers {
+			sum += n.log.Seq(peer)
 		}
 		return sum
 	}
@@ -185,70 +151,18 @@ func (n *Node) CatchUp(ctx context.Context) {
 	}
 }
 
-// Close stops the fetch loops and closes the logs.
+// Close stops the fetch loops. The store stays open: it is the
+// caller's.
 func (n *Node) Close() {
 	n.stopOnce.Do(func() { close(n.stop) })
 	n.wg.Wait()
-	n.log.Close()
-	for _, l := range n.copies {
-		l.Close()
-	}
 }
 
-// mirror is the store hook: every durable local WAL frame (except the
-// replication layer's own keys) becomes the next entry of this node's
-// stream. It runs under the store lock after the frame is durable and
-// applied, so stream order is exactly WAL order.
-func (n *Node) mirror(f store.Frame) error {
-	if strings.HasPrefix(f.Key, replPrefix) {
-		return nil
-	}
-	_, err := n.log.Append(f)
-	return err
-}
-
-// appliedKey is the store key of this node's durable position in a
-// peer's stream.
-func appliedKey(stream string) string { return replPrefix + "applied/" + stream }
-
-func (n *Node) readApplied(stream string) uint64 {
-	raw, ok, err := n.st.Get(appliedKey(stream))
-	if err != nil || !ok {
-		return 0
-	}
-	seq, err := strconv.ParseUint(string(raw), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return seq
-}
-
-// replayCopy re-applies the copy-log suffix past the applied watermark:
-// journal recovery over the shipped log. Store puts are idempotent, so
-// at-least-once replay is safe — the same property fit-job replay
-// leans on.
-func (n *Node) replayCopy(stream string) error {
-	l := n.copies[stream]
-	from := n.applied[stream] + 1
-	for {
-		ents := l.EntriesFrom(from, 64)
-		if len(ents) == 0 {
-			return nil
-		}
-		for _, e := range ents {
-			if err := n.applyFrame(stream, e, false); err != nil {
-				return err
-			}
-			from = e.Seq + 1
-		}
-	}
-}
-
-// applyFrame validates, records, and applies one shipped entry: append
-// to the copy log (CRC-checked; duplicate seqs no-op), apply to the
-// store, absorb into the serving caches, then advance the durable
-// watermark. A crash between any two steps re-runs the frame on
-// restart; every step is idempotent.
+// applyFrame validates one shipped entry and writes it to the store as
+// entry e.Seq of stream, then absorbs it into the serving caches. The
+// frame and the position it moves the node to are one WAL record, so a
+// crash leaves the entry either wholly applied or not at all; an entry
+// the store already holds is skipped.
 func (n *Node) applyFrame(stream string, e Entry, absorb bool) error {
 	if d := n.cfg.Inject.Fire(faultinject.OpReplApply, -1, fmt.Sprintf("%s/%d", stream, e.Seq)); d.Err != nil {
 		return d.Err
@@ -259,15 +173,15 @@ func (n *Node) applyFrame(stream string, e Entry, absorb bool) error {
 			return fmt.Errorf("cluster: node stopping")
 		}
 	}
-	if err := n.copies[stream].AppendRaw(e.Seq, e.Frame); err != nil {
-		return err
+	if e.Seq <= n.log.Seq(stream) {
+		return nil // a resumed fetch re-sends what the store holds
 	}
 	f, sz, err := store.DecodeFrame(e.Frame)
 	if err != nil || sz != len(e.Frame) {
-		return fmt.Errorf("cluster: stream %s seq %d: corrupt frame: %v", stream, e.Seq, err)
+		return fmt.Errorf("cluster: stream %s seq %d: corrupt frame rejected (%v)", stream, e.Seq, err)
 	}
 	if f.Op == store.FramePut && strings.HasPrefix(f.Key, modelKeyPrefix) {
-		if old, ok, _ := n.st.Get(f.Key); ok && !serve.ModelBytesEquivalent(old, f.Value) {
+		if old, ok, _ := n.log.Get(f.Key); ok && !serve.ModelBytesEquivalent(old, f.Value) {
 			// two writers published different bytes under one opthash —
 			// the invariant the single-owner routing exists to protect.
 			// Last-writer-wins keeps replicas convergent; the counter
@@ -277,7 +191,7 @@ func (n *Node) applyFrame(stream string, e Entry, absorb bool) error {
 			n.mu.Unlock()
 		}
 	}
-	if err := n.st.Apply(f); err != nil {
+	if err := n.log.Apply(stream, e.Seq, e.Frame); err != nil {
 		return err
 	}
 	if absorb {
@@ -288,19 +202,11 @@ func (n *Node) applyFrame(stream string, e Entry, absorb bool) error {
 			srv.Absorb(f)
 		}
 	}
-	if err := n.st.Put(appliedKey(stream), []byte(strconv.FormatUint(e.Seq, 10))); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	if e.Seq > n.applied[stream] {
-		n.applied[stream] = e.Seq
-	}
-	n.mu.Unlock()
 	return nil
 }
 
 // fetchLoop pulls one peer's stream: from the peer itself when it is
-// up, else from any other peer relaying its copy of that stream — the
+// up, else from any other peer relaying that stream from its WAL — the
 // catch-up path a restarted or partitioned node heals through.
 func (n *Node) fetchLoop(ctx context.Context, stream string) {
 	defer n.wg.Done()
@@ -320,9 +226,7 @@ func (n *Node) fetchLoop(ctx context.Context, stream string) {
 
 // fetchOnce tries one fetch+apply+ack round for a stream.
 func (n *Node) fetchOnce(ctx context.Context, stream string) {
-	n.mu.Lock()
-	from := n.applied[stream] + 1
-	n.mu.Unlock()
+	from := n.log.Seq(stream) + 1
 
 	// author first, then relays
 	sources := []string{stream}
@@ -374,9 +278,7 @@ func (n *Node) sendAck(ctx context.Context, stream string) {
 	if !ok {
 		return
 	}
-	n.mu.Lock()
-	seq := n.applied[stream]
-	n.mu.Unlock()
+	seq := n.log.Seq(stream)
 	call(ctx, n.cfg.Client, n.cfg.RequestTimeout, http.MethodPost, base+"/v1/repl/ack",
 		ackRequest{Stream: stream, Node: n.cfg.Name, Seq: seq}, nil)
 }
@@ -417,6 +319,12 @@ func (n *Node) Barrier(ctx context.Context) error {
 	}
 }
 
+// Entry is one shipped stream entry.
+type Entry struct {
+	Seq   uint64 `json:"seq"`
+	Frame []byte `json:"frame"` // store CRC-framed record (base64 in JSON)
+}
+
 type ackRequest struct {
 	Stream string `json:"stream"`
 	Node   string `json:"node"`
@@ -451,8 +359,8 @@ func (n *Node) Status() StatusResponse {
 		ApplyErrors: n.applyErrors,
 		LastError:   n.lastErr,
 	}
-	for k, v := range n.applied {
-		st.Applied[k] = v
+	for peer := range n.cfg.Peers {
+		st.Applied[peer] = n.log.Seq(peer)
 	}
 	for k, v := range n.acks {
 		st.Acks[k] = v
@@ -468,19 +376,13 @@ func (n *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/repl/adopt", n.handleAdopt)
 }
 
-// streamFor resolves a stream name to the log holding it here.
-func (n *Node) streamFor(name string) *Log {
-	if name == n.cfg.Name {
-		return n.log
-	}
-	return n.copies[name]
-}
-
 func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	stream := q.Get("stream")
-	l := n.streamFor(stream)
-	if l == nil {
+	local := stream // the store's name for the stream
+	if stream == n.cfg.Name {
+		local = store.Local
+	} else if _, ok := n.cfg.Peers[stream]; !ok {
 		writeError(w, http.StatusNotFound, "unknown stream %q", stream)
 		return
 	}
@@ -492,7 +394,15 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 || max > 1024 {
 		max = 256
 	}
-	ents := l.EntriesFrom(from, max)
+	frames, err := n.log.Entries(local, from, max)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	ents := make([]Entry, len(frames))
+	for i, f := range frames {
+		ents[i] = Entry{Seq: from + uint64(i), Frame: f}
+	}
 	// every served frame is a replication-ship fault point: seeded crash
 	// rules here are "owner dies mid-stream at frame N"
 	for i, e := range ents {
@@ -506,9 +416,6 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if ents == nil {
-		ents = []Entry{}
-	}
 	json.NewEncoder(w).Encode(ents)
 }
 

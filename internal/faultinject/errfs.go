@@ -241,6 +241,15 @@ func (ef *errFile) Seek(offset int64, whence int) (int64, error) {
 	return ef.file.Seek(offset, whence)
 }
 
+// ReadAt is not a fault point, but like every operation it fails once
+// the filesystem is dead.
+func (ef *errFile) ReadAt(p []byte, off int64) (int, error) {
+	if ef.fs.Crashed() {
+		return 0, errDead()
+	}
+	return ef.file.ReadAt(p, off)
+}
+
 // Close never fails injection: a dying process's descriptors close
 // anyway, and refusing Close would leak handles in tests.
 func (ef *errFile) Close() error { return ef.file.Close() }

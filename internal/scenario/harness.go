@@ -174,7 +174,6 @@ func Deploy(ctx context.Context, bin, workDir string, topo Topology, extra map[s
 			"-store", filepath.Join(dir, "store"),
 			"-node", name,
 			"-peers", strings.Join(peers, ","),
-			"-repl-dir", filepath.Join(dir, "repl"),
 			"-poll-interval", fmt.Sprintf("%dms", topo.PollIntervalMS),
 			"-ack-timeout", "3s",
 			// every deployed node gets a spill dir, so scenario load always

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,86 +39,23 @@ func TestFrameDecodeRejectsBitFlip(t *testing.T) {
 	}
 }
 
-func TestMirrorSeesAuthoredWritesOnly(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	var frames []Frame
-	s.SetMirror(func(f Frame) error {
-		frames = append(frames, Frame{Op: f.Op, Key: f.Key, Value: append([]byte(nil), f.Value...)})
-		return nil
-	})
-
-	if err := s.Put("a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	// replicated frames must not re-enter the mirror
-	if err := s.Apply(Frame{Op: FramePut, Key: "b", Value: []byte("2")}); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(frames) != 2 {
-		t.Fatalf("mirror saw %d frames, want 2: %+v", len(frames), frames)
-	}
-	if frames[0].Op != FramePut || frames[0].Key != "a" || string(frames[0].Value) != "1" {
-		t.Errorf("frame 0 = %+v", frames[0])
-	}
-	if frames[1].Op != FrameDelete || frames[1].Key != "a" {
-		t.Errorf("frame 1 = %+v", frames[1])
-	}
-	if v, ok, _ := s.Get("b"); !ok || string(v) != "2" {
-		t.Errorf("applied frame not visible: %q %v", v, ok)
-	}
-}
-
-func TestMirrorErrorSurfacesAndWriteStaysDurable(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("repl log full")
-	s.SetMirror(func(Frame) error { return boom })
-	if err := s.Put("k", []byte("v")); !errors.Is(err, boom) {
-		t.Fatalf("Put with failing mirror = %v, want %v", err, boom)
-	}
-	s.Close()
-
-	// the record was durable before the mirror ran: a reopen must see it
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if v, ok, _ := s2.Get("k"); !ok || string(v) != "v" {
-		t.Errorf("durable write lost after mirror error: %q %v", v, ok)
-	}
-}
-
 func TestApplyIsIdempotentAndRejectsUnknownOp(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	f := Frame{Op: FramePut, Key: "k", Value: []byte("v")}
-	if err := s.Apply(f); err != nil {
+	f := EncodeFrame(Frame{Op: FramePut, Key: "k", Value: []byte("v")})
+	if err := s.Apply("n2", 1, f); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Apply(f); err != nil {
+	if err := s.Apply("n2", 1, f); err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := s.Get("k"); string(v) != "v" {
 		t.Errorf("value = %q", v)
 	}
-	if err := s.Apply(Frame{Op: 9, Key: "k"}); err == nil {
+	if err := s.Apply("n2", 2, EncodeFrame(Frame{Op: 9, Key: "k"})); err == nil {
 		t.Error("unknown op applied cleanly")
 	}
 }
@@ -135,7 +71,11 @@ func TestFsckRepairsMidFrameBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Put("first", []byte("keep-me"))
-	rec1 := len(EncodeFrame(Frame{Op: FramePut, Key: "first", Value: []byte("keep-me")}))
+	info, err := os.Stat(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1 := int(info.Size())
 	s.Put("second", []byte("flip-me"))
 	s.Put("third", []byte("after-the-flip"))
 	s.Close()

@@ -74,7 +74,7 @@ func Fsck(dir string, repair bool) (Report, error) {
 // not a crash signature) and returns an error instead.
 func FsckFS(dir string, fsys vfs.FS, repair bool) (Report, error) {
 	var rep Report
-	s := &Store{dir: dir, fs: fsys, data: make(map[string][]byte)}
+	s := newStore(dir, fsys)
 
 	if names, err := fsys.ReadDir(dir); err == nil {
 		for _, name := range names {
@@ -87,7 +87,7 @@ func FsckFS(dir string, fsys vfs.FS, repair bool) (Report, error) {
 	}
 
 	if snap, err := fsys.ReadFile(s.snapshotPath()); err == nil {
-		n, good, err := countRecords(snap, s.data)
+		n, good, err := s.replay(snap)
 		rep.SnapshotRecords = n
 		if err != nil || good < len(snap) {
 			return rep, fmt.Errorf("storecheck: corrupt snapshot (%d/%d bytes valid): refusing to repair", good, len(snap))
@@ -100,7 +100,7 @@ func FsckFS(dir string, fsys vfs.FS, repair bool) (Report, error) {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return rep, fmt.Errorf("storecheck: %w", err)
 	}
-	n, good, _ := countRecords(wal, s.data)
+	n, good, _ := s.replay(wal)
 	rep.WALRecords = n
 	rep.TornBytes = len(wal) - good
 	rep.Live = len(s.data)
@@ -121,25 +121,4 @@ func FsckFS(dir string, fsys vfs.FS, repair bool) (Report, error) {
 	}
 	rep.TempsRemoved = len(rep.StaleTemps) > 0
 	return rep, nil
-}
-
-// countRecords walks framed records in buf, applying them to data, and
-// returns how many were valid and the byte length of the valid prefix.
-func countRecords(buf []byte, data map[string][]byte) (int, int, error) {
-	n, off := 0, 0
-	for off < len(buf) {
-		rec, sz, err := decodeRecord(buf[off:])
-		if err != nil {
-			return n, off, err
-		}
-		switch rec.op {
-		case opPut:
-			data[rec.key] = rec.value
-		case opDelete:
-			delete(data, rec.key)
-		}
-		n++
-		off += sz
-	}
-	return n, off, nil
 }

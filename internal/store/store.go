@@ -13,6 +13,12 @@
 // Compact rewrites the live set into a snapshot with an atomic rename,
 // bounding log growth across many checkpoint/restart cycles.
 //
+// Every WAL record the store writes is an entry of a stream: the Local
+// stream, which Put and Delete append to, or a stream another store
+// authored, whose frames Apply writes at the seq they carry. A cluster
+// node ships and relays streams straight from its WAL (Entries), so the
+// WAL is the one durable log a node writes.
+//
 // Every disk mutation flows through a vfs.FS seam (OpenFS), so the
 // fsync/rename/truncate ordering is exercised under injected failures —
 // short writes, ENOSPC, failed fsyncs, crash points — by the errfs of
@@ -40,16 +46,24 @@ import (
 const (
 	opPut    = byte(1)
 	opDelete = byte(2)
+	// opEntry records entry seq of a stream: its key is the stream, its
+	// value the u64 seq followed by the entry's put or delete frame. In a
+	// snapshot the frame is absent: the record keeps the stream's last
+	// seq across the Compact that wrote it.
+	opEntry = byte(3)
 )
 
+// Local is the stream the store's own Put and Delete append to.
+const Local = ""
+
 // Exported frame operation codes — the replication layer ships the
-// store's CRC-framed WAL records verbatim between cluster nodes.
+// frames of the store's WAL entries verbatim between cluster nodes.
 const (
 	FramePut    = opPut
 	FrameDelete = opDelete
 )
 
-// Frame is one WAL record in exported form: the unit of replication.
+// Frame is one put or delete in exported form: the unit of replication.
 // EncodeFrame/DecodeFrame use the exact on-disk framing (u32 CRC over
 // the body), so a shipped frame is validated by the same checksum logic
 // Fsck applies to the local log.
@@ -63,7 +77,8 @@ type Frame struct {
 func EncodeFrame(f Frame) []byte { return encodeRecord(f.Op, f.Key, f.Value) }
 
 // DecodeFrame decodes and CRC-validates one frame from the head of buf,
-// returning the frame and its encoded length. io.ErrUnexpectedEOF means
+// returning the frame, whose Value shares buf's bytes, and its encoded
+// length. io.ErrUnexpectedEOF means
 // a torn frame; a checksum error means corruption.
 func DecodeFrame(buf []byte) (Frame, int, error) {
 	rec, n, err := decodeRecord(buf)
@@ -79,23 +94,21 @@ var ErrClosed = errors.New("store: closed")
 // Store is a durable string-keyed record store. All methods are safe for
 // concurrent use.
 type Store struct {
-	mu     sync.Mutex
-	dir    string
-	fs     vfs.FS
-	wal    vfs.File
-	walLen int64 // bytes of whole, durable records in the WAL
-	tmpSeq uint64
-	data   map[string][]byte
-	closed bool
+	mu      sync.Mutex
+	dir     string
+	fs      vfs.FS
+	wal     vfs.File
+	walLen  int64 // bytes of whole, durable records in the WAL
+	tmpSeq  uint64
+	data    map[string][]byte
+	streams map[string]*stream
+	closed  bool
 	// Sync controls whether every Put fsyncs the log (durable against
 	// power loss) or leaves flushing to the OS (durable against process
 	// crashes only, much faster). Defaults to false, as predict-bench
 	// re-runs cheaply relative to fsync-per-record at scale; predictd
 	// turns it on so acknowledged fit jobs survive power loss.
 	Sync bool
-	// mirror, when set, observes every locally-authored durable
-	// mutation (see SetMirror).
-	mirror func(Frame) error
 	// Inject scripts crashes at the store's durability boundaries
 	// (tests only). A crash-kind rule at OpPutBefore aborts before the
 	// WAL append (the record is lost, as a real crash there would lose
@@ -106,6 +119,18 @@ type Store struct {
 	// the "process" died. Finer-grained filesystem faults are injected
 	// below the seam by opening with OpenFS over a faultinject.ErrFS.
 	Inject *faultinject.Plan
+}
+
+// stream is what the store holds of one stream: its last seq, and the
+// WAL span of each entry written since the last Compact.
+type stream struct {
+	seq   uint64
+	spans []span // entries seq-len(spans)+1 ... seq
+}
+
+type span struct {
+	off int64
+	n   int
 }
 
 // ErrCrashed marks operations aborted by an injected crash.
@@ -140,7 +165,7 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, fs: fsys, data: make(map[string][]byte)}
+	s := newStore(dir, fsys)
 
 	// stale temp snapshots are the signature of a crash (or failed
 	// write) before a compact rename; the real snapshot + WAL are still
@@ -156,7 +181,7 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, error) {
 
 	// snapshot first, then the log on top
 	if snap, err := fsys.ReadFile(s.snapshotPath()); err == nil {
-		if err := s.replay(snap, nil); err != nil {
+		if _, _, err := s.replay(snap); err != nil {
 			return nil, fmt.Errorf("store: corrupt snapshot: %w", err)
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -169,17 +194,14 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, error) {
 	} else if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	goodLen := 0
-	if err := s.replay(logBytes, &goodLen); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
+	_, goodLen, _ := s.replay(logBytes)
 	if goodLen < len(logBytes) {
 		// torn tail: truncate to the last whole record
 		if err := fsys.Truncate(s.walPath(), int64(goodLen)); err != nil {
 			return nil, fmt.Errorf("store: truncating torn log: %w", err)
 		}
 	}
-	wal, err := fsys.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := fsys.OpenFile(s.walPath(), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -188,36 +210,71 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, error) {
 	return s, nil
 }
 
+func newStore(dir string, fsys vfs.FS) *Store {
+	return &Store{dir: dir, fs: fsys, data: make(map[string][]byte), streams: make(map[string]*stream)}
+}
+
 func (s *Store) walPath() string      { return filepath.Join(s.dir, "wal.log") }
 func (s *Store) snapshotPath() string { return filepath.Join(s.dir, "snapshot.db") }
 
-// replay applies framed records from buf to the in-memory map. When
-// goodLen is non-nil, a torn/corrupt tail is tolerated and *goodLen
-// reports the length of the valid prefix; when nil, any corruption is an
-// error (snapshots are written atomically and must be whole).
-func (s *Store) replay(buf []byte, goodLen *int) error {
-	off := 0
-	for off < len(buf) {
-		rec, n, err := decodeRecord(buf[off:])
+// replay loads the records of buf into memory, in order, and returns
+// how many puts and deletes its whole prefix holds, the byte length of
+// that prefix, and the error that ended it (nil when all of buf is
+// whole). Only the WAL holds entry frames, so a span is always a WAL
+// offset; a snapshot's entries are bare positions.
+func (s *Store) replay(buf []byte) (n, good int, err error) {
+	for good < len(buf) {
+		rec, sz, err := decodeRecord(buf[good:])
 		if err != nil {
-			if goodLen != nil {
-				*goodLen = off
-				return nil
+			return n, good, err
+		}
+		f := Frame{Op: rec.op, Key: rec.key, Value: rec.value}
+		if rec.op == opEntry {
+			seq, ef, err := decodeEntry(rec.value)
+			if err != nil {
+				return n, good, err
 			}
-			return err
+			if ef.Op == 0 {
+				s.streams[rec.key] = &stream{seq: seq}
+				good += sz
+				continue
+			}
+			f = ef
+			s.advance(rec.key, seq, span{int64(good), sz})
 		}
-		switch rec.op {
-		case opPut:
-			s.data[rec.key] = rec.value
-		case opDelete:
-			delete(s.data, rec.key)
-		}
-		off += n
+		s.hold(f)
+		n++
+		good += sz
 	}
-	if goodLen != nil {
-		*goodLen = off
+	return n, good, nil
+}
+
+// hold applies one put or delete to the in-memory map, keeping a copy
+// of a put's value.
+func (s *Store) hold(f Frame) {
+	switch f.Op {
+	case opPut:
+		s.data[f.Key] = append([]byte(nil), f.Value...)
+	case opDelete:
+		delete(s.data, f.Key)
 	}
-	return nil
+}
+
+// advance records entry seq of stream at sp in the WAL. The WAL's order
+// is authoritative: after a crash between a Compact's rename and its WAL
+// truncate the WAL replays entries the snapshot already counts, and the
+// spans start over with them.
+func (s *Store) advance(name string, seq uint64, sp span) {
+	st := s.streams[name]
+	if st == nil {
+		st = &stream{}
+		s.streams[name] = st
+	}
+	if seq != st.seq+1 {
+		st.spans = st.spans[:0]
+	}
+	st.seq = seq
+	st.spans = append(st.spans, sp)
 }
 
 type record struct {
@@ -226,19 +283,62 @@ type record struct {
 	value []byte
 }
 
-// frame: u32 crc (of the rest), u8 op, u32 keyLen, u32 valLen, key, val
-func encodeRecord(op byte, key string, value []byte) []byte {
-	body := make([]byte, 0, 9+len(key)+len(value))
-	body = append(body, op)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(key)))
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(value)))
-	body = append(body, key...)
-	body = append(body, value...)
-	out := make([]byte, 0, 4+len(body))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return append(out, body...)
+// encodeRecord frames op, key and the concatenation of value as one
+// record: u32 crc (of the rest), u8 op, u32 keyLen, u32 valLen, key, val.
+func encodeRecord(op byte, key string, value ...[]byte) []byte {
+	n := 0
+	for _, v := range value {
+		n += len(v)
+	}
+	out := make([]byte, 4, 13+len(key)+n)
+	out = append(out, op)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(key)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(n))
+	out = append(out, key...)
+	for _, v := range value {
+		out = append(out, v...)
+	}
+	binary.LittleEndian.PutUint32(out, crc32.ChecksumIEEE(out[4:]))
+	return out
 }
 
+// encodeEntry frames frame as entry seq of stream; a nil frame is the
+// snapshot's record of the stream's position.
+func encodeEntry(stream string, seq uint64, frame []byte) []byte {
+	var pos [8]byte
+	binary.LittleEndian.PutUint64(pos[:], seq)
+	return encodeRecord(opEntry, stream, pos[:], frame)
+}
+
+// decodeEntry splits an entry record's value into its seq and frame (a
+// zero Frame for a bare position).
+func decodeEntry(value []byte) (uint64, Frame, error) {
+	if len(value) < 8 {
+		return 0, Frame{}, errors.New("store: short entry record")
+	}
+	seq := binary.LittleEndian.Uint64(value)
+	if len(value) == 8 {
+		return seq, Frame{}, nil
+	}
+	f, err := checkFrame(value[8:])
+	return seq, f, err
+}
+
+// checkFrame decodes a frame that must be exactly one whole put or
+// delete.
+func checkFrame(frame []byte) (Frame, error) {
+	f, n, err := DecodeFrame(frame)
+	if err == nil && n != len(frame) {
+		err = fmt.Errorf("%d trailing bytes", len(frame)-n)
+	}
+	if err == nil && f.Op != opPut && f.Op != opDelete {
+		err = fmt.Errorf("unknown frame op %d", f.Op)
+	}
+	return f, err
+}
+
+// decodeRecord decodes and CRC-checks the record at the head of buf;
+// its value shares buf's bytes.
 func decodeRecord(buf []byte) (record, int, error) {
 	if len(buf) < 13 {
 		return record{}, 0, io.ErrUnexpectedEOF
@@ -255,9 +355,7 @@ func decodeRecord(buf []byte) (record, int, error) {
 	if crc32.ChecksumIEEE(body) != crc {
 		return record{}, 0, errors.New("store: bad record checksum")
 	}
-	key := string(buf[13 : 13+keyLen])
-	value := append([]byte(nil), buf[13+keyLen:total]...)
-	return record{op: op, key: key, value: value}, total, nil
+	return record{op: op, key: string(buf[13 : 13+keyLen]), value: buf[13+keyLen : total]}, total, nil
 }
 
 // appendRecord writes one framed record to the WAL (fsyncing under
@@ -291,65 +389,121 @@ func (s *Store) healTail() {
 	}
 }
 
-// SetMirror installs the replication hook: every successful locally-
-// authored Put/Delete is handed to m as a Frame, under the store lock,
-// after the record is durable in the WAL and applied in memory. The
-// cluster layer uses it to append the mutation to the shippable
-// replication log. A mirror error is surfaced to the caller — the write
-// is locally durable but was not accepted for replication, so the
-// caller must treat the operation as failed and retry (the store's
-// callers are idempotent by design). Mutations applied via Apply (i.e.
-// frames shipped from a peer) never reach the mirror.
-func (s *Store) SetMirror(m func(Frame) error) {
-	s.mu.Lock()
-	s.mirror = m
-	s.mu.Unlock()
-}
-
-// Put durably stores value under key (last write wins).
+// Put durably stores value under key (last write wins) as the next
+// entry of the Local stream.
 func (s *Store) Put(key string, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.putLocked(key, value, s.mirror)
-}
-
-func (s *Store) putLocked(key string, value []byte, mirror func(Frame) error) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.fire(faultinject.OpPutBefore, key); err != nil {
-		return err
+	f := Frame{Op: opPut, Key: key, Value: value}
+	return s.writeLocked(Local, s.seqLocked(Local)+1, f, EncodeFrame(f))
+}
+
+// Apply writes frame, a put or delete as EncodeFrame frames it, as entry
+// seq of stream. An entry the store already holds is a no-op and a seq
+// past the next one is an error; a frame that fails its checksum is
+// rejected before anything is written. The entry is written even when
+// it changes nothing here, such as a delete of a key another stream
+// already removed, so that the stream this store relays has no hole.
+func (s *Store) Apply(stream string, seq uint64, frame []byte) error {
+	f, err := checkFrame(frame)
+	if err != nil {
+		return fmt.Errorf("store: stream %q seq %d: corrupt frame rejected (%v)", stream, seq, err)
 	}
-	if err := s.appendRecord(encodeRecord(opPut, key, value)); err != nil {
-		return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
 	}
-	if err := s.fire(faultinject.OpPutAfter, key); err != nil {
-		return err
+	last := s.seqLocked(stream)
+	if seq <= last {
+		return nil
 	}
-	s.data[key] = append([]byte(nil), value...)
-	if mirror != nil {
-		if err := mirror(Frame{Op: opPut, Key: key, Value: value}); err != nil {
-			return fmt.Errorf("store: mirror: %w", err)
+	if seq != last+1 {
+		return fmt.Errorf("store: stream %q: gap: got seq %d, want %d", stream, seq, last+1)
+	}
+	return s.writeLocked(stream, seq, f, frame)
+}
+
+// writeLocked appends f, framed as frame, to the WAL as entry seq of
+// stream and applies it in memory. A put passes the put-before and
+// put-after crash points on either side of the append. Call with s.mu
+// held.
+func (s *Store) writeLocked(stream string, seq uint64, f Frame, frame []byte) error {
+	if f.Op == opPut {
+		if err := s.fire(faultinject.OpPutBefore, f.Key); err != nil {
+			return err
 		}
 	}
+	off := s.walLen
+	rec := encodeEntry(stream, seq, frame)
+	if err := s.appendRecord(rec); err != nil {
+		return err
+	}
+	if f.Op == opPut {
+		if err := s.fire(faultinject.OpPutAfter, f.Key); err != nil {
+			return err
+		}
+	}
+	s.hold(f)
+	s.advance(stream, seq, span{off, len(rec)})
 	return nil
 }
 
-// Apply performs a replicated mutation: identical durability to
-// Put/Delete, but the mirror is not invoked, so frames applied from a
-// peer's shipped log are never re-authored into this node's own
-// replication log. Applying the same frame twice is idempotent.
-func (s *Store) Apply(f Frame) error {
+// LastSeq returns the seq of the Local stream's last entry (0 for none).
+func (s *Store) LastSeq() uint64 { return s.Seq(Local) }
+
+// Seq returns the seq of stream's last entry the store holds (0 for
+// none). It survives Close, Open and Compact.
+func (s *Store) Seq(stream string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch f.Op {
-	case opPut:
-		return s.putLocked(f.Key, f.Value, nil)
-	case opDelete:
-		return s.deleteLocked(f.Key, nil)
-	default:
-		return fmt.Errorf("store: apply: unknown frame op %d", f.Op)
+	return s.seqLocked(stream)
+}
+
+func (s *Store) seqLocked(stream string) uint64 {
+	if st := s.streams[stream]; st != nil {
+		return st.seq
 	}
+	return 0
+}
+
+// Entries returns the frames of up to max entries of stream, the first
+// being entry from, read back from the WAL. Entries a Compact folded
+// into the snapshot are gone: asking for one is an error.
+func (s *Store) Entries(stream string, from uint64, max int) ([][]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	st := s.streams[stream]
+	if st == nil || from > st.seq {
+		return nil, nil
+	}
+	first := st.seq - uint64(len(st.spans)) + 1
+	if from < first {
+		return nil, fmt.Errorf("store: stream %q: entries before %d were compacted", stream, first)
+	}
+	spans := st.spans[from-first:]
+	if len(spans) > max {
+		spans = spans[:max]
+	}
+	out := make([][]byte, 0, len(spans))
+	for _, sp := range spans {
+		buf := make([]byte, sp.n)
+		if _, err := s.wal.ReadAt(buf, sp.off); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		rec, _, err := decodeRecord(buf)
+		if err != nil {
+			return nil, fmt.Errorf("store: stream %q: %w", stream, err)
+		}
+		out = append(out, rec.value[8:])
+	}
+	return out, nil
 }
 
 // Get returns the value stored under key.
@@ -366,30 +520,19 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return append([]byte(nil), v...), true, nil
 }
 
-// Delete removes key; deleting a missing key is not an error.
+// Delete removes key as the next entry of the Local stream; deleting a
+// missing key is not an error and writes nothing.
 func (s *Store) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.deleteLocked(key, s.mirror)
-}
-
-func (s *Store) deleteLocked(key string, mirror func(Frame) error) error {
 	if s.closed {
 		return ErrClosed
 	}
 	if _, ok := s.data[key]; !ok {
 		return nil
 	}
-	if err := s.appendRecord(encodeRecord(opDelete, key, nil)); err != nil {
-		return err
-	}
-	delete(s.data, key)
-	if mirror != nil {
-		if err := mirror(Frame{Op: opDelete, Key: key}); err != nil {
-			return fmt.Errorf("store: mirror: %w", err)
-		}
-	}
-	return nil
+	f := Frame{Op: opDelete, Key: key}
+	return s.writeLocked(Local, s.seqLocked(Local)+1, f, EncodeFrame(f))
 }
 
 // Keys returns the stored keys with the given prefix, sorted — the
@@ -417,8 +560,9 @@ func (s *Store) Len() int {
 	return len(s.data)
 }
 
-// Compact writes the live set as a snapshot (atomic rename) and truncates
-// the log.
+// Compact writes the live set and each stream's last seq as a snapshot
+// (atomic rename) and truncates the log. The streams' seqs carry on from
+// where they were; their entries up to now can no longer be read.
 func (s *Store) Compact() (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -433,6 +577,14 @@ func (s *Store) Compact() (err error) {
 	var snap []byte
 	for _, k := range keys {
 		snap = append(snap, encodeRecord(opPut, k, s.data[k])...)
+	}
+	names := make([]string, 0, len(s.streams))
+	for name := range s.streams {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		snap = append(snap, encodeEntry(name, s.streams[name].seq, nil)...)
 	}
 	// write + fsync the temp snapshot before the rename, and fsync the
 	// directory after: without both, a power loss just after Compact can
@@ -485,6 +637,9 @@ func (s *Store) Compact() (err error) {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.walLen = 0
+	for _, st := range s.streams {
+		st.spans = nil
+	}
 	return nil
 }
 

@@ -38,9 +38,11 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// File is an open writable file handle.
+// File is an open file handle: the store appends to its WAL and reads
+// entries back from it with ReadAt.
 type File interface {
 	io.Writer
+	io.ReaderAt
 	// Sync flushes written data to stable storage.
 	Sync() error
 	// Close closes the handle.
