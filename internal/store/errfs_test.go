@@ -36,6 +36,11 @@ func TestWALAppendENOSPCRecovers(t *testing.T) {
 	if err := s.Put("c", []byte("third")); err != nil {
 		t.Fatalf("Put after ENOSPC = %v", err)
 	}
+	// the failed put took no seq, and the own stream reads back through
+	// the seam from the healed WAL
+	if got := readStream(t, s, Local, 1); len(got) != 2 || got[0].Key != "a" || got[1].Key != "c" {
+		t.Errorf("own stream after ENOSPC = %+v", got)
+	}
 	s.Close()
 
 	s2, err := Open(dir)

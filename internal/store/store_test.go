@@ -342,6 +342,11 @@ func TestCrashDuringCompact(t *testing.T) {
 			if s2.Len() != 19 {
 				t.Errorf("Len = %d, want 19", s2.Len())
 			}
+			// 21 entries either way: the seq survives, and the next put
+			// continues it
+			if err := s2.Put("after", nil); err != nil || s2.LastSeq() != 22 {
+				t.Errorf("put after recovery: seq %d, %v; want 22", s2.LastSeq(), err)
+			}
 			for i := 0; i < 20; i++ {
 				key := fmt.Sprintf("k%02d", i)
 				v, ok, _ := s2.Get(key)
