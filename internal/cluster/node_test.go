@@ -392,3 +392,49 @@ func TestNodeHoldsOneLog(t *testing.T) {
 		}
 	}
 }
+
+// TestBarrierIgnoresNonPeerAcks: a follower position counts toward the
+// fit barrier only when a configured peer states it, and never past what
+// the author holds. It is stated here in both wire forms a follower
+// could use: a POST to /v1/repl/ack and the follower's own stream fetch.
+func TestBarrierIgnoresNonPeerAcks(t *testing.T) {
+	nodes := startCluster(t, []string{"n1", "n2"}, func(name string, cfg *NodeConfig) {
+		cfg.AckTimeout = 200 * time.Millisecond
+	})
+	n1, n2 := nodes["n1"], nodes["n2"]
+	n2.srv.Close()
+	n2.n.Close()
+
+	claim := func(node string, seq uint64) {
+		body := fmt.Sprintf(`{"stream":"n1","node":%q,"seq":%d}`, node, seq)
+		if resp, err := http.Post(n1.srv.URL+"/v1/repl/ack", "application/json", strings.NewReader(body)); err == nil {
+			resp.Body.Close()
+		}
+		url := fmt.Sprintf("%s/v1/repl/stream?stream=n1&from=%d&node=%s", n1.srv.URL, seq, node)
+		if resp, err := http.Get(url); err == nil {
+			resp.Body.Close()
+		}
+	}
+	barrier := func(what string) {
+		t.Helper()
+		err := n1.n.Barrier(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "0/1 follower acks") {
+			t.Fatalf("%s: barrier = %v, want 0/1 follower acks", what, err)
+		}
+	}
+
+	if err := n1.st.Put("model/s/c/h0", []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	claim("ghost", 1<<62)
+	barrier("after a non-peer's claim")
+	if _, ok := n1.n.Status().Acks["ghost"]; ok {
+		t.Error("a non-peer's claim was recorded as an ack")
+	}
+
+	claim("n2", 1<<62)
+	if err := n1.st.Put("model/s/c/h1", []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	barrier("after a peer overstated its position")
+}
