@@ -24,7 +24,7 @@
 //	POST /v1/invalidate  predictors:invalidate-driven eviction
 //	GET  /healthz        liveness (503 while draining or replaying the journal)
 //	GET  /statz          counters and latency quantiles
-//	GET  /v1/repl/*      replication stream/ack/status/adopt (cluster mode)
+//	GET  /v1/repl/*      replication stream/status/adopt (cluster mode)
 //
 // On startup the daemon replays the durable fit-job journal in the
 // background: interrupted jobs are re-enqueued, and /healthz answers 503
@@ -275,8 +275,9 @@ func run(rc runConfig, cfg serve.Config) error {
 	// traffic without the daemon delaying its bind
 	go func() {
 		if node != nil {
-			// sync from reachable peers first: jobs a failover adopter
-			// already finished replay as replicated state, not as re-runs
+			// let every fetch loop drain once first: jobs a failover
+			// adopter already finished replay as replicated state, not as
+			// re-runs
 			cctx, cancel := context.WithTimeout(ctx, time.Minute)
 			node.CatchUp(cctx)
 			cancel()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -32,7 +33,8 @@ type NodeConfig struct {
 	MinAcks int
 	// AckTimeout bounds the fit ack barrier (default 5s).
 	AckTimeout time.Duration
-	// PollInterval paces the replication fetch loops (default 100ms).
+	// PollInterval is how long a fetch loop sleeps after a round that
+	// applied nothing (default 100ms).
 	PollInterval time.Duration
 	// RequestTimeout bounds one replication HTTP call (default 5s).
 	RequestTimeout time.Duration
@@ -47,12 +49,7 @@ func (c *NodeConfig) defaults() {
 	if c.MinAcks == 0 && len(c.Peers) > 0 {
 		c.MinAcks = 1
 	}
-	if c.MinAcks < 0 {
-		c.MinAcks = 0
-	}
-	if c.MinAcks > len(c.Peers) {
-		c.MinAcks = len(c.Peers)
-	}
+	c.MinAcks = min(max(c.MinAcks, 0), len(c.Peers))
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 5 * time.Second
 	}
@@ -75,6 +72,8 @@ func (c *NodeConfig) defaults() {
 type Node struct {
 	cfg NodeConfig
 	log *store.Store
+
+	drained sync.WaitGroup // each fetch loop is Done after its first idle round
 
 	mu          sync.Mutex
 	srv         *serve.Server
@@ -118,36 +117,25 @@ func (n *Node) AttachServer(srv *serve.Server) {
 
 // Start launches the replication fetch loops (one per peer stream).
 func (n *Node) Start(ctx context.Context) {
+	n.drained.Add(len(n.cfg.Peers))
 	for peer := range n.cfg.Peers {
 		n.wg.Add(1)
 		go n.fetchLoop(ctx, peer)
 	}
 }
 
-// CatchUp performs a best-effort initial sync: fetch rounds across every
-// peer stream until none makes progress (or ctx expires). A node
-// restarting after a crash runs this before replaying its fit journal,
-// so jobs an adopter already finished — and the models it published —
-// arrive as replicated state instead of being re-run from stale records.
+// CatchUp waits, after Start, until every peer stream's fetch loop has
+// drained once — run a round that applied nothing, because it is caught
+// up or no source answered — or ctx ends. A node restarting after a
+// crash runs this before replaying its fit journal, so jobs an adopter
+// already finished — and the models it published — arrive as replicated
+// state instead of being re-run from stale records.
 func (n *Node) CatchUp(ctx context.Context) {
-	position := func() uint64 {
-		var sum uint64
-		for peer := range n.cfg.Peers {
-			sum += n.log.Seq(peer)
-		}
-		return sum
-	}
-	for {
-		before := position()
-		for peer := range n.cfg.Peers {
-			if ctx.Err() != nil {
-				return
-			}
-			n.fetchOnce(ctx, peer)
-		}
-		if position() == before || ctx.Err() != nil {
-			return
-		}
+	done := make(chan struct{})
+	go func() { n.drained.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-ctx.Done():
 	}
 }
 
@@ -159,11 +147,12 @@ func (n *Node) Close() {
 }
 
 // applyFrame validates one shipped entry and writes it to the store as
-// entry e.Seq of stream, then absorbs it into the serving caches. The
+// entry e.Seq of stream, then absorbs it into the serving caches of an
+// attached server. The
 // frame and the position it moves the node to are one WAL record, so a
 // crash leaves the entry either wholly applied or not at all; an entry
 // the store already holds is skipped.
-func (n *Node) applyFrame(stream string, e Entry, absorb bool) error {
+func (n *Node) applyFrame(stream string, e Entry) error {
 	if d := n.cfg.Inject.Fire(faultinject.OpReplApply, -1, fmt.Sprintf("%s/%d", stream, e.Seq)); d.Err != nil {
 		return d.Err
 	} else if d.Delay > 0 {
@@ -194,38 +183,44 @@ func (n *Node) applyFrame(stream string, e Entry, absorb bool) error {
 	if err := n.log.Apply(stream, e.Seq, e.Frame); err != nil {
 		return err
 	}
-	if absorb {
-		n.mu.Lock()
-		srv := n.srv
-		n.mu.Unlock()
-		if srv != nil {
-			srv.Absorb(f)
-		}
+	n.mu.Lock()
+	srv := n.srv
+	n.mu.Unlock()
+	if srv != nil {
+		srv.Absorb(f)
 	}
 	return nil
 }
 
 // fetchLoop pulls one peer's stream: from the peer itself when it is
 // up, else from any other peer relaying that stream from its WAL — the
-// catch-up path a restarted or partitioned node heals through.
+// catch-up path a restarted or partitioned node heals through. A round
+// that applied entries is followed at once by the next fetch, which is
+// also the ack of what it applied; only a round that applied nothing
+// sleeps PollInterval, and the first such round counts as drained.
 func (n *Node) fetchLoop(ctx context.Context, stream string) {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.cfg.PollInterval)
-	defer ticker.Stop()
+	drained := sync.OnceFunc(n.drained.Done)
+	defer drained()
 	for {
-		n.fetchOnce(ctx, stream)
+		pause := time.Duration(0)
+		if n.fetchOnce(ctx, stream) == 0 {
+			drained()
+			pause = n.cfg.PollInterval
+		}
 		select {
 		case <-ctx.Done():
 			return
 		case <-n.stop:
 			return
-		case <-ticker.C:
+		case <-time.After(pause):
 		}
 	}
 }
 
-// fetchOnce tries one fetch+apply+ack round for a stream.
-func (n *Node) fetchOnce(ctx context.Context, stream string) {
+// fetchOnce runs one fetch+apply round for a stream and returns how many
+// entries it applied.
+func (n *Node) fetchOnce(ctx context.Context, stream string) int {
 	from := n.log.Seq(stream) + 1
 
 	// author first, then relays
@@ -240,47 +235,32 @@ func (n *Node) fetchOnce(ctx context.Context, stream string) {
 		if err != nil {
 			continue
 		}
-		progressed := false
-		for _, e := range ents {
-			if err := n.applyFrame(stream, e, true); err != nil {
+		for i, e := range ents {
+			if err := n.applyFrame(stream, e); err != nil {
 				n.mu.Lock()
 				n.applyErrors++
 				n.lastErr = err.Error()
 				n.mu.Unlock()
-				return
+				return i
 			}
-			progressed = true
 		}
-		if progressed || len(ents) == 0 {
-			// ack our durable position to the author so its fit barrier
-			// can release; best-effort (re-sent every round)
-			n.sendAck(ctx, stream)
-		}
-		return
+		return len(ents)
 	}
+	return 0
 }
 
-// fetchEntries GETs entries of stream from the src peer.
+// fetchEntries GETs entries of stream from the src peer. The request
+// names this node, so a fetch from the stream's author is also this
+// node's ack of entries from-1 and before: they are durable here.
 func (n *Node) fetchEntries(ctx context.Context, src, stream string, from uint64) ([]Entry, error) {
 	base, ok := n.cfg.Peers[src]
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown peer %s", src)
 	}
-	url := fmt.Sprintf("%s/v1/repl/stream?stream=%s&from=%d&max=256", base, stream, from)
+	url := fmt.Sprintf("%s/v1/repl/stream?stream=%s&from=%d&max=256&node=%s", base, stream, from, n.cfg.Name)
 	var out []Entry
 	err := call(ctx, n.cfg.Client, n.cfg.RequestTimeout, http.MethodGet, url, nil, &out)
 	return out, err
-}
-
-// sendAck posts our applied position on stream to its author.
-func (n *Node) sendAck(ctx context.Context, stream string) {
-	base, ok := n.cfg.Peers[stream]
-	if !ok {
-		return
-	}
-	seq := n.log.Seq(stream)
-	call(ctx, n.cfg.Client, n.cfg.RequestTimeout, http.MethodPost, base+"/v1/repl/ack",
-		ackRequest{Stream: stream, Node: n.cfg.Name, Seq: seq}, nil)
 }
 
 // Barrier blocks until MinAcks followers have durably applied
@@ -325,12 +305,6 @@ type Entry struct {
 	Frame []byte `json:"frame"` // store CRC-framed record (base64 in JSON)
 }
 
-type ackRequest struct {
-	Stream string `json:"stream"`
-	Node   string `json:"node"`
-	Seq    uint64 `json:"seq"`
-}
-
 type adoptRequest struct {
 	Node string `json:"node"`
 }
@@ -354,7 +328,7 @@ func (n *Node) Status() StatusResponse {
 		Node:        n.cfg.Name,
 		LastSeq:     n.log.LastSeq(),
 		Applied:     map[string]uint64{},
-		Acks:        map[string]uint64{},
+		Acks:        maps.Clone(n.acks),
 		Divergence:  n.divergence,
 		ApplyErrors: n.applyErrors,
 		LastError:   n.lastErr,
@@ -362,86 +336,73 @@ func (n *Node) Status() StatusResponse {
 	for peer := range n.cfg.Peers {
 		st.Applied[peer] = n.log.Seq(peer)
 	}
-	for k, v := range n.acks {
-		st.Acks[k] = v
-	}
 	return st
 }
 
 // Register mounts the replication API onto mux.
 func (n *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/repl/stream", n.handleStream)
-	mux.HandleFunc("/v1/repl/ack", n.handleAck)
 	mux.HandleFunc("/v1/repl/status", n.handleStatus)
 	mux.HandleFunc("/v1/repl/adopt", n.handleAdopt)
 }
 
 func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	from, _ := strconv.ParseUint(q.Get("from"), 10, 64)
+	from = max(from, 1)
 	stream := q.Get("stream")
 	local := stream // the store's name for the stream
 	if stream == n.cfg.Name {
 		local = store.Local
+		n.ack(q.Get("node"), from-1)
 	} else if _, ok := n.cfg.Peers[stream]; !ok {
 		writeError(w, http.StatusNotFound, "unknown stream %q", stream)
 		return
 	}
-	from, _ := strconv.ParseUint(q.Get("from"), 10, 64)
-	if from < 1 {
-		from = 1
+	limit, _ := strconv.Atoi(q.Get("max"))
+	if limit <= 0 || limit > 1024 {
+		limit = 256
 	}
-	max, _ := strconv.Atoi(q.Get("max"))
-	if max <= 0 || max > 1024 {
-		max = 256
-	}
-	frames, err := n.log.Entries(local, from, max)
+	frames, err := n.log.Entries(local, from, limit)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	ents := make([]Entry, len(frames))
+	ents := make([]Entry, 0, len(frames))
 	for i, f := range frames {
-		ents[i] = Entry{Seq: from + uint64(i), Frame: f}
-	}
-	// every served frame is a replication-ship fault point: seeded crash
-	// rules here are "owner dies mid-stream at frame N"
-	for i, e := range ents {
-		if d := n.cfg.Inject.Fire(faultinject.OpReplShip, -1, fmt.Sprintf("%s/%d", stream, e.Seq)); d.Err != nil {
-			if i == 0 {
-				writeError(w, http.StatusInternalServerError, "ship fault")
-				return
-			}
-			ents = ents[:i] // ship what precedes the fault
+		// every served frame is a replication-ship fault point: seeded
+		// crash rules here are "owner dies mid-stream at frame N"; what
+		// precedes the fault is shipped
+		seq := from + uint64(i)
+		if d := n.cfg.Inject.Fire(faultinject.OpReplShip, -1, fmt.Sprintf("%s/%d", stream, seq)); d.Err != nil {
 			break
 		}
+		ents = append(ents, Entry{Seq: seq, Frame: f})
+	}
+	if len(frames) > 0 && len(ents) == 0 {
+		writeError(w, http.StatusInternalServerError, "ship fault")
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(ents)
 }
 
-func (n *Node) handleAck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+// ack records that follower holds our stream up to seq: its fetch from
+// seq+1 says so. Only a configured peer counts, and never past what this
+// node has written, so outside input can neither grow acks nor release
+// a Barrier.
+func (n *Node) ack(follower string, seq uint64) {
+	if _, ok := n.cfg.Peers[follower]; !ok {
 		return
 	}
-	var req ackRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad ack body")
-		return
-	}
-	if req.Stream != n.cfg.Name {
-		// an ack for a stream we merely relay is not ours to track
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
+	seq = min(seq, n.log.LastSeq())
 	n.mu.Lock()
-	if req.Seq > n.acks[req.Node] {
-		n.acks[req.Node] = req.Seq
+	defer n.mu.Unlock()
+	if seq > n.acks[follower] {
 		close(n.ackCh)
 		n.ackCh = make(chan struct{})
 	}
-	n.mu.Unlock()
-	w.WriteHeader(http.StatusNoContent)
+	n.acks[follower] = seq
 }
 
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -314,7 +314,7 @@ func TestApplyRejectsCorruptShippedFrame(t *testing.T) {
 
 	bad := store.EncodeFrame(store.Frame{Op: store.FramePut, Key: "model/s/c/h", Value: []byte("m")})
 	bad[len(bad)-1] ^= 0x08
-	err = n.applyFrame("n1", Entry{Seq: 1, Frame: bad}, false)
+	err = n.applyFrame("n1", Entry{Seq: 1, Frame: bad})
 	if err == nil || !strings.Contains(err.Error(), "corrupt frame rejected") {
 		t.Fatalf("corrupt shipped frame applied: %v", err)
 	}
