@@ -61,52 +61,14 @@ func (s *Server) Absorb(f store.Frame) {
 }
 
 // Adopt takes over the journaled fit jobs of a dead peer: each of the
-// peer's records is re-authored under this node (the original job IDs
-// are preserved — they are what clients poll) and jobs the peer's death
-// interrupted are re-enqueued to run here. Fit execution's
-// publish-once-per-opthash adoption makes the re-run idempotent even
-// when the dead node's model publish survived it. Returns how many jobs
-// were adopted.
+// peer's records is re-authored under this node and jobs the peer's
+// death interrupted are re-enqueued to run here, carrying its 202
+// promise. Fit execution's publish-once-per-opthash adoption makes the
+// re-run idempotent even when the dead node's model publish survived
+// it. Returns how many jobs were adopted.
 func (s *Server) Adopt(ctx context.Context, node string) (int, error) {
 	if node == "" || node == s.cfg.NodeName {
 		return 0, nil
 	}
-	recs, err := s.journal.load()
-	if err != nil {
-		s.stats.journalError()
-		return 0, err
-	}
-	var adopted, pending []*FitJob
-	s.jobMu.Lock()
-	for i := range recs {
-		rec := &recs[i]
-		if rec.Node != node {
-			continue
-		}
-		if _, ok := s.jobs[rec.ID]; ok {
-			continue // already adopted
-		}
-		job, interrupted := jobFromRecord(*rec, s.cfg.NodeName)
-		if n := jobSeqOf(rec.ID); n > s.jobSeq && s.cfg.NodeName == "" {
-			s.jobSeq = n
-		}
-		s.jobs[rec.ID] = job
-		if _, taken := s.jobByKey[rec.Key]; !taken {
-			// an identical local job (same opthash) keeps the key; the
-			// adopted one still completes via publish-once adoption
-			s.jobByKey[rec.Key] = rec.ID
-		}
-		adopted = append(adopted, job)
-		if interrupted {
-			pending = append(pending, job)
-		}
-	}
-	s.jobMu.Unlock()
-	for _, job := range adopted {
-		// re-author the record: this node's future restarts must recover
-		// the job as their own
-		s.journalJob(job)
-	}
-	// adopted jobs carry the dead node's 202 promise
-	return len(adopted), s.enqueueAcked(ctx, pending)
+	return s.claim(ctx, node)
 }

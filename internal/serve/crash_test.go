@@ -81,8 +81,10 @@ type cycleResult struct {
 	violations []string
 }
 
-// runCrashCycle is one fit → crash → restart → verify loop.
-func runCrashCycle(t *testing.T, seed uint64, planText string, disableJournal bool) cycleResult {
+// runCrashCycle is one fit → crash → restart → verify loop. With
+// loseJournal, every fit-job record is deleted from the frozen state
+// before the restart, as a node that never journaled would leave it.
+func runCrashCycle(t *testing.T, seed uint64, planText string, loseJournal bool) cycleResult {
 	t.Helper()
 	var res cycleResult
 	violate := func(format string, args ...any) {
@@ -102,7 +104,7 @@ func runCrashCycle(t *testing.T, seed uint64, planText string, disableJournal bo
 	}
 	st.Sync = true   // fsync per record, so fs-sync fault points fire
 	st.Inject = plan // store-level crash points share the same script
-	cfg := Config{Deadline: time.Minute, DisableJournal: disableJournal}
+	cfg := Config{Deadline: time.Minute}
 	s, err := New(st, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +138,9 @@ func runCrashCycle(t *testing.T, seed uint64, planText string, disableJournal bo
 		if frozen, err = efs.Freeze(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if loseJournal {
+		loseJobRecords(t, frozen)
 	}
 
 	// ---- phase 2: fsck, restart on the frozen state, verify
@@ -191,6 +196,25 @@ func runCrashCycle(t *testing.T, seed uint64, planText string, disableJournal bo
 		}
 	}
 	return res
+}
+
+// loseJobRecords deletes every fit-job record from the store at dir.
+func loseJobRecords(t *testing.T, dir string) {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	keys, err := st.Keys(jobPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := st.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestKillRestart sweeps every cataloged crash point with the journal
@@ -320,9 +344,10 @@ func TestCrashDuringCompactRename(t *testing.T) {
 }
 
 // TestCrashHarnessCatchesJournalLoss is the harness's negative control:
-// with journaling disabled, a crash after the fit ack demonstrably loses
-// the acknowledged job — proving the journal (not luck) carries the
-// invariant, and that the harness can actually detect a violation.
+// with the journal lost between the crash and the restart, a crash after
+// the fit ack demonstrably loses the acknowledged job — proving the
+// journal (not luck) carries the invariant, and that the harness can
+// actually detect a violation.
 func TestCrashHarnessCatchesJournalLoss(t *testing.T) {
 	res := runCrashCycle(t, 1, "put-before crash key=model/ count=1", true)
 	if !res.crashed {

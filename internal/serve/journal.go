@@ -58,8 +58,7 @@ type jobRecord struct {
 	FinishedAtUnix int64      `json:"finished_at_unix,omitempty"`
 }
 
-// journal persists fit jobs through the store's WAL. A nil *journal
-// (journaling disabled) is inert.
+// journal persists fit jobs through the store's WAL.
 type journal struct {
 	st *store.Store
 }
@@ -67,9 +66,6 @@ type journal struct {
 // put journals the record under its job key (last write wins, so one
 // record tracks a job through its state machine).
 func (j *journal) put(rec jobRecord) error {
-	if j == nil {
-		return nil
-	}
 	raw, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -79,9 +75,6 @@ func (j *journal) put(rec jobRecord) error {
 
 // remove deletes a job's journal record (evicted or never acknowledged).
 func (j *journal) remove(key string) error {
-	if j == nil {
-		return nil
-	}
 	return j.st.Delete(key)
 }
 
@@ -89,9 +82,6 @@ func (j *journal) remove(key string) error {
 // fail to decode are dropped (and deleted best-effort) rather than
 // wedging startup — the journal is a recovery aid, not primary data.
 func (j *journal) load() ([]jobRecord, error) {
-	if j == nil {
-		return nil, nil
-	}
 	keys, err := j.st.Keys(jobPrefix)
 	if err != nil {
 		return nil, err

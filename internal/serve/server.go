@@ -51,11 +51,6 @@ type Config struct {
 	// JobRetain caps how many finished fit jobs are retained regardless
 	// of age (default 256).
 	JobRetain int
-	// DisableJournal keeps fit jobs in memory only — acknowledged jobs
-	// die with the process. Used by tests (and the crash harness's
-	// negative control, which proves the journal is what carries the
-	// no-lost-job invariant).
-	DisableJournal bool
 	// NodeName identifies this predictd in a replicated cluster. It is
 	// stamped into fit-job IDs ("job-<node>-N") and journal records, so
 	// recovery replays only this node's jobs: a peer's records arrive
@@ -232,6 +227,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		pool:     newWorkerPool(cfg.Workers, cfg.QueueDepth),
 		fitPool:  newWorkerPool(cfg.FitWorkers, cfg.FitQueueDepth),
 		stats:    newCounters(),
+		journal:  &journal{st: st},
 		jobs:     map[string]*FitJob{},
 		jobByKey: map[string]string{},
 	}
@@ -240,9 +236,6 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		SpillDir:      cfg.DataSpillDir,
 	}); err != nil {
 		return nil, err
-	}
-	if !cfg.DisableJournal {
-		s.journal = &journal{st: st}
 	}
 	s.replaying.Store(true)
 	return s, nil
@@ -264,38 +257,53 @@ func (s *Server) now() time.Time {
 // Recover returns, /healthz and fit submission report 503.
 func (s *Server) Recover(ctx context.Context) error {
 	defer s.replaying.Store(false)
+	if _, err := s.claim(ctx, s.cfg.NodeName); err != nil {
+		return err
+	}
+	s.sweepJobs()
+	return nil
+}
+
+// claim takes the journaled jobs of node as this node's and returns how
+// many it took. A job already held is skipped; the rest keep their IDs
+// (they are what clients poll), are re-journaled under this node when
+// node is another, and are re-enqueued when the crash or death of node
+// interrupted them. A record of any other node is not touched: it is
+// that node's job (or its adopter's) until Adopt claims it, and even
+// loading it for TTL sweeping would let this node delete a live peer's
+// journal entry through replication.
+func (s *Server) claim(ctx context.Context, node string) (int, error) {
 	recs, err := s.journal.load()
 	if err != nil {
 		s.stats.journalError()
-		return err
+		return 0, err
 	}
-	var pending []*FitJob
+	var claimed, pending []*FitJob
 	s.jobMu.Lock()
-	for i := range recs {
-		rec := &recs[i]
-		if rec.Node != s.cfg.NodeName {
-			// a replicated peer's record: it is that node's job (or its
-			// adopter's) until Adopt re-authors it. Touching it here —
-			// even loading it for TTL sweeping — would let this node
-			// delete a live peer's journal entry through replication.
+	for _, rec := range recs {
+		if _, held := s.jobs[rec.ID]; held || rec.Node != node {
 			continue
 		}
-		job, interrupted := jobFromRecord(*rec, s.cfg.NodeName)
-		if n := jobSeqOf(rec.ID); n > s.jobSeq {
-			s.jobSeq = n
-		}
+		job, interrupted := jobFromRecord(rec, s.cfg.NodeName)
+		s.jobSeq = max(s.jobSeq, jobSeqOf(rec.ID))
 		s.jobs[rec.ID] = job
-		s.jobByKey[rec.Key] = rec.ID
+		if _, taken := s.jobByKey[rec.Key]; !taken {
+			// an identical local job (same opthash) keeps the key; an
+			// adopted one still completes via publish-once adoption
+			s.jobByKey[rec.Key] = rec.ID
+		}
+		claimed = append(claimed, job)
 		if interrupted {
 			pending = append(pending, job)
 		}
 	}
 	s.jobMu.Unlock()
-	if err := s.enqueueAcked(ctx, pending); err != nil {
-		return err
+	if node != s.cfg.NodeName {
+		for _, job := range claimed {
+			s.journalJob(job)
+		}
 	}
-	s.sweepJobs()
-	return nil
+	return len(claimed), s.enqueueAcked(ctx, pending)
 }
 
 // enqueueAcked enqueues jobs a 202 already promised — replayed from the
@@ -632,9 +640,6 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) int {
 // journalJob persists the job's current state, counting (but not
 // propagating policy on) journal write failures.
 func (s *Server) journalJob(job *FitJob) error {
-	if s.journal == nil {
-		return nil
-	}
 	if err := s.journal.put(job.record()); err != nil {
 		s.stats.journalError()
 		return err
