@@ -1,10 +1,7 @@
 package store
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/vfs"
@@ -68,57 +65,13 @@ func Fsck(dir string, repair bool) (Report, error) {
 // FsckFS validates the on-disk state of a store without opening it:
 // record CRCs in the snapshot and WAL, a torn WAL tail, and stale temp
 // snapshots. With repair it truncates the torn tail and removes the
-// temps — exactly what Open would do — so a store that "reopens clean
-// or repaired" is mechanically checkable. It refuses to repair a
-// corrupt snapshot (corruption anywhere but the WAL tail is data loss,
-// not a crash signature) and returns an error instead.
+// temps — exactly what Open does, through the same routine — so a store
+// that "reopens clean or repaired" is mechanically checkable. It refuses
+// to repair a corrupt snapshot and returns an error instead.
 func FsckFS(dir string, fsys vfs.FS, repair bool) (Report, error) {
-	var rep Report
-	s := newStore(dir, fsys)
-
-	if names, err := fsys.ReadDir(dir); err == nil {
-		for _, name := range names {
-			if strings.HasSuffix(name, ".tmp") {
-				rep.StaleTemps = append(rep.StaleTemps, name)
-			}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return rep, fmt.Errorf("storecheck: %w", err)
+	rep, err := newStore(dir, fsys).recover(repair)
+	if err != nil {
+		err = fmt.Errorf("storecheck: %w", err)
 	}
-
-	if snap, err := fsys.ReadFile(s.snapshotPath()); err == nil {
-		n, good, err := s.replay(snap)
-		rep.SnapshotRecords = n
-		if err != nil || good < len(snap) {
-			return rep, fmt.Errorf("storecheck: corrupt snapshot (%d/%d bytes valid): refusing to repair", good, len(snap))
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return rep, fmt.Errorf("storecheck: %w", err)
-	}
-
-	wal, err := fsys.ReadFile(s.walPath())
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return rep, fmt.Errorf("storecheck: %w", err)
-	}
-	n, good, _ := s.replay(wal)
-	rep.WALRecords = n
-	rep.TornBytes = len(wal) - good
-	rep.Live = len(s.data)
-
-	if !repair {
-		return rep, nil
-	}
-	if rep.TornBytes > 0 {
-		if err := fsys.Truncate(s.walPath(), int64(good)); err != nil {
-			return rep, fmt.Errorf("storecheck: truncating torn tail: %w", err)
-		}
-		rep.TornTruncated = true
-	}
-	for _, tmp := range rep.StaleTemps {
-		if err := fsys.Remove(filepath.Join(dir, tmp)); err != nil {
-			return rep, fmt.Errorf("storecheck: removing %s: %w", tmp, err)
-		}
-	}
-	rep.TempsRemoved = len(rep.StaleTemps) > 0
-	return rep, nil
+	return rep, err
 }

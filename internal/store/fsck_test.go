@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -123,5 +124,100 @@ func TestFsckMissingDir(t *testing.T) {
 	}
 	if !rep.Clean() || rep.Live != 0 {
 		t.Errorf("absent store report = %+v", rep)
+	}
+}
+
+// TestOpenDoesWhatFsckRepairs: Open recovers a directory exactly as
+// Fsck with repair does. Over a clean store, a torn WAL tail, a stale
+// temp snapshot and a corrupt snapshot, Open succeeds exactly when the
+// repair does, both leave byte-identical directories, and both hold the
+// same live keys.
+func TestOpenDoesWhatFsckRepairs(t *testing.T) {
+	clean := func(t *testing.T, dir string) {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Put("a", []byte("1"))
+		s.Put("b", []byte("2"))
+		s.Compact()
+		s.Put("c", []byte("3"))
+		s.Delete("a")
+		s.Close()
+	}
+	cases := map[string]func(t *testing.T, dir string){
+		"clean": clean,
+		"torn tail": func(t *testing.T, dir string) {
+			clean(t, dir)
+			f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write([]byte{0x01, 0x02, 0x03})
+			f.Close()
+		},
+		"stale temp": func(t *testing.T, dir string) {
+			clean(t, dir)
+			os.WriteFile(filepath.Join(dir, "snapshot.db.3.tmp"), []byte("half a snapshot"), 0o644)
+		},
+		"corrupt snapshot": func(t *testing.T, dir string) {
+			// with a stale temp too: a refused store is left as found
+			clean(t, dir)
+			os.WriteFile(filepath.Join(dir, "snapshot.db.3.tmp"), []byte("half a snapshot"), 0o644)
+			snap := filepath.Join(dir, "snapshot.db")
+			raw, _ := os.ReadFile(snap)
+			raw[6] ^= 0xFF
+			os.WriteFile(snap, raw, 0o644)
+		},
+	}
+	files := func(t *testing.T, dir string) map[string]string {
+		names, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range names {
+			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(raw)
+		}
+		return out
+	}
+	keys := func(t *testing.T, dir string) string {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ks, _ := s.Keys("")
+		return strings.Join(ks, ",")
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			opened, fscked := t.TempDir(), t.TempDir()
+			build(t, opened)
+			build(t, fscked)
+			s, openErr := Open(opened)
+			var openKeys []string
+			if openErr == nil {
+				openKeys, _ = s.Keys("")
+				s.Close()
+			}
+			rep, fsckErr := Fsck(fscked, true)
+			if (openErr == nil) != (fsckErr == nil) {
+				t.Fatalf("Open = %v but Fsck(repair) = %v", openErr, fsckErr)
+			}
+			if a, b := files(t, opened), files(t, fscked); !reflect.DeepEqual(a, b) {
+				t.Errorf("Open left %d files, Fsck %d; the directories differ", len(a), len(b))
+			}
+			if openErr != nil {
+				return
+			}
+			if got := keys(t, fscked); got != strings.Join(openKeys, ",") || rep.Live != len(openKeys) {
+				t.Errorf("Open holds keys %v; Fsck reports %d live, reopened %q", openKeys, rep.Live, got)
+			}
+		})
 	}
 }

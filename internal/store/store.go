@@ -158,56 +158,76 @@ func Open(dir string) (*Store, error) {
 }
 
 // OpenFS loads (or creates) a store rooted at dir, with all disk access
-// through fsys, replaying the snapshot and write-ahead log. A torn
-// record at the log tail — the signature of a crash mid-append — is
-// discarded and the log truncated to the last good record.
+// through fsys, recovering it as Fsck with repair would: a torn record
+// at the log tail — the signature of a crash mid-append — is discarded
+// and the log truncated to the last good record, and stale temp
+// snapshots are removed.
 func OpenFS(dir string, fsys vfs.FS) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := newStore(dir, fsys)
-
-	// stale temp snapshots are the signature of a crash (or failed
-	// write) before a compact rename; the real snapshot + WAL are still
-	// authoritative. Temp names are unique per attempt, so sweep by
-	// suffix rather than any fixed name.
-	if names, err := fsys.ReadDir(dir); err == nil {
-		for _, name := range names {
-			if strings.HasSuffix(name, ".tmp") {
-				fsys.Remove(filepath.Join(dir, name))
-			}
-		}
-	}
-
-	// snapshot first, then the log on top
-	if snap, err := fsys.ReadFile(s.snapshotPath()); err == nil {
-		if _, _, err := s.replay(snap); err != nil {
-			return nil, fmt.Errorf("store: corrupt snapshot: %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+	if _, err := s.recover(true); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
-	}
-
-	logBytes, err := fsys.ReadFile(s.walPath())
-	if errors.Is(err, os.ErrNotExist) {
-		logBytes = nil
-	} else if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	_, goodLen, _ := s.replay(logBytes)
-	if goodLen < len(logBytes) {
-		// torn tail: truncate to the last whole record
-		if err := fsys.Truncate(s.walPath(), int64(goodLen)); err != nil {
-			return nil, fmt.Errorf("store: truncating torn log: %w", err)
-		}
 	}
 	wal, err := fsys.OpenFile(s.walPath(), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.wal = wal
-	s.walLen = int64(goodLen)
 	return s, nil
+}
+
+// recover loads the store's snapshot, then its WAL on top, and reports
+// what it found. Stale temp snapshots are the signature of a crash (or
+// failed write) before a compact rename, a torn WAL tail that of a crash
+// mid-append; with repair the tail is truncated and the temps, whose
+// names are unique per attempt, are removed by suffix. A corrupt
+// snapshot is refused with or without repair: corruption anywhere but
+// the WAL tail is data loss, not a crash signature.
+func (s *Store) recover(repair bool) (Report, error) {
+	var rep Report
+	names, err := s.fs.ReadDir(s.dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return rep, err
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, ".tmp") {
+			rep.StaleTemps = append(rep.StaleTemps, name)
+		}
+	}
+	snap, err := s.fs.ReadFile(s.snapshotPath())
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return rep, err
+	}
+	n, good, err := s.replay(snap)
+	rep.SnapshotRecords = n
+	if err != nil {
+		return rep, fmt.Errorf("corrupt snapshot (%d/%d bytes valid): refusing to repair", good, len(snap))
+	}
+	wal, err := s.fs.ReadFile(s.walPath())
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return rep, err
+	}
+	n, good, _ = s.replay(wal)
+	rep.WALRecords, rep.TornBytes, rep.Live = n, len(wal)-good, len(s.data)
+	s.walLen = int64(good)
+	if !repair {
+		return rep, nil
+	}
+	if rep.TornBytes > 0 {
+		if err := s.fs.Truncate(s.walPath(), s.walLen); err != nil {
+			return rep, fmt.Errorf("truncating torn tail: %w", err)
+		}
+		rep.TornTruncated = true
+	}
+	for _, tmp := range rep.StaleTemps {
+		if err := s.fs.Remove(filepath.Join(s.dir, tmp)); err != nil {
+			return rep, fmt.Errorf("removing %s: %w", tmp, err)
+		}
+	}
+	rep.TempsRemoved = len(rep.StaleTemps) > 0
+	return rep, nil
 }
 
 func newStore(dir string, fsys vfs.FS) *Store {
