@@ -59,8 +59,9 @@ loc:
 # `make serve-check` to include them). predictors and serve then run
 # twice more under it (-count=2): their pool-dependent allocation tests
 # must hold (or skip) when a second pass finds the pools a first one
-# left. Last come the four multi-process harnesses, also under -race:
-# kill-restart recovery, the replicated cluster's kill tests,
+# left. cluster runs twice too: its barrier and catch-up timing ride on
+# the fetch loops, whose schedule -race stretches. Last come the four
+# multi-process harnesses, also under -race: kill-restart recovery, the replicated cluster's kill tests,
 # predict-bench's remote drill, and the seeded scenarios (SLOs and
 # prediction accounting under load; no performance number is gated here — the only
 # performance gate is bench-check, opt-in behind BENCH=1).
@@ -73,7 +74,7 @@ check: fmt-check docs-check serial-check
 	$(MAKE) examples-check
 	$(MAKE) benchmark-check
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=2 ./internal/predictors ./internal/serve
+	$(GO) test -race -short -count=2 ./internal/predictors ./internal/serve ./internal/cluster
 	$(MAKE) crash-check
 	$(MAKE) cluster-check
 	$(MAKE) remote-check
