@@ -147,11 +147,10 @@ func (n *Node) Close() {
 }
 
 // applyFrame validates one shipped entry and writes it to the store as
-// entry e.Seq of stream, then absorbs it into the serving caches of an
-// attached server. The
-// frame and the position it moves the node to are one WAL record, so a
-// crash leaves the entry either wholly applied or not at all; an entry
-// the store already holds is skipped.
+// entry e.Seq of stream, then absorbs it into the attached server's
+// caches. The frame and the position it moves the node to are one WAL
+// record, so a crash leaves the entry either wholly applied or not at
+// all; an entry the store already holds is skipped.
 func (n *Node) applyFrame(stream string, e Entry) error {
 	if d := n.cfg.Inject.Fire(faultinject.OpReplApply, -1, fmt.Sprintf("%s/%d", stream, e.Seq)); d.Err != nil {
 		return d.Err
