@@ -285,6 +285,7 @@ func (s *Server) claim(ctx context.Context, node string) (int, error) {
 			continue
 		}
 		job, interrupted := jobFromRecord(rec, s.cfg.NodeName)
+		// an adopted ID names its author, so passing it only skips numbers
 		s.jobSeq = max(s.jobSeq, jobSeqOf(rec.ID))
 		s.jobs[rec.ID] = job
 		if _, taken := s.jobByKey[rec.Key]; !taken {
