@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/dataset"
@@ -63,14 +61,6 @@ func (ob *Observation) Vector(keys []string) ([]float64, error) {
 		fv[i] = v
 	}
 	return fv, nil
-}
-
-// EncodeObservation renders the observation's record. gob carries every
-// float64 bit pattern, NaN and ±Inf included.
-func EncodeObservation(ob *Observation) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(ob)
-	return buf.Bytes(), err
 }
 
 // MetricUnion is the MetricSet a cell is planned over: no feature

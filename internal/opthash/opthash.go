@@ -93,10 +93,22 @@ func HashString(opts pressio.Options) string {
 // a benchmark task by (compressor config, dataset config, experiment
 // metadata, replicate) as §4.3 describes.
 func Combine(parts ...pressio.Options) string {
-	h := sha256.New()
-	for _, p := range parts {
-		sum := Hash(p)
-		h.Write(sum[:])
+	sums := make([][32]byte, len(parts))
+	for i, p := range parts {
+		sums[i] = Hash(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return CombineSums(sums...)
+}
+
+// CombineSums is Combine over parts already hashed: the hex SHA-256 of
+// their Hash sums in order. A caller whose keys share parts hashes each
+// part once.
+func CombineSums(sums ...[32]byte) string {
+	var stack [4 * 32]byte // a cell key's parts fit: no digest to allocate
+	buf := stack[:0]
+	for _, s := range sums {
+		buf = append(buf, s[:]...)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

@@ -84,6 +84,17 @@ func TestCombineOrderMatters(t *testing.T) {
 	}
 }
 
+func TestCombineSumsIsCombineOfHashes(t *testing.T) {
+	a := optsOf("k", int64(1))
+	b := optsOf("s", "x", "f", 0.5)
+	if got, want := CombineSums(Hash(a), Hash(b)), Combine(a, b); got != want {
+		t.Errorf("CombineSums(Hash(a), Hash(b)) = %s, Combine(a, b) = %s", got, want)
+	}
+	if CombineSums() != Combine() {
+		t.Error("CombineSums and Combine disagree on no parts")
+	}
+}
+
 func TestHashStableAcrossRuns(t *testing.T) {
 	// Golden value: guards the cross-execution stability guarantee the
 	// paper relies on for checkpoint indexing. If the encoding changes,
