@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check benchmark-check serve-check fuzz-batch crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check benchmark-check serve-check fuzz-batch fuzz-record crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -44,11 +44,14 @@ loc:
 # over LorenzoTerms — and FuzzCodeModelCount's in internal/predictors —
 # code runs of every span up to the bin budget and outlier share, the
 # code model's entropy and histogram equal to a dense window's and its
-# scratch left zero; to fuzz past the seeds:
+# scratch left zero — and FuzzReadObservation's in internal/core — this
+# build's checkpoint records cut at every length, the hand reader equal
+# to encoding/gob wherever it does not decline; to fuzz past the seeds:
 # go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman
 # go test -run '^$$' -fuzz FuzzFieldMatchesReference -fuzztime 1m ./internal/hurricane
 # go test -run '^$$' -fuzz FuzzCodesLorenzo -fuzztime 1m ./internal/compressor/sz3
-# go test -run '^$$' -fuzz FuzzCodeModelCount -fuzztime 1m ./internal/predictors),
+# go test -run '^$$' -fuzz FuzzCodeModelCount -fuzztime 1m ./internal/predictors
+# go test -run '^$$' -fuzz FuzzReadObservation -fuzztime 1m ./internal/core),
 # the examples and predict-bench's -table1 and -corpus modes run to
 # completion, the benchmark harness's self-test (benchmark-check), and
 # the complete test suite under the race detector. The race run stays
@@ -171,6 +174,17 @@ serve-check:
 # encoding/json's decode and the encoding/json-only handler's reply.
 fuzz-batch:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 30s ./internal/serve
+
+# fuzz-record runs FuzzReadObservation past its seed corpus (this build's
+# checkpoint records, odd floats, a negative step and nil maps, each cut
+# at every length): random bytes, bare and behind this build's type
+# definitions, through core.ObservationReader's hand path, which must
+# decline them or read what a fresh gob.Decoder reads (CI runs it as a
+# job of its own). It gates no speed; table2's p50_ms has an in-process
+# twin (one resume of a filled 52-cell store), with a profile:
+# go test -run '^$$' -bench CollectResume -cpuprofile /tmp/resume.prof ./internal/bench
+fuzz-record:
+	$(GO) test -run '^$$' -fuzz FuzzReadObservation -fuzztime 30s ./internal/core
 
 # crash-check runs the kill-restart recovery harness (DESIGN.md §12)
 # under the race detector: every cataloged crash point, the torn compact
