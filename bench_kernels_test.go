@@ -225,6 +225,32 @@ func BenchmarkKernelMetricsChain(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelRahmanAgnosticChain runs rahman2023's error-agnostic
+// metrics — stat, spatial, entropy — on a cold buffer: Touch drops the
+// summary each iteration, so every pass is the moments, the lag-1 and
+// slab sweeps, and the histogram sweep over the typed buffer. allocs/op
+// pins that no float64 view (twice the buffer) is built.
+func BenchmarkKernelRahmanAgnosticChain(b *testing.B) {
+	data := benchField(b, "TC", 24)
+	var chain []pressio.Metric
+	for _, name := range []string{"stat", "spatial", "entropy"} {
+		m, err := pressio.GetMetric(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chain = append(chain, m)
+	}
+	b.SetBytes(int64(data.ByteSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data.Touch()
+		for _, m := range chain {
+			m.BeginCompress(data)
+		}
+	}
+}
+
 // BenchmarkKernelSurrogate times the three stage models that count codes
 // through sz3's open-loop row stage (Quantizer.CodesLorenzo), warm, on the
 // 32x64x64 TC cell: jin_model over the whole buffer, khan_surrogate over

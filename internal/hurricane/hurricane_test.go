@@ -111,10 +111,8 @@ func TestSparseFieldsAreSparse(t *testing.T) {
 
 func TestDenseFieldsAreSmooth(t *testing.T) {
 	// pressure should be far smoother than vertical velocity
-	p := stats.Float64Of(Generate("P", 24, testDims))
-	w := stats.Float64Of(Generate("W", 24, testDims))
-	sp := stats.SpatialSmoothness(p, testDims)
-	sw := stats.SpatialSmoothness(w, testDims)
+	sp := stats.SpatialOf(Generate("P", 24, testDims)).Smoothness
+	sw := stats.SpatialOf(Generate("W", 24, testDims)).Smoothness
 	if sp < 0.9 {
 		t.Errorf("P smoothness = %.3f, want > 0.9", sp)
 	}

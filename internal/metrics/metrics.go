@@ -106,7 +106,7 @@ func (m *Entropy) bins() int {
 }
 
 // BeginCompress implements pressio.Metric. The histogram rides on the
-// shared summary's second sweep instead of a dedicated pass.
+// shared summary: after a moments-only one (`stat`) it costs one sweep.
 func (m *Entropy) BeginCompress(in *pressio.Data) {
 	s := stats.SummaryOf(in, m.bins(), 0)
 	r := pressio.Options{}
@@ -183,10 +183,9 @@ func (m *Variogram) maxLag() int {
 	return m.MaxLag
 }
 
-// BeginCompress implements pressio.Metric.
+// BeginCompress implements pressio.Metric over the typed buffer.
 func (m *Variogram) BeginCompress(in *pressio.Data) {
-	xs := stats.Float64Of(in)
-	g := stats.Variogram(xs, in.Dims(), m.maxLag())
+	g := stats.VariogramOf(in, m.maxLag())
 	r := pressio.Options{}
 	r.Set("variogram:gamma1", g[0])
 	if len(g) > 1 {
@@ -260,15 +259,15 @@ func (*Spatial) Configuration() pressio.Options {
 	return invalidate(pressio.InvalidateErrorAgnostic)
 }
 
-// BeginCompress implements pressio.Metric.
+// BeginCompress implements pressio.Metric: the variance is the summary
+// `stat` shares, the rest typed sweeps (stats.SpatialOf).
 func (m *Spatial) BeginCompress(in *pressio.Data) {
-	xs := stats.Float64Of(in)
+	s := stats.SpatialOf(in)
 	r := pressio.Options{}
-	r.Set("spatial:correlation", stats.SpatialCorrelation(xs, in.Dims()))
-	smoothness, gain := stats.SmoothnessAndCodingGain(xs, in.Dims())
-	r.Set("spatial:smoothness", smoothness)
-	r.Set("spatial:diversity", stats.SpatialDiversity(xs, in.Dims(), 64))
-	r.Set("spatial:coding_gain", gain)
+	r.Set("spatial:correlation", s.Correlation)
+	r.Set("spatial:smoothness", s.Smoothness)
+	r.Set("spatial:diversity", s.Diversity)
+	r.Set("spatial:coding_gain", s.CodingGain)
 	m.results = r
 }
 

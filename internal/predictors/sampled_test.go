@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/compressor/zfp"
+	"repro/internal/core"
 	"repro/internal/huffman"
 	"repro/internal/pressio"
 	"repro/internal/stats"
@@ -305,5 +306,48 @@ func TestKhanReadsOnlyItsSample(t *testing.T) {
 		if got >= limit {
 			t.Errorf("abs=%g: BeginCompress allocated %d bytes, want < %d (half the buffer)", abs, got, limit)
 		}
+	}
+}
+
+// TestRahmanAgnosticChainBuildsNoView: rahman2023's error-agnostic
+// metrics (stat, spatial, entropy) read the typed buffer in place. On a
+// float32 buffer never seen before they must allocate less than half its
+// bytes — the float64 view alone is twice them — and leave no view in
+// stats.Float64Of's cache: the view asked for afterwards is built then.
+func TestRahmanAgnosticChainBuildsNoView(t *testing.T) {
+	scheme, err := core.GetScheme("rahman2023")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain []pressio.Metric
+	for _, name := range scheme.Metrics() {
+		if m, _ := pressio.GetMetric(name); core.StageOf(m) == core.StageErrorAgnostic {
+			chain = append(chain, m)
+		}
+	}
+	if len(chain) != 3 {
+		t.Fatalf("rahman2023 has %d error-agnostic metrics, want stat, spatial and entropy", len(chain))
+	}
+	in := pressio.NewFloat32(32, 32, 64)
+	for i := range in.Float32() {
+		in.Float32()[i] = float32(math.Sin(float64(i) / 29))
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	got := allocated(func() {
+		for _, m := range chain {
+			m.BeginCompress(in)
+		}
+	})
+	if limit := uint64(in.ByteSize() / 2); got >= limit {
+		t.Errorf("the chain allocated %d bytes, want < %d (half the buffer)", got, limit)
+	}
+	if view := allocated(func() { stats.Float64Of(in) }); view < uint64(2*in.ByteSize()) {
+		t.Errorf("Float64Of after the chain allocated %d bytes, want the %d of a fresh view: the chain left one cached", view, 2*in.ByteSize())
 	}
 }

@@ -136,7 +136,7 @@ func TestSpatialCorrelation(t *testing.T) {
 	for i := range smooth {
 		smooth[i] = float64(i)
 	}
-	c := SpatialCorrelation(smooth, []int{n})
+	c := SpatialOf(pressio.FromFloat64(smooth, n)).Correlation
 	if c < 0.99 {
 		t.Errorf("linear ramp correlation = %v, want ~1", c)
 	}
@@ -145,12 +145,12 @@ func TestSpatialCorrelation(t *testing.T) {
 	for i := range noise {
 		noise[i] = rng.NormFloat64()
 	}
-	cn := SpatialCorrelation(noise, []int{4096})
+	cn := SpatialOf(pressio.FromFloat64(noise, 4096)).Correlation
 	if math.Abs(cn) > 0.1 {
 		t.Errorf("white noise correlation = %v, want ~0", cn)
 	}
 	// constant field counts as perfectly correlated
-	if SpatialCorrelation(make([]float64, 64), []int{64}) != 1 {
+	if SpatialOf(pressio.FromFloat64(make([]float64, 64), 64)).Correlation != 1 {
 		t.Error("constant field should be perfectly correlated")
 	}
 }
@@ -165,7 +165,7 @@ func TestSpatialSmoothnessBounds(t *testing.T) {
 				vals[i] = 0
 			}
 		}
-		s := SpatialSmoothness(vals, []int{len(vals)})
+		s := SpatialOf(pressio.FromFloat64(vals, len(vals))).Smoothness
 		return s >= 0 && s <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -184,12 +184,12 @@ func TestSpatialDiversity(t *testing.T) {
 			mixed[i] = rng.NormFloat64()
 		}
 	}
-	dh := SpatialDiversity(homo, []int{4096}, 16)
-	dm := SpatialDiversity(mixed, []int{4096}, 16)
+	dh := SpatialOf(pressio.FromFloat64(homo, 4096)).Diversity
+	dm := SpatialOf(pressio.FromFloat64(mixed, 4096)).Diversity
 	if dh >= dm {
 		t.Errorf("mixed field should be more diverse: homo=%v mixed=%v", dh, dm)
 	}
-	if SpatialDiversity(nil, nil, 4) != 0 {
+	if SpatialOf(pressio.FromFloat64(nil, 0)).Diversity != 0 {
 		t.Error("empty diversity should be 0")
 	}
 }
@@ -200,7 +200,7 @@ func TestCodingGain(t *testing.T) {
 	for i := range smooth {
 		smooth[i] = math.Sin(float64(i) / 100)
 	}
-	g := CodingGain(smooth, []int{n})
+	g := SpatialOf(pressio.FromFloat64(smooth, n)).CodingGain
 	if g < 20 {
 		t.Errorf("smooth field coding gain = %v dB, want > 20", g)
 	}
@@ -209,11 +209,11 @@ func TestCodingGain(t *testing.T) {
 	for i := range noise {
 		noise[i] = rng.NormFloat64()
 	}
-	gn := CodingGain(noise, []int{n})
+	gn := SpatialOf(pressio.FromFloat64(noise, n)).CodingGain
 	if gn > 3 {
 		t.Errorf("white noise coding gain = %v dB, want ~0", gn)
 	}
-	if CodingGain(make([]float64, 10), []int{10}) != 60 {
+	if SpatialOf(pressio.FromFloat64(make([]float64, 10), 10)).CodingGain != 60 {
 		t.Error("constant field should cap at 60 dB")
 	}
 }

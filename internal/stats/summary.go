@@ -9,16 +9,20 @@ import (
 )
 
 // Summary is the fused feature extraction over one data buffer:
-// min/max/mean/std/sparsity and (optionally) a fixed-width histogram,
-// computed by two in-order sweeps over the native element type — no
-// float64 materialization, no per-metric re-reads. One Summary is shared
-// by every metric observing the same buffer (SummaryOf), which is what
-// lets a chain of N metrics touch the data once instead of N times.
+// min/max/mean/std/variance/sparsity and (optionally) a fixed-width
+// histogram, computed by two in-order sweeps over the native element type
+// — no float64 materialization, no per-metric re-reads. One Summary is
+// shared by every metric observing the same buffer (SummaryOf), which is
+// what lets a chain of N metrics touch the data once instead of N times.
 type Summary struct {
 	N        int
 	Min, Max float64
 	Mean     float64
 	Std      float64
+	// Var is the population variance with Variance's bits: on NaN-free
+	// data it is the sum of squared deviations Std is made of, in the
+	// same order; with any NaN it is NaN (Mean and Std skip NaNs).
+	Var float64
 	// ZeroCount is the number of elements exactly equal to zero — the
 	// numerator of the eps=0 sparsity fraction.
 	ZeroCount int
@@ -82,7 +86,7 @@ func (m *moments) add(v float64) {
 }
 
 // addAll folds a float32 or float64 buffer into m in index order.
-func addAll[T float32 | float64](m *moments, xs []T) {
+func addAll[T float](m *moments, xs []T) {
 	for _, f := range xs {
 		m.add(float64(f))
 	}
@@ -93,64 +97,62 @@ func addAll[T float32 | float64](m *moments, xs []T) {
 // in index order, so the result is the same on every machine; histogram
 // counts are exact. Prefer SummaryOf, which keeps the result on the
 // buffer.
-func Summarize(d *pressio.Data, bins int) *Summary {
-	n := d.Len()
-	s := &Summary{N: n, Bins: bins}
-	if n == 0 {
-		if bins > 0 {
-			s.Hist = make([]uint64, bins)
-		}
-		return s
-	}
+func Summarize(d *pressio.Data, bins int) *Summary { return summarize(d, bins, nil) }
 
-	// sweep 1: min/max/sum/zeros over the native type
-	m := moments{min: math.Inf(1), max: math.Inf(-1)}
-	switch d.DType() {
-	case pressio.DTypeFloat32:
-		addAll(&m, d.Float32())
-	case pressio.DTypeFloat64:
-		addAll(&m, d.Float64())
-	default:
-		for i := range n {
-			m.add(d.At(i))
+// summarize is Summarize, or — given d's moments as known — the one
+// histogram sweep a summary with those moments still needs.
+func summarize(d *pressio.Data, bins int, known *Summary) *Summary {
+	if d.DType() == pressio.DTypeFloat32 {
+		return summarizeOf(d.Float32(), bins, known)
+	}
+	return summarizeOf(Float64Run(d, 0, d.Len(), nil), bins, known)
+}
+
+func summarizeOf[T float](xs []T, bins int, known *Summary) *Summary {
+	s := &Summary{N: len(xs)}
+	if known != nil {
+		*s = *known
+	} else {
+		// sweep 1: min/max/sum/zeros
+		m := moments{min: math.Inf(1), max: math.Inf(-1)}
+		addAll(&m, xs)
+		s.ZeroCount, s.NaNCount, s.InfCount = m.zeros, m.nans, m.infs
+		if m.n > 0 { // else empty or all-NaN: no finite values to summarize
+			s.Min, s.Max, s.Mean = m.min, m.max, m.sum/float64(m.n)
+		}
+		if m.nans > 0 {
+			s.Var = math.NaN()
 		}
 	}
-	s.ZeroCount = m.zeros
-	s.NaNCount = m.nans
-	s.InfCount = m.infs
-	if m.n == 0 {
-		// all-NaN buffer: no finite values to summarize
-		if bins > 0 {
-			s.Hist = make([]uint64, bins)
-			s.Hist[0] = uint64(m.nans)
-		}
+	s.Bins, s.Hist = bins, nil
+	if bins > 0 {
+		s.Hist = make([]uint64, bins)
+	}
+	finite := s.N - s.NaNCount
+	sq := known == nil && finite > 0
+	if !sq && bins == 0 {
 		return s
 	}
-	s.Min = m.min
-	s.Max = m.max
-	s.Mean = m.sum / float64(m.n)
 
 	// sweep 2: squared deviations and histogram against the known range
 	lo, mean := s.Min, s.Mean
-	degenerate := bins > 0 && s.Max <= lo
+	degenerate := s.Max <= lo
 	scale := 0.0
 	if bins > 0 && !degenerate {
 		scale = float64(bins) / (s.Max - lo)
 	}
 	var sumSq float64
-	if bins > 0 {
-		s.Hist = make([]uint64, bins)
-	}
 	hist := s.Hist
-	sweep := func(v float64) {
-		if !math.IsNaN(v) {
+	for _, f := range xs {
+		v := float64(f)
+		if sq && !math.IsNaN(v) {
 			dv := v - mean
 			sumSq += dv * dv
 		}
 		if bins > 0 {
 			if degenerate {
 				hist[0]++
-				return
+				continue
 			}
 			i := int((v - lo) * scale)
 			if i < 0 {
@@ -162,21 +164,13 @@ func Summarize(d *pressio.Data, bins int) *Summary {
 			hist[i]++
 		}
 	}
-	switch d.DType() {
-	case pressio.DTypeFloat32:
-		for _, f := range d.Float32() {
-			sweep(float64(f))
-		}
-	case pressio.DTypeFloat64:
-		for _, v := range d.Float64() {
-			sweep(v)
-		}
-	default:
-		for i := range n {
-			sweep(d.At(i))
+	if sq {
+		v := sumSq / float64(finite)
+		s.Std = math.Sqrt(v)
+		if s.NaNCount == 0 {
+			s.Var = v
 		}
 	}
-	s.Std = math.Sqrt(sumSq / float64(m.n))
 	return s
 }
 
@@ -250,9 +244,12 @@ func (c *viewCache) lookup(d *pressio.Data) *f64View {
 
 // Float64Of returns a float64 view of d, cached per buffer generation: a
 // float64 buffer is returned directly, anything else is converted once
-// and reused by every subsequent caller (metrics, kernels, predictors)
-// until the buffer mutates or eight other buffers have been viewed. The
-// returned slice is shared — callers must not modify it.
+// and reused by every subsequent caller until the buffer mutates or eight
+// other buffers have been viewed. Its readers are the kernels that want
+// float64 rows (sz3, zfp, szx, jin_model), `svd_trunc` and the exact-value
+// entropy at a non-positive bound; the summary, spatial and variogram
+// features read the typed buffer and never build one. The returned slice
+// is shared — callers must not modify it.
 func Float64Of(d *pressio.Data) []float64 {
 	if d.DType() == pressio.DTypeFloat64 {
 		return d.Float64()
@@ -308,13 +305,16 @@ func histRides(d *pressio.Data, bins int) bool { return 8*8*bins <= d.ByteSize()
 
 // SummaryOf returns the fused summary of d's current generation, kept on
 // the buffer so a chain of metrics — and every predictd request over the
-// same resident cell — computes it once. bins == 0 requests moments
-// only; a histogram with a different bin count than the stored one
-// recomputes and replaces it. The moments are always kept; the histogram
-// only where histRides, so on a small buffer every bins > 0 call sweeps
-// again (cheap there, and predictd memoises the metric that asks).
-// Concurrent first callers may both compute; the results are identical,
-// so the last store wins.
+// same resident cell — computes it once: `stat`, `distortion`,
+// `quantized_entropy`'s key range and `spatial`'s variance read the
+// moments, `entropy` the histogram. bins == 0 requests moments only (two
+// sweeps). A histogram the stored summary lacks — none, or another bin
+// count — costs one sweep against the stored moments, which are never
+// recomputed. The moments are always kept; the histogram only where
+// histRides, so on a small buffer every bins > 0 call sweeps again
+// (cheap there, and predictd memoises the metric that asks). Concurrent
+// first callers may both compute; the results are identical, so the last
+// store wins.
 //
 // workers is ignored; benchmark/serve_trace.go still compiles against it.
 func SummaryOf(d *pressio.Data, bins, workers int) *Summary {
@@ -322,7 +322,7 @@ func SummaryOf(d *pressio.Data, bins, workers int) *Summary {
 	if stored != nil && (bins == 0 || stored.Bins == bins) {
 		return stored
 	}
-	s := Summarize(d, bins)
+	s := summarize(d, bins, stored)
 	keep := s
 	if bins != 0 && !histRides(d, bins) {
 		moments := *s
