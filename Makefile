@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check benchmark-check serve-check fuzz-batch fuzz-record crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check benchmark-check serve-check fuzz-batch fuzz-record fuzz-spatial crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -46,12 +46,17 @@ loc:
 # code model's entropy and histogram equal to a dense window's and its
 # scratch left zero — and FuzzReadObservation's in internal/core — this
 # build's checkpoint records cut at every length, the hand reader equal
-# to encoding/gob wherever it does not decline; to fuzz past the seeds:
+# to encoding/gob wherever it does not decline — and
+# FuzzSpatialMatchesReference's in internal/stats — float32 and float64
+# bits with NaN, infinities, zero runs and denormals at rank 1-3, every
+# spatial feature, variogram lag, summary field and histogram bit-equal
+# to the float64 reference; to fuzz past the seeds:
 # go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman
 # go test -run '^$$' -fuzz FuzzFieldMatchesReference -fuzztime 1m ./internal/hurricane
 # go test -run '^$$' -fuzz FuzzCodesLorenzo -fuzztime 1m ./internal/compressor/sz3
 # go test -run '^$$' -fuzz FuzzCodeModelCount -fuzztime 1m ./internal/predictors
-# go test -run '^$$' -fuzz FuzzReadObservation -fuzztime 1m ./internal/core),
+# go test -run '^$$' -fuzz FuzzReadObservation -fuzztime 1m ./internal/core
+# go test -run '^$$' -fuzz FuzzSpatialMatchesReference -fuzztime 1m ./internal/stats),
 # the examples and predict-bench's -table1 and -corpus modes run to
 # completion, the benchmark harness's self-test (benchmark-check), and
 # the complete test suite under the race detector. The race run stays
@@ -185,6 +190,15 @@ fuzz-batch:
 # go test -run '^$$' -bench CollectResume -cpuprofile /tmp/resume.prof ./internal/bench
 fuzz-record:
 	$(GO) test -run '^$$' -fuzz FuzzReadObservation -fuzztime 30s ./internal/core
+
+# fuzz-spatial runs FuzzSpatialMatchesReference past its seed corpus:
+# random float32 or float64 bits at rank 1-3, through the typed summary,
+# lag-1, slab and variogram sweeps, each bit-equal to the float64
+# reference (CI runs it as a job of its own). It gates no speed; the
+# chain it pins has a kernel row, with a profile:
+# go test -run '^$$' -bench KernelRahmanAgnosticChain -cpuprofile /tmp/chain.prof .
+fuzz-spatial:
+	$(GO) test -run '^$$' -fuzz FuzzSpatialMatchesReference -fuzztime 30s ./internal/stats
 
 # crash-check runs the kill-restart recovery harness (DESIGN.md §12)
 # under the race detector: every cataloged crash point, the torn compact
