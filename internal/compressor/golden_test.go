@@ -1,10 +1,10 @@
 package compressor_test
 
 // Golden tests pin the exact compressed byte streams of the sz3, zfp, and
-// szx kernels. Any change to the on-disk hashes means the encoding
-// changed, which breaks stored streams and the determinism guarantee of
-// DESIGN.md §10. Regenerate (only for a deliberate, versioned format
-// change) with:
+// szx kernels, and the buffers they decompress to. Any change to the
+// on-disk hashes means the encoding or the reconstruction changed, which
+// breaks stored streams and the determinism guarantee of DESIGN.md §10.
+// Regenerate (only for a deliberate, versioned format change) with:
 //
 //	go test ./internal/compressor/ -run TestGolden -update-golden
 
@@ -28,7 +28,10 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden kernel fixtures")
 
-const goldenPath = "testdata/golden_kernels.json"
+const (
+	goldenPath      = "testdata/golden_kernels.json"
+	goldenReconPath = "testdata/golden_decompressed.json"
+)
 
 // goldenCase describes one pinned compression run.
 type goldenCase struct {
@@ -114,7 +117,9 @@ func goldenField(dtype string, dims []int) *pressio.Data {
 	return d
 }
 
-func runGoldenCase(t *testing.T, c goldenCase) []byte {
+// runGoldenCase compresses the case's field and decompresses the stream,
+// returning both.
+func runGoldenCase(t *testing.T, c goldenCase) (compressed []byte, dec *pressio.Data) {
 	t.Helper()
 	comp, err := pressio.GetCompressor(c.Compressor)
 	if err != nil {
@@ -134,7 +139,7 @@ func runGoldenCase(t *testing.T, c goldenCase) []byte {
 		t.Fatal(err)
 	}
 	// round-trip: errors must respect the bound
-	dec := pressio.New(in.DType(), in.Dims()...)
+	dec = pressio.New(in.DType(), in.Dims()...)
 	if err := comp.Decompress(out, dec); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +148,7 @@ func runGoldenCase(t *testing.T, c goldenCase) []byte {
 			t.Fatalf("element %d error %g exceeds bound %g", i, e, c.Abs)
 		}
 	}
-	return out.Bytes()
+	return out.Bytes(), dec
 }
 
 func TestGoldenKernels(t *testing.T) {
@@ -152,25 +157,55 @@ func TestGoldenKernels(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name(), func(t *testing.T) {
-			sum := sha256.Sum256(runGoldenCase(t, c))
+			compressed, _ := runGoldenCase(t, c)
+			sum := sha256.Sum256(compressed)
 			got[c.name()] = hex.EncodeToString(sum[:])
 		})
 	}
+	checkGolden(t, goldenPath, got, "compressed bytes")
+}
+
+// TestGoldenDecompressed pins what each golden stream decompresses to:
+// the SHA-256 of the output buffer's MarshalBinary (dtype, dims and every
+// element's bits). The compressed hashes alone do not see a decoder that
+// writes other values into the caller's buffer.
+func TestGoldenDecompressed(t *testing.T) {
+	cases := goldenCases()
+	got := make(map[string]string, len(cases))
+	for _, c := range cases {
+		c := c
+		t.Run(c.name(), func(t *testing.T) {
+			_, dec := runGoldenCase(t, c)
+			blob, err := dec.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob)
+			got[c.name()] = hex.EncodeToString(sum[:])
+		})
+	}
+	checkGolden(t, goldenReconPath, got, "decompressed buffer")
+}
+
+// checkGolden compares got against the hashes stored at path, or rewrites
+// them under -update-golden.
+func checkGolden(t *testing.T, path string, got map[string]string, what string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d golden hashes to %s", len(got), goldenPath)
+		t.Logf("wrote %d golden hashes to %s", len(got), path)
 		return
 	}
-	blob, err := os.ReadFile(goldenPath)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("golden fixtures missing (run with -update-golden): %v", err)
 	}
@@ -184,7 +219,7 @@ func TestGoldenKernels(t *testing.T) {
 			continue
 		}
 		if want[name] != h {
-			t.Errorf("%s: compressed bytes changed:\n  want %s\n  got  %s", name, want[name], h)
+			t.Errorf("%s: %s changed:\n  want %s\n  got  %s", name, what, want[name], h)
 		}
 	}
 	for name := range want {

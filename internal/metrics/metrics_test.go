@@ -117,6 +117,46 @@ func TestSpatialBitsPinned(t *testing.T) {
 	}
 }
 
+// TestSVDTruncAndExactEntropyBitsPinned holds svd_trunc's rank and
+// fraction and the exact-value quantized_entropy (abs = 0) on float32
+// hurricane cells to the bits recorded while both read a float64 copy of
+// the buffer: reading the float32 elements in place may not move a
+// result. The values are amd64's, like TestSpatialBitsPinned's.
+func TestSVDTruncAndExactEntropyBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("recorded on amd64; hurricane's transcendentals may round differently on %s", runtime.GOARCH)
+	}
+	for name, want := range map[string]struct {
+		rank           int64
+		fraction, bits uint64
+	}{
+		"P":     {1, 0x3fb0000000000000, 0x4025fe8000000000},
+		"W":     {9, 0x3fe2000000000000, 0x4026000000000000},
+		"QRAIN": {6, 0x3fd8000000000000, 0x4000ed7268a1d87c},
+	} {
+		in := field(t, name)
+		if in.DType() != pressio.DTypeFloat32 {
+			t.Fatalf("%s is %v, want float32", name, in.DType())
+		}
+		svd := &SVDTrunc{}
+		svd.BeginCompress(in)
+		if rank, _ := svd.Results().GetInt("svd_trunc:rank"); rank != want.rank {
+			t.Errorf("%s svd_trunc:rank = %d, pinned %d", name, rank, want.rank)
+		}
+		if v, ok := svd.Results().GetFloat("svd_trunc:fraction"); !ok || math.Float64bits(v) != want.fraction {
+			t.Errorf("%s svd_trunc:fraction = %#016x (%v), pinned %#016x", name, math.Float64bits(v), v, want.fraction)
+		}
+		qe := &QuantizedEntropy{}
+		opts := pressio.Options{}
+		opts.Set(pressio.OptAbs, 0.0)
+		qe.SetOptions(opts)
+		qe.BeginCompress(in)
+		if v, ok := qe.Results().GetFloat("quantized_entropy:bits"); !ok || math.Float64bits(v) != want.bits {
+			t.Errorf("%s quantized_entropy:bits at abs=0 = %#016x (%v), pinned %#016x", name, math.Float64bits(v), v, want.bits)
+		}
+	}
+}
+
 func TestDistortionMetric(t *testing.T) {
 	m := &Distortion{}
 	opts := pressio.Options{}
