@@ -40,8 +40,8 @@ loc:
 # and FuzzFieldMatchesReference's in internal/hurricane — field, step,
 # corpus seed and small grids, each bit-equal to the per-sample reference —
 # and FuzzCodesLorenzo's in internal/compressor/sz3 — shape, bound, bin
-# budget and raw value bits, the row stage's codes equal to Quantizer.Code
-# over LorenzoTerms — and FuzzCodeModelCount's in internal/predictors —
+# budget and raw value bits, the row stage's codes, over the values and
+# over them rounded to float32, equal to Quantizer.Code over LorenzoTerms — and FuzzCodeModelCount's in internal/predictors —
 # code runs of every span up to the bin budget and outlier share, the
 # code model's entropy and histogram equal to a dense window's and its
 # scratch left zero — and FuzzReadObservation's in internal/core — this
@@ -147,12 +147,15 @@ serial-check:
 # path, and internal/dataset (tests included, via vet) for one without
 # unix file semantics either, so the non-linux half of the platform split
 # (mmap_other.go: copying reload, no file identity, every reload hashed)
-# cannot rot unseen. Both cross-compile offline from the local toolchain.
+# cannot rot unseen. Then the whole tree, tests included, for a 32-bit
+# int (386), where a constant past 1<<31 that fits a 64-bit int fails to
+# compile. All cross-compile offline from the local toolchain.
 cross-build:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/dataset/
 	GOOS=windows $(GO) build ./internal/dataset/
 	GOOS=windows $(GO) vet ./internal/dataset/
+	GOARCH=386 $(GO) vet ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

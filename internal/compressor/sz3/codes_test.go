@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // slowCodesLorenzo is the rule CodesLorenzo fuses, an element at a time:
@@ -33,18 +35,35 @@ func slowCodesLorenzo(q *Quantizer, vals []float64, dims []int) []int32 {
 	return codes
 }
 
+// checkCodesLorenzo holds both instantiations of CodesLorenzo to
+// slowCodesLorenzo: over vals, and over vals rounded to float32 (read by
+// the reference as float64(x)).
 func checkCodesLorenzo(t *testing.T, q *Quantizer, vals []float64, dims []int) {
+	t.Helper()
+	checkCodesLorenzoOf(t, q, vals, dims)
+	narrow := make([]float32, len(vals))
+	for i, v := range vals {
+		narrow[i] = float32(v)
+	}
+	checkCodesLorenzoOf(t, q, narrow, dims)
+}
+
+func checkCodesLorenzoOf[T stats.Float](t *testing.T, q *Quantizer, vals []T, dims []int) {
 	t.Helper()
 	got := make([]int32, len(vals))
 	for i := range got {
 		got[i] = -12345 // every slot must be overwritten
 	}
-	q.CodesLorenzo(got, vals, dims)
-	if want := slowCodesLorenzo(q, vals, dims); !slices.Equal(got, want) {
+	CodesLorenzo(q, got, vals, dims)
+	wide := make([]float64, len(vals))
+	for i, v := range vals {
+		wide[i] = float64(v)
+	}
+	if want := slowCodesLorenzo(q, wide, dims); !slices.Equal(got, want) {
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("dims %v abs=%g bins=%d: code[%d] = %d, q.Code over LorenzoTerms gives %d (value %v)",
-					dims, q.Abs, q.Bins, i, got[i], want[i], vals[i])
+				t.Fatalf("%T dims %v abs=%g bins=%d: code[%d] = %d, q.Code over LorenzoTerms gives %d (value %v)",
+					vals[0], dims, q.Abs, q.Bins, i, got[i], want[i], vals[i])
 			}
 		}
 	}

@@ -9,6 +9,8 @@ package sz3
 // predictor parameters travel with the stream, so prediction reads
 // original values — there is no reconstruction feedback loop.
 
+import "repro/internal/stats"
+
 // regBlockEdge is the block edge length (SZ2 uses 6; 8 aligns better
 // with power-of-two dims).
 const regBlockEdge = 8
@@ -22,7 +24,7 @@ type regCoeffs struct {
 // fitBlock computes least-squares hyperplane coefficients for one block.
 // With coordinates centred per axis the normal equations are diagonal:
 // slope_d = Σ v·(x_d - x̄_d) / Σ (x_d - x̄_d)², intercept = mean.
-func fitBlock(vals []float64, dims, str, origin, size []int) regCoeffs {
+func fitBlock[T stats.Float](vals []T, dims, str, origin, size []int) regCoeffs {
 	nd := len(dims)
 	var co regCoeffs
 	n := 0
@@ -34,7 +36,7 @@ func fitBlock(vals []float64, dims, str, origin, size []int) regCoeffs {
 	}
 	var num, den [4]float64
 	forEachInBlock(dims, str, origin, size, func(idx int, local []int) {
-		v := vals[idx]
+		v := float64(vals[idx])
 		sum += v
 		n++
 		for d := 0; d < nd; d++ {
@@ -125,7 +127,7 @@ func regressionBlockCount(dims []int) int {
 // overwritten). Blocks are visited in traversal order; the returned
 // coefficient list has one entry per block, and codes and outliers follow
 // the same order.
-func PredictQuantizeRegression(codes []int32, vals []float64, dims []int, q *Quantizer) (outliers []float64, coeffs []float64) {
+func PredictQuantizeRegression[T stats.Float](codes []int32, vals []T, dims []int, q *Quantizer) (outliers []float64, coeffs []float64) {
 	if len(dims) > 3 {
 		dims = flattenTo3(dims)
 	}
@@ -146,7 +148,7 @@ func PredictQuantizeRegression(codes []int32, vals []float64, dims []int, q *Qua
 			for d := 0; d < nd; d++ {
 				pred += co.c[d+1] * (float64(local[d]) - float64(size[d]-1)/2)
 			}
-			code, r := q.Quantize(vals[idx], pred)
+			code, r := q.Quantize(float64(vals[idx]), pred)
 			codes[k] = code
 			k++
 			if code == OutlierCode {
@@ -168,9 +170,9 @@ func PredictQuantizeRegression(codes []int32, vals []float64, dims []int, q *Qua
 	return outliers, coeffs
 }
 
-// reconstructRegression inverts PredictQuantizeRegression into a flat
-// value slice.
-func reconstructRegression(codes []int32, outliers, coeffs []float64, dims []int, q *Quantizer) ([]float64, error) {
+// reconstructRegression inverts PredictQuantizeRegression into out (fully
+// overwritten unless the stream is found short).
+func reconstructRegression[T stats.Float](out []T, codes []int32, outliers, coeffs []float64, dims []int, q *Quantizer) error {
 	if len(dims) > 3 {
 		dims = flattenTo3(dims)
 	}
@@ -180,10 +182,9 @@ func reconstructRegression(codes []int32, outliers, coeffs []float64, dims []int
 	for _, d := range dims {
 		total *= d
 	}
-	if len(codes) != total || len(coeffs) < regressionBlockCount(dims)*(nd+1) {
-		return nil, ErrCorrupt
+	if len(codes) != total || len(out) != total || len(coeffs) < regressionBlockCount(dims)*(nd+1) {
+		return ErrCorrupt
 	}
-	out := make([]float64, total)
 	k, oi := 0, 0
 	short := false // the codes name more outliers than the stream holds
 	regressionBlocks(dims, func(origin, size []int) {
@@ -203,14 +204,14 @@ func reconstructRegression(codes []int32, outliers, coeffs []float64, dims []int
 					short = true
 					return
 				}
-				out[idx] = q.cast(outliers[oi])
+				out[idx] = T(outliers[oi])
 				oi++
 			} else {
 				pred := co.c[0]
 				for d := 0; d < nd; d++ {
 					pred += co.c[d+1] * (float64(local[d]) - float64(size[d]-1)/2)
 				}
-				out[idx] = q.Reconstruct(code, pred)
+				out[idx] = T(q.Reconstruct(code, pred))
 			}
 			d := nd - 1
 			for ; d >= 0; d-- {
@@ -226,9 +227,9 @@ func reconstructRegression(codes []int32, outliers, coeffs []float64, dims []int
 		}
 	})
 	if short {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return out, nil
+	return nil
 }
 
 // flattenTo3 folds >3-dimensional shapes into 3 dims (leading dims merge).

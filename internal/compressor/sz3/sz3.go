@@ -150,30 +150,17 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	if err := checkDType(in.DType()); err != nil {
 		return nil, err
 	}
-	vals := stats.Float64Of(in)
 	q := &Quantizer{Abs: c.abs, Bins: c.bins, DType: in.DType()}
-
-	codes := getCodesBuf(len(vals))
+	codes := getCodesBuf(in.Len())
 	defer codesPool.Put(codes)
 	var (
-		outliers []float64
-		coeffs   []float64
-		mode     byte
+		outliers, coeffs []float64
+		mode             byte
 	)
-	switch c.predictor {
-	case "interp":
-		mode = modeInterp
-		recon := getF64Buf(len(vals))
-		outliers = predictQuantizeInterp(codes, recon, vals, q)
-		f64Pool.Put(recon)
-	case "regression":
-		mode = modeRegression
-		outliers, coeffs = PredictQuantizeRegression(codes, vals, in.Dims(), q)
-	default:
-		mode = modeLorenzo
-		recon := getF64Buf(len(vals))
-		outliers = PredictQuantizeLorenzo(codes, recon, vals, in.Dims(), q)
-		f64Pool.Put(recon)
+	if in.DType() == pressio.DTypeFloat32 {
+		mode, outliers, coeffs = predictQuantize(c.predictor, codes, in.Float32(), in.Dims(), q)
+	} else {
+		mode, outliers, coeffs = predictQuantize(c.predictor, codes, in.Float64(), in.Dims(), q)
 	}
 
 	coded, err := huffman.Encode(codes)
@@ -232,6 +219,22 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	head.Write(scratch[:])
 	out := append(head.Bytes(), body.Bytes()...)
 	return pressio.NewByte(out), nil
+}
+
+// predictQuantize runs the named prediction stage over vals into codes
+// (len(vals), fully overwritten) and returns the stream's mode byte, its
+// outliers and, for regression, its block coefficients.
+func predictQuantize[T stats.Float](predictor string, codes []int32, vals []T, dims []int, q *Quantizer) (mode byte, outliers, coeffs []float64) {
+	if predictor == "regression" {
+		outliers, coeffs = PredictQuantizeRegression(codes, vals, dims, q)
+		return modeRegression, outliers, coeffs
+	}
+	recon := getF64Buf(len(vals))
+	defer f64Pool.Put(recon)
+	if predictor == "interp" {
+		return modeInterp, predictQuantizeInterp(codes, recon, vals, q), nil
+	}
+	return modeLorenzo, PredictQuantizeLorenzo(codes, recon, vals, dims, q), nil
 }
 
 // Decompress implements pressio.Compressor. out must be allocated with the
@@ -325,21 +328,26 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	if err := checkDType(dtype); err != nil {
 		return err
 	}
-	q := &Quantizer{Abs: abs, Bins: bins, DType: dtype}
-	var recon []float64
-	switch mode {
-	case modeInterp:
-		recon = reconstructInterp(codes, outliers, total, q)
-	case modeRegression:
-		recon, err = reconstructRegression(codes, outliers, coeffs, dims, q)
-		if err != nil {
-			return err
-		}
-	case modeLorenzo:
-		recon = reconstructLorenzo(codes, outliers, dims, q)
-	default:
+	if mode != modeInterp && mode != modeRegression && mode != modeLorenzo {
 		return ErrCorrupt
 	}
-	out.FillFloat64(recon)
+	q := &Quantizer{Abs: abs, Bins: bins, DType: dtype}
+	out.Touch() // the reconstruction is written through the typed slice
+	if dtype == pressio.DTypeFloat32 {
+		return reconstruct(out.Float32(), mode, codes, outliers, coeffs, dims, q)
+	}
+	return reconstruct(out.Float64(), mode, codes, outliers, coeffs, dims, q)
+}
+
+// reconstruct inverts the prediction stage mode names into out.
+func reconstruct[T stats.Float](out []T, mode byte, codes []int32, outliers, coeffs []float64, dims []int, q *Quantizer) error {
+	switch mode {
+	case modeInterp:
+		reconstructInterp(out, codes, outliers, q)
+	case modeRegression:
+		return reconstructRegression(out, codes, outliers, coeffs, dims, q)
+	default:
+		reconstructLorenzo(out, codes, outliers, dims, q)
+	}
 	return nil
 }

@@ -85,14 +85,10 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	default:
 		return nil, fmt.Errorf("szx: unsupported dtype %v", in.DType())
 	}
-	vals := stats.Float64Of(in)
-	n := len(vals)
+	n := in.Len()
 	nblocks := (n + c.blockSize - 1) / c.blockSize
 
-	elem := 8
-	if in.DType() == pressio.DTypeFloat32 {
-		elem = 4
-	}
+	elem := in.DType().Size()
 	// room for every block verbatim (a short last block may store a
 	// constant wider than itself), so the appends below never move out
 	out := make([]byte, 0, 4+2+8+4+8*len(in.Dims())+(nblocks+7)/8+n*elem+8)
@@ -106,35 +102,50 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 
 	// one pass over the blocks: a block's flag bit is set in the bitset
 	// reserved ahead of the payload, and its bytes appended behind it
+	if in.DType() == pressio.DTypeFloat32 {
+		out = appendBlocks(out, in.Float32(), c.blockSize, c.abs, in.DType())
+	} else {
+		out = appendBlocks(out, in.Float64(), c.blockSize, c.abs, in.DType())
+	}
+	return pressio.NewByte(out), nil
+}
+
+// appendBlocks classifies each block of vals and appends the flag bitset
+// and the payload to out: a constant block is its midpoint as a float64,
+// any other its elements verbatim at t's precision.
+func appendBlocks[T stats.Float](out []byte, vals []T, blockSize int, abs float64, t pressio.DType) []byte {
+	n := len(vals)
+	nblocks := (n + blockSize - 1) / blockSize
 	flagsAt := len(out)
 	out = append(out, make([]byte, (nblocks+7)/8)...)
 	for b := range nblocks {
-		block := vals[b*c.blockSize : min((b+1)*c.blockSize, n)]
-		mn, mx := block[0], block[0]
+		block := vals[b*blockSize : min((b+1)*blockSize, n)]
+		lo, hi := block[0], block[0]
 		for _, v := range block[1:] {
-			if v < mn {
-				mn = v
+			if v < lo {
+				lo = v
 			}
-			if v > mx {
-				mx = v
+			if v > hi {
+				hi = v
 			}
 		}
+		mn, mx := float64(lo), float64(hi)
 		mid := mn + (mx-mn)/2
 		switch {
-		case mx-mn <= 2*c.abs && withinStorage(mid, mn, mx, c.abs, in.DType()):
+		case mx-mn <= 2*abs && withinStorage(mid, mn, mx, abs, t):
 			out[flagsAt+b/8] |= 1 << (b % 8)
 			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(mid))
-		case elem == 4:
+		case t == pressio.DTypeFloat32:
 			for _, v := range block {
 				out = binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(v)))
 			}
 		default:
 			for _, v := range block {
-				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(float64(v)))
 			}
 		}
 	}
-	return pressio.NewByte(out), nil
+	return out
 }
 
 // withinStorage checks the constant-block representative still satisfies

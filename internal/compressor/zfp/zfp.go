@@ -371,7 +371,6 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	default:
 		return nil, fmt.Errorf("zfp: unsupported dtype %v", in.DType())
 	}
-	vals := stats.Float64Of(in)
 	dims := effectiveDims(in.Dims())
 	if len(dims) == 0 || in.Len() == 0 {
 		return nil, fmt.Errorf("zfp: empty input")
@@ -395,14 +394,37 @@ func (c *Compressor) Compress(in *pressio.Data) (*pressio.Data, error) {
 	w := bitstream.NewWriter(out)
 	sc := getScratch(nd)
 	sc.setDims(dims)
-	forEachBlock(dims, func(origin []int) {
-		sc.gather(vals, dims, origin)
-		encodeBlockF(w, sc, nd, c.tol)
-	})
+	if in.DType() == pressio.DTypeFloat32 {
+		encodeBlocks(w, sc, in.Float32(), dims, c.tol)
+	} else {
+		encodeBlocks(w, sc, in.Float64(), dims, c.tol)
+	}
 	putScratch(sc)
 	out = w.Bytes()
 	binary.LittleEndian.PutUint64(out[lenAt:], uint64(len(out)-lenAt-8))
 	return pressio.NewByte(out), nil
+}
+
+// encodeBlocks encodes every block of vals, in traversal order.
+func encodeBlocks[T stats.Float](w *bitstream.Writer, sc *scratch, vals []T, dims []int, tol float64) {
+	forEachBlock(dims, func(origin []int) {
+		gather(sc, vals, dims, origin)
+		encodeBlockF(w, sc, len(dims), tol)
+	})
+}
+
+// decodeBlocks decodes every block of the stream into out, in traversal
+// order.
+func decodeBlocks[T stats.Float](r *bitstream.Reader, sc *scratch, out []T, dims []int, tol float64) error {
+	var err error
+	forEachBlock(dims, func(origin []int) {
+		if err == nil {
+			if err = decodeBlockF(r, sc, len(dims), tol); err == nil {
+				scatter(sc, out, dims, origin)
+			}
+		}
+	})
+	return err
 }
 
 // scratchPools recycles block scratch across (de)compressions, indexed by
@@ -486,12 +508,12 @@ func (sc *scratch) interiorBase(dims, origin []int) (int, bool) {
 	return base, true
 }
 
-// gather extracts the tile at origin into sc.block, replicating edge
-// samples for partial blocks.
-func (sc *scratch) gather(vals []float64, dims []int, origin []int) {
+// gather extracts the tile at origin into sc.block as float64(x),
+// replicating edge samples for partial blocks.
+func gather[T stats.Float](sc *scratch, vals []T, dims []int, origin []int) {
 	if base, ok := sc.interiorBase(dims, origin); ok {
 		for bi, off := range sc.offs {
-			sc.block[bi] = vals[base+off]
+			sc.block[bi] = float64(vals[base+off])
 		}
 		return
 	}
@@ -506,15 +528,16 @@ func (sc *scratch) gather(vals []float64, dims []int, origin []int) {
 			}
 			idx += c * str[d]
 		}
-		sc.block[bi] = vals[idx]
+		sc.block[bi] = float64(vals[idx])
 	}
 }
 
-// scatter writes the valid region of sc.block back into out.
-func (sc *scratch) scatter(out []float64, dims []int, origin []int) {
+// scatter writes the valid region of sc.block back into out, each value
+// rounded to T.
+func scatter[T stats.Float](sc *scratch, out []T, dims []int, origin []int) {
 	if base, ok := sc.interiorBase(dims, origin); ok {
 		for bi, off := range sc.offs {
-			out[base+off] = sc.block[bi]
+			out[base+off] = T(sc.block[bi])
 		}
 		return
 	}
@@ -532,7 +555,7 @@ func (sc *scratch) scatter(out []float64, dims []int, origin []int) {
 			idx += c * str[d]
 		}
 		if valid {
-			out[idx] = sc.block[bi]
+			out[idx] = T(sc.block[bi])
 		}
 	}
 }
@@ -636,6 +659,9 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	buf = buf[4:]
 	dtype := pressio.DType(buf[0])
 	nd := int(buf[1])
+	if dtype != pressio.DTypeFloat32 && dtype != pressio.DTypeFloat64 {
+		return ErrCorrupt
+	}
 	buf = buf[2:]
 	tol := math.Float64frombits(binary.LittleEndian.Uint64(buf))
 	buf = buf[8:]
@@ -664,25 +690,18 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	}
 
 	dims := effectiveDims(origDims)
-	recon := make([]float64, total)
 	r := bitstream.NewReader(buf[:payloadLen])
 	sc := getScratch(len(dims))
 	sc.setDims(dims)
-	var decodeErr error
-	forEachBlock(dims, func(origin []int) {
-		if decodeErr != nil {
-			return
-		}
-		if err := decodeBlockF(r, sc, len(dims), tol); err != nil {
-			decodeErr = err
-			return
-		}
-		sc.scatter(recon, dims, origin)
-	})
-	putScratch(sc)
-	if decodeErr != nil {
-		return fmt.Errorf("zfp: %w: %v", ErrCorrupt, decodeErr)
+	out.Touch() // the blocks are written through the typed slice
+	if dtype == pressio.DTypeFloat32 {
+		err = decodeBlocks(r, sc, out.Float32(), dims, tol)
+	} else {
+		err = decodeBlocks(r, sc, out.Float64(), dims, tol)
 	}
-	out.FillFloat64(recon)
+	putScratch(sc)
+	if err != nil {
+		return fmt.Errorf("zfp: %w: %v", ErrCorrupt, err)
+	}
 	return nil
 }

@@ -91,7 +91,7 @@ func FuzzReadObservation(f *testing.F) {
 			MetricMS: map[string]float64{},
 			CR:       math.Inf(1), CompressMS: negZero, DecompressMS: math.Inf(-1),
 		},
-		{Field: "U", Step: -9, ByteSize: -1, Replicates: math.MinInt64 / 2},
+		{Field: "U", Step: -9, ByteSize: -1, Replicates: math.MinInt / 2},
 		{Field: "W", Compressor: "sz3", CR: 2}, // nil maps
 		{},
 	} {

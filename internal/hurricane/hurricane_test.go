@@ -94,7 +94,7 @@ func TestTimestepsDiffer(t *testing.T) {
 func TestSparseFieldsAreSparse(t *testing.T) {
 	for _, f := range FieldNames {
 		d := Generate(f, 24, testDims) // peak intensity
-		xs := stats.Float64Of(d)
+		xs := stats.Float64Run(d, 0, d.Len(), nil)
 		sp := stats.Sparsity(xs, 0)
 		if IsSparse(f) {
 			if sp < 0.3 {
@@ -134,8 +134,9 @@ func TestPressureRangeIsPhysical(t *testing.T) {
 
 func TestIntensityEvolves(t *testing.T) {
 	// storm winds should peak mid-sequence
-	speak := stats.Std(stats.Float64Of(Generate("V", 24, testDims)))
-	sstart := stats.Std(stats.Float64Of(Generate("V", 0, testDims)))
+	peak, start := Generate("V", 24, testDims), Generate("V", 0, testDims)
+	speak := stats.Std(stats.Float64Run(peak, 0, peak.Len(), nil))
+	sstart := stats.Std(stats.Float64Run(start, 0, start.Len(), nil))
 	if speak <= sstart {
 		t.Errorf("wind variability should peak mid-storm: t24=%.2f t0=%.2f", speak, sstart)
 	}
@@ -199,8 +200,8 @@ func TestFieldSeededPerturbsDenseFields(t *testing.T) {
 	}
 	// the seed perturbs small-scale noise only: the large-scale physics
 	// (hydrostatic pressure profile) must survive, so means stay close
-	ma := stats.Mean(stats.Float64Of(a))
-	mb := stats.Mean(stats.Float64Of(b))
+	ma := stats.Mean(stats.Float64Run(a, 0, a.Len(), nil))
+	mb := stats.Mean(stats.Float64Run(b, 0, b.Len(), nil))
 	if math.Abs(ma-mb) > 5 {
 		t.Errorf("seeds shifted the mean pressure too far: %.2f vs %.2f", ma, mb)
 	}

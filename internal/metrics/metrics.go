@@ -230,10 +230,16 @@ func (m *SVDTrunc) tau() float64 {
 	return m.Tau
 }
 
-// BeginCompress implements pressio.Metric.
+// BeginCompress implements pressio.Metric: a float32 buffer is read in
+// place, any other through stats.Float64Run.
 func (m *SVDTrunc) BeginCompress(in *pressio.Data) {
-	xs := stats.Float64Of(in)
-	rank, frac := stats.SVDTruncation(xs, in.Dims(), m.tau())
+	var rank int
+	var frac float64
+	if in.DType() == pressio.DTypeFloat32 {
+		rank, frac = stats.SVDTruncation(in.Float32(), in.Dims(), m.tau())
+	} else {
+		rank, frac = stats.SVDTruncation(stats.Float64Run(in, 0, in.Len(), nil), in.Dims(), m.tau())
+	}
 	r := pressio.Options{}
 	r.Set("svd_trunc:rank", int64(rank))
 	r.Set("svd_trunc:fraction", frac)

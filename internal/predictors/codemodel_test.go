@@ -84,7 +84,7 @@ func referenceMeanCodeLength(counts map[int32]uint64) float64 {
 // loop the plugin ran before it read sz3's term table — over a plain index
 // walk, into a map.
 func referenceJin(m *JinModel, in *pressio.Data) float64 {
-	vals, dims := stats.Float64Of(in), in.Dims()
+	vals, dims := stats.Float64Run(in, 0, in.Len(), nil), in.Dims()
 	nd := len(dims)
 	str := make([]int, nd)
 	acc := 1
@@ -139,7 +139,7 @@ func referenceJin(m *JinModel, in *pressio.Data) float64 {
 }
 
 func referenceZperfCoders(m *ZperfModel, in *pressio.Data) float64 {
-	sample := stats.Float64Of(in)[:int(float64(in.Len())*m.fraction())]
+	sample := stats.Float64Run(in, 0, in.Len(), nil)[:int(float64(in.Len())*m.fraction())]
 	step := 2 * m.abs()
 	hist := map[int32]uint64{}
 	var outliers uint64
@@ -395,9 +395,8 @@ func TestCodeModelAllocatesItsSpanNotTheBinBudget(t *testing.T) {
 		{"jin_model", jin, binsWide + marks},
 		{"khan_surrogate", khan, uint64(float64(in.Len())*khan.fraction())*4 + marks},
 	} {
-		// the first call fills the pools and the buffer's float64 view; a
-		// collection between two calls can empty the pools again, so the
-		// leanest of three is the warm one
+		// the first call fills the pools; a collection between two calls
+		// can empty them again, so the leanest of three is the warm one
 		c.metric.BeginCompress(in)
 		least := uint64(math.MaxUint64)
 		for try := 0; try < 3; try++ {
@@ -410,6 +409,37 @@ func TestCodeModelAllocatesItsSpanNotTheBinBudget(t *testing.T) {
 		if least >= c.limit {
 			t.Errorf("%s: a warm BeginCompress allocated %d bytes, want < %d", c.name, least, c.limit)
 		}
+	}
+}
+
+// TestJinModelReadsTheTypedBuffer: jin_model counts its codes over the
+// float32 elements in place. With its pools warm, BeginCompress on a
+// float32 32×32×64 cell it has never seen allocates less than half the
+// cell's bytes: a float64 copy alone is twice them.
+func TestJinModelReadsTheTypedBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the pooled code model at random under the race detector")
+	}
+	fresh := func() *pressio.Data {
+		in := pressio.NewFloat32(32, 32, 64)
+		for i := range in.Float32() {
+			in.Float32()[i] = float32(math.Sin(float64(i) / 29))
+		}
+		return in
+	}
+	m := &JinModel{FastIter: true}
+	m.BeginCompress(fresh())
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		in := fresh()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.BeginCompress(in)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(fresh().ByteSize() / 2); least >= limit {
+		t.Errorf("BeginCompress on a fresh float32 cell allocated %d bytes, want < %d (half the cell)", least, limit)
 	}
 }
 

@@ -83,10 +83,10 @@ func codeModelBits(t *testing.T) map[string]string {
 	for _, field := range []string{"P", "CLOUD"} {
 		in := cell(field, 3, []int{32, 32, 64})
 		put(fmt.Sprintf("summary/%s/entropy", field), stats.Summarize(in, 4096).Entropy())
-		put(fmt.Sprintf("stats/%s/quantized_entropy", field), stats.QuantizedEntropy(stats.Float64Of(in), 1e-4))
+		put(fmt.Sprintf("stats/%s/quantized_entropy", field), stats.QuantizedEntropy(stats.Float64Run(in, 0, in.Len(), nil), 1e-4))
 		for _, abs := range []float64{1e-6, 1e-4} {
 			zp := &ZperfModel{Abs: abs}
-			sample := stats.Float64Of(in)[:int(float64(in.Len())*zp.fraction())]
+			sample := stats.Float64Run(in, 0, in.Len(), nil)[:int(float64(in.Len())*zp.fraction())]
 			hist, _ := zp.residualHistogram(sample)
 			put(fmt.Sprintf("wang/%s/abs=%g/bits_per_sym", field, abs), stats.EntropyFromCounts(hist.Counts))
 		}

@@ -9,7 +9,10 @@
 // forest with interpolation augmentation).
 package predictors
 
-import "repro/internal/compressor/sz3"
+import (
+	"repro/internal/compressor/sz3"
+	"repro/internal/stats"
+)
 
 // naiveIterator walks a multi-dimensional index space the way the Jin 2022
 // code the paper profiled did: its "multi-dimensional iterator" managed C++
@@ -64,7 +67,7 @@ func (it *naiveIterator) Coords() []int { return it.coords }
 // naiveLorenzoCodes is sz3's CodesLorenzo stage — the first-order Lorenzo
 // terms read over original neighbours, as the analytic model does, not
 // reconstructed ones, then q.Code — at an element per naiveIterator step.
-func naiveLorenzoCodes(codes []int32, vals []float64, dims []int, q *sz3.Quantizer) {
+func naiveLorenzoCodes[T stats.Float](codes []int32, vals []T, dims []int, q *sz3.Quantizer) {
 	terms := sz3.LorenzoTerms(dims)
 	it := newNaiveIterator(dims)
 	for {
@@ -81,9 +84,9 @@ func naiveLorenzoCodes(codes []int32, vals []float64, dims []int, q *sz3.Quantiz
 		var pred float64
 		for _, t := range terms {
 			if t.Mask&have == t.Mask {
-				pred += t.Sign * vals[idx-t.Offset]
+				pred += t.Sign * float64(vals[idx-t.Offset])
 			}
 		}
-		codes[idx] = q.Code(vals[idx] - pred)
+		codes[idx] = q.Code(float64(vals[idx]) - pred)
 	}
 }

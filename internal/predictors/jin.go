@@ -96,12 +96,11 @@ func (m *JinModel) BeginCompress(in *pressio.Data) {
 	cm := codeModelPool.Get().(*codeModel)
 	defer codeModelPool.Put(cm)
 	cm.reset(m.abs(), m.bins())
-	vals, dims := stats.Float64Of(in), in.Dims()
-	codes := cm.room(len(vals))
-	if m.FastIter {
-		cm.q.CodesLorenzo(codes, vals, dims)
+	codes := cm.room(in.Len())
+	if in.DType() == pressio.DTypeFloat32 {
+		lorenzoCodes(codes, in.Float32(), in.Dims(), &cm.q, m.FastIter)
 	} else {
-		naiveLorenzoCodes(codes, vals, dims, &cm.q)
+		lorenzoCodes(codes, stats.Float64Run(in, 0, in.Len(), nil), in.Dims(), &cm.q, m.FastIter)
 	}
 	cm.take(codes)
 	hist, outliers, n := cm.histogram(), cm.outliers, cm.n()
@@ -124,6 +123,16 @@ func (m *JinModel) BeginCompress(in *pressio.Data) {
 	r.Set("jin_model:cr", cr)
 	r.Set("jin_model:outlier_fraction", float64(outliers)/float64(n))
 	m.results = r
+}
+
+// lorenzoCodes runs the model's prediction + quantization stage over vals
+// into codes: sz3's row stage, or the profiled naive iterator.
+func lorenzoCodes[T stats.Float](codes []int32, vals []T, dims []int, q *sz3.Quantizer, fast bool) {
+	if fast {
+		sz3.CodesLorenzo(q, codes, vals, dims)
+	} else {
+		naiveLorenzoCodes(codes, vals, dims, q)
+	}
 }
 
 // Results implements pressio.Metric.

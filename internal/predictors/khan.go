@@ -192,7 +192,7 @@ func (m *KhanSurrogate) estimateSZ(in *pressio.Data, sc *khanScratch) float64 {
 	for _, run := range m.sampleRuns(in.Len(), 16, sc.runs[:0]) {
 		vals := sc.read(in, run)
 		codes := cm.room(len(vals))
-		cm.q.CodesLorenzo(codes, vals, []int{len(vals)})
+		sz3.CodesLorenzo(&cm.q, codes, vals, []int{len(vals)})
 		cm.take(codes)
 	}
 	if cm.n() == 0 {

@@ -163,8 +163,8 @@ func TestJinNaiveAndFastIteratorsAgree(t *testing.T) {
 			for _, abs := range []float64{1.2e-6, 1.3e-4, 1e-2} {
 				q := &sz3.Quantizer{Abs: abs, Bins: sz3.DefaultBins}
 				naive, fast := make([]int32, cell.Len()), make([]int32, cell.Len())
-				naiveLorenzoCodes(naive, stats.Float64Of(cell), shape, q)
-				q.CodesLorenzo(fast, stats.Float64Of(cell), shape)
+				naiveLorenzoCodes(naive, cell.Float32(), shape, q)
+				sz3.CodesLorenzo(q, fast, cell.Float32(), shape)
 				if !slices.Equal(naive, fast) {
 					t.Errorf("%s %v abs=%g: the row stage's codes are not the naive iterator's", name, shape, abs)
 				}

@@ -224,7 +224,7 @@ func (m *ZperfModel) residualHistogram(sample []float64) (huffman.Histogram, uin
 			codes[i] = cm.q.Code(v - pred)
 		}
 	default: // lorenzo (1-D on the sampled slab)
-		cm.q.CodesLorenzo(codes, sample, []int{len(sample)})
+		sz3.CodesLorenzo(&cm.q, codes, sample, []int{len(sample)})
 	}
 	cm.take(codes)
 	hist, outliers := cm.histogram(), cm.outliers

@@ -131,7 +131,7 @@ func TestZperfRegressionStage(t *testing.T) {
 	// a noisy gradient: regression beats lorenzo, both beat mean
 	data := pressio.NewFloat32(4096)
 	for i := 0; i < data.Len(); i++ {
-		data.Set(i, float64(i)*0.01+0.3*float64((i*2654435761)%1000)/1000)
+		data.Set(i, float64(i)*0.01+0.3*float64((int64(i)*2654435761)%1000)/1000)
 	}
 	reg := zperfCR(t, data, "regression", "huffman", "none")
 	mean := zperfCR(t, data, "mean", "huffman", "none")

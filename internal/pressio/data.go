@@ -26,13 +26,13 @@ type Data struct {
 	by  []byte
 
 	// version counts mutations made through this Data value (Set,
-	// FillFloat64, Touch, UnmarshalBinary). Everything derived from the
-	// contents — the slot below, and stats.Float64Of's buffer-sized
-	// view — is valid for one version only, so a mutated buffer never
-	// serves stale statistics. Mutating a backing slice obtained from
-	// Float64()/Float32()/... directly bypasses the counter; such writes
-	// must happen before the buffer is shared with metrics, or be
-	// followed by Touch.
+	// Touch, UnmarshalBinary). Everything derived from the contents —
+	// the slot below — is valid for one version only, so a mutated
+	// buffer never serves stale statistics. Mutating a backing slice
+	// obtained from Float64()/Float32()/... directly bypasses the
+	// counter; such writes must happen before the buffer is shared with
+	// metrics, or be preceded or followed by Touch (the decompressors
+	// call it before writing their output in place).
 	version uint64
 
 	// derived is the buffer's derived-value slot (Derived/StoreDerived).
@@ -267,9 +267,9 @@ func (d *Data) At(i int) float64 {
 }
 
 // Version returns the mutation generation of the buffer. It increases on
-// every Set, FillFloat64, Touch and UnmarshalBinary; equal (pointer,
-// Version) pairs denote identical contents, which is what makes values
-// derived from a buffer (Derived, stats.Float64Of) sound to reuse.
+// every Set, Touch and UnmarshalBinary; equal (pointer, Version) pairs
+// denote identical contents, which is what makes values derived from a
+// buffer (Derived) sound to reuse.
 func (d *Data) Version() uint64 { return d.version }
 
 // Set stores v into element i, converting from float64.
@@ -296,39 +296,6 @@ func (d *Data) Set(i int, v float64) {
 // in place must call Touch once afterwards so values derived from the
 // previous contents are no longer served.
 func (d *Data) Touch() { d.version++ }
-
-// FillFloat64 stores vals into the buffer, converting each element from
-// float64 like Set does. len(vals) must equal Len. It is the bulk
-// counterpart of per-element Set loops (one version bump, one typed
-// loop), which decompressors use to write their output.
-func (d *Data) FillFloat64(vals []float64) {
-	if len(vals) != d.Len() {
-		panic(fmt.Sprintf("pressio: FillFloat64 got %d values for %d elements", len(vals), d.Len()))
-	}
-	d.version++
-	switch d.dtype {
-	case DTypeFloat32:
-		for i, v := range vals {
-			d.f32[i] = float32(v)
-		}
-	case DTypeFloat64:
-		copy(d.f64, vals)
-	case DTypeInt32:
-		for i, v := range vals {
-			d.i32[i] = int32(v)
-		}
-	case DTypeInt64:
-		for i, v := range vals {
-			d.i64[i] = int64(v)
-		}
-	case DTypeByte:
-		for i, v := range vals {
-			d.by[i] = byte(v)
-		}
-	default:
-		panic("pressio: FillFloat64: unsupported dtype")
-	}
-}
 
 // Clone returns a deep copy of the buffer.
 func (d *Data) Clone() *Data {
@@ -486,8 +453,10 @@ func (d *Data) UnmarshalBinary(b []byte) error {
 
 // MaxElements bounds the element count a deserialized header may claim;
 // generous for real data, small enough that a corrupt header cannot make
-// element-count arithmetic overflow or drive block loops astronomically.
-const MaxElements = 1 << 44
+// element-count arithmetic overflow or drive block loops astronomically:
+// 1<<44 where int is 64 bits wide, and where it is 32 bits, the largest
+// count whose size in 8-byte elements still fits in an int.
+const MaxElements = min(1<<44, math.MaxInt/8)
 
 // CheckDims validates dimensions decoded from an untrusted stream: every
 // dimension must be positive and the element product must stay within

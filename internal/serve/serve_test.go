@@ -606,7 +606,7 @@ func TestPredictIntervalAlpha(t *testing.T) {
 // refusal), and the daemon answers the next request.
 func TestJinQuantBinsPastSZ3sRangeIsRefusedNotFatal(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	bad := map[string]any{"pressio:abs": 1e-12, "jin:quant_bins": 8589934592}
+	bad := map[string]any{"pressio:abs": 1e-12, "jin:quant_bins": int64(8589934592)}
 	cell := &DataRef{Field: "P", Step: 1, Dims: []int{8, 8, 8}}
 
 	resp, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Scheme: "jin2022", Compressor: "sz3", Options: bad, Data: cell})

@@ -228,17 +228,17 @@ func TestGeneralDistortion(t *testing.T) {
 
 func TestToFloat64(t *testing.T) {
 	d32 := pressio.FromFloat32([]float32{1, 2, 3}, 3)
-	v := Float64Of(d32)
+	v := Float64Run(d32, 0, d32.Len(), nil)
 	if len(v) != 3 || v[2] != 3 {
 		t.Errorf("float32 conversion wrong: %v", v)
 	}
 	d64 := pressio.FromFloat64([]float64{4, 5}, 2)
-	if &Float64Of(d64)[0] != &d64.Float64()[0] {
+	if &Float64Run(d64, 0, d64.Len(), nil)[0] != &d64.Float64()[0] {
 		t.Error("float64 should not be copied")
 	}
 	di := pressio.NewInt32(2)
 	di.Set(1, 9)
-	if Float64Of(di)[1] != 9 {
+	if Float64Run(di, 0, di.Len(), nil)[1] != 9 {
 		t.Error("int32 conversion wrong")
 	}
 }

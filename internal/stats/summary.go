@@ -86,7 +86,7 @@ func (m *moments) add(v float64) {
 }
 
 // addAll folds a float32 or float64 buffer into m in index order.
-func addAll[T float](m *moments, xs []T) {
+func addAll[T Float](m *moments, xs []T) {
 	for _, f := range xs {
 		m.add(float64(f))
 	}
@@ -108,7 +108,7 @@ func summarize(d *pressio.Data, bins int, known *Summary) *Summary {
 	return summarizeOf(Float64Run(d, 0, d.Len(), nil), bins, known)
 }
 
-func summarizeOf[T float](xs []T, bins int, known *Summary) *Summary {
+func summarizeOf[T Float](xs []T, bins int, known *Summary) *Summary {
 	s := &Summary{N: len(xs)}
 	if known != nil {
 		*s = *known
@@ -190,92 +190,14 @@ type (
 // qeValue is the quantized entropy at the last bound asked for.
 type qeValue struct{ abs, bits float64 }
 
-// f64View is the float64 conversion of one (Data pointer, version)
-// generation. It is buffer-sized — twice a float32 buffer — so unlike
-// the values above it does not ride on the buffer: pinning one per
-// resident cell would triple the data tier's footprint.
-type f64View struct {
-	data    *pressio.Data
-	version uint64
-	f64     []float64
-}
-
-// viewCache is a small move-to-front cache of float64 views keyed by
-// Data pointer identity. Eight entries cover the working set of a metric
-// chain, a bench sweep cell, and concurrent predictd requests without
-// pinning an unbounded amount of buffer-sized memory.
-type viewCache struct {
-	mu      sync.Mutex
-	entries []*f64View // most recently used first
-}
-
-const viewCacheCap = 8
-
-var views viewCache
-
-// lookup returns (creating if needed) the entry for d's current
-// generation. Callers must hold no locks; the entry is returned outside
-// the cache lock and may be concurrently filled by racing goroutines —
-// fills are idempotent, so last-write-wins is sound.
-func (c *viewCache) lookup(d *pressio.Data) *f64View {
-	v := d.Version()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, e := range c.entries {
-		if e.data == d {
-			if e.version != v {
-				e = &f64View{data: d, version: v}
-				c.entries[i] = e
-			}
-			// move to front
-			copy(c.entries[1:i+1], c.entries[:i])
-			c.entries[0] = e
-			return e
-		}
-	}
-	e := &f64View{data: d, version: v}
-	if len(c.entries) < viewCacheCap {
-		c.entries = append(c.entries, nil)
-	}
-	copy(c.entries[1:], c.entries)
-	c.entries[0] = e
-	return e
-}
-
-// Float64Of returns a float64 view of d, cached per buffer generation: a
-// float64 buffer is returned directly, anything else is converted once
-// and reused by every subsequent caller until the buffer mutates or eight
-// other buffers have been viewed. Its readers are the kernels that want
-// float64 rows (sz3, zfp, szx, jin_model), `svd_trunc` and the exact-value
-// entropy at a non-positive bound; the summary, spatial and variogram
-// features read the typed buffer and never build one. The returned slice
-// is shared — callers must not modify it.
-func Float64Of(d *pressio.Data) []float64 {
-	if d.DType() == pressio.DTypeFloat64 {
-		return d.Float64()
-	}
-	e := views.lookup(d)
-	views.mu.Lock()
-	xs := e.f64
-	views.mu.Unlock()
-	if xs != nil {
-		return xs
-	}
-	out := Float64Run(d, 0, d.Len(), nil)
-	views.mu.Lock()
-	e.f64 = out
-	views.mu.Unlock()
-	return out
-}
-
-// Float64Run returns elements [lo, hi) of d as float64 without viewing
-// the rest of the buffer: a float64 buffer returns its own sub-slice, any
-// other dtype converts just the run into dst (grown if too small) — the
-// same float64(x) values Float64Of would hold at those indices. It is the
-// reader for plugins that sample: the work, and for an mmap-backed cell
-// the pages faulted in, are proportional to the run, and the view cache
-// is neither consulted nor filled. The result may alias d or dst and is
-// read-only; a reader of the whole buffer wants Float64Of's shared view.
+// Float64Run returns elements [lo, hi) of d as float64: a float64 buffer
+// returns its own sub-slice, any other dtype converts just the run into
+// dst (grown if too small), element by element as float64(x). It is the
+// reader for plugins that sample, whose work, and for an mmap-backed cell
+// the pages faulted in, are proportional to the run. Over the whole
+// buffer it is how a typed kernel reads a dtype other than float32: the
+// buffer itself for float64, a converted copy for the integer types. The
+// result may alias d or dst and is read-only.
 func Float64Run(d *pressio.Data, lo, hi int, dst []float64) []float64 {
 	if d.DType() == pressio.DTypeFloat64 {
 		return d.Float64()[lo:hi]
@@ -364,8 +286,9 @@ func quantizedEntropyData(d *pressio.Data, abs float64) float64 {
 		return 0
 	}
 	if abs <= 0 {
-		// entropy of exact values — rare path, via the cached view
-		return QuantizedEntropy(Float64Of(d), abs)
+		// entropy of exact values: a rare path, memoised on the buffer
+		// like every other bound
+		return QuantizedEntropy(Float64Run(d, 0, n, nil), abs)
 	}
 	q := 2 * abs
 	s := SummaryOf(d, 0, 0)

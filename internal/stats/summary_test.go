@@ -202,9 +202,9 @@ func TestSummaryOfCachesPerGeneration(t *testing.T) {
 
 // TestSummaryOfLivesOnTheBuffer: the summary is kept by the buffer, not
 // by a bounded process-wide list, so any number of live buffers keep
-// theirs (the float64 view cache below holds eight).
+// theirs.
 func TestSummaryOfLivesOnTheBuffer(t *testing.T) {
-	bufs := make([]*pressio.Data, 4*viewCacheCap)
+	bufs := make([]*pressio.Data, 32)
 	first := make([]*Summary, len(bufs))
 	for i := range bufs {
 		vals := make([]float32, 256)
@@ -259,28 +259,9 @@ func TestSummaryOfKeepsHistogramOnlyWhereSmall(t *testing.T) {
 	}
 }
 
-func TestFloat64OfCachesPerGeneration(t *testing.T) {
-	d := pressio.FromFloat32([]float32{1, 2, 3}, 3)
-	a := Float64Of(d)
-	b := Float64Of(d)
-	if &a[0] != &b[0] {
-		t.Errorf("same generation should share one conversion")
-	}
-	d.Set(1, 7)
-	c := Float64Of(d)
-	if c[1] != 7 {
-		t.Errorf("post-mutation conversion = %v, want index 1 == 7", c)
-	}
-	// float64 input passes through without copying
-	d64 := pressio.FromFloat64([]float64{1, 2}, 2)
-	if &Float64Of(d64)[0] != &d64.Float64()[0] {
-		t.Errorf("float64 buffer should be returned directly")
-	}
-}
-
-// TestFloat64RunReadsOnlyTheRun: a run is the view's values at those
-// indices, converted into the caller's scratch (or, for a float64
-// buffer, not converted at all), and leaves no buffer-sized view behind.
+// TestFloat64RunReadsOnlyTheRun: a run is float64(x) of the elements at
+// those indices, converted into the caller's scratch (or, for a float64
+// buffer, not converted at all).
 func TestFloat64RunReadsOnlyTheRun(t *testing.T) {
 	d := pressio.FromFloat32([]float32{0.1, 0.2, 0.3, 0.4, 0.5}, 5)
 	scratch := make([]float64, 0, 8)
@@ -288,14 +269,9 @@ func TestFloat64RunReadsOnlyTheRun(t *testing.T) {
 	if len(run) != 3 || &run[0] != &scratch[:1][0] {
 		t.Fatalf("run = %v, want 3 elements converted into the scratch", run)
 	}
-	for _, e := range views.entries {
-		if e.data == d {
-			t.Error("Float64Run filled the view cache")
-		}
-	}
-	for i, v := range Float64Of(d)[1:4] {
-		if run[i] != v {
-			t.Errorf("run[%d] = %v, view has %v", i, run[i], v)
+	for i, v := range d.Float32()[1:4] {
+		if run[i] != float64(v) {
+			t.Errorf("run[%d] = %v, the buffer has %v", i, run[i], v)
 		}
 	}
 	if grown := Float64Run(d, 0, 5, scratch[:0:2]); len(grown) != 5 || grown[4] != float64(float32(0.5)) {

@@ -12,7 +12,7 @@ import (
 // sizes used here (the paper notes the SVD feature is expensive relative
 // to other metrics even with optimized implementations — that relative
 // cost is preserved).
-func SingularValues(a []float64, m, n int) []float64 {
+func SingularValues[T Float](a []T, m, n int) []float64 {
 	if m <= 0 || n <= 0 || len(a) != m*n {
 		return nil
 	}
@@ -26,7 +26,7 @@ func SingularValues(a []float64, m, n int) []float64 {
 				var s float64
 				ri, rj := a[i*n:(i+1)*n], a[j*n:(j+1)*n]
 				for t := 0; t < n; t++ {
-					s += ri[t] * rj[t]
+					s += float64(ri[t]) * float64(rj[t])
 				}
 				gram[i*m+j] = s
 				gram[j*m+i] = s
@@ -40,7 +40,7 @@ func SingularValues(a []float64, m, n int) []float64 {
 			for j := i; j < n; j++ {
 				var s float64
 				for t := 0; t < m; t++ {
-					s += a[t*n+i] * a[t*n+j]
+					s += float64(a[t*n+i]) * float64(a[t*n+j])
 				}
 				gram[i*n+j] = s
 				gram[j*n+i] = s
@@ -112,7 +112,7 @@ func jacobiEigenvalues(g []float64, k int) []float64 {
 // values carry at least fraction tau of the total squared energy, together
 // with the fraction r/min(m,n) — the SVD-truncation feature of Underwood
 // 2023. Fields with little global spatial structure need high rank.
-func SVDTruncation(xs []float64, dims []int, tau float64) (rank int, fraction float64) {
+func SVDTruncation[T Float](xs []T, dims []int, tau float64) (rank int, fraction float64) {
 	m, n := unfold(dims)
 	if m == 0 || n == 0 {
 		return 0, 0
@@ -183,7 +183,7 @@ func unfold(dims []int) (m, n int) {
 // expensive formulation — the cost profile the paper attributes to the
 // Underwood 2023 SVD feature (§6: the SVD dominates that scheme's
 // runtime even with optimized implementations).
-func SingularValuesOneSided(a []float64, m, n int) []float64 {
+func SingularValuesOneSided[T Float](a []T, m, n int) []float64 {
 	if m <= 0 || n <= 0 || len(a) != m*n {
 		return nil
 	}
@@ -192,7 +192,7 @@ func SingularValuesOneSided(a []float64, m, n int) []float64 {
 	for j := 0; j < n; j++ {
 		col := make([]float64, m)
 		for i := 0; i < m; i++ {
-			col[i] = a[i*n+j]
+			col[i] = float64(a[i*n+j])
 		}
 		cols[j] = col
 	}

@@ -90,7 +90,7 @@ func TestSingularValuesWideVsTall(t *testing.T) {
 }
 
 func TestSingularValuesBadInput(t *testing.T) {
-	if SingularValues(nil, 0, 0) != nil {
+	if SingularValues([]float64(nil), 0, 0) != nil {
 		t.Error("empty input should return nil")
 	}
 	if SingularValues([]float64{1, 2}, 2, 2) != nil {
@@ -141,7 +141,7 @@ func TestSVDTruncation1D(t *testing.T) {
 }
 
 func TestSVDTruncationDegenerate(t *testing.T) {
-	rank, frac := SVDTruncation(nil, nil, 0.99)
+	rank, frac := SVDTruncation([]float64(nil), nil, 0.99)
 	if rank != 0 || frac != 0 {
 		t.Error("empty input should give zero truncation")
 	}
