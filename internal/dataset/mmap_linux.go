@@ -10,14 +10,6 @@ import (
 	"unsafe"
 )
 
-// hostLittleEndian reports the native byte order once at init; raw .f32
-// files are little-endian, so only a little-endian host may reinterpret
-// the mapping in place.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
 // mapFloat32 maps a raw little-endian float32 file of exactly n elements
 // read-only and reinterprets the mapping in place — the zero-copy reload
 // path of the tiered cache. raw is the file's backing bytes (hash them,
@@ -74,5 +66,41 @@ func fsClock(dir string) (int64, error) {
 	return st.Ctim.Nano(), nil
 }
 
-// unmapRaw returns a region obtained from mapFloat32 with isMapped=true.
+// writeMapped publishes buf under path as writeFileAtomic does and
+// with mapIt returns a read-only mapping of what it wrote, taken from the
+// descriptor that wrote it before the rename publishes it: the mapping is
+// of the published inode, and holds buf's bytes without hashing them
+// again. The mapping is nil without mapIt, for an empty buf, and when
+// mmap fails, which leaves the spill published all the same.
+func writeMapped(path string, buf []byte, mapIt bool) ([]byte, error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	var m []byte
+	_, err = f.Write(buf)
+	if err == nil && mapIt && len(buf) > 0 {
+		if mm, merr := syscall.Mmap(int(f.Fd()), 0, len(buf), syscall.PROT_READ, syscall.MAP_PRIVATE); merr == nil {
+			m = mm
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		if m != nil {
+			unmapRaw(m)
+		}
+		os.Remove(tmp)
+		return nil, err
+	}
+	return m, nil
+}
+
+// unmapRaw returns a region obtained from mapFloat32 with isMapped=true,
+// or from writeMapped.
 func unmapRaw(raw []byte) { syscall.Munmap(raw) }

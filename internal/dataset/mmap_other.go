@@ -16,4 +16,10 @@ func mapFloat32(path string, n int) ([]float32, []byte, bool, fileIdentity, erro
 // remembered, and this build has none.
 func fsClock(string) (int64, error) { return 0, errors.ErrUnsupported }
 
+// writeMapped publishes buf and maps nothing: this build's reload path
+// copies, so a spilled cell stays the loader's buffer.
+func writeMapped(path string, buf []byte, _ bool) ([]byte, error) {
+	return nil, writeFileAtomic(path, buf)
+}
+
 func unmapRaw([]byte) {}

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/hurricane"
 	"repro/internal/pressio"
@@ -324,8 +325,13 @@ func (c *TieredCache) loadTiers(k tieredKey, dims []int) (data *pressio.Data, ra
 	}
 	if spill {
 		// spill failures degrade the disk tier, not the request: the
-		// loaded buffer is still correct, the next miss just regenerates
-		_ = c.writeSpillTier(k.field, k.step, d)
+		// loaded buffer is still correct, the next miss just regenerates.
+		// A spill that could be mapped is served as that mapping, and the
+		// loader's buffer is left to the collector: the cell is resident
+		// once, as clean file pages, not also on the heap.
+		if fl, m, err := c.writeSpillTier(k.field, k.step, d); err == nil && m != nil {
+			return pressio.FromFloat32(fl, dims...), m, true, false, nil
+		}
 	}
 	return d, nil, false, false, nil
 }
@@ -426,21 +432,44 @@ func (c *TieredCache) checkDigest(path string, raw []byte) error {
 
 // writeSpillTier persists a cell in the corpus writer's encoding and
 // naming (so bytes and names match BuildCorpus exactly) and then its
-// digest sidecar, hashed from the encoded bytes in hand. Both are
-// published by rename, so a rewrite never truncates a file under a
-// mapping still pinned to it, and ordering makes a crash between the two
-// safe: data without a sidecar is invisible to readSpillTier, and stale
-// data under a fresh rewrite is caught by the digest.
-func (c *TieredCache) writeSpillTier(field string, step int, d *pressio.Data) error {
-	path, buf, err := encodeRaw(c.spillDir, fmt.Sprintf("%s.t%02d", field, step), d)
-	if err != nil {
-		return err
+// digest sidecar, hashed from the bytes in hand. On a little-endian host
+// a float32 cell's own memory is those bytes; only other hosts and dtypes
+// pay encodeRaw's copy. Both files are published by rename, so a rewrite
+// never truncates a file under a mapping still pinned to it, and ordering
+// makes a crash between the two safe: data without a sidecar is invisible
+// to readSpillTier, and stale data under a fresh rewrite is caught by the
+// digest.
+//
+// It returns a read-only mapping of the data file, taken from the
+// descriptor that wrote it (so it is the inode just published, and its
+// bytes are the ones hashed), or a nil m where the reload path would copy
+// or the map failed. No identity is remembered: the file's first reload
+// hashes it, as any other.
+func (c *TieredCache) writeSpillTier(field string, step int, d *pressio.Data) (fl []float32, m []byte, err error) {
+	var path string
+	var buf []byte
+	inPlace := hostLittleEndian && d.DType() == pressio.DTypeFloat32 && d.Len() > 0
+	if inPlace {
+		path = filepath.Join(c.spillDir, spillName(field, step, d.Dims()))
+		v := d.Float32()
+		buf = unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+	} else if path, buf, err = encodeRaw(c.spillDir, fmt.Sprintf("%s.t%02d", field, step), d); err != nil {
+		return nil, nil, err
 	}
-	if err := writeFileAtomic(path, buf); err != nil {
-		return err
+	if m, err = writeMapped(path, buf, inPlace); err != nil {
+		return nil, nil, err
 	}
 	sum := sha256.Sum256(buf)
-	return writeFileAtomic(path+".sha256", []byte(hex.EncodeToString(sum[:])+"\n"))
+	if err := writeFileAtomic(path+".sha256", []byte(hex.EncodeToString(sum[:])+"\n")); err != nil {
+		if m != nil {
+			unmapRaw(m)
+		}
+		return nil, nil, err
+	}
+	if m == nil {
+		return nil, nil, nil
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&m[0])), len(m)/4), m, nil
 }
 
 // dropSpill deletes a pair that proved inconsistent and forgets that it
@@ -452,6 +481,14 @@ func (c *TieredCache) dropSpill(k tieredKey, path string) {
 	delete(c.verified, k)
 	c.mu.Unlock()
 }
+
+// hostLittleEndian reports the native byte order once at init; raw .f32
+// files are little-endian, so only a little-endian host may write a
+// cell's memory as its file or reinterpret a mapping in place.
+var hostLittleEndian = func() bool {
+	var x uint16 = 1
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
 
 // readFloat32 is the copying reload path: decode a raw little-endian
 // .f32 file into a fresh slice. Used on platforms without mmap support
