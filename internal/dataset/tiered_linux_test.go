@@ -7,9 +7,11 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/hurricane"
 )
@@ -245,5 +247,90 @@ func TestTieredRestartRehashes(t *testing.T) {
 	}
 	if want, _ := hurricane.Field("TC", 0, tieredDims); got[0] != want.Float32()[0] {
 		t.Fatalf("served %v, want %v", got[0], want.Float32()[0])
+	}
+}
+
+// servedDims is serve_cold's cell: 64×64×96 float32, 1.5 MiB.
+var servedDims = []int{64, 64, 96}
+
+// heapGrowth reports how far HeapAlloc grows, both sides measured after a
+// collection, while eight cells of servedDims are loaded through a tier
+// that holds them all and are left resident.
+func heapGrowth(t *testing.T, spillDir string) (grew, cell int64, st TieredStats) {
+	t.Helper()
+	cell = 4 * int64(servedDims[0]*servedDims[1]*servedDims[2])
+	c, err := NewTiered(TieredConfig{CapacityBytes: 8 * cell, SpillDir: spillDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for step := 0; step < 8; step++ {
+		h, err := c.Acquire("P", step, servedDims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st = c.Stats()
+	runtime.KeepAlive(c)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc), cell, st
+}
+
+// TestTieredSpilledCellsLeaveTheHeap: with a disk tier a resident cell is
+// its spill file's mapping, so eight resident cells grow the Go heap by
+// less than one of them; without one they are heap buffers, and it grows
+// by at least all of them.
+func TestTieredSpilledCellsLeaveTheHeap(t *testing.T) {
+	grew, cell, st := heapGrowth(t, t.TempDir())
+	if grew >= cell {
+		t.Errorf("with a spill dir the heap grew by %d bytes for 8 resident cells, want less than one cell (%d)", grew, cell)
+	}
+	if st.ResidentBytes != 8*cell || st.MappedBytes != st.ResidentBytes {
+		t.Errorf("want 8 resident mapped cells, got %+v", st)
+	}
+	grew, cell, st = heapGrowth(t, "")
+	if st.ResidentBytes != 8*cell || st.MappedBytes != 0 {
+		t.Fatalf("want 8 resident heap cells, got %+v", st)
+	}
+	if grew < st.ResidentBytes {
+		t.Errorf("without a spill dir the heap grew by %d bytes, want at least the %d resident", grew, st.ResidentBytes)
+	}
+}
+
+// TestTieredFreshCellIsMapped: a cell just loaded and spilled is served
+// as the mapping of its spill file, whose bytes are the ones its sidecar
+// names, and its first reload after an eviction still hashes the file.
+func TestTieredFreshCellIsMapped(t *testing.T) {
+	dir := t.TempDir()
+	c := newSpillCache(t, dir)
+	h, err := c.Acquire("P", 0, tieredDims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Misses != 1 || st.ResidentBytes != tieredBytes() || st.MappedBytes != st.ResidentBytes {
+		t.Fatalf("want one fresh mapped cell, got %+v", st)
+	}
+	fl := h.Data().Float32()
+	sum := sha256.Sum256(unsafe.Slice((*byte)(unsafe.Pointer(&fl[0])), 4*len(fl)))
+	side, err := os.ReadFile(filepath.Join(dir, spillName("P", 0, tieredDims)) + ".sha256")
+	if err != nil || string(side) != hex.EncodeToString(sum[:])+"\n" {
+		t.Fatalf("the served bytes do not hash to the sidecar %q (%v)", side, err)
+	}
+	want, _ := hurricane.Field("P", 0, tieredDims)
+	for i, v := range want.Float32() {
+		if fl[i] != v {
+			t.Fatalf("served element %d = %v, want %v", i, fl[i], v)
+		}
+	}
+	h.Release()
+	touch(t, c, "TC")
+	touch(t, c, "P")
+	if st := c.Stats(); st.DiskHits != 1 || st.DigestChecks != 1 {
+		t.Fatalf("the first reload of a fresh spill must hash it: %+v", st)
 	}
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -425,5 +426,43 @@ func TestTieredConcurrentReload(t *testing.T) {
 	st := c.Stats()
 	if st.MemHits+st.DiskHits+st.Misses != workers*rounds || st.DiskHits == 0 || st.DigestChecks > st.DiskHits {
 		t.Fatalf("tiers do not account for %d acquires: %+v", workers*rounds, st)
+	}
+}
+
+// TestTieredFailedSpillServesTheLoadersBuffer: a spill that cannot be
+// written (its temp path is taken by a directory) costs the disk tier, not
+// the request: the cell is the loader's own buffer, resident on the heap,
+// and nothing is published.
+func TestTieredFailedSpillServesTheLoadersBuffer(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, spillName("P", 0, tieredDims))
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var loaded *pressio.Data
+	c, err := NewTiered(TieredConfig{CapacityBytes: tieredBytes(), SpillDir: dir,
+		Loader: func(field string, step int, dims []int) (*pressio.Data, error) {
+			d, err := hurricane.Field(field, step, dims)
+			loaded = d
+			return d, err
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.Acquire("P", 0, tieredDims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if h.Data() != loaded {
+		t.Fatal("a failed spill must serve the loader's buffer")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.ResidentBytes != tieredBytes() || st.MappedBytes != 0 {
+		t.Fatalf("want one resident heap cell, got %+v", st)
+	}
+	for _, p := range []string{path, path + ".sha256"} {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: a failed spill published something: %v", p, err)
+		}
 	}
 }
