@@ -85,3 +85,44 @@ func TestFloat32AllocatesNoMoreThanFloat64(t *testing.T) {
 		}
 	}
 }
+
+// TestSz3DecompressReusesItsWorkingSet: sz3's Decompress recycles its
+// DEFLATE reader, the body it inflates and the codes it decodes, so with
+// warm pools a float32 32×32×64 cell decompresses allocating less than an
+// eighth of the cell's own bytes (the leanest of five calls, each after a
+// collection).
+func TestSz3DecompressReusesItsWorkingSet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the pooled scratch at random under the race detector")
+	}
+	in := pressio.NewFloat32(32, 32, 64)
+	for i := 0; i < in.Len(); i++ {
+		in.Set(i, math.Sin(float64(i)/29)+0.01*math.Cos(float64(i)))
+	}
+	comp, err := pressio.GetCompressor("sz3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed, err := comp.Compress(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := pressio.New(in.DType(), in.Dims()...)
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 6; try++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := comp.Decompress(compressed, out)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if try > 0 {
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if limit := uint64(in.ByteSize() / 8); least >= limit {
+		t.Errorf("a warm decompress of a %d-byte cell allocated %d bytes, want less than %d", in.ByteSize(), least, limit)
+	}
+}

@@ -66,6 +66,46 @@ var flatePool = sync.Pool{New: func() any {
 	return fw
 }}
 
+// inflater is one Decompress's recyclable working set: the DEFLATE
+// reader (reset through flate.Resetter, which reuses its window and
+// tables), the reader over the stream it inflates, and the body it
+// inflates into.
+type inflater struct {
+	src  bytes.Reader
+	fr   io.ReadCloser
+	body []byte
+}
+
+var inflatePool = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflate decompresses stream into inf.body, growing it as io.ReadAll
+// would, and returns it; it stays valid until inf goes back to the pool.
+func (inf *inflater) inflate(stream []byte) ([]byte, error) {
+	inf.src.Reset(stream)
+	if inf.fr == nil {
+		inf.fr = flate.NewReader(&inf.src)
+	} else if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
+		return nil, err
+	}
+	body := inf.body[:0]
+	for {
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		n, err := inf.fr.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			inf.body = body
+			return nil, err
+		}
+	}
+	inf.body = body
+	return body, nil
+}
+
 func getCodesBuf(n int) []int32 {
 	b := codesPool.Get().([]int32)
 	if cap(b) < n {
@@ -289,16 +329,18 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 		return fmt.Errorf("sz3: output has %d elements, stream has %d", out.Len(), total)
 	}
 
-	fr := flate.NewReader(bytes.NewReader(buf))
-	defer fr.Close()
-	body, err := io.ReadAll(fr)
+	inf := inflatePool.Get().(*inflater)
+	defer inflatePool.Put(inf)
+	body, err := inf.inflate(buf)
 	if err != nil {
 		return fmt.Errorf("sz3: %w: %v", ErrCorrupt, err)
 	}
 	if len(body) != codedLen+8*noutlier+4*ncoeff {
 		return ErrCorrupt
 	}
-	codes, err := huffman.Decode(body[:codedLen])
+	codesBuf := getCodesBuf(total)
+	defer codesPool.Put(codesBuf)
+	codes, err := huffman.DecodeInto(codesBuf, body[:codedLen])
 	if err != nil {
 		return fmt.Errorf("sz3: %w: %v", ErrCorrupt, err)
 	}
@@ -314,12 +356,13 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	if sentinels != noutlier {
 		return ErrCorrupt
 	}
-	outliers := make([]float64, noutlier)
+	exact := getF64Buf(noutlier + ncoeff)
+	defer f64Pool.Put(exact)
+	outliers, coeffs := exact[:noutlier], exact[noutlier:]
 	ob := body[codedLen:]
 	for i := range outliers {
 		outliers[i] = math.Float64frombits(binary.LittleEndian.Uint64(ob[8*i:]))
 	}
-	coeffs := make([]float64, ncoeff)
 	cb := body[codedLen+8*noutlier:]
 	for i := range coeffs {
 		coeffs[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(cb[4*i:])))

@@ -411,14 +411,20 @@ const decodeLookupBits = 12
 // The table may list its symbols in any order; a symbol listed twice, a
 // zero or over-long length, and lengths that over-subscribe the code space
 // are corrupt.
-func Decode(buf []byte) ([]int32, error) {
+func Decode(buf []byte) ([]int32, error) { return DecodeInto(nil, buf) }
+
+// DecodeInto is Decode writing the symbols over dst's backing array, which
+// it grows only when the stream holds more than cap(dst) symbols; a caller
+// that recycles its code buffer decodes without allocating it. The result
+// is dst resliced (or its replacement) and nothing else aliases it.
+func DecodeInto(dst []int32, buf []byte) ([]int32, error) {
 	sc := scratchPool.Get().(*scratch)
-	out, err := sc.decode(buf)
+	out, err := sc.decode(dst, buf)
 	scratchPool.Put(sc)
 	return out, err
 }
 
-func (sc *scratch) decode(buf []byte) ([]int32, error) {
+func (sc *scratch) decode(dst []int32, buf []byte) ([]int32, error) {
 	if len(buf) < 4 {
 		return nil, ErrCorrupt
 	}
@@ -460,7 +466,10 @@ func (sc *scratch) decode(buf []byte) ([]int32, error) {
 	payload := buf[16 : 16+payloadLen]
 
 	if count == 0 {
-		return []int32{}, nil
+		if dst == nil {
+			return []int32{}, nil
+		}
+		return dst[:0], nil
 	}
 	if nsym == 0 {
 		return nil, ErrCorrupt
@@ -499,7 +508,10 @@ func (sc *scratch) decode(buf []byte) ([]int32, error) {
 
 	// cap the preallocation: count comes from an untrusted header, and
 	// the loop below errors out as soon as the payload runs dry anyway
-	out := make([]int32, 0, min(count, payloadLen*8))
+	out := dst[:0]
+	if want := min(count, payloadLen*8); uint64(cap(out)) < want {
+		out = make([]int32, 0, want)
+	}
 
 	// manual MSB-first bit buffer: acc holds the next `nbits` of the
 	// stream left-aligned at bit 63
