@@ -174,8 +174,6 @@ func (p *lorenzoPlan) rowMask(base int) uint32 {
 	return mask
 }
 
-var lorenzoPlan1D = lorenzoPlanFor([]int{1})
-
 // PredictQuantizeLorenzo runs the Lorenzo predictor + quantizer over vals
 // (C-ordered with the given dims) into caller-provided codes and recon
 // buffers (len(vals) each, fully overwritten, so the compressor can recycle
@@ -204,6 +202,10 @@ func PredictQuantizeLorenzo[T stats.Float](codes []int32, recon []float64, vals 
 // It runs a row at a time and calls nothing per element: a row has one
 // boundary mask (the innermost bit clear for element 0, set after it), and
 // interior rows of rank 1–3 take the closed-loop kernel's unrolled sum.
+// Each element is converted to float64 once: a 1-D run keeps the value
+// before in a register, and ranks 2 and 3 read their neighbours from a
+// pooled ring of float64 rows — the previous plane, the previous row and
+// the current one — written as the rows go by.
 // Bins is within the compressor's range, [4, 1<<24].
 func CodesLorenzo[T stats.Float](q *Quantizer, codes []int32, vals []T, dims []int) {
 	n, nd := len(vals), len(dims)
@@ -211,45 +213,94 @@ func CodesLorenzo[T stats.Float](q *Quantizer, codes []int32, vals []T, dims []i
 		return
 	}
 	rowLen := dims[nd-1]
-	plan := lorenzoPlan1D // a 1-D run's terms do not depend on its length
-	if nd > 1 {
-		plan = lorenzoPlanFor(dims)
-	}
 	step, edge := 2*q.Abs, float64(q.Bins/2)-0.5
+	if nd == 1 {
+		prev := float64(vals[0])
+		codes[0] = codeOf(prev/step, edge)
+		for k := 1; k < n; k++ {
+			v := float64(vals[k])
+			codes[k] = codeOf((v-prev)/step, edge)
+			prev = v
+		}
+		return
+	}
+	plan := lorenzoPlanFor(dims)
+	if nd > 3 {
+		codesLorenzoTerms(q, codes, vals, plan)
+		return
+	}
+	// ring holds every neighbour an element of the current row reads: the
+	// farthest, the diagonal x-1-str[0]-str[1], is within str[0]+2·rowLen
+	// of the current row's end, and rows never straddle its end
+	w := ringPool.Get().(*lorenzoRing)
+	defer ringPool.Put(w)
+	size := plan.str[0] + 2*rowLen
+	if cap(w.buf) < size {
+		w.buf = make([]float64, size)
+	}
+	ring := w.buf[:size]
 	for base := 0; base < n; base += rowLen {
 		mask := plan.rowMask(base)
-		row, out := vals[base:base+rowLen], codes[base:base+rowLen]
+		row, out, cur := vals[base:base+rowLen], codes[base:base+rowLen], ring[base%size:][:rowLen]
 		terms, rest := plan.byMask[mask], plan.byMask[mask|1<<(nd-1)]
-		unrolled := nd <= 3 && len(rest) == len(plan.terms)
+		unrolled := len(rest) == len(plan.terms)
 		for k := 0; k < rowLen && (k == 0 || !unrolled); k++ {
+			cur[k] = float64(row[k])
 			var pred float64
 			for _, t := range terms {
-				pred += t.Sign * float64(vals[base+k-t.Offset])
+				pred += t.Sign * ring[(base+k-t.Offset)%size]
 			}
-			out[k] = codeOf((float64(row[k])-pred)/step, edge)
+			out[k] = codeOf((cur[k]-pred)/step, edge)
 			terms = rest
 		}
 		switch {
 		case !unrolled: // the term lists took the whole row
-		case nd == 1:
-			for k := 1; k < rowLen; k++ {
-				out[k] = codeOf((float64(row[k])-float64(row[k-1]))/step, edge)
-			}
 		case nd == 2:
-			r1 := vals[base-rowLen:][:rowLen]
+			r1 := ring[(base-rowLen)%size:][:rowLen]
+			prev := cur[0]
 			for k := 1; k < rowLen; k++ {
-				out[k] = codeOf((float64(row[k])-(float64(r1[k])+float64(row[k-1])-float64(r1[k-1])))/step, edge)
+				v := float64(row[k])
+				cur[k] = v
+				out[k] = codeOf((v-(r1[k]+prev-r1[k-1]))/step, edge)
+				prev = v
 			}
 		default:
 			o1, o2 := plan.str[0], plan.str[1]
-			r1, r2, r3 := vals[base-o1:][:rowLen], vals[base-o2:][:rowLen], vals[base-o1-o2:][:rowLen]
-			p1, p2, p3, prev := float64(r1[0]), float64(r2[0]), float64(r3[0]), float64(row[0])
+			r1, r2, r3 := ring[(base-o1)%size:][:rowLen], ring[(base-o2)%size:][:rowLen], ring[(base-o1-o2)%size:][:rowLen]
+			p1, p2, p3, prev := r1[0], r2[0], r3[0], cur[0]
 			for k := 1; k < rowLen; k++ {
-				n1, n2, n3, v := float64(r1[k]), float64(r2[k]), float64(r3[k]), float64(row[k])
+				n1, n2, n3, v := r1[k], r2[k], r3[k], float64(row[k])
+				cur[k] = v
 				pred := n1 + n2 - n3 + prev - p1 - p2 + p3
 				out[k] = codeOf((v-pred)/step, edge)
 				p1, p2, p3, prev = n1, n2, n3, v
 			}
+		}
+	}
+}
+
+// lorenzoRing is CodesLorenzo's float64 copy of the rows behind the
+// current one, pooled by pointer so a Get and Put allocate nothing.
+type lorenzoRing struct{ buf []float64 }
+
+var ringPool = sync.Pool{New: func() any { return new(lorenzoRing) }}
+
+// codesLorenzoTerms is CodesLorenzo past rank 3, where no row is unrolled:
+// every element walks its row's term list over vals.
+func codesLorenzoTerms[T stats.Float](q *Quantizer, codes []int32, vals []T, plan *lorenzoPlan) {
+	nd := len(plan.dims)
+	rowLen := plan.dims[nd-1]
+	step, edge := 2*q.Abs, float64(q.Bins/2)-0.5
+	for base := 0; base < len(vals); base += rowLen {
+		mask := plan.rowMask(base)
+		terms, rest := plan.byMask[mask], plan.byMask[mask|1<<(nd-1)]
+		for k := 0; k < rowLen; k++ {
+			var pred float64
+			for _, t := range terms {
+				pred += t.Sign * float64(vals[base+k-t.Offset])
+			}
+			codes[base+k] = codeOf((float64(vals[base+k])-pred)/step, edge)
+			terms = rest
 		}
 	}
 }
