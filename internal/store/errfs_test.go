@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/vfs"
 )
 
 // TestWALAppendENOSPCRecovers fills the "disk" during a WAL append: the
@@ -272,5 +274,82 @@ func TestWALHealFailurePoisonsStore(t *testing.T) {
 	}
 	if err := s.Put("b", []byte("2")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put after failed heal = %v, want ErrClosed", err)
+	}
+}
+
+// syncCountFS is the real filesystem, counting every fsync (of a file or
+// of a directory) made through it.
+type syncCountFS struct {
+	vfs.FS
+	syncs *atomic.Int64
+}
+
+func (f syncCountFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncCountFile{file, f.syncs}, nil
+}
+
+func (f syncCountFS) SyncDir(dir string) error {
+	f.syncs.Add(1)
+	return f.FS.SyncDir(dir)
+}
+
+type syncCountFile struct {
+	vfs.File
+	syncs *atomic.Int64
+}
+
+func (f syncCountFile) Sync() error {
+	f.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestCloseSyncsOnlyWhatItChanged: Close fsyncs the WAL only when this
+// handle changed it without an fsync. A clean open and close — what a
+// resume's lookups cost — issues none; a Put on a Sync=false store leaves
+// one for Close to issue.
+func TestCloseSyncsOnlyWhatItChanged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("a", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := syncCountFS{vfs.OS, new(atomic.Int64)}
+	s, err = OpenFS(dir, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := s.Get("a"); !ok {
+		t.Fatal("record a lost")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fsys.syncs.Load(); n != 0 {
+		t.Fatalf("a clean open and close issued %d fsyncs, want 0", n)
+	}
+
+	s, err = OpenFS(dir, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("b", []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fsys.syncs.Load(); n != 1 {
+		t.Fatalf("a Put then Close on a Sync=false store issued %d fsyncs, want 1", n)
 	}
 }

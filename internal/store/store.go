@@ -99,6 +99,7 @@ type Store struct {
 	fs      vfs.FS
 	wal     vfs.File
 	walLen  int64 // bytes of whole, durable records in the WAL
+	dirty   bool  // this handle changed the WAL since its last fsync
 	tmpSeq  uint64
 	data    map[string][]byte
 	streams map[string]*stream
@@ -219,6 +220,7 @@ func (s *Store) recover(repair bool) (Report, error) {
 		if err := s.fs.Truncate(s.walPath(), s.walLen); err != nil {
 			return rep, fmt.Errorf("truncating torn tail: %w", err)
 		}
+		s.dirty = true
 		rep.TornTruncated = true
 	}
 	for _, tmp := range rep.StaleTemps {
@@ -395,6 +397,8 @@ func (s *Store) appendRecord(rec []byte) error {
 			s.healTail()
 			return fmt.Errorf("store: %w", err)
 		}
+	} else {
+		s.dirty = true
 	}
 	s.walLen += int64(len(rec))
 	return nil
@@ -403,6 +407,7 @@ func (s *Store) appendRecord(rec []byte) error {
 // healTail truncates the WAL back to the last whole durable record
 // after a failed append. Call with s.mu held.
 func (s *Store) healTail() {
+	s.dirty = true
 	if err := s.wal.Truncate(s.walLen); err != nil {
 		s.closed = true
 		s.wal.Close()
@@ -650,6 +655,7 @@ func (s *Store) Compact() (err error) {
 	if err := s.fire(faultinject.OpCompactAfter, s.snapshotPath()); err != nil {
 		return err
 	}
+	s.dirty = true
 	if err := s.wal.Truncate(0); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -663,7 +669,9 @@ func (s *Store) Compact() (err error) {
 	return nil
 }
 
-// Close flushes and closes the log; the store is unusable afterwards.
+// Close flushes and closes the log; the store is unusable afterwards. It
+// fsyncs only a log this handle changed since its last fsync: a store
+// opened, read and closed (a resume's lookups) closes without one.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -671,6 +679,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	if !s.dirty {
+		return s.wal.Close()
+	}
 	if err := s.wal.Sync(); err != nil {
 		s.wal.Close()
 		return err
