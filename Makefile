@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build examples-check benchmark-check serve-check fuzz-batch fuzz-record fuzz-spatial crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build arch-check examples-check benchmark-check serve-check fuzz-batch fuzz-record fuzz-spatial crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,7 @@ check: fmt-check docs-check serial-check
 	$(GO) vet ./...
 	$(GO) vet -unreachable -copylocks -lostcancel ./...
 	$(MAKE) cross-build
+	$(MAKE) arch-check
 	$(MAKE) lint
 	$(MAKE) tier1
 	$(MAKE) examples-check
@@ -156,6 +157,16 @@ cross-build:
 	GOOS=windows $(GO) build ./internal/dataset/
 	GOOS=windows $(GO) vet ./internal/dataset/
 	GOARCH=386 $(GO) vet ./...
+
+# arch-check builds and runs the whole test suite for linux/386, which a
+# 64-bit linux host runs natively: a 32-bit int at run time, not only at
+# compile time (cross-build's vet), and a 32-bit address space, where the
+# tiered cache's resident spilled cells are all mappings. The multi-process
+# harnesses build predictd with -race only where the detector supports the
+# target (scenario.BuildPredictd), so there they run without it. The
+# amd64-only golden files skip.
+arch-check:
+	GOARCH=386 $(GO) test ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -21,17 +21,52 @@ import (
 // time.Now directly; see pressiovet/detrand).
 var now = time.Now
 
-// BuildPredictd compiles cmd/predictd (race-enabled, so the deployed
-// daemons run under the detector) into dir and returns the binary path.
-// repoRoot is the module root the build runs from.
+// BuildPredictd compiles cmd/predictd into dir and returns the binary
+// path. The build is race-enabled, so the deployed daemons run under the
+// detector, wherever the target platform supports the detector (not
+// linux/386, say, where the daemons run without it). repoRoot is the
+// module root the build runs from.
 func BuildPredictd(ctx context.Context, repoRoot, dir string) (string, error) {
 	bin := filepath.Join(dir, "predictd")
-	cmd := exec.CommandContext(ctx, "go", "build", "-race", "-o", bin, "repro/cmd/predictd")
+	args := []string{"build", "-o", bin}
+	race, err := raceSupported(ctx, repoRoot)
+	if err != nil {
+		return "", err
+	}
+	if race {
+		args = append(args, "-race")
+	}
+	cmd := exec.CommandContext(ctx, "go", append(args, "repro/cmd/predictd")...)
 	cmd.Dir = repoRoot
 	if out, err := cmd.CombinedOutput(); err != nil {
 		return "", fmt.Errorf("building predictd: %v\n%s", err, out)
 	}
 	return bin, nil
+}
+
+// raceSupported reports whether the race detector supports the GOOS and
+// GOARCH a build from repoRoot targets, by the toolchain's own list
+// (internal/platform.RaceDetectorSupported, which is not importable).
+func raceSupported(ctx context.Context, repoRoot string) (bool, error) {
+	cmd := exec.CommandContext(ctx, "go", "env", "GOOS", "GOARCH")
+	cmd.Dir = repoRoot
+	out, err := cmd.Output()
+	if err != nil {
+		return false, fmt.Errorf("go env: %w", err)
+	}
+	target := strings.Fields(string(out))
+	if len(target) != 2 {
+		return false, fmt.Errorf("go env GOOS GOARCH: %q", out)
+	}
+	switch goos, goarch := target[0], target[1]; goos {
+	case "linux":
+		return goarch == "amd64" || goarch == "ppc64le" || goarch == "arm64" || goarch == "s390x", nil
+	case "darwin":
+		return goarch == "amd64" || goarch == "arm64", nil
+	case "freebsd", "netbsd", "windows":
+		return goarch == "amd64", nil
+	}
+	return false, nil
 }
 
 // freePorts reserves n distinct listen ports by binding and releasing
