@@ -194,9 +194,23 @@ func encodeRaw(dir, name string, data *pressio.Data) (path string, buf []byte, e
 // a mapping of the file it replaces keeps its inode and its bytes. The
 // data is not fsynced: everything written this way is re-hashed before it
 // is trusted after a restart (spill sidecars, Manifest.Verify).
-func writeFileAtomic(path string, buf []byte) error {
+func writeFileAtomic(path string, buf []byte) error { return publish(path, buf, nil) }
+
+// publish is writeFileAtomic calling written, if non-nil, with the temp
+// file open for reading and writing once buf is in it, before the rename.
+func publish(path string, buf []byte, written func(*os.File)) error {
 	tmp := path + ".tmp"
-	err := os.WriteFile(tmp, buf, 0o644)
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(buf)
+	if err == nil && written != nil {
+		written(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}

@@ -73,32 +73,19 @@ func fsClock(dir string) (int64, error) {
 // again. The mapping is nil without mapIt, for an empty buf, and when
 // mmap fails, which leaves the spill published all the same.
 func writeMapped(path string, buf []byte, mapIt bool) ([]byte, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
 	var m []byte
-	_, err = f.Write(buf)
-	if err == nil && mapIt && len(buf) > 0 {
-		if mm, merr := syscall.Mmap(int(f.Fd()), 0, len(buf), syscall.PROT_READ, syscall.MAP_PRIVATE); merr == nil {
-			m = mm
+	err := publish(path, buf, func(f *os.File) {
+		if mapIt && len(buf) > 0 {
+			if mm, err := syscall.Mmap(int(f.Fd()), 0, len(buf), syscall.PROT_READ, syscall.MAP_PRIVATE); err == nil {
+				m = mm
+			}
 		}
+	})
+	if err != nil && m != nil {
+		unmapRaw(m)
+		m = nil
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		if m != nil {
-			unmapRaw(m)
-		}
-		os.Remove(tmp)
-		return nil, err
-	}
-	return m, nil
+	return m, err
 }
 
 // unmapRaw returns a region obtained from mapFloat32 with isMapped=true,
