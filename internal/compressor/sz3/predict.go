@@ -203,9 +203,9 @@ func PredictQuantizeLorenzo[T stats.Float](codes []int32, recon []float64, vals 
 // boundary mask (the innermost bit clear for element 0, set after it), and
 // interior rows of rank 1–3 take the closed-loop kernel's unrolled sum.
 // Each element is converted to float64 once: a 1-D run keeps the value
-// before in a register, and ranks 2 and 3 read their neighbours from a
-// pooled ring of float64 rows — the previous plane, the previous row and
-// the current one — written as the rows go by.
+// before in a register, and higher ranks read their neighbours from a
+// pooled ring of float64 rows — at rank 3 the previous plane, the previous
+// row and the current one — written as the rows go by.
 // Bins is within the compressor's range, [4, 1<<24].
 func CodesLorenzo[T stats.Float](q *Quantizer, codes []int32, vals []T, dims []int) {
 	n, nd := len(vals), len(dims)
@@ -225,16 +225,16 @@ func CodesLorenzo[T stats.Float](q *Quantizer, codes []int32, vals []T, dims []i
 		return
 	}
 	plan := lorenzoPlanFor(dims)
-	if nd > 3 {
-		codesLorenzoTerms(q, codes, vals, plan)
-		return
-	}
 	// ring holds every neighbour an element of the current row reads: the
-	// farthest, the diagonal x-1-str[0]-str[1], is within str[0]+2·rowLen
-	// of the current row's end, and rows never straddle its end
+	// farthest, one back on every axis, is within the leading strides'
+	// sum plus 2·rowLen of the current row's end, and as that size is a
+	// multiple of rowLen, no row straddles the ring's end
 	w := ringPool.Get().(*lorenzoRing)
 	defer ringPool.Put(w)
-	size := plan.str[0] + 2*rowLen
+	size := 2 * rowLen
+	for _, st := range plan.str[:nd-1] {
+		size += st
+	}
 	if cap(w.buf) < size {
 		w.buf = make([]float64, size)
 	}
@@ -243,7 +243,7 @@ func CodesLorenzo[T stats.Float](q *Quantizer, codes []int32, vals []T, dims []i
 		mask := plan.rowMask(base)
 		row, out, cur := vals[base:base+rowLen], codes[base:base+rowLen], ring[base%size:][:rowLen]
 		terms, rest := plan.byMask[mask], plan.byMask[mask|1<<(nd-1)]
-		unrolled := len(rest) == len(plan.terms)
+		unrolled := nd <= 3 && len(rest) == len(plan.terms)
 		for k := 0; k < rowLen && (k == 0 || !unrolled); k++ {
 			cur[k] = float64(row[k])
 			var pred float64
@@ -284,26 +284,6 @@ func CodesLorenzo[T stats.Float](q *Quantizer, codes []int32, vals []T, dims []i
 type lorenzoRing struct{ buf []float64 }
 
 var ringPool = sync.Pool{New: func() any { return new(lorenzoRing) }}
-
-// codesLorenzoTerms is CodesLorenzo past rank 3, where no row is unrolled:
-// every element walks its row's term list over vals.
-func codesLorenzoTerms[T stats.Float](q *Quantizer, codes []int32, vals []T, plan *lorenzoPlan) {
-	nd := len(plan.dims)
-	rowLen := plan.dims[nd-1]
-	step, edge := 2*q.Abs, float64(q.Bins/2)-0.5
-	for base := 0; base < len(vals); base += rowLen {
-		mask := plan.rowMask(base)
-		terms, rest := plan.byMask[mask], plan.byMask[mask|1<<(nd-1)]
-		for k := 0; k < rowLen; k++ {
-			var pred float64
-			for _, t := range terms {
-				pred += t.Sign * float64(vals[base+k-t.Offset])
-			}
-			codes[base+k] = codeOf((float64(vals[base+k])-pred)/step, edge)
-			terms = rest
-		}
-	}
-}
 
 // codeOf is Code's rule for the quotient x = residual / (2·Abs), without
 // math.Round: x rounds to a code inside the budget exactly when |x| < edge,
