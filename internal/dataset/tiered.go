@@ -24,7 +24,7 @@ import (
 // buffers keyed by (field, step, dims), with an mmap-backed disk tier.
 //
 // It is not a Plugin and does not replace Cache, the stage that wraps one
-// (any dtype, any rank): it serves 3-D float32 hurricane cells only. Four
+// (any dtype, any rank): it serves 3-D float32 hurricane cells only. Five
 // properties distinguish it:
 //
 //   - Identity. Every Acquire of a resident cell observes the SAME
@@ -41,6 +41,15 @@ import (
 //     manifest's digest for the same cell. Reload mmaps the file
 //     read-only and reinterprets it in place, so a reader that samples
 //     the cell faults in only the pages it touches.
+//   - One resident form. With a disk tier a freshly loaded cell is served
+//     as a read-only mapping of the spill file just written for it, taken
+//     from the descriptor that wrote it, and the loader's heap buffer is
+//     dropped: the Go heap holds no resident cell. Resident cells are
+//     mappings, at most CapacityBytes of them, and count in RSS only for
+//     the pages read, as clean file pages the kernel can reclaim. Where
+//     the spill write or the map fails, or the reload path copies, the
+//     cell stays the loader's buffer; without a disk tier every resident
+//     cell is a heap buffer.
 //   - Verified once per file, not once per reload. A SHA-256 sidecar is
 //     written with every spill, and a spill is hashed against it the
 //     first time this process reloads it and whenever what the kernel
