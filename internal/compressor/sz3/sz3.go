@@ -73,13 +73,13 @@ var flatePool = sync.Pool{New: func() any {
 type inflater struct {
 	src  bytes.Reader
 	fr   io.ReadCloser
-	body []byte
+	body bytes.Buffer
 }
 
 var inflatePool = sync.Pool{New: func() any { return new(inflater) }}
 
-// inflate decompresses stream into inf.body, growing it as io.ReadAll
-// would, and returns it; it stays valid until inf goes back to the pool.
+// inflate decompresses stream into inf.body and returns its bytes, which
+// stay valid until inf goes back to the pool.
 func (inf *inflater) inflate(stream []byte) ([]byte, error) {
 	inf.src.Reset(stream)
 	if inf.fr == nil {
@@ -87,23 +87,11 @@ func (inf *inflater) inflate(stream []byte) ([]byte, error) {
 	} else if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
 		return nil, err
 	}
-	body := inf.body[:0]
-	for {
-		if len(body) == cap(body) {
-			body = append(body, 0)[:len(body)]
-		}
-		n, err := inf.fr.Read(body[len(body):cap(body)])
-		body = body[:len(body)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			inf.body = body
-			return nil, err
-		}
+	inf.body.Reset()
+	if _, err := inf.body.ReadFrom(inf.fr); err != nil {
+		return nil, err
 	}
-	inf.body = body
-	return body, nil
+	return inf.body.Bytes(), nil
 }
 
 func getCodesBuf(n int) []int32 {
