@@ -89,8 +89,9 @@ func TestFloat32AllocatesNoMoreThanFloat64(t *testing.T) {
 // TestSz3DecompressReusesItsWorkingSet: sz3's Decompress recycles its
 // DEFLATE reader, the body it inflates and the codes it decodes, so with
 // warm pools a float32 32×32×64 cell decompresses allocating less than an
-// eighth of the cell's own bytes (the leanest of five calls, each after a
-// collection).
+// eighth of the cell's own bytes (the mean over 50 calls in a row, after
+// two that fill the pools; no collection is forced between them, as one
+// empties the pools at random).
 func TestSz3DecompressReusesItsWorkingSet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the pooled scratch at random under the race detector")
@@ -108,21 +109,19 @@ func TestSz3DecompressReusesItsWorkingSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := pressio.New(in.DType(), in.Dims()...)
-	least := uint64(math.MaxUint64)
-	for try := 0; try < 6; try++ {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		err := comp.Decompress(compressed, out)
-		runtime.ReadMemStats(&after)
-		if err != nil {
+	const calls = 50
+	var before, after runtime.MemStats
+	for i := -2; i < calls; i++ {
+		if i == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		if err := comp.Decompress(compressed, out); err != nil {
 			t.Fatal(err)
 		}
-		if try > 0 {
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
 	}
-	if limit := uint64(in.ByteSize() / 8); least >= limit {
-		t.Errorf("a warm decompress of a %d-byte cell allocated %d bytes, want less than %d", in.ByteSize(), least, limit)
+	runtime.ReadMemStats(&after)
+	mean := (after.TotalAlloc - before.TotalAlloc) / calls
+	if limit := uint64(in.ByteSize() / 8); mean >= limit {
+		t.Errorf("a warm decompress of a %d-byte cell allocated %d bytes, want less than %d", in.ByteSize(), mean, limit)
 	}
 }
