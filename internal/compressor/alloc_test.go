@@ -21,6 +21,7 @@ func TestFloat32AllocatesNoMoreThanFloat64(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the pooled scratch at random under the race detector")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fresh := func(t pressio.DType) *pressio.Data {
 		d := pressio.New(t, 32, 32, 64)
 		for i := 0; i < d.Len(); i++ {
@@ -46,9 +47,11 @@ func TestFloat32AllocatesNoMoreThanFloat64(t *testing.T) {
 			t.Fatal(err)
 		}
 		// compress and decompress are counted apart, each at its leanest
-		// of five after a collection: the first round trip fills the
-		// pools, which a collection keeps for one cycle more, and one
-		// started by the round trip itself can empty them
+		// of five after the first round trip has filled the pools, on one
+		// P: a pooled value sits in the P that put it, where a goroutine
+		// moved to another P cannot reach it, and no collection is forced
+		// between round trips, as one forced while another is running
+		// runs two, which empties the pools
 		streams := map[pressio.DType][]byte{}
 		least := map[pressio.DType]uint64{}
 		for _, dt := range []pressio.DType{pressio.DTypeFloat32, pressio.DTypeFloat64} {
@@ -57,7 +60,6 @@ func TestFloat32AllocatesNoMoreThanFloat64(t *testing.T) {
 				in := fresh(dt)
 				out := pressio.New(in.DType(), in.Dims()...)
 				var before, mid, after runtime.MemStats
-				runtime.GC()
 				runtime.ReadMemStats(&before)
 				compressed, err := comp.Compress(in)
 				runtime.ReadMemStats(&mid)
@@ -89,13 +91,14 @@ func TestFloat32AllocatesNoMoreThanFloat64(t *testing.T) {
 // TestSz3DecompressReusesItsWorkingSet: sz3's Decompress recycles its
 // DEFLATE reader, the body it inflates and the codes it decodes, so with
 // warm pools a float32 32×32×64 cell decompresses allocating less than an
-// eighth of the cell's own bytes (the mean over 50 calls in a row, after
-// two that fill the pools; no collection is forced between them, as one
-// empties the pools at random).
+// eighth of the cell's own bytes: the mean over 50 calls in a row, after
+// two that fill the pools, on one P and with no collection forced, as in
+// TestFloat32AllocatesNoMoreThanFloat64.
 func TestSz3DecompressReusesItsWorkingSet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the pooled scratch at random under the race detector")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	in := pressio.NewFloat32(32, 32, 64)
 	for i := 0; i < in.Len(); i++ {
 		in.Set(i, math.Sin(float64(i)/29)+0.01*math.Cos(float64(i)))

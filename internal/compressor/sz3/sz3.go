@@ -66,32 +66,32 @@ var flatePool = sync.Pool{New: func() any {
 	return fw
 }}
 
-// inflater is one Decompress's recyclable working set: the DEFLATE
+// decompScratch is one Decompress's recyclable working set: the DEFLATE
 // reader (reset through flate.Resetter, which reuses its window and
 // tables), the reader over the stream it inflates, and the body it
-// inflates into.
-type inflater struct {
+// inflates into. The codes come from codesPool, which Compress shares.
+type decompScratch struct {
 	src  bytes.Reader
 	fr   io.ReadCloser
 	body bytes.Buffer
 }
 
-var inflatePool = sync.Pool{New: func() any { return new(inflater) }}
+var decompPool = sync.Pool{New: func() any { return new(decompScratch) }}
 
-// inflate decompresses stream into inf.body and returns its bytes, which
-// stay valid until inf goes back to the pool.
-func (inf *inflater) inflate(stream []byte) ([]byte, error) {
-	inf.src.Reset(stream)
-	if inf.fr == nil {
-		inf.fr = flate.NewReader(&inf.src)
-	} else if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
+// inflate decompresses stream into sc.body and returns its bytes, which
+// stay valid until sc goes back to the pool.
+func (sc *decompScratch) inflate(stream []byte) ([]byte, error) {
+	sc.src.Reset(stream)
+	if sc.fr == nil {
+		sc.fr = flate.NewReader(&sc.src)
+	} else if err := sc.fr.(flate.Resetter).Reset(&sc.src, nil); err != nil {
 		return nil, err
 	}
-	inf.body.Reset()
-	if _, err := inf.body.ReadFrom(inf.fr); err != nil {
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(sc.fr); err != nil {
 		return nil, err
 	}
-	return inf.body.Bytes(), nil
+	return sc.body.Bytes(), nil
 }
 
 func getCodesBuf(n int) []int32 {
@@ -317,9 +317,9 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 		return fmt.Errorf("sz3: output has %d elements, stream has %d", out.Len(), total)
 	}
 
-	inf := inflatePool.Get().(*inflater)
-	defer inflatePool.Put(inf)
-	body, err := inf.inflate(buf)
+	sc := decompPool.Get().(*decompScratch)
+	defer decompPool.Put(sc)
+	body, err := sc.inflate(buf)
 	if err != nil {
 		return fmt.Errorf("sz3: %w: %v", ErrCorrupt, err)
 	}
@@ -344,13 +344,12 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	if sentinels != noutlier {
 		return ErrCorrupt
 	}
-	exact := getF64Buf(noutlier + ncoeff)
-	defer f64Pool.Put(exact)
-	outliers, coeffs := exact[:noutlier], exact[noutlier:]
+	outliers := make([]float64, noutlier)
 	ob := body[codedLen:]
 	for i := range outliers {
 		outliers[i] = math.Float64frombits(binary.LittleEndian.Uint64(ob[8*i:]))
 	}
+	coeffs := make([]float64, ncoeff)
 	cb := body[codedLen+8*noutlier:]
 	for i := range coeffs {
 		coeffs[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(cb[4*i:])))
