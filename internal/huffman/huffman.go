@@ -506,12 +506,22 @@ func (sc *scratch) decode(dst []int32, buf []byte) ([]int32, error) {
 		}
 	}
 
-	// cap the preallocation: count comes from an untrusted header, and
-	// the loop below errors out as soon as the payload runs dry anyway
-	out := dst[:0]
-	if want := min(count, payloadLen*8); uint64(cap(out)) < want {
-		out = make([]int32, 0, want)
+	// every symbol takes at least one bit: a count the payload cannot
+	// hold is corrupt, which also bounds what count, read from an
+	// untrusted header, can reserve
+	if count > payloadLen*8 {
+		return nil, ErrCorrupt
 	}
+	if uint64(cap(dst)) < count {
+		dst = make([]int32, count)
+	}
+	return decodeSymbols(dst[:count], payload, lookup, symbols, lb, cn)
+}
+
+// decodeSymbols fills out with the symbols of payload, read through the
+// prefix table lookup (lb bits wide) and, for longer codes, cn.
+func decodeSymbols(out []int32, payload []byte, lookup []uint32, symbols []int32, lb int, cn *canon) ([]int32, error) {
+	maxLen, firstCode, firstIdx, cnt := cn.maxLen, &cn.firstCode, &cn.firstIdx, &cn.cnt
 
 	// manual MSB-first bit buffer: acc holds the next `nbits` of the
 	// stream left-aligned at bit 63
@@ -519,7 +529,7 @@ func (sc *scratch) decode(dst []int32, buf []byte) ([]int32, error) {
 	var nbits uint
 	pos := 0
 next:
-	for uint64(len(out)) < count {
+	for i := range out {
 		for nbits <= 56 && pos < len(payload) {
 			acc |= uint64(payload[pos]) << (56 - nbits)
 			nbits += 8
@@ -533,7 +543,7 @@ next:
 			if l > nbits {
 				return nil, ErrCorrupt
 			}
-			out = append(out, symbols[entry>>6])
+			out[i] = symbols[entry>>6]
 			acc <<= l
 			nbits -= l
 			continue
@@ -548,7 +558,7 @@ next:
 			}
 			code := acc >> (64 - l)
 			if diff := code - firstCode[l]; code >= firstCode[l] && diff < cnt[l] {
-				out = append(out, symbols[firstIdx[l]+diff])
+				out[i] = symbols[firstIdx[l]+diff]
 				acc <<= l
 				nbits -= l
 				continue next
