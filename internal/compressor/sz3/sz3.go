@@ -78,9 +78,16 @@ type decompScratch struct {
 
 var decompPool = sync.Pool{New: func() any { return new(decompScratch) }}
 
+// maxPooledBody bounds the body a decompScratch keeps between calls: the
+// pool holds it live, and the collector sizes the heap at twice what is
+// live, so a larger body (a tight bound's, mostly codes) is allocated for
+// its call alone, as every body was before the pool.
+const maxPooledBody = 128 << 10
+
 // inflate decompresses stream into sc.body and returns its bytes, which
-// stay valid until sc goes back to the pool.
-func (sc *decompScratch) inflate(stream []byte) ([]byte, error) {
+// stay valid until release. want is the length the stream's header
+// promises; a body the pool may keep is sized to it up front.
+func (sc *decompScratch) inflate(stream []byte, want int) ([]byte, error) {
 	sc.src.Reset(stream)
 	if sc.fr == nil {
 		sc.fr = flate.NewReader(&sc.src)
@@ -88,10 +95,21 @@ func (sc *decompScratch) inflate(stream []byte) ([]byte, error) {
 		return nil, err
 	}
 	sc.body.Reset()
+	if want >= 0 && want <= maxPooledBody {
+		sc.body.Grow(want + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
 	if _, err := sc.body.ReadFrom(sc.fr); err != nil {
 		return nil, err
 	}
 	return sc.body.Bytes(), nil
+}
+
+// release returns sc to the pool, without a body too large to keep.
+func (sc *decompScratch) release() {
+	if sc.body.Cap() > maxPooledBody+bytes.MinRead {
+		sc.body = bytes.Buffer{}
+	}
+	decompPool.Put(sc)
 }
 
 func getCodesBuf(n int) []int32 {
@@ -317,13 +335,14 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 		return fmt.Errorf("sz3: output has %d elements, stream has %d", out.Len(), total)
 	}
 
+	want := codedLen + 8*noutlier + 4*ncoeff
 	sc := decompPool.Get().(*decompScratch)
-	defer decompPool.Put(sc)
-	body, err := sc.inflate(buf)
+	defer sc.release()
+	body, err := sc.inflate(buf, want)
 	if err != nil {
 		return fmt.Errorf("sz3: %w: %v", ErrCorrupt, err)
 	}
-	if len(body) != codedLen+8*noutlier+4*ncoeff {
+	if len(body) != want {
 		return ErrCorrupt
 	}
 	codesBuf := getCodesBuf(total)
