@@ -104,8 +104,10 @@ func (sc *decompScratch) inflate(stream []byte, want int) ([]byte, error) {
 	return sc.body.Bytes(), nil
 }
 
-// release returns sc to the pool, without a body too large to keep.
+// release returns sc to the pool, holding neither the caller's stream
+// nor a body too large to keep.
 func (sc *decompScratch) release() {
+	sc.src.Reset(nil)
 	if sc.body.Cap() > maxPooledBody+bytes.MinRead {
 		sc.body = bytes.Buffer{}
 	}
