@@ -7,12 +7,14 @@
 package compressor_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	_ "repro/internal/compressor/lossless"
-	_ "repro/internal/compressor/sz3"
+	"repro/internal/compressor/sz3"
 	_ "repro/internal/compressor/szx"
 	_ "repro/internal/compressor/zfp"
 	"repro/internal/pressio"
@@ -152,6 +154,45 @@ func TestCrossCompressorStreams(t *testing.T) {
 				}()
 				if err := comp.Decompress(pressio.NewByte(payload), out); err == nil {
 					t.Errorf("%s accepted a %s stream", decoder, producer)
+				}
+			}()
+		}
+	}
+}
+
+// TestSZ3RefusesOverflowingCounts rewrites the outlier and coefficient
+// counts of a valid sz3 stream to values whose byte lengths wrap an int
+// (4·(1<<62) is 0), so a body-length check alone would pass: Decompress
+// must refuse each with ErrCorrupt, never panic or allocate the count.
+func TestSZ3RefusesOverflowingCounts(t *testing.T) {
+	comp, err := pressio.GetCompressor("sz3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := pressio.Options{}
+	opts.Set(pressio.OptAbs, 1e-3)
+	comp.SetOptions(opts)
+	compressed, err := comp.Compress(testField(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := compressed.Bytes()
+	// magic, dtype, mode, abs, bins, nd, then nd dims, noutlier, ncoeff
+	nd := int(binary.LittleEndian.Uint32(base[18:]))
+	counts := map[string]int{"noutlier": 22 + 8*nd, "ncoeff": 30 + 8*nd}
+	for name, off := range counts {
+		for _, v := range []uint64{1 << 61, 1 << 62, 1<<63 - 1, 1<<63 + 1<<61} {
+			payload := append([]byte(nil), base...)
+			binary.LittleEndian.PutUint64(payload[off:], v)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s=%#x: Decompress panicked: %v", name, v, r)
+					}
+				}()
+				err := comp.Decompress(pressio.NewByte(payload), pressio.NewFloat32(8, 8, 8))
+				if !errors.Is(err, sz3.ErrCorrupt) {
+					t.Errorf("%s=%#x: Decompress returned %v, want sz3.ErrCorrupt", name, v, err)
 				}
 			}()
 		}
