@@ -317,18 +317,27 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	if err != nil {
 		return fmt.Errorf("sz3: %w: %v", ErrCorrupt, err)
 	}
-	noutlier := int(binary.LittleEndian.Uint64(buf))
+	nout64 := binary.LittleEndian.Uint64(buf)
 	buf = buf[8:]
 	if len(buf) < 16 {
 		return ErrCorrupt
 	}
-	ncoeff := int(binary.LittleEndian.Uint64(buf))
+	ncoeff64 := binary.LittleEndian.Uint64(buf)
 	buf = buf[8:]
-	codedLen := int(binary.LittleEndian.Uint64(buf))
+	coded64 := binary.LittleEndian.Uint64(buf)
 	buf = buf[8:]
-	if noutlier < 0 || codedLen < 0 || ncoeff < 0 {
+	// each element is at most one outlier and the block regression's
+	// coefficients are at most four an element, so a larger count is a
+	// crafted header; then the body's length, at most 24·MaxElements
+	// before the coded part, must fit an int
+	if nout64 > uint64(total) || ncoeff64 > 4*uint64(total) {
 		return ErrCorrupt
 	}
+	if fixed := 8*nout64 + 4*ncoeff64; fixed > math.MaxInt || coded64 > math.MaxInt-fixed {
+		return ErrCorrupt
+	}
+	noutlier, ncoeff, codedLen := int(nout64), int(ncoeff64), int(coded64)
+	want := codedLen + 8*noutlier + 4*ncoeff
 
 	if out.DType() != dtype {
 		return fmt.Errorf("sz3: output dtype %v does not match stream dtype %v", out.DType(), dtype)
@@ -337,7 +346,6 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 		return fmt.Errorf("sz3: output has %d elements, stream has %d", out.Len(), total)
 	}
 
-	want := codedLen + 8*noutlier + 4*ncoeff
 	sc := decompPool.Get().(*decompScratch)
 	defer sc.release()
 	body, err := sc.inflate(buf, want)
