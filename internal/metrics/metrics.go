@@ -281,11 +281,14 @@ func (m *Spatial) BeginCompress(in *pressio.Data) {
 func (m *Spatial) Results() pressio.Options { return m.results.Clone() }
 
 // Distortion observes the error-dependent general-distortion feature:
-// log2(range / (2·abs)).
+// log2(range / (2·abs)). It runs at every error bound of a sweep, so
+// BeginCompress keeps its two numbers and only Results builds a map.
 type Distortion struct {
 	pressio.BaseMetric
-	Abs     float64
-	results pressio.Options
+	Abs float64
+	// general and abs are the last BeginCompress's results, once ran
+	general, abs float64
+	ran          bool
 }
 
 // Name implements pressio.Metric.
@@ -314,14 +317,18 @@ func (m *Distortion) Options() pressio.Options {
 // BeginCompress implements pressio.Metric.
 func (m *Distortion) BeginCompress(in *pressio.Data) {
 	s := stats.SummaryOf(in, 0, 0)
-	r := pressio.Options{}
-	r.Set("distortion:general", stats.GeneralDistortion(s.Range(), m.Abs))
-	r.Set("distortion:abs", m.Abs)
-	m.results = r
+	m.general, m.abs, m.ran = stats.GeneralDistortion(s.Range(), m.Abs), m.Abs, true
 }
 
 // Results implements pressio.Metric.
-func (m *Distortion) Results() pressio.Options { return m.results.Clone() }
+func (m *Distortion) Results() pressio.Options {
+	r := pressio.Options{}
+	if m.ran {
+		r.Set("distortion:general", m.general)
+		r.Set("distortion:abs", m.abs)
+	}
+	return r
+}
 
 // Size observes the compressed size and compression ratio — the training
 // target of every CR prediction scheme. Running the compressor is a
