@@ -144,3 +144,43 @@ func (p *ModelPredictor) PredictInterval(features []float64, alpha float64) (pre
 	}
 	return pred, pred, pred, nil
 }
+
+// SlicingPredictor is implemented by predictors that can read their
+// trained model, with every feature but one held, as a step function of
+// that one — a bound sweep over one buffer, whose features differ in the
+// error-dependent one alone (FeaturePlan.DependentFeature), then costs a
+// lookup a prediction instead of a model walk.
+type SlicingPredictor interface {
+	Predictor
+	// Slice reads the predictor at features as a function of feature
+	// j: At(v) is Predict(features with [j] = v), bit for bit. False
+	// when the model cannot be read so; the caller predicts instead.
+	Slice(features []float64, j int) (FeatureSlice, bool)
+}
+
+// FeatureSlice is a predictor read as a step function of one feature.
+type FeatureSlice struct {
+	forest   mlkit.ForestSlice
+	clampMin float64
+}
+
+// At is the prediction with the sliced feature at v.
+func (s *FeatureSlice) At(v float64) float64 {
+	pred := s.forest.At(v)
+	if s.clampMin > 0 && pred < s.clampMin {
+		pred = s.clampMin
+	}
+	return pred
+}
+
+// Slice implements SlicingPredictor for a random forest (mlkit's
+// RandomForest.Slice), floored at ClampMin after the lookup as Predict
+// floors; any other model reports false.
+func (p *ModelPredictor) Slice(features []float64, j int) (FeatureSlice, bool) {
+	f, ok := p.Model.(*mlkit.RandomForest)
+	if !ok {
+		return FeatureSlice{}, false
+	}
+	s, ok := f.Slice(features, j)
+	return FeatureSlice{forest: s, clampMin: p.ClampMin}, ok
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"sort"
 )
 
 // RandomForest is a bagged ensemble of CART regression trees with random
@@ -156,4 +157,108 @@ func nearestOther(x [][]float64, i int) int {
 		return i
 	}
 	return best
+}
+
+// ForestSlice is a forest read as a step function of one feature j, every
+// other feature held where Slice found it: between two consecutive split
+// thresholds on j every tree ends in the same leaf, so the forest's
+// prediction is one number per interval.
+type ForestSlice struct {
+	// breaks are the distinct split thresholds on j, ascending
+	breaks []float64
+	// means[k] is the prediction for a value v with breaks[k-1] ≤ v <
+	// breaks[k]: len(breaks)+1 intervals
+	means []float64
+}
+
+// At returns the forest's prediction with feature j at v, bit-identical
+// to Predict. A split sends v left when v < t, so v lies in the interval
+// of the first break above it; a NaN, which goes right at every split,
+// lies past every break, and −0 where +0 does.
+func (s ForestSlice) At(v float64) float64 {
+	return s.means[sort.Search(len(s.breaks), func(k int) bool { return s.breaks[k] > v })]
+}
+
+// Slice reads the forest at x as a step function of feature j: both
+// branches are followed at splits on j, x is followed at every other
+// split. Each interval's prediction is its trees' leaf values summed in
+// tree order and divided by the ensemble size, as Predict sums them, so
+// At is bit-identical to Predict. It reports false for an unfitted
+// forest, a j outside x, and a forest with a node (at any value of j)
+// on a feature x does not have: the caller then walks the forest.
+func (f *RandomForest) Slice(x []float64, j int) (ForestSlice, bool) {
+	if len(f.Ensemble) == 0 || j < 0 || j >= len(x) {
+		return ForestSlice{}, false
+	}
+	var breaks []float64
+	for _, t := range f.Ensemble {
+		if t.Root == nil || !collectBreaks(t.Root, x, j, &breaks) {
+			return ForestSlice{}, false
+		}
+	}
+	sort.Float64s(breaks)
+	n := 0
+	for _, b := range breaks {
+		if n == 0 || b != breaks[n-1] { // −0 == +0: one break
+			breaks[n] = b
+			n++
+		}
+	}
+	s := ForestSlice{breaks: breaks[:n:n], means: make([]float64, n+1)}
+	for _, t := range f.Ensemble {
+		s.addLeaves(t.Root, x, j, 0, n+1)
+	}
+	for k := range s.means {
+		s.means[k] /= float64(len(f.Ensemble))
+	}
+	return s, true
+}
+
+// collectBreaks appends the thresholds of n's splits on j that a value
+// of j can reach, and reports false at a node on a feature x lacks. A NaN
+// threshold sends every value right, so it is no break.
+func collectBreaks(n *TreeNode, x []float64, j int, breaks *[]float64) bool {
+	for !n.Leaf {
+		switch {
+		case n.Feature >= len(x):
+			return false
+		case n.Feature != j:
+			n = n.step(x[n.Feature])
+		case math.IsNaN(n.Threshold):
+			n = n.Right
+		default:
+			*breaks = append(*breaks, n.Threshold)
+			if !collectBreaks(n.Left, x, j, breaks) {
+				return false
+			}
+			n = n.Right
+		}
+	}
+	return true
+}
+
+// addLeaves adds n's leaf value to the means of intervals [lo, hi): at a
+// split on j whose threshold is breaks[i], intervals up to i go left.
+func (s *ForestSlice) addLeaves(n *TreeNode, x []float64, j, lo, hi int) {
+	for !n.Leaf {
+		if n.Feature != j {
+			n = n.step(x[n.Feature])
+			continue
+		}
+		if math.IsNaN(n.Threshold) {
+			n = n.Right
+			continue
+		}
+		i := sort.SearchFloat64s(s.breaks, n.Threshold)
+		if lo <= i {
+			s.addLeaves(n.Left, x, j, lo, min(hi, i+1))
+		}
+		if lo = max(lo, i+1); lo >= hi {
+			return
+		}
+		n = n.Right
+	}
+	for k := lo; k < hi; k++ {
+		s.means[k] += n.Value
+	}
 }

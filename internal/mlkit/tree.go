@@ -193,13 +193,17 @@ func (t *DecisionTree) Predict(x []float64) (float64, error) {
 		if n.Feature >= len(x) {
 			return 0, ErrBadInput
 		}
-		if x[n.Feature] < n.Threshold {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
+		n = n.step(x[n.Feature])
 	}
 	return n.Value, nil
+}
+
+// step is the child a split sends v to: left when v < Threshold.
+func (n *TreeNode) step(v float64) *TreeNode {
+	if v < n.Threshold {
+		return n.Left
+	}
+	return n.Right
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

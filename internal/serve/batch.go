@@ -272,7 +272,8 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // over a cell skip synthesis and share one buffer), features through
 // the group's plan — which finds the error-agnostic metrics' results on
 // the buffer when the cell was evaluated before at another bound —
-// prediction through the group predictor, result into the cache.
+// prediction from the buffer's slice memo (predictSliced) or through
+// the group predictor, result into the cache.
 func (s *Server) predictCellMiss(ctx context.Context, g *batchGroup, k cellKey, out *BatchItemResult) {
 	if err := ctx.Err(); err != nil {
 		out.Error = err.Error()
@@ -294,8 +295,82 @@ func (s *Server) predictCellMiss(ctx context.Context, g *batchGroup, k cellKey, 
 		out.Error = err.Error()
 		return
 	}
-	s.predictFeatureRow(g, features, out)
+	if !s.predictSliced(g, plan, h.Data(), features, out) {
+		s.predictFeatureRow(g, features, out)
+	}
 	s.cacheResult(g, k, out)
+}
+
+// sliceKey names a buffer's one slice memo in its derived-value slot.
+type sliceKey struct{}
+
+// sliceMemo is what the slot holds under sliceKey: the features one
+// model was last asked at for the buffer and, from the second time it
+// was asked at the same fixed features on, the model read as a step
+// function of the dependent one. Never mutated once stored.
+type sliceMemo struct {
+	entry    *ModelEntry
+	features []float64
+	slice    *core.FeatureSlice // nil until a second miss builds it
+}
+
+// predictSliced answers a fresh-bound miss from the buffer's slice memo
+// when it can, and reports whether it did. It can when the group asks
+// for a point prediction from a trained model whose predictor slices,
+// and the plan's features differ from those the memo was built at in
+// the error-dependent one alone (bitwise): the answer is then the
+// table's lookup, bit-identical to predictFeatureRow's. Otherwise the
+// memo is replaced by one for these features, with no table: one-shot
+// traffic never pays for a build, and the slot holds one memo per buffer
+// whatever the traffic. A lookup that is not finite is left to
+// predictFeatureRow, which words its error.
+func (s *Server) predictSliced(g *batchGroup, plan *core.FeaturePlan, data *pressio.Data, features []float64, out *BatchItemResult) bool {
+	j, ok := plan.DependentFeature()
+	if g.alpha != 0 || g.entry == nil || !ok {
+		return false
+	}
+	p, err := s.groupPredictor(g)
+	if err != nil {
+		return false
+	}
+	sp, ok := p.(core.SlicingPredictor)
+	if !ok {
+		return false
+	}
+	m, _ := data.Derived(sliceKey{}).(*sliceMemo)
+	if m == nil || m.entry != g.entry || !sameBitsBut(m.features, features, j) {
+		// features is this call's own slice, never written again
+		data.StoreDerived(sliceKey{}, &sliceMemo{entry: g.entry, features: features})
+		return false
+	}
+	if m.slice == nil {
+		fs, ok := sp.Slice(m.features, j)
+		if !ok {
+			return false
+		}
+		m = &sliceMemo{entry: m.entry, features: m.features, slice: &fs}
+		data.StoreDerived(sliceKey{}, m)
+	}
+	pred := m.slice.At(features[j])
+	if !finite(pred) {
+		return false
+	}
+	out.Prediction, out.Interval = pred, nil
+	return true
+}
+
+// sameBitsBut reports whether a and b hold the same bits everywhere but
+// at j.
+func sameBitsBut(a, b []float64, j int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if i != j && math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // cacheResult stores a computed item under its key; a failed item is
