@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build arch-check examples-check benchmark-check serve-check fuzz-batch fuzz-record fuzz-spatial crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build arch-check examples-check benchmark-check serve-check fuzz-batch fuzz-record fuzz-spatial fuzz-slice crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -50,13 +50,16 @@ loc:
 # FuzzSpatialMatchesReference's in internal/stats — float32 and float64
 # bits with NaN, infinities, zero runs and denormals at rank 1-3, every
 # spatial feature, variogram lag, summary field and histogram bit-equal
-# to the float64 reference; to fuzz past the seeds:
+# to the float64 reference — and FuzzForestSlice's in internal/mlkit —
+# random forests read as a step function of one feature, bit-equal to
+# Predict; to fuzz past the seeds:
 # go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman
 # go test -run '^$$' -fuzz FuzzFieldMatchesReference -fuzztime 1m ./internal/hurricane
 # go test -run '^$$' -fuzz FuzzCodesLorenzo -fuzztime 1m ./internal/compressor/sz3
 # go test -run '^$$' -fuzz FuzzCodeModelCount -fuzztime 1m ./internal/predictors
 # go test -run '^$$' -fuzz FuzzReadObservation -fuzztime 1m ./internal/core
-# go test -run '^$$' -fuzz FuzzSpatialMatchesReference -fuzztime 1m ./internal/stats),
+# go test -run '^$$' -fuzz FuzzSpatialMatchesReference -fuzztime 1m ./internal/stats
+# go test -run '^$$' -fuzz FuzzForestSlice -fuzztime 1m ./internal/mlkit),
 # the examples and predict-bench's -table1 and -corpus modes run to
 # completion, the benchmark harness's self-test (benchmark-check), and
 # the complete test suite under the race detector. The race run stays
@@ -213,6 +216,15 @@ fuzz-record:
 # go test -run '^$$' -bench KernelRahmanAgnosticChain -cpuprofile /tmp/chain.prof .
 fuzz-spatial:
 	$(GO) test -run '^$$' -fuzz FuzzSpatialMatchesReference -fuzztime 30s ./internal/stats
+
+# fuzz-slice runs FuzzForestSlice past its seed corpus: random forests
+# (repeated, signed-zero, NaN and infinite thresholds) read as a step
+# function of one feature, each lookup bit-equal to RandomForest.Predict
+# at every break, either side of it and the special values (CI runs it
+# as a job of its own). It gates no speed; the slice has kernel rows:
+# go test -run '^$$' -bench KernelForest -benchmem .
+fuzz-slice:
+	$(GO) test -run '^$$' -fuzz FuzzForestSlice -fuzztime 30s ./internal/mlkit
 
 # crash-check runs the kill-restart recovery harness (DESIGN.md §12)
 # under the race detector: every cataloged crash point, the torn compact
