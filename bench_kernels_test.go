@@ -9,9 +9,12 @@ package repro
 // per-metric multi-pass chain it replaced.
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/compressor/sz3"
+	"repro/internal/core"
 	"repro/internal/huffman"
 	"repro/internal/hurricane"
 	"repro/internal/pressio"
@@ -292,4 +295,91 @@ func BenchmarkKernelSurrogate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkKernelForest is rahman2023's forest (60 trees of depth ≤ 12)
+// fitted on its own features of the 13 hurricane fields × 2 steps × 3
+// bounds at 16x16x16, against the sz3 ratios they compress to, at one
+// training row: walk is one Predict, slice_build reads the forest there
+// as a step function of the error-dependent feature (distortion:general),
+// slice_at is one lookup in that slice — what a fresh-bound sweep item
+// pays in predictd instead of walk once its cell holds the slice.
+// allocs/op is the gate: walk and slice_at allocate nothing.
+func BenchmarkKernelForest(b *testing.B) {
+	scheme, err := core.GetScheme("rahman2023")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ev core.Evaluator
+	var x [][]float64
+	var y []float64
+	j := -1
+	for _, field := range hurricane.FieldNames {
+		for step := range 2 {
+			data, err := hurricane.Field(field, step, []int{16, 16, 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, abs := range []float64{1e-5, 1e-4, 1e-3} {
+				plan, err := ev.Plan(scheme, "sz3", kernelOpts(abs))
+				if err != nil {
+					b.Fatal(err)
+				}
+				row, err := plan.Evaluate(context.Background(), data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cr, _, _, err := core.ObserveTarget("sz3", data, kernelOpts(abs))
+				if err != nil {
+					b.Fatal(err)
+				}
+				j, _ = plan.DependentFeature()
+				x, y = append(x, row), append(y, cr)
+			}
+		}
+	}
+	p, err := scheme.NewPredictor("sz3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := p.Fit(x, y); err != nil {
+		b.Fatal(err)
+	}
+	sp, ok := p.(core.SlicingPredictor)
+	if !ok || j < 0 {
+		b.Fatalf("rahman2023's predictor does not slice (dependent feature %d)", j)
+	}
+	row := x[len(x)/2]
+	// the lookups sweep the training set's range of the feature
+	vs := make([]float64, 64)
+	for i := range vs {
+		vs[i] = x[i*len(x)/len(vs)][j]
+	}
+	b.Run("walk", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Predict(row); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("slice_build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := sp.Slice(row, j); !ok {
+				b.Fatal("no slice")
+			}
+		}
+	})
+	fs, _ := sp.Slice(row, j)
+	b.Run("slice_at", func(b *testing.B) {
+		b.ReportAllocs()
+		s := 0.0
+		for i := 0; i < b.N; i++ {
+			s += fs.At(vs[i%len(vs)])
+		}
+		if math.IsNaN(s) {
+			b.Fatal("NaN prediction")
+		}
+	})
 }

@@ -332,7 +332,9 @@ func BenchmarkFigure4InferencePath(b *testing.B) {
 // evaluated at the warm-up bound, so the prediction cache misses and
 // the op pays decode, the error-dependent metric, inference and encode;
 // rahman2023's error-agnostic metrics (stat, spatial, entropy) come from
-// the buffers. Gated in BENCH_kernels.json.
+// the buffers, and from the second bound on, inference is a lookup in
+// each buffer's slice of the forest along distortion:general. Gated in
+// BENCH_kernels.json.
 func BenchmarkServePredictSweep(b *testing.B) {
 	st, err := store.Open(b.TempDir())
 	if err != nil {
