@@ -36,6 +36,10 @@ const (
 // and the budget the stage models in internal/predictors assume.
 const DefaultBins = 65536
 
+// minBins and maxBins bound the bin budget SetOptions accepts and a
+// stream's header may carry.
+const minBins, maxBins = 4, 1 << 24
+
 // ErrCorrupt reports a malformed compressed stream.
 var ErrCorrupt = errors.New("sz3: corrupt stream")
 
@@ -154,7 +158,7 @@ func (c *Compressor) SetOptions(opts pressio.Options) error {
 		c.abs = v
 	}
 	if v, ok := opts.GetInt(OptQuantBins); ok {
-		if v < 4 || v > 1<<24 {
+		if v < minBins || v > maxBins {
 			return fmt.Errorf("sz3: %s out of range: %d", OptQuantBins, v)
 		}
 		c.bins = int(v)
@@ -301,22 +305,22 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	}
 	abs := math.Float64frombits(binary.LittleEndian.Uint64(buf))
 	buf = buf[8:]
-	bins := int(binary.LittleEndian.Uint32(buf))
+	// header values are checked before they become an int, which is 32
+	// bits wide on some targets: bins against SetOptions' range, nd
+	// against the bytes left, the dims in ReadDims
+	rawBins := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]
-	nd := int(binary.LittleEndian.Uint32(buf))
+	nd := uint64(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
-	if nd < 0 || len(buf) < nd*8+24 {
+	if rawBins < minBins || rawBins > maxBins || uint64(len(buf)) < nd*8+24 {
 		return ErrCorrupt
 	}
-	dims := make([]int, nd)
-	for i := range dims {
-		dims[i] = int(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-	}
-	total, err := pressio.CheckDims(dims)
+	bins := int(rawBins)
+	dims, total, err := pressio.ReadDims(buf, int(nd))
 	if err != nil {
 		return fmt.Errorf("sz3: %w: %v", ErrCorrupt, err)
 	}
+	buf = buf[8*nd:]
 	nout64 := binary.LittleEndian.Uint64(buf)
 	buf = buf[8:]
 	if len(buf) < 16 {

@@ -1,6 +1,8 @@
 package sz3
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -249,6 +251,53 @@ func TestDecompressValidation(t *testing.T) {
 		}
 		if err := c.Decompress(pressio.NewByte(raw[:n]), pressio.NewFloat32(8, 8, 4)); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
+		}
+	}
+}
+
+// TestDecompressRefusesHeaderValuesPastInt rewrites one header value of
+// a valid stream at a time. Each value is checked before it becomes an
+// int, which is 32 bits wide on 386 (make arch-check): a dim of 1<<32+8
+// must not read as 8 there and decode as the original grid, a bin budget
+// outside SetOptions' range or an nd whose byte length wraps must be
+// refused. A dim past MaxElements is ErrCorrupt on every target; one
+// within it only fails to match the output.
+func TestDecompressRefusesHeaderValuesPastInt(t *testing.T) {
+	c := New()
+	compressed, err := c.Compress(smoothField3D(8, 8, 4, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, dtype, mode, abs, then bins at 14, nd at 18, dims from 22
+	cases := []struct {
+		name  string
+		off   int
+		value uint64
+		width int // bytes
+	}{
+		{"dim 1<<32+8", 22, 1<<32 + 8, 8},
+		{"dim MaxElements+1", 22, pressio.MaxElements + 1, 8},
+		{"dim 1<<63+8", 30, 1<<63 + 8, 8},
+		{"dim 1<<64-1", 38, 1<<64 - 1, 8},
+		{"bins 0", 14, 0, 4},
+		{"bins 3", 14, 3, 4},
+		{"bins 1<<24+1", 14, 1<<24 + 1, 4},
+		{"bins 1<<31", 14, 1 << 31, 4},
+		{"bins 1<<32-1", 14, 1<<32 - 1, 4},
+		{"nd 1<<29", 18, 1 << 29, 4},
+		{"nd 1<<32-1", 18, 1<<32 - 1, 4},
+	}
+	for _, tc := range cases {
+		raw := append([]byte(nil), compressed.Bytes()...)
+		if tc.width == 8 {
+			binary.LittleEndian.PutUint64(raw[tc.off:], tc.value)
+		} else {
+			binary.LittleEndian.PutUint32(raw[tc.off:], uint32(tc.value))
+		}
+		err := c.Decompress(pressio.NewByte(raw), pressio.NewFloat32(8, 8, 4))
+		wantCorrupt := tc.width == 4 || tc.value > pressio.MaxElements
+		if err == nil || wantCorrupt && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decompress returned %v, want an error (ErrCorrupt: %v)", tc.name, err, wantCorrupt)
 		}
 	}
 }

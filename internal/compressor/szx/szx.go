@@ -23,6 +23,9 @@ const OptBlockSize = "szx:block_size"
 const (
 	magic            = "SZXg"
 	defaultBlockSize = 128
+	// minBlockSize and maxBlockSize bound the block length SetOptions
+	// accepts and a stream's header may carry.
+	minBlockSize, maxBlockSize = 2, 1 << 20
 )
 
 // ErrCorrupt reports a malformed compressed stream.
@@ -53,7 +56,7 @@ func (c *Compressor) SetOptions(opts pressio.Options) error {
 		c.abs = v
 	}
 	if v, ok := opts.GetInt(OptBlockSize); ok {
-		if v < 2 || v > 1<<20 {
+		if v < minBlockSize || v > maxBlockSize {
 			return fmt.Errorf("szx: %s out of range: %d", OptBlockSize, v)
 		}
 		c.blockSize = int(v)
@@ -170,20 +173,20 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 		return ErrCorrupt
 	}
 	buf = buf[2+8:] // skip abs: not needed to decode
-	blockSize := int(binary.LittleEndian.Uint32(buf))
+	// header values are checked before they become an int, which is 32
+	// bits wide on some targets: the block size against SetOptions'
+	// range, the dims in ReadDims
+	rawBlock := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]
-	if blockSize < 2 || len(buf) < nd*8 {
+	if rawBlock < minBlockSize || rawBlock > maxBlockSize || len(buf) < nd*8 {
 		return ErrCorrupt
 	}
-	dims := make([]int, nd)
-	for i := 0; i < nd; i++ {
-		dims[i] = int(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-	}
-	total, err := pressio.CheckDims(dims)
+	blockSize := int(rawBlock)
+	_, total, err := pressio.ReadDims(buf, nd)
 	if err != nil {
 		return fmt.Errorf("szx: %w: %v", ErrCorrupt, err)
 	}
+	buf = buf[8*nd:]
 	if out.DType() != dtype {
 		return fmt.Errorf("szx: output dtype %v does not match stream dtype %v", out.DType(), dtype)
 	}

@@ -1,6 +1,8 @@
 package szx
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,6 +146,55 @@ func TestValidation(t *testing.T) {
 		}
 		if err := c.Decompress(pressio.NewByte(raw[:n]), pressio.NewFloat32(64)); err == nil {
 			t.Errorf("truncation to %d accepted", n)
+		}
+	}
+}
+
+// TestDecompressRefusesHeaderValuesPastInt rewrites one header value of
+// a valid stream at a time. Each value is checked before it becomes an
+// int, which is 32 bits wide on 386 (make arch-check): a dim of 1<<32+8
+// must not read as 8 there and decode as the original grid, a block size
+// outside SetOptions' range must be refused. A dim past MaxElements is
+// ErrCorrupt on every target; one within it only fails to match the
+// output.
+func TestDecompressRefusesHeaderValuesPastInt(t *testing.T) {
+	c := withAbs(t, 1e-3)
+	in := pressio.NewFloat32(8, 8, 8)
+	for i := 0; i < in.Len(); i++ {
+		in.Set(i, math.Sin(float64(i)/9))
+	}
+	compressed, err := c.Compress(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, dtype, nd, abs, then the block size at 14, dims from 18
+	cases := []struct {
+		name  string
+		off   int
+		value uint64
+		width int // bytes
+	}{
+		{"dim 1<<32+8", 18, 1<<32 + 8, 8},
+		{"dim MaxElements+1", 18, pressio.MaxElements + 1, 8},
+		{"dim 1<<63+8", 26, 1<<63 + 8, 8},
+		{"dim 1<<64-1", 34, 1<<64 - 1, 8},
+		{"block 0", 14, 0, 4},
+		{"block 1", 14, 1, 4},
+		{"block 1<<20+1", 14, 1<<20 + 1, 4},
+		{"block 1<<31-1", 14, 1<<31 - 1, 4},
+		{"block 1<<32-1", 14, 1<<32 - 1, 4},
+	}
+	for _, tc := range cases {
+		raw := append([]byte(nil), compressed.Bytes()...)
+		if tc.width == 8 {
+			binary.LittleEndian.PutUint64(raw[tc.off:], tc.value)
+		} else {
+			binary.LittleEndian.PutUint32(raw[tc.off:], uint32(tc.value))
+		}
+		err := c.Decompress(pressio.NewByte(raw), pressio.NewFloat32(8, 8, 8))
+		wantCorrupt := tc.width == 4 || tc.value > pressio.MaxElements
+		if err == nil || wantCorrupt && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decompress returned %v, want an error (ErrCorrupt: %v)", tc.name, err, wantCorrupt)
 		}
 	}
 }

@@ -668,15 +668,11 @@ func (c *Compressor) Decompress(compressed *pressio.Data, out *pressio.Data) err
 	if len(buf) < nd*8+8 {
 		return ErrCorrupt
 	}
-	origDims := make([]int, nd)
-	for i := range origDims {
-		origDims[i] = int(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-	}
-	total, err := pressio.CheckDims(origDims)
+	origDims, total, err := pressio.ReadDims(buf, nd)
 	if err != nil {
 		return fmt.Errorf("zfp: %w: %v", ErrCorrupt, err)
 	}
+	buf = buf[8*nd:]
 	payloadLen := binary.LittleEndian.Uint64(buf)
 	buf = buf[8:]
 	if uint64(len(buf)) < payloadLen {

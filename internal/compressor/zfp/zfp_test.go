@@ -1,6 +1,8 @@
 package zfp
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -304,6 +306,40 @@ func TestDecompressValidation(t *testing.T) {
 		}
 		if err := c.Decompress(pressio.NewByte(raw[:n]), pressio.NewFloat32(8, 8, 4)); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
+		}
+	}
+}
+
+// TestDecompressRefusesHeaderValuesPastInt rewrites one dim of a valid
+// stream's header at a time. Each is checked before it becomes an int,
+// which is 32 bits wide on 386 (make arch-check): a dim of 1<<32+8 must
+// not read as 8 there and decode as the original grid. A dim past
+// MaxElements is ErrCorrupt on every target; one within it only fails to
+// match the output.
+func TestDecompressRefusesHeaderValuesPastInt(t *testing.T) {
+	c := withTol(t, 1e-3)
+	compressed, err := c.Compress(smoothField3D(8, 8, 4, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, dtype, nd, tolerance, then dims from 14
+	cases := []struct {
+		name  string
+		off   int
+		value uint64
+	}{
+		{"dim 1<<32+8", 14, 1<<32 + 8},
+		{"dim MaxElements+1", 14, pressio.MaxElements + 1},
+		{"dim 1<<63+8", 22, 1<<63 + 8},
+		{"dim 1<<64-1", 30, 1<<64 - 1},
+	}
+	for _, tc := range cases {
+		raw := append([]byte(nil), compressed.Bytes()...)
+		binary.LittleEndian.PutUint64(raw[tc.off:], tc.value)
+		err := c.Decompress(pressio.NewByte(raw), pressio.NewFloat32(8, 8, 4))
+		wantCorrupt := tc.value > pressio.MaxElements
+		if err == nil || wantCorrupt && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decompress returned %v, want an error (ErrCorrupt: %v)", tc.name, err, wantCorrupt)
 		}
 	}
 }

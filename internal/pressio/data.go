@@ -407,23 +407,24 @@ func (d *Data) UnmarshalBinary(b []byte) error {
 		return fmt.Errorf("pressio: data header truncated: %d bytes", len(b))
 	}
 	dt := DType(binary.LittleEndian.Uint32(b))
-	nd := int(binary.LittleEndian.Uint32(b[4:]))
+	nd := uint64(binary.LittleEndian.Uint32(b[4:]))
 	b = b[8:]
-	if len(b) < 8*nd {
+	if dt.Size() == 0 {
+		return fmt.Errorf("pressio: data header: unknown dtype %d", dt)
+	}
+	if uint64(len(b)) < 8*nd {
 		return fmt.Errorf("pressio: data dims truncated")
 	}
-	dims := make([]int, nd)
-	for i := range dims {
-		dims[i] = int(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-	}
-	if _, err := CheckDims(dims); err != nil {
+	dims, total, err := ReadDims(b, int(nd))
+	if err != nil {
 		return fmt.Errorf("pressio: data header: %w", err)
 	}
-	out := New(dt, dims...)
-	if len(b) != out.ByteSize() {
-		return fmt.Errorf("pressio: data payload is %d bytes, want %d", len(b), out.ByteSize())
+	b = b[8*nd:]
+	// the payload's length is checked before anything is allocated for it
+	if want := total * dt.Size(); len(b) != want {
+		return fmt.Errorf("pressio: data payload is %d bytes, want %d", len(b), want)
 	}
+	out := New(dt, dims...)
 	switch dt {
 	case DTypeFloat32:
 		for i := range out.f32 {
@@ -457,6 +458,25 @@ func (d *Data) UnmarshalBinary(b []byte) error {
 // 1<<44 where int is 64 bits wide, and where it is 32 bits, the largest
 // count whose size in 8-byte elements still fits in an int.
 const MaxElements = min(1<<44, math.MaxInt/8)
+
+// ReadDims decodes nd little-endian uint64 dimensions from the front of
+// b, as every header in this module stores them, and validates them as
+// CheckDims does, returning their product. Each value is checked against
+// MaxElements before it becomes an int, which is 32 bits wide on some
+// targets, so a dim like 1<<32+8 cannot wrap onto a plausible one. b must
+// hold 8*nd bytes.
+func ReadDims(b []byte, nd int) ([]int, int, error) {
+	dims := make([]int, nd)
+	for i := range dims {
+		v := binary.LittleEndian.Uint64(b[8*i:])
+		if v > MaxElements {
+			return nil, 0, fmt.Errorf("pressio: dim %d exceeds element limit", v)
+		}
+		dims[i] = int(v)
+	}
+	total, err := CheckDims(dims)
+	return dims, total, err
+}
 
 // CheckDims validates dimensions decoded from an untrusted stream: every
 // dimension must be positive and the element product must stay within

@@ -231,6 +231,52 @@ func TestUnmarshalRejectsHugeDims(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRefusesHeaderValuesPastInt rewrites one header value of
+// a valid buffer at a time. A dim is checked before it becomes an int,
+// which is 32 bits wide on 386 (make arch-check), where 1<<32+8 would
+// read as 8 and decode as the original; and the payload's length before
+// anything is allocated, where a dim within MaxElements would otherwise
+// allocate its 16 GiB. An unknown dtype is an error, not New's panic.
+func TestUnmarshalRefusesHeaderValuesPastInt(t *testing.T) {
+	valid, err := NewFloat32(8).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// dtype at 0, nd at 4, the dim at 8
+	cases := []struct {
+		name  string
+		off   int
+		value uint64
+		width int // bytes
+	}{
+		{"dim 1<<32+8", 8, 1<<32 + 8, 8},
+		{"dim MaxElements", 8, MaxElements, 8},
+		{"dim 1<<64-1", 8, 1<<64 - 1, 8},
+		{"nd 1<<29", 4, 1 << 29, 4},
+		{"nd 1<<32-1", 4, 1<<32 - 1, 4},
+		{"dtype 99", 0, 99, 4},
+	}
+	for _, tc := range cases {
+		b := append([]byte(nil), valid...)
+		if tc.width == 8 {
+			binary.LittleEndian.PutUint64(b[tc.off:], tc.value)
+		} else {
+			binary.LittleEndian.PutUint32(b[tc.off:], uint32(tc.value))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: UnmarshalBinary panicked: %v", tc.name, r)
+				}
+			}()
+			var d Data
+			if err := d.UnmarshalBinary(b); err == nil {
+				t.Errorf("%s: UnmarshalBinary accepted it as %v", tc.name, d.Dims())
+			}
+		}()
+	}
+}
+
 type slotKey struct{ name string }
 
 func TestDerivedSlotFollowsVersion(t *testing.T) {
