@@ -71,7 +71,10 @@ loc:
 # twice more under it (-count=2): their pool-dependent allocation tests
 # must hold (or skip) when a second pass finds the pools a first one
 # left. cluster runs twice too: its barrier and catch-up timing ride on
-# the fetch loops, whose schedule -race stretches. Last come the four
+# the fetch loops, whose schedule -race stretches. dataset runs twice
+# because every resident cell of its tiered cache is a mapping: a cell
+# used after its last Release, eviction or Close is a fault in every
+# configuration, not only with a spill dir. Last come the four
 # multi-process harnesses, also under -race: kill-restart recovery, the replicated cluster's kill tests,
 # predict-bench's remote drill, and the seeded scenarios (SLOs and
 # prediction accounting under load; no performance number is gated here — the only
@@ -86,7 +89,7 @@ check: fmt-check docs-check serial-check
 	$(MAKE) examples-check
 	$(MAKE) benchmark-check
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=2 ./internal/predictors ./internal/serve ./internal/cluster
+	$(GO) test -race -short -count=2 ./internal/predictors ./internal/serve ./internal/cluster ./internal/dataset
 	$(MAKE) crash-check
 	$(MAKE) cluster-check
 	$(MAKE) remote-check

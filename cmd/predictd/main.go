@@ -74,7 +74,7 @@ func main() {
 		jobRetain  = flag.Int("job-retain", 256, "max finished fit jobs retained")
 		fsync      = flag.Bool("fsync", true, "fsync the store WAL after every append")
 		dataCache  = flag.Int64("data-cache-bytes", 0, "tiered dataset cache memory budget (0 = 128MiB default)")
-		dataSpill  = flag.String("data-spill", "", "dataset cache spill directory: every loaded cell is written there and held resident as a read-only mapping of its file, so the Go heap holds no resident cell and RSS counts only the pages read, at most -data-cache-bytes of mappings in all (empty disables the disk tier: resident cells are then heap buffers)")
+		dataSpill  = flag.String("data-spill", "", "dataset cache spill directory: every loaded cell is written there and held resident as a read-only mapping of its file, so RSS counts only the pages read (empty disables the disk tier: resident cells are then sealed anonymous mappings). Either way the Go heap holds no resident cell, and at most -data-cache-bytes are mapped in all")
 		fsck       = flag.Bool("fsck", false, "run storecheck on the store directory, repair what is safe, and exit")
 		optsFlag   = flag.String("opts", "", "default options merged under every request, key=value[,key=value...]")
 

@@ -171,6 +171,7 @@ func featureMetricsFor(schemes []string, compressor string) ([]string, error) {
 // many cells read it. The budget is two float32 grids of dims per worker:
 // the queue hands a worker the cells of a buffer it holds first, so it
 // has one in use and one more at the hand-over.
+// Its cells are mappings, which no collector frees: the caller closes it.
 func newCellCache(workers int, dims []int) (*dataset.TieredCache, error) {
 	capacity := int64(workers) * 2 * int64(pressio.DTypeFloat32.Size())
 	for _, d := range dims {
@@ -293,6 +294,7 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cache.Close()
 	var eval core.Evaluator
 	client := &http.Client{Transport: &faultinject.RoundTripper{Plan: plan}}
 	meta := map[string]core.ObserveRequest{}

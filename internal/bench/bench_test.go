@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/faultinject"
 	"repro/internal/hurricane"
 	"repro/internal/predictors"
@@ -116,6 +117,28 @@ func referenceObserve(spec *Spec, field string, step int, bound float64, compres
 	ob.ByteSize = data.ByteSize()
 	ob.Replicates = spec.Replicates
 	return ob, nil
+}
+
+// TestCollectLeavesNoMapping: a collection's cell cache holds its cells
+// as mappings, which no collector frees; each run closes its cache, so
+// twenty of them leave no region mapped.
+func TestCollectLeavesNoMapping(t *testing.T) {
+	base := dataset.LiveMappings()
+	for run := 0; run < 20; run++ {
+		spec := tinySpec(t)
+		spec.Fields, spec.Steps, spec.Compressors = []string{"P", "TC"}, 2, []string{"sz3"}
+		spec.Bounds, spec.Schemes = []float64{1e-3}, []string{"khan2023"}
+		res, err := CollectDetailed(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Data.Misses != 4 {
+			t.Fatalf("run %d: want each of 4 buffers loaded once, got %+v", run, res.Data)
+		}
+		if live := dataset.LiveMappings() - base; live != 0 {
+			t.Fatalf("run %d left %d regions mapped", run, live)
+		}
+	}
 }
 
 // TestCollectRefusesBadDims: a grid no field can be synthesized on fails

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"syscall"
-	"unsafe"
 )
 
 // mapFloat32 maps a raw little-endian float32 file of exactly n elements
@@ -40,12 +39,12 @@ func mapFloat32(path string, n int) (fl []float32, raw []byte, isMapped bool, id
 	if err != nil {
 		return nil, nil, false, id, fmt.Errorf("dataset: mmap %s: %w", path, err)
 	}
+	liveMappings.Add(1)
 	id = fileIdentity{
 		dev: uint64(st.Dev), ino: uint64(st.Ino), size: int64(st.Size),
 		mtime: st.Mtim.Nano(), ctime: st.Ctim.Nano(),
 	}
-	fl = unsafe.Slice((*float32)(unsafe.Pointer(&m[0])), n)
-	return fl, m, true, id, nil
+	return float32View(m), m, true, id, nil
 }
 
 // fsClock reads the clock of the filesystem holding dir as that
@@ -77,6 +76,7 @@ func writeMapped(path string, buf []byte, mapIt bool) ([]byte, error) {
 	err := publish(path, buf, func(f *os.File) {
 		if mapIt && len(buf) > 0 {
 			if mm, err := syscall.Mmap(int(f.Fd()), 0, len(buf), syscall.PROT_READ, syscall.MAP_PRIVATE); err == nil {
+				liveMappings.Add(1)
 				m = mm
 			}
 		}
@@ -88,6 +88,32 @@ func writeMapped(path string, buf []byte, mapIt bool) ([]byte, error) {
 	return m, err
 }
 
+// mapSealed copies buf into a fresh anonymous private mapping and seals
+// it read-only: a cell the disk tier does not hold is resident off the Go
+// heap all the same, and a stray write through it faults as one through
+// a spill's mapping does. nil for an empty buf or when the kernel
+// refuses the map or the seal.
+func mapSealed(buf []byte) []byte {
+	if len(buf) == 0 {
+		return nil
+	}
+	m, err := syscall.Mmap(-1, 0, len(buf), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		return nil
+	}
+	copy(m, buf)
+	if err := syscall.Mprotect(m, syscall.PROT_READ); err != nil {
+		syscall.Munmap(m)
+		return nil
+	}
+	liveMappings.Add(1)
+	return m
+}
+
 // unmapRaw returns a region obtained from mapFloat32 with isMapped=true,
-// or from writeMapped.
-func unmapRaw(raw []byte) { syscall.Munmap(raw) }
+// from writeMapped or from mapSealed.
+func unmapRaw(raw []byte) {
+	if syscall.Munmap(raw) == nil {
+		liveMappings.Add(-1)
+	}
+}

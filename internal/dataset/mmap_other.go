@@ -22,4 +22,8 @@ func writeMapped(path string, buf []byte, _ bool) ([]byte, error) {
 	return nil, writeFileAtomic(path, buf)
 }
 
+// mapSealed maps nothing: without mmap a cell the disk tier does not
+// hold stays the loader's heap buffer.
+func mapSealed([]byte) []byte { return nil }
+
 func unmapRaw([]byte) {}

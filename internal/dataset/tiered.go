@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/hurricane"
@@ -41,15 +42,18 @@ import (
 //     manifest's digest for the same cell. Reload mmaps the file
 //     read-only and reinterprets it in place, so a reader that samples
 //     the cell faults in only the pages it touches.
-//   - One resident form. With a disk tier a freshly loaded cell is served
-//     as a read-only mapping of the spill file just written for it, taken
-//     from the descriptor that wrote it, and the loader's heap buffer is
-//     dropped: the Go heap holds no resident cell. Resident cells are
-//     mappings, at most CapacityBytes of them, and count in RSS only for
-//     the pages read, as clean file pages the kernel can reclaim. Where
-//     the spill write or the map fails, or the reload path copies, the
-//     cell stays the loader's buffer; without a disk tier every resident
-//     cell is a heap buffer.
+//   - One resident form. A freshly loaded cell is served as a read-only
+//     mapping and the loader's heap buffer is dropped: the Go heap holds
+//     no resident cell, with or without a disk tier. With one, the
+//     mapping is of the spill file just written for the cell, taken from
+//     the descriptor that wrote it, and counts in RSS as clean file pages
+//     the kernel can reclaim; without one, or where the spill write or
+//     its map fails, the cell is copied into an anonymous mapping sealed
+//     PROT_READ. Either way a stray write faults, and resident cells cost
+//     at most CapacityBytes of RSS, once: the collector's heap goal does
+//     not double them. What that costs is a smaller heap goal, so a path
+//     that allocates heavily collects more often. Only builds without
+//     mmap (mmap_other.go) keep heap buffers.
 //   - Verified once per file, not once per reload. A SHA-256 sidecar is
 //     written with every spill, and a spill is hashed against it the
 //     first time this process reloads it and whenever what the kernel
@@ -67,10 +71,11 @@ import (
 //     any rewrite (spills are written by rename, so a rewrite is a new
 //     inode), any change of identity, and any platform or path without
 //     mmap, which has no identity and hashes every time.
-//   - Refcounts. Data may be mmap-backed, so "evicted" cannot mean
+//   - Refcounts. Data is mmap-backed, so "evicted" cannot mean
 //     "garbage collected eventually": handles pin the mapping, and the
 //     region is unmapped only when the entry has left the cache and the
-//     last Handle is released.
+//     last Handle is released. Nor can the collector free a cache it no
+//     longer reaches: Close unmaps what the cache holds.
 //
 // Loads of the same cell are single-flighted: concurrent Acquires share
 // one synthesis/mmap.
@@ -85,6 +90,7 @@ type TieredCache struct {
 	used     int64                      // resident payload bytes across lru members
 	mapped   int64                      // live mmap-backed bytes (resident or handle-pinned)
 	verified map[tieredKey]fileIdentity // spill files whose digest this process has checked
+	closed   bool                       // Close has run: Acquire errors, a settling load is not admitted
 
 	memHits, diskHits, misses, evictions, digestChecks uint64
 }
@@ -121,7 +127,12 @@ type TieredStats struct {
 	// other disk hits were served on a remembered identity.
 	DigestChecks  uint64 `json:"digest_checks"`
 	ResidentBytes int64  `json:"resident_bytes"`
-	MappedBytes   int64  `json:"mapped_bytes"`
+	// MappedBytes counts every live mapping — spill files and the
+	// anonymous ones of cells without a spill — resident or pinned
+	// outside the memory tier; it equals ResidentBytes unless a cell is
+	// pinned there (evicted, larger than the tier, or closed over) or
+	// this build has no mmap.
+	MappedBytes int64 `json:"mapped_bytes"`
 }
 
 type tieredKey struct {
@@ -136,10 +147,9 @@ type tieredEntry struct {
 	err   error
 
 	// set before ready closes, immutable afterwards
-	data     *pressio.Data
-	raw      []byte // backing bytes when reloaded from disk
-	isMapped bool   // raw needs unmapRaw when the entry dies
-	bytes    int64
+	data  *pressio.Data
+	raw   []byte // the mapping data lives in, unmapped when the entry dies; nil for a heap buffer
+	bytes int64
 
 	// guarded by TieredCache.mu
 	refs int           // outstanding handles (the loader holds one)
@@ -172,8 +182,8 @@ func NewTiered(cfg TieredConfig) (*TieredCache, error) {
 
 // Handle pins one cell of the cache. Data stays valid until Release;
 // Release is idempotent. Do not retain the Data pointer past Release —
-// for mmap-backed cells the backing region is unmapped once the entry is
-// both evicted and unpinned.
+// the backing region is unmapped once the entry is both evicted (or its
+// cache closed) and unpinned.
 type Handle struct {
 	c    *TieredCache
 	e    *tieredEntry
@@ -196,6 +206,10 @@ func (c *TieredCache) Acquire(field string, step int, dims []int) (*Handle, erro
 	}
 	k := tieredKey{field: field, step: step, d0: dims[0], d1: dims[1], d2: dims[2]}
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, errTieredClosed
+	}
 	if e, ok := c.entries[k]; ok {
 		e.refs++
 		c.mu.Unlock()
@@ -224,20 +238,21 @@ func (c *TieredCache) Acquire(field string, step int, dims []int) (*Handle, erro
 	return &Handle{c: c, e: e}, nil
 }
 
+// errTieredClosed is Acquire's answer once Close has run.
+var errTieredClosed = errors.New("dataset: tiered: cache is closed")
+
 // load settles an entry outside the lock (synthesis can take tens of
 // milliseconds), then admits it under the lock.
 func (c *TieredCache) load(e *tieredEntry, dims []int) {
-	data, raw, isMapped, fromDisk, err := c.loadTiers(e.key, dims)
+	data, raw, fromDisk, err := c.loadTiers(e.key, dims)
 	c.mu.Lock()
 	if err != nil {
 		e.err = err
 		delete(c.entries, e.key)
 	} else {
-		e.data, e.raw, e.isMapped = data, raw, isMapped
+		e.data, e.raw = data, raw
 		e.bytes = int64(data.ByteSize())
-		if e.isMapped {
-			c.mapped += int64(len(e.raw))
-		}
+		c.mapped += int64(len(e.raw))
 		if fromDisk {
 			c.diskHits++
 		} else {
@@ -250,11 +265,11 @@ func (c *TieredCache) load(e *tieredEntry, dims []int) {
 }
 
 // admit inserts a loaded entry into the memory tier, evicting from the
-// LRU tail to fit. An entry larger than the whole tier is served
-// unmanaged: it leaves the map at once and dies with its last handle.
-// Called with c.mu held.
+// LRU tail to fit. An entry larger than the whole tier, or one that
+// settles after Close, is served unmanaged: it leaves the map at once and
+// dies with its last handle. Called with c.mu held.
 func (c *TieredCache) admit(e *tieredEntry) {
-	if e.bytes > c.capacity {
+	if e.bytes > c.capacity || c.closed {
 		delete(c.entries, e.key)
 		return
 	}
@@ -287,13 +302,33 @@ func (c *TieredCache) release(e *tieredEntry) {
 // free returns an entry's backing storage. Called with c.mu held; munmap
 // is a fast syscall, so holding the lock across it is fine.
 func (c *TieredCache) free(e *tieredEntry) {
-	if e.isMapped {
+	if e.raw != nil {
 		c.mapped -= int64(len(e.raw))
 		unmapRaw(e.raw)
-		e.isMapped = false
 	}
 	e.raw = nil
 	e.data = nil
+}
+
+// Close empties the memory tier: every unpinned cell is unmapped now,
+// each pinned one at its last Release, and a load still settling dies
+// with its handles. Acquire fails from then on. The disk tier is left as
+// it is. A mapping is not garbage a collector can find, so a cache whose
+// owner is done with it must be closed; one kept for the life of the
+// process need not be. Close is idempotent.
+func (c *TieredCache) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	for c.lru.Len() > 0 {
+		e := c.lru.Remove(c.lru.Front()).(*tieredEntry)
+		e.elem = nil
+		delete(c.entries, e.key)
+		c.used -= e.bytes
+		if e.refs == 0 {
+			c.free(e)
+		}
+	}
 }
 
 // Stats snapshots the tier counters.
@@ -313,15 +348,19 @@ func (c *TieredCache) Stats() TieredStats {
 
 // loadTiers reads through disk then loader, spilling loader results —
 // unless the reload failed for a reason that says nothing about the pair
-// on disk, which is then left exactly as it is.
-func (c *TieredCache) loadTiers(k tieredKey, dims []int) (data *pressio.Data, raw []byte, isMapped, fromDisk bool, err error) {
+// on disk, which is then left exactly as it is. raw is the mapping data
+// lives in, nil where this build leaves it a heap buffer.
+func (c *TieredCache) loadTiers(k tieredKey, dims []int) (data *pressio.Data, raw []byte, fromDisk bool, err error) {
 	spill := c.spillDir != ""
 	if spill {
 		path := filepath.Join(c.spillDir, spillName(k.field, k.step, dims))
 		d, m, mp, err := c.readSpillTier(k, path, dims)
 		switch classifySpillErr(err) {
 		case spillVerified:
-			return d, m, mp, true, nil
+			if !mp { // the copying reload path: m is the file's bytes
+				d, m = seal(d, dims)
+			}
+			return d, m, true, nil
 		case spillCorrupt:
 			c.dropSpill(k, path)
 		case spillUnreadable:
@@ -330,20 +369,53 @@ func (c *TieredCache) loadTiers(k tieredKey, dims []int) (data *pressio.Data, ra
 	}
 	d, err := c.loader(k.field, k.step, dims)
 	if err != nil {
-		return nil, nil, false, false, err
+		return nil, nil, false, err
 	}
 	if spill {
 		// spill failures degrade the disk tier, not the request: the
 		// loaded buffer is still correct, the next miss just regenerates.
-		// A spill that could be mapped is served as that mapping, and the
-		// loader's buffer is left to the collector: the cell is resident
-		// once, as clean file pages, not also on the heap.
-		if fl, m, err := c.writeSpillTier(k.field, k.step, d); err == nil && m != nil {
-			return pressio.FromFloat32(fl, dims...), m, true, false, nil
+		// A spill that could be mapped is served as that mapping: the
+		// cell is resident once, as clean file pages.
+		if m, err := c.writeSpillTier(k.field, k.step, d); err == nil && m != nil {
+			return pressio.FromFloat32(float32View(m), dims...), m, false, nil
 		}
 	}
-	return d, nil, false, false, nil
+	d, m := seal(d, dims)
+	return d, m, false, nil
 }
+
+// seal moves a float32 cell off the Go heap into a sealed anonymous
+// mapping (mapSealed), leaving the loader's buffer to the collector; a
+// cell it cannot move is returned as it is, with no mapping.
+func seal(d *pressio.Data, dims []int) (*pressio.Data, []byte) {
+	if d.DType() == pressio.DTypeFloat32 && d.Len() > 0 {
+		if m := mapSealed(float32Bytes(d.Float32())); m != nil {
+			return pressio.FromFloat32(float32View(m), dims...), m
+		}
+	}
+	return d, nil
+}
+
+// float32Bytes is v's own memory as bytes: a cell's raw little-endian
+// encoding on a little-endian host. v must not be empty.
+func float32Bytes(v []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+}
+
+// float32View reinterprets a mapping as the float32 values it holds, in
+// place; m must not be empty. Every mapped cell is read through it.
+func float32View(m []byte) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(&m[0])), len(m)/4)
+}
+
+// liveMappings counts the regions the tiered caches of this process have
+// mapped and not yet unmapped.
+var liveMappings atomic.Int64
+
+// LiveMappings reports how many regions the tiered caches of this process
+// hold mapped — resident cells, and evicted or closed-over cells still
+// pinned — so a caller can check that what it built and closed left none.
+func LiveMappings() int64 { return liveMappings.Load() }
 
 // spillName is the on-disk base name of a spilled cell — identical to
 // what BuildCorpus writes through WriteRaw for the same cell, so spill
@@ -454,31 +526,27 @@ func (c *TieredCache) checkDigest(path string, raw []byte) error {
 // bytes are the ones hashed), or a nil m where the reload path would copy
 // or the map failed. No identity is remembered: the file's first reload
 // hashes it, as any other.
-func (c *TieredCache) writeSpillTier(field string, step int, d *pressio.Data) (fl []float32, m []byte, err error) {
+func (c *TieredCache) writeSpillTier(field string, step int, d *pressio.Data) (m []byte, err error) {
 	var path string
 	var buf []byte
 	inPlace := hostLittleEndian && d.DType() == pressio.DTypeFloat32 && d.Len() > 0
 	if inPlace {
 		path = filepath.Join(c.spillDir, spillName(field, step, d.Dims()))
-		v := d.Float32()
-		buf = unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+		buf = float32Bytes(d.Float32())
 	} else if path, buf, err = encodeRaw(c.spillDir, fmt.Sprintf("%s.t%02d", field, step), d); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if m, err = writeMapped(path, buf, inPlace); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sum := sha256.Sum256(buf)
 	if err := writeFileAtomic(path+".sha256", []byte(hex.EncodeToString(sum[:])+"\n")); err != nil {
 		if m != nil {
 			unmapRaw(m)
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	if m == nil {
-		return nil, nil, nil
-	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&m[0])), len(m)/4), m, nil
+	return m, nil
 }
 
 // dropSpill deletes a pair that proved inconsistent and forgets that it

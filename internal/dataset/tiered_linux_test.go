@@ -8,12 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"syscall"
 	"testing"
 	"time"
 	"unsafe"
 
 	"repro/internal/hurricane"
+	"repro/internal/pressio"
 )
 
 // The tests in this file pin the verify-once rule, which needs the file
@@ -255,7 +257,7 @@ var servedDims = []int{64, 64, 96}
 
 // heapGrowth reports how far HeapAlloc grows, both sides measured after a
 // collection, while eight cells of servedDims are loaded through a tier
-// that holds them all and are left resident.
+// that holds them all and are left resident; then it closes the tier.
 func heapGrowth(t *testing.T, spillDir string) (grew, cell int64, st TieredStats) {
 	t.Helper()
 	cell = 4 * int64(servedDims[0]*servedDims[1]*servedDims[2])
@@ -263,6 +265,7 @@ func heapGrowth(t *testing.T, spillDir string) (grew, cell int64, st TieredStats
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -276,28 +279,132 @@ func heapGrowth(t *testing.T, spillDir string) (grew, cell int64, st TieredStats
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	st = c.Stats()
-	runtime.KeepAlive(c)
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc), cell, st
 }
 
-// TestTieredSpilledCellsLeaveTheHeap: with a disk tier a resident cell is
-// its spill file's mapping, so eight resident cells grow the Go heap by
-// less than one of them; without one they are heap buffers, and it grows
-// by at least all of them.
+// TestTieredSpilledCellsLeaveTheHeap: a resident cell is a mapping — its
+// spill file's with a disk tier, an anonymous one without — so in either
+// configuration eight resident cells grow the Go heap by less than one of
+// them, and every resident byte is mapped.
 func TestTieredSpilledCellsLeaveTheHeap(t *testing.T) {
-	grew, cell, st := heapGrowth(t, t.TempDir())
-	if grew >= cell {
-		t.Errorf("with a spill dir the heap grew by %d bytes for 8 resident cells, want less than one cell (%d)", grew, cell)
+	for name, dir := range map[string]string{"disk tier": t.TempDir(), "no disk tier": ""} {
+		grew, cell, st := heapGrowth(t, dir)
+		if grew >= cell {
+			t.Errorf("%s: the heap grew by %d bytes for 8 resident cells, want less than one cell (%d)", name, grew, cell)
+		}
+		if st.ResidentBytes != 8*cell || st.MappedBytes != st.ResidentBytes {
+			t.Errorf("%s: want 8 resident mapped cells, got %+v", name, st)
+		}
 	}
-	if st.ResidentBytes != 8*cell || st.MappedBytes != st.ResidentBytes {
-		t.Errorf("want 8 resident mapped cells, got %+v", st)
+}
+
+// writeFaults reports whether a write to v[0] faults.
+func writeFaults(v []float32) (faulted bool) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		_, faulted = recover().(interface{ Addr() uintptr })
+	}()
+	v[0] = 1
+	return false
+}
+
+// TestTieredResidentCellIsReadOnly: a resident cell is sealed, whichever
+// tier it came from — anonymous without a disk tier, its spill's mapping
+// when fresh, the same when reloaded — so a stray write through it faults
+// instead of diverging from what every other holder reads.
+func TestTieredResidentCellIsReadOnly(t *testing.T) {
+	for name, dir := range map[string]string{"no disk tier": "", "disk tier": t.TempDir()} {
+		t.Run(name, func(t *testing.T) {
+			c, err := NewTiered(TieredConfig{CapacityBytes: tieredBytes(), SpillDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			// P fresh, then TC (evicting P), then P again: reloaded with a
+			// disk tier, loaded afresh without one
+			for i, field := range []string{"P", "TC", "P"} {
+				h, err := c.Acquire(field, 0, tieredDims)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !writeFaults(h.Data().Float32()) {
+					t.Errorf("acquire %d (%s): a write through the resident cell did not fault", i, field)
+				}
+				h.Release()
+			}
+			if st := c.Stats(); dir != "" && st.DiskHits != 1 {
+				t.Fatalf("want the last acquire reloaded from the spill, got %+v", st)
+			}
+		})
 	}
-	grew, cell, st = heapGrowth(t, "")
-	if st.ResidentBytes != 8*cell || st.MappedBytes != 0 {
-		t.Fatalf("want 8 resident heap cells, got %+v", st)
+}
+
+// TestTieredClose: Close unmaps every unpinned cell at once, a pinned one
+// at its last Release (readable until then), and a load still settling
+// when it ran with that load's last handle; Acquire fails after it.
+func TestTieredClose(t *testing.T) {
+	base := LiveMappings()
+	gate := make(chan struct{})
+	c, err := NewTiered(TieredConfig{CapacityBytes: 4 * tieredBytes(),
+		Loader: func(field string, step int, dims []int) (*pressio.Data, error) {
+			if field == "W" {
+				<-gate
+			}
+			return hurricane.Field(field, step, dims)
+		}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if grew < st.ResidentBytes {
-		t.Errorf("without a spill dir the heap grew by %d bytes, want at least the %d resident", grew, st.ResidentBytes)
+	touch(t, c, "TC")
+	pinned, err := c.Acquire("P", 0, tieredDims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settling := make(chan *Handle, 1) // the one handle W's acquire sends
+	go func() {
+		h, err := c.Acquire("W", 0, tieredDims)
+		if err != nil {
+			t.Error(err)
+		}
+		settling <- h
+	}()
+	for started := false; !started; time.Sleep(time.Millisecond) { // wait for W's load to start
+		c.mu.Lock()
+		_, started = c.entries[tieredKey{field: "W", d0: tieredDims[0], d1: tieredDims[1], d2: tieredDims[2]}]
+		c.mu.Unlock()
+	}
+	if got := LiveMappings() - base; got != 2 {
+		t.Fatalf("want TC and P mapped, %d regions live", got)
+	}
+
+	c.Close()
+	if st := c.Stats(); st.ResidentBytes != 0 || st.MappedBytes != tieredBytes() || LiveMappings()-base != 1 {
+		t.Fatalf("after Close want only the pinned P mapped, got %+v and %d regions", st, LiveMappings()-base)
+	}
+	want, _ := hurricane.Field("P", 0, tieredDims)
+	if got := pinned.Data().Float32()[5]; got != want.Float32()[5] {
+		t.Fatalf("the pinned cell reads %v after Close, want %v", got, want.Float32()[5])
+	}
+	if _, err := c.Acquire("P", 0, tieredDims); err == nil {
+		t.Fatal("Acquire after Close succeeded")
+	}
+	pinned.Release()
+	if st := c.Stats(); st.MappedBytes != 0 || LiveMappings() != base {
+		t.Fatalf("the last Release must unmap P: %+v, %d regions", st, LiveMappings()-base)
+	}
+
+	close(gate)
+	w := <-settling
+	if w == nil {
+		t.FailNow()
+	}
+	if st := c.Stats(); st.ResidentBytes != 0 || st.MappedBytes != tieredBytes() {
+		t.Fatalf("a load settling after Close is served but not admitted: %+v", st)
+	}
+	w.Release()
+	c.Close()
+	if st := c.Stats(); st.MappedBytes != 0 || LiveMappings() != base || len(c.entries) != 0 {
+		t.Fatalf("closed cache still holds %+v, %d regions, %d entries", st, LiveMappings()-base, len(c.entries))
 	}
 }
 
