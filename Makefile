@@ -74,7 +74,11 @@ loc:
 # the fetch loops, whose schedule -race stretches. dataset runs twice
 # because every resident cell of its tiered cache is a mapping: a cell
 # used after its last Release, eviction or Close is a fault in every
-# configuration, not only with a spill dir. Last come the four
+# configuration, not only with a spill dir. The predict pool's slot
+# tests (saturation, abandoned and deadline singles, shedding, drain,
+# observations) then run three times more under -race: a batch or an
+# observation computes on its handler's goroutine while it holds a slot,
+# so the slot accounting is shared by every request goroutine. Last come the four
 # multi-process harnesses, also under -race: kill-restart recovery, the replicated cluster's kill tests,
 # predict-bench's remote drill, and the seeded scenarios (SLOs and
 # prediction accounting under load; no performance number is gated here — the only
@@ -90,6 +94,7 @@ check: fmt-check docs-check serial-check
 	$(MAKE) benchmark-check
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=2 ./internal/predictors ./internal/serve ./internal/cluster ./internal/dataset
+	$(GO) test -race -count=3 -run 'Saturation|Abandoned|Deadline|Shed|Drain|Observe' ./internal/serve
 	$(MAKE) crash-check
 	$(MAKE) cluster-check
 	$(MAKE) remote-check

@@ -175,7 +175,12 @@ func (s Stage) String() string {
 // runtime beats error-dependent beats error-agnostic when several classes
 // are listed (a runtime metric is also invalid under error changes).
 func StageOf(m pressio.Metric) Stage {
-	inv, _ := m.Configuration().GetStrings(pressio.CfgInvalidate)
+	var inv []string
+	if sm, ok := m.(pressio.StaticMetadata); ok {
+		inv = sm.Invalidates()
+	} else {
+		inv, _ = m.Configuration().GetStrings(pressio.CfgInvalidate)
+	}
 	stage := StageErrorAgnostic
 	for _, k := range inv {
 		switch k {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -76,12 +78,36 @@ type MetricSet interface {
 }
 
 // planMetric is one configured metric of a plan. Error-agnostic ones are
-// memoised under key.
+// memoised under key; float is the metric's typed read, when it has one.
 type planMetric struct {
 	name  string
 	m     pressio.Metric
 	stage Stage
 	key   featureKey
+	float pressio.FloatResulter
+}
+
+// vectorKey names a plan's error-agnostic feature vector in a buffer's
+// slot: a hash of the plan's error-agnostic metrics — their positions
+// in the plan and their memo keys — and of its feature names. Plans
+// that agree on all of that read the same vector.
+type vectorKey [32]byte
+
+// featureVector is what the slot holds under a vectorKey: each feature
+// as the plan's error-agnostic metrics give it at one epoch. Never
+// mutated once stored.
+type featureVector struct {
+	epoch uint64
+	feats []vectorFeature
+}
+
+// vectorFeature is one feature of a featureVector: the plan index of
+// the last error-agnostic metric whose results hold its key (-1: none),
+// and the value there, when that is a number (ok).
+type vectorFeature struct {
+	v    float64
+	from int
+	ok   bool
 }
 
 // FeaturePlan is a scheme's metric plugins instantiated and configured
@@ -98,18 +124,27 @@ type FeaturePlan struct {
 	opts       pressio.Options
 	metrics    []planMetric
 	features   []string
-	// sets[i] is metrics[i]'s results at the last evaluation, memoised or
-	// computed; a feature is read from the last set holding its key
+	// sets[i] is metrics[i]'s results at the last evaluation that built
+	// them; a feature is read from the last set holding its key
 	sets []pressio.Options
+	// agnostic counts the error-agnostic metrics, whose features a
+	// buffer's slot keeps under vector
+	agnostic int
+	vector   vectorKey
 	// dependent is the one feature the last Evaluate read from a metric
 	// that is not error-agnostic, or -1 (none, or several)
 	dependent int
 }
 
+// emptyOptionsHash is the memo-key hash of a metric without options.
+var emptyOptionsHash = opthash.Hash(nil)
+
 // Plan resolves the set's metrics for a compressor and option set.
 // Metrics that model or trial one particular compressor expose a
 // "<name>:compressor" option (tao:compressor, khan:compressor); the plan
-// points each at the compressor being predicted for.
+// points each at the compressor being predicted for. A metric with
+// static metadata (pressio.StaticMetadata) is classified and searched
+// for that option without building its Configuration or Options.
 func (e *Evaluator) Plan(set MetricSet, compressor string, opts pressio.Options) (*FeaturePlan, error) {
 	names := set.Metrics()
 	p := &FeaturePlan{
@@ -121,40 +156,62 @@ func (e *Evaluator) Plan(set MetricSet, compressor string, opts pressio.Options)
 		sets:       make([]pressio.Options, len(names)),
 		dependent:  -1,
 	}
-	merged := opts.Clone()
+	merged, cloned := opts, false
 	for i, name := range names {
 		m, err := pressio.GetMetric(name)
 		if err != nil {
 			return nil, err
 		}
-		for k := range m.Options() {
+		for _, k := range optionKeys(m) {
 			if strings.HasSuffix(k, ":compressor") {
+				if !cloned {
+					merged, cloned = opts.Clone(), true
+				}
 				merged.Set(k, compressor)
 			}
 		}
 		p.metrics[i] = planMetric{name: name, m: m}
 	}
+	var buf [512]byte
+	key := buf[:0]
 	for i := range names {
 		pm := &p.metrics[i]
 		if err := pm.m.SetOptions(merged); err != nil {
 			return nil, fmt.Errorf("metric %s: %w", pm.name, err)
 		}
+		pm.float, _ = pm.m.(pressio.FloatResulter)
 		if pm.stage = StageOf(pm.m); pm.stage == StageErrorAgnostic {
-			pm.key = featureKey{metric: pm.name, opts: opthash.Hash(pm.m.Options())}
+			pm.key = featureKey{metric: pm.name, opts: emptyOptionsHash}
+			if len(optionKeys(pm.m)) > 0 {
+				pm.key.opts = opthash.Hash(pm.m.Options())
+			}
+			p.agnostic++
+			key = binary.LittleEndian.AppendUint64(key, uint64(i))
+			key = append(append(key, pm.key.metric...), 0)
+			key = append(key, pm.key.opts[:]...)
 		}
+	}
+	if p.agnostic > 0 {
+		for _, f := range p.features {
+			key = append(append(key, f...), 0)
+		}
+		p.vector = sha256.Sum256(key)
 	}
 	return p, nil
 }
 
+// optionKeys lists the keys of m's options.
+func optionKeys(m pressio.Metric) []string {
+	if sm, ok := m.(pressio.StaticMetadata); ok {
+		return sm.OptionKeys()
+	}
+	return m.Options().Keys()
+}
+
 // run executes the plan's metrics over one buffer, leaving each
 // metric's results in p.sets and, when rec is not nil, recording in it
-// the metrics that ran and their wall time. Error-agnostic results come
-// from the buffer's slot when an earlier evaluation (under any error
-// bound) left them there at this epoch; they are the Options a fresh
-// BeginCompress returns, so results are bit-identical with and without
-// the memo, and a hit reads no clock. Two goroutines evaluating an unseen
-// buffer at once may both compute; the stores are idempotent. ctx is
-// checked between metrics.
+// the metrics that ran and their wall time. ctx is checked between
+// metrics.
 func (p *FeaturePlan) run(ctx context.Context, data *pressio.Data, rec *Evaluation) error {
 	clear(p.sets)
 	epoch := p.ev.epoch.Load()
@@ -162,35 +219,48 @@ func (p *FeaturePlan) run(ctx context.Context, data *pressio.Data, rec *Evaluati
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pm := &p.metrics[i]
-		memo := pm.stage == StageErrorAgnostic
-		if memo {
-			if v, ok := data.Derived(pm.key).(memoValue); ok && v.epoch == epoch {
-				p.ev.hits.Add(1)
-				p.sets[i] = v.results
-				continue
-			}
-			p.ev.misses.Add(1)
-		}
-		start := time.Now()
-		pm.m.BeginCompress(data)
-		if rec != nil {
-			ms := time.Since(start).Seconds() * 1e3
-			rec.Recomputed = append(rec.Recomputed, pm.name)
-			rec.MetricMS[pm.name] = ms
-			if memo {
-				rec.ErrorAgnosticMS += ms
-			} else {
-				rec.ErrorDependentMS += ms
-			}
-		}
-		r := pm.m.Results()
-		if memo {
-			data.StoreDerived(pm.key, memoValue{epoch, r})
-		}
-		p.sets[i] = r
+		p.sets[i] = p.result(i, data, epoch, rec)
 	}
 	return nil
+}
+
+// result is metric i's results over data. An error-agnostic metric's
+// come from the buffer's slot when an earlier evaluation (under any
+// error bound) left them there at this epoch; they are the Options a
+// fresh BeginCompress returns, so results are bit-identical with and
+// without the memo. Two goroutines evaluating an unseen buffer at once
+// may both compute; the stores are idempotent. The clock is read only
+// for rec, and a memo hit is not recorded.
+func (p *FeaturePlan) result(i int, data *pressio.Data, epoch uint64, rec *Evaluation) pressio.Options {
+	pm := &p.metrics[i]
+	memo := pm.stage == StageErrorAgnostic
+	if memo {
+		if v, ok := data.Derived(pm.key).(memoValue); ok && v.epoch == epoch {
+			p.ev.hits.Add(1)
+			return v.results
+		}
+		p.ev.misses.Add(1)
+	}
+	var start time.Time
+	if rec != nil {
+		start = time.Now()
+	}
+	pm.m.BeginCompress(data)
+	if rec != nil {
+		ms := time.Since(start).Seconds() * 1e3
+		rec.Recomputed = append(rec.Recomputed, pm.name)
+		rec.MetricMS[pm.name] = ms
+		if memo {
+			rec.ErrorAgnosticMS += ms
+		} else {
+			rec.ErrorDependentMS += ms
+		}
+	}
+	r := pm.m.Results()
+	if memo {
+		data.StoreDerived(pm.key, memoValue{epoch, r})
+	}
+	return r
 }
 
 // union is every metric's results in one map, a later metric's value
@@ -207,40 +277,136 @@ func (p *FeaturePlan) union() pressio.Options {
 	return u
 }
 
-// Evaluate runs the plan over one buffer and extracts the feature
-// vector — the serving path, which wants nothing else. Each feature is
-// read from the last metric, in plan order, whose results hold its key:
-// the value the union of the results holds, without building it.
-func (p *FeaturePlan) Evaluate(ctx context.Context, data *pressio.Data) ([]float64, error) {
-	p.dependent = -1
-	if err := p.run(ctx, data, nil); err != nil {
-		return nil, err
+// vectorOf returns the plan's error-agnostic features of data: the
+// vector the buffer's slot holds for this plan at this epoch — one probe
+// that counts as a memo hit per error-agnostic metric — or one built
+// from their results (memoised or run, as result does) and stored. Nil
+// when the plan has no error-agnostic metric.
+func (p *FeaturePlan) vectorOf(ctx context.Context, data *pressio.Data) (*featureVector, error) {
+	if p.agnostic == 0 {
+		return nil, nil
 	}
-	out := make([]float64, len(p.features))
-	dep, dependents := -1, 0
+	epoch := p.ev.epoch.Load()
+	if v, ok := data.Derived(p.vector).(*featureVector); ok && v.epoch == epoch {
+		p.ev.hits.Add(uint64(p.agnostic))
+		return v, nil
+	}
+	clear(p.sets)
+	for i := range p.metrics {
+		if p.metrics[i].stage != StageErrorAgnostic {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		p.sets[i] = p.result(i, data, epoch, nil)
+	}
+	v := &featureVector{epoch: epoch, feats: make([]vectorFeature, len(p.features))}
 	for f, k := range p.features {
-		i := len(p.sets) - 1
-		for ; i >= 0; i-- {
-			if _, ok := p.sets[i][k]; ok {
+		vf := vectorFeature{from: -1}
+		for i := len(p.sets) - 1; i >= 0; i-- {
+			if _, held := p.sets[i][k]; held {
+				vf.from = i
+				vf.v, vf.ok = p.sets[i].GetFloat(k)
 				break
 			}
 		}
-		v, ok := 0.0, false
-		if i >= 0 {
-			v, ok = p.sets[i].GetFloat(k)
+		v.feats[f] = vf
+	}
+	data.StoreDerived(p.vector, v)
+	return v, nil
+}
+
+// Evaluate runs the plan over one buffer and extracts the feature
+// vector — the serving path, which wants nothing else. Each feature is
+// read from the last metric, in plan order, whose results hold its key:
+// the value the union of the results holds, without building it. The
+// error-agnostic features come from the buffer's vector for this plan
+// (vectorOf), the others from the metrics that run, by their typed read
+// where they have one (pressio.FloatResulter).
+func (p *FeaturePlan) Evaluate(ctx context.Context, data *pressio.Data) ([]float64, error) {
+	return p.EvaluateInto(ctx, data, nil)
+}
+
+// EvaluateInto is Evaluate writing the vector into dst's storage, grown
+// when it is short, so that a caller evaluating buffer after buffer —
+// a batch's items — allocates it once.
+func (p *FeaturePlan) EvaluateInto(ctx context.Context, data *pressio.Data, dst []float64) ([]float64, error) {
+	p.dependent = -1
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	vec, err := p.vectorOf(ctx, data)
+	if err != nil {
+		return nil, err
+	}
+	for i := range p.metrics {
+		pm := &p.metrics[i]
+		if pm.stage == StageErrorAgnostic {
+			continue
 		}
-		if !ok {
-			return ExtractFeatures(p.union(), p.features) // its error names k
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		out[f] = v
-		if p.metrics[i].stage != StageErrorAgnostic {
+		pm.m.BeginCompress(data)
+		if pm.float == nil {
+			p.sets[i] = pm.m.Results()
+		}
+	}
+	if cap(dst) < len(p.features) {
+		dst = make([]float64, len(p.features))
+	}
+	dst = dst[:len(p.features)]
+	dep, dependents := -1, 0
+	for f, k := range p.features {
+		vf := vectorFeature{from: -1}
+		if vec != nil {
+			vf = vec.feats[f]
+		}
+		for i := len(p.metrics) - 1; i > vf.from; i-- {
+			pm := &p.metrics[i]
+			if pm.stage == StageErrorAgnostic {
+				continue
+			}
+			if pm.float != nil {
+				if v, held := pm.float.ResultFloat(k); held {
+					vf = vectorFeature{v: v, from: i, ok: true}
+					break
+				}
+			} else if _, held := p.sets[i][k]; held {
+				v, ok := p.sets[i].GetFloat(k)
+				vf = vectorFeature{v: v, from: i, ok: ok}
+				break
+			}
+		}
+		if !vf.ok {
+			return p.unionFeatures(data)
+		}
+		dst[f] = vf.v
+		if p.metrics[vf.from].stage != StageErrorAgnostic {
 			dep, dependents = f, dependents+1
 		}
 	}
 	if dependents == 1 {
 		p.dependent = dep
 	}
-	return out, nil
+	return dst, nil
+}
+
+// unionFeatures is ExtractFeatures over the union of the results of an
+// evaluation that found a feature missing or not a number, so that its
+// error names the feature as EvaluateDetailed's does. The metrics that
+// ran have run: only their maps are built.
+func (p *FeaturePlan) unionFeatures(data *pressio.Data) ([]float64, error) {
+	epoch := p.ev.epoch.Load()
+	for i := range p.metrics {
+		if pm := &p.metrics[i]; pm.stage == StageErrorAgnostic {
+			p.sets[i] = p.result(i, data, epoch, nil)
+		} else if pm.float != nil {
+			p.sets[i] = pm.m.Results()
+		}
+	}
+	return ExtractFeatures(p.union(), p.features)
 }
 
 // DependentFeature reports the index of the one feature the last

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/pressio"
@@ -96,5 +97,94 @@ func TestEvaluateReadsTheLastMetricHoldingAKey(t *testing.T) {
 	}
 	if _, ok := p.DependentFeature(); ok {
 		t.Error("a failed Evaluate left a dependent feature")
+	}
+}
+
+// evalTyped is error-dependent, reads its result by pressio.FloatResulter
+// and reports core-eval-agnostic:sum too: a key an error-agnostic metric
+// holds, whose value the buffer's feature vector keeps.
+type evalTyped struct {
+	pressio.BaseMetric
+	abs float64
+}
+
+func (*evalTyped) Name() string { return "core-eval-typed" }
+func (m *evalTyped) SetOptions(o pressio.Options) error {
+	m.abs, _ = o.GetFloat(pressio.OptAbs)
+	return nil
+}
+func (m *evalTyped) Results() pressio.Options {
+	o := pressio.Options{}
+	o.Set("core-eval-agnostic:sum", -m.abs)
+	return o
+}
+func (m *evalTyped) ResultFloat(key string) (float64, bool) {
+	if key == "core-eval-agnostic:sum" {
+		return -m.abs, true
+	}
+	return 0, false
+}
+func (*evalTyped) Configuration() pressio.Options {
+	o := pressio.Options{}
+	o.Set(pressio.CfgInvalidate, []string{pressio.OptAbs, pressio.InvalidateErrorDependent})
+	return o
+}
+
+func init() {
+	pressio.RegisterMetric("core-eval-typed", func() pressio.Metric { return &evalTyped{} })
+}
+
+// TestTypedReadAfterTheVector: an error-dependent metric read through
+// its typed result reports a key an error-agnostic metric reports too.
+// From the second evaluation of a buffer on, the error-agnostic features
+// come from the buffer's vector; the later metric in plan order still
+// wins, as in the union EvaluateDetailed builds, at every bound, and a
+// typed metric that lacks a key leaves the vector's value standing.
+func TestTypedReadAfterTheVector(t *testing.T) {
+	ctx := context.Background()
+	agn, shadowed := "core-eval-agnostic:sum", "core-eval-bound:abs"
+	for _, c := range []struct {
+		name     string
+		metrics  []string
+		features []string
+		want     func(abs float64) []float64
+		dep      int // the feature the typed metric supplies, or -1
+	}{
+		{"typed after agnostic", []string{"core-eval-agnostic", "core-eval-typed"}, []string{agn},
+			func(abs float64) []float64 { return []float64{-abs} }, 0},
+		{"agnostic after typed", []string{"core-eval-typed", "core-eval-agnostic"}, []string{agn},
+			func(float64) []float64 { return []float64{10} }, -1},
+		{"typed lacks the key", []string{"core-eval-shadow", "core-eval-agnostic", "core-eval-typed"}, []string{shadowed, agn},
+			func(abs float64) []float64 { return []float64{7, -abs} }, 1},
+	} {
+		var ev Evaluator
+		data := pressio.FromFloat32([]float32{1, 2, 3, 4}, 4)
+		for round, abs := range []float64{0.5, 0.25, 0.125} {
+			p, err := ev.Plan(metricSet{c.metrics, c.features}, "sz3", evalOpts(abs, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.EvaluateInto(ctx, data, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, ok := p.DependentFeature()
+			detailed, err := p.EvaluateDetailed(ctx, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.want(abs); !slices.Equal(got, want) || !slices.Equal(detailed.Features, want) {
+				t.Errorf("%s, round %d: Evaluate %v, EvaluateDetailed %v, want %v", c.name, round, got, detailed.Features, want)
+			}
+			if ok != (c.dep >= 0) || (ok && j != c.dep) {
+				t.Errorf("%s, round %d: DependentFeature = %d, %v; want %d", c.name, round, j, ok, c.dep)
+			}
+		}
+		// the error-agnostic metrics ran once: a vector read counts a hit
+		// for each, and so does EvaluateDetailed's read of their results
+		n := uint64(len(c.metrics) - 1)
+		if hits, misses := ev.MemoStats(); misses != n || hits != 5*n {
+			t.Errorf("%s: memo %d hits / %d misses, want %d / %d", c.name, hits, misses, 5*n, n)
+		}
 	}
 }

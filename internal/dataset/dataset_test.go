@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hurricane"
@@ -159,6 +161,40 @@ func TestFolderPdat(t *testing.T) {
 	}
 	if got.At(4) != 6.0 {
 		t.Errorf("payload wrong: %v", got.At(4))
+	}
+}
+
+// TestFolderPdatRefusesHostileHeaders rewrites a valid file's header
+// three ways — a rank of 1<<32-1, a dim of 1<<32+8 (8 once truncated to
+// a 32-bit int), dims whose product is past pressio.MaxElements — and
+// each must be refused, before anything is sized from it, with an error
+// that names the file: on 64-bit and on 32-bit ints alike.
+func TestFolderPdatRefusesHostileHeaders(t *testing.T) {
+	d := pressio.NewFloat32(8, 4, 2)
+	valid, _ := d.MarshalBinary()
+	for _, c := range []struct {
+		name    string
+		rewrite func(b []byte)
+	}{
+		{"rank", func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 1<<32-1) }},
+		{"dim", func(b []byte) { binary.LittleEndian.PutUint64(b[8:], 1<<32+8) }},
+		{"product", func(b []byte) {
+			for i := range 3 {
+				binary.LittleEndian.PutUint64(b[8+8*i:], 1<<22)
+			}
+		}},
+	} {
+		dir := t.TempDir()
+		raw := slices.Clone(valid)
+		c.rewrite(raw)
+		file := c.name + ".pdat"
+		if err := os.WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewFolder(dir, "*.pdat")
+		if err == nil || !strings.Contains(err.Error(), file) {
+			t.Errorf("%s: NewFolder = %v, want a refusal naming %s", c.name, err, file)
+		}
 	}
 }
 

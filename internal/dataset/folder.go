@@ -61,6 +61,10 @@ func NewFolder(dir, pattern string) (*Folder, error) {
 	return f, nil
 }
 
+// maxPdatRank bounds the dims a .pdat header may claim: every grid here
+// is 1- to 3-D, and a count past it is a damaged or hostile file.
+const maxPdatRank = 8
+
 // FileMetadata derives Metadata from a path without reading the payload
 // (raw files) or by reading only the header (pdat files).
 func FileMetadata(path string) (Metadata, error) {
@@ -94,19 +98,32 @@ func FileMetadata(path string) (Metadata, error) {
 			return Metadata{}, err
 		}
 		defer fh.Close()
+		st, err := fh.Stat()
+		if err != nil {
+			return Metadata{}, err
+		}
 		var head [8]byte
 		if _, err := fh.ReadAt(head[:], 0); err != nil {
 			return Metadata{}, fmt.Errorf("folder: %s: short header", base)
 		}
 		dt := pressio.DType(binary.LittleEndian.Uint32(head[:]))
-		nd := int(binary.LittleEndian.Uint32(head[4:]))
+		// the header is untrusted: its rank is checked against the file
+		// before anything is sized from it, its dims by pressio.ReadDims
+		// before they become an int, their product against the payload
+		nd := int64(binary.LittleEndian.Uint32(head[4:]))
+		if nd > maxPdatRank || 8+8*nd > st.Size() {
+			return Metadata{}, fmt.Errorf("folder: %s: header claims %d dims in a %d-byte file", base, nd, st.Size())
+		}
 		dimBuf := make([]byte, 8*nd)
 		if _, err := fh.ReadAt(dimBuf, 8); err != nil {
 			return Metadata{}, fmt.Errorf("folder: %s: short dims", base)
 		}
-		dims := make([]int, nd)
-		for i := range dims {
-			dims[i] = int(binary.LittleEndian.Uint64(dimBuf[8*i:]))
+		dims, total, err := pressio.ReadDims(dimBuf, int(nd))
+		if err != nil {
+			return Metadata{}, fmt.Errorf("folder: %s: %w", base, err)
+		}
+		if payload := st.Size() - 8 - 8*nd; dt.Size() == 0 || int64(total) != payload/int64(dt.Size()) || payload%int64(dt.Size()) != 0 {
+			return Metadata{}, fmt.Errorf("folder: %s: %d-byte payload does not hold %v %s", base, payload, dims, dt)
 		}
 		attrs := pressio.Options{}
 		attrs.Set("dataset:file", base)

@@ -185,22 +185,36 @@ func NewTiered(cfg TieredConfig) (*TieredCache, error) {
 // the backing region is unmapped once the entry is both evicted (or its
 // cache closed) and unpinned.
 type Handle struct {
-	c    *TieredCache
-	e    *tieredEntry
-	once sync.Once
+	c        *TieredCache
+	e        *tieredEntry
+	released atomic.Bool
 }
 
 // Data returns the pinned buffer.
 func (h *Handle) Data() *pressio.Data { return h.e.data }
 
 // Release unpins the cell.
-func (h *Handle) Release() { h.once.Do(func() { h.c.release(h.e) }) }
+func (h *Handle) Release() {
+	if h.released.CompareAndSwap(false, true) {
+		h.c.release(h.e)
+	}
+}
 
 // Acquire pins (field, step, dims), loading through the tiers on a miss:
 // memory, then the mmap disk tier, then the loader. dims must be 3-D
 // (the hurricane grid). Concurrent Acquires of an in-flight cell share
-// the load and count as memory hits.
-func (c *TieredCache) Acquire(field string, step int, dims []int) (*Handle, error) {
+// the load and count as memory hits. Acquire is small enough to inline,
+// so a caller that keeps the handle to itself keeps it on its stack.
+func (c *TieredCache) Acquire(field string, step int, dims []int) (h *Handle, err error) {
+	h = &Handle{c: c}
+	if h.e, err = c.pin(field, step, dims); err != nil {
+		h = nil
+	}
+	return
+}
+
+// pin is Acquire short of the handle: the pinned entry.
+func (c *TieredCache) pin(field string, step int, dims []int) (*tieredEntry, error) {
 	if len(dims) != 3 {
 		return nil, fmt.Errorf("dataset: tiered: want 3 dims, got %v", dims)
 	}
@@ -224,7 +238,7 @@ func (c *TieredCache) Acquire(field string, step int, dims []int) (*Handle, erro
 		}
 		c.memHits++
 		c.mu.Unlock()
-		return &Handle{c: c, e: e}, nil
+		return e, nil
 	}
 	e := &tieredEntry{key: k, ready: make(chan struct{}), refs: 1}
 	c.entries[k] = e
@@ -235,7 +249,7 @@ func (c *TieredCache) Acquire(field string, step int, dims []int) (*Handle, erro
 		c.release(e)
 		return nil, e.err
 	}
-	return &Handle{c: c, e: e}, nil
+	return e, nil
 }
 
 // errTieredClosed is Acquire's answer once Close has run.

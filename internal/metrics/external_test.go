@@ -1,11 +1,13 @@
 package metrics
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/opthash"
 	"repro/internal/pressio"
 )
@@ -134,6 +136,61 @@ func TestExternalInvalidateOverride(t *testing.T) {
 	bad.Set(OptExternalTimeoutMS, 0)
 	if err := m.SetOptions(bad); err == nil {
 		t.Error("zero timeout accepted")
+	}
+}
+
+// externalSet is a scheme of the external metric alone.
+type externalSet struct{}
+
+func (externalSet) Metrics() []string  { return []string{"external"} }
+func (externalSet) Features() []string { return []string{"external:abs"} }
+
+// TestExternalStageFollowsItsOptions: external's stage is an option of
+// the plan's, not a property of its name. Planned at its default it is
+// error-agnostic — run once per buffer and options, then memoised;
+// planned with an error-dependent invalidation list in the same
+// evaluator it runs every time and its feature is the dependent one.
+func TestExternalStageFollowsItsOptions(t *testing.T) {
+	script := writeScript(t, "cat > /dev/null\necho \"abs $PRESSIO_ABS\"\n")
+	ctx := context.Background()
+	data := pressio.NewFloat32(4, 8)
+	var ev core.Evaluator
+	plan := func(abs float64, inv []string) *core.FeaturePlan {
+		t.Helper()
+		opts := pressio.Options{}
+		opts.Set(OptExternalCommand, script)
+		opts.Set(pressio.OptAbs, abs)
+		if inv != nil {
+			opts.Set(OptExternalInvalidate, inv)
+		}
+		p, err := ev.Plan(externalSet{}, "sz3", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	dependent := []string{pressio.OptAbs, pressio.InvalidateErrorDependent}
+	for round, c := range []struct {
+		abs float64
+		inv []string
+		dep bool
+	}{
+		{0.5, nil, false},
+		{0.25, dependent, true},
+		{0.5, nil, false},
+		{0.25, dependent, true},
+	} {
+		p := plan(c.abs, c.inv)
+		got, err := p.Evaluate(ctx, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, dep := p.DependentFeature(); got[0] != c.abs || dep != c.dep {
+			t.Errorf("round %d (invalidate %v): %v, dependent %v; want %v, %v", round, c.inv, got, dep, c.abs, c.dep)
+		}
+	}
+	if hits, misses := ev.MemoStats(); hits != 1 || misses != 1 {
+		t.Errorf("memo %d hits / %d misses, want 1 / 1: only the error-agnostic plans memoise", hits, misses)
 	}
 }
 

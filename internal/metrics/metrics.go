@@ -32,6 +32,20 @@ func invalidate(keys ...string) pressio.Options {
 	return o
 }
 
+// The built-in metrics' static metadata (pressio.StaticMetadata): their
+// Configuration lists, and the keys of the Options that have any. Each
+// Configuration spells its own list out, so that the invalidatedecl
+// analyzer sees it; TestStaticMetadataIsConfiguration holds the two equal.
+var (
+	agnosticClass  = []string{pressio.InvalidateErrorAgnostic}
+	absDependent   = []string{pressio.OptAbs, pressio.InvalidateErrorDependent}
+	runtimeClass   = []string{pressio.InvalidateErrorDependent, pressio.InvalidateRuntime}
+	dependentClass = []string{pressio.InvalidateErrorDependent}
+	absOptionKeys  = []string{pressio.OptAbs}
+	binsOptionKeys = []string{"entropy:bins"}
+	noOptionKeys   []string
+)
+
 // Stat observes error-agnostic moments of the input: min, max, range,
 // mean, std, and the exact-zero sparsity fraction (the signal behind
 // FXRZ's sparsity correction factor).
@@ -47,6 +61,12 @@ func (*Stat) Name() string { return "stat" }
 func (*Stat) Configuration() pressio.Options {
 	return invalidate(pressio.InvalidateErrorAgnostic)
 }
+
+// Invalidates implements pressio.StaticMetadata.
+func (*Stat) Invalidates() []string { return agnosticClass }
+
+// OptionKeys implements pressio.StaticMetadata.
+func (*Stat) OptionKeys() []string { return noOptionKeys }
 
 // BeginCompress implements pressio.Metric. All moments come from the
 // fused single-pass summary shared with every other metric observing the
@@ -82,6 +102,12 @@ func (*Entropy) Name() string { return "entropy" }
 func (*Entropy) Configuration() pressio.Options {
 	return invalidate(pressio.InvalidateErrorAgnostic)
 }
+
+// Invalidates implements pressio.StaticMetadata.
+func (*Entropy) Invalidates() []string { return agnosticClass }
+
+// OptionKeys implements pressio.StaticMetadata.
+func (*Entropy) OptionKeys() []string { return binsOptionKeys }
 
 // SetOptions implements pressio.Metric.
 func (m *Entropy) SetOptions(o pressio.Options) error {
@@ -133,6 +159,12 @@ func (*QuantizedEntropy) Configuration() pressio.Options {
 	return invalidate(pressio.OptAbs, pressio.InvalidateErrorDependent)
 }
 
+// Invalidates implements pressio.StaticMetadata.
+func (*QuantizedEntropy) Invalidates() []string { return absDependent }
+
+// OptionKeys implements pressio.StaticMetadata.
+func (*QuantizedEntropy) OptionKeys() []string { return absOptionKeys }
+
 // SetOptions implements pressio.Metric.
 func (m *QuantizedEntropy) SetOptions(o pressio.Options) error {
 	if v, ok := o.GetFloat(pressio.OptAbs); ok {
@@ -160,6 +192,12 @@ func (m *QuantizedEntropy) BeginCompress(in *pressio.Data) {
 // Results implements pressio.Metric.
 func (m *QuantizedEntropy) Results() pressio.Options { return m.results.Clone() }
 
+// ResultFloat implements pressio.FloatResulter.
+func (m *QuantizedEntropy) ResultFloat(key string) (float64, bool) {
+	v, ok := m.results[key].(float64)
+	return v, ok
+}
+
 // Variogram observes the error-agnostic small-lag semivariogram
 // (Krasowska 2021's spatial statistic).
 type Variogram struct {
@@ -175,6 +213,12 @@ func (*Variogram) Name() string { return "variogram" }
 func (*Variogram) Configuration() pressio.Options {
 	return invalidate(pressio.InvalidateErrorAgnostic)
 }
+
+// Invalidates implements pressio.StaticMetadata.
+func (*Variogram) Invalidates() []string { return agnosticClass }
+
+// OptionKeys implements pressio.StaticMetadata.
+func (*Variogram) OptionKeys() []string { return noOptionKeys }
 
 func (m *Variogram) maxLag() int {
 	if m.MaxLag <= 0 {
@@ -223,6 +267,12 @@ func (*SVDTrunc) Configuration() pressio.Options {
 	return invalidate(pressio.InvalidateErrorAgnostic)
 }
 
+// Invalidates implements pressio.StaticMetadata.
+func (*SVDTrunc) Invalidates() []string { return agnosticClass }
+
+// OptionKeys implements pressio.StaticMetadata.
+func (*SVDTrunc) OptionKeys() []string { return noOptionKeys }
+
 func (m *SVDTrunc) tau() float64 {
 	if m.Tau <= 0 || m.Tau >= 1 {
 		return 0.99
@@ -265,6 +315,12 @@ func (*Spatial) Configuration() pressio.Options {
 	return invalidate(pressio.InvalidateErrorAgnostic)
 }
 
+// Invalidates implements pressio.StaticMetadata.
+func (*Spatial) Invalidates() []string { return agnosticClass }
+
+// OptionKeys implements pressio.StaticMetadata.
+func (*Spatial) OptionKeys() []string { return noOptionKeys }
+
 // BeginCompress implements pressio.Metric: the variance is the summary
 // `stat` shares, the rest typed sweeps (stats.SpatialOf).
 func (m *Spatial) BeginCompress(in *pressio.Data) {
@@ -282,7 +338,8 @@ func (m *Spatial) Results() pressio.Options { return m.results.Clone() }
 
 // Distortion observes the error-dependent general-distortion feature:
 // log2(range / (2·abs)). It runs at every error bound of a sweep, so
-// BeginCompress keeps its two numbers and only Results builds a map.
+// BeginCompress keeps its two numbers, ResultFloat reads them, and only
+// Results builds a map.
 type Distortion struct {
 	pressio.BaseMetric
 	Abs float64
@@ -298,6 +355,12 @@ func (*Distortion) Name() string { return "distortion" }
 func (*Distortion) Configuration() pressio.Options {
 	return invalidate(pressio.OptAbs, pressio.InvalidateErrorDependent)
 }
+
+// Invalidates implements pressio.StaticMetadata.
+func (*Distortion) Invalidates() []string { return absDependent }
+
+// OptionKeys implements pressio.StaticMetadata.
+func (*Distortion) OptionKeys() []string { return absOptionKeys }
 
 // SetOptions implements pressio.Metric.
 func (m *Distortion) SetOptions(o pressio.Options) error {
@@ -320,14 +383,33 @@ func (m *Distortion) BeginCompress(in *pressio.Data) {
 	m.general, m.abs, m.ran = stats.GeneralDistortion(s.Range(), m.Abs), m.Abs, true
 }
 
+// Distortion's result keys.
+const (
+	distortionGeneral = "distortion:general"
+	distortionAbs     = "distortion:abs"
+)
+
 // Results implements pressio.Metric.
 func (m *Distortion) Results() pressio.Options {
 	r := pressio.Options{}
 	if m.ran {
-		r.Set("distortion:general", m.general)
-		r.Set("distortion:abs", m.abs)
+		r.Set(distortionGeneral, m.general)
+		r.Set(distortionAbs, m.abs)
 	}
 	return r
+}
+
+// ResultFloat implements pressio.FloatResulter.
+func (m *Distortion) ResultFloat(key string) (float64, bool) {
+	switch {
+	case !m.ran:
+		return 0, false
+	case key == distortionGeneral:
+		return m.general, true
+	case key == distortionAbs:
+		return m.abs, true
+	}
+	return 0, false
 }
 
 // Size observes the compressed size and compression ratio — the training
@@ -346,6 +428,12 @@ func (*Size) Name() string { return "size" }
 func (*Size) Configuration() pressio.Options {
 	return invalidate(pressio.InvalidateErrorDependent, pressio.InvalidateRuntime)
 }
+
+// Invalidates implements pressio.StaticMetadata.
+func (*Size) Invalidates() []string { return runtimeClass }
+
+// OptionKeys implements pressio.StaticMetadata.
+func (*Size) OptionKeys() []string { return noOptionKeys }
 
 // EndCompress implements pressio.Metric.
 func (m *Size) EndCompress(in, compressed *pressio.Data, err error) {
@@ -381,6 +469,12 @@ func (*ErrorStat) Name() string { return "error_stat" }
 func (*ErrorStat) Configuration() pressio.Options {
 	return invalidate(pressio.InvalidateErrorDependent)
 }
+
+// Invalidates implements pressio.StaticMetadata.
+func (*ErrorStat) Invalidates() []string { return dependentClass }
+
+// OptionKeys implements pressio.StaticMetadata.
+func (*ErrorStat) OptionKeys() []string { return noOptionKeys }
 
 // BeginCompress implements pressio.Metric: retains the input for later
 // comparison, as the C++ error_stat module does.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	_ "repro/internal/compressor/sz3"
@@ -35,6 +36,57 @@ func TestAllMetricsRegistered(t *testing.T) {
 		inv, ok := m.Configuration().GetStrings(pressio.CfgInvalidate)
 		if !ok || len(inv) == 0 {
 			t.Errorf("%s: missing %s metadata", name, pressio.CfgInvalidate)
+		}
+	}
+}
+
+// TestStaticMetadataIsConfiguration holds every metric that declares
+// static metadata (pressio.StaticMetadata, which a plan reads instead of
+// Configuration and Options) to what those maps say, before and after
+// options, and every typed read (pressio.FloatResulter) to Results.
+func TestStaticMetadataIsConfiguration(t *testing.T) {
+	opts := pressio.Options{}
+	opts.Set(pressio.OptAbs, 1e-3)
+	opts.Set("entropy:bins", int64(64))
+	data := field(t, "P")
+	for _, name := range pressio.MetricNames() {
+		m, _ := pressio.GetMetric(name)
+		sm, static := m.(pressio.StaticMetadata)
+		if name == "external" && static {
+			t.Error("external's invalidation list is an option: its metadata cannot be static")
+		}
+		for pass := 0; static && pass < 2; pass++ {
+			inv, _ := m.Configuration().GetStrings(pressio.CfgInvalidate)
+			if !slices.Equal(sm.Invalidates(), inv) {
+				t.Errorf("%s: Invalidates %v, Configuration %v", name, sm.Invalidates(), inv)
+			}
+			declared := slices.Clone(sm.OptionKeys())
+			slices.Sort(declared)
+			if keys := m.Options().Keys(); !slices.Equal(declared, keys) {
+				t.Errorf("%s: OptionKeys %v, Options %v", name, sm.OptionKeys(), keys)
+			}
+			m.SetOptions(opts)
+		}
+		fr, typed := m.(pressio.FloatResulter)
+		if !typed {
+			continue
+		}
+		if _, held := fr.ResultFloat(name + ":none"); held {
+			t.Errorf("%s: a typed read before any observation", name)
+		}
+		m.SetOptions(opts)
+		m.BeginCompress(data)
+		results := m.Results()
+		if len(results) == 0 {
+			t.Errorf("%s: no results to read", name)
+		}
+		for k, v := range results {
+			if got, held := fr.ResultFloat(k); !held || math.Float64bits(got) != math.Float64bits(v.(float64)) {
+				t.Errorf("%s: ResultFloat(%q) = %v, %v; Results holds %v", name, k, got, held, v)
+			}
+		}
+		if _, held := fr.ResultFloat(name + ":none"); held {
+			t.Errorf("%s: ResultFloat holds a key Results does not", name)
 		}
 	}
 }

@@ -75,6 +75,27 @@ type Metric interface {
 	Configuration() Options
 }
 
+// FloatResulter is a Metric whose results are all float64 and that can
+// read one without building its Results map — what an error-dependent
+// metric a bound sweep runs at every bound implements, so that reading
+// its feature costs no allocation.
+type FloatResulter interface {
+	// ResultFloat returns Results()[key] and whether Results holds key.
+	ResultFloat(key string) (float64, bool)
+}
+
+// StaticMetadata is a Metric whose invalidation triggers and option keys
+// are fixed whatever its options — every built-in metric but external,
+// whose invalidation list is one of its options — so that a plan reads
+// them without building the Configuration and Options maps. The slices
+// are shared: callers must not modify them.
+type StaticMetadata interface {
+	// Invalidates returns what Configuration lists under CfgInvalidate.
+	Invalidates() []string
+	// OptionKeys returns the keys Options holds.
+	OptionKeys() []string
+}
+
 // BaseMetric provides no-op hook implementations so metric plugins only
 // override the hooks they need, as in the C++ API.
 type BaseMetric struct{}

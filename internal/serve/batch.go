@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,6 +121,7 @@ type batchGroup struct {
 	base       string
 	pred       core.Predictor
 	plan       *core.FeaturePlan
+	features   []float64 // the items' feature vectors, one at a time
 }
 
 // cellBase hashes the envelope part of a cell identity. The model key is
@@ -290,7 +292,8 @@ func (s *Server) predictCellMiss(ctx context.Context, g *batchGroup, k cellKey, 
 		out.Error = err.Error()
 		return
 	}
-	features, err := plan.Evaluate(ctx, h.Data())
+	features, err := plan.EvaluateInto(ctx, h.Data(), g.features)
+	g.features = features
 	if err != nil {
 		out.Error = err.Error()
 		return
@@ -339,8 +342,8 @@ func (s *Server) predictSliced(g *batchGroup, plan *core.FeaturePlan, data *pres
 	}
 	m, _ := data.Derived(sliceKey{}).(*sliceMemo)
 	if m == nil || m.entry != g.entry || !sameBitsBut(m.features, features, j) {
-		// features is this call's own slice, never written again
-		data.StoreDerived(sliceKey{}, &sliceMemo{entry: g.entry, features: features})
+		// features is the group's scratch, written again by the next item
+		data.StoreDerived(sliceKey{}, &sliceMemo{entry: g.entry, features: slices.Clone(features)})
 		return false
 	}
 	if m.slice == nil {
@@ -390,8 +393,8 @@ func (s *Server) cacheResult(g *batchGroup, k cellKey, out *BatchItemResult) {
 }
 
 // predictBatchItems serves every item of the scratch's decoded batch into
-// its item-aligned results on the calling goroutine (the handler wraps
-// the call in one worker-pool slot). This is the steady-state core the
+// its item-aligned results on the calling goroutine (the handler holds
+// one predict-pool slot around the call). This is the steady-state core the
 // serve benchmark measures. A batch costs its distinct cells: the first
 // occurrence of a (field, step) is looked up in the cache, or computed
 // and cached, and every repeat copies that item as a hit — a computed
@@ -459,9 +462,6 @@ type batchScratch struct {
 	// a row of hurricane.Timesteps slots per id, each 1 + the item its cell
 	// resolved at this batch, or 0; used lists those to zero for the next
 	rows, used []int32
-	// the batch's counts, kept here so that the pool task's closure moves
-	// no variable to the heap
-	hits, errs int
 	results    []BatchItemResult
 	reply      []byte
 }
@@ -547,7 +547,7 @@ func (sc *batchScratch) decode(w http.ResponseWriter, r *http.Request) (int, err
 	return status, err
 }
 
-// runBatch validates the decoded batch, computes it in one worker-pool
+// runBatch validates the decoded batch, computes it in one predict-pool
 // slot, and encodes the reply.
 func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, sc *batchScratch) int {
 	req := &sc.req
@@ -588,22 +588,19 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, sc *batchScrat
 	}
 
 	// one pool slot computes the whole batch — that amortization is the
-	// point of the endpoint; a full queue sheds the whole batch with 429
+	// point of the endpoint; a full queue sheds the whole batch with 429.
+	// The items run on this goroutine and check ctx themselves.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
 	defer cancel()
-	done, status := s.inSlot(w, func() { sc.hits, sc.errs = s.predictBatchItems(ctx, g, sc) })
-	if done == nil {
+	var hits, errs int
+	if status := s.inSlot(ctx, w, func() { hits, errs = s.predictBatchItems(ctx, g, sc) }); status != 0 {
 		return status
 	}
-	// wait for the task, not the context: the task honors ctx internally,
-	// and returning early would hand the pooled scratch back while the
-	// task still writes into it
-	<-done
-	s.stats.batch(n, sc.hits, sc.errs)
+	s.stats.batch(n, hits, errs)
 
 	sc.reply = appendBatchResponse(sc.reply[:0], &BatchResponse{
 		Scheme: g.schemeName, Compressor: g.compressor, Target: g.target,
-		Model: g.model, Count: n, Errors: sc.errs,
+		Model: g.model, Count: n, Errors: errs,
 		Results: sc.results,
 	})
 	w.Header()["Content-Type"] = jsonContentType

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hurricane"
@@ -327,9 +328,57 @@ func TestBatchInternTableStartsOverWhenFull(t *testing.T) {
 func BenchmarkServeHotLoopback(b *testing.B) {
 	body, items := hotBody()
 	_, ts := newTestServer(b, Config{})
+	loopback(b, ts, items, func([]byte) []byte { return []byte(body) }, func(reply []byte) error {
+		if n := bytes.Count(reply, []byte(`"cached":true`)); n != items {
+			return fmt.Errorf("warm pass: %d/%d items cached", n, items)
+		}
+		return nil
+	})
+}
+
+// BenchmarkServeSweepLoopback is serve_sweep over a real socket, in
+// process: a rahman2023/sz3 model, Handler() behind an HTTP server on
+// 127.0.0.1, and two clients on two keep-alive connections posting
+// 13-item batches — one 32×32×64 cell per hurricane field — each at a
+// bound never asked before, and reading each reply whole. It reports
+// items/s. From the third batch on, every cell is resident, its
+// error-agnostic features are memoised and its slice of the forest is
+// built, so under -cpuprofile a fresh-bound item splits between its one
+// error-dependent metric, the bookkeeping around it and the transport.
+// Not in BENCH_kernels.json: a loopback rate moves with whatever else
+// the host runs.
+func BenchmarkServeSweepLoopback(b *testing.B) {
+	const items = 13
+	_, ts := newTestServer(b, Config{Deadline: time.Minute})
+	fitSchemeAndWait(b, ts.URL, "rahman2023", 1)
+	quoted := make([]string, len(hurricane.FieldNames))
+	for i, f := range hurricane.FieldNames {
+		quoted[i] = strconv.Quote(f)
+	}
+	head := `{"scheme":"rahman2023","compressor":"sz3","dims":[32,32,64],"steps":[0,0,0,0,0,0,0,0,0,0,0,0,0],"fields":[` +
+		strings.Join(quoted, ",") + `],"options":{"pressio:abs":`
+	var bounds atomic.Int64
+	body := func(buf []byte) []byte {
+		bound := 1e-6 * (1 + float64(bounds.Add(1))*1e-6)
+		return append(strconv.AppendFloat(append(buf[:0], head...), bound, 'g', -1, 64), "}}"...)
+	}
+	loopback(b, ts, items, body, func(reply []byte) error {
+		if bytes.Contains(reply, []byte(`"cached":true`)) || !bytes.Contains(reply, []byte(`"errors":0`)) {
+			return fmt.Errorf("a fresh bound answered %s", reply)
+		}
+		return nil
+	})
+}
+
+// loopback times b.N posts of the bodies body writes (into the buffer it
+// is handed, which it may grow) to /v1/predict/batch on ts from two
+// clients, each on its keep-alive connection, after two warm-up posts,
+// and reports items/s. check vets the second warm-up reply; every reply
+// is read whole.
+func loopback(b *testing.B, ts *httptest.Server, items int, body func([]byte) []byte, check func(reply []byte) error) {
 	client := ts.Client() // the default transport keeps 2 idle connections per host
-	post := func(reply *bytes.Buffer) error {
-		resp, err := client.Post(ts.URL+"/v1/predict/batch", "application/json", strings.NewReader(body))
+	post := func(req []byte, reply *bytes.Buffer) error {
+		resp, err := client.Post(ts.URL+"/v1/predict/batch", "application/json", bytes.NewReader(req))
 		if err != nil {
 			return err
 		}
@@ -343,14 +392,16 @@ func BenchmarkServeHotLoopback(b *testing.B) {
 		}
 		return nil
 	}
+	var req []byte
 	var reply bytes.Buffer
 	for pass := 0; pass < 2; pass++ {
-		if err := post(&reply); err != nil {
+		req = body(req)
+		if err := post(req, &reply); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if n := bytes.Count(reply.Bytes(), []byte(`"cached":true`)); n != items {
-		b.Fatalf("warm pass: %d/%d items cached", n, items)
+	if err := check(reply.Bytes()); err != nil {
+		b.Fatal(err)
 	}
 
 	var next atomic.Int64
@@ -360,9 +411,11 @@ func BenchmarkServeHotLoopback(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var req []byte
 			var reply bytes.Buffer
 			for next.Add(1) <= int64(b.N) {
-				if err := post(&reply); err != nil {
+				req = body(req)
+				if err := post(req, &reply); err != nil {
 					b.Error(err)
 					return
 				}

@@ -68,16 +68,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	}
 	var raw []byte
 	var err error
-	done, status := s.inSlot(w, func() {
+	if status := s.inSlot(r.Context(), w, func() {
 		var ob *core.Observation
 		if ob, err = req.Observe(r.Context(), s.data, &s.features); err == nil {
 			raw, err = core.EncodeObservation(ob)
 		}
-	})
-	if done == nil {
+	}); status != 0 {
 		return status
 	}
-	<-done
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, "%v", err)
 	}

@@ -13,8 +13,9 @@
 //     training-invalidated entries are evicted rather than served stale;
 //   - one opthash-keyed LRU of served predictions that single and batch
 //     predicts share;
-//   - a bounded worker pool that runs every single miss, batch and
-//     observation in one slot under its request's context, with
+//   - a predict pool of run slots: every single miss, batch and
+//     observation computes in one, under its request's context — a
+//     batch or an observation on its handler's goroutine — with
 //     queue-depth backpressure (429 + Retry-After from the pool's own
 //     task durations when saturated) and per-request deadlines;
 //   - per-endpoint/per-scheme counters and latency quantiles (via

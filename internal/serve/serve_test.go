@@ -39,7 +39,7 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
+func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -55,7 +55,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out.Bytes()
 }
 
-func getJSON(t *testing.T, url string, v any) *http.Response {
+func getJSON(t testing.TB, url string, v any) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {

@@ -29,10 +29,15 @@ import (
 // Config tunes the serving subsystem; zero values pick serving-friendly
 // defaults.
 type Config struct {
-	// Workers is the predict worker-pool size (default 4).
+	// Workers is how many predictions compute at once (default 4): the
+	// predict pool's run slots. A batch or an observation runs on its
+	// handler's goroutine while it holds one; a single's miss on one of
+	// the pool's runner goroutines, so the handler can answer 504 at
+	// Deadline.
 	Workers int
-	// QueueDepth bounds the pending predict queue; a full queue sheds
-	// load with 429 (default 64).
+	// QueueDepth bounds the requests waiting for a slot, first in first
+	// out, each until its context ends (504); one more is shed with 429
+	// (default 64). The waiters feed Retry-After.
 	QueueDepth int
 	// CacheSize is the LRU result-cache capacity (default 1024).
 	CacheSize int
@@ -79,9 +84,9 @@ type Config struct {
 	// CoalesceWindow is ignored: benchmark/serve_trace.go still sets it and this tree may not edit benchmark/.
 	CoalesceWindow time.Duration
 
-	// testHookPredict, when set, runs at the start of every predict-pool
-	// task (a single's miss, a batch, an observation) — tests use it to
-	// hold worker slots busy, and the crash harness kills a batch here.
+	// testHookPredict, when set, runs first in every predict-pool slot
+	// (a single's miss, a batch, an observation) — tests use it to hold
+	// slots busy, and the crash harness kills a batch here.
 	testHookPredict func()
 	// testHookFit, when set, runs at the start of every fit execution.
 	testHookFit func()
@@ -198,7 +203,7 @@ type Server struct {
 	cache     *lru[cellKey, cellValue]
 	data      *dataset.TieredCache
 	features  core.Evaluator
-	pool      *workerPool
+	pool      *slotPool
 	fitPool   *workerPool
 	stats     *counters
 	draining  atomic.Bool
@@ -224,7 +229,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		cfg:      cfg,
 		registry: reg,
 		cache:    newLRU[cellKey, cellValue](cfg.CacheSize),
-		pool:     newWorkerPool(cfg.Workers, cfg.QueueDepth),
+		pool:     newSlotPool(cfg.Workers, cfg.QueueDepth),
 		fitPool:  newWorkerPool(cfg.FitWorkers, cfg.FitQueueDepth),
 		stats:    newCounters(),
 		journal:  &journal{st: st},
@@ -415,24 +420,42 @@ func decodeJSONFrom(body io.Reader, v any) (int, error) {
 	return http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
 }
 
-// inSlot runs fn in one predict-pool slot, after the test hook, and
-// returns the channel closed once fn has returned. A full queue sheds
-// fn: the reply is then written (429 + Retry-After), the channel is nil
-// and the int is the reply's status.
-func (s *Server) inSlot(w http.ResponseWriter, fn func()) (<-chan struct{}, int) {
-	done := make(chan struct{})
-	if !s.pool.trySubmit(func() {
-		defer close(done)
-		if s.cfg.testHookPredict != nil {
-			s.cfg.testHookPredict()
-		}
-		fn()
-	}) {
+// enterSlot takes a predict-pool run slot for the request ctx belongs
+// to. A refusal writes the reply: 429 + Retry-After when every slot is
+// held and the queue is full (or the pool drains), 504 when the context
+// ended while the request waited. The int is then its status; 0 means
+// the caller holds a slot and must hand it to runHeld.
+func (s *Server) enterSlot(ctx context.Context, w http.ResponseWriter) int {
+	err := s.pool.enter(ctx)
+	if err == nil {
+		return 0
+	}
+	if errors.Is(err, errSaturated) {
 		s.stats.reject()
 		w.Header().Set("Retry-After", s.pool.retryAfter(1, 30))
-		return nil, writeError(w, http.StatusTooManyRequests, "saturated: %d workers busy, queue full", s.cfg.Workers)
+		return writeError(w, http.StatusTooManyRequests, "saturated: %d workers busy, queue full", s.cfg.Workers)
 	}
-	return done, 0
+	return writeError(w, http.StatusGatewayTimeout, "%v waiting for a predict slot", err)
+}
+
+// runHeld runs fn, after the test hook, in the slot its caller entered,
+// and leaves the slot.
+func (s *Server) runHeld(fn func()) {
+	defer s.pool.leave(time.Now())
+	if s.cfg.testHookPredict != nil {
+		s.cfg.testHookPredict()
+	}
+	fn()
+}
+
+// inSlot runs fn on the calling goroutine in one predict-pool slot: 0
+// once fn has returned, or the status enterSlot replied with.
+func (s *Server) inSlot(ctx context.Context, w http.ResponseWriter, fn func()) int {
+	if status := s.enterSlot(ctx, w); status != 0 {
+		return status
+	}
+	s.runHeld(fn)
+	return 0
 }
 
 // handlePredict serves one prediction as a batch of one: the same group
@@ -478,19 +501,25 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	} else {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
 		defer cancel()
-		// the slot's own result: a handler that gives up leaves it behind
-		miss := new(BatchItemResult)
-		done, status := s.inSlot(w, func() {
-			if req.Data != nil {
-				s.predictCellMiss(ctx, g, key, miss)
-				return
-			}
-			s.predictFeatureRow(g, req.Features, miss)
-			s.cacheResult(g, key, miss)
-		})
-		if done == nil {
+		if status := s.enterSlot(ctx, w); status != 0 {
 			return status
 		}
+		// the slot runs on a runner goroutine into its own result, so
+		// that the handler can answer at the deadline: one that gives up
+		// leaves both behind
+		miss := new(BatchItemResult)
+		done := make(chan struct{})
+		s.pool.handOff(func() {
+			defer close(done)
+			s.runHeld(func() {
+				if req.Data != nil {
+					s.predictCellMiss(ctx, g, key, miss)
+					return
+				}
+				s.predictFeatureRow(g, req.Features, miss)
+				s.cacheResult(g, key, miss)
+			})
+		})
 		select {
 		case <-done:
 		case <-ctx.Done():

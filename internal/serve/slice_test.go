@@ -17,7 +17,7 @@ var sliceDims = []int{8, 8, 8}
 
 // fitSchemeAndWait trains scheme/sz3 on two cells at bounds scaled by k
 // and waits for the job.
-func fitSchemeAndWait(t *testing.T, base, scheme string, k float64) {
+func fitSchemeAndWait(t testing.TB, base, scheme string, k float64) {
 	t.Helper()
 	resp, body := postJSON(t, base+"/v1/fit", FitRequest{
 		Scheme: scheme, Compressor: "sz3",
