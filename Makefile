@@ -26,7 +26,7 @@ tier1:
 LOC_FIND = find $(1) -name '*.go' -not -name '*_test.go' -not -path './internal/xtools/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go lines: %d\n' $$($(call LOC_FIND,.))
-	@for d in internal/serve internal/cluster internal/store internal/vfs internal/bench internal/core internal/dataset internal/predictors internal/compressor internal/compressor/sz3 internal/huffman internal/stats internal/hurricane; do \
+	@for d in internal/serve internal/cluster internal/store internal/vfs internal/bench internal/core internal/metrics internal/pressio internal/lint internal/dataset internal/predictors internal/compressor internal/compressor/sz3 internal/huffman internal/stats internal/hurricane; do \
 		printf '  %-24s %d\n' $$d $$($(call LOC_FIND,./$$d)); done
 	@printf 'vendored internal/xtools: %d\n' $$(find internal/xtools -name '*.go' | xargs cat | wc -l)
 

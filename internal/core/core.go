@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -58,7 +59,9 @@ type Predictor interface {
 type Info struct {
 	// Method is the citation label, e.g. "Tao [15]".
 	Method string
-	// Training reports whether the scheme fits parameters to data.
+	// Training reports whether the scheme fits parameters to data: its
+	// predictors train (Predictor.Trains), so a model is fitted before
+	// they predict.
 	Training bool
 	// Sampling reports whether the scheme reads only a sample of the data.
 	Sampling bool
@@ -171,29 +174,20 @@ func (s Stage) String() string {
 	return fmt.Sprintf("Stage(%d)", int(s))
 }
 
-// StageOf classifies a metric from its predictors:invalidate metadata:
+// StageOf classifies a metric from its predictors:invalidate list:
 // runtime beats error-dependent beats error-agnostic when several classes
 // are listed (a runtime metric is also invalid under error changes).
 func StageOf(m pressio.Metric) Stage {
-	var inv []string
-	if sm, ok := m.(pressio.StaticMetadata); ok {
-		inv = sm.Invalidates()
-	} else {
-		inv, _ = m.Configuration().GetStrings(pressio.CfgInvalidate)
-	}
 	stage := StageErrorAgnostic
-	for _, k := range inv {
+	for _, k := range m.Invalidates() {
 		switch k {
 		case pressio.InvalidateRuntime, pressio.InvalidateNondeterministic:
 			return StageRuntime
-		case pressio.InvalidateErrorDependent:
-			stage = StageErrorDependent
+		case pressio.InvalidateErrorAgnostic: // the stage it starts at
 		default:
-			if k != pressio.InvalidateErrorAgnostic {
-				// a named compressor option: its change affects results,
-				// which is the error-dependent contract
-				stage = StageErrorDependent
-			}
+			// error_dependent, or a named compressor option: its change
+			// affects results, which is the error-dependent contract
+			stage = StageErrorDependent
 		}
 	}
 	return stage
@@ -209,21 +203,11 @@ func StageOf(m pressio.Metric) Stage {
 // specific option a metric lists triggers it even when the user did not
 // name the generic class.
 func IsStale(metricInvalidate, invalidated []string) bool {
-	inv := make(map[string]bool, len(invalidated))
-	genericErr := false
-	for _, k := range invalidated {
-		inv[k] = true
-		if k == pressio.InvalidateErrorDependent {
-			genericErr = true
-		}
-	}
+	// generic error invalidation covers specific error-affecting options
+	// (anything that is not one of the class labels)
+	genericErr := slices.Contains(invalidated, pressio.InvalidateErrorDependent)
 	for _, k := range metricInvalidate {
-		if inv[k] {
-			return true
-		}
-		// generic error invalidation covers specific error-affecting
-		// options (anything that is not one of the class labels)
-		if genericErr && !isClassKey(k) {
+		if slices.Contains(invalidated, k) || genericErr && !isClassKey(k) {
 			return true
 		}
 	}
@@ -239,35 +223,19 @@ func IsStale(metricInvalidate, invalidated []string) bool {
 // handled here too: training is an input of every trained artifact, so a
 // training invalidation always reports stale for schemes that train.
 func SchemeStale(scheme Scheme, keys []string) (bool, error) {
-	for _, k := range keys {
-		if k == pressio.InvalidateTraining {
-			if p, err := schemeTrains(scheme); err == nil && p {
-				return true, nil
-			}
-		}
+	if scheme.Info().Training && slices.Contains(keys, pressio.InvalidateTraining) {
+		return true, nil
 	}
 	for _, name := range scheme.Metrics() {
 		m, err := pressio.GetMetric(name)
 		if err != nil {
 			return false, err
 		}
-		inv, _ := m.Configuration().GetStrings(pressio.CfgInvalidate)
-		if IsStale(inv, keys) {
+		if IsStale(m.Invalidates(), keys) {
 			return true, nil
 		}
 	}
 	return false, nil
-}
-
-// schemeTrains reports whether the scheme's predictor requires training;
-// probing uses an empty compressor name, which every NewPredictor accepts
-// for capability inspection.
-func schemeTrains(scheme Scheme) (bool, error) {
-	p, err := scheme.NewPredictor("")
-	if err != nil {
-		return false, err
-	}
-	return p.Trains(), nil
 }
 
 func isClassKey(k string) bool {
@@ -372,8 +340,7 @@ func (s *Session) SetOptions(opts pressio.Options) error {
 func (s *Session) Invalidate(keys ...string) []string {
 	var out []string
 	for _, pm := range s.plan.metrics {
-		inv, _ := pm.m.Configuration().GetStrings(pressio.CfgInvalidate)
-		if IsStale(inv, keys) {
+		if IsStale(pm.m.Invalidates(), keys) {
 			out = append(out, pm.name)
 		}
 	}

@@ -43,10 +43,8 @@ func (m *countingMetric) Results() pressio.Options {
 	o.Set("core-test-agnostic:runs", int64(m.runs))
 	return o
 }
-func (m *countingMetric) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{pressio.InvalidateErrorAgnostic})
-	return o
+func (m *countingMetric) Invalidates() []string {
+	return []string{pressio.InvalidateErrorAgnostic}
 }
 
 // boundMetric is error-dependent on pressio:abs.
@@ -70,10 +68,8 @@ func (m *boundMetric) Results() pressio.Options {
 	o.Set("core-test-bound:runs", int64(m.runs))
 	return o
 }
-func (m *boundMetric) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{pressio.OptAbs, pressio.InvalidateErrorDependent})
-	return o
+func (m *boundMetric) Invalidates() []string {
+	return []string{pressio.OptAbs, pressio.InvalidateErrorDependent}
 }
 
 type realTestScheme struct{}
@@ -442,6 +438,9 @@ func TestGanguliPredictorIsIntervalPredictor(t *testing.T) {
 // SchemeStale's predictors:training handling.
 type trainingTestScheme struct{ realTestScheme }
 
+func (*trainingTestScheme) Info() Info {
+	return Info{Method: "Test", Training: true, Goal: "accurate", Approach: "regression", Metrics: "CR"}
+}
 func (*trainingTestScheme) NewPredictor(string) (Predictor, error) {
 	return &ModelPredictor{ModelName: "linreg", Model: &mlkit.LinearRegression{}}, nil
 }

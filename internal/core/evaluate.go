@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -57,7 +58,7 @@ type memoValue struct {
 // make StageOf classify it otherwise — so the class label stands in for
 // all of them.
 func (e *Evaluator) Invalidate(keys []string) bool {
-	if !IsStale([]string{pressio.InvalidateErrorAgnostic}, keys) {
+	if !slices.Contains(keys, pressio.InvalidateErrorAgnostic) {
 		return false
 	}
 	e.epoch.Add(1)
@@ -101,13 +102,13 @@ type featureVector struct {
 	feats []vectorFeature
 }
 
-// vectorFeature is one feature of a featureVector: the plan index of
-// the last error-agnostic metric whose results hold its key (-1: none),
-// and the value there, when that is a number (ok).
+// vectorFeature is one feature of a featureVector: by is 1 + the plan
+// index of the last error-agnostic metric whose results hold its key (0:
+// none), v the value there, when that is a number (ok).
 type vectorFeature struct {
-	v    float64
-	from int
-	ok   bool
+	v  float64
+	by int
+	ok bool
 }
 
 // FeaturePlan is a scheme's metric plugins instantiated and configured
@@ -124,14 +125,13 @@ type FeaturePlan struct {
 	opts       pressio.Options
 	metrics    []planMetric
 	features   []string
-	// sets[i] is metrics[i]'s results at the last evaluation that built
-	// them; a feature is read from the last set holding its key
-	sets []pressio.Options
+	// feats[f] is features[f] as the metrics evaluated so far give it
+	feats []vectorFeature
 	// agnostic counts the error-agnostic metrics, whose features a
 	// buffer's slot keeps under vector
 	agnostic int
 	vector   vectorKey
-	// dependent is the one feature the last Evaluate read from a metric
+	// dependent is the one feature the last evaluation read from a metric
 	// that is not error-agnostic, or -1 (none, or several)
 	dependent int
 }
@@ -143,8 +143,8 @@ var emptyOptionsHash = opthash.Hash(nil)
 // Metrics that model or trial one particular compressor expose a
 // "<name>:compressor" option (tao:compressor, khan:compressor); the plan
 // points each at the compressor being predicted for. A metric with
-// static metadata (pressio.StaticMetadata) is classified and searched
-// for that option without building its Configuration or Options.
+// static option keys (pressio.StaticMetadata) is searched for that
+// option without building its Options.
 func (e *Evaluator) Plan(set MetricSet, compressor string, opts pressio.Options) (*FeaturePlan, error) {
 	names := set.Metrics()
 	p := &FeaturePlan{
@@ -153,9 +153,9 @@ func (e *Evaluator) Plan(set MetricSet, compressor string, opts pressio.Options)
 		opts:       opts,
 		metrics:    make([]planMetric, len(names)),
 		features:   set.Features(),
-		sets:       make([]pressio.Options, len(names)),
 		dependent:  -1,
 	}
+	p.feats = make([]vectorFeature, len(p.features))
 	merged, cloned := opts, false
 	for i, name := range names {
 		m, err := pressio.GetMetric(name)
@@ -208,182 +208,127 @@ func optionKeys(m pressio.Metric) []string {
 	return m.Options().Keys()
 }
 
-// run executes the plan's metrics over one buffer, leaving each
-// metric's results in p.sets and, when rec is not nil, recording in it
-// the metrics that ran and their wall time. ctx is checked between
-// metrics.
-func (p *FeaturePlan) run(ctx context.Context, data *pressio.Data, rec *Evaluation) error {
-	clear(p.sets)
-	epoch := p.ev.epoch.Load()
-	for i := range p.metrics {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p.sets[i] = p.result(i, data, epoch, rec)
-	}
-	return nil
-}
-
-// result is metric i's results over data. An error-agnostic metric's
-// come from the buffer's slot when an earlier evaluation (under any
-// error bound) left them there at this epoch; they are the Options a
-// fresh BeginCompress returns, so results are bit-identical with and
-// without the memo. Two goroutines evaluating an unseen buffer at once
-// may both compute; the stores are idempotent. The clock is read only
-// for rec, and a memo hit is not recorded.
-func (p *FeaturePlan) result(i int, data *pressio.Data, epoch uint64, rec *Evaluation) pressio.Options {
-	pm := &p.metrics[i]
-	memo := pm.stage == StageErrorAgnostic
-	if memo {
-		if v, ok := data.Derived(pm.key).(memoValue); ok && v.epoch == epoch {
-			p.ev.hits.Add(1)
-			return v.results
-		}
-		p.ev.misses.Add(1)
-	}
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
-	pm.m.BeginCompress(data)
-	if rec != nil {
-		ms := time.Since(start).Seconds() * 1e3
-		rec.Recomputed = append(rec.Recomputed, pm.name)
-		rec.MetricMS[pm.name] = ms
-		if memo {
-			rec.ErrorAgnosticMS += ms
-		} else {
-			rec.ErrorDependentMS += ms
-		}
-	}
-	r := pm.m.Results()
-	if memo {
-		data.StoreDerived(pm.key, memoValue{epoch, r})
-	}
-	return r
-}
-
-// union is every metric's results in one map, a later metric's value
-// replacing an earlier one's under the same key.
-func (p *FeaturePlan) union() pressio.Options {
-	n := 0
-	for _, r := range p.sets {
-		n += len(r)
-	}
-	u := make(pressio.Options, n)
-	for _, r := range p.sets {
-		u.Merge(r)
-	}
-	return u
-}
-
-// vectorOf returns the plan's error-agnostic features of data: the
-// vector the buffer's slot holds for this plan at this epoch — one probe
-// that counts as a memo hit per error-agnostic metric — or one built
-// from their results (memoised or run, as result does) and stored. Nil
-// when the plan has no error-agnostic metric.
-func (p *FeaturePlan) vectorOf(ctx context.Context, data *pressio.Data) (*featureVector, error) {
-	if p.agnostic == 0 {
-		return nil, nil
-	}
-	epoch := p.ev.epoch.Load()
-	if v, ok := data.Derived(p.vector).(*featureVector); ok && v.epoch == epoch {
-		p.ev.hits.Add(uint64(p.agnostic))
-		return v, nil
-	}
-	clear(p.sets)
-	for i := range p.metrics {
-		if p.metrics[i].stage != StageErrorAgnostic {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p.sets[i] = p.result(i, data, epoch, nil)
-	}
-	v := &featureVector{epoch: epoch, feats: make([]vectorFeature, len(p.features))}
-	for f, k := range p.features {
-		vf := vectorFeature{from: -1}
-		for i := len(p.sets) - 1; i >= 0; i-- {
-			if _, held := p.sets[i][k]; held {
-				vf.from = i
-				vf.v, vf.ok = p.sets[i].GetFloat(k)
-				break
-			}
-		}
-		v.feats[f] = vf
-	}
-	data.StoreDerived(p.vector, v)
-	return v, nil
-}
-
-// Evaluate runs the plan over one buffer and extracts the feature
-// vector — the serving path, which wants nothing else. Each feature is
-// read from the last metric, in plan order, whose results hold its key:
-// the value the union of the results holds, without building it. The
-// error-agnostic features come from the buffer's vector for this plan
-// (vectorOf), the others from the metrics that run, by their typed read
-// where they have one (pressio.FloatResulter).
-func (p *FeaturePlan) Evaluate(ctx context.Context, data *pressio.Data) ([]float64, error) {
-	return p.EvaluateInto(ctx, data, nil)
-}
-
-// EvaluateInto is Evaluate writing the vector into dst's storage, grown
-// when it is short, so that a caller evaluating buffer after buffer —
-// a batch's items — allocates it once.
-func (p *FeaturePlan) EvaluateInto(ctx context.Context, data *pressio.Data, dst []float64) ([]float64, error) {
+// evaluate is the one loop over the plan's metrics: it runs them over
+// one buffer and writes the feature vector into dst's storage, grown
+// when it is short. Each feature is read from the last metric, in plan
+// order, whose results hold its key — the value the union of the
+// results holds, without building it.
+//
+// An error-agnostic metric's results come from the buffer's slot when an
+// earlier evaluation (under any error bound) left them there at this
+// epoch; they are the Options a fresh BeginCompress returns, so results
+// are bit-identical with and without the memo. Without a recorder, the
+// plan's error-agnostic features are first looked up as one vector in
+// the buffer's slot — one probe that counts as a memo hit per
+// error-agnostic metric — and, when it is not there, built from their
+// results and stored; a metric that is not error-agnostic is read
+// through its typed read where it has one (pressio.FloatResulter).
+// Two goroutines evaluating an unseen buffer at once may both compute;
+// the stores are idempotent.
+//
+// A recorder (rec) gets the union of the results and the metrics that
+// ran — a memo hit is not one — with their wall time; the clock is read
+// only for it. A missing feature fails as ExtractFeatures over that
+// union does: an evaluation without a recorder runs again with one, to
+// name the union's keys. ctx is checked between metrics.
+func (p *FeaturePlan) evaluate(ctx context.Context, data *pressio.Data, dst []float64, rec *Evaluation) ([]float64, error) {
 	p.dependent = -1
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	vec, err := p.vectorOf(ctx, data)
-	if err != nil {
-		return nil, err
+	epoch := p.ev.epoch.Load()
+	clear(p.feats)
+	var vec, build *featureVector
+	if rec == nil && p.agnostic > 0 {
+		if v, ok := data.Derived(p.vector).(*featureVector); ok && v.epoch == epoch {
+			p.ev.hits.Add(uint64(p.agnostic))
+			vec = v
+			copy(p.feats, v.feats)
+		} else {
+			build = &featureVector{epoch: epoch, feats: make([]vectorFeature, len(p.features))}
+		}
 	}
 	for i := range p.metrics {
 		pm := &p.metrics[i]
-		if pm.stage == StageErrorAgnostic {
+		agnostic := pm.stage == StageErrorAgnostic
+		if agnostic && vec != nil {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pm.m.BeginCompress(data)
-		if pm.float == nil {
-			p.sets[i] = pm.m.Results()
+		var r pressio.Options
+		hit := false
+		if agnostic {
+			if v, ok := data.Derived(pm.key).(memoValue); ok && v.epoch == epoch {
+				p.ev.hits.Add(1)
+				r, hit = v.results, true
+			} else {
+				p.ev.misses.Add(1)
+			}
 		}
+		typed := !agnostic && rec == nil && pm.float != nil
+		if !hit {
+			var start time.Time
+			if rec != nil {
+				start = time.Now()
+			}
+			pm.m.BeginCompress(data)
+			if rec != nil {
+				ms := time.Since(start).Seconds() * 1e3
+				rec.Recomputed = append(rec.Recomputed, pm.name)
+				rec.MetricMS[pm.name] = ms
+				if agnostic {
+					rec.ErrorAgnosticMS += ms
+				} else {
+					rec.ErrorDependentMS += ms
+				}
+			}
+			if !typed {
+				r = pm.m.Results()
+			}
+			if agnostic {
+				data.StoreDerived(pm.key, memoValue{epoch, r})
+			}
+		}
+		if rec != nil {
+			rec.Results.Merge(r)
+		}
+		for f, k := range p.features {
+			vf := vectorFeature{by: i + 1}
+			held := false
+			if typed {
+				vf.v, held = pm.float.ResultFloat(k)
+				vf.ok = held
+			} else if _, held = r[k]; held {
+				vf.v, vf.ok = r.GetFloat(k)
+			}
+			if !held {
+				continue
+			}
+			if vf.by > p.feats[f].by {
+				p.feats[f] = vf
+			}
+			if build != nil && agnostic {
+				build.feats[f] = vf
+			}
+		}
+	}
+	if build != nil {
+		data.StoreDerived(p.vector, build)
 	}
 	if cap(dst) < len(p.features) {
 		dst = make([]float64, len(p.features))
 	}
 	dst = dst[:len(p.features)]
 	dep, dependents := -1, 0
-	for f, k := range p.features {
-		vf := vectorFeature{from: -1}
-		if vec != nil {
-			vf = vec.feats[f]
-		}
-		for i := len(p.metrics) - 1; i > vf.from; i-- {
-			pm := &p.metrics[i]
-			if pm.stage == StageErrorAgnostic {
-				continue
-			}
-			if pm.float != nil {
-				if v, held := pm.float.ResultFloat(k); held {
-					vf = vectorFeature{v: v, from: i, ok: true}
-					break
-				}
-			} else if _, held := p.sets[i][k]; held {
-				v, ok := p.sets[i].GetFloat(k)
-				vf = vectorFeature{v: v, from: i, ok: ok}
-				break
-			}
-		}
+	for f, vf := range p.feats {
 		if !vf.ok {
-			return p.unionFeatures(data)
+			if rec == nil { // the error names the union's keys: record them
+				return p.evaluate(ctx, data, dst, &Evaluation{Results: pressio.Options{}, MetricMS: map[string]float64{}})
+			}
+			_, err := ExtractFeatures(rec.Results, p.features)
+			return nil, err
 		}
 		dst[f] = vf.v
-		if p.metrics[vf.from].stage != StageErrorAgnostic {
+		if p.metrics[vf.by-1].stage != StageErrorAgnostic {
 			dep, dependents = f, dependents+1
 		}
 	}
@@ -393,41 +338,35 @@ func (p *FeaturePlan) EvaluateInto(ctx context.Context, data *pressio.Data, dst 
 	return dst, nil
 }
 
-// unionFeatures is ExtractFeatures over the union of the results of an
-// evaluation that found a feature missing or not a number, so that its
-// error names the feature as EvaluateDetailed's does. The metrics that
-// ran have run: only their maps are built.
-func (p *FeaturePlan) unionFeatures(data *pressio.Data) ([]float64, error) {
-	epoch := p.ev.epoch.Load()
-	for i := range p.metrics {
-		if pm := &p.metrics[i]; pm.stage == StageErrorAgnostic {
-			p.sets[i] = p.result(i, data, epoch, nil)
-		} else if pm.float != nil {
-			p.sets[i] = pm.m.Results()
-		}
-	}
-	return ExtractFeatures(p.union(), p.features)
+// Evaluate runs the plan over one buffer and returns the feature vector
+// — the serving path, which wants nothing else.
+func (p *FeaturePlan) Evaluate(ctx context.Context, data *pressio.Data) ([]float64, error) {
+	return p.evaluate(ctx, data, nil, nil)
+}
+
+// EvaluateInto is Evaluate writing the vector into dst's storage, grown
+// when it is short, so that a caller evaluating buffer after buffer —
+// a batch's items — allocates it once.
+func (p *FeaturePlan) EvaluateInto(ctx context.Context, data *pressio.Data, dst []float64) ([]float64, error) {
+	return p.evaluate(ctx, data, dst, nil)
 }
 
 // DependentFeature reports the index of the one feature the last
-// Evaluate read from a metric that is not error-agnostic (StageOf): over
-// one buffer at other error bounds, the features differ in that one
+// evaluation read from a metric that is not error-agnostic (StageOf):
+// over one buffer at other error bounds, the features differ in that one
 // alone. False when no feature or several did, and after a failed
-// Evaluate.
+// evaluation.
 func (p *FeaturePlan) DependentFeature() (j int, ok bool) {
 	return p.dependent, p.dependent >= 0
 }
 
 // EvaluateDetailed is Evaluate reporting what it did: the union of
 // results and the metrics that ran (a memo hit is not one) with their
-// wall time and per-stage sums.
+// wall time and per-stage sums. After an error it holds what ran
+// before it.
 func (p *FeaturePlan) EvaluateDetailed(ctx context.Context, data *pressio.Data) (*Evaluation, error) {
-	ev := &Evaluation{MetricMS: map[string]float64{}}
-	if err := p.run(ctx, data, ev); err != nil {
-		return nil, err
-	}
-	ev.Results = p.union()
+	ev := &Evaluation{Results: pressio.Options{}, MetricMS: map[string]float64{}}
 	var err error
-	ev.Features, err = ExtractFeatures(ev.Results, p.features)
+	ev.Features, err = p.evaluate(ctx, data, nil, ev)
 	return ev, err
 }

@@ -18,10 +18,8 @@ func (*evalShadow) Results() pressio.Options {
 	o.Set("core-eval-bound:abs", 7.0)
 	return o
 }
-func (*evalShadow) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{pressio.InvalidateErrorAgnostic})
-	return o
+func (*evalShadow) Invalidates() []string {
+	return []string{pressio.InvalidateErrorAgnostic}
 }
 
 func init() {
@@ -124,10 +122,8 @@ func (m *evalTyped) ResultFloat(key string) (float64, bool) {
 	}
 	return 0, false
 }
-func (*evalTyped) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{pressio.OptAbs, pressio.InvalidateErrorDependent})
-	return o
+func (*evalTyped) Invalidates() []string {
+	return []string{pressio.OptAbs, pressio.InvalidateErrorDependent}
 }
 
 func init() {

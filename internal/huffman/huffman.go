@@ -430,7 +430,7 @@ func (sc *scratch) decode(dst []int32, buf []byte) ([]int32, error) {
 	}
 	nsym := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
-	if nsym < 0 || len(buf) < nsym*5 {
+	if nsym < 0 || nsym > len(buf)/5 { // divided: nsym*5 wraps a 32-bit int
 		return nil, ErrCorrupt
 	}
 

@@ -514,6 +514,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"no element count":              buf[:4+5*3+4],
 		"no payload length":             buf[:4+5*3+8+4],
 		"more symbols than bytes":       append(binary.LittleEndian.AppendUint32(nil, 1<<30), buf[4:]...),
+		"table size wraps a 32-bit int": append(binary.LittleEndian.AppendUint32(nil, 0x33333334), buf[4:]...),
+		"symbol count over 1<<31":       append(binary.LittleEndian.AppendUint32(nil, math.MaxUint32), buf[4:]...),
 		"elements but no symbols":       stream(nil, 3, []byte{0}),
 		"payload runs dry":              stream([][2]int32{{1, 1}, {2, 1}}, 9, []byte{0}),
 		"code no symbol holds":          stream([][2]int32{{1, 1}, {2, 2}}, 1, []byte{0xC0}),

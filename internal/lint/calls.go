@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/xtools/analysis"
@@ -56,10 +57,14 @@ func visitTransitive(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, 
 
 // constStringsIn collects every constant-folded string value appearing
 // in the transitive closure of fn (call-site arguments included, since
-// they appear in caller bodies).
+// they appear in caller bodies) and in the initializers of the
+// same-package variables it reads, transitively (a shared slice a method
+// returns).
 func constStringsIn(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, fn *ast.FuncDecl) map[string]bool {
+	inits := varInits(pass)
 	out := map[string]bool{}
-	visitTransitive(pass, decls, fn, func(_ *ast.FuncDecl, n ast.Node) {
+	var collect func(ast.Node)
+	collect = func(n ast.Node) {
 		expr, ok := n.(ast.Expr)
 		if !ok {
 			return
@@ -69,6 +74,43 @@ func constStringsIn(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, f
 				out[s] = true
 			}
 		}
-	})
+		if id, ok := expr.(*ast.Ident); ok {
+			obj := pass.TypesInfo.Uses[id]
+			if init, ok := inits[obj]; ok {
+				delete(inits, obj) // each initializer once
+				ast.Inspect(init, func(n ast.Node) bool {
+					collect(n)
+					return true
+				})
+			}
+		}
+	}
+	visitTransitive(pass, decls, fn, func(_ *ast.FuncDecl, n ast.Node) { collect(n) })
 	return out
+}
+
+// varInits maps each package-level variable of the pass's package that
+// has its own initializer to that expression.
+func varInits(pass *analysis.Pass) map[types.Object]ast.Expr {
+	inits := map[types.Object]ast.Expr{}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if len(vs.Values) != len(vs.Names) {
+					continue
+				}
+				for i, name := range vs.Names {
+					if obj := pass.TypesInfo.Defs[name]; obj != nil {
+						inits[obj] = vs.Values[i]
+					}
+				}
+			}
+		}
+	}
+	return inits
 }

@@ -11,14 +11,15 @@ import (
 const invalidatedeclDoc = `require every metric registration to declare invalidation metadata
 
 Prediction reuse (paper §4.2) is only sound because every metric
-declares, under predictors:invalidate, which option changes invalidate
-its cached results; serve's eviction and the bench's checkpoint skip
-both trust that metadata. For every pressio.RegisterMetric call this
-analyzer resolves the concrete metric type and checks that its
-Configuration method (directly or through same-package helpers) sets
-the predictors:invalidate key with at least one invalidation class
-(error_dependent, error_agnostic, runtime, nondeterministic, training);
-option-key-only lists pin no class and are flagged.`
+declares, in its predictors:invalidate list, which option changes
+invalidate its cached results; serve's eviction and the bench's
+checkpoint skip both trust that metadata. For every
+pressio.RegisterMetric call this analyzer resolves the concrete metric
+type and checks that its Invalidates method (directly, through
+same-package helpers or through the same-package variables it returns)
+lists at least one invalidation class (error_dependent, error_agnostic,
+runtime, nondeterministic, training); an empty list and an
+option-key-only list pin no class and are flagged.`
 
 // InvalidateDecl is the invalidatedecl analyzer.
 var InvalidateDecl = &analysis.Analyzer{
@@ -27,11 +28,9 @@ var InvalidateDecl = &analysis.Analyzer{
 	Run:  runInvalidateDecl,
 }
 
-// cfgInvalidateKey and invalidateClasses mirror the constants in
-// internal/pressio; the analyzer matches constant-folded values, so it
-// works identically on the real package and on fixture stubs.
-const cfgInvalidateKey = "predictors:invalidate"
-
+// invalidateClasses mirrors the constants in internal/pressio; the
+// analyzer matches constant-folded values, so it works identically on the
+// real package and on fixture stubs.
 var invalidateClasses = map[string]bool{
 	"predictors:error_dependent":  true,
 	"predictors:error_agnostic":   true,
@@ -73,28 +72,18 @@ func checkRegistration(pass *analysis.Pass, idx *ignoreIndex, decls map[types.Ob
 	if metricType == nil {
 		return // factory too dynamic to resolve; out of this analyzer's reach
 	}
-	cfg := lookupMethodDecl(pass, decls, metricType, "Configuration")
-	if cfg == nil {
-		idx.reportf(pass, call.Pos(),
-			"metric %q (%s) has no reachable Configuration method declaring %s metadata",
-			name, metricType.Obj().Name(), cfgInvalidateKey)
-		return
+	inv := lookupMethodDecl(pass, decls, metricType, "Invalidates")
+	if inv == nil {
+		return // declared in another package; out of this analyzer's reach
 	}
-	consts := constStringsIn(pass, decls, cfg)
-	if !consts[cfgInvalidateKey] {
-		idx.reportf(pass, call.Pos(),
-			"metric %q (%s): Configuration never sets %s; stale cached predictions would never be evicted",
-			name, metricType.Obj().Name(), cfgInvalidateKey)
-		return
-	}
-	for s := range consts {
+	for s := range constStringsIn(pass, decls, inv) {
 		if invalidateClasses[s] {
 			return
 		}
 	}
 	idx.reportf(pass, call.Pos(),
-		"metric %q (%s): %s lists no invalidation class (error_dependent, error_agnostic, runtime, nondeterministic, or training)",
-		name, metricType.Obj().Name(), cfgInvalidateKey)
+		"metric %q (%s): Invalidates lists no invalidation class (error_dependent, error_agnostic, runtime, nondeterministic, or training); stale cached predictions would never be evicted",
+		name, metricType.Obj().Name())
 }
 
 // factoryResultType resolves the concrete named type a metric factory

@@ -1,5 +1,5 @@
 // Package metrics violates invalidatedecl: a registered metric whose
-// Configuration never declares an invalidation class.
+// Invalidates lists no invalidation class.
 package metrics
 
 import "brokenvet/internal/pressio"
@@ -8,12 +8,8 @@ type silent struct{}
 
 func (s *silent) Name() string { return "silent" }
 
-// Configuration exists but never sets predictors:invalidate.
-func (s *silent) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set("metrics:description", "declares nothing about invalidation")
-	return o
-}
+// Invalidates exists but lists nothing.
+func (s *silent) Invalidates() []string { return nil }
 
 func init() {
 	pressio.RegisterMetric("silent", func() pressio.Metric { return &silent{} })

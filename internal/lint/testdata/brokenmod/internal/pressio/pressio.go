@@ -9,11 +9,9 @@ type Options map[string]any
 // Set stores one option.
 func (o Options) Set(k string, v any) { o[k] = v }
 
-// Configuration keys and invalidation classes, value-identical to the
-// real package (the analyzers fold constants to their string values).
+// Invalidation classes, value-identical to the real package (the
+// analyzers fold constants to their string values).
 const (
-	CfgInvalidate = "predictors:invalidate"
-
 	InvalidateErrorDependent   = "predictors:error_dependent"
 	InvalidateErrorAgnostic    = "predictors:error_agnostic"
 	InvalidateRuntime          = "predictors:runtime"
@@ -24,6 +22,7 @@ const (
 // Metric is the metric plugin surface.
 type Metric interface {
 	Name() string
+	Invalidates() []string
 }
 
 // RegisterMetric records a metric factory.

@@ -1,6 +1,6 @@
 // Package a exercises invalidatedecl: every RegisterMetric call must
-// resolve to a type whose Configuration declares predictors:invalidate
-// with at least one invalidation class.
+// resolve to a type whose Invalidates lists at least one invalidation
+// class.
 package a
 
 import "repro/internal/pressio"
@@ -8,11 +8,11 @@ import "repro/internal/pressio"
 func init() {
 	pressio.RegisterMetric("good", func() pressio.Metric { return &Good{} })
 	pressio.RegisterMetric("helper", func() pressio.Metric { return &Helper{} })
-	pressio.RegisterMetric("missing", func() pressio.Metric { return &Missing{} })   // want `Configuration never sets predictors:invalidate`
-	pressio.RegisterMetric("keysonly", func() pressio.Metric { return &KeysOnly{} }) // want `lists no invalidation class`
-	pressio.RegisterMetric("noconf", func() pressio.Metric { return &NoConf{} })     // want `no reachable Configuration method`
+	pressio.RegisterMetric("shared", func() pressio.Metric { return &Shared{} })
+	pressio.RegisterMetric("missing", func() pressio.Metric { return &Missing{} })   // want `Invalidates lists no invalidation class`
+	pressio.RegisterMetric("keysonly", func() pressio.Metric { return &KeysOnly{} }) // want `Invalidates lists no invalidation class`
 	//lint:ignore pressiovet/invalidatedecl fixture for the documented escape hatch
-	pressio.RegisterMetric("excused", func() pressio.Metric { return &NoConf{} })
+	pressio.RegisterMetric("excused", func() pressio.Metric { return &Missing{} })
 }
 
 // Good declares a class directly.
@@ -20,41 +20,42 @@ type Good struct{}
 
 func (*Good) Name() string { return "good" }
 
-// Configuration declares error_dependent plus an option key.
-func (*Good) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{pressio.OptAbs, pressio.InvalidateErrorDependent})
-	return o
+// Invalidates declares error_dependent plus an option key.
+func (*Good) Invalidates() []string {
+	return []string{pressio.OptAbs, pressio.InvalidateErrorDependent}
 }
 
-// Helper declares its class through a same-package helper, the repo's
-// dominant idiom.
+// Helper declares its class through a same-package helper.
 type Helper struct{}
 
 func (*Helper) Name() string { return "helper" }
 
-// Configuration goes through invalidate().
-func (*Helper) Configuration() pressio.Options {
-	return invalidate(pressio.InvalidateErrorAgnostic)
-}
+// Invalidates goes through classes().
+func (*Helper) Invalidates() []string { return classes(pressio.InvalidateErrorAgnostic) }
 
-func invalidate(keys ...string) pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, keys)
-	return o
-}
+func classes(keys ...string) []string { return keys }
 
-// Missing has a Configuration that never touches invalidation.
+// Shared returns a same-package variable, the repo's dominant idiom; the
+// variable's class is one more variable away.
+type Shared struct{}
+
+func (*Shared) Name() string { return "shared" }
+
+// Invalidates returns the shared list.
+func (*Shared) Invalidates() []string { return sharedClass }
+
+var (
+	agnostic    = pressio.InvalidateErrorAgnostic
+	sharedClass = []string{agnostic}
+)
+
+// Missing declares an empty list.
 type Missing struct{}
 
 func (*Missing) Name() string { return "missing" }
 
-// Configuration sets unrelated metadata only.
-func (*Missing) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set("missing:stable", true)
-	return o
-}
+// Invalidates lists nothing.
+func (*Missing) Invalidates() []string { return nil }
 
 // KeysOnly lists option keys but pins no invalidation class, so the
 // eviction machinery cannot classify it.
@@ -62,14 +63,7 @@ type KeysOnly struct{}
 
 func (*KeysOnly) Name() string { return "keysonly" }
 
-// Configuration lists only an option key.
-func (*KeysOnly) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{pressio.OptAbs})
-	return o
-}
+// Invalidates lists only an option key.
+func (*KeysOnly) Invalidates() []string { return keysOnly }
 
-// NoConf forgot Configuration entirely.
-type NoConf struct{}
-
-func (*NoConf) Name() string { return "noconf" }
+var keysOnly = []string{pressio.OptAbs}

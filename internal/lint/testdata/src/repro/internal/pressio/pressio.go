@@ -4,9 +4,8 @@
 // end in "internal/pressio", and the invalidation keys are constants).
 package pressio
 
-// Invalidation metadata keys and classes, mirroring the real package.
+// Invalidation classes, mirroring the real package.
 const (
-	CfgInvalidate              = "predictors:invalidate"
 	InvalidateErrorDependent   = "predictors:error_dependent"
 	InvalidateErrorAgnostic    = "predictors:error_agnostic"
 	InvalidateRuntime          = "predictors:runtime"
@@ -21,11 +20,11 @@ type Options map[string]any
 // Set stores a value.
 func (o Options) Set(key string, v any) { o[key] = v }
 
-// Metric is the fixture plugin interface. Unlike the real interface it
-// does not require Configuration, so fixtures can model a metric that
-// forgot to declare one.
+// Metric is the fixture plugin interface: like the real one, it requires
+// the predictors:invalidate list.
 type Metric interface {
 	Name() string
+	Invalidates() []string
 }
 
 // RegisterMetric mirrors the real registration entry point.

@@ -57,15 +57,13 @@ type External struct {
 // Name implements pressio.Metric.
 func (*External) Name() string { return "external" }
 
-// Configuration implements pressio.Metric.
-func (m *External) Configuration() pressio.Options {
-	o := pressio.Options{}
-	inv := m.Invalidate
-	if len(inv) == 0 {
-		inv = []string{pressio.InvalidateErrorAgnostic}
+// Invalidates implements pressio.Metric: the external:invalidate
+// option, error-agnostic when unset.
+func (m *External) Invalidates() []string {
+	if len(m.Invalidate) == 0 {
+		return agnosticClass
 	}
-	o.Set(pressio.CfgInvalidate, inv)
-	return o
+	return m.Invalidate
 }
 
 // SetOptions implements pressio.Metric.

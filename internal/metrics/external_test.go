@@ -121,14 +121,14 @@ func TestExternalTimeout(t *testing.T) {
 func TestExternalInvalidateOverride(t *testing.T) {
 	m := &External{}
 	// default: error-agnostic
-	inv, _ := m.Configuration().GetStrings(pressio.CfgInvalidate)
+	inv := m.Invalidates()
 	if len(inv) != 1 || inv[0] != pressio.InvalidateErrorAgnostic {
 		t.Errorf("default invalidation = %v", inv)
 	}
 	opts := pressio.Options{}
 	opts.Set(OptExternalInvalidate, []string{pressio.OptAbs, pressio.InvalidateErrorDependent})
 	m.SetOptions(opts)
-	inv, _ = m.Configuration().GetStrings(pressio.CfgInvalidate)
+	inv = m.Invalidates()
 	if len(inv) != 2 || inv[0] != pressio.OptAbs {
 		t.Errorf("override invalidation = %v", inv)
 	}

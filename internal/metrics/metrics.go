@@ -26,16 +26,9 @@ func init() {
 	pressio.RegisterMetric("error_stat", func() pressio.Metric { return &ErrorStat{} })
 }
 
-func invalidate(keys ...string) pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, keys)
-	return o
-}
-
-// The built-in metrics' static metadata (pressio.StaticMetadata): their
-// Configuration lists, and the keys of the Options that have any. Each
-// Configuration spells its own list out, so that the invalidatedecl
-// analyzer sees it; TestStaticMetadataIsConfiguration holds the two equal.
+// The built-in metrics' metadata: their predictors:invalidate lists
+// (pressio.Metric.Invalidates), and the keys of the Options that have any
+// (pressio.StaticMetadata). Shared: never modified.
 var (
 	agnosticClass  = []string{pressio.InvalidateErrorAgnostic}
 	absDependent   = []string{pressio.OptAbs, pressio.InvalidateErrorDependent}
@@ -57,12 +50,7 @@ type Stat struct {
 // Name implements pressio.Metric.
 func (*Stat) Name() string { return "stat" }
 
-// Configuration implements pressio.Metric.
-func (*Stat) Configuration() pressio.Options {
-	return invalidate(pressio.InvalidateErrorAgnostic)
-}
-
-// Invalidates implements pressio.StaticMetadata.
+// Invalidates implements pressio.Metric.
 func (*Stat) Invalidates() []string { return agnosticClass }
 
 // OptionKeys implements pressio.StaticMetadata.
@@ -98,12 +86,7 @@ type Entropy struct {
 // Name implements pressio.Metric.
 func (*Entropy) Name() string { return "entropy" }
 
-// Configuration implements pressio.Metric.
-func (*Entropy) Configuration() pressio.Options {
-	return invalidate(pressio.InvalidateErrorAgnostic)
-}
-
-// Invalidates implements pressio.StaticMetadata.
+// Invalidates implements pressio.Metric.
 func (*Entropy) Invalidates() []string { return agnosticClass }
 
 // OptionKeys implements pressio.StaticMetadata.
@@ -154,12 +137,7 @@ type QuantizedEntropy struct {
 // Name implements pressio.Metric.
 func (*QuantizedEntropy) Name() string { return "quantized_entropy" }
 
-// Configuration implements pressio.Metric.
-func (*QuantizedEntropy) Configuration() pressio.Options {
-	return invalidate(pressio.OptAbs, pressio.InvalidateErrorDependent)
-}
-
-// Invalidates implements pressio.StaticMetadata.
+// Invalidates implements pressio.Metric.
 func (*QuantizedEntropy) Invalidates() []string { return absDependent }
 
 // OptionKeys implements pressio.StaticMetadata.
@@ -209,12 +187,7 @@ type Variogram struct {
 // Name implements pressio.Metric.
 func (*Variogram) Name() string { return "variogram" }
 
-// Configuration implements pressio.Metric.
-func (*Variogram) Configuration() pressio.Options {
-	return invalidate(pressio.InvalidateErrorAgnostic)
-}
-
-// Invalidates implements pressio.StaticMetadata.
+// Invalidates implements pressio.Metric.
 func (*Variogram) Invalidates() []string { return agnosticClass }
 
 // OptionKeys implements pressio.StaticMetadata.
@@ -259,15 +232,9 @@ type SVDTrunc struct {
 // Name implements pressio.Metric.
 func (*SVDTrunc) Name() string { return "svd_trunc" }
 
-// Configuration implements pressio.Metric.
-func (*SVDTrunc) Configuration() pressio.Options {
-	// the randomized SVD implementations the paper mentions are also
-	// nondeterministic; our Jacobi solver is deterministic but keeps the
-	// class label so schedulers treat it equivalently
-	return invalidate(pressio.InvalidateErrorAgnostic)
-}
-
-// Invalidates implements pressio.StaticMetadata.
+// Invalidates implements pressio.Metric. The randomized SVDs the paper
+// mentions are also nondeterministic; this Jacobi solver is not, so the
+// metric is error-agnostic alone.
 func (*SVDTrunc) Invalidates() []string { return agnosticClass }
 
 // OptionKeys implements pressio.StaticMetadata.
@@ -310,12 +277,7 @@ type Spatial struct {
 // Name implements pressio.Metric.
 func (*Spatial) Name() string { return "spatial" }
 
-// Configuration implements pressio.Metric.
-func (*Spatial) Configuration() pressio.Options {
-	return invalidate(pressio.InvalidateErrorAgnostic)
-}
-
-// Invalidates implements pressio.StaticMetadata.
+// Invalidates implements pressio.Metric.
 func (*Spatial) Invalidates() []string { return agnosticClass }
 
 // OptionKeys implements pressio.StaticMetadata.
@@ -351,12 +313,7 @@ type Distortion struct {
 // Name implements pressio.Metric.
 func (*Distortion) Name() string { return "distortion" }
 
-// Configuration implements pressio.Metric.
-func (*Distortion) Configuration() pressio.Options {
-	return invalidate(pressio.OptAbs, pressio.InvalidateErrorDependent)
-}
-
-// Invalidates implements pressio.StaticMetadata.
+// Invalidates implements pressio.Metric.
 func (*Distortion) Invalidates() []string { return absDependent }
 
 // OptionKeys implements pressio.StaticMetadata.
@@ -424,12 +381,7 @@ type Size struct {
 // Name implements pressio.Metric.
 func (*Size) Name() string { return "size" }
 
-// Configuration implements pressio.Metric.
-func (*Size) Configuration() pressio.Options {
-	return invalidate(pressio.InvalidateErrorDependent, pressio.InvalidateRuntime)
-}
-
-// Invalidates implements pressio.StaticMetadata.
+// Invalidates implements pressio.Metric.
 func (*Size) Invalidates() []string { return runtimeClass }
 
 // OptionKeys implements pressio.StaticMetadata.
@@ -465,12 +417,7 @@ type ErrorStat struct {
 // Name implements pressio.Metric.
 func (*ErrorStat) Name() string { return "error_stat" }
 
-// Configuration implements pressio.Metric.
-func (*ErrorStat) Configuration() pressio.Options {
-	return invalidate(pressio.InvalidateErrorDependent)
-}
-
-// Invalidates implements pressio.StaticMetadata.
+// Invalidates implements pressio.Metric.
 func (*ErrorStat) Invalidates() []string { return dependentClass }
 
 // OptionKeys implements pressio.StaticMetadata.

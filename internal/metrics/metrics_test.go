@@ -33,18 +33,17 @@ func TestAllMetricsRegistered(t *testing.T) {
 		if m.Name() != name {
 			t.Errorf("%s: Name() = %q", name, m.Name())
 		}
-		inv, ok := m.Configuration().GetStrings(pressio.CfgInvalidate)
-		if !ok || len(inv) == 0 {
-			t.Errorf("%s: missing %s metadata", name, pressio.CfgInvalidate)
+		if len(m.Invalidates()) == 0 {
+			t.Errorf("%s: empty predictors:invalidate list", name)
 		}
 	}
 }
 
-// TestStaticMetadataIsConfiguration holds every metric that declares
-// static metadata (pressio.StaticMetadata, which a plan reads instead of
-// Configuration and Options) to what those maps say, before and after
-// options, and every typed read (pressio.FloatResulter) to Results.
-func TestStaticMetadataIsConfiguration(t *testing.T) {
+// TestStaticMetadataIsTheMaps holds every metric that declares static
+// option keys (pressio.StaticMetadata, which a plan reads instead of
+// Options) to the keys Options holds, before and after options, and every
+// typed read (pressio.FloatResulter) to Results.
+func TestStaticMetadataIsTheMaps(t *testing.T) {
 	opts := pressio.Options{}
 	opts.Set(pressio.OptAbs, 1e-3)
 	opts.Set("entropy:bins", int64(64))
@@ -52,14 +51,7 @@ func TestStaticMetadataIsConfiguration(t *testing.T) {
 	for _, name := range pressio.MetricNames() {
 		m, _ := pressio.GetMetric(name)
 		sm, static := m.(pressio.StaticMetadata)
-		if name == "external" && static {
-			t.Error("external's invalidation list is an option: its metadata cannot be static")
-		}
 		for pass := 0; static && pass < 2; pass++ {
-			inv, _ := m.Configuration().GetStrings(pressio.CfgInvalidate)
-			if !slices.Equal(sm.Invalidates(), inv) {
-				t.Errorf("%s: Invalidates %v, Configuration %v", name, sm.Invalidates(), inv)
-			}
 			declared := slices.Clone(sm.OptionKeys())
 			slices.Sort(declared)
 			if keys := m.Options().Keys(); !slices.Equal(declared, keys) {

@@ -42,14 +42,9 @@ type JinModel struct {
 // Name implements pressio.Metric.
 func (*JinModel) Name() string { return "jin_model" }
 
-// Configuration implements pressio.Metric: the model depends on the error
-// bound, and it reads compressor internals (not black-box).
-func (*JinModel) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{pressio.OptAbs, pressio.InvalidateErrorDependent})
-	o.Set("jin_model:black_box", false)
-	return o
-}
+// Invalidates implements pressio.Metric: the model depends on the error
+// bound.
+func (*JinModel) Invalidates() []string { return absDependent }
 
 // SetOptions implements pressio.Metric.
 func (m *JinModel) SetOptions(o pressio.Options) error {

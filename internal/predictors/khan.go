@@ -43,13 +43,12 @@ type KhanSurrogate struct {
 // Name implements pressio.Metric.
 func (*KhanSurrogate) Name() string { return "khan_surrogate" }
 
-// Configuration implements pressio.Metric.
-func (*KhanSurrogate) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{pressio.OptAbs, pressio.InvalidateErrorDependent})
-	o.Set("khan_surrogate:black_box", false)
-	return o
-}
+// absDependent is the predictors:invalidate list of the surrogates that
+// model a compressor at its error bound (khan_surrogate, jin_model).
+var absDependent = []string{pressio.OptAbs, pressio.InvalidateErrorDependent}
+
+// Invalidates implements pressio.Metric.
+func (*KhanSurrogate) Invalidates() []string { return absDependent }
 
 // SetOptions implements pressio.Metric.
 func (m *KhanSurrogate) SetOptions(o pressio.Options) error {

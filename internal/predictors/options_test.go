@@ -36,8 +36,8 @@ func TestSchemeSurfaceContracts(t *testing.T) {
 				t.Errorf("%s: metric %s: %v", name, mn, err)
 				continue
 			}
-			if inv, ok := m.Configuration().GetStrings(pressio.CfgInvalidate); !ok || len(inv) == 0 {
-				t.Errorf("%s: metric %s lacks %s", name, mn, pressio.CfgInvalidate)
+			if len(m.Invalidates()) == 0 {
+				t.Errorf("%s: metric %s has an empty predictors:invalidate list", name, mn)
 			}
 		}
 	}

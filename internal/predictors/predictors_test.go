@@ -64,6 +64,30 @@ func TestSchemeInfoMatchesTable1(t *testing.T) {
 	}
 }
 
+// TestInfoTrainingIsTrains: whether a request needs a fitted model is
+// read from Info().Training, so it must be what the scheme's predictor
+// says for every compressor the scheme supports.
+func TestInfoTrainingIsTrains(t *testing.T) {
+	for _, name := range core.SchemeNames() {
+		s, err := core.GetScheme(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range pressio.CompressorNames() {
+			if !s.Supports(c) {
+				continue
+			}
+			p, err := s.NewPredictor(c)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, c, err)
+			}
+			if got := s.Info().Training; got != p.Trains() {
+				t.Errorf("%s/%s: Info().Training = %v, the predictor's Trains() = %v", name, c, got, p.Trains())
+			}
+		}
+	}
+}
+
 func TestSurveyedInfoCompletesTable1(t *testing.T) {
 	extra := SurveyedInfo()
 	if len(extra) != 2 {

@@ -42,15 +42,13 @@ type TaoSample struct {
 // Name implements pressio.Metric.
 func (*TaoSample) Name() string { return "tao_sample" }
 
-// Configuration implements pressio.Metric: running a compressor is a
-// runtime observation and depends on the error configuration.
-func (*TaoSample) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{
-		pressio.OptAbs, pressio.InvalidateErrorDependent, pressio.InvalidateRuntime,
-	})
-	return o
-}
+// taoInvalidates is TaoSample's predictors:invalidate list: running a
+// compressor is a runtime observation and depends on the error
+// configuration.
+var taoInvalidates = []string{pressio.OptAbs, pressio.InvalidateErrorDependent, pressio.InvalidateRuntime}
+
+// Invalidates implements pressio.Metric.
+func (*TaoSample) Invalidates() []string { return taoInvalidates }
 
 // SetOptions implements pressio.Metric: all options are retained so the
 // trialled compressor sees the caller's full configuration.

@@ -70,14 +70,16 @@ func UnmarshalState(b []byte) (name string, state []byte, err error) {
 	if b[4] != stateVersion {
 		return "", nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptState, b[4])
 	}
+	// each length is compared against the bytes left, never summed: on a
+	// 32-bit int a crafted length plus the header wraps
 	nameLen := int(binary.LittleEndian.Uint32(b[5:]))
-	if nameLen < 0 || 9+nameLen+4 > len(b) {
+	if nameLen < 0 || nameLen > len(b)-9-4 {
 		return "", nil, ErrCorruptState
 	}
 	name = string(b[9 : 9+nameLen])
 	stateLen := int(binary.LittleEndian.Uint32(b[9+nameLen:]))
 	off := 9 + nameLen + 4
-	if stateLen < 0 || off+stateLen > len(b) {
+	if stateLen < 0 || stateLen > len(b)-off {
 		return "", nil, ErrCorruptState
 	}
 	return name, b[off : off+stateLen], nil

@@ -1,6 +1,7 @@
 package predictors
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -87,6 +88,16 @@ func TestRestoreStateUnknownPredictorName(t *testing.T) {
 }
 
 func TestUnmarshalStateCorrupt(t *testing.T) {
+	env, err := MarshalState(fitKrasowska(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(off int, v uint32) []byte {
+		b := append([]byte(nil), env...)
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return b
+	}
+	nameLen := int(binary.LittleEndian.Uint32(env[5:]))
 	cases := map[string][]byte{
 		"empty":         nil,
 		"short":         {'L', 'P', 'P', 'S', 1},
@@ -94,6 +105,10 @@ func TestUnmarshalStateCorrupt(t *testing.T) {
 		"bad version":   {'L', 'P', 'P', 'S', 9, 0, 0, 0, 0},
 		"name overrun":  {'L', 'P', 'P', 'S', 1, 0xff, 0xff, 0, 0},
 		"state overrun": {'L', 'P', 'P', 'S', 1, 1, 0, 0, 0, 'x', 0xff, 0xff, 0xff, 0xff},
+		// lengths whose sum with the header wraps a 32-bit int (make
+		// arch-check runs this with GOARCH=386)
+		"name length wraps":  rewrite(5, 0x7ffffff5),
+		"state length wraps": rewrite(9+nameLen, 0x7ffffff5),
 	}
 	for name, b := range cases {
 		if _, _, err := UnmarshalState(b); !errors.Is(err, ErrCorruptState) {

@@ -54,18 +54,16 @@ type ZperfModel struct {
 // Name implements pressio.Metric.
 func (*ZperfModel) Name() string { return "zperf_model" }
 
-// Configuration implements pressio.Metric: the model is error-dependent
-// and also invalidated when any counterfactual stage selection changes.
-func (*ZperfModel) Configuration() pressio.Options {
-	o := pressio.Options{}
-	o.Set(pressio.CfgInvalidate, []string{
-		pressio.OptAbs, pressio.InvalidateErrorDependent,
-		OptZperfPredictor, OptZperfCoder, OptZperfLossless,
-	})
-	o.Set("zperf_model:black_box", false)
-	o.Set("zperf_model:counterfactual", true)
-	return o
+// zperfInvalidates is ZperfModel's predictors:invalidate list: the model
+// is error-dependent and also invalidated when any counterfactual stage
+// selection changes.
+var zperfInvalidates = []string{
+	pressio.OptAbs, pressio.InvalidateErrorDependent,
+	OptZperfPredictor, OptZperfCoder, OptZperfLossless,
 }
+
+// Invalidates implements pressio.Metric.
+func (*ZperfModel) Invalidates() []string { return zperfInvalidates }
 
 // SetOptions implements pressio.Metric.
 func (m *ZperfModel) SetOptions(o pressio.Options) error {

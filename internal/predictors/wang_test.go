@@ -60,10 +60,7 @@ func TestZperfEntropyBeatsHuffmanSlightly(t *testing.T) {
 func TestZperfCounterfactualInvalidation(t *testing.T) {
 	// changing a stage selection must invalidate the metric
 	m := &ZperfModel{}
-	inv, ok := m.Configuration().GetStrings(pressio.CfgInvalidate)
-	if !ok {
-		t.Fatal("missing invalidation metadata")
-	}
+	inv := m.Invalidates()
 	found := false
 	for _, k := range inv {
 		if k == OptZperfCoder {

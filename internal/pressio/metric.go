@@ -5,14 +5,10 @@ import (
 	"time"
 )
 
-// Invalidation metadata keys and values (paper §4.2). A metric plugin lists
-// under CfgInvalidate the compressor option names and/or special classes
-// whose change invalidates its cached results.
+// Invalidation classes (paper §4.2). A metric plugin's Invalidates — the
+// paper's predictors:invalidate list — names the compressor options and/or
+// these classes whose change invalidates its cached results.
 const (
-	// CfgInvalidate is the configuration key under which a metric lists
-	// its invalidation triggers ("predictors:invalidate").
-	CfgInvalidate = "predictors:invalidate"
-
 	// InvalidateErrorDependent marks a metric sensitive to any
 	// compressor setting that affects the permitted error.
 	InvalidateErrorDependent = "predictors:error_dependent"
@@ -71,8 +67,10 @@ type Metric interface {
 	// Options returns the current configuration.
 	Options() Options
 
-	// Configuration returns immutable metadata, including CfgInvalidate.
-	Configuration() Options
+	// Invalidates is the metric's predictors:invalidate list: the option
+	// names and classes whose change makes its results stale. The slice
+	// may be shared: callers must not modify it.
+	Invalidates() []string
 }
 
 // FloatResulter is a Metric whose results are all float64 and that can
@@ -84,14 +82,11 @@ type FloatResulter interface {
 	ResultFloat(key string) (float64, bool)
 }
 
-// StaticMetadata is a Metric whose invalidation triggers and option keys
-// are fixed whatever its options — every built-in metric but external,
-// whose invalidation list is one of its options — so that a plan reads
-// them without building the Configuration and Options maps. The slices
-// are shared: callers must not modify them.
+// StaticMetadata is a Metric whose option keys are fixed whatever its
+// options — every built-in metric but external — so that a plan reads
+// them without building the Options map. The slice is shared: callers
+// must not modify it.
 type StaticMetadata interface {
-	// Invalidates returns what Configuration lists under CfgInvalidate.
-	Invalidates() []string
 	// OptionKeys returns the keys Options holds.
 	OptionKeys() []string
 }

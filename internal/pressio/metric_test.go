@@ -60,11 +60,7 @@ func (m *recordingMetric) Results() Options {
 	o.Set("recording:begins", int64(m.begins))
 	return o
 }
-func (m *recordingMetric) Configuration() Options {
-	c := Options{}
-	c.Set(CfgInvalidate, []string{InvalidateErrorAgnostic})
-	return c
-}
+func (m *recordingMetric) Invalidates() []string { return []string{InvalidateErrorAgnostic} }
 
 func TestRegistryRoundTrip(t *testing.T) {
 	RegisterCompressor("fake-test", func() Compressor { return &fakeCompressor{} })
@@ -152,7 +148,7 @@ type failingMetric struct {
 
 func (failingMetric) Name() string             { return "failing" }
 func (failingMetric) Results() Options         { return Options{} }
-func (failingMetric) Configuration() Options   { return Options{} }
+func (failingMetric) Invalidates() []string    { return nil }
 func (failingMetric) SetOptions(Options) error { return errors.New("boom") }
 
 func TestMetricsGroupSetOptionsReportsMetricError(t *testing.T) {

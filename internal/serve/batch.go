@@ -179,9 +179,7 @@ func (s *Server) resolveGroup(schemeName, compressor string, rawOpts map[string]
 	}
 	s.stats.scheme(schemeName)
 	var entry *ModelEntry
-	if trains, terr := schemeTrains(scheme, compressor); terr != nil {
-		return nil, http.StatusBadRequest, terr
-	} else if trains {
+	if scheme.Info().Training {
 		entry, err = s.registry.Lookup(schemeName, compressor)
 		if errors.Is(err, ErrNoModel) {
 			return nil, http.StatusNotFound, fmt.Errorf("%w — POST /v1/fit first", err)

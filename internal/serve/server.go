@@ -536,16 +536,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	})
 }
 
-// schemeTrains probes whether the scheme's predictor needs a trained
-// model for this compressor.
-func schemeTrains(scheme core.Scheme, compressor string) (bool, error) {
-	p, err := scheme.NewPredictor(compressor)
-	if err != nil {
-		return false, err
-	}
-	return p.Trains(), nil
-}
-
 // requestOptions merges request options over the server defaults.
 func (s *Server) requestOptions(m map[string]any) (pressio.Options, error) {
 	opts, err := optionsFromJSON(m)
@@ -588,9 +578,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) int {
 	if !scheme.Supports(req.Compressor) {
 		return writeError(w, http.StatusBadRequest, "scheme %s does not support compressor %s", req.Scheme, req.Compressor)
 	}
-	if trains, terr := schemeTrains(scheme, req.Compressor); terr != nil {
-		return writeError(w, http.StatusBadRequest, "%v", terr)
-	} else if !trains {
+	if !scheme.Info().Training {
 		return writeError(w, http.StatusBadRequest, "scheme %s does not train; predict directly", req.Scheme)
 	}
 	tr := &req.Training

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,6 +38,21 @@ func TestFrameDecodeRejectsBitFlip(t *testing.T) {
 			// flipping a length byte can also yield a "torn" short read;
 			// either way a nil error would mean silent corruption
 			t.Errorf("flip at byte %d decoded cleanly", i)
+		}
+	}
+}
+
+// TestFrameDecodeRefusesWrappingLengths: key and value lengths whose sum
+// with the header wraps a 32-bit int are a torn frame, like any length
+// the buffer cannot hold (make arch-check runs it with GOARCH=386).
+func TestFrameDecodeRefusesWrappingLengths(t *testing.T) {
+	buf := EncodeFrame(Frame{Op: FramePut, Key: "k", Value: []byte("value")})
+	for _, c := range [][2]uint32{{0x7ffffff0, 0x7ffffff0}, {1, 0x7ffffff4}, {0x7ffffff4, 1}} {
+		frame := append([]byte(nil), buf...)
+		binary.LittleEndian.PutUint32(frame[5:], c[0])
+		binary.LittleEndian.PutUint32(frame[9:], c[1])
+		if _, _, err := DecodeFrame(frame); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("key length %#x, value length %#x: DecodeFrame returned %v; want a torn frame", c[0], c[1], err)
 		}
 	}
 }

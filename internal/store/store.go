@@ -369,10 +369,12 @@ func decodeRecord(buf []byte) (record, int, error) {
 	op := buf[4]
 	keyLen := int(binary.LittleEndian.Uint32(buf[5:]))
 	valLen := int(binary.LittleEndian.Uint32(buf[9:]))
-	total := 13 + keyLen + valLen
-	if keyLen < 0 || valLen < 0 || len(buf) < total {
+	// compared against the bytes left, never summed: on a 32-bit int the
+	// sum of two crafted lengths wraps
+	if keyLen < 0 || valLen < 0 || keyLen > len(buf)-13 || valLen > len(buf)-13-keyLen {
 		return record{}, 0, io.ErrUnexpectedEOF
 	}
+	total := 13 + keyLen + valLen
 	body := buf[4:total]
 	if crc32.ChecksumIEEE(body) != crc {
 		return record{}, 0, errors.New("store: bad record checksum")
