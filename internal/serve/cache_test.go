@@ -2,13 +2,10 @@ package serve
 
 import (
 	"container/list"
-	"context"
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestLRUCacheEviction(t *testing.T) {
@@ -229,65 +226,5 @@ func TestLRUConcurrent(t *testing.T) {
 		if v, ok := c.get(k); !ok || v != k%7 {
 			t.Errorf("listed key %d: get = %d, %v", k, v, ok)
 		}
-	}
-}
-
-func TestWorkerPoolBackpressureAndDrain(t *testing.T) {
-	p := newWorkerPool(1, 1)
-	block := make(chan struct{})
-	started := make(chan struct{})
-	var ran atomic.Int64
-	if !p.trySubmit(func() { close(started); <-block; ran.Add(1) }) {
-		t.Fatal("first submit should fit")
-	}
-	<-started
-	if !p.trySubmit(func() { ran.Add(1) }) {
-		t.Fatal("second submit should queue")
-	}
-	if p.trySubmit(func() {}) {
-		t.Error("third submit should be refused: worker busy, queue full")
-	}
-	close(block)
-	p.drain()
-	if ran.Load() != 2 {
-		t.Errorf("ran %d tasks, want 2", ran.Load())
-	}
-	if p.trySubmit(func() {}) {
-		t.Error("a drained pool must refuse work")
-	}
-}
-
-// TestSlotPoolRunnersDrain: singles handed off from many goroutines at
-// once all run, on at most Workers runner goroutines, and drain ends
-// the runners (the package's goroutine-leak guard checks that).
-func TestSlotPoolRunnersDrain(t *testing.T) {
-	const workers, singles = 2, 200
-	p := newSlotPool(workers, singles)
-	var wg sync.WaitGroup
-	var ran atomic.Int64
-	for i := 0; i < singles; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := p.enter(context.Background()); err != nil {
-				t.Error(err)
-				return
-			}
-			done := make(chan struct{})
-			p.handOff(func() {
-				defer close(done)
-				defer p.leave(time.Now())
-				ran.Add(1)
-			})
-			<-done
-		}()
-	}
-	wg.Wait()
-	p.drain()
-	if ran.Load() != singles || p.runners.Load() > workers {
-		t.Errorf("%d of %d singles ran on %d runners, want all on at most %d", ran.Load(), singles, p.runners.Load(), workers)
-	}
-	if err := p.enter(context.Background()); err != errSaturated {
-		t.Errorf("a drained pool's enter = %v, want errSaturated", err)
 	}
 }
