@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 
 	"repro/internal/pressio"
 )
@@ -32,55 +33,55 @@ const (
 
 // Hash returns the 32-byte SHA-256 digest of the options.
 func Hash(opts pressio.Options) [32]byte {
-	h := sha256.New()
-	var scratch [8]byte
-	writeLen := func(n int) {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(n))
-		h.Write(scratch[:])
+	var stack [256]byte
+	return sha256.Sum256(Append(stack[:0], opts))
+}
+
+// Append appends what Hash digests to dst: each hashable entry in
+// sorted key order as its length-prefixed key, a type tag and the
+// length-prefixed or fixed-width value. A key that folds options into a
+// digest with other parts appends them to its own framing.
+func Append(dst []byte, opts pressio.Options) []byte {
+	var stack [8]string
+	keys := stack[:0]
+	for k := range opts {
+		keys = append(keys, k)
 	}
-	for _, key := range opts.Keys() {
+	slices.Sort(keys)
+	for _, key := range keys {
 		value := opts[key]
 		if _, opaque := value.(pressio.Opaque); opaque {
 			continue // excluded, like void* objects in LibPressio
 		}
-		writeLen(len(key))
-		h.Write([]byte(key))
+		dst = appendString(dst, key)
 		switch v := value.(type) {
 		case bool:
-			h.Write([]byte{tagBool})
+			b := byte(0)
 			if v {
-				h.Write([]byte{1})
-			} else {
-				h.Write([]byte{0})
+				b = 1
 			}
+			dst = append(dst, tagBool, b)
 		case int64:
-			h.Write([]byte{tagInt})
-			binary.LittleEndian.PutUint64(scratch[:], uint64(v))
-			h.Write(scratch[:])
+			dst = binary.LittleEndian.AppendUint64(append(dst, tagInt), uint64(v))
 		case float64:
-			h.Write([]byte{tagFloat})
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-			h.Write(scratch[:])
+			dst = binary.LittleEndian.AppendUint64(append(dst, tagFloat), math.Float64bits(v))
 		case string:
-			h.Write([]byte{tagString})
-			writeLen(len(v))
-			h.Write([]byte(v))
+			dst = appendString(append(dst, tagString), v)
 		case []string:
-			h.Write([]byte{tagStrings})
-			writeLen(len(v))
+			dst = binary.LittleEndian.AppendUint64(append(dst, tagStrings), uint64(len(v)))
 			for _, s := range v {
-				writeLen(len(s))
-				h.Write([]byte(s))
+				dst = appendString(dst, s)
 			}
 		case []byte:
-			h.Write([]byte{tagBytes})
-			writeLen(len(v))
-			h.Write(v)
+			dst = appendString(append(dst, tagBytes), v)
 		}
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return dst
+}
+
+// appendString appends s after its length.
+func appendString[S string | []byte](dst []byte, s S) []byte {
+	return append(binary.LittleEndian.AppendUint64(dst, uint64(len(s))), s...)
 }
 
 // HashString returns the hex-encoded Hash, convenient as a store key.

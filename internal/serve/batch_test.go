@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/pressio"
 )
 
 // TestPredictBatchColumnar drives the columnar JSON batch body: one
@@ -372,4 +374,48 @@ func TestBatchCellInvalidate(t *testing.T) {
 		t.Fatalf("cleared_cached must count cell entries, got %d", inv.ClearedCached)
 	}
 	batch(0) // the entries' encoded answers went with them
+}
+
+// TestCellBaseSeparatesEnvelopes: envelopes that differ in any one part
+// — a byte moved between scheme and compressor included — get distinct
+// bases, alpha ≤ 0 is one envelope (no interval), and a base costs the
+// heap only its string.
+func TestCellBaseSeparatesEnvelopes(t *testing.T) {
+	type env struct {
+		scheme, compressor, model string
+		alpha                     float64
+		dims                      [3]int
+		opts                      pressio.Options
+	}
+	abs := func(v any) pressio.Options { return pressio.Options{pressio.OptAbs: v} }
+	base := env{"khan2023", "sz3", "", 0, [3]int{16, 16, 16}, abs(1e-3)}
+	variants := []env{
+		base,
+		{"khan2023s", "z3", "", 0, [3]int{16, 16, 16}, abs(1e-3)},
+		{"khan2023", "sz3", "model/k", 0, [3]int{16, 16, 16}, abs(1e-3)},
+		{"khan2023", "sz3", "", 0.9, [3]int{16, 16, 16}, abs(1e-3)},
+		{"khan2023", "sz3", "", 0.95, [3]int{16, 16, 16}, abs(1e-3)},
+		{"khan2023", "sz3", "", 0, [3]int{16, 16, 32}, abs(1e-3)},
+		{"khan2023", "sz3", "", 0, [3]int{32, 16, 16}, abs(1e-3)},
+		{"khan2023", "sz3", "", 0, [3]int{16, 16, 16}, abs(1e-4)},
+		{"khan2023", "sz3", "", 0, [3]int{16, 16, 16}, abs("1e-3")},
+		{"khan2023", "sz3", "", 0, [3]int{16, 16, 16}, pressio.Options{"pressio:rel": 1e-3}},
+		{"khan2023", "sz3", "", 0, [3]int{16, 16, 16}, nil},
+	}
+	key := func(e env) string { return cellBase(e.scheme, e.compressor, e.opts, e.model, e.alpha, e.dims) }
+	seen := map[string]int{}
+	for i, e := range variants {
+		if j, dup := seen[key(e)]; dup {
+			t.Errorf("envelopes %d %+v and %d %+v share a base", j, variants[j], i, e)
+		}
+		seen[key(e)] = i
+	}
+	noAlpha := base
+	noAlpha.alpha = -1
+	if key(noAlpha) != key(base) {
+		t.Error("alpha -1 and alpha 0 should be the same envelope")
+	}
+	if a := testing.AllocsPerRun(50, func() { key(base) }); a > 1 && !raceEnabled {
+		t.Errorf("cellBase: %v allocs, want at most 1 (the base string)", a)
+	}
 }

@@ -64,7 +64,7 @@ func sweepPass(t *testing.T, steps int) (pass func()) {
 
 // TestSweepBatchAllocs pins what a fresh-bound miss costs the heap once
 // a bound sweep is under way: a 13-item rahman2023 batch over resident
-// cells allocates at most 60 objects in resolveGroup and
+// cells allocates at most 45 objects in resolveGroup and
 // predictBatchItems together (the group, its plan, the predictor handle
 // and, per item, the fragment the cache keeps), and a batch of 26
 // distinct cells at most 13 more: one cached fragment per added item.
@@ -75,8 +75,8 @@ func TestSweepBatchAllocs(t *testing.T) {
 	const cells = 13
 	one := sweepPass(t, 1)
 	a13 := testing.AllocsPerRun(20, one)
-	if a13 > 60 {
-		t.Errorf("fresh-bound %d-item sweep batch: %v allocs, want at most 60", cells, a13)
+	if a13 > 45 {
+		t.Errorf("fresh-bound %d-item sweep batch: %v allocs, want at most 45", cells, a13)
 	}
 	two := sweepPass(t, 2)
 	a26 := testing.AllocsPerRun(20, two)
