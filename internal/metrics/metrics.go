@@ -128,10 +128,13 @@ func (m *Entropy) Results() pressio.Options { return m.results.Clone() }
 
 // QuantizedEntropy observes the entropy after quantization at the active
 // absolute error bound — error-dependent by construction (Krasowska 2021).
+// Like Distortion it runs at every bound of a sweep, so BeginCompress
+// keeps its number and only Results builds a map.
 type QuantizedEntropy struct {
 	pressio.BaseMetric
-	Abs     float64
-	results pressio.Options
+	Abs  float64
+	bits float64 // the last BeginCompress's result, once ran
+	ran  bool
 }
 
 // Name implements pressio.Metric.
@@ -162,18 +165,27 @@ func (m *QuantizedEntropy) Options() pressio.Options {
 // single sweep over the native element type (no float64 copy), with the
 // key range bounded by the shared summary's min/max.
 func (m *QuantizedEntropy) BeginCompress(in *pressio.Data) {
-	r := pressio.Options{}
-	r.Set("quantized_entropy:bits", stats.QuantizedEntropyOf(in, m.Abs))
-	m.results = r
+	m.bits, m.ran = stats.QuantizedEntropyOf(in, m.Abs), true
 }
 
+// quantizedEntropyBits is QuantizedEntropy's result key.
+const quantizedEntropyBits = "quantized_entropy:bits"
+
 // Results implements pressio.Metric.
-func (m *QuantizedEntropy) Results() pressio.Options { return m.results.Clone() }
+func (m *QuantizedEntropy) Results() pressio.Options {
+	r := pressio.Options{}
+	if m.ran {
+		r.Set(quantizedEntropyBits, m.bits)
+	}
+	return r
+}
 
 // ResultFloat implements pressio.FloatResulter.
 func (m *QuantizedEntropy) ResultFloat(key string) (float64, bool) {
-	v, ok := m.results[key].(float64)
-	return v, ok
+	if m.ran && key == quantizedEntropyBits {
+		return m.bits, true
+	}
+	return 0, false
 }
 
 // Variogram observes the error-agnostic small-lag semivariogram
