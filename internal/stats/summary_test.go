@@ -291,30 +291,48 @@ func TestFloat64RunReadsOnlyTheRun(t *testing.T) {
 	}
 }
 
+// TestQuantizedEntropyOfMatchesReference holds the buffer kernel to the
+// bits of the float64 reference on every path it has: float32 read in
+// place, float64 and int32 read as float64, a key span narrow enough for
+// the dense window and one wide enough for the map, non-finite values,
+// and the exact-value entropy of abs = 0.
 func TestQuantizedEntropyOfMatchesReference(t *testing.T) {
-	vals := make([]float32, 5000)
-	for i := range vals {
-		vals[i] = float32(math.Sin(float64(i) / 11))
+	const n = 5000
+	f32 := make([]float32, n)
+	f64 := make([]float64, n)
+	wide := make([]float64, n)
+	i32 := pressio.NewInt32(n)
+	for i := range n {
+		f32[i] = float32(math.Sin(float64(i) / 11))
+		f64[i] = math.Sin(float64(i)/7) * 3.5
+		wide[i] = math.Sin(float64(i)/5) * 1e9
+		i32.Set(i, float64(i*37%1001-500))
 	}
-	d := pressio.FromFloat32(vals, len(vals))
-	xs := make([]float64, len(vals))
-	for i, v := range vals {
-		xs[i] = float64(v)
+	nan32 := append([]float32(nil), f32...)
+	nan32[17] = float32(math.NaN())
+	nan64 := append([]float64(nil), f64...)
+	nan64[17], nan64[99] = math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		d    func() *pressio.Data
+		abs  []float64
+	}{
+		{"float32", func() *pressio.Data { return pressio.FromFloat32(f32, n) }, []float64{1e-1, 1e-3, 1e-6, 0}},
+		{"float64", func() *pressio.Data { return pressio.FromFloat64(f64, n) }, []float64{1, 1e-2, 1e-4, 1e-6, 0}},
+		{"int32", func() *pressio.Data { return i32 }, []float64{0.5, 3, 1e-3, 0}},
+		{"wide span", func() *pressio.Data { return pressio.FromFloat64(wide, n) }, []float64{1e-3, 1e-6}},
+		{"float32 NaN", func() *pressio.Data { return pressio.FromFloat32(nan32, n) }, []float64{1e-3, 0}},
+		{"float64 NaN Inf", func() *pressio.Data { return pressio.FromFloat64(nan64, n) }, []float64{1e-2, 0}},
 	}
-	for _, abs := range []float64{1e-1, 1e-3, 1e-6} {
-		got := QuantizedEntropyOf(d, abs)
-		want := QuantizedEntropy(xs, abs)
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("abs=%g: quantized entropy = %g, want %g", abs, got, want)
+	for _, c := range cases {
+		d := c.d()
+		xs := Float64Run(d, 0, d.Len(), nil)
+		for _, abs := range c.abs {
+			got := QuantizedEntropyOf(d, abs)
+			want := QuantizedEntropy(xs, abs)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s, abs=%g: quantized entropy = %v, want %v", c.name, abs, got, want)
+			}
 		}
-	}
-	// non-finite values force the exact map fallback
-	vals[17] = float32(math.NaN())
-	d2 := pressio.FromFloat32(vals, len(vals))
-	xs[17] = math.NaN()
-	got := QuantizedEntropyOf(d2, 1e-3)
-	want := QuantizedEntropy(xs, 1e-3)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("NaN fallback: quantized entropy = %g, want %g", got, want)
 	}
 }
