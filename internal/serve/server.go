@@ -466,22 +466,13 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) int {
 	s.features.Invalidate(req.Keys)
 
 	// clear cached predictions from schemes the declaration made stale
-	// (memoized per scheme; cache entries are the only source of names)
-	staleMemo := map[string]bool{}
-	staleScheme := func(name string) bool {
-		stale, ok := staleMemo[name]
-		if !ok {
-			scheme, err := core.GetScheme(name)
-			if err != nil {
-				stale = true
-			} else {
-				stale, _ = core.SchemeStale(scheme, req.Keys)
-			}
-			staleMemo[name] = stale
-		}
+	// (cache entries are the only source of names); a scheme whose
+	// staleness cannot be decided keeps its entries
+	staleScheme := staleSchemes(req.Keys)
+	cleared := s.cache.evictIf(func(v cellValue) bool {
+		stale, _ := staleScheme(v.scheme)
 		return stale
-	}
-	cleared := s.cache.evictIf(func(v cellValue) bool { return staleScheme(v.scheme) })
+	})
 	s.stats.evicted(len(evicted), cleared)
 	resp := InvalidateResponse{EvictedModels: evicted, ClearedCached: cleared}
 	if resp.EvictedModels == nil {
