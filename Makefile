@@ -189,8 +189,8 @@ fmt-check:
 # decoder's differential table, scanner against encoding/json, through a
 # fresh scratch and through one reused as the pool reuses it) and the
 # daemon build, all under the race detector. Past the seeds, `make
-# fuzz-batch` fuzzes the scanner's column loops for 30 s (CI runs it as a
-# job of its own). It gates no speed; serve_hot's in-process loopback
+# fuzz-batch` fuzzes the scanner's column loops for 30 s (CI runs it in
+# the fuzz matrix job). It gates no speed; serve_hot's in-process loopback
 # twin (a real 127.0.0.1 server, two keep-alive clients, items/s) is,
 # with a profile:
 # go test -run '^$$' -bench ServeHotLoopback -cpuprofile /tmp/hot.prof ./internal/serve
@@ -209,8 +209,8 @@ fuzz-batch:
 # checkpoint records, odd floats, a negative step and nil maps, each cut
 # at every length): random bytes, bare and behind this build's type
 # definitions, through core.ObservationReader's hand path, which must
-# decline them or read what a fresh gob.Decoder reads (CI runs it as a
-# job of its own). It gates no speed; table2's p50_ms has an in-process
+# decline them or read what a fresh gob.Decoder reads (CI runs it in
+# the fuzz matrix job). It gates no speed; table2's p50_ms has an in-process
 # twin (one resume of a filled 52-cell store), with a profile:
 # go test -run '^$$' -bench CollectResume -cpuprofile /tmp/resume.prof ./internal/bench
 fuzz-record:
@@ -219,7 +219,7 @@ fuzz-record:
 # fuzz-spatial runs FuzzSpatialMatchesReference past its seed corpus:
 # random float32 or float64 bits at rank 1-3, through the typed summary,
 # lag-1, slab and variogram sweeps, each bit-equal to the float64
-# reference (CI runs it as a job of its own). It gates no speed; the
+# reference (CI runs it in the fuzz matrix job). It gates no speed; the
 # chain it pins has a kernel row, with a profile:
 # go test -run '^$$' -bench KernelRahmanAgnosticChain -cpuprofile /tmp/chain.prof .
 fuzz-spatial:
@@ -229,7 +229,7 @@ fuzz-spatial:
 # (repeated, signed-zero, NaN and infinite thresholds) read as a step
 # function of one feature, each lookup bit-equal to RandomForest.Predict
 # at every break, either side of it and the special values (CI runs it
-# as a job of its own). It gates no speed; the slice has kernel rows:
+# in the fuzz matrix job). It gates no speed; the slice has kernel rows:
 # go test -run '^$$' -bench KernelForest -benchmem .
 fuzz-slice:
 	$(GO) test -run '^$$' -fuzz FuzzForestSlice -fuzztime 30s ./internal/mlkit
