@@ -238,6 +238,55 @@ type CollectResult struct {
 	// their /statz (zero here).
 	Data                 dataset.TieredStats
 	MemoHits, MemoMisses uint64
+	// Plans counts the feature plans a local run built: one per worker,
+	// compressor and bound (workerPlans).
+	Plans int
+}
+
+// workerPlans holds each queue worker's feature plan per (compressor,
+// bound): a plan serves every field and step a worker observes there, as
+// runFit's one plan per bound does, instead of one plan per cell. A task
+// takes its plan and puts it back, so an attempt the queue abandoned on a
+// timeout, still running, never shares one with the worker's next task:
+// that task builds its own.
+type workerPlans struct {
+	mu    sync.Mutex
+	idle  map[[2]int]*core.FeaturePlan // (worker, compressor×bound slot) → a plan no task holds
+	built int
+}
+
+// take hands out worker's plan for slot, built by build if it has none
+// idle.
+func (w *workerPlans) take(worker, slot int, build func() (*core.FeaturePlan, error)) (*core.FeaturePlan, error) {
+	k := [2]int{worker, slot}
+	w.mu.Lock()
+	p := w.idle[k]
+	delete(w.idle, k)
+	w.mu.Unlock()
+	if p != nil {
+		return p, nil
+	}
+	p, err := build()
+	if err == nil {
+		w.mu.Lock()
+		w.built++
+		w.mu.Unlock()
+	}
+	return p, err
+}
+
+// count is how many plans take built.
+func (w *workerPlans) count() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.built
+}
+
+// put returns a plan take handed out.
+func (w *workerPlans) put(worker, slot int, p *core.FeaturePlan) {
+	w.mu.Lock()
+	w.idle[[2]int{worker, slot}] = p
+	w.mu.Unlock()
 }
 
 // Collect runs the observation phase: every cell through the queue with
@@ -296,9 +345,11 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 	}
 	defer cache.Close()
 	var eval core.Evaluator
+	plans := &workerPlans{idle: map[[2]int]*core.FeaturePlan{}}
 	client := &http.Client{Transport: &faultinject.RoundTripper{Plan: plan}}
 	meta := map[string]core.ObserveRequest{}
 	var keys []string
+	slots := 0 // (compressor, bound) pairs so far
 	// each part of the cells' keys is hashed once: the experiment's and
 	// each (field, step)'s here, each (compressor, bound)'s in the loop
 	exp, data := experimentPart(spec.Replicates), datasetParts(spec)
@@ -309,6 +360,13 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 		}
 		for _, bound := range spec.Bounds {
 			comp := compressorPart(compressor, bound)
+			slot := slots
+			slots++
+			build := func() (*core.FeaturePlan, error) {
+				opts := pressio.Options{}
+				opts.Set(pressio.OptAbs, bound)
+				return eval.Plan(core.MetricUnion(metricNames), compressor, opts)
+			}
 			for i, field := range spec.Fields {
 				for step := 0; step < spec.Steps; step++ {
 					key := cellKeyOf(comp, data[i*spec.Steps+step], exp)
@@ -330,7 +388,11 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 							if spec.Remote != "" {
 								ob, raw, err = observeRemote(ctx, client, spec.Remote, &args)
 							} else {
-								ob, err = args.Observe(ctx, cache, &eval)
+								var plan *core.FeaturePlan
+								if plan, err = plans.take(worker, slot, build); err == nil {
+									ob, err = core.ObserveCell(ctx, cache, plan, args.Cell)
+									plans.put(worker, slot, plan)
+								}
 							}
 							if err != nil {
 								return err
@@ -370,7 +432,7 @@ func CollectDetailed(ctx context.Context, spec *Spec) (*CollectResult, error) {
 	// error so a restarted run retries exactly these) and keep going
 	// with the survivors
 	qResults := q.Run(ctx)
-	res := &CollectResult{QueueStats: q.Stats(), Data: cache.Stats()}
+	res := &CollectResult{QueueStats: q.Stats(), Data: cache.Stats(), Plans: plans.count()}
 	res.MemoHits, res.MemoMisses = eval.MemoStats()
 	for _, key := range keys {
 		r := qResults[key]

@@ -37,6 +37,31 @@ func tinySpec(t *testing.T) *Spec {
 	}
 }
 
+// TestCollectPlansPerWorkerCompressorAndBound: a table2-shaped local
+// collection (two compressors, two bounds, khan2023, jin2022 and
+// rahman2023 over 18 buffers) builds one feature plan per worker,
+// compressor and bound — at most, since a worker that never reaches a
+// pair builds none for it — not one per cell.
+func TestCollectPlansPerWorkerCompressorAndBound(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		spec := tinySpec(t)
+		spec.Workers = workers
+		res, err := CollectDetailed(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := len(spec.Compressors) * len(spec.Bounds)
+		cells := len(spec.Fields) * spec.Steps * pairs
+		if len(res.Observations) != cells {
+			t.Fatalf("workers=%d: %d observations, want %d", workers, len(res.Observations), cells)
+		}
+		if res.Plans < pairs || res.Plans > workers*pairs || (workers == 1 && res.Plans != pairs) {
+			t.Errorf("workers=%d: %d plans for %d cells, want one per worker and (compressor, bound) pair (%d pairs)",
+				workers, res.Plans, cells, pairs)
+		}
+	}
+}
+
 func TestCollectProducesAllCells(t *testing.T) {
 	spec := tinySpec(t)
 	obs, err := Collect(context.Background(), spec)

@@ -213,7 +213,8 @@ func CodesLorenzo[T stats.Float](q *Quantizer, codes []int32, vals []T, dims []i
 		return
 	}
 	rowLen := dims[nd-1]
-	step, edge := 2*q.Abs, float64(q.Bins/2)-0.5
+	rc := q.ResidualCoder()
+	step, edge := rc.step, rc.edge
 	if nd == 1 {
 		prev := float64(vals[0])
 		codes[0] = codeOf(prev/step, edge)
@@ -284,6 +285,22 @@ func CodesLorenzo[T stats.Float](q *Quantizer, codes []int32, vals []T, dims []i
 type lorenzoRing struct{ buf []float64 }
 
 var ringPool = sync.Pool{New: func() any { return new(lorenzoRing) }}
+
+// ResidualCoder is CodesLorenzo's rule for one residual at a Quantizer's
+// bound: the same division by 2·Abs and the same rounding (codeOf), so
+// a caller that keeps residuals apart from the order they arose in codes
+// each exactly as CodesLorenzo does. The code is monotone in the
+// residual: equal codes of sorted residuals are contiguous, with the
+// outliers at both ends.
+type ResidualCoder struct{ step, edge float64 }
+
+// ResidualCoder returns the coder of q's bound and bin budget.
+func (q *Quantizer) ResidualCoder() ResidualCoder {
+	return ResidualCoder{step: 2 * q.Abs, edge: float64(q.Bins/2) - 0.5}
+}
+
+// Code is residual's quantization code, or OutlierCode.
+func (c ResidualCoder) Code(residual float64) int32 { return codeOf(residual/c.step, c.edge) }
 
 // codeOf is Code's rule for the quotient x = residual / (2·Abs), without
 // math.Round: x rounds to a code inside the budget exactly when |x| < edge,

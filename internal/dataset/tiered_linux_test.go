@@ -298,6 +298,63 @@ func TestTieredSpilledCellsLeaveTheHeap(t *testing.T) {
 	}
 }
 
+// TestTieredKeptSlotsStayWithinTheirBound: thirty cells pass through a
+// two-cell memory tier, each given a slot as large as khan_surrogate's
+// residual sample of it (2 % of its elements, as float64), and are all
+// evicted, so their slots would keep several times the bound;
+// the tier keeps them to an eighth of CapacityBytes, declared and
+// measured: the heap, both sides measured after a collection, shrinks by
+// no more than that when Close drops them.
+func TestTieredKeptSlotsStayWithinTheirBound(t *testing.T) {
+	dims := []int{32, 32, 64}
+	cell := int64(4 * dims[0] * dims[1] * dims[2])
+	bound := 2 * cell / 8
+	c, err := NewTiered(TieredConfig{
+		CapacityBytes: 2 * cell,
+		SpillDir:      t.TempDir(),
+		Loader: func(_ string, step int, dims []int) (*pressio.Data, error) {
+			d := pressio.NewFloat32(dims...)
+			for i := range d.Float32() {
+				d.Float32()[i] = float32(step + i)
+			}
+			return d, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sample := int(cell / 4 / 50)
+	for step := 0; step < 32; step++ { // the last two, slotless, evict the last two slots
+		h, err := c.Acquire("P", step, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step < 30 {
+			h.Data().StoreDerived(slotKey{}, &slotValue{payload: make([]float64, sample)})
+		}
+		h.Release()
+	}
+	st := c.Stats()
+	if st.Evictions != 30 || st.KeptSlots == 0 || st.KeptBytes > bound {
+		t.Fatalf("want 30 evictions and their slots kept within %d bytes, got %+v", bound, st)
+	}
+	if unbounded := 30 * int64(8*sample); unbounded < 3*bound {
+		t.Fatalf("the slots would keep %d bytes without the bound: too few to test it", unbounded)
+	}
+	var kept, dropped runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&kept)
+	c.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&dropped)
+	if held := int64(kept.HeapAlloc) - int64(dropped.HeapAlloc); held > bound {
+		t.Fatalf("the kept slots held %d bytes of heap (%d declared), want at most %d", held, st.KeptBytes, bound)
+	} else {
+		t.Logf("%d slots kept: %d bytes declared, %d bytes of heap, bound %d", st.KeptSlots, st.KeptBytes, held, bound)
+	}
+}
+
 // writeFaults reports whether a write to v[0] faults.
 func writeFaults(v []float32) (faulted bool) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))

@@ -154,61 +154,204 @@ func TestTieredMmapReload(t *testing.T) {
 	}
 }
 
-// TestTieredTornSpill: a spill file torn by a crash (truncated payload,
-// stale sidecar) is detected by the digest check, dropped, and the cell
-// regenerated — the cache never serves bytes that don't verify.
-func TestTieredTornSpill(t *testing.T) {
-	spillDir := t.TempDir()
-	c, err := NewTiered(TieredConfig{CapacityBytes: tieredBytes(), SpillDir: spillDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Acquire("P", 0, tieredDims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Release()
-	h, err = c.Acquire("TC", 0, tieredDims) // evict P.t00 from memory
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Release()
+// slotDims are cells whose tier keeps a slot: one 16 KiB cell in the
+// memory tier leaves its kept slots 2 KiB (an eighth).
+var slotDims = []int{16, 16, 16}
 
-	path := filepath.Join(spillDir, spillName("P", 0, tieredDims))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil { // torn write
-		t.Fatal(err)
-	}
+func slotCellBytes() int64 { return 4 * 16 * 16 * 16 }
 
-	h, err = c.Acquire("P", 0, tieredDims)
+// slotKey and slotValue stand for what the metrics store in a buffer's
+// slot: a value derived from its contents, which declares its bytes.
+type slotKey struct{}
+
+type slotValue struct{ payload []float64 }
+
+func (v *slotValue) DerivedBytes() int { return 8 * len(v.payload) }
+
+// acquireSlot acquires a cell, reports whether its buffer holds the slot
+// value a previous buffer of it was given, and then gives this one a
+// fresh value.
+func acquireSlot(t *testing.T, c *TieredCache, field string, step int) (held bool) {
+	t.Helper()
+	h, err := c.Acquire(field, step, slotDims)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	st := c.Stats()
-	if st.DiskHits != 0 || st.Misses != 3 {
-		t.Fatalf("torn spill must regenerate (2 initial + 1 regen misses, 0 disk hits), got %+v", st)
+	_, held = h.Data().Derived(slotKey{}).(*slotValue)
+	h.Data().StoreDerived(slotKey{}, &slotValue{payload: make([]float64, 64)})
+	return held
+}
+
+// TestTieredTornSpill: a spill file torn by a crash (truncated payload,
+// stale sidecar) is detected by the digest check, dropped, and the cell
+// regenerated — the cache never serves bytes that don't verify — and the
+// slot kept beside the spill is dropped with it. A spill rewritten with
+// other bytes and their sidecar verifies and is served, but the slot
+// kept for the old bytes is not adopted by the new ones.
+func TestTieredTornSpill(t *testing.T) {
+	for _, damage := range []string{"torn", "rewritten"} {
+		t.Run(damage, func(t *testing.T) {
+			spillDir := t.TempDir()
+			c, err := NewTiered(TieredConfig{CapacityBytes: slotCellBytes(), SpillDir: spillDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			acquireSlot(t, c, "P", 0)
+			acquireSlot(t, c, "TC", 0) // evict P.t00 from memory
+			if st := c.Stats(); st.KeptSlots != 1 {
+				t.Fatalf("P's slot was not kept: %+v", st)
+			}
+
+			path := filepath.Join(spillDir, spillName("P", 0, slotDims))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := hurricane.Field("P", 0, slotDims)
+			if damage == "torn" {
+				if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil { // torn write
+					t.Fatal(err)
+				}
+			} else {
+				other, _ := hurricane.Field("U", 0, slotDims)
+				want = other
+				rewrite, _ := other.MarshalBinary()
+				rewrite = rewrite[len(rewrite)-len(raw):] // the payload: raw little-endian float32
+				sum := sha256.Sum256(rewrite)
+				if err := os.WriteFile(path, rewrite, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path+".sha256", []byte(hex.EncodeToString(sum[:])+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if acquireSlot(t, c, "P", 0) {
+				t.Fatalf("%s spill: the reloaded cell adopted the slot kept for other bytes", damage)
+			}
+			h, err := c.Acquire("P", 0, slotDims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Release()
+			st := c.Stats()
+			if damage == "torn" && (st.DiskHits != 0 || st.Misses != 3) {
+				t.Fatalf("torn spill must regenerate (2 initial + 1 regen misses, 0 disk hits), got %+v", st)
+			}
+			if damage == "rewritten" && (st.DiskHits != 1 || st.Misses != 2) {
+				t.Fatalf("a rewritten spill that verifies is reloaded, got %+v", st)
+			}
+			if st.Reattached != 0 {
+				t.Fatalf("%s spill: want no slot re-attached, got %+v", damage, st)
+			}
+			if h.Data().Float32()[3] != want.Float32()[3] {
+				t.Fatal("served cell diverges from the bytes that verify")
+			}
+			// the rewrite must verify again
+			repaired, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(repaired)
+			side, err := os.ReadFile(path + ".sha256")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(side) != hex.EncodeToString(sum[:])+"\n" {
+				t.Fatal("repaired spill's sidecar does not match its contents")
+			}
+		})
 	}
-	want, _ := hurricane.Field("P", 0, tieredDims)
-	if h.Data().Float32()[3] != want.Float32()[3] {
-		t.Fatal("regenerated cell diverges")
-	}
-	// the rewrite must verify again
-	repaired, err := os.ReadFile(path)
+}
+
+// TestTieredSlotSurvivesEviction: an evicted cell's slot is kept beside
+// its spill, and the buffer a verified reload maps adopts it — on the
+// reload that hashes the spill and on the one that trusts its identity —
+// so what was derived from a cell outlives its mapping.
+func TestTieredSlotSurvivesEviction(t *testing.T) {
+	c, err := NewTiered(TieredConfig{CapacityBytes: slotCellBytes(), SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(repaired)
-	side, err := os.ReadFile(path + ".sha256")
-	if err != nil {
-		t.Fatal(err)
+	defer c.Close()
+	acquireSlot(t, c, "P", 0)
+	for round := 1; round <= 3; round++ {
+		acquireSlot(t, c, "TC", 0) // evicts P
+		if !acquireSlot(t, c, "P", 0) {
+			t.Fatalf("round %d: the reloaded cell did not adopt its slot: %+v", round, c.Stats())
+		}
 	}
-	if string(side) != hex.EncodeToString(sum[:])+"\n" {
-		t.Fatal("repaired spill's sidecar does not match its contents")
+	// TC's own slot came back on its reloads too: both cells took turns
+	if st := c.Stats(); st.DiskHits != 5 || st.Reattached != 5 || st.KeptSlots != 1 {
+		t.Fatalf("want 5 reloads, each re-attaching, and TC's slot kept, got %+v", st)
 	}
+}
+
+// TestTieredSlotDroppedWithoutVerifiedReload: a kept slot is dropped when
+// the cell is regenerated (its spill deleted), when the tier is closed,
+// and is nowhere in a fresh tier over the same spills; a tier without a
+// disk tier keeps nothing, since an evicted cell is made again.
+func TestTieredSlotDroppedWithoutVerifiedReload(t *testing.T) {
+	t.Run("regenerated", func(t *testing.T) {
+		dir := t.TempDir()
+		c, err := NewTiered(TieredConfig{CapacityBytes: slotCellBytes(), SpillDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		acquireSlot(t, c, "P", 0)
+		acquireSlot(t, c, "TC", 0)
+		if err := os.Remove(filepath.Join(dir, spillName("P", 0, slotDims))); err != nil {
+			t.Fatal(err)
+		}
+		if acquireSlot(t, c, "P", 0) {
+			t.Fatal("a regenerated cell adopted the slot kept for its spill")
+		}
+		if st := c.Stats(); st.Misses != 3 || st.Reattached != 0 {
+			t.Fatalf("want P regenerated and nothing re-attached, got %+v", st)
+		}
+	})
+	t.Run("closed, then a fresh tier", func(t *testing.T) {
+		dir := t.TempDir()
+		c, err := NewTiered(TieredConfig{CapacityBytes: slotCellBytes(), SpillDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acquireSlot(t, c, "P", 0)
+		acquireSlot(t, c, "TC", 0)
+		c.Close()
+		if st := c.Stats(); st.KeptSlots != 0 || st.KeptBytes != 0 {
+			t.Fatalf("Close kept slots: %+v", st)
+		}
+		fresh, err := NewTiered(TieredConfig{CapacityBytes: slotCellBytes(), SpillDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		if acquireSlot(t, fresh, "P", 0) {
+			t.Fatal("a fresh tier's reload holds a slot")
+		}
+		if st := fresh.Stats(); st.DiskHits != 1 || st.Reattached != 0 {
+			t.Fatalf("want P reloaded with nothing re-attached, got %+v", st)
+		}
+	})
+	t.Run("no disk tier", func(t *testing.T) {
+		c, err := NewTiered(TieredConfig{CapacityBytes: slotCellBytes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		acquireSlot(t, c, "P", 0)
+		acquireSlot(t, c, "TC", 0)
+		if st := c.Stats(); st.KeptSlots != 0 {
+			t.Fatalf("a tier without spills kept a slot: %+v", st)
+		}
+		if acquireSlot(t, c, "P", 0) {
+			t.Fatal("a regenerated cell holds a slot")
+		}
+	})
 }
 
 // TestTieredUnmanaged: a cell larger than the whole tier is served

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Data is an n-dimensional typed buffer, the unit of exchange between
@@ -106,6 +107,63 @@ func (d *Data) StoreDerived(key, value any) {
 			return
 		}
 	}
+}
+
+// DerivedSlot is what a buffer's derived-value slot held, taken off it
+// by DetachDerived so that another buffer with the same contents can
+// AdoptDerived it: the dataset tier moves an evicted cell's slot to the
+// buffer a verified reload of its bytes maps. The zero value holds
+// nothing.
+type DerivedSlot struct{ set *derivedSet }
+
+// DerivedSizer is implemented by a derived value that declares the heap
+// bytes it keeps, so a holder of detached slots can bound what it keeps.
+type DerivedSizer interface{ DerivedBytes() int }
+
+// undeclaredBytes is what DerivedSlot.Bytes charges a value that is not
+// a DerivedSizer: the small ones (a float, a summary's moments, a
+// feature vector).
+const undeclaredBytes = 256
+
+// DetachDerived empties d's slot and returns what it held for d's
+// current Version.
+func (d *Data) DetachDerived() DerivedSlot {
+	s := d.derived.Swap(nil)
+	if s == nil || s.version != d.version || s.n == 0 {
+		return DerivedSlot{}
+	}
+	return DerivedSlot{s}
+}
+
+// AdoptDerived gives d the values of s, as of d's current Version, if
+// d's slot is still empty, and reports whether it did. The caller
+// vouches that d holds exactly the contents, dims and dtype the values
+// were derived from.
+func (d *Data) AdoptDerived(s DerivedSlot) bool {
+	if s.set == nil {
+		return false
+	}
+	next := *s.set
+	next.version = d.version
+	return d.derived.CompareAndSwap(nil, &next)
+}
+
+// Bytes is what s keeps on the heap as its values declare it: the set
+// itself, each DerivedSizer's DerivedBytes and undeclaredBytes for any
+// other value; 0 when s holds nothing.
+func (s DerivedSlot) Bytes() int64 {
+	if s.set == nil {
+		return 0
+	}
+	n := int64(unsafe.Sizeof(*s.set))
+	for _, e := range s.set.entries[:s.set.n] {
+		if v, ok := e.value.(DerivedSizer); ok {
+			n += int64(v.DerivedBytes())
+		} else {
+			n += undeclaredBytes
+		}
+	}
+	return n
 }
 
 // NewByte wraps a raw byte buffer (e.g. a compressed payload) in a Data.

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDTypeSizes(t *testing.T) {
@@ -384,5 +385,46 @@ func TestDerivedSlotConcurrentStores(t *testing.T) {
 		if d.Derived(w) != 199 {
 			t.Errorf("key %d = %v after all stores, want 199", w, d.Derived(w))
 		}
+	}
+}
+
+// sizedValue declares its heap bytes, as a large derived value does.
+type sizedValue int
+
+func (v sizedValue) DerivedBytes() int { return int(v) }
+
+// TestDerivedSlotDetachAndAdopt: a detached slot leaves its buffer empty
+// and carries the values of the buffer's current version to another
+// buffer, which adopts them only while its own slot is empty; a slot
+// stored for an older version detaches as nothing.
+func TestDerivedSlotDetachAndAdopt(t *testing.T) {
+	d := NewFloat32(4)
+	d.StoreDerived(slotKey{"a"}, 1.5)
+	d.StoreDerived(slotKey{"b"}, sizedValue(1000))
+	s := d.DetachDerived()
+	if d.Derived(slotKey{"a"}) != nil {
+		t.Fatal("the detached buffer still holds its values")
+	}
+	if want := int64(unsafe.Sizeof(derivedSet{})) + undeclaredBytes + 1000; s.Bytes() != want {
+		t.Fatalf("Bytes = %d, want %d", s.Bytes(), want)
+	}
+	twin := NewFloat32(4)
+	twin.Touch() // another version: adoption restamps the values
+	if !twin.AdoptDerived(s) || twin.Derived(slotKey{"a"}) != 1.5 || twin.Derived(slotKey{"b"}) != sizedValue(1000) {
+		t.Fatal("the twin did not adopt the slot's values")
+	}
+	busy := NewFloat32(4)
+	busy.StoreDerived(slotKey{"c"}, 3)
+	if busy.AdoptDerived(s) || busy.Derived(slotKey{"a"}) != nil || busy.Derived(slotKey{"c"}) != 3 {
+		t.Fatal("a buffer with values of its own adopted a slot")
+	}
+	stale := NewFloat32(4)
+	stale.StoreDerived(slotKey{"a"}, 1.5)
+	stale.Touch()
+	if s := stale.DetachDerived(); s.Bytes() != 0 || NewFloat32(4).AdoptDerived(s) {
+		t.Fatal("a slot of an older version detached with values")
+	}
+	if (DerivedSlot{}).Bytes() != 0 {
+		t.Fatal("the zero slot has bytes")
 	}
 }
