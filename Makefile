@@ -1,7 +1,7 @@
 GO ?= go
 PRESSIOVET := bin/pressiovet
 
-.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build arch-check examples-check benchmark-check serve-check fuzz-batch fuzz-record fuzz-spatial fuzz-slice crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
+.PHONY: build test tier1 loc check lint fmt-check docs-check serial-check cross-build arch-check examples-check benchmark-check serve-check fuzz-batch fuzz-record fuzz-spatial fuzz-slice fuzz-khan crash-check cluster-check remote-check scenario-check stress bench bench-baseline bench-check clean
 
 build:
 	$(GO) build ./...
@@ -50,16 +50,19 @@ loc:
 # FuzzSpatialMatchesReference's in internal/stats — float32 and float64
 # bits with NaN, infinities, zero runs and denormals at rank 1-3, every
 # spatial feature, variogram lag, summary field and histogram bit-equal
-# to the float64 reference — and FuzzForestSlice's in internal/mlkit —
+# to the float64 reference — FuzzForestSlice's in internal/mlkit —
 # random forests read as a step function of one feature, bit-equal to
-# Predict; to fuzz past the seeds:
+# Predict — and FuzzKhanSampleWalk's in internal/predictors — a sorted
+# residual sample's walk, bit-equal to the plain khan estimate; to fuzz
+# past the seeds:
 # go test -run '^$$' -fuzz FuzzDecode -fuzztime 1m ./internal/huffman
 # go test -run '^$$' -fuzz FuzzFieldMatchesReference -fuzztime 1m ./internal/hurricane
 # go test -run '^$$' -fuzz FuzzCodesLorenzo -fuzztime 1m ./internal/compressor/sz3
 # go test -run '^$$' -fuzz FuzzCodeModelCount -fuzztime 1m ./internal/predictors
 # go test -run '^$$' -fuzz FuzzReadObservation -fuzztime 1m ./internal/core
 # go test -run '^$$' -fuzz FuzzSpatialMatchesReference -fuzztime 1m ./internal/stats
-# go test -run '^$$' -fuzz FuzzForestSlice -fuzztime 1m ./internal/mlkit),
+# go test -run '^$$' -fuzz FuzzForestSlice -fuzztime 1m ./internal/mlkit
+# go test -run '^$$' -fuzz FuzzKhanSampleWalk -fuzztime 1m ./internal/predictors),
 # the examples and predict-bench's -table1 and -corpus modes run to
 # completion, the benchmark harness's self-test (benchmark-check), and
 # the complete test suite under the race detector. The race run stays
@@ -233,6 +236,17 @@ fuzz-spatial:
 # go test -run '^$$' -bench KernelForest -benchmem .
 fuzz-slice:
 	$(GO) test -run '^$$' -fuzz FuzzForestSlice -fuzztime 30s ./internal/mlkit
+
+# fuzz-khan runs FuzzKhanSampleWalk past its seed corpus: random float32
+# runs (raw bits, or small steps with NaN, ±Inf, -0 and subnormals mixed
+# in) at any bound, those where every code is an outlier included, each
+# khan_surrogate SZ estimate counted from the sorted residual sample
+# bit-equal to the plain estimate of the same runs (CI runs it in the
+# fuzz matrix job). It gates no speed; the walk has a kernel row and
+# per-bound timings against the plain estimate:
+# go test -run '^$$' -bench KhanWalk ./internal/predictors
+fuzz-khan:
+	$(GO) test -run '^$$' -fuzz FuzzKhanSampleWalk -fuzztime 30s ./internal/predictors
 
 # crash-check runs the kill-restart recovery harness (DESIGN.md §12)
 # under the race detector: every cataloged crash point, the torn compact

@@ -259,10 +259,15 @@ func BenchmarkKernelRahmanAgnosticChain(b *testing.B) {
 // 32x64x64 TC cell: jin_model over the whole buffer, khan_surrogate over
 // its sixteen sampled runs, zperf_model's lorenzo predictor over its
 // quarter prefix. khan_surrogate_tight is serve_cold's 64x64x96 TC cell at
-// abs=1e-6, where the sampled codes span nearly the whole bin budget.
-// allocs/op is the hard gate — a fixed handful (jin_model 7: sz3's plan
-// key, the histogram's two columns, the result set and its boxed values),
-// never one per element or per row; it was 262 173.
+// abs=1e-6, where the sampled codes span nearly the whole bin budget. Both
+// khan rows ask at one bound, which is one fresh bound however often it
+// is asked, so they time the plain estimate; khan_surrogate_sweep asks
+// the same cell at a rotating set of eight bounds over [1e-6, 1e-2], as
+// serve_cold does, so after its third it times the walk of the cell's
+// sorted residual sample. allocs/op is the hard gate — a fixed handful
+// (jin_model 7: sz3's plan key, the histogram's two columns, the result
+// set and its boxed values), never one per element or per row; it was
+// 262 173.
 func BenchmarkKernelSurrogate(b *testing.B) {
 	data := benchField(b, "TC", 24)
 	cold, err := hurricane.Field("TC", 0, []int{64, 64, 96})
@@ -295,6 +300,27 @@ func BenchmarkKernelSurrogate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("khan_surrogate_sweep", func(b *testing.B) {
+		var sweep []pressio.Metric
+		for _, abs := range []float64{1e-6, 3.7e-6, 1e-5, 3.7e-5, 1e-4, 3.7e-4, 1e-3, 1e-2} {
+			m, err := pressio.GetMetric("khan_surrogate")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := m.SetOptions(kernelOpts(abs)); err != nil {
+				b.Fatal(err)
+			}
+			sweep = append(sweep, m)
+		}
+		for _, m := range sweep { // the third bound builds the sample
+			m.BeginCompress(cold)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sweep[i%len(sweep)].BeginCompress(cold)
+		}
+	})
 }
 
 // BenchmarkKernelForest is rahman2023's forest (60 trees of depth ≤ 12)

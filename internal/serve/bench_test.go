@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hurricane"
+	"repro/internal/predictors"
 	"repro/internal/pressio"
 	"repro/internal/store"
 )
@@ -117,11 +118,13 @@ func TestPredictBatchWarmPathAllocatesNothing(t *testing.T) {
 // field) picked at random, at a bound never asked before, against an
 // 8 MiB memory tier with a spill dir — five cells fit, so three requests
 // in five reload their cell from its spill file. One client per
-// GOMAXPROCS. It reports the share of requests that reloaded (spill-hit)
-// and the share of those reloads that were hashed (digest-checked); use
-// it with -cpuprofile/-memprofile to see what a cold predict pays. Not
-// in BENCH_kernels.json: ns/op rows drift by tens of percent on a shared
-// host.
+// GOMAXPROCS. It reports the share of requests that reloaded (spill-hit),
+// the share of those reloads that were hashed (hashed/reload), and the
+// share of khan estimates a cell's sorted residual sample answered
+// (from-sample/op: a reloaded cell answers from the sample its slot
+// kept); use it with -cpuprofile/-memprofile to see what a cold predict
+// pays. Not in BENCH_kernels.json: ns/op rows drift by tens of percent on
+// a shared host.
 func BenchmarkServePredictCold(b *testing.B) {
 	st, err := store.Open(b.TempDir())
 	if err != nil {
@@ -153,6 +156,7 @@ func BenchmarkServePredictCold(b *testing.B) {
 
 	var clients atomic.Int64
 	before := s.data.Stats()
+	sampled, asked := predictors.KhanSampleAnswers()
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -168,6 +172,9 @@ func BenchmarkServePredictCold(b *testing.B) {
 	b.ReportMetric(reloads/float64(b.N), "spill-hit/op")
 	if reloads > 0 {
 		b.ReportMetric(float64(after.DigestChecks-before.DigestChecks)/reloads, "hashed/reload")
+	}
+	if sampledAfter, askedAfter := predictors.KhanSampleAnswers(); askedAfter > asked {
+		b.ReportMetric(float64(sampledAfter-sampled)/float64(askedAfter-asked), "from-sample/op")
 	}
 }
 

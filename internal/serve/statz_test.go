@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"runtime"
 	"testing"
+
+	"repro/internal/pressio"
 )
 
 // TestStatzProcessStats exercises the live process sampler: on Linux the
@@ -74,7 +76,7 @@ func TestStatzJSONShape(t *testing.T) {
 	}
 	for _, key := range []string{
 		"mem_hits", "disk_hits", "misses", "evictions", "digest_checks",
-		"resident_bytes", "mapped_bytes",
+		"resident_bytes", "mapped_bytes", "kept_slots", "kept_bytes", "reattached",
 	} {
 		if _, ok := dc[key]; !ok {
 			t.Errorf("/statz data_cache section missing key %q", key)
@@ -102,5 +104,47 @@ func TestStatzJSONShape(t *testing.T) {
 		if _, ok := proc[key]; !ok {
 			t.Errorf("/statz process section missing key %q", key)
 		}
+	}
+}
+
+// TestStatzCountsKeptSlots: a khan2023 cell asked at three fresh bounds
+// holds its sorted residual sample; evicted by another cell, its slot is
+// kept beside its spill (/statz data_cache kept_slots, kept_bytes), and
+// the reload that serves its next fresh bound re-attaches it
+// (reattached), answering as a cell that never left would.
+func TestStatzCountsKeptSlots(t *testing.T) {
+	dims := []int{16, 32, 32}
+	_, ts := newTestServer(t, Config{DataCacheBytes: 4 * 16 * 32 * 32, DataSpillDir: t.TempDir()})
+	_, twin := newTestServer(t, Config{})
+	predict := func(base, field string, abs float64) float64 {
+		t.Helper()
+		resp, body := postJSON(t, base+"/v1/predict", map[string]any{
+			"scheme": "khan2023", "compressor": "sz3",
+			"options": map[string]any{pressio.OptAbs: abs},
+			"data":    map[string]any{"field": field, "step": 0, "dims": dims},
+		})
+		var r struct {
+			Prediction float64 `json:"prediction"`
+		}
+		if err := json.Unmarshal(body, &r); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s at %g: HTTP %d %s", field, abs, resp.StatusCode, body)
+		}
+		return r.Prediction
+	}
+	for _, abs := range []float64{1e-2, 1e-3, 1e-4} {
+		predict(ts.URL, "P", abs)
+	}
+	predict(ts.URL, "TC", 1e-4) // evicts P
+	dc := statz(t, ts.URL).DataCache
+	if dc.KeptSlots != 1 || dc.KeptBytes <= 0 {
+		t.Fatalf("P's slot was not kept: %+v", dc)
+	}
+	for _, abs := range []float64{1e-5, 1e-6} {
+		if got, want := predict(ts.URL, "P", abs), predict(twin.URL, "P", abs); got != want {
+			t.Fatalf("P at %g: %v from the re-attached sample, %v from a cell asked once", abs, got, want)
+		}
+	}
+	if dc := statz(t, ts.URL).DataCache; dc.DiskHits != 1 || dc.Reattached != 1 {
+		t.Fatalf("want P reloaded once, re-attaching its slot: %+v", dc)
 	}
 }
